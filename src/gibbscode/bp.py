@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import L_SAT
+from .channels import L_SAT, block_slices
 from .graphs import LDGM, LDPC
 
 
@@ -46,11 +46,11 @@ def _saturated_atanh(prod):
 
 @dataclass
 class MessageState:
-    """Per-edge messages after some number of flooding iterations."""
+    """Per-edge messages after some number of flooding iterations, shape
+    (n_edges,) for one realization or (S, n_edges) for a block."""
 
     v2c: np.ndarray
     c2v: np.ndarray
-    iteration: int
 
 
 @lru_cache(maxsize=32)
@@ -63,60 +63,79 @@ def _edge_index(graph):
     return np.array(evar, dtype=np.intp), np.array(echk, dtype=np.intp)
 
 
+def _group_logs(vals, groups, n_groups):
+    """Per-factor log-magnitudes and nonzero flags of vals[e], and per
+    group the sum of the log-magnitudes and the counts of negative and of
+    exactly zero factors."""
+    nz = vals != 0.0
+    logs = np.zeros_like(vals)
+    np.log(np.abs(vals), out=logs, where=nz)
+    logsum = np.bincount(groups, weights=logs, minlength=n_groups)
+    negcount = np.bincount(groups, weights=(vals < 0).astype(float), minlength=n_groups)
+    zerocount = np.bincount(groups, weights=(~nz).astype(float), minlength=n_groups)
+    return logs, nz, logsum, negcount, zerocount
+
+
 def _excl_products(vals, groups, n_groups, extra_log=None, extra_sign=None,
                    extra_zero=None):
     """For factors vals[e] grouped by groups[e], the product over each
     group excluding e itself; optional per-group extra factors (given as
     log-magnitude, sign in {+1,-1}, and an exact-zero flag) are always
     included.  Exact zeros are handled by counting."""
-    nz = vals != 0.0
-    logs = np.zeros_like(vals)
-    np.log(np.abs(vals), out=logs, where=nz)
-    logsum = np.bincount(groups, weights=np.where(nz, logs, 0.0), minlength=n_groups)
-    negcount = np.bincount(groups, weights=(vals < 0).astype(float), minlength=n_groups)
-    zerocount = np.bincount(groups, weights=(~nz).astype(float), minlength=n_groups)
+    logs, nz, logsum, negcount, zerocount = _group_logs(vals, groups, n_groups)
     if extra_log is not None:
         logsum = logsum + np.where(extra_zero, 0.0, extra_log)
         negcount = negcount + (extra_sign < 0)
         zerocount = zerocount + extra_zero
     others_zero = zerocount[groups] - (~nz)
-    mag = np.exp(logsum[groups] - np.where(nz, logs, 0.0))
+    mag = np.exp(logsum[groups] - logs)
     signs = np.where((negcount[groups] - (vals < 0)) % 2 == 0, 1.0, -1.0)
     return np.where(others_zero > 0, 0.0, signs * mag)
 
 
+def _group_products(vals, groups, n_groups):
+    """The product of the factors vals[e] of each group (empty product 1)."""
+    _, _, logsum, negcount, zerocount = _group_logs(vals, groups, n_groups)
+    return np.where(zerocount > 0, 0.0,
+                    np.where(negcount % 2 == 0, 1.0, -1.0) * np.exp(logsum))
+
+
+def _sample_groups(index, n_nodes, samples):
+    """Flat group ids of the (samples, n_edges) message block for an
+    edge-to-node index: sample s's nodes are offset by s * n_nodes, so one
+    bincount over the flattened block sums every sample at once."""
+    return (index + n_nodes * np.arange(samples)[:, None]).ravel()
+
+
 def _run_messages(inst, d):
     """d flooding iterations from zero messages; returns MessageState."""
-    state = MessageState(np.zeros(inst.graph.n_edges), np.zeros(inst.graph.n_edges), 0)
-    return _run_messages_from(inst, state, d)
+    shape = inst.values.shape[:-1] + (inst.graph.n_edges,)
+    return _run_messages_from(inst, MessageState(np.zeros(shape), np.zeros(shape)), d)
 
 
 def _codebit_estimates(inst, state, extrinsic):
     g = inst.graph
     evar, echk = _edge_index(g)
-    l = inst.values
+    l = np.atleast_2d(inst.values)
+    S = len(l)
     if g.kind == LDPC:
-        tot = np.bincount(evar, weights=state.c2v, minlength=g.n_var)
+        tot = np.bincount(_sample_groups(evar, g.n_var, S), weights=state.c2v.ravel(),
+                          minlength=S * g.n_var).reshape(S, g.n_var)
         field = tot if extrinsic else l + tot
-        return np.tanh(np.clip(field, -L_SAT, L_SAT))
-    # LDGM: product of incoming v2c tanh's per check, empty product = 1
-    t = np.tanh(state.v2c)
-    nz = t != 0.0
-    logs = np.where(nz, np.log(np.abs(np.where(nz, t, 1.0))), 0.0)
-    logsum = np.bincount(echk, weights=logs, minlength=g.n_chk)
-    negcount = np.bincount(echk, weights=(t < 0).astype(float), minlength=g.n_chk)
-    zerocount = np.bincount(echk, weights=(~nz).astype(float), minlength=g.n_chk)
-    P = np.where(zerocount > 0, 0.0,
-                 np.where(negcount % 2 == 0, 1.0, -1.0) * np.exp(logsum))
-    if extrinsic:
-        return P
-    tl = np.tanh(l)
-    return (tl + P) / (1.0 + P * tl)
+        est = np.tanh(np.clip(field, -L_SAT, L_SAT))
+    else:
+        # LDGM: product of incoming v2c tanh's per check
+        P = _group_products(np.tanh(state.v2c).ravel(), _sample_groups(echk, g.n_chk, S),
+                            S * g.n_chk).reshape(S, g.n_chk)
+        tl = np.tanh(l)
+        est = P if extrinsic else (tl + P) / (1.0 + P * tl)
+    return est.reshape(inst.values.shape)
 
 
 def bp_run(inst, d, return_state=False):
     """Flooding sum-product for d full iterations from zero messages;
-    returns the per-code-bit marginal estimates."""
+    returns the per-code-bit marginal estimates (per sample, for an
+    instance holding a block of LLR draws)."""
     if d < 0:
         raise ValueError("iteration count must be >= 0")
     state = _run_messages(inst, d)
@@ -141,42 +160,56 @@ def bp_checkpoint_extrinsics(inst, depths):
     run (shared noise; used by the iteration-vs-blocklength experiment)."""
     depths = sorted(set(depths))
     out = {}
-    g = inst.graph
-    state = MessageState(np.zeros(g.n_edges), np.zeros(g.n_edges), 0)
+    state = _run_messages(inst, 0)
     last = 0
     for d in depths:
-        extra = _run_messages_from(inst, state, d - last)
-        state, last = extra, d
+        state, last = _run_messages_from(inst, state, d - last), d
         out[d] = _codebit_estimates(inst, state, extrinsic=True)
     return out
 
 
 def _run_messages_from(inst, state, extra_iters):
-    """Continue flooding from an existing MessageState."""
+    """Continue flooding from an existing MessageState, over blocks of at
+    most BLOCK_ELEMENTS messages (samples x edges)."""
     g = inst.graph
+    l = np.atleast_2d(inst.values)
+    v2c = np.atleast_2d(state.v2c).copy()
+    c2v = np.atleast_2d(state.c2v).copy()
+    for samples in block_slices(len(l), g.n_edges):
+        v2c[samples], c2v[samples] = _flood(g, l[samples], v2c[samples], c2v[samples],
+                                            extra_iters)
+    shape = state.v2c.shape
+    return MessageState(v2c.reshape(shape), c2v.reshape(shape))
+
+
+def _flood(g, l, v2c, c2v, iters):
+    """iters flooding iterations on an (S, n_edges) message block with
+    (S, code bits) LLRs; returns the new (v2c, c2v)."""
     evar, echk = _edge_index(g)
-    l = inst.values
-    v2c, c2v = state.v2c.copy(), state.c2v.copy()
-    for _ in range(extra_iters):
+    S = len(l)
+    var_groups = _sample_groups(evar, g.n_var, S)
+    chk_groups = _sample_groups(echk, g.n_chk, S)
+    v2c, c2v = v2c.ravel(), c2v.ravel()
+    if g.kind == LDPC:
+        l_edge = l[:, evar].ravel()
+    else:
+        tl = np.tanh(l).ravel()
+        extra = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
+                     extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+    for _ in range(iters):
         if g.kind == LDPC:
-            tot = np.bincount(evar, weights=c2v, minlength=g.n_var)
-            v2c = l[evar] + tot[evar] - c2v
+            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+            v2c = l_edge + tot[var_groups] - c2v
             np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-            t = np.tanh(v2c)
-            prod = _excl_products(t, echk, g.n_chk)
+            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk)
         else:
-            t = np.tanh(v2c)
-            tl = np.tanh(l)
-            prod = _excl_products(t, echk, g.n_chk,
-                                  extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
-                                  extra_sign=np.where(tl < 0, -1.0, 1.0),
-                                  extra_zero=(tl == 0.0))
+            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk, **extra)
         c2v = _saturated_atanh(prod)
         if g.kind == LDGM:
-            tot = np.bincount(evar, weights=c2v, minlength=g.n_var)
-            v2c = tot[evar] - c2v
+            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+            v2c = tot[var_groups] - c2v
             np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-    return MessageState(v2c, c2v, state.iteration + extra_iters)
+    return v2c.reshape(S, -1), c2v.reshape(S, -1)
 
 
 # ---------------------------------------------------------------------------

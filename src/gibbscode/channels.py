@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,6 +38,28 @@ _QUAD_SIGMAS = 12.0
 
 #: number of Gauss-Legendre nodes for batched kernel integrals
 _GL_NODES = 481
+
+#: float entries one block of noise samples may hold in a batched layer
+#: (samples times the per-sample width: table rows, message edges or
+#: quadrature nodes); bounds the temporaries whatever the sample count
+BLOCK_ELEMENTS = 1 << 13
+
+
+def block_slices(samples, width):
+    """Consecutive slices of a sample axis, each holding at most
+    BLOCK_ELEMENTS entries of the given per-sample width (and at least one
+    sample)."""
+    step = max(1, BLOCK_ELEMENTS // max(width, 1))
+    return [slice(s, s + step) for s in range(0, samples, step)]
+
+
+@cache
+def _unit_gauss_legendre():
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use
+    (about 20 ms) and shared read-only by every channel."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _fd_step(eps):
@@ -142,7 +165,7 @@ class ChannelModel:
         premultiplied by nothing; used by the batched kernel integrals."""
         mu, var = self.gauss_params()
         sd = math.sqrt(var)
-        x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+        x, w = _unit_gauss_legendre()
         lo, hi = mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
         nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         weights = 0.5 * (hi - lo) * w
@@ -151,35 +174,50 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class LLRVector:
-    """Half-loglikelihoods for one noise realization, with seed provenance."""
+    """Half-loglikelihoods of one noise realization, shape (n,), or of a
+    block of S realizations, shape (S, n)."""
 
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim not in (1, 2):
+            raise ValueError("LLR values must have shape (n,) or (S, n)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("LLR values must be finite")
 
-    def __len__(self):
-        return len(self.values)
+
+def channel_noise(ch, shape, rng):
+    """The raw randomness behind LLR draws of the given shape: uniforms
+    (BSC) or standard normals (BIAWGNC).  Drawing an (S, n) block gives
+    the same numbers as S successive draws of n."""
+    return rng.random(shape) if ch.kind == BSC else rng.standard_normal(shape)
+
+
+def llrs_from_noise(ch, noise, out=None):
+    """Half-LLRs under the all-one codeword from channel_noise draws; the
+    same draws under nearby eps give coupled (common random number) LLRs.
+    out=noise overwrites the draws instead of allocating."""
+    if ch.kind == BSC:
+        a = 0.5 * math.log((1.0 - ch.eps) / ch.eps)
+        # -a where the uniform fell below eps (a flip), +a elsewhere
+        return np.copysign(a, np.subtract(noise, ch.eps, out=out), out=out)
+    mu, var = ch.gauss_params()
+    out = np.multiply(noise, math.sqrt(var), out=out)
+    out += mu
+    return out
 
 
 def sample_llr(ch, n, seed):
-    """n i.i.d. half-LLR draws under the all-one codeword; deterministic
-    given seed (an int or a numpy Generator)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """i.i.d. half-LLR draws under the all-one codeword; n is a length, or
+    a shape (S, n) for a block of S realizations drawn one after another.
+    Deterministic given seed (an int or a numpy Generator)."""
+    shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
+    if len(shape) not in (1, 2) or min(shape) < 1:
+        raise ValueError("n must be >= 1 (or a shape (S, n) with S, n >= 1)")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    prov = seed if isinstance(seed, int) else None
-    if ch.kind == BSC:
-        a = 0.5 * math.log((1.0 - ch.eps) / ch.eps)
-        flips = rng.random(n) < ch.eps
-        vals = np.where(flips, -a, a)
-    else:
-        mu, var = ch.gauss_params()
-        vals = mu + math.sqrt(var) * rng.standard_normal(n)
-    return LLRVector(vals, prov)
+    noise = channel_noise(ch, shape, rng)
+    return LLRVector(llrs_from_noise(ch, noise, out=noise))
 
 
 def t2p(ch, p):
@@ -279,13 +317,15 @@ def gexit_kernel_integral(ch, f):
 
 
 def gexit_kernel_batch(ch, extrinsics):
-    """Vectorized GEXIT kernel: for each extrinsic estimate M return
-    integral of (dc/deps)(l) ln[(1 + M tanh l)/(1 + tanh l)].
+    """Vectorized GEXIT kernel: for each extrinsic estimate M (an array of
+    any shape) return integral of (dc/deps)(l) ln[(1 + M tanh l)/(1 + tanh l)],
+    with the shape of M.
 
     Agrees with gexit_kernel_integral applied pointwise; used by the
     Monte Carlo estimators where one integral per sample is needed.
     """
     M = np.asarray(extrinsics, dtype=float)
+    flat = M.reshape(-1)
     if ch.kind == BSC:
         h = _fd_step(ch.eps)
 
@@ -293,12 +333,15 @@ def gexit_kernel_batch(ch, extrinsics):
             vals, probs = ch.bsc_atoms(e)
             t = np.tanh(vals)
             # rows: the two atoms, columns: samples
-            logs = np.log1p(np.outer(t, M)) - np.log1p(t)[:, None]
+            logs = np.log1p(np.outer(t, flat)) - np.log1p(t)[:, None]
             return probs @ logs
 
-        return (F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h)
+        return ((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h)).reshape(M.shape)
     nodes, weights = ch.gl_grid()
     dc = ch.density_deps(nodes) * weights
     t = np.tanh(nodes)
-    logs = np.log1p(M[:, None] * t[None, :]) - np.log1p(t)[None, :]
-    return logs @ dc
+    log1p_t = np.log1p(t)
+    out = np.empty(flat.shape)
+    for rows in block_slices(len(flat), len(nodes)):
+        out[rows] = (np.log1p(flat[rows, None] * t) - log1p_t) @ dc
+    return out.reshape(M.shape)

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-    gibbscode <experiment> --config cfg.json --out outdir [--threads N]
+    gibbscode <experiment> --config cfg.json --out outdir
 
 where <experiment> is one of corr-decay, gexit-curve, de-curve, bounds,
 duality-check, berretti-check, limits.  The config file is a single JSON
@@ -27,7 +27,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -37,7 +36,7 @@ def main(argv=None):
         doc = json.load(fh)
     doc["experiment"] = args.experiment
     cfg = ExperimentConfig.from_json(doc)
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     emit(result, "csv", os.path.join(args.out, f"{args.experiment}.csv"))
     emit(result, "json", os.path.join(args.out, f"{args.experiment}.json"))

@@ -11,20 +11,23 @@ LDPC posterior over code bits x in {-1,+1}^n:
 Everything here enumerates the configuration space directly (LDPC: all
 2^n spin configurations with the parity indicators, materialized to the
 codeword support), works in the log domain, and relies on numpy's
-pairwise summation for reproducible reductions.  This module is the
+pairwise summation for reproducible reductions.  Every quantity is a
+reduction over one posterior pass, which takes a whole block of noise
+realizations at once: logw = L @ X.T for an (S, n) LLR block L and the
+int8 table X, then a row-wise log-sum-exp.  This module is the
 MAP-side oracle for the BP decoder, the duality layer and the GEXIT
 estimators.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .channels import LLRVector
+from .channels import LLRVector, block_slices
 from .graphs import LDGM, LDPC, TannerGraph
 
 #: default cap on brute-force free spins (2^24 ~ 1.7e7 configurations)
@@ -37,16 +40,19 @@ class BruteForceCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class PosteriorInstance:
-    """A Tanner graph plus one half-loglikelihood vector (one entry per
-    code bit); the Gibbs measure being decoded."""
+    """A Tanner graph plus half-loglikelihoods (one entry per code bit):
+    the Gibbs measure being decoded.  The LLRs may hold one noise
+    realization, shape (n,), or a block of S realizations, shape (S, n);
+    the functions below then return per-sample results with a leading
+    sample axis."""
 
     graph: TannerGraph
     llrs: LLRVector
 
     def __post_init__(self):
-        if len(self.llrs) != self.graph.code_bit_count:
-            raise ValueError(
-                f"llr length {len(self.llrs)} != code bit count {self.graph.code_bit_count}")
+        if self.llrs.values.shape[-1] != self.graph.code_bit_count:
+            raise ValueError(f"llr length {self.llrs.values.shape[-1]} != "
+                             f"code bit count {self.graph.code_bit_count}")
 
     @property
     def kind(self):
@@ -56,12 +62,9 @@ class PosteriorInstance:
     def values(self):
         return self.llrs.values
 
-    def with_llrs(self, values):
-        return PosteriorInstance(self.graph, LLRVector(np.asarray(values, float)))
 
-
-def make_instance(graph, values, seed=None):
-    return PosteriorInstance(graph, LLRVector(np.asarray(values, float), seed))
+def make_instance(graph, values):
+    return PosteriorInstance(graph, LLRVector(values))
 
 
 def _check_cap(graph, cap):
@@ -105,81 +108,139 @@ def codebit_table(graph):
     return np.stack(cols, axis=1) if cols else np.zeros((len(kept), 0), np.int8)
 
 
-def _log_weights(X, l):
-    """X @ l computed column by column (keeps the int8 table unconverted)."""
-    logw = np.zeros(X.shape[0])
-    for j in range(X.shape[1]):
-        logw += l[j] * X[:, j]
-    return logw
+#: a half's posterior probability below this is recomputed from the
+#: half's own maximum log-weight: its terms may be subnormal or have
+#: underflowed to zero
+_TINY_PROBABILITY = 1e-290
 
 
-def _posterior(inst, cap):
+def _float_rows(X):
+    """The int8 table in float row chunks of at most BLOCK_ELEMENTS
+    entries, so the table is never converted whole."""
+    for rows in block_slices(X.shape[0], X.shape[1]):
+        yield rows, X[rows].astype(float)
+
+
+def _table_product(A, X):
+    """A @ X for a float (S, rows) block A and the int8 table X."""
+    out = np.zeros((A.shape[0], X.shape[1]))
+    for rows, F in _float_rows(X):
+        out += A[:, rows] @ F
+    return out
+
+
+@dataclass(frozen=True)
+class _Pass:
+    """One block of the posterior pass: the table X, the block's LLRs L
+    (S, n), log-weights logw = L @ X.T (S, rows), the posterior
+    probabilities p of the rows, and log Z (S,)."""
+
+    X: np.ndarray
+    L: np.ndarray
+    logw: np.ndarray
+    p: np.ndarray
+    logz: np.ndarray
+
+
+def _posterior(inst, cap, reduce):
+    """The posterior pass: log-weights of every enumerated configuration
+    and a row-wise log-sum-exp, over blocks of at most BLOCK_ELEMENTS
+    (samples x table rows).  reduce(block, samples) maps each _Pass to
+    per-sample results (samples is the block's slice of the sample axis);
+    they are stacked, without the sample axis for a single realization."""
     _check_cap(inst.graph, cap)
     X = codebit_table(inst.graph)
-    logw = _log_weights(X, inst.values)
-    m = logw.max()
-    w = np.exp(logw - m)
-    s = w.sum()
-    return X, w / s, m + math.log(s), logw
+    L_all = np.atleast_2d(inst.values)
+    parts = []
+    for samples in block_slices(len(L_all), X.shape[0]):
+        L = L_all[samples]
+        logw = np.empty((len(L), X.shape[0]))
+        for rows, F in _float_rows(X):
+            logw[:, rows] = L @ F.T
+        m = logw.max(axis=1)
+        p = np.subtract(logw, m[:, None])
+        np.exp(p, out=p)
+        wsum = p.sum(axis=1)
+        p /= wsum[:, None]
+        parts.append(reduce(_Pass(X, L, logw, p, m + np.log(wsum)), samples))
+    out = np.concatenate(parts)
+    return out if inst.values.ndim == 2 else out[0]
 
 
 def partition_function(inst, cap=BRUTE_FORCE_CAP):
     """log Z, computed with a streaming-safe log-sum-exp (Z is a positive
     sum of exponential weights for both code families)."""
-    _, _, logz, _ = _posterior(inst, cap)
-    return logz
+    return _posterior(inst, cap, lambda b, _: b.logz)
 
 
 def all_marginals(inst, cap=BRUTE_FORCE_CAP):
     """<x_i> for every code bit i, as one array."""
-    X, p, _, _ = _posterior(inst, cap)
-    return p @ X
+    return _posterior(inst, cap, lambda b, _: _table_product(b.p, b.X))
 
 
 def marginal(inst, i, cap=BRUTE_FORCE_CAP):
-    """Posterior mean <x_i> of code bit i (the soft-bit MAP estimate)."""
-    X, p, _, _ = _posterior(inst, cap)
-    return float(p @ X[:, i])
+    """Posterior mean <x_i> of code bit i (the soft-bit MAP estimate) of a
+    single realization."""
+    return float(all_marginals(inst, cap)[i])
+
+
+def _extrinsics(b, _):
+    """<x_i>_0 = tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of
+    the configurations with x_i = +-1: the log-domain form of reweighting
+    by exp(-l_i x_i), finite for any LLR magnitude."""
+    pplus, pminus = np.zeros(b.L.shape), np.zeros(b.L.shape)
+    nplus = np.zeros(b.X.shape[1])
+    for rows in block_slices(*b.X.shape):
+        P = (b.X[rows] > 0).astype(float)  # indicator of x_i = +1
+        pplus += b.p[:, rows] @ P
+        pminus += b.p[:, rows] @ (1.0 - P)
+        nplus += np.ones(len(P)) @ P  # a BLAS column sum (axis-0 reductions are slow)
+    with np.errstate(divide="ignore"):
+        out = np.tanh(0.5 * (np.log(pplus) - np.log(pminus)) - b.L)
+    # halves whose probability underflowed (empty halves are exactly 0 and right)
+    bad = ((pplus < _TINY_PROBABILITY) & (nplus > 0)) | \
+        ((pminus < _TINY_PROBABILITY) & (nplus < len(b.X)))
+    for i in np.flatnonzero(bad.any(axis=0)):
+        s = bad[:, i]
+        logw = b.logw[s]
+        pos = b.X[:, i] > 0
+        out[s, i] = np.tanh(0.5 * (logsumexp(logw[:, pos], axis=1) -
+                                   logsumexp(logw[:, ~pos], axis=1)) - b.L[s, i])
+    return out
 
 
 def extrinsic_marginal(inst, i, cap=BRUTE_FORCE_CAP):
-    """<x_i>_0: the marginal recomputed with l_i = 0, other entries
-    untouched; the original instance is not modified."""
-    X, p, _, _ = _posterior(inst, cap)
-    xi = X[:, i].astype(float)
-    w0 = p * np.exp(-inst.values[i] * xi)
-    return float((w0 @ xi) / w0.sum())
+    """<x_i>_0 of a single realization: the marginal recomputed with
+    l_i = 0, other entries untouched; the original instance is not
+    modified."""
+    return float(all_extrinsics(inst, cap)[i])
 
 
 def all_extrinsics(inst, cap=BRUTE_FORCE_CAP):
     """<x_i>_0 for every code bit from a single posterior pass."""
-    X, p, _, _ = _posterior(inst, cap)
-    out = np.empty(X.shape[1])
-    for i in range(X.shape[1]):
-        xi = X[:, i].astype(float)
-        w0 = p * np.exp(-inst.values[i] * xi)
-        out[i] = (w0 @ xi) / w0.sum()
-    return out
+    return _posterior(inst, cap, _extrinsics)
 
 
 def pair_correlation(inst, i, j, cap=BRUTE_FORCE_CAP):
-    """<x_i x_j> - <x_i><x_j>."""
+    """<x_i x_j> - <x_i><x_j> of a single realization."""
     if i == j:
         raise ValueError("pair correlation needs distinct code bits")
-    X, p, _, _ = _posterior(inst, cap)
-    xi = X[:, i].astype(float)
-    xj = X[:, j].astype(float)
-    return float(p @ (xi * xj) - (p @ xi) * (p @ xj))
+    return float(correlations_with_root(inst, i, cap)[j])
 
 
 def correlations_with_root(inst, i, cap=BRUTE_FORCE_CAP):
     """<x_i x_j> - <x_i><x_j> for all j at once (j = i slot holds the
-    variance 1 - <x_i>^2); used by the correlation-decay experiments."""
-    X, p, _, _ = _posterior(inst, cap)
-    means = p @ X
-    xi = X[:, i].astype(float)
-    joint = (p * xi) @ X
-    return joint - means[i] * means
+    variance 1 - <x_i>^2); used by the correlation-decay experiments.  For
+    a block, i may also give one root per sample."""
+    roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[:1])
+
+    def reduce(b, samples):
+        means = _table_product(b.p, b.X)
+        r = roots[samples]
+        joint = _table_product(b.p * b.X[:, r].T, b.X)
+        return joint - means[np.arange(len(r)), r][:, None] * means
+
+    return _posterior(inst, cap, reduce)
 
 
 def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
@@ -189,10 +250,6 @@ def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
     _check_cap(inst.graph, cap)
-    X = codebit_table(inst.graph)
-    logw = _log_weights(X, inst.values)
-    w = np.exp(logw - logw.max())
-    p = w / w.sum()
     configs = np.arange(1 << inst.graph.free_spin_count, dtype=np.uint64)
     maskA = maskB = 0
     for a in A:
@@ -201,13 +258,18 @@ def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
         maskB |= 1 << b
     uA = _parity_signs(configs, maskA).astype(float)
     uB = _parity_signs(configs, maskB).astype(float)
-    return float(p @ (uA * uB) - (p @ uA) * (p @ uB))
+
+    def reduce(b, _):
+        return b.p @ (uA * uB) - (b.p @ uA) * (b.p @ uB)
+
+    return _posterior(inst, cap, reduce)
 
 
 def conditional_entropy(inst, cap=BRUTE_FORCE_CAP):
     """Gibbs entropy of the posterior in nats per CODE BIT:
     -(1/n) sum_config p ln p, evaluated in the log domain."""
-    X, p, logz, logw = _posterior(inst, cap)
-    # S = -sum p ln p = ln Z - sum_config p * logw
-    S = logz - float(p @ logw)
-    return S / inst.graph.code_bit_count
+    def reduce(b, _):
+        # S = -sum p ln p = ln Z - sum_config p * logw
+        return (b.logz - np.einsum("sr,sr->s", b.p, b.logw)) / inst.graph.code_bit_count
+
+    return _posterior(inst, cap, reduce)

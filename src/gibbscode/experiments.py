@@ -12,8 +12,7 @@ Experiments (see the CLI for the subcommand names):
   limits          iteration count vs block length on a fixed LDGM code
 
 Every experiment is deterministic given its seed: points draw their
-randomness from spawned child seeds in a fixed order, so the parallel
-mode returns the same numbers as the single-threaded one.
+randomness from spawned child seeds in a fixed order.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import clusters, de, duality, gexit
-from .channels import ChannelModel, sample_llr
+from .channels import ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
 from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, load_graph,
                      graph_distance, sample_ensemble)
@@ -61,6 +59,12 @@ class ExperimentConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         ChannelModel.from_spec(self.channel)  # validates kind and eps
+        uses_de = self.experiment == "de-curve" or (
+            self.experiment == "gexit-curve" and "de" in self.params.get("methods", ()))
+        if uses_de and self.code.get("type", "ensemble") != "ensemble":
+            raise ValueError(
+                f"{self.experiment} with density evolution needs an ensemble code "
+                f"(a degree distribution); code type {self.code.get('type')!r} has none")
 
     @classmethod
     def from_json(cls, doc):
@@ -157,37 +161,40 @@ def _corr_decay(cfg):
     for ch in _eps_points(cfg):
         ss = np.random.SeedSequence([cfg.seed, int(ch.eps * 10 ** 9)])
         seeds = ss.spawn(n_graphs)
-        sums, sumsq, counts = {}, {}, {}
         per_graph = max(1, cfg.samples // n_graphs)
+        sums = sumsq = counts = 0  # per distance bin, summed over graphs
         for gi in range(n_graphs):
             rng = np.random.default_rng(seeds[gi])
             g = src if fixed else sample_ensemble(
                 src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
             nb = g.code_bit_count
-            dists = [[graph_distance(g, i, j) for j in range(nb)] for i in range(nb)]
-            for _ in range(per_graph):
-                l = sample_llr(ch, nb, rng).values
-                inst = make_instance(g, l)
-                root = int(rng.integers(nb))
-                corr = correlations_with_root(inst, root)
-                for j in range(nb):
-                    dij = dists[root][j]
-                    if j == root or math.isinf(dij):
-                        continue
-                    v = abs(corr[j])
-                    sums[dij] = sums.get(dij, 0.0) + v
-                    sumsq[dij] = sumsq.get(dij, 0.0) + v * v
-                    counts[dij] = counts.get(dij, 0) + 1
+            dists = np.array([[graph_distance(g, i, j) for j in range(nb)]
+                              for i in range(nb)], float)
+            # noise and root draws interleave: fill the block in draw order
+            noise = np.empty((per_graph, nb))
+            roots = np.empty(per_graph, np.intp)
+            for s in range(per_graph):
+                noise[s] = channel_noise(ch, nb, rng)
+                roots[s] = rng.integers(nb)
+            corr = correlations_with_root(
+                make_instance(g, llrs_from_noise(ch, noise, out=noise)), roots)
+            dsel = dists[roots]
+            keep = np.isfinite(dsel)
+            keep[np.arange(per_graph), roots] = False
+            bins, v = dsel[keep].astype(np.intp), np.abs(corr[keep])
+            sums = sums + np.bincount(bins, weights=v, minlength=nb)
+            sumsq = sumsq + np.bincount(bins, weights=v * v, minlength=nb)
+            counts = counts + np.bincount(bins, minlength=nb)
         pts = []
-        for dij in sorted(sums):
-            nct = counts[dij]
+        for dij in np.flatnonzero(counts):
+            nct = int(counts[dij])
             mean = sums[dij] / nct
             var = max(sumsq[dij] / nct - mean * mean, 0.0)
             se = math.sqrt(var / nct)
-            rows.append({"eps": ch.eps, "distance": dij, "mean_abs_corr": mean,
+            rows.append({"eps": ch.eps, "distance": int(dij), "mean_abs_corr": float(mean),
                          "std_err": se, "n_samples": nct})
             if nct >= MIN_BIN_SAMPLES:
-                pts.append((dij, mean, se))
+                pts.append((int(dij), float(mean), se))
         try:
             fit = fit_exponential(pts)
             fits[ch.eps] = {"xi": fit.xi, "c1": fit.c1, "r": fit.r,
@@ -386,27 +393,8 @@ _HEADERS = {
 }
 
 
-def run_experiment(cfg, threads=1):
-    """Run one experiment; deterministic given the config seed.  threads
-    parallelizes over eps-grid points where the experiment has a grid
-    (results are identical to the single-threaded run)."""
-    if threads > 1 and len(cfg.eps_grid) > 1 and cfg.experiment in (
-            "corr-decay", "gexit-curve", "de-curve"):
-        parts = []
-        subcfgs = [ExperimentConfig(cfg.experiment, cfg.code, cfg.channel,
-                                    cfg.samples, cfg.seed, (e,), cfg.params)
-                   for e in cfg.eps_grid]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_RUNNERS[cfg.experiment], subcfgs))
-        rows = [r for p in parts for r in p.rows]
-        summary = {}
-        for p in parts:
-            for k, v in p.summary.items():
-                if isinstance(v, dict):
-                    summary.setdefault(k, {}).update(v)
-                else:
-                    summary[k] = v
-        return ExperimentResult(cfg, rows, summary)
+def run_experiment(cfg):
+    """Run one experiment; deterministic given the config seed."""
     return _RUNNERS[cfg.experiment](cfg)
 
 

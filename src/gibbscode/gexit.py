@@ -35,8 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bp import bp_all_extrinsics
-from .channels import BIAWGNC, gexit_kernel_batch, sample_llr, t2p, t2p_sup
-from .exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
+from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
+                       llrs_from_noise, sample_llr, t2p, t2p_sup)
+from .exact import (PosteriorInstance, all_extrinsics, all_marginals, conditional_entropy,
+                    make_instance)
 from .graphs import LDGM, TannerGraph, sample_ensemble
 
 
@@ -64,19 +66,33 @@ def _prefactor(source):
     return source.dd.lambda_prime / source.dd.p_prime if source.kind == LDGM else 1.0
 
 
-def _iter_instances(source, ch, samples, rng, noise_per_graph=1):
-    """Yield (instance, graph index): fresh noise every sample; for an
-    ensemble source a fresh code every noise_per_graph samples (reuse
-    amortizes table construction; variances are then computed over
-    per-graph blocks)."""
+def _blocks(source, samples, rng, draw, noise_per_graph=1):
+    """Yield (graph index, graph, draw(shape)) covering every sample: a
+    fixed graph carries all samples; an ensemble source draws a fresh code
+    for each noise_per_graph samples (reuse amortizes table construction;
+    variances are then computed over per-graph blocks).  Each graph's
+    draws come as (S, n) chunks of at most BLOCK_ELEMENTS entries; graph
+    seeds and draws are read from rng in the order of one sample at a
+    time."""
     fixed = isinstance(source, TannerGraph)
-    g = source if fixed else None
-    for s in range(samples):
-        if not fixed and s % noise_per_graph == 0:
-            g = sample_ensemble(source.dd, source.n, source.kind,
-                                int(rng.integers(2 ** 63)))
-        l = sample_llr(ch, g.code_bit_count, rng).values
-        yield make_instance(g, l), s // noise_per_graph
+    per_graph = samples if fixed else noise_per_graph
+    for index, start in enumerate(range(0, samples, per_graph)):
+        g = source if fixed else sample_ensemble(source.dd, source.n, source.kind,
+                                                 int(rng.integers(2 ** 63)))
+        n, count = g.code_bit_count, range(min(per_graph, samples - start))
+        for chunk in block_slices(len(count), n):
+            yield index, g, draw((len(count[chunk]), n))
+
+
+def _per_sample(source, ch, samples, rng, reduce, noise_per_graph=1):
+    """reduce(instance) over the LLR chunks of _blocks, each returning one
+    value per sample; returns the values and each sample's graph index."""
+    vals, blocks = [], []
+    for index, g, llrs in _blocks(source, samples, rng,
+                                  lambda shape: sample_llr(ch, shape, rng), noise_per_graph):
+        vals.append(reduce(PosteriorInstance(g, llrs)))
+        blocks.append(np.full(len(vals[-1]), index))
+    return np.concatenate(vals), np.concatenate(blocks)
 
 
 def _estimate(values, prefactor, method, meta, blocks=None):
@@ -110,11 +126,10 @@ def map_gexit(source, ch, samples, seed, cap=None, noise_per_graph=1):
     the kernel over all code bits of the instance."""
     rng = np.random.default_rng(seed)
     kw = {} if cap is None else {"cap": cap}
-    vals, blocks = [], []
-    for inst, b in _iter_instances(source, ch, samples, rng, noise_per_graph):
-        Ms = all_extrinsics(inst, **kw)
-        vals.append(float(np.mean(gexit_kernel_batch(ch, Ms))))
-        blocks.append(b)
+    vals, blocks = _per_sample(
+        source, ch, samples, rng,
+        lambda inst: gexit_kernel_batch(ch, all_extrinsics(inst, **kw)).mean(axis=1),
+        noise_per_graph)
     return _estimate(vals, _prefactor(source), "functional",
                      _meta(source, ch, samples, seed), blocks)
 
@@ -127,12 +142,12 @@ def map_gexit_series(source, ch, samples, seed, p_max=20, cap=None,
     rng = np.random.default_rng(seed)
     kw = {} if cap is None else {"cap": cap}
     coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
-    vals, blocks = [], []
-    for inst, b in _iter_instances(source, ch, samples, rng, noise_per_graph):
+
+    def reduce(inst):
         Ms = all_extrinsics(inst, **kw)
-        powers = np.stack([Ms ** (2 * p) for p in range(1, p_max + 1)], axis=1)
-        vals.append(float(np.mean((powers - 1.0) @ coeffs)))
-        blocks.append(b)
+        return sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1)).mean(axis=1)
+
+    vals, blocks = _per_sample(source, ch, samples, rng, reduce, noise_per_graph)
     tail = t2p_sup(ch) * (math.log(2.0) -
                           sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
     return _estimate(vals, _prefactor(source), "series",
@@ -156,11 +171,10 @@ def awgn_gexit(source, ch, samples, seed, cap=None, noise_per_graph=1):
         raise ValueError("magnetization shortcut needs the BIAWGNC")
     rng = np.random.default_rng(seed)
     kw = {} if cap is None else {"cap": cap}
-    vals, blocks = [], []
-    for inst, b in _iter_instances(source, ch, samples, rng, noise_per_graph):
-        vals.append((1.0 - float(np.mean(all_marginals(inst, **kw)))) /
-                    (2.0 * ch.eps ** 2))
-        blocks.append(b)
+    vals, blocks = _per_sample(
+        source, ch, samples, rng,
+        lambda inst: (1.0 - all_marginals(inst, **kw).mean(axis=1)) / (2.0 * ch.eps ** 2),
+        noise_per_graph)
     return _estimate(vals, _prefactor(source), "awgn-magnetization",
                      _meta(source, ch, samples, seed), blocks)
 
@@ -168,11 +182,10 @@ def awgn_gexit(source, ch, samples, seed, cap=None, noise_per_graph=1):
 def bp_gexit(source, ch, d, samples, seed, noise_per_graph=1):
     """BP-GEXIT: the same kernel with the depth-d BP extrinsics."""
     rng = np.random.default_rng(seed)
-    vals, blocks = [], []
-    for inst, b in _iter_instances(source, ch, samples, rng, noise_per_graph):
-        Ms = bp_all_extrinsics(inst, d)
-        vals.append(float(np.mean(gexit_kernel_batch(ch, Ms))))
-        blocks.append(b)
+    vals, blocks = _per_sample(
+        source, ch, samples, rng,
+        lambda inst: gexit_kernel_batch(ch, bp_all_extrinsics(inst, d)).mean(axis=1),
+        noise_per_graph)
     return _estimate(vals, _prefactor(source), "bp",
                      _meta(source, ch, samples, seed, d=d), blocks)
 
@@ -186,13 +199,14 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
 
     rng = np.random.default_rng(seed)
     depths = sorted(set(depths))
-    per_depth = {d: [] for d in depths}
-    for inst, _ in _iter_instances(source, ch, samples, rng):
+
+    def reduce(inst):
         ext = bp_checkpoint_extrinsics(inst, depths)
-        for d in depths:
-            per_depth[d].append(float(np.mean(gexit_kernel_batch(ch, ext[d]))))
+        return np.stack([gexit_kernel_batch(ch, ext[d]).mean(axis=1) for d in depths], axis=1)
+
+    vals, _ = _per_sample(source, ch, samples, rng, reduce)
     pref = _prefactor(source)
-    kernels = {d: np.array(per_depth[d]) for d in depths}
+    kernels = {d: vals[:, k] for k, d in enumerate(depths)}
     out = {}
     for d in depths:
         out[d] = _estimate(kernels[d], pref, "bp",
@@ -217,34 +231,22 @@ def entropy_fd(source, ch, eps_step, samples, seed, cap=None,
     if not (0.0 < ch.eps - eps_step and ch.eps + eps_step < ch.eps_max):
         raise ValueError("eps +- eps_step must stay inside (0, eps_max)")
     rng = np.random.default_rng(seed)
-    fixed = isinstance(source, TannerGraph)
     chp = type(ch)(ch.kind, ch.eps + eps_step)
     chm = type(ch)(ch.kind, ch.eps - eps_step)
     kw = {} if cap is None else {"cap": cap}
     slopes = []
     curvs = []
-    for _ in range(samples):
-        g = source if fixed else sample_ensemble(
-            source.dd, source.n, source.kind, int(rng.integers(2 ** 63)))
-        n = g.code_bit_count
+    for _, g, noise in _blocks(source, samples, rng, lambda shape: channel_noise(ch, shape, rng)):
         scale = g.n_chk / g.n_var if g.kind == LDGM else 1.0
-        if ch.kind == "bsc":
-            u = rng.random(n)
-            draw = lambda c: np.where(u < c.eps, -1.0, 1.0) * \
-                0.5 * math.log((1.0 - c.eps) / c.eps)
-        else:
-            z = rng.standard_normal(n)
-            draw = lambda c: 1.0 / c.eps + math.sqrt(1.0 / c.eps) * z
-        hp = conditional_entropy(make_instance(g, draw(chp)), **kw)
-        hm = conditional_entropy(make_instance(g, draw(chm)), **kw)
+        entropy = lambda c: conditional_entropy(make_instance(g, llrs_from_noise(c, noise)), **kw)
+        hp, hm = entropy(chp), entropy(chm)
         slopes.append(scale * (hp - hm) / (2.0 * eps_step))
         if check_curvature:
-            h0 = conditional_entropy(make_instance(g, draw(ch)), **kw)
-            curvs.append(scale * (hp - 2.0 * h0 + hm) / eps_step ** 2)
-    est = _estimate(slopes, 1.0, "entropy-fd",
+            curvs.append(scale * (hp - 2.0 * entropy(ch) + hm) / eps_step ** 2)
+    est = _estimate(np.concatenate(slopes), 1.0, "entropy-fd",
                     _meta(source, ch, samples, seed, eps_step=eps_step))
     if check_curvature:
-        bend = abs(np.mean(curvs)) * eps_step ** 2
+        bend = abs(np.mean(np.concatenate(curvs))) * eps_step ** 2
         if bend > max(est.std_error, 1e-12):
             warnings.warn(f"eps_step may be too large: curvature term {bend:.2e} "
                           f"exceeds the standard error {est.std_error:.2e}")
@@ -260,10 +262,11 @@ def nishimori_residual(source, ch, p, samples, seed, cap=None):
         raise ValueError("p must be >= 1")
     rng = np.random.default_rng(seed)
     kw = {} if cap is None else {"cap": cap}
-    diffs = []
-    for inst, _ in _iter_instances(source, ch, samples, rng):
+
+    def reduce(inst):
         m = all_marginals(inst, **kw)
-        diffs.append(float(np.mean(m ** (2 * p - 1) - m ** (2 * p))))
-    diffs = np.array(diffs)
+        return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=1)
+
+    diffs, _ = _per_sample(source, ch, samples, rng, reduce)
     return (abs(float(diffs.mean())),
             float(diffs.std(ddof=1) / math.sqrt(len(diffs))))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_tree_graph
+from conftest import fixed_code_corpus, random_tree_graph
+from gibbscode import channels
 from gibbscode.bp import (bp_all_extrinsics, bp_checkpoint_extrinsics,
                           bp_extrinsic, bp_run, tree_decode)
 from gibbscode.channels import ChannelModel, sample_llr
@@ -170,3 +171,22 @@ def test_checkpoint_extrinsics_consistent():
     out = bp_checkpoint_extrinsics(inst, [0, 2, 5])
     assert np.allclose(out[2], bp_all_extrinsics(inst, 2))
     assert np.allclose(out[5], bp_all_extrinsics(inst, 5))
+
+
+@pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 30], ids=["default", "chunked"])
+def test_block_flood_matches_single_floods(monkeypatch, budget):
+    """An (S, n_edges) flood equals S separate one-sample floods on the
+    loopy corpus codes at d = 20, also when split into sample chunks."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(22)
+    for name, g in fixed_code_corpus()[1:]:
+        L = rng.normal(0.5, 1.5, (11, g.code_bit_count))
+        block = make_instance(g, L)
+        singles = [make_instance(g, l) for l in L]
+        assert np.max(np.abs(bp_all_extrinsics(block, 20) -
+                             [bp_all_extrinsics(s, 20) for s in singles])) <= 1e-15, name
+        assert np.max(np.abs(bp_run(block, 20) -
+                             [bp_run(s, 20) for s in singles])) <= 1e-15, name
+        ckpt = bp_checkpoint_extrinsics(block, [3, 20])
+        assert np.max(np.abs(ckpt[20] - [bp_all_extrinsics(s, 20) for s in singles])) \
+            <= 1e-15, name

@@ -151,3 +151,29 @@ def test_kernel_batch_matches_scalar():
             ch, lambda l, M=M: np.log((1 + M * np.tanh(l)) / (1 + np.tanh(l))))
             for M in Ms]
         assert np.allclose(batch, scalar, atol=1e-9)
+
+
+def test_block_draws_reproduce_per_draw_streams():
+    for ch in (ChannelModel(BSC, 0.3), ChannelModel(BIAWGNC, 0.8)):
+        block = sample_llr(ch, (6, 5), np.random.default_rng(4)).values
+        rng = np.random.default_rng(4)
+        rows = [sample_llr(ch, 5, rng).values for _ in range(6)]
+        assert block.shape == (6, 5) and np.array_equal(block, rows)
+    with pytest.raises(ValueError):
+        sample_llr(ChannelModel(BSC, 0.3), (0, 5), 1)
+
+
+def test_kernel_batch_any_shape():
+    Ms = np.random.default_rng(5).uniform(-1, 1, (40, 7))
+    for ch in (ChannelModel(BSC, 0.3), ChannelModel(BIAWGNC, 0.8)):
+        batch = gexit_kernel_batch(ch, Ms)
+        assert batch.shape == Ms.shape
+        assert np.allclose(batch.ravel(), gexit_kernel_batch(ch, Ms.ravel()),
+                           rtol=0, atol=1e-15)
+    # the cached unit grid scales to the same nodes as a fresh one
+    ch = ChannelModel(BIAWGNC, 0.8)
+    x, w = np.polynomial.legendre.leggauss(481)
+    half = 12.0 * math.sqrt(1 / 0.8)
+    nodes, weights = ch.gl_grid()
+    assert np.allclose(nodes, 1 / 0.8 + half * x, rtol=0, atol=1e-13)
+    assert np.allclose(weights, half * w, rtol=0, atol=1e-15)

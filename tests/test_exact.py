@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_ldgm_graph, random_ldpc_graph
+from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
+from gibbscode import channels
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, conditional_entropy,
                              correlations_with_root, extrinsic_marginal,
@@ -159,3 +161,63 @@ def test_spin_product_correlation():
     with pytest.raises(ValueError):
         spin_product_correlation(make_instance(
             build_graph(2, 1, [(0, 0), (1, 0)], LDPC), [0.1, 0.2]), {0}, {1})
+
+
+def test_extrinsics_finite_at_saturated_llrs():
+    """rep3 has codewords +++ and ---, so ext_0 = tanh(l_1 + l_2) and so
+    on; |l| beyond the exp overflow point (~709) must not give NaN, and
+    l = (1000, 0, 0) puts the weight of --- below double underflow."""
+    g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
+    for l in ([800.0, -750.0, 5.0], [1000.0, 0.0, 0.0], [1000.0, -999.0, 0.5],
+              [0.3, -0.2, 0.9]):
+        inst = make_instance(g, l)
+        expect = [math.tanh(l[1] + l[2]), math.tanh(l[0] + l[2]), math.tanh(l[0] + l[1])]
+        assert np.allclose(all_extrinsics(inst), expect, rtol=0, atol=1e-12), l
+        assert extrinsic_marginal(inst, 1) == pytest.approx(expect[1], abs=1e-12)
+
+
+def _per_row_reference(g, L):
+    """Marginals, extrinsics, entropy per code bit and correlations with
+    root 0 for each row of L, by direct enumeration of the spins."""
+    rows = []
+    for spins in itertools.product((1, -1), repeat=g.n_var):
+        if g.kind == LDGM:
+            rows.append([math.prod(spins[a] for a in g.adj_chk[i]) for i in range(g.n_chk)])
+        elif all(math.prod(spins[v] for v in g.adj_chk[c]) == 1 for c in range(g.n_chk)):
+            rows.append(list(spins))
+    X = np.array(rows, float)
+    out = []
+    for l in L:
+        p = np.exp(X @ l)
+        p /= p.sum()
+        marg = p @ X
+        ext = []
+        for i in range(X.shape[1]):
+            w0 = p * np.exp(-l[i] * X[:, i])
+            ext.append((w0 @ X[:, i]) / w0.sum())
+        entropy = -(p @ np.log(p)) / g.code_bit_count
+        corr = (p * X[:, 0]) @ X - marg[0] * marg
+        out.append((marg, np.array(ext), entropy, corr))
+    return [np.array(x) for x in zip(*out)]
+
+
+@pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 24], ids=["default", "chunked"])
+def test_block_pass_matches_per_row_enumeration(monkeypatch, budget):
+    """One posterior pass over an (S, n) block gives every row's exact
+    quantities, also when the block and the table are split into chunks."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(21)
+    for name, g in fixed_code_corpus():
+        L = rng.normal(0.5, 1.5, (9, g.code_bit_count))
+        inst = make_instance(g, L)
+        marg, ext, entropy, corr = _per_row_reference(g, L)
+        assert np.max(np.abs(all_marginals(inst) - marg)) <= 1e-12, name
+        assert np.max(np.abs(all_extrinsics(inst) - ext)) <= 1e-12, name
+        assert np.max(np.abs(conditional_entropy(inst) - entropy)) <= 1e-12, name
+        assert np.max(np.abs(correlations_with_root(inst, 0) - corr)) <= 1e-12, name
+        # per-sample roots: row s of the block against its own S = 1 pass
+        roots = rng.integers(g.code_bit_count, size=len(L))
+        block = correlations_with_root(inst, roots)
+        for s, r in enumerate(roots):
+            single = correlations_with_root(make_instance(g, L[s]), r)
+            assert np.max(np.abs(block[s] - single)) <= 1e-12, name

@@ -91,11 +91,25 @@ def test_determinism_and_emit(tmp_path):
         emit(r1, "parquet", tmp_path / "x")
 
 
-def test_threads_match_single(tmp_path):
-    cfg = ExperimentConfig.from_json(CORR_CFG)
-    r1 = run_experiment(cfg, threads=1)
-    r2 = run_experiment(cfg, threads=2)
-    assert r1.rows == r2.rows
+def test_cli_rejects_threads(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(CORR_CFG))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["corr-decay", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                  "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_density_evolution_needs_ensemble_code():
+    edges = {"type": "edges", "family": "ldpc", "n_var": 3, "n_chk": 2,
+             "edges": [[0, 0], [1, 0], [1, 1], [2, 1]]}
+    for exp, params in (("gexit-curve", {"methods": ["functional", "de"]}),
+                        ("de-curve", {})):
+        for code in (edges, {"type": "file", "family": "ldpc", "path": "code.txt"}):
+            with pytest.raises(ValueError, match="ensemble code"):
+                ExperimentConfig.from_json({"experiment": exp, "code": code,
+                                            "channel": "bsc:0.3", "seed": 1,
+                                            "params": params})
 
 
 def test_gexit_curve_schema():

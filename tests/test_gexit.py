@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import fixed_code_corpus
-from gibbscode.channels import ChannelModel, t2p
-from gibbscode.exact import make_instance
+from gibbscode.channels import ChannelModel, gexit_kernel_batch, sample_llr, t2p
+from gibbscode.exact import all_extrinsics, conditional_entropy, make_instance
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
                              map_gexit_series, nishimori_residual,
                              series_zero_moment_value)
-from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph
+from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensemble
 
 
 def rep3():
@@ -157,3 +157,37 @@ def test_ensemble_source_and_blocks():
     assert est.meta["n"] == 12 and est.std_error > 0
     # prefactor for the ensemble equals Lambda'(1)/P'(1)
     assert est.meta["family"] == LDGM
+
+
+def test_block_routes_match_per_draw_loop():
+    """The block routes read the rng exactly as a loop that draws one
+    graph seed (every noise_per_graph samples) and one LLR vector at a
+    time, and keep the per-graph-block standard error."""
+    ch = ChannelModel("bsc", 0.4)
+    src = EnsembleSpec(DegreeDistribution.regular(3, 2), 9, LDGM)
+    samples, per_graph, seed = 11, 3, 12
+    rng = np.random.default_rng(seed)
+    vals, blocks = [], []
+    for s in range(samples):
+        if s % per_graph == 0:
+            g = sample_ensemble(src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
+        inst = make_instance(g, sample_llr(ch, g.code_bit_count, rng).values)
+        vals.append(np.mean(gexit_kernel_batch(ch, all_extrinsics(inst))))
+        blocks.append(s // per_graph)
+    means = [np.mean(vals[b * per_graph:(b + 1) * per_graph]) for b in range(4)]
+    pref = src.dd.lambda_prime / src.dd.p_prime
+    est = map_gexit(src, ch, samples, seed, noise_per_graph=per_graph)
+    assert est.value == pytest.approx(pref * np.mean(vals), rel=0, abs=1e-12)
+    assert est.std_error == pytest.approx(pref * np.std(means, ddof=1) / 2, rel=1e-9)
+
+    # entropy-fd: one fresh graph and one shared uniform draw per sample
+    rng = np.random.default_rng(seed)
+    slopes = []
+    for _ in range(samples):
+        g = sample_ensemble(src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
+        u = rng.random(g.code_bit_count)
+        h = [conditional_entropy(make_instance(
+            g, np.where(u < e, -1.0, 1.0) * 0.5 * math.log((1 - e) / e))) for e in (0.401, 0.399)]
+        slopes.append(g.n_chk / g.n_var * (h[0] - h[1]) / 0.002)
+    est = entropy_fd(src, ch, 1e-3, samples, seed)
+    assert est.value == pytest.approx(np.mean(slopes), rel=0, abs=1e-9)
