@@ -4,6 +4,7 @@ over binary-input memoryless symmetric channels.
 Submodules:
 
   channels     BSC / BIAWGNC half-loglikelihood models and moment functionals
+  gf2          GF(2) bitmask elimination, codeword enumeration, parity signs
   graphs       Tanner graphs, ensembles, neighborhoods, covers, walks
   exact        brute-force-exact posterior marginals, correlations, entropy
   bp           sum-product decoding on graphs and computational trees
@@ -14,8 +15,8 @@ Submodules:
   experiments  reproducible experiment runner (CSV/JSON emission)
 """
 
-from . import bp, channels, clusters, de, duality, exact, experiments, gexit, graphs
+from . import bp, channels, clusters, de, duality, exact, experiments, gexit, gf2, graphs
 
 __all__ = ["bp", "channels", "clusters", "de", "duality", "exact",
-           "experiments", "gexit", "graphs"]
+           "experiments", "gexit", "gf2", "graphs"]
 __version__ = "0.1.0"

@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .channels import delta_dual, delta_high
 from .duality import DualInstance, dual_bracket, dual_partition
-from .exact import partition_function, spin_product_correlation
+from .exact import codebit_table, partition_function, spin_product_correlation
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
                      graph_distance, same_type_distance)
 
@@ -210,15 +211,10 @@ def _tau_columns(g, vars_needed, chk_list):
     """tau_k over the 2^len(chk_list) restricted dual configurations for
     each variable k in vars_needed (whose checks must lie in chk_list)."""
     pos = {c: b for b, c in enumerate(chk_list)}
-    configs = np.arange(1 << len(chk_list), dtype=np.uint64)
-    cols = {}
-    for k in vars_needed:
-        mask = 0
-        for c in g.adj_var[k]:
-            mask |= 1 << pos[c]
-        bits = (np.bitwise_count(configs & np.uint64(mask)) & np.uint64(1)).astype(np.int8)
-        cols[k] = (np.int8(1) - np.int8(2) * bits).astype(float)
-    return cols
+    vars_needed = list(vars_needed)
+    signs = gf2.parity_signs(gf2.cube(len(chk_list)),
+                             [gf2.mask(pos[c] for c in g.adj_var[k]) for k in vars_needed])
+    return dict(zip(vars_needed, np.ascontiguousarray(signs.T, dtype=float)))
 
 
 def reduced_dual_partition(inst, xhat):
@@ -327,19 +323,11 @@ def berretti_avg_bound(g, ch, i, j, s):
 def _replica_tables(inst, A, B):
     """Config-pair matrices for the replicated LDGM measure: per-check
     weight factors M_c and the product f_A f_B of replica differences."""
-    from .exact import _parity_signs, codebit_table
-
     g = inst.graph
     X = codebit_table(g).astype(float)  # (configs, n_chk)
     l = inst.values
-    configs = np.arange(1 << g.n_var, dtype=np.uint64)
-    maskA = maskB = 0
-    for a in A:
-        maskA |= 1 << a
-    for b in B:
-        maskB |= 1 << b
-    uA = _parity_signs(configs, maskA).astype(float)
-    uB = _parity_signs(configs, maskB).astype(float)
+    signs = gf2.parity_signs(gf2.cube(g.n_var), [gf2.mask(A), gf2.mask(B)])
+    uA, uB = np.ascontiguousarray(signs.T, dtype=float)
     FAB = (uA[:, None] - uA[None, :]) * (uB[:, None] - uB[None, :])
     Ms = [np.exp(l[c] * (X[:, c][:, None] + X[:, c][None, :]) + 2.0 * abs(l[c]))
           for c in range(g.n_chk)]

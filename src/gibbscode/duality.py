@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from .exact import BRUTE_FORCE_CAP, BruteForceCapExceeded, all_marginals, pair_correlation
+from . import gf2
+from .exact import (BRUTE_FORCE_CAP, BruteForceCapExceeded, TableCache, all_marginals,
+                    pair_correlation)
 from .graphs import LDPC
 
 #: |Z_dual| below this triggers the resolve-via-primal fallback
@@ -59,26 +61,12 @@ class Gf2Matrix:
 
     @classmethod
     def from_graph(cls, g):
-        rows = []
-        for c in range(g.n_chk):
-            mask = 0
-            for v in g.adj_chk[c]:
-                mask |= 1 << v
-            rows.append(mask)
-        return cls(tuple(rows), g.n_var)
+        return cls(tuple(gf2.mask(c) for c in g.adj_chk), g.n_var)
 
 
 def gf2_rank(mat):
     """Rank over GF(2) by bitmask elimination."""
-    rows = [r for r in mat.rows if r]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+    return gf2.rank(mat.rows)
 
 
 @dataclass(frozen=True)
@@ -100,20 +88,11 @@ class DualInstance:
         return self.base.values
 
 
-@lru_cache(maxsize=32)
+@partial(TableCache, maxsize=32)
 def _tau_table(graph):
     """tau_i(u) for every dual configuration u (rows) and variable i
     (columns), as int8 signs; u enumerates {-1,+1}^{n_chk}."""
-    configs = np.arange(1 << graph.n_chk, dtype=np.uint64)
-    cols = []
-    for i in range(graph.n_var):
-        mask = 0
-        for a in graph.adj_var[i]:
-            mask |= 1 << a
-        bits = (np.bitwise_count(configs & np.uint64(mask)) & np.uint64(1)).astype(np.int8)
-        cols.append(np.int8(1) - np.int8(2) * bits)
-    return (np.stack(cols, axis=1) if cols
-            else np.zeros((len(configs), 0), np.int8))
+    return gf2.parity_signs(gf2.cube(graph.n_chk), [gf2.mask(a) for a in graph.adj_var])
 
 
 def _config_weights(dinst, cap):

@@ -8,34 +8,41 @@ LDPC posterior over code bits x in {-1,+1}^n:
 
     p(x) = (1/Z) prod_c (1/2)(1 + prod_{i in d(c)} x_i) prod_i exp(l_i x_i)
 
-Everything here enumerates the configuration space directly (LDPC: all
-2^n spin configurations with the parity indicators, materialized to the
-codeword support), works in the log domain, and relies on numpy's
-pairwise summation for reproducible reductions.  Every quantity is a
-reduction over one posterior pass, which takes a whole block of noise
-realizations at once: logw = L @ X.T for an (S, n) LLR block L and the
-int8 table X, then a row-wise log-sum-exp.  This module is the
-MAP-side oracle for the BP decoder, the duality layer and the GEXIT
-estimators.
+Everything here enumerates the support of the measure directly (LDGM:
+all 2^m information-bit configurations; LDPC: the 2^(n - rank H)
+codewords, spanned from a GF(2) nullspace basis of the parity checks),
+works in the log domain, and relies on numpy's pairwise summation for
+reproducible reductions.  Every quantity is a reduction over one
+posterior pass, which takes a whole block of noise realizations at once:
+logw = L @ X.T for an (S, n) LLR block L and the int8 table X, then a
+row-wise log-sum-exp.  This module is the MAP-side oracle for the BP
+decoder, the duality layer and the GEXIT estimators.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial, update_wrapper
 
 import numpy as np
 from scipy.special import logsumexp
 
+from . import gf2
 from .channels import LLRVector, block_slices
 from .graphs import LDGM, LDPC, TannerGraph
 
-#: default cap on brute-force free spins (2^24 ~ 1.7e7 configurations)
+#: default cap on the support dimension: information bits (LDGM) or
+#: n - rank H (LDPC); 2^24 ~ 1.7e7 enumerated configurations
 BRUTE_FORCE_CAP = 24
+
+#: bytes of tables each table cache may keep (one 2^24 x 16 int8 table)
+TABLE_CACHE_BYTES = 256 << 20
 
 
 class BruteForceCapExceeded(ValueError):
-    """The instance has more free spins than the brute-force cap allows."""
+    """The instance's support has a larger dimension than the brute-force
+    cap allows."""
 
 
 @dataclass(frozen=True)
@@ -68,44 +75,72 @@ def make_instance(graph, values):
 
 
 def _check_cap(graph, cap):
-    if graph.free_spin_count > cap:
+    if graph.kind == LDPC and graph.n_var > gf2.MAX_WORD_BITS:
         raise BruteForceCapExceeded(
-            f"{graph.free_spin_count} free spins exceed cap {cap}")
+            f"{graph.n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
+    if graph.free_spin_count > cap:
+        what = "information bits" if graph.kind == LDGM else "codeword dimension n - rank H"
+        raise BruteForceCapExceeded(
+            f"support dimension {graph.free_spin_count} ({what}) exceeds cap {cap}")
 
 
-def _parity_signs(configs, mask):
-    """(-1)^{popcount(configs & mask)} as int8."""
-    bits = (np.bitwise_count(configs & np.uint64(mask)) & np.uint64(1)).astype(np.int8)
-    return np.int8(1) - np.int8(2) * bits
+TableCacheInfo = namedtuple("TableCacheInfo", "hits misses maxsize currsize max_bytes nbytes")
 
 
-@lru_cache(maxsize=8)
+class TableCache:
+    """Memoizes a one-argument table build, least recently used out
+    first, keeping at most maxsize tables and at most max_bytes of them:
+    a table larger than max_bytes is returned but not kept.  Tables are
+    shared by every caller, so they are returned read-only.  cache_info()
+    and cache_clear() follow functools.lru_cache (misses count builds)."""
+
+    def __init__(self, build, maxsize, max_bytes=TABLE_CACHE_BYTES):
+        update_wrapper(self, build)
+        self.maxsize = maxsize
+        self.max_bytes = max_bytes
+        self.cache_clear()
+
+    def __call__(self, key):
+        table = self._tables.get(key)
+        if table is not None:
+            self._hits += 1
+            self._tables.move_to_end(key)
+            return table
+        self._misses += 1
+        table = self.__wrapped__(key)
+        table.flags.writeable = False
+        if table.nbytes <= self.max_bytes:
+            self._tables[key] = table
+            self._nbytes += table.nbytes
+            while len(self._tables) > self.maxsize or self._nbytes > self.max_bytes:
+                _, old = self._tables.popitem(last=False)
+                self._nbytes -= old.nbytes
+        return table
+
+    def cache_info(self):
+        return TableCacheInfo(self._hits, self._misses, self.maxsize, len(self._tables),
+                              self.max_bytes, self._nbytes)
+
+    def cache_clear(self):
+        self._tables = OrderedDict()
+        self._hits = self._misses = self._nbytes = 0
+
+
+@partial(TableCache, maxsize=8)
 def codebit_table(graph):
     """Code-bit value matrix X over the enumerated support.
 
     LDGM: X has shape (2^m, n_chk); row u gives x_i(u) for every check.
-    LDPC: rows are the codewords (the 2^n enumeration filtered by the
-    parity indicators); X[r, i] is spin i of codeword r.
+    LDPC: rows are the codewords, spanned from a nullspace basis of the
+    parity checks in ascending order of their bitmasks (the order of a
+    2^n enumeration filtered by the parity indicators); X[r, i] is spin
+    i of codeword r.
     """
-    configs = np.arange(1 << graph.free_spin_count, dtype=np.uint64)
+    checks = [gf2.mask(c) for c in graph.adj_chk]
     if graph.kind == LDGM:
-        cols = []
-        for i in range(graph.n_chk):
-            mask = 0
-            for a in graph.adj_chk[i]:
-                mask |= 1 << a
-            cols.append(_parity_signs(configs, mask))
-        return np.stack(cols, axis=1) if cols else np.zeros((len(configs), 0), np.int8)
-    # LDPC: keep configurations satisfying every check
-    valid = np.ones(len(configs), dtype=bool)
-    for c in range(graph.n_chk):
-        mask = 0
-        for i in graph.adj_chk[c]:
-            mask |= 1 << i
-        valid &= _parity_signs(configs, mask) == 1
-    kept = configs[valid]
-    cols = [_parity_signs(kept, 1 << i) for i in range(graph.n_var)]
-    return np.stack(cols, axis=1) if cols else np.zeros((len(kept), 0), np.int8)
+        return gf2.parity_signs(gf2.cube(graph.n_var), checks)
+    return gf2.parity_signs(gf2.codewords(checks, graph.n_var),
+                            [1 << i for i in range(graph.n_var)])
 
 
 #: a half's posterior probability below this is recomputed from the
@@ -250,14 +285,8 @@ def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
     _check_cap(inst.graph, cap)
-    configs = np.arange(1 << inst.graph.free_spin_count, dtype=np.uint64)
-    maskA = maskB = 0
-    for a in A:
-        maskA |= 1 << a
-    for b in B:
-        maskB |= 1 << b
-    uA = _parity_signs(configs, maskA).astype(float)
-    uB = _parity_signs(configs, maskB).astype(float)
+    signs = gf2.parity_signs(gf2.cube(inst.graph.n_var), [gf2.mask(A), gf2.mask(B)])
+    uA, uB = np.ascontiguousarray(signs.T, dtype=float)
 
     def reduce(b, _):
         return b.p @ (uA * uB) - (b.p @ uA) * (b.p @ uB)

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import gf2
 
 LDGM = "ldgm"
 LDPC = "ldpc"
@@ -75,18 +78,14 @@ class TannerGraph:
         """Number of code bits: checks for LDGM, variables for LDPC."""
         return self.n_chk if self.kind == LDGM else self.n_var
 
-    @property
+    @cached_property
     def free_spin_count(self):
-        """Spins enumerated by brute force: info bits (vars) for LDGM,
-        code bits (vars) for LDPC.  Both live on variable nodes."""
-        return self.n_var
-
-    def code_bit_neighbors(self, i):
-        """Variable neighbors of code bit i (LDGM: vars of check i;
-        LDPC: not meaningful, raises)."""
-        if self.kind != LDGM:
-            raise ValueError("code_bit_neighbors is an LDGM notion")
-        return self.adj_chk[i]
+        """Spins enumerated by brute force, the dimension of the support:
+        the info bits (vars) for LDGM, n - rank H for LDPC (the free
+        columns that span the codewords; computed once per graph)."""
+        if self.kind == LDGM:
+            return self.n_var
+        return self.n_var - gf2.rank(gf2.mask(c) for c in self.adj_chk)
 
     def edges(self):
         return [(v, c) for v in range(self.n_var) for c in self.adj_var[v]]
@@ -225,10 +224,6 @@ def _neighbors(g, node):
     return [("var", v) for v in g.adj_chk[idx]]
 
 
-def code_bit_node(g, i):
-    return ("chk", i) if g.kind == LDGM else ("var", i)
-
-
 def graph_distance(g, i, j):
     """Same-type hop count between code bits i and j (edge distance / 2);
     math.inf when disconnected."""
@@ -306,9 +301,7 @@ class ComputationalTree:
 
     Flat arrays indexed by tree-node id (root = 0): parent (-1 at the
     root), depth in edge hops, proj = original graph index, node_type
-    ("var"/"chk"), children tuples.  missing[k] counts graph neighbors of
-    proj[k] that were truncated away (nonzero only at depth >= d-0 for
-    leaves and used for boundary conventions).
+    ("var"/"chk"), children tuples.
     """
 
     graph: TannerGraph
@@ -319,7 +312,6 @@ class ComputationalTree:
     node_depth: tuple
     proj: tuple
     node_type: tuple
-    missing: tuple
 
     @property
     def n_nodes(self):
@@ -338,15 +330,11 @@ def computational_tree(g, i, d, node_cap=TREE_NODE_CAP):
     node_depth = [0]
     proj = [i]
     node_type = [root_type]
-    missing = [0]
     frontier = [0]
     while frontier:
         nxt = []
         for k in frontier:
             if node_depth[k] == d:
-                # truncated: every neighbor except the parent is missing
-                deg = len(g.adj_chk[proj[k]] if node_type[k] == "chk" else g.adj_var[proj[k]])
-                missing[k] = deg - (0 if parent[k] == -1 else 1)
                 continue
             typ, idx = node_type[k], proj[k]
             nbrs = g.adj_chk[idx] if typ == "chk" else g.adj_var[idx]
@@ -364,14 +352,12 @@ def computational_tree(g, i, d, node_cap=TREE_NODE_CAP):
                 node_depth.append(node_depth[k] + 1)
                 proj.append(nb)
                 node_type.append("var" if typ == "chk" else "chk")
-                missing.append(0)
                 children[k].append(kid)
                 nxt.append(kid)
         frontier = nxt
     return ComputationalTree(g, i, d, tuple(parent),
                              tuple(tuple(c) for c in children),
-                             tuple(node_depth), tuple(proj), tuple(node_type),
-                             tuple(missing))
+                             tuple(node_depth), tuple(proj), tuple(node_type))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
-                             all_marginals, conditional_entropy,
+                             all_marginals, codebit_table, conditional_entropy,
                              correlations_with_root, extrinsic_marginal,
                              make_instance, marginal, pair_correlation,
                              partition_function, spin_product_correlation)
@@ -121,12 +123,96 @@ def test_entropy_sign_flip_invariance():
 
 
 def test_cap_enforced():
-    g = build_graph(25, 1, [(v, 0) for v in range(25)], LDPC)
-    inst = make_instance(g, np.zeros(25))
-    with pytest.raises(BruteForceCapExceeded):
+    # one check on 26 code bits: the codewords span dimension 25
+    g = build_graph(26, 1, [(v, 0) for v in range(26)], LDPC)
+    inst = make_instance(g, np.zeros(26))
+    with pytest.raises(BruteForceCapExceeded, match="dimension 25"):
         partition_function(inst)
+    # the single check's codewords span dimension 1
+    partition_function(single_check(0.1, 0.2), cap=1)
     with pytest.raises(BruteForceCapExceeded):
-        partition_function(single_check(0.1, 0.2), cap=1)
+        partition_function(single_check(0.1, 0.2), cap=0)
+    # a 64-bit chain code has dimension 1, but its codewords overflow a word
+    chain = build_graph(64, 63, [(c + d, c) for c in range(63) for d in (0, 1)], LDPC)
+    with pytest.raises(BruteForceCapExceeded, match="64 code bits"):
+        partition_function(make_instance(chain, np.zeros(64)))
+
+
+def test_cap_applies_to_codeword_dimension():
+    """n = 10 code bits, rank 4: the cap counts n - rank = 6, not n."""
+    g = build_graph(10, 4, [(c, c) for c in range(4)] +
+                    [(v, c) for c in range(4) for v in (4 + c, 9 - c)], LDPC)
+    assert g.free_spin_count == 6
+    l = np.random.default_rng(8).normal(0.4, 1.0, (3, 10))
+    inst = make_instance(g, l)
+    assert np.array_equal(all_marginals(inst, cap=6), all_marginals(inst))
+    assert np.array_equal(partition_function(inst, cap=6), partition_function(inst))
+    with pytest.raises(BruteForceCapExceeded):
+        all_marginals(inst, cap=5)
+
+
+@st.composite
+def ldpc_graphs(draw):
+    """Small LDPC graphs, duplicate and empty checks allowed."""
+    n = draw(st.integers(0, 14))
+    var = st.integers(0, n - 1) if n else st.nothing()
+    checks = draw(st.lists(st.sets(var, max_size=n), max_size=12))
+    return build_graph(n, len(checks), [(v, c) for c, chk in enumerate(checks) for v in chk],
+                       LDPC)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ldpc_graphs())
+@example(build_graph(4, 3, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2)], LDPC))
+@example(build_graph(5, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)], LDPC))
+@example(build_graph(6, 0, [], LDPC))
+@example(build_graph(7, 2, [(0, 0), (2, 0), (4, 0), (2, 1), (4, 1)], LDPC))
+def test_codeword_table_matches_cube_filter(g):
+    """The table spanned from the nullspace basis equals the 2^n spin
+    configurations filtered by every parity check: same rows, same
+    order, same dtype (duplicate checks, rank-deficient H, no checks and
+    variables in no check among the examples)."""
+    configs = np.arange(1 << g.n_var, dtype=np.uint64)
+    valid = np.ones(len(configs), dtype=bool)
+    for chk in g.adj_chk:
+        mask = np.uint64(sum(1 << v for v in chk))
+        valid &= np.bitwise_count(configs & mask) % 2 == 0
+    bits = (configs[valid, None] >> np.arange(g.n_var, dtype=np.uint64)) & np.uint64(1)
+    expect = (1 - 2 * bits.astype(np.int64)).astype(np.int8)
+    X = codebit_table(g)
+    assert X.dtype == np.int8
+    assert np.array_equal(X, expect)
+    assert len(X) == 2 ** g.free_spin_count
+
+
+def test_table_cache_bounded_by_bytes(monkeypatch):
+    """The table cache keeps at most max_bytes and at most maxsize
+    tables, least recently used out first, and never keeps a table
+    larger than its byte budget."""
+    codebit_table.cache_clear()
+    monkeypatch.setattr(codebit_table, "max_bytes", 600)
+
+    def ldgm(m):  # a 2^m x 3 int8 table
+        return build_graph(m, 3, [(v, c) for c in range(3) for v in range(m)], LDGM)
+
+    for m in (5, 6, 7):  # 96 + 192 + 384 bytes
+        codebit_table(ldgm(m))
+    info = codebit_table.cache_info()
+    assert info.misses == 3 and info.hits == 0
+    assert info.nbytes == 384 + 192 <= 600
+    X = codebit_table(ldgm(7))
+    assert codebit_table.cache_info().hits == 1
+    assert not X.flags.writeable
+    assert codebit_table(ldgm(8)).nbytes == 768  # over budget: returned, not kept
+    codebit_table(ldgm(8))
+    info = codebit_table.cache_info()
+    assert info.misses == 5 and info.nbytes == 576 and info.currsize == 2
+    # the entry bound still holds under the byte budget
+    monkeypatch.setattr(codebit_table, "max_bytes", 10 ** 6)
+    for m in range(1, codebit_table.maxsize + 2):
+        codebit_table(ldgm(m))
+    assert codebit_table.cache_info().currsize == codebit_table.maxsize
+    codebit_table.cache_clear()
 
 
 def test_matches_high_precision_oracle():
@@ -139,7 +225,6 @@ def test_matches_high_precision_oracle():
         g = random_ldpc_graph(rng, n_max=8, m_max=4)
         l = rng.uniform(-30, 30, g.n_var)
         inst = make_instance(g, l)
-        from gibbscode.exact import codebit_table
         X = codebit_table(g)
         Z = mpmath.mpf(0)
         mi = mpmath.mpf(0)
