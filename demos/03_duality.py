@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from gibbscode.duality import (DualInstance, Gf2Matrix, dual_bracket,
-                               dual_partition, duality_residuals, gf2_rank,
-                               macwilliams_log_residual)
+from gibbscode import gf2
+from gibbscode.duality import (DualInstance, dual_bracket, dual_partition,
+                               duality_residuals, macwilliams_log_residual)
 from gibbscode.exact import make_instance, partition_function
 from gibbscode.graphs import LDPC, build_graph
 
@@ -26,7 +26,7 @@ rng = np.random.default_rng(3)
 l = rng.uniform(-2, 2, 5)
 dinst = DualInstance(make_instance(g, l))
 
-rank = gf2_rank(Gf2Matrix.from_graph(g))
+rank = gf2.rank(gf2.mask(c) for c in g.adj_chk)
 print(f"code: n=5, m=3, rank(H)={rank}, |C|=2^{5-rank}, |C_dual|=2^{rank}")
 
 logz = partition_function(dinst.base)

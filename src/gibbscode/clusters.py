@@ -41,7 +41,7 @@ import numpy as np
 
 from . import gf2
 from .channels import delta_dual, delta_high
-from .duality import DualInstance, dual_bracket, dual_partition
+from .duality import DualInstance, dual_bracket, dual_partition, dual_weights, signed_log
 from .exact import codebit_table, partition_function, spin_product_correlation
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
                      graph_distance, same_type_distance)
@@ -207,14 +207,13 @@ def enumerate_clusters(g, i, j, size_cap=CLUSTER_SIZE_CAP, cap=10 ** 6):
     return terms
 
 
-def _tau_columns(g, vars_needed, chk_list):
-    """tau_k over the 2^len(chk_list) restricted dual configurations for
-    each variable k in vars_needed (whose checks must lie in chk_list)."""
+def _tau_table(g, vars_needed, chk_list):
+    """tau_k over the 2^len(chk_list) restricted dual configurations (rows)
+    for each variable k in vars_needed (columns; its checks must lie in
+    chk_list), as int8 signs."""
     pos = {c: b for b, c in enumerate(chk_list)}
-    vars_needed = list(vars_needed)
-    signs = gf2.parity_signs(gf2.cube(len(chk_list)),
-                             [gf2.mask(pos[c] for c in g.adj_var[k]) for k in vars_needed])
-    return dict(zip(vars_needed, np.ascontiguousarray(signs.T, dtype=float)))
+    return gf2.parity_signs(gf2.cube(len(chk_list)),
+                            [gf2.mask(pos[c] for c in g.adj_var[k]) for k in vars_needed])
 
 
 def reduced_dual_partition(inst, xhat):
@@ -223,14 +222,7 @@ def reduced_dual_partition(inst, xhat):
     g = inst.graph
     comp = [c for c in range(g.n_chk) if c not in xhat]
     keep = [v for v in range(g.n_var) if not (set(g.adj_var[v]) & xhat)]
-    cols = _tau_columns(g, keep, comp)
-    W = np.ones(1 << len(comp), dtype=np.longdouble)
-    for v in keep:
-        W *= np.longdouble(1.0) + np.exp(np.longdouble(-2.0 * inst.values[v])) * cols[v]
-    tot = W.sum()
-    if tot == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, float(tot)), float(np.log(np.abs(tot)))
+    return signed_log(dual_weights(_tau_table(g, keep, comp), inst.values[keep]).sum())
 
 
 def berretti_term(inst, term, i, j):
@@ -241,8 +233,9 @@ def berretti_term(inst, term, i, j):
         raise EnumerationCapExceeded(
             f"cluster of size {len(term.xhat)} exceeds replica cap {REPLICA_CAP}")
     chk_list = sorted(term.xhat)
-    vars_needed = set([i, j]).union(*term.gammas) if term.gammas else {i, j}
-    cols = _tau_columns(g, vars_needed, chk_list)
+    vars_needed = list({i, j}.union(*term.gammas))
+    signs = _tau_table(g, vars_needed, chk_list)
+    cols = dict(zip(vars_needed, np.ascontiguousarray(signs.T, dtype=float)))
     l = inst.values
     ti, tj = cols[i], cols[j]
     Fi = ti[:, None] - ti[None, :]

@@ -25,13 +25,21 @@ maps checked by duality_residuals:
 
 The dual bracket is signed (weights are negative for l_i < 0 and
 tau_i = -1), so everything is evaluated in sign/log-magnitude form.
+The signed weights are built once per DualInstance; the partition
+function, the brackets and the residuals are reductions over them.
+
+In exact arithmetic Z_dual = 2^m e^{-sum l} Z >= 2^m, because the
+all-plus codeword alone gives Z >= e^{sum l}.  A computed Z_dual under
+2^m (1 - Z_DUAL_FLOOR) has cancelled away (large negative l's): its
+brackets raise DualDegenerate, and duality_residuals reports the
+residuals as nan (skipped), as it does under the sinh floor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,7 +48,8 @@ from .exact import (BRUTE_FORCE_CAP, BruteForceCapExceeded, TableCache, all_marg
                     pair_correlation)
 from .graphs import LDPC
 
-#: |Z_dual| below this triggers the resolve-via-primal fallback
+#: relative margin of the lower bound Z_dual >= 2^m: a computed Z_dual
+#: under 2^m (1 - Z_DUAL_FLOOR) has cancelled away and raises DualDegenerate
 Z_DUAL_FLOOR = 1e-12
 
 #: |sinh 2l| floor under which the residual identities are skipped
@@ -48,25 +57,9 @@ SINH_FLOOR = 1e-3
 
 
 class DualDegenerate(ArithmeticError):
-    """|Z_dual| fell below the floor; ratios must be resolved via the
-    primal formulas (the primal Z is strictly positive)."""
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Parity-check rows over GF(2), each row a python int bitmask."""
-
-    rows: tuple
-    n_cols: int
-
-    @classmethod
-    def from_graph(cls, g):
-        return cls(tuple(gf2.mask(c) for c in g.adj_chk), g.n_var)
-
-
-def gf2_rank(mat):
-    """Rank over GF(2) by bitmask elimination."""
-    return gf2.rank(mat.rows)
+    """The computed Z_dual broke its lower bound 2^m (the all-plus codeword
+    alone gives Z >= e^{sum l}): the signed sum cancelled below working
+    precision and its brackets carry no information."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +80,15 @@ class DualInstance:
     def values(self):
         return self.base.values
 
+    @cached_property
+    def weights(self):
+        """(T, W, Z_dual): the tau table, the signed weight of every dual
+        configuration and their sum, built once per instance; read them
+        through _config_weights, which enforces the cap."""
+        T = _tau_table(self.graph)
+        W = dual_weights(T, self.values)
+        return T, W, W.sum()
+
 
 @partial(TableCache, maxsize=32)
 def _tau_table(graph):
@@ -95,23 +97,28 @@ def _tau_table(graph):
     return gf2.parity_signs(gf2.cube(graph.n_chk), [gf2.mask(a) for a in graph.adj_var])
 
 
-def _config_weights(dinst, cap):
-    """Per-configuration signed weight prod_i (1 + e^{-2l_i} tau_i), in
-    extended precision (the signed sum cancels heavily on some draws)."""
-    g = dinst.graph
-    if g.n_chk > cap:
-        raise BruteForceCapExceeded(f"{g.n_chk} dual spins exceed cap {cap}")
-    T = _tau_table(g)
-    l = dinst.values
+def dual_weights(T, l):
+    """Per-configuration signed weight prod_i (1 + e^{-2l_i} T[:, i]) for a
+    sign table T (configurations x code bits), in extended precision
+    (the signed sum cancels heavily on some draws)."""
     W = np.ones(T.shape[0], dtype=np.longdouble)
-    for i in range(g.n_var):
+    for i in range(T.shape[1]):
         fac = np.longdouble(1.0) + np.exp(np.longdouble(-2.0) * np.longdouble(l[i])) \
             * T[:, i].astype(np.longdouble)
         W *= fac
-    return T, W
+    return W
 
 
-def _signed_log(total):
+def _config_weights(dinst, cap):
+    """The instance's (T, W, Z_dual) after the cap check."""
+    g = dinst.graph
+    if g.n_chk > cap:
+        raise BruteForceCapExceeded(f"{g.n_chk} dual spins exceed cap {cap}")
+    return dinst.weights
+
+
+def signed_log(total):
+    """(sign, log|total|) of a signed sum; (0.0, -inf) when it is zero."""
     if total == 0.0:
         return 0.0, -math.inf
     return math.copysign(1.0, float(total)), float(np.log(np.abs(total)))
@@ -119,17 +126,15 @@ def _signed_log(total):
 
 def dual_partition(dinst, cap=BRUTE_FORCE_CAP):
     """(sign, log|Z_dual|) by exact enumeration over the dual spins."""
-    _, W = _config_weights(dinst, cap)
-    return _signed_log(W.sum())
+    return signed_log(_config_weights(dinst, cap)[2])
 
 
 def dual_bracket(dinst, S, cap=BRUTE_FORCE_CAP):
-    """<prod_{i in S} tau_i>_dual, a signed ratio (not a probability)."""
-    T, W = _config_weights(dinst, cap)
-    z = W.sum()
-    zs, zl = _signed_log(z)
-    if zs == 0.0 or zl < math.log(Z_DUAL_FLOOR):
-        raise DualDegenerate("dual partition function below floor; resolve via primal")
+    """<prod_{i in S} tau_i>_dual, a signed ratio (not a probability);
+    raises DualDegenerate when Z_dual breaks its lower bound."""
+    T, W, z = _config_weights(dinst, cap)
+    if z < 2.0 ** dinst.graph.n_chk * (1.0 - Z_DUAL_FLOOR):
+        raise DualDegenerate("dual partition function below its bound 2^m")
     extra = np.ones(T.shape[0], dtype=np.longdouble)
     for i in S:
         extra *= T[:, i]
@@ -138,7 +143,8 @@ def dual_bracket(dinst, S, cap=BRUTE_FORCE_CAP):
 
 def dual_bracket_via_primal(dinst, S, cap=BRUTE_FORCE_CAP):
     """Invert the correlation maps to express dual brackets through the
-    (always well-conditioned) primal marginals; |S| in {1, 2} only."""
+    (always well-conditioned) primal marginals; |S| in {1, 2} only.  The
+    reference dual_bracket is tested against."""
     S = tuple(S)
     l = dinst.values
     marg = all_marginals(dinst.base, cap)
@@ -171,27 +177,23 @@ def macwilliams_log_residual(dinst, cap=BRUTE_FORCE_CAP):
 def duality_residuals(dinst, i, j, cap=BRUTE_FORCE_CAP, sinh_floor=SINH_FLOOR):
     """(r1, r2): absolute residuals of the first- and second-derivative
     correlation maps at code bits i and j, primal side from the exact
-    Gibbs module.  A residual is returned as nan when its |sinh 2l| floor
-    is violated (the identity has a removable singularity at l = 0)."""
+    Gibbs module.  A residual is returned as nan (skipped) when its
+    |sinh 2l| floor is violated (the identity has a removable singularity
+    at l = 0) or when Z_dual is degenerate (DualDegenerate)."""
     l = dinst.values
     marg = all_marginals(dinst.base, cap)
     si, sj = math.sinh(2 * l[i]), math.sinh(2 * l[j])
     r1 = r2 = math.nan
-    if abs(si) > sinh_floor:
-        try:
-            ti = dual_bracket(dinst, (i,), cap)
-        except DualDegenerate:
-            ti = dual_bracket_via_primal(dinst, (i,), cap)
-        r1 = abs(marg[i] - (1.0 / math.tanh(2 * l[i]) - ti / si))
-    if abs(si) > sinh_floor and abs(sj) > sinh_floor:
-        try:
-            ti = dual_bracket(dinst, (i,), cap)
-            tj = dual_bracket(dinst, (j,), cap)
-            tij = dual_bracket(dinst, (i, j), cap)
-        except DualDegenerate:
-            ti = dual_bracket_via_primal(dinst, (i,), cap)
-            tj = dual_bracket_via_primal(dinst, (j,), cap)
-            tij = dual_bracket_via_primal(dinst, (i, j), cap)
+    if abs(si) <= sinh_floor:
+        return r1, r2
+    try:
+        ti = dual_bracket(dinst, (i,), cap)
+    except DualDegenerate:
+        return r1, r2
+    r1 = abs(marg[i] - (1.0 / math.tanh(2 * l[i]) - ti / si))
+    if abs(sj) > sinh_floor:
+        tj = dual_bracket(dinst, (j,), cap)
+        tij = dual_bracket(dinst, (i, j), cap)
         primal = pair_correlation(dinst.base, i, j, cap)
         r2 = abs(primal - (tij - ti * tj) / (si * sj))
     return r1, r2

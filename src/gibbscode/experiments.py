@@ -126,6 +126,12 @@ def _eps_points(cfg):
     return [ChannelModel(ch0.kind, e) for e in grid]
 
 
+def _point_seeds(cfg, ch):
+    """The seed sequence of one eps point: the config seed and eps in
+    units of 1e-9, truncated (eps 0.29 gives 289999999)."""
+    return np.random.SeedSequence([cfg.seed, int(ch.eps * 10 ** 9)])
+
+
 def fit_exponential(points):
     """Weighted least squares of ln(mean) on distance for (distance,
     mean, se) triples; needs >= 3 usable bins above the noise floor."""
@@ -159,8 +165,7 @@ def _corr_decay(cfg):
     fixed = not isinstance(src, gexit.EnsembleSpec)
     rows, fits = [], {}
     for ch in _eps_points(cfg):
-        ss = np.random.SeedSequence([cfg.seed, int(ch.eps * 10 ** 9)])
-        seeds = ss.spawn(n_graphs)
+        seeds = _point_seeds(cfg, ch).spawn(n_graphs)
         per_graph = max(1, cfg.samples // n_graphs)
         sums = sumsq = counts = 0  # per distance bin, summed over graphs
         for gi in range(n_graphs):
@@ -213,8 +218,7 @@ def _gexit_curve(cfg):
     family = cfg.code.get("family", LDGM)
     rows = []
     for ch in _eps_points(cfg):
-        seed = int(np.random.SeedSequence(
-            [cfg.seed, int(ch.eps * 10 ** 9)]).generate_state(1)[0])
+        seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
         for method in methods:
             if method == "functional":
                 est = gexit.map_gexit(src, ch, cfg.samples, seed)
@@ -245,21 +249,12 @@ def _de_curve(cfg):
     family = cfg.code.get("family", LDGM)
     d = int(cfg.params.get("d", 20))
     n_pop = int(cfg.params.get("n_pop", 10 ** 5))
-    dump = cfg.params.get("dump_populations")  # debugging aid: CSV of samples
     rows = []
     for ch in _eps_points(cfg):
-        seed = int(np.random.SeedSequence(
-            [cfg.seed, int(ch.eps * 10 ** 9)]).generate_state(1)[0])
+        seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
         val = de.de_gexit(family, dd, ch, d, n_pop, seed)
         rows.append({"eps": ch.eps, "method": "de", "value": val, "std_err": 0.0,
                      "n": 0, "d": d, "samples": n_pop, "seed": seed})
-        if dump:
-            pop = de.run_de(family, dd, ch, d, n_pop, seed)
-            with open(f"{dump}.eps{ch.eps:g}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["sample"])
-                for x in pop.samples:
-                    writer.writerow([_fmt(float(x))])
     return ExperimentResult(cfg, rows, {})
 
 

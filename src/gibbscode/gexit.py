@@ -121,30 +121,27 @@ def _meta(source, ch, samples, seed, **extra):
     return meta
 
 
-def map_gexit(source, ch, samples, seed, cap=None, noise_per_graph=1):
+def map_gexit(source, ch, samples, seed, noise_per_graph=1):
     """MAP-GEXIT by the extrinsic kernel functional; each sample averages
     the kernel over all code bits of the instance."""
     rng = np.random.default_rng(seed)
-    kw = {} if cap is None else {"cap": cap}
     vals, blocks = _per_sample(
         source, ch, samples, rng,
-        lambda inst: gexit_kernel_batch(ch, all_extrinsics(inst, **kw)).mean(axis=1),
+        lambda inst: gexit_kernel_batch(ch, all_extrinsics(inst)).mean(axis=1),
         noise_per_graph)
     return _estimate(vals, _prefactor(source), "functional",
                      _meta(source, ch, samples, seed), blocks)
 
 
-def map_gexit_series(source, ch, samples, seed, p_max=20, cap=None,
-                     noise_per_graph=1):
+def map_gexit_series(source, ch, samples, seed, p_max=20, noise_per_graph=1):
     """MAP-GEXIT by the moment series, truncated at p_max; the meta dict
     carries a rigorous truncation-tail bound (sup_p |t2p| times the tail
     of sum 1/(2p(2p-1)), since |E[M^{2p}] - 1| <= 1)."""
     rng = np.random.default_rng(seed)
-    kw = {} if cap is None else {"cap": cap}
     coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
 
     def reduce(inst):
-        Ms = all_extrinsics(inst, **kw)
+        Ms = all_extrinsics(inst)
         return sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1)).mean(axis=1)
 
     vals, blocks = _per_sample(source, ch, samples, rng, reduce, noise_per_graph)
@@ -163,17 +160,16 @@ def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
     return -source_kind_prefactor * s
 
 
-def awgn_gexit(source, ch, samples, seed, cap=None, noise_per_graph=1):
+def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):
     """Magnetization form for the BIAWGNC:
     prefactor * (1 - E[<x_i>]) / (2 eps^2), with <x_i> the full marginal
     (equivalently tanh(l_i + atanh <x_i>_0))."""
     if ch.kind != BIAWGNC:
         raise ValueError("magnetization shortcut needs the BIAWGNC")
     rng = np.random.default_rng(seed)
-    kw = {} if cap is None else {"cap": cap}
     vals, blocks = _per_sample(
         source, ch, samples, rng,
-        lambda inst: (1.0 - all_marginals(inst, **kw).mean(axis=1)) / (2.0 * ch.eps ** 2),
+        lambda inst: (1.0 - all_marginals(inst).mean(axis=1)) / (2.0 * ch.eps ** 2),
         noise_per_graph)
     return _estimate(vals, _prefactor(source), "awgn-magnetization",
                      _meta(source, ch, samples, seed), blocks)
@@ -221,8 +217,7 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     return out, diffs
 
 
-def entropy_fd(source, ch, eps_step, samples, seed, cap=None,
-               check_curvature=False):
+def entropy_fd(source, ch, eps_step, samples, seed, check_curvature=False):
     """The definitional oracle: central finite difference in eps of the
     sampled conditional entropy, with common random numbers coupling the
     two sides (shared uniforms for the BSC, shared normals for the
@@ -233,12 +228,11 @@ def entropy_fd(source, ch, eps_step, samples, seed, cap=None,
     rng = np.random.default_rng(seed)
     chp = type(ch)(ch.kind, ch.eps + eps_step)
     chm = type(ch)(ch.kind, ch.eps - eps_step)
-    kw = {} if cap is None else {"cap": cap}
     slopes = []
     curvs = []
     for _, g, noise in _blocks(source, samples, rng, lambda shape: channel_noise(ch, shape, rng)):
         scale = g.n_chk / g.n_var if g.kind == LDGM else 1.0
-        entropy = lambda c: conditional_entropy(make_instance(g, llrs_from_noise(c, noise)), **kw)
+        entropy = lambda c: conditional_entropy(make_instance(g, llrs_from_noise(c, noise)))
         hp, hm = entropy(chp), entropy(chm)
         slopes.append(scale * (hp - hm) / (2.0 * eps_step))
         if check_curvature:
@@ -253,7 +247,7 @@ def entropy_fd(source, ch, eps_step, samples, seed, cap=None,
     return est
 
 
-def nishimori_residual(source, ch, p, samples, seed, cap=None):
+def nishimori_residual(source, ch, p, samples, seed):
     """(residual, se): |E<x_i>^{2p-1} - E<x_i>^{2p}| with the standard
     error of the paired per-sample difference (averaged over code bits);
     zero in expectation on symmetric channels at the channel's own
@@ -261,10 +255,9 @@ def nishimori_residual(source, ch, p, samples, seed, cap=None):
     if p < 1:
         raise ValueError("p must be >= 1")
     rng = np.random.default_rng(seed)
-    kw = {} if cap is None else {"cap": cap}
 
     def reduce(inst):
-        m = all_marginals(inst, **kw)
+        m = all_marginals(inst)
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=1)
 
     diffs, _ = _per_sample(source, ch, samples, rng, reduce)

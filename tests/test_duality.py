@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_ldpc_graph
-from gibbscode.duality import (DualInstance, Gf2Matrix, dual_bracket,
+from gibbscode import duality, gf2
+from gibbscode.duality import (DualDegenerate, DualInstance, dual_bracket,
                                dual_bracket_via_primal, dual_partition,
-                               duality_residuals, gf2_rank,
-                               macwilliams_log_residual)
-from gibbscode.exact import make_instance, partition_function
+                               duality_residuals, macwilliams_log_residual)
+from gibbscode.exact import BruteForceCapExceeded, make_instance, partition_function
 from gibbscode.graphs import LDGM, LDPC, build_graph
 
 
@@ -18,17 +18,17 @@ def single_check_instance(l0, l1):
 
 
 def test_gf2_rank():
-    assert gf2_rank(Gf2Matrix((0b001, 0b010, 0b100), 3)) == 3
-    assert gf2_rank(Gf2Matrix((0b011, 0b110), 3)) == 2
-    assert gf2_rank(Gf2Matrix((0b011, 0b011, 0b110), 3)) == 2  # duplicate row
-    assert gf2_rank(Gf2Matrix((), 3)) == 0
+    assert gf2.rank((0b001, 0b010, 0b100)) == 3
+    assert gf2.rank((0b011, 0b110)) == 2
+    assert gf2.rank((0b011, 0b011, 0b110)) == 2  # duplicate row
+    assert gf2.rank(()) == 0
 
 
 def test_code_cardinalities():
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = random_ldpc_graph(rng)
-        rank = gf2_rank(Gf2Matrix.from_graph(g))
+        rank = gf2.rank(gf2.mask(c) for c in g.adj_chk)
         c = 2 ** (g.n_var - rank)
         c_dual = 2 ** rank
         assert c * c_dual == 2 ** g.n_var
@@ -113,3 +113,42 @@ def test_random_corpus_residuals():
                 worst_r = max(worst_r, r)
     assert worst_mw < 1e-10
     assert worst_r < 1e-8
+
+
+def test_dual_partition_respects_lower_bound():
+    # Z_dual = 2^m e^{-sum l} Z >= 2^m: the all-plus codeword alone gives
+    # Z >= e^{sum l}
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        g = random_ldpc_graph(rng)
+        dinst = DualInstance(make_instance(g, rng.uniform(-3, 3, g.n_var)))
+        s, lz = dual_partition(dinst)
+        assert s == 1.0
+        assert lz >= g.n_chk * math.log(2.0) + math.log1p(-1e-12)
+
+
+def test_degenerate_dual_sum_skips_residuals():
+    # the signed sum cancels to exactly 0.0 here, far under its bound 2^m
+    g = build_graph(3, 2, [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)], LDPC)
+    l = [-25.712696788634965, 6.218191005684915, -29.472283152862474]
+    dinst = DualInstance(make_instance(g, l))
+    assert dual_partition(dinst) == (0.0, -math.inf)
+    with pytest.raises(DualDegenerate):
+        dual_bracket(dinst, (2,))
+    r1, r2 = duality_residuals(dinst, 2, 0)
+    assert math.isnan(r1) and math.isnan(r2)
+
+
+def test_dual_weights_built_once_per_instance(monkeypatch):
+    builds = []
+    real = duality.dual_weights
+    monkeypatch.setattr(duality, "dual_weights", lambda *a: builds.append(1) or real(*a))
+    rng = np.random.default_rng(3)
+    g = random_ldpc_graph(rng)
+    dinst = DualInstance(make_instance(g, rng.uniform(-2, 2, g.n_var)))
+    macwilliams_log_residual(dinst)
+    duality_residuals(dinst, 0, 1)
+    assert len(builds) == 1
+    # the cap still applies to weights already built
+    with pytest.raises(BruteForceCapExceeded):
+        dual_bracket(dinst, (0,), cap=g.n_chk - 1)
