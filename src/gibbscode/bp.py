@@ -136,23 +136,15 @@ def bp_run(inst, d, return_state=False):
     """Flooding sum-product for d full iterations from zero messages;
     returns the per-code-bit marginal estimates (per sample, for an
     instance holding a block of LLR draws)."""
-    if d < 0:
-        raise ValueError("iteration count must be >= 0")
     state = _run_messages(inst, d)
     est = _codebit_estimates(inst, state, extrinsic=False)
     return (est, state) if return_state else est
 
 
 def bp_all_extrinsics(inst, d):
-    """Extrinsic BP estimates <x_i>_{0,d} for every code bit."""
-    state = _run_messages(inst, d)
-    return _codebit_estimates(inst, state, extrinsic=True)
-
-
-def bp_extrinsic(inst, i, d):
-    """Extrinsic BP estimate at code bit i: own observation removed at the
-    root only (cycles still carry l_i into the messages)."""
-    return float(bp_all_extrinsics(inst, d)[i])
+    """Extrinsic BP estimates <x_i>_{0,d} for every code bit: own observation
+    removed at the root only (cycles still carry l_i into the messages)."""
+    return _codebit_estimates(inst, _run_messages(inst, d), extrinsic=True)
 
 
 def bp_checkpoint_extrinsics(inst, depths):
@@ -171,6 +163,8 @@ def bp_checkpoint_extrinsics(inst, depths):
 def _run_messages_from(inst, state, extra_iters):
     """Continue flooding from an existing MessageState, over blocks of at
     most BLOCK_ELEMENTS messages (samples x edges)."""
+    if extra_iters < 0:
+        raise ValueError("iteration count must be >= 0")
     g = inst.graph
     l = np.atleast_2d(inst.values)
     v2c = np.atleast_2d(state.v2c).copy()

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .channels import delta_dual, delta_high
-from .duality import DualInstance, dual_bracket, dual_partition, dual_weights, signed_log
-from .exact import codebit_table, partition_function, spin_product_correlation
+from .duality import (DualInstance, dual_bracket, dual_partition, dual_weights, signed_log,
+                      tau_signs)
+from .exact import (codebit_table, partition_function, spin_product_columns,
+                    spin_product_correlation)
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
                      graph_distance, same_type_distance)
 
@@ -71,9 +72,10 @@ class BadSet:
 # ---------------------------------------------------------------------------
 
 def dkp_pointwise_bound(inst, A, B, H, max_len=None, cap=10 ** 6):
-    """(bound, truncated): 2 sum over walks of prod rho_c for one noise
-    realization.  truncated is True when max_len may not exhaust W_AB,
-    in which case the value is a lower bound OF the bound."""
+    """(bound, truncated): 2 sum over walks of prod rho_c, a float for one
+    noise realization or one value per sample of a block (each row equals
+    its one-realization bound bit for bit).  truncated is True when max_len
+    may not exhaust W_AB, in which case the value is a lower bound OF the bound."""
     if inst.kind != LDGM:
         raise ValueError("the walk bound applies to LDGM instances")
     g = inst.graph
@@ -81,15 +83,16 @@ def dkp_pointwise_bound(inst, A, B, H, max_len=None, cap=10 ** 6):
     if max_len is None:
         max_len = exhaustive_len
     walks = enumerate_saws(g, A, B, max_len, cap=cap)
-    l = inst.values
+    l = np.atleast_2d(inst.values)
     rho = np.where(np.abs(l) > H, 1.0, np.expm1(4.0 * np.abs(l)))
-    total = 0.0
+    total = np.zeros(len(l))
     for w in walks:
-        prod = 1.0
+        prod = np.ones(len(l))
         for c in w.chks:
-            prod *= rho[c]
+            prod *= rho[:, c]
         total += prod
-    return 2.0 * total, max_len < exhaustive_len
+    bound = 2.0 * total
+    return (bound if inst.values.ndim == 2 else float(bound[0])), max_len < exhaustive_len
 
 
 def dkp_avg_bound(g, ch, A, B, H):
@@ -207,22 +210,13 @@ def enumerate_clusters(g, i, j, size_cap=CLUSTER_SIZE_CAP, cap=10 ** 6):
     return terms
 
 
-def _tau_table(g, vars_needed, chk_list):
-    """tau_k over the 2^len(chk_list) restricted dual configurations (rows)
-    for each variable k in vars_needed (columns; its checks must lie in
-    chk_list), as int8 signs."""
-    pos = {c: b for b, c in enumerate(chk_list)}
-    return gf2.parity_signs(gf2.cube(len(chk_list)),
-                            [gf2.mask(pos[c] for c in g.adj_var[k]) for k in vars_needed])
-
-
 def reduced_dual_partition(inst, xhat):
     """(sign, log|Z_dual(Xhat^c)|): dual spins on the checks outside Xhat,
     weights over the variables with no neighbor in Xhat."""
     g = inst.graph
     comp = [c for c in range(g.n_chk) if c not in xhat]
     keep = [v for v in range(g.n_var) if not (set(g.adj_var[v]) & xhat)]
-    return signed_log(dual_weights(_tau_table(g, keep, comp), inst.values[keep]).sum())
+    return signed_log(dual_weights(tau_signs(g, keep, comp), inst.values[keep]).sum())
 
 
 def berretti_term(inst, term, i, j):
@@ -234,7 +228,7 @@ def berretti_term(inst, term, i, j):
             f"cluster of size {len(term.xhat)} exceeds replica cap {REPLICA_CAP}")
     chk_list = sorted(term.xhat)
     vars_needed = list({i, j}.union(*term.gammas))
-    signs = _tau_table(g, vars_needed, chk_list)
+    signs = tau_signs(g, vars_needed, chk_list)
     cols = dict(zip(vars_needed, np.ascontiguousarray(signs.T, dtype=float)))
     l = inst.values
     ti, tj = cols[i], cols[j]
@@ -319,8 +313,7 @@ def _replica_tables(inst, A, B):
     g = inst.graph
     X = codebit_table(g).astype(float)  # (configs, n_chk)
     l = inst.values
-    signs = gf2.parity_signs(gf2.cube(g.n_var), [gf2.mask(A), gf2.mask(B)])
-    uA, uB = np.ascontiguousarray(signs.T, dtype=float)
+    uA, uB = spin_product_columns(g, A, B)
     FAB = (uA[:, None] - uA[None, :]) * (uB[:, None] - uB[None, :])
     Ms = [np.exp(l[c] * (X[:, c][:, None] + X[:, c][None, :]) + 2.0 * abs(l[c]))
           for c in range(g.n_chk)]

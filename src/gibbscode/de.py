@@ -69,22 +69,24 @@ def _resample(rng, samples, rows, cols):
     return samples[rng.integers(0, len(samples), size=(rows, cols))]
 
 
+def _degree_groups(rng, degs, probs, n):
+    """Draw a degree for each of n samples and group the samples by it:
+    (degree, sample indices) for every degree of the distribution that was
+    drawn, in ascending degree order."""
+    deg = rng.choice(degs, size=n, p=probs)
+    groups = [(dv, np.flatnonzero(deg == dv)) for dv in np.unique(degs)]
+    return [(dv, idx) for dv, idx in groups if len(idx)]
+
+
 def _check_step(samples, dd, ch, rng, family):
     """Edge-perspective check half-step; consumes var-to-chk samples."""
     n = len(samples)
-    degs, probs = dd.edge_perspective("chk")
-    deg = rng.choice(degs, size=n, p=probs)
     out = np.empty(n)
     t = np.tanh(samples)
-    for dv in np.unique(deg):
-        idx = np.flatnonzero(deg == dv)
-        prod = np.ones(len(idx))
-        if dv >= 2:
-            picks = _resample(rng, t, len(idx), dv - 1)
-            prod = picks.prod(axis=1)
+    for dv, idx in _degree_groups(rng, *dd.edge_perspective("chk"), n):
+        prod = np.ones(len(idx)) if dv < 2 else _resample(rng, t, len(idx), dv - 1).prod(axis=1)
         if family == LDGM:
-            l = sample_llr(ch, len(idx), rng).values
-            prod = prod * np.tanh(l)
+            prod = prod * np.tanh(sample_llr(ch, len(idx), rng).values)
         with np.errstate(divide="ignore"):
             out[idx] = np.arctanh(prod)
     return np.clip(out, -L_SAT, L_SAT)
@@ -93,15 +95,10 @@ def _check_step(samples, dd, ch, rng, family):
 def _var_step(samples, dd, ch, rng, family):
     """Edge-perspective variable half-step; consumes chk-to-var samples."""
     n = len(samples)
-    degs, probs = dd.edge_perspective("var")
-    deg = rng.choice(degs, size=n, p=probs)
     out = np.zeros(n)
-    for dv in np.unique(deg):
-        idx = np.flatnonzero(deg == dv)
-        tot = np.zeros(len(idx))
+    for dv, idx in _degree_groups(rng, *dd.edge_perspective("var"), n):
         if dv >= 2:
-            tot = _resample(rng, samples, len(idx), dv - 1).sum(axis=1)
-        out[idx] = tot
+            out[idx] = _resample(rng, samples, len(idx), dv - 1).sum(axis=1)
     if family == LDPC:
         out = out + sample_llr(ch, n, rng).values
     return np.clip(out, -L_SAT, L_SAT)
@@ -143,20 +140,16 @@ def aggregate_extrinsic(family, pop, dd, rng):
     """Node-perspective code-bit aggregation, in the message domain:
     Delta_d (LDGM) or Lambda_d (LDPC), one value per population sample."""
     n = len(pop.samples)
-    side = "chk" if family == LDGM else "var"
-    degs, probs = dd.node_perspective(side)
-    deg = rng.choice(degs, size=n, p=probs)
+    groups = _degree_groups(rng, *dd.node_perspective("chk" if family == LDGM else "var"), n)
     out = np.empty(n)
     if family == LDGM:
         t = np.tanh(pop.samples)
-        for dv in np.unique(deg):
-            idx = np.flatnonzero(deg == dv)
+        for dv, idx in groups:
             prod = _resample(rng, t, len(idx), dv).prod(axis=1)
             with np.errstate(divide="ignore"):
                 out[idx] = np.arctanh(prod)
     else:
-        for dv in np.unique(deg):
-            idx = np.flatnonzero(deg == dv)
+        for dv, idx in groups:
             out[idx] = _resample(rng, pop.samples, len(idx), dv).sum(axis=1)
     return np.clip(out, -L_SAT, L_SAT)
 

@@ -90,11 +90,19 @@ class DualInstance:
         return T, W, W.sum()
 
 
+def tau_signs(graph, vars_needed, chk_list):
+    """int8 tau_k over the dual configurations of the checks in chk_list (rows)
+    for each variable k in vars_needed (columns; its checks lie in chk_list)."""
+    pos = {c: b for b, c in enumerate(chk_list)}
+    return gf2.parity_signs(gf2.cube(len(chk_list)),
+                            [gf2.mask(pos[c] for c in graph.adj_var[k]) for k in vars_needed])
+
+
 @partial(TableCache, maxsize=32)
 def _tau_table(graph):
     """tau_i(u) for every dual configuration u (rows) and variable i
     (columns), as int8 signs; u enumerates {-1,+1}^{n_chk}."""
-    return gf2.parity_signs(gf2.cube(graph.n_chk), [gf2.mask(a) for a in graph.adj_var])
+    return tau_signs(graph, range(graph.n_var), range(graph.n_chk))
 
 
 def dual_weights(T, l):

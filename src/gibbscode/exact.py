@@ -213,12 +213,6 @@ def all_marginals(inst, cap=BRUTE_FORCE_CAP):
     return _posterior(inst, cap, lambda b, _: _table_product(b.p, b.X))
 
 
-def marginal(inst, i, cap=BRUTE_FORCE_CAP):
-    """Posterior mean <x_i> of code bit i (the soft-bit MAP estimate) of a
-    single realization."""
-    return float(all_marginals(inst, cap)[i])
-
-
 def _extrinsics(b, _):
     """<x_i>_0 = tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of
     the configurations with x_i = +-1: the log-domain form of reweighting
@@ -244,15 +238,8 @@ def _extrinsics(b, _):
     return out
 
 
-def extrinsic_marginal(inst, i, cap=BRUTE_FORCE_CAP):
-    """<x_i>_0 of a single realization: the marginal recomputed with
-    l_i = 0, other entries untouched; the original instance is not
-    modified."""
-    return float(all_extrinsics(inst, cap)[i])
-
-
 def all_extrinsics(inst, cap=BRUTE_FORCE_CAP):
-    """<x_i>_0 for every code bit from a single posterior pass."""
+    """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at once."""
     return _posterior(inst, cap, _extrinsics)
 
 
@@ -278,6 +265,13 @@ def correlations_with_root(inst, i, cap=BRUTE_FORCE_CAP):
     return _posterior(inst, cap, reduce)
 
 
+def spin_product_columns(graph, A, B):
+    """The spin products u_A and u_B as float columns over the 2^n_var
+    configurations of an LDGM graph (the rows of its codebit_table)."""
+    signs = gf2.parity_signs(gf2.cube(graph.n_var), [gf2.mask(A), gf2.mask(B)])
+    return np.ascontiguousarray(signs.T, dtype=float)
+
+
 def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
     """<u_A u_B> - <u_A><u_B> for variable sets A, B of an LDGM instance,
     where u_S is the product of the spins in S; the quantity bounded by
@@ -285,8 +279,7 @@ def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
     _check_cap(inst.graph, cap)
-    signs = gf2.parity_signs(gf2.cube(inst.graph.n_var), [gf2.mask(A), gf2.mask(B)])
-    uA, uB = np.ascontiguousarray(signs.T, dtype=float)
+    uA, uB = spin_product_columns(inst.graph, A, B)
 
     def reduce(b, _):
         return b.p @ (uA * uB) - (b.p @ uA) * (b.p @ uB)

@@ -59,12 +59,24 @@ class ExperimentConfig:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         ChannelModel.from_spec(self.channel)  # validates kind and eps
+        p = self.params
         uses_de = self.experiment == "de-curve" or (
-            self.experiment == "gexit-curve" and "de" in self.params.get("methods", ()))
+            self.experiment == "gexit-curve" and "de" in p.get("methods", ()))
         if uses_de and self.code.get("type", "ensemble") != "ensemble":
             raise ValueError(
                 f"{self.experiment} with density evolution needs an ensemble code "
                 f"(a degree distribution); code type {self.code.get('type')!r} has none")
+        depths = [p.get("d", 0), *p.get("d_primes", ()), *p.get("d_refs", ())]
+        if any(int(d) < 0 for d in depths):
+            raise ValueError("BP depths (d, d_primes, d_refs) must be >= 0")
+        if uses_de and int(p.get("d", 1)) < 1:
+            raise ValueError("density evolution needs d >= 1")
+        if self.experiment in ("bounds", "corr-decay") and int(p.get("graphs", 1)) < 1:
+            raise ValueError(f"{self.experiment} needs params.graphs >= 1")
+        if self.experiment == "bounds" and _code_source(self.code).kind != LDGM:
+            raise ValueError("bounds checks the walk bound, which applies to LDGM codes only")
+        if self.experiment == "bounds" and not float(p.get("H", 1.0)) > 0.0:
+            raise ValueError("bounds needs a threshold H > 0")
 
     @classmethod
     def from_json(cls, doc):
@@ -273,16 +285,10 @@ def _bounds(cfg):
             src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
         i, j = rng.choice(g.n_chk, 2, replace=False)
         A, B = set(g.adj_chk[int(i)]), set(g.adj_chk[int(j)])
-        corrs, bounds = [], []
-        for _ in range(per_graph):
-            l = sample_llr(ch, g.n_chk, rng).values
-            inst = make_instance(g, l)
-            c = abs(spin_product_correlation(inst, A, B))
-            b, _ = clusters.dkp_pointwise_bound(inst, A, B, H)
-            corrs.append(c)
-            bounds.append(b)
-            if c > b + 1e-12:
-                violations += 1
+        inst = make_instance(g, sample_llr(ch, (per_graph, g.n_chk), rng).values)
+        corrs = np.abs(spin_product_correlation(inst, A, B))
+        bounds, _ = clusters.dkp_pointwise_bound(inst, A, B, H)
+        violations += int(np.count_nonzero(corrs > bounds + 1e-12))
         avg_b, diverged = clusters.dkp_avg_bound(g, ch, A, B, H)
         rows.append({"graph": gi, "i": int(i), "j": int(j),
                      "dist": graph_distance(g, int(i), int(j)),

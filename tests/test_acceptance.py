@@ -106,14 +106,13 @@ def test_criterion_04_dkp_pointwise_dominance():
             g = random_ldgm_graph(rng, m_max=8, n_max=8)
             i, j = (int(x) for x in rng.choice(g.n_chk, 2, replace=False))
             A, B = set(g.adj_chk[i]), set(g.adj_chk[j])
-            for _ in range(1000):
-                inst = make_instance(g, sample_llr(ch, g.n_chk, rng).values)
-                corr = abs(spin_product_correlation(inst, A, B))
-                bound, _ = dkp_pointwise_bound(inst, A, B, H)
-                cases += 1
-                if corr > bound + 1e-12:
-                    violations += 1
-                margin = max(margin, corr - bound)
+            # 1000 draws as one block: the same numbers as 1000 single draws
+            inst = make_instance(g, sample_llr(ch, (1000, g.n_chk), rng).values)
+            corr = np.abs(spin_product_correlation(inst, A, B))
+            bound, _ = dkp_pointwise_bound(inst, A, B, H)
+            cases += len(corr)
+            violations += int(np.count_nonzero(corr > bound + 1e-12))
+            margin = max(margin, float(np.max(corr - bound)))
     report(4, "dkp-pointwise-dominance", violations == 0,
            f"{cases} cases, violations = {violations}, max(corr-bound) = {margin:.3e}")
 

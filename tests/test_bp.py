@@ -5,11 +5,10 @@ import pytest
 
 from conftest import fixed_code_corpus, random_tree_graph
 from gibbscode import channels
-from gibbscode.bp import (bp_all_extrinsics, bp_checkpoint_extrinsics,
-                          bp_extrinsic, bp_run, tree_decode)
+from gibbscode.bp import (bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run,
+                          tree_decode)
 from gibbscode.channels import ChannelModel, sample_llr
-from gibbscode.exact import (all_extrinsics, all_marginals, extrinsic_marginal,
-                             make_instance)
+from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
 from gibbscode.graphs import LDGM, LDPC, build_graph, computational_tree
 
@@ -45,7 +44,7 @@ def test_d0_marginals():
 def test_isolated_bit_extrinsic_zero():
     g = build_graph(2, 1, [(0, 0)], LDPC)
     inst = make_instance(g, [0.5, 0.9])
-    assert bp_extrinsic(inst, 1, 5) == 0.0
+    assert bp_all_extrinsics(inst, 5)[1] == 0.0
 
 
 def test_extrinsic_combine_identity_for_bp():
@@ -113,8 +112,8 @@ def test_tree_pair_correlations_match_exact_on_tree_graph():
     code_nodes = [k for k in range(ct.n_nodes) if ct.node_type[k] == "chk"
                   and k != 0]
     root, corrs = tree_decode(ct, inst, pair_nodes=tuple(code_nodes))
-    from gibbscode.exact import marginal, pair_correlation
-    assert root == pytest.approx(marginal(inst, 0), abs=1e-12)
+    from gibbscode.exact import pair_correlation
+    assert root == pytest.approx(all_marginals(inst)[0], abs=1e-12)
     for k, val in corrs.items():
         assert val == pytest.approx(pair_correlation(inst, 0, ct.proj[k]),
                                     abs=1e-10)
@@ -171,6 +170,14 @@ def test_checkpoint_extrinsics_consistent():
     out = bp_checkpoint_extrinsics(inst, [0, 2, 5])
     assert np.allclose(out[2], bp_all_extrinsics(inst, 2))
     assert np.allclose(out[5], bp_all_extrinsics(inst, 5))
+
+
+def test_negative_depths_raise():
+    inst = make_instance(four_cycle(LDPC), [0.3, -0.2])
+    for run in (lambda: bp_run(inst, -1), lambda: bp_all_extrinsics(inst, -4),
+                lambda: bp_checkpoint_extrinsics(inst, [-2, 3])):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run()
 
 
 @pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 30], ids=["default", "chunked"])

@@ -52,6 +52,36 @@ def test_dkp_pointwise_dominance_random():
         assert corr <= bound + 1e-12
 
 
+def test_block_walk_bound_matches_single_draws():
+    """Each row of a block bound equals the one-draw bound bit for bit, on
+    random LDGM graphs with intersecting endpoint sets, all-bad rows and
+    a truncated walk length."""
+    rng = np.random.default_rng(61)
+    for t in range(40):
+        g = random_ldgm_graph(rng, m_max=7, n_max=8)
+        i, j = (int(x) for x in rng.choice(g.n_chk, 2, replace=False))
+        A, B = set(g.adj_chk[i]), set(g.adj_chk[j])
+        if t % 4 == 0:  # A and B share a variable: one trivial walk each
+            B = B | {min(A)}
+        L = rng.normal(0, 1.0, (9, g.n_chk))
+        L[0] = 3.0 * np.sign(L[0]) + L[0]  # every check bad (|l| > H)
+        H = float(rng.uniform(0.2, 1.5))
+        for max_len in (None, 1):
+            block, truncated = dkp_pointwise_bound(make_instance(g, L), A, B, H, max_len)
+            assert block.shape == (len(L),)
+            for l, row in zip(L, block):
+                single, tr = dkp_pointwise_bound(make_instance(g, l), A, B, H, max_len)
+                assert type(single) is float and tr == truncated
+                assert row == single
+    # the truncation flag and intersecting sets on a fixed example
+    g = build_graph(2, 1, [(0, 0), (1, 0)], LDGM)
+    L = np.array([[0.1], [5.0]])
+    b, tr = dkp_pointwise_bound(make_instance(g, L), {0}, {0, 1}, 1.0)
+    assert not tr and b.tolist() == [2.0 + 2.0 * math.expm1(0.4), 4.0]
+    _, tr = dkp_pointwise_bound(make_instance(g, L), {0}, {1}, 1.0, max_len=0)
+    assert tr
+
+
 def test_dkp_avg_bound():
     ch = ChannelModel("bsc", 0.49)
     # ring of degree-2 checks: K = l_max k_max = 4

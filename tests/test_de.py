@@ -5,13 +5,26 @@ import numpy as np
 import pytest
 
 from gibbscode.channels import ChannelModel, sample_llr
-from gibbscode.de import (CHK_TO_VAR, VAR_TO_CHK, Population, de_full_marginal_moments,
-                          de_gexit, de_moment, de_step, ldgm_initial_population,
-                          ldpc_initial_population, run_de)
-from gibbscode.exact import extrinsic_marginal, make_instance
+from gibbscode.de import (CHK_TO_VAR, VAR_TO_CHK, Population, _degree_groups,
+                          de_full_marginal_moments, de_gexit, de_moment, de_step,
+                          ldgm_initial_population, ldpc_initial_population, run_de)
+from gibbscode.exact import all_extrinsics, make_instance
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph
 
 DD23 = DegreeDistribution.regular(2, 3)
+
+
+def test_degree_groups_follow_the_drawn_degrees():
+    """One rng.choice draw, grouped in ascending degree order; a degree
+    that was not drawn gives no group."""
+    degs, probs = np.array([2, 3, 9]), np.array([0.5, 0.5 - 1e-12, 1e-12])
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    groups = _degree_groups(rng, degs, probs, 1000)
+    deg = ref.choice(degs, size=1000, p=probs)
+    assert [int(dv) for dv, _ in groups] == np.unique(deg).tolist() == [2, 3]
+    for dv, idx in groups:
+        assert np.array_equal(idx, np.flatnonzero(deg == dv))
+    assert rng.random() == ref.random()
 
 
 def test_initial_populations():
@@ -138,7 +151,7 @@ def test_de_moment_matches_tree_ensemble():
                     edges.append((v2, c2))
         g = build_graph(vid[0], cid[0], edges, LDPC)
         inst = make_instance(g, sample_llr(ch, vid[0], rng).values)
-        vals.append(extrinsic_marginal(inst, root))
+        vals.append(all_extrinsics(inst)[root])
     vals = np.array(vals)
     for p in (1, 2, 3):
         tree_mean = float(np.mean(vals ** (2 * p)))

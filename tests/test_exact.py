@@ -10,8 +10,8 @@ from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, codebit_table, conditional_entropy,
-                             correlations_with_root, extrinsic_marginal,
-                             make_instance, marginal, pair_correlation,
+                             correlations_with_root, make_instance,
+                             pair_correlation,
                              partition_function, spin_product_correlation)
 from gibbscode.graphs import LDGM, LDPC, build_graph
 
@@ -34,9 +34,9 @@ def test_partition_function_examples():
 
 
 def test_marginal_examples():
-    assert marginal(single_check(0.5, 0.0), 0) == pytest.approx(math.tanh(0.5))
+    assert all_marginals(single_check(0.5, 0.0))[0] == pytest.approx(math.tanh(0.5))
     gg = build_graph(1, 1, [(0, 0)], LDGM)
-    assert marginal(make_instance(gg, [0.3]), 0) == pytest.approx(math.tanh(0.3))
+    assert all_marginals(make_instance(gg, [0.3]))[0] == pytest.approx(math.tanh(0.3))
     # all l = 0 with a negation-closed codebook: marginals vanish
     g3 = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
     assert np.allclose(all_marginals(make_instance(g3, [0, 0, 0])), 0.0)
@@ -44,13 +44,12 @@ def test_marginal_examples():
 
 def test_extrinsic_examples():
     inst = single_check(0.5, 0.7)
-    assert extrinsic_marginal(inst, 0) == pytest.approx(math.tanh(0.7))
+    assert all_extrinsics(inst)[0] == pytest.approx(math.tanh(0.7))
+    assert all_extrinsics(inst)[1] == pytest.approx(math.tanh(0.5))
     # isolated code bit: no extrinsic information
     g = build_graph(2, 1, [(0, 0)], LDPC)
     inst2 = make_instance(g, [0.4, 0.9])
-    assert extrinsic_marginal(inst2, 1) == pytest.approx(0.0)
-    assert np.allclose(all_extrinsics(inst),
-                       [extrinsic_marginal(inst, 0), extrinsic_marginal(inst, 1)])
+    assert all_extrinsics(inst2)[1] == pytest.approx(0.0)
 
 
 def test_marginal_extrinsic_combine_identity():
@@ -61,9 +60,9 @@ def test_marginal_extrinsic_combine_identity():
         l = rng.normal(0, 1.5, g.code_bit_count)
         inst = make_instance(g, l)
         i = int(rng.integers(g.code_bit_count))
-        M = extrinsic_marginal(inst, i)
+        M = all_extrinsics(inst)[i]
         t = math.tanh(l[i])
-        assert marginal(inst, i) == pytest.approx((M + t) / (1 + M * t), abs=1e-12)
+        assert all_marginals(inst)[i] == pytest.approx((M + t) / (1 + M * t), abs=1e-12)
 
 
 def test_pair_correlation_examples():
@@ -235,7 +234,7 @@ def test_matches_high_precision_oracle():
             mi += int(row[0]) * w
         assert partition_function(inst) == pytest.approx(float(mpmath.log(Z)),
                                                          abs=1e-9)
-        assert marginal(inst, 0) == pytest.approx(float(mi / Z), abs=1e-9)
+        assert all_marginals(inst)[0] == pytest.approx(float(mi / Z), abs=1e-9)
 
 
 def test_spin_product_correlation():
@@ -258,7 +257,7 @@ def test_extrinsics_finite_at_saturated_llrs():
         inst = make_instance(g, l)
         expect = [math.tanh(l[1] + l[2]), math.tanh(l[0] + l[2]), math.tanh(l[0] + l[1])]
         assert np.allclose(all_extrinsics(inst), expect, rtol=0, atol=1e-12), l
-        assert extrinsic_marginal(inst, 1) == pytest.approx(expect[1], abs=1e-12)
+        assert all_extrinsics(inst)[1] == pytest.approx(expect[1], abs=1e-12)
 
 
 def _per_row_reference(g, L):

@@ -7,10 +7,14 @@ import sys
 import numpy as np
 import pytest
 
+from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.cli import main as cli_main
+from gibbscode.clusters import dkp_pointwise_bound
+from gibbscode.exact import make_instance, spin_product_correlation
 from gibbscode.experiments import (DecayFit, ExperimentConfig, emit,
                                    fit_exponential, run_experiment)
-from gibbscode.graphs import build_graph, load_graph, save_graph, LDGM
+from gibbscode.graphs import (DegreeDistribution, build_graph, load_graph, sample_ensemble,
+                              save_graph, LDGM)
 
 
 def test_fit_exponential_exact():
@@ -112,6 +116,53 @@ def test_density_evolution_needs_ensemble_code():
                                             "params": params})
 
 
+BOUNDS_CODE = {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2, "n": 9}
+
+
+def _config(experiment, code=BOUNDS_CODE, **params):
+    return ExperimentConfig.from_json({"experiment": experiment, "code": code,
+                                       "channel": "bsc:0.45", "samples": 40, "seed": 1,
+                                       "params": params})
+
+
+def test_bounds_rejects_ldpc_codes(tmp_path):
+    ldpc = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 12}
+    path = tmp_path / "code.txt"
+    save_graph(build_graph(3, 1, [(0, 0), (1, 0), (2, 0)], "ldpc"), path)
+    for code in (ldpc, {"type": "file", "path": str(path)}):
+        with pytest.raises(ValueError, match="LDGM codes only"):
+            _config("bounds", code)
+
+
+def test_bounds_and_corr_decay_need_graphs():
+    for exp in ("bounds", "corr-decay"):
+        with pytest.raises(ValueError, match="graphs >= 1"):
+            _config(exp, graphs=0)
+
+
+def test_bounds_needs_positive_threshold():
+    for H in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="H > 0"):
+            _config("bounds", H=H)
+    assert _config("bounds", H=0.1).params["H"] == 0.1
+
+
+def test_negative_depths_rejected():
+    for exp, params in (("gexit-curve", {"methods": ["bp"], "d": -4}),
+                        ("limits", {"d_primes": [-2, 4]}),
+                        ("limits", {"d_refs": [100, -200]})):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            _config(exp, **params)
+    assert _config("gexit-curve", methods=["bp"], d=0).params["d"] == 0
+
+
+def test_density_evolution_needs_a_positive_depth():
+    ldpc = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 12}
+    for exp, params in (("gexit-curve", {"methods": ["de"], "d": 0}), ("de-curve", {"d": 0})):
+        with pytest.raises(ValueError, match="d >= 1"):
+            _config(exp, ldpc, **params)
+
+
 def test_gexit_curve_schema():
     cfg = ExperimentConfig.from_json({
         "experiment": "gexit-curve",
@@ -143,6 +194,28 @@ def test_check_experiments_pass():
         assert res.passed is True
 
 
+def _bounds_per_draw(cfg):
+    """Reference for the bounds experiment: one posterior pass and one walk
+    bound per noise draw, reading the rng in the experiment's order."""
+    code, H, n_graphs = cfg.code, cfg.params["H"], cfg.params["graphs"]
+    dd = DegreeDistribution.regular(code["var_degree"], code["chk_degree"])
+    ch = ChannelModel.from_spec(cfg.channel)
+    rng = np.random.default_rng(cfg.seed)
+    rows, violations = [], 0
+    for _ in range(n_graphs):
+        g = sample_ensemble(dd, code["n"], LDGM, int(rng.integers(2 ** 63)))
+        i, j = rng.choice(g.n_chk, 2, replace=False)
+        A, B = set(g.adj_chk[int(i)]), set(g.adj_chk[int(j)])
+        corrs, bounds = [], []
+        for _ in range(cfg.samples // n_graphs):
+            inst = make_instance(g, sample_llr(ch, g.n_chk, rng).values)
+            corrs.append(abs(spin_product_correlation(inst, A, B)))
+            bounds.append(dkp_pointwise_bound(inst, A, B, H)[0])
+            violations += corrs[-1] > bounds[-1] + 1e-12
+        rows.append((float(np.mean(corrs)), float(np.mean(bounds))))
+    return rows, violations
+
+
 def test_bounds_experiment():
     cfg = ExperimentConfig.from_json({
         "experiment": "bounds",
@@ -152,6 +225,11 @@ def test_bounds_experiment():
         "params": {"graphs": 3, "H": 0.1}})
     res = run_experiment(cfg)
     assert res.passed is True and res.summary["violations"] == 0
+    ref_rows, ref_violations = _bounds_per_draw(cfg)
+    assert res.summary["violations"] == ref_violations
+    for row, (corr, bound) in zip(res.rows, ref_rows, strict=True):
+        assert row["mean_pointwise_bound"] == bound
+        assert row["mc_mean_abs_corr"] == pytest.approx(corr, rel=1e-12, abs=0)
 
 
 def test_cli_end_to_end(tmp_path):
