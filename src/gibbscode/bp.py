@@ -132,13 +132,11 @@ def _codebit_estimates(inst, state, extrinsic):
     return est.reshape(inst.values.shape)
 
 
-def bp_run(inst, d, return_state=False):
+def bp_run(inst, d):
     """Flooding sum-product for d full iterations from zero messages;
     returns the per-code-bit marginal estimates (per sample, for an
     instance holding a block of LLR draws)."""
-    state = _run_messages(inst, d)
-    est = _codebit_estimates(inst, state, extrinsic=False)
-    return (est, state) if return_state else est
+    return _codebit_estimates(inst, _run_messages(inst, d), extrinsic=False)
 
 
 def bp_all_extrinsics(inst, d):
@@ -210,37 +208,32 @@ def _flood(g, l, v2c, c2v, iters):
 # exact Gibbs computation on computational trees
 # ---------------------------------------------------------------------------
 
-def tree_decode(ct, inst, pair_nodes=(), depth=None):
+def tree_decode(ct, inst, pair_nodes=()):
     """Exact Gibbs marginal at the root of a computational tree, with
     likelihoods pulled back through the projection (hence correlated
     across tree nodes), plus optional root-to-node covariances.
 
     pair_nodes are TREE node ids of code-bit type; the return value is
-    (root_marginal, {k: <x_root x_k> - <x_root><x_k>}).  depth trims the
-    tree to a smaller even depth without rebuilding it.
+    (root_marginal, {k: <x_root x_k> - <x_root><x_k>}).
     """
-    d = ct.depth if depth is None else depth
-    if d % 2 != 0 or d < 0 or d > ct.depth:
-        raise ValueError("depth must be even and within the built tree")
     code_type = "chk" if inst.kind == LDGM else "var"
     for k in pair_nodes:
-        if k == 0 or ct.node_type[k] != code_type or ct.node_depth[k] > d:
-            raise ValueError(
-                f"pair node {k} must be a non-root code-bit node within depth {d}")
-    logZ0, val0 = _tree_eval(ct, inst, frozenset(), d)
-    logZr, valr = _tree_eval(ct, inst, frozenset([0]), d)
+        if k == 0 or ct.node_type[k] != code_type:
+            raise ValueError(f"pair node {k} must be a non-root code-bit node")
+    logZ0, val0 = _tree_eval(ct, inst, frozenset())
+    logZr, valr = _tree_eval(ct, inst, frozenset([0]))
     root_mean = valr / val0 * math.exp(logZr - logZ0)
     corrs = {}
     for k in pair_nodes:
-        logZk, valk = _tree_eval(ct, inst, frozenset([k]), d)
-        logZrk, valrk = _tree_eval(ct, inst, frozenset([0, k]), d)
+        logZk, valk = _tree_eval(ct, inst, frozenset([k]))
+        logZrk, valrk = _tree_eval(ct, inst, frozenset([0, k]))
         mk = valk / val0 * math.exp(logZk - logZ0)
         mrk = valrk / val0 * math.exp(logZrk - logZ0)
         corrs[k] = mrk - root_mean * mk
     return root_mean, corrs
 
 
-def _tree_eval(ct, inst, inserts, d):
+def _tree_eval(ct, inst, inserts):
     """Sum over tree spin configurations of the Gibbs weight times the
     product of inserted code-bit observables.  Returns (logscale, value)
     with |value| <= 1: the sum equals value * exp(logscale).
@@ -251,17 +244,12 @@ def _tree_eval(ct, inst, inserts, d):
     uniformly, which reproduces the zero-initialized BP boundary."""
     g, l = inst.graph, inst.values
     kind = inst.kind
-    order = sorted((k for k in range(ct.n_nodes) if ct.node_depth[k] <= d),
-                   key=lambda k: -ct.node_depth[k])
+    order = sorted(range(ct.n_nodes), key=lambda k: -ct.node_depth[k])
     msg = {}
     logscale = 0.0
-
-    def kids(k):
-        return [c for c in ct.children[k] if ct.node_depth[c] <= d]
-
     for k in order:
         typ, img = ct.node_type[k], ct.proj[k]
-        ch = kids(k)
+        ch = ct.children[k]
         if kind == LDGM:
             if typ == "var":
                 up, down = 1.0, 1.0  # components for u = +1 / -1

@@ -39,6 +39,9 @@ _QUAD_SIGMAS = 12.0
 #: number of Gauss-Legendre nodes for batched kernel integrals
 _GL_NODES = 481
 
+#: series terms t2p searched for the BSC's sup_p |t2p| (t2p_sup)
+T2P_SUP_TERMS = 200
+
 #: float entries one block of noise samples may hold in a batched layer
 #: (samples times the per-sample width: table rows, message edges or
 #: quadrature nodes); bounds the temporaries whatever the sample count
@@ -236,11 +239,12 @@ def t2p(ch, p):
     return (ch.expectation(f, ch.eps + h) - ch.expectation(f, ch.eps - h)) / (2.0 * h)
 
 
-def t2p_sup(ch, p_max=200):
+def t2p_sup(ch):
     """A practical bound on sup_{p>=1} |t2p|: the BSC maximum is attained at
-    small p; for the BIAWGNC |t2p| <= integral of |dc/deps| which bounds all p."""
+    small p (searched up to T2P_SUP_TERMS); for the BIAWGNC |t2p| <= integral
+    of |dc/deps| which bounds all p."""
     if ch.kind == BSC:
-        return max(abs(t2p(ch, p)) for p in range(1, p_max + 1))
+        return max(abs(t2p(ch, p)) for p in range(1, T2P_SUP_TERMS + 1))
     mu, var = ch.gauss_params()
     sd = math.sqrt(var)
     val, _ = quad(lambda l: abs(ch.density_deps(l)), mu - _QUAD_SIGMAS * sd,

@@ -47,8 +47,11 @@ from .exact import (codebit_table, partition_function, spin_product_columns,
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
                      graph_distance, same_type_distance)
 
-#: default cap on |Y| = |Gamma| + endpoints during cluster enumeration
-CLUSTER_SIZE_CAP = 10
+#: cluster enumeration refuses more candidate sets (2^(n_var - 2)) than this
+CLUSTER_ENUM_CAP = 10 ** 6
+
+#: replica_g_sums refuses more good checks than this (2^good subsets)
+REPLICA_GOOD_CAP = 12
 
 #: replica enumeration refuses above this cluster size (4^size pairs)
 REPLICA_CAP = 10
@@ -71,7 +74,7 @@ class BadSet:
 # self-avoiding-walk bound
 # ---------------------------------------------------------------------------
 
-def dkp_pointwise_bound(inst, A, B, H, max_len=None, cap=10 ** 6):
+def dkp_pointwise_bound(inst, A, B, H, max_len=None):
     """(bound, truncated): 2 sum over walks of prod rho_c, a float for one
     noise realization or one value per sample of a block (each row equals
     its one-realization bound bit for bit).  truncated is True when max_len
@@ -82,7 +85,7 @@ def dkp_pointwise_bound(inst, A, B, H, max_len=None, cap=10 ** 6):
     exhaustive_len = min(g.n_chk, max(g.n_var - 1, 0))
     if max_len is None:
         max_len = exhaustive_len
-    walks = enumerate_saws(g, A, B, max_len, cap=cap)
+    walks = enumerate_saws(g, A, B, max_len)
     l = np.atleast_2d(inst.values)
     rho = np.where(np.abs(l) > H, 1.0, np.expm1(4.0 * np.abs(l)))
     total = np.zeros(len(l))
@@ -175,27 +178,26 @@ def _witness_interior(g, nodes, i, j):
     raise AssertionError("connected set without a connecting path")
 
 
-def enumerate_clusters(g, i, j, size_cap=CLUSTER_SIZE_CAP, cap=10 ** 6):
-    """All cluster terms for the pair (i, j): hyperedge-connected variable
-    sets Y containing i and j with |Y| <= size_cap, grouped into check
-    clusters Xhat = boundary(Y); each Y contributes the compatible sets
-    Gamma = Y minus any subset of {i, j}.  Returns [] when i and j lie in
-    different components."""
+def enumerate_clusters(g, i, j):
+    """All cluster terms for the pair (i, j): every hyperedge-connected
+    variable set Y containing i and j, grouped into check clusters
+    Xhat = boundary(Y); each Y contributes the compatible sets Gamma = Y
+    minus any subset of {i, j}.  Returns [] when i and j lie in different
+    components."""
     if g.kind != LDPC:
         raise ValueError("the dual expansion applies to LDPC graphs")
     if i == j:
         raise ValueError("cluster terms need distinct code bits")
     others = [v for v in range(g.n_var) if v not in (i, j)]
+    if 2 ** len(others) > CLUSTER_ENUM_CAP:
+        raise EnumerationCapExceeded(
+            f"{2 ** len(others)} candidate sets exceed cap {CLUSTER_ENUM_CAP}")
     by_xhat = {}
-    count = 0
-    for r in range(min(size_cap - 2, len(others)) + 1):
+    for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             Y = frozenset(extra) | {i, j}
             if not _is_var_connected(g, Y):
                 continue
-            count += 1
-            if count > cap:
-                raise EnumerationCapExceeded(f"more than {cap} connected sets")
             xhat = frozenset(c for v in Y for c in g.adj_var[v])
             by_xhat.setdefault(xhat, []).append(Y)
     terms = []
@@ -247,20 +249,15 @@ def berretti_term(inst, term, i, j):
     return K, zs, zl
 
 
-def berretti_identity_residual(inst, i, j, size_cap=None, cap=10 ** 6):
+def berretti_identity_residual(inst, i, j):
     """|dual pair bracket - (1/2) sum_Xhat K_ij (Z_dual(Xhat^c)/Z_dual)^2|
     with the left side from the duality module and the right side from
     exhaustive cluster enumeration; an exact identity on small graphs."""
-    g = inst.graph
-    if size_cap is None:
-        size_cap = g.n_var
-    elif size_cap < g.n_var:
-        raise ValueError("identity check needs exhaustive enumeration")
     dinst = DualInstance(inst)
     lhs = dual_bracket(dinst, (i, j)) - dual_bracket(dinst, (i,)) * dual_bracket(dinst, (j,))
     _, zlog = dual_partition(dinst)
     rhs = 0.0
-    for term in enumerate_clusters(g, i, j, size_cap, cap):
+    for term in enumerate_clusters(inst.graph, i, j):
         K, zs, zl = berretti_term(inst, term, i, j)
         if zs != 0.0:
             rhs += 0.5 * K * math.exp(2.0 * (zl - zlog))
@@ -340,7 +337,7 @@ def _g_connects(g, G_plus_bad, A, B):
     return False
 
 
-def replica_g_sums(inst, A, B, H, max_good=12):
+def replica_g_sums(inst, A, B, H):
     """(connecting_sum, nonconnecting_sum) of the replicated-measure
     decomposition over subsets G of the good checks:
 
@@ -355,8 +352,8 @@ def replica_g_sums(inst, A, B, H, max_good=12):
     g = inst.graph
     bad = sorted(BadSet.from_instance(inst, H).members)
     good = [c for c in range(g.n_chk) if c not in bad]
-    if len(good) > max_good:
-        raise EnumerationCapExceeded(f"{len(good)} good checks exceed cap {max_good}")
+    if len(good) > REPLICA_GOOD_CAP:
+        raise EnumerationCapExceeded(f"{len(good)} good checks exceed cap {REPLICA_GOOD_CAP}")
     FAB, Ms = _replica_tables(inst, A, B)
     base = np.ones_like(FAB)
     for c in bad:
@@ -378,7 +375,7 @@ def replica_g_sums(inst, A, B, H, max_good=12):
     return con, noncon
 
 
-def replica_decomposition_residual(inst, A, B, H, max_good=12):
+def replica_decomposition_residual(inst, A, B, H):
     """|full G-sum - exact correlation|: the decomposition identity."""
-    con, noncon = replica_g_sums(inst, A, B, H, max_good)
+    con, noncon = replica_g_sums(inst, A, B, H)
     return abs((con + noncon) - spin_product_correlation(inst, A, B))

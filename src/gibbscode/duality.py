@@ -43,9 +43,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import gf2
-from .exact import (BRUTE_FORCE_CAP, BruteForceCapExceeded, TableCache, all_marginals,
-                    pair_correlation)
+from . import exact, gf2
+from .exact import BruteForceCapExceeded, TableCache, all_marginals, pair_correlation
 from .graphs import LDPC
 
 #: relative margin of the lower bound Z_dual >= 2^m: a computed Z_dual
@@ -83,8 +82,11 @@ class DualInstance:
     @cached_property
     def weights(self):
         """(T, W, Z_dual): the tau table, the signed weight of every dual
-        configuration and their sum, built once per instance; read them
-        through _config_weights, which enforces the cap."""
+        configuration and their sum, built once per instance; the dual
+        spins (checks) are capped by exact.BRUTE_FORCE_CAP."""
+        if self.graph.n_chk > exact.BRUTE_FORCE_CAP:
+            raise BruteForceCapExceeded(
+                f"{self.graph.n_chk} dual spins exceed cap {exact.BRUTE_FORCE_CAP}")
         T = _tau_table(self.graph)
         W = dual_weights(T, self.values)
         return T, W, W.sum()
@@ -117,14 +119,6 @@ def dual_weights(T, l):
     return W
 
 
-def _config_weights(dinst, cap):
-    """The instance's (T, W, Z_dual) after the cap check."""
-    g = dinst.graph
-    if g.n_chk > cap:
-        raise BruteForceCapExceeded(f"{g.n_chk} dual spins exceed cap {cap}")
-    return dinst.weights
-
-
 def signed_log(total):
     """(sign, log|total|) of a signed sum; (0.0, -inf) when it is zero."""
     if total == 0.0:
@@ -132,15 +126,15 @@ def signed_log(total):
     return math.copysign(1.0, float(total)), float(np.log(np.abs(total)))
 
 
-def dual_partition(dinst, cap=BRUTE_FORCE_CAP):
+def dual_partition(dinst):
     """(sign, log|Z_dual|) by exact enumeration over the dual spins."""
-    return signed_log(_config_weights(dinst, cap)[2])
+    return signed_log(dinst.weights[2])
 
 
-def dual_bracket(dinst, S, cap=BRUTE_FORCE_CAP):
+def dual_bracket(dinst, S):
     """<prod_{i in S} tau_i>_dual, a signed ratio (not a probability);
     raises DualDegenerate when Z_dual breaks its lower bound."""
-    T, W, z = _config_weights(dinst, cap)
+    T, W, z = dinst.weights
     if z < 2.0 ** dinst.graph.n_chk * (1.0 - Z_DUAL_FLOOR):
         raise DualDegenerate("dual partition function below its bound 2^m")
     extra = np.ones(T.shape[0], dtype=np.longdouble)
@@ -149,13 +143,13 @@ def dual_bracket(dinst, S, cap=BRUTE_FORCE_CAP):
     return float((W @ extra) / z)
 
 
-def dual_bracket_via_primal(dinst, S, cap=BRUTE_FORCE_CAP):
+def dual_bracket_via_primal(dinst, S):
     """Invert the correlation maps to express dual brackets through the
     (always well-conditioned) primal marginals; |S| in {1, 2} only.  The
     reference dual_bracket is tested against."""
     S = tuple(S)
     l = dinst.values
-    marg = all_marginals(dinst.base, cap)
+    marg = all_marginals(dinst.base)
     if len(S) == 1:
         i = S[0]
         return math.cosh(2 * l[i]) - math.sinh(2 * l[i]) * marg[i]
@@ -163,45 +157,45 @@ def dual_bracket_via_primal(dinst, S, cap=BRUTE_FORCE_CAP):
         i, j = S
         ti = math.cosh(2 * l[i]) - math.sinh(2 * l[i]) * marg[i]
         tj = math.cosh(2 * l[j]) - math.sinh(2 * l[j]) * marg[j]
-        corr = pair_correlation(dinst.base, i, j, cap)
+        corr = pair_correlation(dinst.base, i, j)
         return corr * math.sinh(2 * l[i]) * math.sinh(2 * l[j]) + ti * tj
     raise ValueError("primal fallback covers singletons and pairs only")
 
 
-def macwilliams_log_residual(dinst, cap=BRUTE_FORCE_CAP):
+def macwilliams_log_residual(dinst):
     """Relative residual |Z - 2^{-m} e^{sum l} Z_dual| / Z computed in the
     log domain; the acceptance identity.  The 2^{-m} normalization equals
     |C_dual|^{-1} whenever the parity matrix has full row rank."""
     from .exact import partition_function
 
-    logz = partition_function(dinst.base, cap)
-    zs, zl = dual_partition(dinst, cap)
+    logz = partition_function(dinst.base)
+    zs, zl = dual_partition(dinst)
     log_rhs_mag = zl + float(np.sum(dinst.values)) - dinst.graph.n_chk * math.log(2.0)
     if zs <= 0.0:
         return math.inf  # Z is positive; a nonpositive dual side is maximal error
     return abs(math.expm1(log_rhs_mag - logz))
 
 
-def duality_residuals(dinst, i, j, cap=BRUTE_FORCE_CAP, sinh_floor=SINH_FLOOR):
+def duality_residuals(dinst, i, j):
     """(r1, r2): absolute residuals of the first- and second-derivative
     correlation maps at code bits i and j, primal side from the exact
     Gibbs module.  A residual is returned as nan (skipped) when its
-    |sinh 2l| floor is violated (the identity has a removable singularity
-    at l = 0) or when Z_dual is degenerate (DualDegenerate)."""
+    |sinh 2l| is at most SINH_FLOOR (the identity has a removable
+    singularity at l = 0) or when Z_dual is degenerate (DualDegenerate)."""
     l = dinst.values
-    marg = all_marginals(dinst.base, cap)
+    marg = all_marginals(dinst.base)
     si, sj = math.sinh(2 * l[i]), math.sinh(2 * l[j])
     r1 = r2 = math.nan
-    if abs(si) <= sinh_floor:
+    if abs(si) <= SINH_FLOOR:
         return r1, r2
     try:
-        ti = dual_bracket(dinst, (i,), cap)
+        ti = dual_bracket(dinst, (i,))
     except DualDegenerate:
         return r1, r2
     r1 = abs(marg[i] - (1.0 / math.tanh(2 * l[i]) - ti / si))
-    if abs(sj) > sinh_floor:
-        tj = dual_bracket(dinst, (j,), cap)
-        tij = dual_bracket(dinst, (i, j), cap)
-        primal = pair_correlation(dinst.base, i, j, cap)
+    if abs(sj) > SINH_FLOOR:
+        tj = dual_bracket(dinst, (j,))
+        tij = dual_bracket(dinst, (i, j))
+        primal = pair_correlation(dinst.base, i, j)
         r2 = abs(primal - (tij - ti * tj) / (si * sj))
     return r1, r2

@@ -32,8 +32,8 @@ from . import gf2
 from .channels import LLRVector, block_slices
 from .graphs import LDGM, LDPC, TannerGraph
 
-#: default cap on the support dimension: information bits (LDGM) or
-#: n - rank H (LDPC); 2^24 ~ 1.7e7 enumerated configurations
+#: cap on the support dimension, information bits (LDGM) or n - rank H
+#: (LDPC), and on duality's dual spins; 2^24 ~ 1.7e7 configurations
 BRUTE_FORCE_CAP = 24
 
 #: bytes of tables each table cache may keep (one 2^24 x 16 int8 table)
@@ -74,14 +74,14 @@ def make_instance(graph, values):
     return PosteriorInstance(graph, LLRVector(values))
 
 
-def _check_cap(graph, cap):
+def _check_cap(graph):
     if graph.kind == LDPC and graph.n_var > gf2.MAX_WORD_BITS:
         raise BruteForceCapExceeded(
             f"{graph.n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
-    if graph.free_spin_count > cap:
+    if graph.free_spin_count > BRUTE_FORCE_CAP:
         what = "information bits" if graph.kind == LDGM else "codeword dimension n - rank H"
-        raise BruteForceCapExceeded(
-            f"support dimension {graph.free_spin_count} ({what}) exceeds cap {cap}")
+        raise BruteForceCapExceeded(f"support dimension {graph.free_spin_count} ({what}) "
+                                    f"exceeds cap {BRUTE_FORCE_CAP}")
 
 
 TableCacheInfo = namedtuple("TableCacheInfo", "hits misses maxsize currsize max_bytes nbytes")
@@ -94,10 +94,10 @@ class TableCache:
     shared by every caller, so they are returned read-only.  cache_info()
     and cache_clear() follow functools.lru_cache (misses count builds)."""
 
-    def __init__(self, build, maxsize, max_bytes=TABLE_CACHE_BYTES):
+    def __init__(self, build, maxsize):
         update_wrapper(self, build)
         self.maxsize = maxsize
-        self.max_bytes = max_bytes
+        self.max_bytes = TABLE_CACHE_BYTES
         self.cache_clear()
 
     def __call__(self, key):
@@ -177,13 +177,13 @@ class _Pass:
     logz: np.ndarray
 
 
-def _posterior(inst, cap, reduce):
+def _posterior(inst, reduce):
     """The posterior pass: log-weights of every enumerated configuration
     and a row-wise log-sum-exp, over blocks of at most BLOCK_ELEMENTS
     (samples x table rows).  reduce(block, samples) maps each _Pass to
     per-sample results (samples is the block's slice of the sample axis);
     they are stacked, without the sample axis for a single realization."""
-    _check_cap(inst.graph, cap)
+    _check_cap(inst.graph)
     X = codebit_table(inst.graph)
     L_all = np.atleast_2d(inst.values)
     parts = []
@@ -202,15 +202,15 @@ def _posterior(inst, cap, reduce):
     return out if inst.values.ndim == 2 else out[0]
 
 
-def partition_function(inst, cap=BRUTE_FORCE_CAP):
+def partition_function(inst):
     """log Z, computed with a streaming-safe log-sum-exp (Z is a positive
     sum of exponential weights for both code families)."""
-    return _posterior(inst, cap, lambda b, _: b.logz)
+    return _posterior(inst, lambda b, _: b.logz)
 
 
-def all_marginals(inst, cap=BRUTE_FORCE_CAP):
+def all_marginals(inst):
     """<x_i> for every code bit i, as one array."""
-    return _posterior(inst, cap, lambda b, _: _table_product(b.p, b.X))
+    return _posterior(inst, lambda b, _: _table_product(b.p, b.X))
 
 
 def _extrinsics(b, _):
@@ -238,19 +238,19 @@ def _extrinsics(b, _):
     return out
 
 
-def all_extrinsics(inst, cap=BRUTE_FORCE_CAP):
+def all_extrinsics(inst):
     """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at once."""
-    return _posterior(inst, cap, _extrinsics)
+    return _posterior(inst, _extrinsics)
 
 
-def pair_correlation(inst, i, j, cap=BRUTE_FORCE_CAP):
+def pair_correlation(inst, i, j):
     """<x_i x_j> - <x_i><x_j> of a single realization."""
     if i == j:
         raise ValueError("pair correlation needs distinct code bits")
-    return float(correlations_with_root(inst, i, cap)[j])
+    return float(correlations_with_root(inst, i)[j])
 
 
-def correlations_with_root(inst, i, cap=BRUTE_FORCE_CAP):
+def correlations_with_root(inst, i):
     """<x_i x_j> - <x_i><x_j> for all j at once (j = i slot holds the
     variance 1 - <x_i>^2); used by the correlation-decay experiments.  For
     a block, i may also give one root per sample."""
@@ -262,7 +262,7 @@ def correlations_with_root(inst, i, cap=BRUTE_FORCE_CAP):
         joint = _table_product(b.p * b.X[:, r].T, b.X)
         return joint - means[np.arange(len(r)), r][:, None] * means
 
-    return _posterior(inst, cap, reduce)
+    return _posterior(inst, reduce)
 
 
 def spin_product_columns(graph, A, B):
@@ -272,26 +272,26 @@ def spin_product_columns(graph, A, B):
     return np.ascontiguousarray(signs.T, dtype=float)
 
 
-def spin_product_correlation(inst, A, B, cap=BRUTE_FORCE_CAP):
+def spin_product_correlation(inst, A, B):
     """<u_A u_B> - <u_A><u_B> for variable sets A, B of an LDGM instance,
     where u_S is the product of the spins in S; the quantity bounded by
     the self-avoiding-walk expansion."""
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
-    _check_cap(inst.graph, cap)
+    _check_cap(inst.graph)  # before the 2^m columns are built
     uA, uB = spin_product_columns(inst.graph, A, B)
 
     def reduce(b, _):
         return b.p @ (uA * uB) - (b.p @ uA) * (b.p @ uB)
 
-    return _posterior(inst, cap, reduce)
+    return _posterior(inst, reduce)
 
 
-def conditional_entropy(inst, cap=BRUTE_FORCE_CAP):
+def conditional_entropy(inst):
     """Gibbs entropy of the posterior in nats per CODE BIT:
     -(1/n) sum_config p ln p, evaluated in the log domain."""
     def reduce(b, _):
         # S = -sum p ln p = ln Z - sum_config p * logw
         return (b.logz - np.einsum("sr,sr->s", b.p, b.logw)) / inst.graph.code_bit_count
 
-    return _posterior(inst, cap, reduce)
+    return _posterior(inst, reduce)

@@ -60,8 +60,14 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         ChannelModel.from_spec(self.channel)  # validates kind and eps
         p = self.params
-        uses_de = self.experiment == "de-curve" or (
-            self.experiment == "gexit-curve" and "de" in p.get("methods", ()))
+        methods = p.get("methods", ()) if self.experiment == "gexit-curve" else ()
+        unknown = [m for m in methods if m not in _GEXIT_METHODS]
+        if unknown:
+            raise ValueError(f"unknown gexit-curve method(s) {unknown}; "
+                             f"known: {sorted(_GEXIT_METHODS)}")
+        if "series" in methods and int(p.get("p_max", 1)) < 1:
+            raise ValueError("the series method needs p_max >= 1")
+        uses_de = self.experiment == "de-curve" or "de" in methods
         if uses_de and self.code.get("type", "ensemble") != "ensemble":
             raise ValueError(
                 f"{self.experiment} with density evolution needs an ensemble code "
@@ -71,12 +77,23 @@ class ExperimentConfig:
             raise ValueError("BP depths (d, d_primes, d_refs) must be >= 0")
         if uses_de and int(p.get("d", 1)) < 1:
             raise ValueError("density evolution needs d >= 1")
+        if uses_de and int(p.get("n_pop", 1)) < 1:
+            raise ValueError("density evolution needs n_pop >= 1")
+        if self.experiment == "limits" and "d_refs" in p and not p["d_refs"]:
+            raise ValueError("limits needs at least one reference depth in d_refs")
+        if self.experiment == "limits" and "d_primes" in p and len(p["d_primes"]) < 2:
+            raise ValueError("limits needs at least two depths in d_primes to compare")
         if self.experiment in ("bounds", "corr-decay") and int(p.get("graphs", 1)) < 1:
             raise ValueError(f"{self.experiment} needs params.graphs >= 1")
-        if self.experiment == "bounds" and _code_source(self.code).kind != LDGM:
-            raise ValueError("bounds checks the walk bound, which applies to LDGM codes only")
-        if self.experiment == "bounds" and not float(p.get("H", 1.0)) > 0.0:
-            raise ValueError("bounds needs a threshold H > 0")
+        if self.experiment == "bounds":
+            src = _code_source(self.code)
+            if src.kind != LDGM:
+                raise ValueError(
+                    "bounds checks the walk bound, which applies to LDGM codes only")
+            if (src.n if isinstance(src, gexit.EnsembleSpec) else src.n_chk) < 2:
+                raise ValueError("bounds draws two distinct checks; the code needs >= 2")
+            if not float(p.get("H", 1.0)) > 0.0:
+                raise ValueError("bounds needs a threshold H > 0")
 
     @classmethod
     def from_json(cls, doc):
@@ -221,34 +238,35 @@ def _corr_decay(cfg):
     return ExperimentResult(cfg, rows, {"fits": fits})
 
 
+def _de_estimate(cfg, src, ch, seed):
+    d, n_pop = int(cfg.params.get("d", 10)), int(cfg.params.get("n_pop", 10 ** 5))
+    val = de.de_gexit(cfg.code.get("family", LDGM), _degree_distribution(cfg.code), ch, d,
+                      n_pop, seed)
+    return gexit.GexitEstimate(val, 0.0, "de", {"d": d, "n_pop": n_pop})
+
+
+#: gexit-curve's routes: method name -> estimate(cfg, source, channel, seed)
+_GEXIT_METHODS = {
+    "functional": lambda cfg, src, ch, seed: gexit.map_gexit(src, ch, cfg.samples, seed),
+    "series": lambda cfg, src, ch, seed: gexit.map_gexit_series(
+        src, ch, cfg.samples, seed, int(cfg.params.get("p_max", 20))),
+    "bp": lambda cfg, src, ch, seed: gexit.bp_gexit(
+        src, ch, int(cfg.params.get("d", 10)), cfg.samples, seed),
+    "entropy-fd": lambda cfg, src, ch, seed: gexit.entropy_fd(
+        src, ch, float(cfg.params.get("eps_step", 1e-3)), cfg.samples, seed),
+    "awgn-magnetization": lambda cfg, src, ch, seed: gexit.awgn_gexit(
+        src, ch, cfg.samples, seed),
+    "de": _de_estimate,
+}
+
+
 def _gexit_curve(cfg):
     src = _code_source(cfg.code)
-    methods = cfg.params.get("methods", ["functional"])
-    d = int(cfg.params.get("d", 10))
-    p_max = int(cfg.params.get("p_max", 20))
-    n_pop = int(cfg.params.get("n_pop", 10 ** 5))
-    family = cfg.code.get("family", LDGM)
     rows = []
     for ch in _eps_points(cfg):
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        for method in methods:
-            if method == "functional":
-                est = gexit.map_gexit(src, ch, cfg.samples, seed)
-            elif method == "series":
-                est = gexit.map_gexit_series(src, ch, cfg.samples, seed, p_max)
-            elif method == "bp":
-                est = gexit.bp_gexit(src, ch, d, cfg.samples, seed)
-            elif method == "entropy-fd":
-                est = gexit.entropy_fd(src, ch, float(cfg.params.get("eps_step", 1e-3)),
-                                       cfg.samples, seed)
-            elif method == "awgn-magnetization":
-                est = gexit.awgn_gexit(src, ch, cfg.samples, seed)
-            elif method == "de":
-                dd = _degree_distribution(cfg.code)
-                val = de.de_gexit(family, dd, ch, d, n_pop, seed)
-                est = gexit.GexitEstimate(val, 0.0, "de", {"d": d, "n_pop": n_pop})
-            else:
-                raise ValueError(f"unknown method {method!r}")
+        for method in cfg.params.get("methods", ["functional"]):
+            est = _GEXIT_METHODS[method](cfg, src, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,
                          "std_err": est.std_error, "n": est.meta.get("n", 0),
                          "d": est.meta.get("d", 0), "samples": cfg.samples,

@@ -29,7 +29,6 @@ Routes provided, all cross-checkable on the same corpus:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +216,7 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     return out, diffs
 
 
-def entropy_fd(source, ch, eps_step, samples, seed, check_curvature=False):
+def entropy_fd(source, ch, eps_step, samples, seed):
     """The definitional oracle: central finite difference in eps of the
     sampled conditional entropy, with common random numbers coupling the
     two sides (shared uniforms for the BSC, shared normals for the
@@ -229,22 +228,12 @@ def entropy_fd(source, ch, eps_step, samples, seed, check_curvature=False):
     chp = type(ch)(ch.kind, ch.eps + eps_step)
     chm = type(ch)(ch.kind, ch.eps - eps_step)
     slopes = []
-    curvs = []
     for _, g, noise in _blocks(source, samples, rng, lambda shape: channel_noise(ch, shape, rng)):
         scale = g.n_chk / g.n_var if g.kind == LDGM else 1.0
         entropy = lambda c: conditional_entropy(make_instance(g, llrs_from_noise(c, noise)))
-        hp, hm = entropy(chp), entropy(chm)
-        slopes.append(scale * (hp - hm) / (2.0 * eps_step))
-        if check_curvature:
-            curvs.append(scale * (hp - 2.0 * entropy(ch) + hm) / eps_step ** 2)
-    est = _estimate(np.concatenate(slopes), 1.0, "entropy-fd",
-                    _meta(source, ch, samples, seed, eps_step=eps_step))
-    if check_curvature:
-        bend = abs(np.mean(np.concatenate(curvs))) * eps_step ** 2
-        if bend > max(est.std_error, 1e-12):
-            warnings.warn(f"eps_step may be too large: curvature term {bend:.2e} "
-                          f"exceeds the standard error {est.std_error:.2e}")
-    return est
+        slopes.append(scale * (entropy(chp) - entropy(chm)) / (2.0 * eps_step))
+    return _estimate(np.concatenate(slopes), 1.0, "entropy-fd",
+                     _meta(source, ch, samples, seed, eps_step=eps_step))
 
 
 def nishimori_residual(source, ch, p, samples, seed):

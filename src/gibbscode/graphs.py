@@ -29,11 +29,14 @@ from . import gf2
 LDGM = "ldgm"
 LDPC = "ldpc"
 
-#: default cap on computational-tree nodes
+#: cap on computational-tree nodes
 TREE_NODE_CAP = 10 ** 6
 
-#: default cap on enumerated self-avoiding walks
+#: cap on enumerated self-avoiding walks
 SAW_ENUM_CAP = 10 ** 6
+
+#: cap on sample_ensemble's degree redraws and on its parallel-edge repair rounds
+ENSEMBLE_RETRY_CAP = 1000
 
 
 class NodeCapExceeded(ValueError):
@@ -160,14 +163,15 @@ class DegreeDistribution:
                 np.array([p for _, p in coeffs]))
 
 
-def sample_ensemble(dd, n, kind, seed, max_retries=1000):
+def sample_ensemble(dd, n, kind, seed):
     """Sample a simple bipartite graph from the configuration model.
 
     n is the number of CODE BITS (checks for LDGM, variables for LDPC);
     the other side's node count is inferred from the mean degrees so that
     socket counts balance.  Degrees are drawn per node, repaired by
-    resampling until the two socket sums match (up to max_retries), and
-    the uniform socket pairing is rejected until it is parallel-edge free.
+    resampling until the two socket sums match, and the uniform socket
+    pairing is repaired until it is parallel-edge free (each up to
+    ENSEMBLE_RETRY_CAP rounds).
     Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
@@ -184,7 +188,7 @@ def sample_ensemble(dd, n, kind, seed, max_retries=1000):
 
     vdeg_vals, vdeg_p = dd.node_perspective("var")
     cdeg_vals, cdeg_p = dd.node_perspective("chk")
-    for _ in range(max_retries):
+    for _ in range(ENSEMBLE_RETRY_CAP):
         vdegs = rng.choice(vdeg_vals, size=n_var, p=vdeg_p)
         cdegs = rng.choice(cdeg_vals, size=n_chk, p=cdeg_p)
         if vdegs.sum() == cdegs.sum():
@@ -195,7 +199,7 @@ def sample_ensemble(dd, n, kind, seed, max_retries=1000):
     var_sockets = np.repeat(np.arange(n_var), vdegs).tolist()
     pairing = np.repeat(np.arange(n_chk), cdegs)[rng.permutation(vdegs.sum())].tolist()
     # repair parallel edges by random socket swaps
-    for _ in range(max_retries):
+    for _ in range(ENSEMBLE_RETRY_CAP):
         seen = set()
         dups = []
         for pos, edge in enumerate(zip(var_sockets, pairing)):
@@ -318,10 +322,10 @@ class ComputationalTree:
         return len(self.parent)
 
 
-def computational_tree(g, i, d, node_cap=TREE_NODE_CAP):
+def computational_tree(g, i, d):
     """Unroll the universal covering tree of depth d (edge hops, even)
     rooted at code bit i.  Fails with NodeCapExceeded when the tree grows
-    past node_cap."""
+    past TREE_NODE_CAP."""
     if d % 2 != 0 or d < 0:
         raise ValueError("depth must be even and >= 0")
     root_type = "chk" if g.kind == LDGM else "var"
@@ -345,8 +349,8 @@ def computational_tree(g, i, d, node_cap=TREE_NODE_CAP):
                     skipped_parent = True  # one copy of the parent edge only
                     continue
                 kid = len(parent)
-                if kid >= node_cap:
-                    raise NodeCapExceeded(f"tree exceeds {node_cap} nodes")
+                if kid >= TREE_NODE_CAP:
+                    raise NodeCapExceeded(f"tree exceeds {TREE_NODE_CAP} nodes")
                 parent.append(k)
                 children.append([])
                 node_depth.append(node_depth[k] + 1)
@@ -382,9 +386,10 @@ class SelfAvoidingWalk:
         return len(self.vars)
 
 
-def enumerate_saws(g, A, B, max_len, cap=SAW_ENUM_CAP):
+def enumerate_saws(g, A, B, max_len):
     """All self-avoiding walks from the variable set A to the variable set
-    B with at most max_len check nodes.
+    B with at most max_len check nodes; more than SAW_ENUM_CAP walks raise
+    EnumerationCapExceeded.
 
     Interior variables avoid A and B entirely (strict endpoint-set
     self-avoidance): a walk ends the moment it reaches B, and may not pass
@@ -400,8 +405,8 @@ def enumerate_saws(g, A, B, max_len, cap=SAW_ENUM_CAP):
         walks.append(SelfAvoidingWalk((a,), ()))
 
     def extend(vpath, cpath):
-        if len(walks) > cap:
-            raise EnumerationCapExceeded(f"more than {cap} walks")
+        if len(walks) > SAW_ENUM_CAP:
+            raise EnumerationCapExceeded(f"more than {SAW_ENUM_CAP} walks")
         if len(cpath) == max_len:
             return
         v = vpath[-1]

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_tree_graph
 from gibbscode import channels
-from gibbscode.bp import (bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run,
-                          tree_decode)
+from gibbscode.bp import (_run_messages, bp_all_extrinsics, bp_checkpoint_extrinsics,
+                          bp_run, tree_decode)
 from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
@@ -17,21 +19,21 @@ def four_cycle(kind):
     return build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], kind)
 
 
-def test_tree_exactness_random_trees():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(30):
-        kind = LDPC if rng.random() < 0.5 else LDGM
-        g = random_tree_graph(rng, kind)
-        d = g.n_var + g.n_chk
-        for _ in range(3):
-            l = rng.normal(0, 1.5, g.code_bit_count)
-            inst = make_instance(g, l)
-            worst = max(worst, float(np.max(np.abs(bp_run(inst, d) -
-                                                   all_marginals(inst)))))
-            worst = max(worst, float(np.max(np.abs(bp_all_extrinsics(inst, d) -
-                                                   all_extrinsics(inst)))))
-    assert worst < 1e-9
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from([LDPC, LDGM]), seed=st.integers(0, 2 ** 32 - 1),
+       mean=st.floats(-2.0, 2.0), scale=st.floats(0.1, 3.0))
+@example(kind=LDPC, seed=0, mean=0.0, scale=1.5)
+@example(kind=LDGM, seed=0, mean=0.0, scale=1.5)
+def test_tree_exactness_random_trees(kind, seed, mean, scale):
+    """Property: n_var + n_chk flooding iterations give the exact
+    marginals and extrinsics on any tree code of either family
+    (criterion 1's tolerance), for a block of LLR draws."""
+    rng = np.random.default_rng(seed)
+    g = random_tree_graph(rng, kind)
+    inst = make_instance(g, rng.normal(mean, scale, (3, g.code_bit_count)))
+    d = g.n_var + g.n_chk
+    assert float(np.max(np.abs(bp_run(inst, d) - all_marginals(inst)))) < 1e-9
+    assert float(np.max(np.abs(bp_all_extrinsics(inst, d) - all_extrinsics(inst)))) < 1e-9
 
 
 def test_d0_marginals():
@@ -89,20 +91,6 @@ def test_tree_decode_on_tree_graph_matches_exact():
         assert root == pytest.approx(all_marginals(inst)[root_bit], abs=1e-10)
 
 
-def test_tree_decode_depth_trim():
-    g = four_cycle(LDPC)
-    inst = make_instance(g, [0.3, -0.6])
-    ct = computational_tree(g, 0, 8)
-    full, _ = tree_decode(ct, inst)
-    trimmed, _ = tree_decode(ct, inst, depth=4)
-    ct4 = computational_tree(g, 0, 4)
-    direct, _ = tree_decode(ct4, inst)
-    assert trimmed == pytest.approx(direct, abs=1e-12)
-    assert trimmed != pytest.approx(full, abs=1e-15)
-    with pytest.raises(ValueError):
-        tree_decode(ct, inst, depth=3)
-
-
 def test_tree_pair_correlations_match_exact_on_tree_graph():
     # on a cycle-free graph the tree equals the graph: covariances match
     g = build_graph(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)], LDGM)
@@ -158,7 +146,7 @@ def test_tree_correlation_decay_fixed_noise():
 def test_messages_stay_finite_and_saturated():
     g = four_cycle(LDPC)
     inst = make_instance(g, [30.0, 30.0])
-    est, state = bp_run(inst, 50, return_state=True)
+    est, state = bp_run(inst, 50), _run_messages(inst, 50)
     assert np.all(np.isfinite(state.v2c)) and np.all(np.isfinite(state.c2v))
     assert np.max(np.abs(state.v2c)) <= 30.0 + 1e-12
     assert np.all(np.isfinite(est))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ldgm_graph, tiny_ldpc_no_isolated
+from gibbscode import clusters
 from gibbscode.channels import ChannelModel, default_H, sample_llr
 from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 berretti_identity_residual, berretti_term,
@@ -11,7 +12,7 @@ from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 enumerate_clusters, replica_decomposition_residual,
                                 replica_g_sums)
 from gibbscode.exact import make_instance, spin_product_correlation
-from gibbscode.graphs import LDGM, LDPC, build_graph
+from gibbscode.graphs import LDGM, LDPC, EnumerationCapExceeded, build_graph
 
 
 def test_bad_set():
@@ -144,6 +145,27 @@ def test_enumerate_clusters_chain_witness():
         for v in gset:
             boundary.update(g.adj_var[v])
         assert boundary | set(g.adj_var[0]) | set(g.adj_var[2]) == set(term.xhat)
+
+
+def test_cluster_caps_reject_oversized_enumerations(monkeypatch):
+    chain = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
+    inst = make_instance(chain, [0.3, -0.2, 0.5])
+    monkeypatch.setattr(clusters, "CLUSTER_ENUM_CAP", 2)
+    (term,) = enumerate_clusters(chain, 0, 2)  # candidates {0, 2} and {0, 1, 2}
+    monkeypatch.setattr(clusters, "CLUSTER_ENUM_CAP", 1)
+    with pytest.raises(EnumerationCapExceeded, match="2 candidate sets exceed cap 1"):
+        enumerate_clusters(chain, 0, 2)
+    berretti_term(inst, term, 0, 2)
+    monkeypatch.setattr(clusters, "REPLICA_CAP", 1)
+    with pytest.raises(EnumerationCapExceeded, match="cluster of size 2 exceeds replica cap 1"):
+        berretti_term(inst, term, 0, 2)
+    # every check is good under H = 10, so all three are enumerated
+    g = build_graph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)], LDGM)
+    ldgm = make_instance(g, [0.3, -0.2, 0.5])
+    replica_g_sums(ldgm, {0}, {1}, 10.0)
+    monkeypatch.setattr(clusters, "REPLICA_GOOD_CAP", 2)
+    with pytest.raises(EnumerationCapExceeded, match="3 good checks exceed cap 2"):
+        replica_g_sums(ldgm, {0}, {1}, 10.0)
 
 
 def test_berretti_term_vanishing_cases():

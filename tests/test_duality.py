@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ldpc_graph
-from gibbscode import duality, gf2
+from gibbscode import duality, exact, gf2
 from gibbscode.duality import (DualDegenerate, DualInstance, dual_bracket,
                                dual_bracket_via_primal, dual_partition,
                                duality_residuals, macwilliams_log_residual)
@@ -149,6 +149,8 @@ def test_dual_weights_built_once_per_instance(monkeypatch):
     macwilliams_log_residual(dinst)
     duality_residuals(dinst, 0, 1)
     assert len(builds) == 1
-    # the cap still applies to weights already built
-    with pytest.raises(BruteForceCapExceeded):
-        dual_bracket(dinst, (0,), cap=g.n_chk - 1)
+    # the dual-spin cap is checked where the weights are built
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", g.n_chk - 1)
+    with pytest.raises(BruteForceCapExceeded, match=f"{g.n_chk} dual spins exceed cap"):
+        dual_bracket(DualInstance(make_instance(g, rng.uniform(-2, 2, g.n_var))), (0,))
+    assert len(builds) == 1

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
-from gibbscode import channels
+from gibbscode import channels, exact
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, codebit_table, conditional_entropy,
                              correlations_with_root, make_instance,
@@ -52,17 +52,35 @@ def test_extrinsic_examples():
     assert all_extrinsics(inst2)[1] == pytest.approx(0.0)
 
 
-def test_marginal_extrinsic_combine_identity():
-    # <x_i> = (M + tanh l_i) / (1 + M tanh l_i) on every instance
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        g = random_ldpc_graph(rng) if rng.random() < 0.5 else random_ldgm_graph(rng)
-        l = rng.normal(0, 1.5, g.code_bit_count)
-        inst = make_instance(g, l)
-        i = int(rng.integers(g.code_bit_count))
-        M = all_extrinsics(inst)[i]
-        t = math.tanh(l[i])
-        assert all_marginals(inst)[i] == pytest.approx((M + t) / (1 + M * t), abs=1e-12)
+#: LLRs for the property tests: moderate values and saturated ones (|l| >= 30)
+llr_values = st.one_of(st.floats(-4.0, 4.0),
+                       st.sampled_from([-50.0, -40.0, -30.0, 30.0, 40.0, 50.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ldpc=st.booleans(), data=st.data())
+def test_marginal_extrinsic_combine_identity(seed, ldpc, data):
+    """Property: <x_i> = (M_i + tanh l_i) / (1 + M_i tanh l_i) for every
+    code bit, with M = all_extrinsics, moderate and saturated LLRs.  Where
+    1 + M_i tanh l_i vanishes (M_i = -tanh l_i = +-1 in floating point)
+    the quotient is 0/0, so the product form is checked everywhere and
+    the quotient form where the denominator is at least 1e-3.  At
+    tanh l_i = +-1 the identity cannot see M_i, so M_i is also checked
+    against its definition: the marginal of bit i with l_i set to 0."""
+    rng = np.random.default_rng(seed)
+    g = random_ldpc_graph(rng) if ldpc else random_ldgm_graph(rng)
+    n = g.code_bit_count
+    l = np.array(data.draw(st.lists(llr_values, min_size=n, max_size=n)))
+    inst = make_instance(g, l)
+    M, marg, t = all_extrinsics(inst), all_marginals(inst), np.tanh(l)
+    assert np.all(np.abs(M) <= 1.0) and np.all(np.abs(marg) <= 1 + 1e-12)
+    den = 1 + M * t
+    assert np.allclose(marg * den, M + t, rtol=0, atol=1e-12)
+    ok = den >= 1e-3
+    assert np.allclose(marg[ok], (M + t)[ok] / den[ok], rtol=0, atol=1e-12)
+    L0 = np.tile(l, (n, 1))
+    np.fill_diagonal(L0, 0.0)  # row i: the instance with l_i = 0
+    assert np.allclose(np.diag(all_marginals(make_instance(g, L0))), M, rtol=0, atol=1e-12)
 
 
 def test_pair_correlation_examples():
@@ -121,33 +139,52 @@ def test_entropy_sign_flip_invariance():
         pytest.approx(conditional_entropy(make_instance(g3, -l)), rel=1e-12)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
     # one check on 26 code bits: the codewords span dimension 25
     g = build_graph(26, 1, [(v, 0) for v in range(26)], LDPC)
     inst = make_instance(g, np.zeros(26))
     with pytest.raises(BruteForceCapExceeded, match="dimension 25"):
         partition_function(inst)
-    # the single check's codewords span dimension 1
-    partition_function(single_check(0.1, 0.2), cap=1)
-    with pytest.raises(BruteForceCapExceeded):
-        partition_function(single_check(0.1, 0.2), cap=0)
     # a 64-bit chain code has dimension 1, but its codewords overflow a word
     chain = build_graph(64, 63, [(c + d, c) for c in range(63) for d in (0, 1)], LDPC)
     with pytest.raises(BruteForceCapExceeded, match="64 code bits"):
         partition_function(make_instance(chain, np.zeros(64)))
+    # the single check's codewords span dimension 1
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 1)
+    partition_function(single_check(0.1, 0.2))
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 0)
+    with pytest.raises(BruteForceCapExceeded, match="exceeds cap 0"):
+        partition_function(single_check(0.1, 0.2))
 
 
-def test_cap_applies_to_codeword_dimension():
+def test_cap_applies_to_codeword_dimension(monkeypatch):
     """n = 10 code bits, rank 4: the cap counts n - rank = 6, not n."""
     g = build_graph(10, 4, [(c, c) for c in range(4)] +
                     [(v, c) for c in range(4) for v in (4 + c, 9 - c)], LDPC)
     assert g.free_spin_count == 6
     l = np.random.default_rng(8).normal(0.4, 1.0, (3, 10))
     inst = make_instance(g, l)
-    assert np.array_equal(all_marginals(inst, cap=6), all_marginals(inst))
-    assert np.array_equal(partition_function(inst, cap=6), partition_function(inst))
+    marg, logz = all_marginals(inst), partition_function(inst)
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 6)
+    assert np.array_equal(all_marginals(inst), marg)
+    assert np.array_equal(partition_function(inst), logz)
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 5)
     with pytest.raises(BruteForceCapExceeded):
-        all_marginals(inst, cap=5)
+        all_marginals(inst)
+
+
+def test_spin_products_checked_before_columns_are_built(monkeypatch):
+    """An LDGM instance over the cap is rejected before its 2^m sign
+    columns are built."""
+    g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDGM)
+    inst = make_instance(g, [0.3, -0.4])
+    expect = spin_product_correlation(inst, {0}, {2})
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 3)
+    assert spin_product_correlation(inst, {0}, {2}) == expect
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 2)
+    monkeypatch.setattr(exact, "spin_product_columns", lambda *a: pytest.fail("built"))
+    with pytest.raises(BruteForceCapExceeded, match="3 \\(information bits\\)"):
+        spin_product_correlation(inst, {0}, {2})
 
 
 @st.composite

@@ -163,6 +163,46 @@ def test_density_evolution_needs_a_positive_depth():
             _config(exp, ldpc, **params)
 
 
+def test_gexit_curve_rejects_unknown_methods():
+    with pytest.raises(ValueError, match=r"unknown gexit-curve method\(s\) \['nope'\]"):
+        _config("gexit-curve", methods=["functional", "nope"])
+
+
+def test_series_needs_a_positive_p_max():
+    for p_max in (0, -3):
+        with pytest.raises(ValueError, match="p_max >= 1"):
+            _config("gexit-curve", methods=["functional", "series"], p_max=p_max)
+    assert _config("gexit-curve", methods=["functional"], p_max=0).params["p_max"] == 0
+
+
+def test_density_evolution_needs_a_population():
+    ldpc = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 12}
+    for exp, params in (("gexit-curve", {"methods": ["de"], "n_pop": 0}),
+                        ("de-curve", {"n_pop": 0})):
+        with pytest.raises(ValueError, match="n_pop >= 1"):
+            _config(exp, ldpc, **params)
+
+
+def test_limits_needs_a_reference_depth():
+    with pytest.raises(ValueError, match="reference depth in d_refs"):
+        _config("limits", d_refs=[])
+
+
+def test_limits_needs_two_compared_depths():
+    for d_primes in ([], [2]):
+        with pytest.raises(ValueError, match="two depths in d_primes"):
+            _config("limits", d_primes=d_primes)
+    assert _config("limits", d_primes=[2, 4], d_refs=[50]).params["d_refs"] == [50]
+
+
+def test_bounds_needs_two_checks():
+    one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
+                 "edges": [[0, 0], [1, 0]]}
+    for code in (one_check, dict(BOUNDS_CODE, n=1)):
+        with pytest.raises(ValueError, match="the code needs >= 2"):
+            _config("bounds", code)
+
+
 def test_gexit_curve_schema():
     cfg = ExperimentConfig.from_json({
         "experiment": "gexit-curve",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_graph
-from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, NodeCapExceeded,
-                              build_graph, computational_tree, enumerate_saws,
+from gibbscode import graphs
+from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
+                              NodeCapExceeded, build_graph, computational_tree, enumerate_saws,
                               graph_distance, load_graph, neighborhood,
                               sample_ensemble, save_graph)
 
@@ -142,10 +143,12 @@ def test_computational_tree_unrolls_cycles():
     assert computational_tree(g4, 0, 0).n_nodes == 1
 
 
-def test_computational_tree_node_cap():
+def test_computational_tree_node_cap(monkeypatch):
     g4 = four_cycle(LDPC)
+    monkeypatch.setattr(graphs, "TREE_NODE_CAP", 10)
+    assert computational_tree(g4, 0, 4).n_nodes == 9
     with pytest.raises(NodeCapExceeded):
-        computational_tree(g4, 0, 100, node_cap=10)
+        computational_tree(g4, 0, 100)
 
 
 def test_saw_examples():
@@ -157,6 +160,31 @@ def test_saw_examples():
     assert len(walks) == 2 and all(w.length == 1 for w in walks)
     trivial = enumerate_saws(g, {0}, {0}, 5)
     assert len(trivial) == 1 and trivial[0].length == 0
+
+
+def test_saw_enumeration_cap(monkeypatch):
+    # four variables joined pairwise by six checks: 5 walks from 0 to 3
+    g = build_graph(4, 6, [(v, c) for c, pair in enumerate(
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]) for v in pair], LDGM)
+    assert len(enumerate_saws(g, {0}, {3}, 3)) == 5
+    monkeypatch.setattr(graphs, "SAW_ENUM_CAP", 1)
+    with pytest.raises(EnumerationCapExceeded, match="more than 1 walks"):
+        enumerate_saws(g, {0}, {3}, 3)
+
+
+def test_ensemble_retry_cap(monkeypatch):
+    # (2,3)-irregular variables against degree-5 checks: seed 0's first
+    # degree draw has 27 variable sockets against 25; seed 1's balances,
+    # but its first pairing has a parallel edge
+    dd = DegreeDistribution.from_dicts({2: 0.5, 3: 0.5}, {5: 1.0})
+    for seed in (0, 1):
+        g = sample_ensemble(dd, 10, LDPC, seed)
+        assert (g.n_var, g.n_chk, g.n_edges) == (10, 5, 25)
+    monkeypatch.setattr(graphs, "ENSEMBLE_RETRY_CAP", 1)
+    with pytest.raises(RuntimeError, match="could not balance socket counts"):
+        sample_ensemble(dd, 10, LDPC, 0)
+    with pytest.raises(RuntimeError, match="could not avoid parallel edges"):
+        sample_ensemble(dd, 10, LDPC, 1)
 
 
 def test_saw_invariants():
