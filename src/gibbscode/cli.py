@@ -6,7 +6,9 @@ where <experiment> is one of corr-decay, gexit-curve, de-curve, bounds,
 duality-check, berretti-check, limits.  The config file is a single JSON
 document (the experiment field may be omitted; the subcommand wins).
 Outputs <experiment>.csv and <experiment>.json in the output directory.
-Exit code 0 iff all assertions of a check-type experiment pass.
+Exit codes: 0 on success, 1 when a check-type experiment prints FAIL,
+and 2 for bad arguments or a config that fails validation (one line on
+stderr, "gibbscode: invalid config: <message>"; nothing is run).
 """
 
 from __future__ import annotations
@@ -33,9 +35,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     with open(args.config) as fh:
-        doc = json.load(fh)
-    doc["experiment"] = args.experiment
-    cfg = ExperimentConfig.from_json(doc)
+        try:
+            doc = json.load(fh)
+            doc["experiment"] = args.experiment
+            cfg = ExperimentConfig.from_json(doc)
+        except KeyError as err:
+            print(f"gibbscode: invalid config: missing key {err}", file=sys.stderr)
+            return 2
+        except ValueError as err:  # also malformed JSON
+            print(f"gibbscode: invalid config: {err}", file=sys.stderr)
+            return 2
     result = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     emit(result, "csv", os.path.join(args.out, f"{args.experiment}.csv"))

@@ -12,11 +12,16 @@ Everything here enumerates the support of the measure directly (LDGM:
 all 2^m information-bit configurations; LDPC: the 2^(n - rank H)
 codewords, spanned from a GF(2) nullspace basis of the parity checks),
 works in the log domain, and relies on numpy's pairwise summation for
-reproducible reductions.  Every quantity is a reduction over one
-posterior pass, which takes a whole block of noise realizations at once:
-logw = L @ X.T for an (S, n) LLR block L and the int8 table X, then a
-row-wise log-sum-exp.  This module is the MAP-side oracle for the BP
-decoder, the duality layer and the GEXIT estimators.
+reproducible reductions.  Every quantity is a weighted sum over one
+posterior pass, which takes a whole block of noise realizations at once
+and streams over the int8 table X: each row chunk of X is converted to
+float once per call and run against every block of the (S, n) LLR block
+L, and each sample keeps a running maximum log-weight, rescaling its
+sums when the maximum grows (the online log-sum-exp of Milakov and
+Gimelshein, arXiv:1805.02867).  Temporaries stay within
+channels.BLOCK_ELEMENTS apart from the (S, n) accumulators, and no float
+copy of the whole table is made.  This module is the MAP-side oracle for
+the BP decoder, the duality layer and the GEXIT estimators.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from functools import partial, update_wrapper
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gf2
 from .channels import LLRVector, block_slices
@@ -143,104 +147,139 @@ def codebit_table(graph):
                             [1 << i for i in range(graph.n_var)])
 
 
-#: a half's posterior probability below this is recomputed from the
-#: half's own maximum log-weight: its terms may be subnormal or have
+#: a half's posterior probability below this is recomputed by a
+#: log-sum-exp over that half alone: its terms may be subnormal or have
 #: underflowed to zero
 _TINY_PROBABILITY = 1e-290
 
 
-def _float_rows(X):
-    """The int8 table in float row chunks of at most BLOCK_ELEMENTS
-    entries, so the table is never converted whole."""
-    for rows in block_slices(X.shape[0], X.shape[1]):
-        yield rows, X[rows].astype(float)
+def _float_chunk(X, rows):
+    """Rows of the int8 table as float: the pass's one conversion, made
+    once per row chunk and call."""
+    return X[rows].astype(float)
 
 
-def _table_product(A, X):
-    """A @ X for a float (S, rows) block A and the int8 table X."""
-    out = np.zeros((A.shape[0], X.shape[1]))
-    for rows, F in _float_rows(X):
-        out += A[:, rows] @ F
-    return out
+def _posterior(inst, terms, finish):
+    """The posterior pass, streamed over the table: row chunks of at most
+    BLOCK_ELEMENTS entries on the outside, each converted to float once,
+    and every block of samples against that chunk on the inside.  A block
+    holds BLOCK_ELEMENTS // max(chunk rows, n) samples, so its weights and
+    every other temporary stay within the budget; no float copy of the
+    whole table is made.
 
-
-@dataclass(frozen=True)
-class _Pass:
-    """One block of the posterior pass: the table X, the block's LLRs L
-    (S, n), log-weights logw = L @ X.T (S, rows), the posterior
-    probabilities p of the rows, and log Z (S,)."""
-
-    X: np.ndarray
-    L: np.ndarray
-    logw: np.ndarray
-    p: np.ndarray
-    logz: np.ndarray
-
-
-def _posterior(inst, reduce):
-    """The posterior pass: log-weights of every enumerated configuration
-    and a row-wise log-sum-exp, over blocks of at most BLOCK_ELEMENTS
-    (samples x table rows).  reduce(block, samples) maps each _Pass to
-    per-sample results (samples is the block's slice of the sample axis);
-    they are stacked, without the sample axis for a single realization."""
+    Each sample keeps a running maximum log-weight m and sums weighted by
+    w = exp(L @ F.T - m), an online log-sum-exp: the sums are rescaled by
+    exp(m_old - m_new) when m grows.  terms(F, rows) is called once per
+    chunk and returns a function mapping a block's w and its sample slice
+    to the chunk's share of each weighted sum, a tuple of (samples, ...)
+    arrays.  finish(X, logz, wsum, *sums) maps log Z, the weight sum and
+    those sums, all against the final maxima, to per-sample results;
+    they are returned without the sample axis for a single realization."""
     _check_cap(inst.graph)
     X = codebit_table(inst.graph)
-    L_all = np.atleast_2d(inst.values)
-    parts = []
-    for samples in block_slices(len(L_all), X.shape[0]):
-        L = L_all[samples]
-        logw = np.empty((len(L), X.shape[0]))
-        for rows, F in _float_rows(X):
-            logw[:, rows] = L @ F.T
-        m = logw.max(axis=1)
-        p = np.subtract(logw, m[:, None])
-        np.exp(p, out=p)
-        wsum = p.sum(axis=1)
-        p /= wsum[:, None]
-        parts.append(reduce(_Pass(X, L, logw, p, m + np.log(wsum)), samples))
-    out = np.concatenate(parts)
+    L = np.atleast_2d(inst.values)
+    m = np.empty(len(L))
+    wsum = np.zeros(len(L))
+    sums = None
+    for rows in block_slices(*X.shape):
+        F = _float_chunk(X, rows)
+        chunk_terms = terms(F, rows)
+        for samples in block_slices(len(L), max(F.shape)):
+            Lb = L[samples]
+            # (samples, rows), laid out so that numpy's row maxima and row
+            # sums run along the longer axis
+            logw = Lb @ F.T if len(F) >= len(Lb) else (F @ Lb.T).T
+            top = logw.max(axis=1)
+            if rows.start:  # carry the earlier chunks' sums over to the new maxima
+                top = np.maximum(m[samples], top)
+                scale = np.exp(m[samples] - top)  # may underflow to 0
+                for total in (wsum, *sums):
+                    block = total[samples].T  # a view, the sample axis last
+                    block *= scale
+            m[samples] = top
+            logw -= top[:, None]
+            w = np.exp(logw, out=logw)
+            parts = chunk_terms(w, samples)
+            if sums is None:
+                sums = [np.zeros((len(L),) + part.shape[1:]) for part in parts]
+            for total, part in zip((wsum, *sums), (w.sum(axis=1), *parts)):
+                total[samples] += part
+    out = finish(X, m + np.log(wsum), wsum, *sums)
     return out if inst.values.ndim == 2 else out[0]
+
+
+def _expectation(total, wsum):
+    """Posterior means of +-1 functions from their weighted sums, kept
+    inside [-1, 1]: the quotient of two rounded sums can miss by an ulp,
+    and arctanh of such a value is NaN."""
+    mean = (total.T / wsum).T
+    return np.minimum(np.maximum(mean, -1.0, out=mean), 1.0, out=mean)
 
 
 def partition_function(inst):
     """log Z, computed with a streaming-safe log-sum-exp (Z is a positive
     sum of exponential weights for both code families)."""
-    return _posterior(inst, lambda b, _: b.logz)
+    return _posterior(inst, lambda F, rows: lambda w, samples: (),
+                      lambda X, logz, wsum: logz)
 
 
 def all_marginals(inst):
     """<x_i> for every code bit i, as one array."""
-    return _posterior(inst, lambda b, _: _table_product(b.p, b.X))
+    return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,),
+                      lambda X, logz, wsum, wx: _expectation(wx, wsum))
 
 
-def _extrinsics(b, _):
-    """<x_i>_0 = tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of
-    the configurations with x_i = +-1: the log-domain form of reweighting
-    by exp(-l_i x_i), finite for any LLR magnitude."""
-    pplus, pminus = np.zeros(b.L.shape), np.zeros(b.L.shape)
-    nplus = np.zeros(b.X.shape[1])
-    for rows in block_slices(*b.X.shape):
-        P = (b.X[rows] > 0).astype(float)  # indicator of x_i = +1
-        pplus += b.p[:, rows] @ P
-        pminus += b.p[:, rows] @ (1.0 - P)
-        nplus += np.ones(len(P)) @ P  # a BLAS column sum (axis-0 reductions are slow)
+def _half_log_weights(X, L):
+    """log Z_i+ and log Z_i- for every row of the LLR block L and code bit
+    i: streamed log-sum-exps of the log-weights over the rows with
+    x_i = +1 and with x_i = -1, each against its own running maximum, so
+    neither half underflows; an empty half gives -inf."""
+    top = np.full((2,) + L.shape, -np.inf)
+    total = np.zeros((2,) + L.shape)
+    for rows in block_slices(*X.shape):
+        F = _float_chunk(X, rows)
+        for samples in block_slices(len(L), F.size):  # (samples, rows, n) temporaries
+            logw = (L[samples] @ F.T)[:, :, None]
+            for h, sign in enumerate((1.0, -1.0)):
+                half = np.where(F == sign, logw, -np.inf)
+                new = np.maximum(top[h, samples], half.max(axis=1))
+                shift = np.where(new > -np.inf, new, 0.0)  # no row of the half yet
+                total[h, samples] *= np.exp(top[h, samples] - shift)
+                total[h, samples] += np.exp(half - shift[:, None]).sum(axis=1)
+                top[h, samples] = new
     with np.errstate(divide="ignore"):
-        out = np.tanh(0.5 * (np.log(pplus) - np.log(pminus)) - b.L)
-    # halves whose probability underflowed (empty halves are exactly 0 and right)
-    bad = ((pplus < _TINY_PROBABILITY) & (nplus > 0)) | \
-        ((pminus < _TINY_PROBABILITY) & (nplus < len(b.X)))
-    for i in np.flatnonzero(bad.any(axis=0)):
-        s = bad[:, i]
-        logw = b.logw[s]
-        pos = b.X[:, i] > 0
-        out[s, i] = np.tanh(0.5 * (logsumexp(logw[:, pos], axis=1) -
-                                   logsumexp(logw[:, ~pos], axis=1)) - b.L[s, i])
-    return out
+        return top + np.log(total)
 
 
 def all_extrinsics(inst):
-    """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at once."""
-    return _posterior(inst, _extrinsics)
+    """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at
+    once: tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of the
+    configurations with x_i = +-1, the log-domain form of reweighting by
+    exp(-l_i x_i), finite for any LLR magnitude."""
+    L = np.atleast_2d(inst.values)
+
+    def chunk(F, rows):
+        P, Q = np.maximum(F, 0.0), np.maximum(-F, 0.0)  # indicators of x_i = +1, -1
+        return lambda w, samples: (w @ P, w @ Q)
+
+    def finish(X, logz, wsum, zplus, zminus):
+        pplus, pminus = zplus / wsum[:, None], zminus / wsum[:, None]
+        with np.errstate(divide="ignore"):
+            out = np.tanh(0.5 * (np.log(pplus) - np.log(pminus)) - L)
+        # halves whose probability underflowed; row 0 of every table is all
+        # +1, and an empty -1 half (a constant column) is exactly 0 and right
+        tiny_minus = pminus < _TINY_PROBABILITY
+        if tiny_minus.any():
+            tiny_minus &= X.min(axis=0) < 0
+        bad = (pplus < _TINY_PROBABILITY) | tiny_minus
+        if bad.any():
+            redo = bad.any(axis=1)
+            lplus, lminus = _half_log_weights(X, L[redo])
+            exact_ext = np.tanh(0.5 * (lplus - lminus) - L[redo])
+            out[redo] = np.where(bad[redo], exact_ext, out[redo])
+        return out
+
+    return _posterior(inst, chunk, finish)
 
 
 def pair_correlation(inst, i, j):
@@ -256,42 +295,58 @@ def correlations_with_root(inst, i):
     a block, i may also give one root per sample."""
     roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[:1])
 
-    def reduce(b, samples):
-        means = _table_product(b.p, b.X)
-        r = roots[samples]
-        joint = _table_product(b.p * b.X[:, r].T, b.X)
-        return joint - means[np.arange(len(r)), r][:, None] * means
+    def chunk(F, rows):
+        FT = F.T.copy()  # root columns gathered as contiguous rows
+        return lambda w, samples: (w @ F, (w * FT[roots[samples]]) @ F)
 
-    return _posterior(inst, reduce)
+    def finish(X, logz, wsum, wx, wxx):
+        means, joint = _expectation(wx, wsum), _expectation(wxx, wsum)
+        return joint - means[np.arange(len(roots)), roots][:, None] * means
+
+    return _posterior(inst, chunk, finish)
+
+
+def _spin_products(A, B, words):
+    """u_A u_B, u_A and u_B as float columns over the configurations given
+    as uint64 words (bit a set iff spin a is -1; word r is row r of an
+    LDGM table)."""
+    signs = gf2.parity_signs(words, [gf2.mask(A) ^ gf2.mask(B), gf2.mask(A), gf2.mask(B)])
+    return signs.astype(float)
 
 
 def spin_product_columns(graph, A, B):
     """The spin products u_A and u_B as float columns over the 2^n_var
     configurations of an LDGM graph (the rows of its codebit_table)."""
-    signs = gf2.parity_signs(gf2.cube(graph.n_var), [gf2.mask(A), gf2.mask(B)])
-    return np.ascontiguousarray(signs.T, dtype=float)
+    return np.ascontiguousarray(_spin_products(A, B, gf2.cube(graph.n_var))[:, 1:].T)
 
 
 def spin_product_correlation(inst, A, B):
     """<u_A u_B> - <u_A><u_B> for variable sets A, B of an LDGM instance,
     where u_S is the product of the spins in S; the quantity bounded by
-    the self-avoiding-walk expansion."""
+    the self-avoiding-walk expansion.  The spin products are built per
+    row chunk, after the cap check."""
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
-    _check_cap(inst.graph)  # before the 2^m columns are built
-    uA, uB = spin_product_columns(inst.graph, A, B)
 
-    def reduce(b, _):
-        return b.p @ (uA * uB) - (b.p @ uA) * (b.p @ uB)
+    def chunk(F, rows):
+        U = _spin_products(A, B, np.arange(rows.start, rows.start + len(F), dtype=np.uint64))
+        return lambda w, samples: (w @ U,)
 
-    return _posterior(inst, reduce)
+    def finish(X, logz, wsum, wu):
+        uAB, uA, uB = _expectation(wu, wsum).T
+        return uAB - uA * uB
+
+    return _posterior(inst, chunk, finish)
 
 
 def conditional_entropy(inst):
     """Gibbs entropy of the posterior in nats per CODE BIT:
     -(1/n) sum_config p ln p, evaluated in the log domain."""
-    def reduce(b, _):
-        # S = -sum p ln p = ln Z - sum_config p * logw
-        return (b.logz - np.einsum("sr,sr->s", b.p, b.logw)) / inst.graph.code_bit_count
+    L = np.atleast_2d(inst.values)
 
-    return _posterior(inst, reduce)
+    def finish(X, logz, wsum, wx):
+        # S = -sum p ln p = ln Z - sum_config p * logw, and logw = L @ x is
+        # linear in the row, so sum_config p * logw = L . <x>
+        return (logz - np.einsum("sn,sn->s", L, wx) / wsum) / inst.graph.code_bit_count
+
+    return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,), finish)

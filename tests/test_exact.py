@@ -73,7 +73,7 @@ def test_marginal_extrinsic_combine_identity(seed, ldpc, data):
     l = np.array(data.draw(st.lists(llr_values, min_size=n, max_size=n)))
     inst = make_instance(g, l)
     M, marg, t = all_extrinsics(inst), all_marginals(inst), np.tanh(l)
-    assert np.all(np.abs(M) <= 1.0) and np.all(np.abs(marg) <= 1 + 1e-12)
+    assert np.all(np.abs(M) <= 1.0) and np.all(np.abs(marg) <= 1.0)
     den = 1 + M * t
     assert np.allclose(marg * den, M + t, rtol=0, atol=1e-12)
     ok = den >= 1e-3
@@ -81,6 +81,25 @@ def test_marginal_extrinsic_combine_identity(seed, ldpc, data):
     L0 = np.tile(l, (n, 1))
     np.fill_diagonal(L0, 0.0)  # row i: the instance with l_i = 0
     assert np.allclose(np.diag(all_marginals(make_instance(g, L0))), M, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, l", [(0, [0.0, 0.0, 0.0, 0.0, 2.0, -50.0]),
+                                     (19, [1.0, -1.0, -40.0, -50.0])])
+def test_marginals_inside_unit_interval_at_saturated_llrs(seed, l):
+    """On these instances some marginals are -1 to double precision, and
+    a quotient of rounded weight sums gave -1.0000000000000002 (the first
+    in a pass over the whole table, the second in the streamed pass),
+    whose arctanh is NaN.  Means are kept inside [-1, 1], also inside the
+    correlations."""
+    g = random_ldgm_graph(np.random.default_rng(seed))
+    inst = make_instance(g, l)
+    marg = all_marginals(inst)
+    assert np.all(np.abs(marg) <= 1.0)
+    with np.errstate(divide="ignore"):  # arctanh(+-1) is +-inf, not NaN
+        assert not np.any(np.isnan(np.arctanh(marg)))
+    for root in range(g.code_bit_count):
+        corr = correlations_with_root(inst, root)
+        assert np.all(np.isfinite(corr)) and np.all(np.abs(corr) <= 2.0)
 
 
 def test_pair_correlation_examples():
@@ -182,7 +201,7 @@ def test_spin_products_checked_before_columns_are_built(monkeypatch):
     monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 3)
     assert spin_product_correlation(inst, {0}, {2}) == expect
     monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 2)
-    monkeypatch.setattr(exact, "spin_product_columns", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(exact, "_spin_products", lambda *a: pytest.fail("built"))
     with pytest.raises(BruteForceCapExceeded, match="3 \\(information bits\\)"):
         spin_product_correlation(inst, {0}, {2})
 
@@ -288,18 +307,35 @@ def test_extrinsics_finite_at_saturated_llrs():
     """rep3 has codewords +++ and ---, so ext_0 = tanh(l_1 + l_2) and so
     on; |l| beyond the exp overflow point (~709) must not give NaN, and
     l = (1000, 0, 0) puts the weight of --- below double underflow."""
+    _check_rep3_saturated_extrinsics()
+
+
+def test_extrinsics_finite_at_saturated_llrs_in_row_chunks(monkeypatch):
+    """The same cases with one table row per chunk: +++ and --- stream
+    through separate chunks, and the underflow fallback recomputes the
+    flagged samples chunk by chunk too."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 3)
+    _check_rep3_saturated_extrinsics()
+
+
+def _check_rep3_saturated_extrinsics():
     g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
-    for l in ([800.0, -750.0, 5.0], [1000.0, 0.0, 0.0], [1000.0, -999.0, 0.5],
-              [0.3, -0.2, 0.9]):
+    cases = [[800.0, -750.0, 5.0], [1000.0, 0.0, 0.0], [1000.0, -999.0, 0.5], [0.3, -0.2, 0.9]]
+    expect = [[math.tanh(l[1] + l[2]), math.tanh(l[0] + l[2]), math.tanh(l[0] + l[1])]
+              for l in cases]
+    for l, ext in zip(cases, expect):
         inst = make_instance(g, l)
-        expect = [math.tanh(l[1] + l[2]), math.tanh(l[0] + l[2]), math.tanh(l[0] + l[1])]
-        assert np.allclose(all_extrinsics(inst), expect, rtol=0, atol=1e-12), l
-        assert all_extrinsics(inst)[1] == pytest.approx(expect[1], abs=1e-12)
+        assert np.allclose(all_extrinsics(inst), ext, rtol=0, atol=1e-12), l
+        assert all_extrinsics(inst)[1] == pytest.approx(ext[1], abs=1e-12)
+    # the cases as one block: the fallback recomputes only the flagged rows
+    assert np.allclose(all_extrinsics(make_instance(g, cases)), expect, rtol=0, atol=1e-12)
 
 
-def _per_row_reference(g, L):
+def _per_row_reference(g, L, roots=None):
     """Marginals, extrinsics, entropy per code bit and correlations with
-    root 0 for each row of L, by direct enumeration of the spins."""
+    root roots[s] (default 0) for each row s of L, by direct enumeration
+    of the spins; weights are shifted by their maximum, so saturated
+    rows stay finite."""
     rows = []
     for spins in itertools.product((1, -1), repeat=g.n_var):
         if g.kind == LDGM:
@@ -308,18 +344,36 @@ def _per_row_reference(g, L):
             rows.append(list(spins))
     X = np.array(rows, float)
     out = []
-    for l in L:
-        p = np.exp(X @ l)
+    for l, root in zip(L, np.zeros(len(L), int) if roots is None else roots):
+        logw = X @ l
+        p = np.exp(logw - logw.max())
+        logz = logw.max() + np.log(p.sum())
         p /= p.sum()
         marg = p @ X
         ext = []
         for i in range(X.shape[1]):
-            w0 = p * np.exp(-l[i] * X[:, i])
+            logw0 = logw - l[i] * X[:, i]
+            w0 = np.exp(logw0 - logw0.max())
             ext.append((w0 @ X[:, i]) / w0.sum())
-        entropy = -(p @ np.log(p)) / g.code_bit_count
-        corr = (p * X[:, 0]) @ X - marg[0] * marg
+        entropy = (logz - p @ logw) / g.code_bit_count
+        corr = (p * X[:, root]) @ X - marg[root] * marg
         out.append((marg, np.array(ext), entropy, corr))
     return [np.array(x) for x in zip(*out)]
+
+
+def _spin_product_reference(g, L, A, B):
+    """<u_A u_B> - <u_A><u_B> for each row of L on an LDGM graph, by
+    direct enumeration of the information bits."""
+    U = np.array(list(itertools.product((1, -1), repeat=g.n_var)), float)
+    X = np.stack([U[:, list(chk)].prod(axis=1) for chk in g.adj_chk], axis=1)
+    uA, uB = U[:, sorted(A)].prod(axis=1), U[:, sorted(B)].prod(axis=1)
+    out = []
+    for l in L:
+        logw = X @ l
+        p = np.exp(logw - logw.max())
+        p /= p.sum()
+        out.append(p @ (uA * uB) - (p @ uA) * (p @ uB))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 24], ids=["default", "chunked"])
@@ -342,3 +396,68 @@ def test_block_pass_matches_per_row_enumeration(monkeypatch, budget):
         for s, r in enumerate(roots):
             single = correlations_with_root(make_instance(g, L[s]), r)
             assert np.max(np.abs(block[s] - single)) <= 1e-12, name
+
+
+def _chunks(g):
+    """The row slices the posterior pass converts, at the current budget."""
+    return channels.block_slices(*codebit_table(g).shape)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+def test_streamed_pass_over_row_chunks(monkeypatch, chunk_rows):
+    """Under a budget of chunk_rows table rows per chunk (and as many
+    samples per block), every table of three or more chunk_rows rows
+    splits into at least 3 chunks, and every reduction matches direct
+    enumeration, including a sample whose maximum log-weight grows by more
+    than 745 in the last chunk (the rescale factor underflows to 0, and
+    the extrinsics' underflow fallback runs), per-sample roots and the
+    LDGM spin products."""
+    rng = np.random.default_rng(22)
+    for name, g in fixed_code_corpus():
+        monkeypatch.setattr(channels, "BLOCK_ELEMENTS", chunk_rows * g.code_bit_count)
+        X = codebit_table(g).astype(float)
+        chunks = _chunks(g)
+        assert len(chunks) == -(-len(X) // chunk_rows), name
+        late = len(X) - 1  # in the last chunk
+        jump = 400.0 * X[late]
+        logw = X @ jump
+        assert len(chunks) == 1 or logw[:chunks[-1].start].max() < logw[late] - 745, name
+        L = np.vstack([rng.normal(0.5, 1.5, (5, g.code_bit_count)), jump, -jump])
+        inst = make_instance(g, L)
+        roots = rng.integers(g.code_bit_count, size=len(L))
+        marg, ext, entropy, corr = _per_row_reference(g, L, roots)
+        assert np.max(np.abs(all_marginals(inst) - marg)) <= 1e-12, name
+        assert np.max(np.abs(all_extrinsics(inst) - ext)) <= 1e-12, name
+        assert np.max(np.abs(conditional_entropy(inst) - entropy)) <= 1e-12, name
+        assert np.max(np.abs(correlations_with_root(inst, roots) - corr)) <= 1e-12, name
+        if g.kind == LDGM:
+            A, B = g.adj_chk[0], g.adj_chk[-1]
+            assert np.max(np.abs(spin_product_correlation(inst, A, B) -
+                                 _spin_product_reference(g, L, A, B))) <= 1e-12, name
+
+
+def test_each_row_chunk_converted_once_per_call(monkeypatch):
+    """A 500-sample call converts each row chunk of the table to float
+    exactly once, whatever the reduction."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 1024)
+    rng = np.random.default_rng(23)
+    g = build_graph(10, 12, [(v, c) for c in range(12) for v in {c % 10, (3 * c + 1) % 10}],
+                    LDGM)
+    chunks = _chunks(g)
+    assert len(chunks) >= 10
+    converted = []
+    convert = exact._float_chunk
+
+    def counted(X, rows):
+        converted.append((rows.start, rows.stop))
+        return convert(X, rows)
+
+    monkeypatch.setattr(exact, "_float_chunk", counted)
+    inst = make_instance(g, rng.normal(1.0, 1.0, (500, g.n_chk)))
+    roots = rng.integers(g.n_chk, size=500)
+    for reduce in (partition_function, all_marginals, all_extrinsics, conditional_entropy,
+                   lambda inst: correlations_with_root(inst, roots),
+                   lambda inst: spin_product_correlation(inst, {0}, {5})):
+        converted.clear()
+        reduce(inst)
+        assert converted == [(rows.start, rows.stop) for rows in chunks]

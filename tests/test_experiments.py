@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ def test_cli_rejects_threads(tmp_path):
         cli_main(["corr-decay", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                   "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
+    """A config that fails validation is not a failed check: one line on
+    stderr, exit code 2 (argparse's code for bad arguments) and no output;
+    a missing mandatory key and malformed JSON are rejected the same way."""
+    one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
+                 "edges": [[0, 0], [1, 0]]}
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "o"
+    for text, message in (
+            (json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}),
+             "gibbscode: invalid config: bounds draws two distinct checks; "
+             "the code needs >= 2"),
+            (json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4}),
+             "gibbscode: invalid config: missing key 'seed'"),
+            ("{", "gibbscode: invalid config: Expecting property name")):
+        cfg_path.write_text(text)
+        assert cli_main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+        assert not out.exists()
 
 
 def test_density_evolution_needs_ensemble_code():
@@ -288,10 +312,12 @@ def test_cli_console_script(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"code": {}, "channel": "bsc:0.3",
                                     "samples": 5, "seed": 5}))
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, "-m", "gibbscode.cli", "berretti-check",
          "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
