@@ -36,9 +36,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     with open(args.config) as fh:
         try:
-            doc = json.load(fh)
-            doc["experiment"] = args.experiment
-            cfg = ExperimentConfig.from_json(doc)
+            cfg = ExperimentConfig.from_json(json.load(fh), args.experiment)
         except KeyError as err:
             print(f"gibbscode: invalid config: missing key {err}", file=sys.stderr)
             return 2

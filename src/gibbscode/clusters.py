@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .channels import delta_dual, delta_high
 from .duality import (DualInstance, dual_bracket, dual_partition, dual_weights, signed_log,
                       tau_signs)
-from .exact import (codebit_table, partition_function, spin_product_columns,
-                    spin_product_correlation)
+from .exact import partition_function, spin_product_correlation
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
                      graph_distance, same_type_distance)
 
@@ -306,11 +306,14 @@ def berretti_avg_bound(g, ch, i, j, s):
 
 def _replica_tables(inst, A, B):
     """Config-pair matrices for the replicated LDGM measure: per-check
-    weight factors M_c and the product f_A f_B of replica differences."""
+    weight factors M_c and the product f_A f_B of replica differences,
+    over all 2^n_var configurations u of each replica (the posterior
+    pass's table keeps one per coset of the kernel of G instead)."""
     g = inst.graph
-    X = codebit_table(g).astype(float)  # (configs, n_chk)
+    masks = [gf2.mask(c) for c in g.adj_chk] + [gf2.mask(A), gf2.mask(B)]
+    signs = gf2.parity_signs(gf2.cube(g.n_var), masks).astype(float)
+    X, uA, uB = signs[:, :g.n_chk], signs[:, -2], signs[:, -1]  # (configs, n_chk), u_A, u_B
     l = inst.values
-    uA, uB = spin_product_columns(g, A, B)
     FAB = (uA[:, None] - uA[None, :]) * (uB[:, None] - uB[None, :])
     Ms = [np.exp(l[c] * (X[:, c][:, None] + X[:, c][None, :]) + 2.0 * abs(l[c]))
           for c in range(g.n_chk)]

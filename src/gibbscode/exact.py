@@ -8,24 +8,30 @@ LDPC posterior over code bits x in {-1,+1}^n:
 
     p(x) = (1/Z) prod_c (1/2)(1 + prod_{i in d(c)} x_i) prod_i exp(l_i x_i)
 
-Everything here enumerates the support of the measure directly (LDGM:
-all 2^m information-bit configurations; LDPC: the 2^(n - rank H)
-codewords, spanned from a GF(2) nullspace basis of the parity checks),
-works in the log domain, and relies on numpy's pairwise summation for
-reproducible reductions.  Every quantity is a weighted sum over one
-posterior pass, which takes a whole block of noise realizations at once
-and streams over the int8 table X: each row chunk of X is converted to
-float once per call and run against every block of the (S, n) LLR block
-L, and each sample keeps a running maximum log-weight, rescaling its
-sums when the maximum grows (the online log-sum-exp of Milakov and
-Gimelshein, arXiv:1805.02867).  Temporaries stay within
-channels.BLOCK_ELEMENTS apart from the (S, n) accumulators, and no float
-copy of the whole table is made.  This module is the MAP-side oracle for
+Everything here enumerates the support of the measure directly, each
+configuration of it once, from the GF(2) row reduction of the checks
+cached on the graph.  LDGM: the weight depends on u only through the
+codeword x(u), so u and u + k weigh the same for every k in the kernel
+of the generator G; the table holds the 2^(rank G) configurations of the
+pivot information bits, one per coset of the kernel, and each row stands
+for 2^(m - rank G) configurations, a factor log Z carries.  LDPC: the
+2^(n - rank H) codewords, spanned from a nullspace basis of the parity
+checks.  It works in the log domain, and relies on numpy's pairwise
+summation for reproducible reductions.  Every quantity is a weighted
+sum over one posterior pass, which takes a whole block of noise
+realizations at once and streams over the int8 table X: each row chunk
+of X is converted to float once per call and run against every block of
+the (S, n) LLR block L, and each sample keeps a running maximum
+log-weight, rescaling its sums when the maximum grows (the online
+log-sum-exp of Milakov and Gimelshein, arXiv:1805.02867).  Temporaries
+stay within channels.BLOCK_ELEMENTS apart from the (S, n) accumulators,
+and no float copy of the whole table is made.  This module is the MAP-side oracle for
 the BP decoder, the duality layer and the GEXIT estimators.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import partial, update_wrapper
@@ -36,8 +42,8 @@ from . import gf2
 from .channels import LLRVector, block_slices
 from .graphs import LDGM, LDPC, TannerGraph
 
-#: cap on the support dimension, information bits (LDGM) or n - rank H
-#: (LDPC), and on duality's dual spins; 2^24 ~ 1.7e7 configurations
+#: cap on the support dimension, rank G (LDGM) or n - rank H (LDPC), and
+#: on duality's dual spins; 2^24 ~ 1.7e7 configurations
 BRUTE_FORCE_CAP = 24
 
 #: bytes of tables each table cache may keep (one 2^24 x 16 int8 table)
@@ -83,7 +89,7 @@ def _check_cap(graph):
         raise BruteForceCapExceeded(
             f"{graph.n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
     if graph.free_spin_count > BRUTE_FORCE_CAP:
-        what = "information bits" if graph.kind == LDGM else "codeword dimension n - rank H"
+        what = "rank G" if graph.kind == LDGM else "codeword dimension n - rank H"
         raise BruteForceCapExceeded(f"support dimension {graph.free_spin_count} ({what}) "
                                     f"exceeds cap {BRUTE_FORCE_CAP}")
 
@@ -134,16 +140,21 @@ class TableCache:
 def codebit_table(graph):
     """Code-bit value matrix X over the enumerated support.
 
-    LDGM: X has shape (2^m, n_chk); row u gives x_i(u) for every check.
+    LDGM: X has shape (2^rank G, n_chk); row k gives x_i(u) for every
+    check, with u the configuration whose pivot information bits are the
+    bits of k (in ascending pivot order) and whose other bits are +1, one
+    per coset of the kernel of G.  A full-rank G has every variable as a
+    pivot, so row k is then configuration u = k of the 2^m cube.
     LDPC: rows are the codewords, spanned from a nullspace basis of the
     parity checks in ascending order of their bitmasks (the order of a
     2^n enumeration filtered by the parity indicators); X[r, i] is spin
     i of codeword r.
     """
-    checks = [gf2.mask(c) for c in graph.adj_chk]
+    reduced = graph.reduced_checks
     if graph.kind == LDGM:
-        return gf2.parity_signs(gf2.cube(graph.n_var), checks)
-    return gf2.parity_signs(gf2.codewords(checks, graph.n_var),
+        return gf2.parity_signs(gf2.cube(len(reduced)),
+                                gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced))
+    return gf2.parity_signs(gf2.codewords(reduced, graph.n_var),
                             [1 << i for i in range(graph.n_var)])
 
 
@@ -174,7 +185,9 @@ def _posterior(inst, terms, finish):
     to the chunk's share of each weighted sum, a tuple of (samples, ...)
     arrays.  finish(X, logz, wsum, *sums) maps log Z, the weight sum and
     those sums, all against the final maxima, to per-sample results;
-    they are returned without the sample axis for a single realization."""
+    they are returned without the sample axis for a single realization.
+    log Z counts every configuration: an LDGM row's weight is multiplied
+    by the size of its coset, 2^(m - rank G)."""
     _check_cap(inst.graph)
     X = codebit_table(inst.graph)
     L = np.atleast_2d(inst.values)
@@ -204,7 +217,11 @@ def _posterior(inst, terms, finish):
                 sums = [np.zeros((len(L),) + part.shape[1:]) for part in parts]
             for total, part in zip((wsum, *sums), (w.sum(axis=1), *parts)):
                 total[samples] += part
-    out = finish(X, m + np.log(wsum), wsum, *sums)
+    logz = m + np.log(wsum)
+    coset_bits = inst.graph.n_var - inst.graph.free_spin_count if inst.kind == LDGM else 0
+    if coset_bits:
+        logz += coset_bits * math.log(2)
+    out = finish(X, logz, wsum, *sums)
     return out if inst.values.ndim == 2 else out[0]
 
 
@@ -306,18 +323,18 @@ def correlations_with_root(inst, i):
     return _posterior(inst, chunk, finish)
 
 
-def _spin_products(A, B, words):
-    """u_A u_B, u_A and u_B as float columns over the configurations given
-    as uint64 words (bit a set iff spin a is -1; word r is row r of an
-    LDGM table)."""
-    signs = gf2.parity_signs(words, [gf2.mask(A) ^ gf2.mask(B), gf2.mask(A), gf2.mask(B)])
-    return signs.astype(float)
-
-
-def spin_product_columns(graph, A, B):
-    """The spin products u_A and u_B as float columns over the 2^n_var
-    configurations of an LDGM graph (the rows of its codebit_table)."""
-    return np.ascontiguousarray(_spin_products(A, B, gf2.cube(graph.n_var))[:, 1:].T)
+def _spin_products(graph, A, B, words):
+    """u_A u_B, u_A and u_B as float columns over rows of an LDGM graph's
+    codebit_table, given as uint64 row indices.  u_S is constant on each
+    coset of the kernel of G when S lies in the row space of G, and is
+    then read off the row's pivot bits; otherwise it is +1 and -1 on
+    equal halves of every coset, so its posterior mean is 0, and its
+    column is 0."""
+    reduced = graph.reduced_checks
+    masks = [gf2.mask(A) ^ gf2.mask(B), gf2.mask(A), gf2.mask(B)]
+    U = gf2.parity_signs(words, gf2.compress(masks, reduced)).astype(float)
+    U[:, [gf2.reduce(s, reduced) != 0 for s in masks]] = 0.0
+    return U
 
 
 def spin_product_correlation(inst, A, B):
@@ -329,7 +346,8 @@ def spin_product_correlation(inst, A, B):
         raise ValueError("spin products are an LDGM notion")
 
     def chunk(F, rows):
-        U = _spin_products(A, B, np.arange(rows.start, rows.start + len(F), dtype=np.uint64))
+        U = _spin_products(inst.graph, A, B,
+                           np.arange(rows.start, rows.start + len(F), dtype=np.uint64))
         return lambda w, samples: (w @ U,)
 
     def finish(X, logz, wsum, wu):

@@ -54,11 +54,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed is mandatory and must be an integer")
+        for key, value in (("code", self.code), ("params", self.params)):
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be a JSON object, not {type(value).__name__}")
+        for key, value in (("seed", self.seed), ("samples", self.samples)):
+            # a float would be truncated, and a bool is an int to python
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        ChannelModel.from_spec(self.channel)  # validates kind and eps
+        if not isinstance(self.channel, str):
+            raise ValueError(f"channel must be a spec such as 'bsc:0.25', not {self.channel!r}")
+        if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in self.eps_grid):
+            raise ValueError(f"eps_grid must hold numbers, not {list(self.eps_grid)!r}")
+        _eps_points(self)  # validates the kind and every eps
         p = self.params
         methods = p.get("methods", ()) if self.experiment == "gexit-curve" else ()
         unknown = [m for m in methods if m not in _GEXIT_METHODS]
@@ -96,13 +105,19 @@ class ExperimentConfig:
                 raise ValueError("bounds needs a threshold H > 0")
 
     @classmethod
-    def from_json(cls, doc):
+    def from_json(cls, doc, experiment=None):
+        """A config from a JSON document (text or parsed); experiment, when
+        given, overrides the document's own field."""
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        return cls(experiment=doc["experiment"], code=doc.get("code", {}),
-                   channel=doc["channel"], samples=int(doc.get("samples", 1)),
-                   seed=int(doc["seed"]), eps_grid=tuple(doc.get("eps_grid", ())),
-                   params=dict(doc.get("params", {})))
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(doc).__name__}")
+        grid = doc.get("eps_grid", ())
+        if not isinstance(grid, (list, tuple)):
+            raise ValueError(f"eps_grid must be a list, not {type(grid).__name__}")
+        return cls(experiment=experiment or doc["experiment"], code=doc.get("code", {}),
+                   channel=doc["channel"], samples=doc.get("samples", 1),
+                   seed=doc["seed"], eps_grid=tuple(grid), params=doc.get("params", {}))
 
     def as_dict(self):
         return {"experiment": self.experiment, "code": self.code,

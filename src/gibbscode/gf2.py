@@ -5,8 +5,10 @@ An index set, a parity-check row, a codeword and a spin configuration
 are all bitmasks here (bit i set iff index i is in the set, or spin i is
 -1).  This module owns the four operations the enumeration layers share:
 the mask of an index set, the parity signs (-1)^{popcount(word & mask)}
-of a batch of words, the row reduction (rank and nullspace basis) and
-the codeword enumeration.
+of a batch of words, the row reduction (rank, row-space membership, pivot
+coordinates and nullspace basis) and the codeword enumeration.  The
+functions after row_reduce take its output, so a caller that needs
+several of them reduces its rows once.
 """
 
 from __future__ import annotations
@@ -48,15 +50,23 @@ def parity_signs(words, masks):
     return out
 
 
+def reduce(word, reduced):
+    """word minus the reduced rows whose pivots it holds: zero iff word
+    lies in their row space.  One pass suffices, since each pivot is set
+    in its own row only."""
+    for p, q in reduced:
+        if word & p:
+            word ^= q
+    return word
+
+
 def row_reduce(rows):
     """Reduced row-echelon form of GF(2) rows: (pivot, row) pairs, where
     the pivot is the lowest set bit of its row and is set in no other
     row; zero and dependent rows are dropped."""
     reduced = []
     for r in rows:
-        for p, q in reduced:
-            if r & p:
-                r ^= q
+        r = reduce(r, reduced)
         if r:
             p = r & -r
             reduced = [(pq, q ^ r if q & p else q) for pq, q in reduced]
@@ -69,11 +79,20 @@ def rank(rows):
     return len(row_reduce(rows))
 
 
-def nullspace_basis(rows, n_cols):
+def compress(words, reduced):
+    """Each word's bits at the pivots of the reduced rows, packed in
+    ascending pivot order: bit k of the result is the word's bit at the
+    k-th lowest pivot.  Words supported on the pivots are one per coset
+    of the rows' nullspace, and popcount(compress(w) & k) is the parity
+    of w against the word whose pivot bits are those of k."""
+    pivots = sorted(p for p, _ in reduced)
+    return [sum(1 << k for k, p in enumerate(pivots) if w & p) for w in words]
+
+
+def nullspace_basis(reduced, n_cols):
     """One word per free column f of the reduced rows, in ascending f:
     bit f plus the pivots of the rows that hold f.  Pivots are the rows'
     lowest bits, so f is the word's highest bit."""
-    reduced = row_reduce(rows)
     pivots = sum(p for p, _ in reduced)  # distinct single bits
     basis = []
     for f in range(n_cols):
@@ -83,14 +102,14 @@ def nullspace_basis(rows, n_cols):
     return basis
 
 
-def codewords(rows, n_cols):
-    """Every word x of the nullspace (each row & x of even popcount), as
-    ascending uint64 words; n_cols is at most MAX_WORD_BITS.  Doubling
-    over the basis in ascending free column keeps the words sorted: the
-    word at index k XORs the basis words picked by the bits of k, and its
-    highest bit is the highest free column picked, so comparing two words
-    compares their indices."""
+def codewords(reduced, n_cols):
+    """Every word x of the nullspace of the reduced rows (each row & x of
+    even popcount), as ascending uint64 words; n_cols is at most
+    MAX_WORD_BITS.  Doubling over the basis in ascending free column
+    keeps the words sorted: the word at index k XORs the basis words
+    picked by the bits of k, and its highest bit is the highest free
+    column picked, so comparing two words compares their indices."""
     words = np.zeros(1, np.uint64)
-    for b in nullspace_basis(rows, n_cols):
+    for b in nullspace_basis(reduced, n_cols):
         words = np.concatenate([words, words ^ np.uint64(b)])
     return words

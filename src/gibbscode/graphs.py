@@ -82,13 +82,21 @@ class TannerGraph:
         return self.n_chk if self.kind == LDGM else self.n_var
 
     @cached_property
+    def reduced_checks(self):
+        """The checks as bitmasks over the variables, row-reduced over
+        GF(2) (gf2.row_reduce) once per graph; they number rank G (LDGM)
+        or rank H (LDPC)."""
+        return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
+
+    @property
     def free_spin_count(self):
         """Spins enumerated by brute force, the dimension of the support:
-        the info bits (vars) for LDGM, n - rank H for LDPC (the free
-        columns that span the codewords; computed once per graph)."""
-        if self.kind == LDGM:
-            return self.n_var
-        return self.n_var - gf2.rank(gf2.mask(c) for c in self.adj_chk)
+        rank G for LDGM (one configuration of the pivot information bits
+        per coset of the kernel of G, each standing for 2^(n_var - rank G)
+        configurations), n - rank H for LDPC (the free columns that span
+        the codewords)."""
+        rank = len(self.reduced_checks)
+        return rank if self.kind == LDGM else self.n_var - rank
 
     def edges(self):
         return [(v, c) for v in range(self.n_var) for c in self.adj_var[v]]

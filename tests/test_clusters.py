@@ -248,3 +248,20 @@ def test_replica_decomposition_and_vanishing():
         worst_id = max(worst_id, replica_decomposition_residual(inst, A, B, H))
     assert worst_nc < 1e-12   # non-connecting terms vanish identically
     assert worst_id < 1e-10   # the full G-sum reproduces the correlation
+
+
+def test_replica_decomposition_on_rank_deficient_graph():
+    """The replica sums run over all 2^n_var configurations while the
+    exact correlation comes from the table of one configuration per coset
+    of the kernel of G: a 4-cycle of degree-2 checks and a variable in no
+    check give rank G = 3 of 5.  Products inside and outside the row
+    space of G."""
+    g = build_graph(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3), (3, 3)],
+                    LDGM)
+    assert g.free_spin_count == 3
+    inst = make_instance(g, [0.4, -0.7, 1.1, 0.3])
+    for A, B in (({0}, {2}), ({0, 1}, {2, 3}), ({0}, {4})):
+        con, noncon = replica_g_sums(inst, A, B, 0.5)
+        assert abs(noncon) < 1e-12
+        assert replica_decomposition_residual(inst, A, B, 0.5) < 1e-10
+    assert abs(spin_product_correlation(inst, {0}, {2})) > 1e-3

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
-from gibbscode import channels, exact
+from gibbscode import channels, exact, gf2
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, codebit_table, conditional_entropy,
                              correlations_with_root, make_instance,
@@ -193,16 +193,17 @@ def test_cap_applies_to_codeword_dimension(monkeypatch):
 
 
 def test_spin_products_checked_before_columns_are_built(monkeypatch):
-    """An LDGM instance over the cap is rejected before its 2^m sign
-    columns are built."""
+    """An LDGM instance over the cap is rejected before its 2^rank G sign
+    columns are built; the cap counts rank G = 2, not the 3 information
+    bits."""
     g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDGM)
     inst = make_instance(g, [0.3, -0.4])
     expect = spin_product_correlation(inst, {0}, {2})
-    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 3)
-    assert spin_product_correlation(inst, {0}, {2}) == expect
     monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 2)
+    assert spin_product_correlation(inst, {0}, {2}) == expect
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 1)
     monkeypatch.setattr(exact, "_spin_products", lambda *a: pytest.fail("built"))
-    with pytest.raises(BruteForceCapExceeded, match="3 \\(information bits\\)"):
+    with pytest.raises(BruteForceCapExceeded, match="2 \\(rank G\\)"):
         spin_product_correlation(inst, {0}, {2})
 
 
@@ -247,19 +248,19 @@ def test_table_cache_bounded_by_bytes(monkeypatch):
     codebit_table.cache_clear()
     monkeypatch.setattr(codebit_table, "max_bytes", 600)
 
-    def ldgm(m):  # a 2^m x 3 int8 table
-        return build_graph(m, 3, [(v, c) for c in range(3) for v in range(m)], LDGM)
+    def ldgm(m):  # rank m: a 2^m x 12 int8 table
+        return build_graph(m, 12, [(c % m, c) for c in range(12)], LDGM)
 
-    for m in (5, 6, 7):  # 96 + 192 + 384 bytes
+    for m in (3, 4, 5):  # 96 + 192 + 384 bytes
         codebit_table(ldgm(m))
     info = codebit_table.cache_info()
     assert info.misses == 3 and info.hits == 0
     assert info.nbytes == 384 + 192 <= 600
-    X = codebit_table(ldgm(7))
+    X = codebit_table(ldgm(5))
     assert codebit_table.cache_info().hits == 1
     assert not X.flags.writeable
-    assert codebit_table(ldgm(8)).nbytes == 768  # over budget: returned, not kept
-    codebit_table(ldgm(8))
+    assert codebit_table(ldgm(6)).nbytes == 768  # over budget: returned, not kept
+    codebit_table(ldgm(6))
     info = codebit_table.cache_info()
     assert info.misses == 5 and info.nbytes == 576 and info.currsize == 2
     # the entry bound still holds under the byte budget
@@ -332,10 +333,10 @@ def _check_rep3_saturated_extrinsics():
 
 
 def _per_row_reference(g, L, roots=None):
-    """Marginals, extrinsics, entropy per code bit and correlations with
-    root roots[s] (default 0) for each row s of L, by direct enumeration
-    of the spins; weights are shifted by their maximum, so saturated
-    rows stay finite."""
+    """Marginals, extrinsics, entropy per code bit, correlations with
+    root roots[s] (default 0) and log Z for each row s of L, by direct
+    enumeration of the spins (all 2^n_var of an LDGM graph); weights are
+    shifted by their maximum, so saturated rows stay finite."""
     rows = []
     for spins in itertools.product((1, -1), repeat=g.n_var):
         if g.kind == LDGM:
@@ -357,7 +358,7 @@ def _per_row_reference(g, L, roots=None):
             ext.append((w0 @ X[:, i]) / w0.sum())
         entropy = (logz - p @ logw) / g.code_bit_count
         corr = (p * X[:, root]) @ X - marg[root] * marg
-        out.append((marg, np.array(ext), entropy, corr))
+        out.append((marg, np.array(ext), entropy, corr, logz))
     return [np.array(x) for x in zip(*out)]
 
 
@@ -385,7 +386,7 @@ def test_block_pass_matches_per_row_enumeration(monkeypatch, budget):
     for name, g in fixed_code_corpus():
         L = rng.normal(0.5, 1.5, (9, g.code_bit_count))
         inst = make_instance(g, L)
-        marg, ext, entropy, corr = _per_row_reference(g, L)
+        marg, ext, entropy, corr, _ = _per_row_reference(g, L)
         assert np.max(np.abs(all_marginals(inst) - marg)) <= 1e-12, name
         assert np.max(np.abs(all_extrinsics(inst) - ext)) <= 1e-12, name
         assert np.max(np.abs(conditional_entropy(inst) - entropy)) <= 1e-12, name
@@ -425,7 +426,7 @@ def test_streamed_pass_over_row_chunks(monkeypatch, chunk_rows):
         L = np.vstack([rng.normal(0.5, 1.5, (5, g.code_bit_count)), jump, -jump])
         inst = make_instance(g, L)
         roots = rng.integers(g.code_bit_count, size=len(L))
-        marg, ext, entropy, corr = _per_row_reference(g, L, roots)
+        marg, ext, entropy, corr, _ = _per_row_reference(g, L, roots)
         assert np.max(np.abs(all_marginals(inst) - marg)) <= 1e-12, name
         assert np.max(np.abs(all_extrinsics(inst) - ext)) <= 1e-12, name
         assert np.max(np.abs(conditional_entropy(inst) - entropy)) <= 1e-12, name
@@ -438,8 +439,9 @@ def test_streamed_pass_over_row_chunks(monkeypatch, chunk_rows):
 
 def test_each_row_chunk_converted_once_per_call(monkeypatch):
     """A 500-sample call converts each row chunk of the table to float
-    exactly once, whatever the reduction."""
-    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 1024)
+    exactly once, whatever the reduction (a 2^7 x 12 table, rank 7 of 10
+    information bits, in chunks of 12 rows)."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 144)
     rng = np.random.default_rng(23)
     g = build_graph(10, 12, [(v, c) for c in range(12) for v in {c % 10, (3 * c + 1) % 10}],
                     LDGM)
@@ -461,3 +463,50 @@ def test_each_row_chunk_converted_once_per_call(monkeypatch):
         converted.clear()
         reduce(inst)
         assert converted == [(rows.start, rows.stop) for rows in chunks]
+
+
+@st.composite
+def rank_deficient_ldgm_graphs(draw):
+    """Small LDGM graphs whose generator G has rank below n_var: checks
+    of any degree (empty ones too), duplicate checks and variables in no
+    check allowed."""
+    n_var = draw(st.integers(1, 9))
+    checks = draw(st.lists(st.sets(st.integers(0, n_var - 1)), min_size=1, max_size=10))
+    assume(gf2.rank(gf2.mask(c) for c in checks) < n_var)
+    return build_graph(n_var, len(checks), [(v, c) for c, chk in enumerate(checks) for v in chk],
+                       LDGM)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rank_deficient_ldgm_graphs(), st.integers(0, 2 ** 32 - 1))
+# a 4-cycle of degree-2 checks (u -> -u keeps every x) and a variable in no check
+@example(build_graph(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3), (3, 3)],
+                     LDGM), 0)
+# a duplicate check
+@example(build_graph(3, 3, [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)], LDGM), 1)
+# a chain of even checks
+@example(build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDGM), 2)
+def test_rank_deficient_ldgm_matches_cube_enumeration(g, seed):
+    """The table keeps one configuration per coset of the kernel of G,
+    2^rank G rows, and every quantity matches direct enumeration of all
+    2^n_var configurations: log Z, marginals, extrinsics, entropy,
+    correlations with per-sample roots and spin products, also of sets
+    outside the row space of G, whose means vanish."""
+    rank = gf2.rank(gf2.mask(c) for c in g.adj_chk)
+    assert len(codebit_table(g)) == 2 ** rank
+    rng = np.random.default_rng(seed)
+    L = rng.normal(0.3, 1.5, (4, g.n_chk))
+    saturated = rng.random(L.shape) < 0.15
+    L[saturated] = rng.choice([-40.0, 40.0], saturated.sum())
+    inst = make_instance(g, L)
+    roots = rng.integers(g.n_chk, size=len(L))
+    marg, ext, entropy, corr, logz = _per_row_reference(g, L, roots)
+    assert np.max(np.abs(partition_function(inst) - logz)) <= 1e-12 * max(1, np.abs(logz).max())
+    assert np.max(np.abs(all_marginals(inst) - marg)) <= 1e-12
+    assert np.max(np.abs(all_extrinsics(inst) - ext)) <= 1e-12
+    assert np.max(np.abs(conditional_entropy(inst) - entropy)) <= 1e-12
+    assert np.max(np.abs(correlations_with_root(inst, roots) - corr)) <= 1e-12
+    subset = lambda: {v for v in range(g.n_var) if rng.random() < 0.5}
+    for A, B in ((g.adj_chk[0], g.adj_chk[-1]), ({0}, {g.n_var - 1}), (subset(), subset())):
+        assert np.max(np.abs(spin_product_correlation(inst, A, B) -
+                             _spin_product_reference(g, L, A, B))) <= 1e-12, (A, B)

@@ -108,18 +108,34 @@ def test_cli_rejects_threads(tmp_path):
 def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     """A config that fails validation is not a failed check: one line on
     stderr, exit code 2 (argparse's code for bad arguments) and no output;
-    a missing mandatory key and malformed JSON are rejected the same way."""
+    a missing mandatory key and malformed JSON are rejected the same way,
+    and so are values of the wrong JSON type, which are neither truncated
+    (a fractional seed or sample count, a bool seed) nor left to end in a
+    traceback (a top-level array, a code or params that is not an object,
+    a channel that is not a string, a bad eps grid)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
+    base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "o"
     for text, message in (
-            (json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}),
+            (json.dumps(base),
              "gibbscode: invalid config: bounds draws two distinct checks; "
              "the code needs >= 2"),
             (json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4}),
              "gibbscode: invalid config: missing key 'seed'"),
-            ("{", "gibbscode: invalid config: Expecting property name")):
+            ("{", "gibbscode: invalid config: Expecting property name"),
+            *((json.dumps(doc), f"gibbscode: invalid config: {line}\n") for doc, line in (
+                ({**base, "seed": 5.5, "samples": 5.7}, "seed must be an integer, not 5.5"),
+                ({**base, "samples": 5.7}, "samples must be an integer, not 5.7"),
+                ({**base, "seed": True}, "seed must be an integer, not True"),
+                ([1, 2], "a config must be a JSON object, not list"),
+                ({**base, "code": 5}, "code must be a JSON object, not int"),
+                ({**base, "params": [[1, 2]]}, "params must be a JSON object, not list"),
+                ({**base, "channel": 5}, "channel must be a spec such as 'bsc:0.25', not 5"),
+                ({**base, "eps_grid": 0.2}, "eps_grid must be a list, not float"),
+                ({**base, "eps_grid": ["a"]}, "eps_grid must hold numbers, not ['a']"),
+                ({**base, "eps_grid": [0.2, 0.7]}, "eps=0.7 outside (0, 0.5)")))):
         cfg_path.write_text(text)
         assert cli_main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
