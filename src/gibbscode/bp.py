@@ -16,6 +16,15 @@ Message rules (messages are half-loglikelihoods of +1 vs -1):
 Messages saturate at L_SAT = 30 nats; check products of magnitude one
 (forced bits) map straight to the saturation bound.
 
+Fixed-point exit: an iteration is a deterministic map of the messages it
+reads (c2v for LDPC, whose v2c follow from them and the LLRs; v2c for
+LDGM).  Once an iteration leaves those bitwise unchanged for a sample,
+every later one would too, so that sample stops flooding and leaves the
+active block; its state, and every estimate read from it, equal the
+d-iteration result bit for bit.  The comparison is of bit patterns, not
+values within a tolerance.  A sample whose messages keep moving at the
+rounding level (many loopy floods and some trees) runs all d iterations.
+
 Code-bit outputs: LDPC marginal tanh(l_i + sum c2v); LDGM check i forms
 P = prod tanh(v2c into i) and combines with its own observation through
 (tanh l_i + P) / (1 + P tanh l_i).  Extrinsic estimates drop the own-l
@@ -168,40 +177,58 @@ def _run_messages_from(inst, state, extra_iters):
     v2c = np.atleast_2d(state.v2c).copy()
     c2v = np.atleast_2d(state.c2v).copy()
     for samples in block_slices(len(l), g.n_edges):
-        v2c[samples], c2v[samples] = _flood(g, l[samples], v2c[samples], c2v[samples],
-                                            extra_iters)
+        _flood(g, l[samples], v2c[samples], c2v[samples], extra_iters)
     shape = state.v2c.shape
     return MessageState(v2c.reshape(shape), c2v.reshape(shape))
 
 
 def _flood(g, l, v2c, c2v, iters):
-    """iters flooding iterations on an (S, n_edges) message block with
-    (S, code bits) LLRs; returns the new (v2c, c2v)."""
+    """iters flooding iterations, in place, on an (S, n_edges) message
+    block with (S, code bits) LLRs; a sample leaves the block at its
+    fixed point (the module docstring's exit).  Dropping rows keeps the
+    other samples' values bit for bit: no two samples share a bincount
+    group, and bincount adds a group's edges in edge order whatever the
+    block holds."""
     evar, echk = _edge_index(g)
-    S = len(l)
-    var_groups = _sample_groups(evar, g.n_var, S)
-    chk_groups = _sample_groups(echk, g.n_chk, S)
-    v2c, c2v = v2c.ravel(), c2v.ravel()
+    E = g.n_edges
+    rows = np.arange(len(l))  # block rows still flooding
+    var_groups = _sample_groups(evar, g.n_var, len(l))
+    chk_groups = _sample_groups(echk, g.n_chk, len(l))
     if g.kind == LDPC:
-        l_edge = l[:, evar].ravel()
+        per_row = dict(l_edge=l[:, evar].ravel())
     else:
         tl = np.tanh(l).ravel()
-        extra = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
-                     extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+        per_row = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
+                       extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+    bv2c, bc2v = v2c.ravel(), c2v.ravel()
     for _ in range(iters):
+        S = len(rows)
+        if S == 0:
+            break
+        read = bc2v if g.kind == LDPC else bv2c  # what this iteration maps
         if g.kind == LDPC:
-            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
-            v2c = l_edge + tot[var_groups] - c2v
-            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk)
+            tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
+            bv2c = per_row["l_edge"] + tot[var_groups] - bc2v
+            np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
+            prod = _excl_products(np.tanh(bv2c), chk_groups, S * g.n_chk)
         else:
-            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk, **extra)
-        c2v = _saturated_atanh(prod)
+            prod = _excl_products(np.tanh(bv2c), chk_groups, S * g.n_chk, **per_row)
+        bc2v = _saturated_atanh(prod)
         if g.kind == LDGM:
-            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
-            v2c = tot[var_groups] - c2v
-            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-    return v2c.reshape(S, -1), c2v.reshape(S, -1)
+            tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
+            bv2c = tot[var_groups] - bc2v
+            np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
+        # bit patterns, not ==: -0.0 == 0.0, and the CSV prints them apart
+        now = bc2v if g.kind == LDPC else bv2c
+        settled = (now.view(np.int64) == read.view(np.int64)).reshape(S, E).all(axis=1)
+        if settled.any():
+            keep = ~settled
+            bv2c, bc2v = bv2c.reshape(S, E), bc2v.reshape(S, E)
+            v2c[rows[settled]], c2v[rows[settled]] = bv2c[settled], bc2v[settled]
+            rows, bv2c, bc2v = rows[keep], bv2c[keep].ravel(), bc2v[keep].ravel()
+            per_row = {k: a.reshape(S, -1)[keep].ravel() for k, a in per_row.items()}
+            var_groups, chk_groups = var_groups[:len(rows) * E], chk_groups[:len(rows) * E]
+    v2c[rows], c2v[rows] = bv2c.reshape(len(rows), E), bc2v.reshape(len(rows), E)
 
 
 # ---------------------------------------------------------------------------

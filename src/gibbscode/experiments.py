@@ -28,17 +28,35 @@ import numpy as np
 from . import clusters, de, duality, gexit
 from .channels import ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
-from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, load_graph,
-                     graph_distance, sample_ensemble)
+from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, ensemble_sizes,
+                     graph_distance, load_graph, sample_ensemble)
 
 EXPERIMENTS = ("corr-decay", "gexit-curve", "de-curve", "bounds",
                "duality-check", "berretti-check", "limits")
+
+#: the experiments that read the config's code (the two check suites draw
+#: their own)
+_READS_CODE = ("corr-decay", "gexit-curve", "de-curve", "bounds", "limits")
 
 #: bins below this mean are double-precision noise and excluded from fits
 CORR_FLOOR = 1e-12
 
 #: bins with fewer samples than this are excluded from fits
 MIN_BIN_SAMPLES = 30
+
+#: integer params (a depth or a count), checked wherever a config sets them
+_INTEGER_PARAMS = ("d", "n_pop", "graphs", "p_max", "n_max")
+
+#: list-of-integer params (depths)
+_DEPTH_LISTS = ("d_primes", "d_refs")
+
+
+def _integer(value, name):
+    """value if it is an integer; a float would be truncated, and a bool
+    is an int to python."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,11 +75,8 @@ class ExperimentConfig:
         for key, value in (("code", self.code), ("params", self.params)):
             if not isinstance(value, dict):
                 raise ValueError(f"{key} must be a JSON object, not {type(value).__name__}")
-        for key, value in (("seed", self.seed), ("samples", self.samples)):
-            # a float would be truncated, and a bool is an int to python
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
-        if self.samples < 1:
+        _integer(self.seed, "seed")
+        if _integer(self.samples, "samples") < 1:
             raise ValueError("samples must be >= 1")
         if not isinstance(self.channel, str):
             raise ValueError(f"channel must be a spec such as 'bsc:0.25', not {self.channel!r}")
@@ -69,12 +84,19 @@ class ExperimentConfig:
             raise ValueError(f"eps_grid must hold numbers, not {list(self.eps_grid)!r}")
         _eps_points(self)  # validates the kind and every eps
         p = self.params
+        for key in _INTEGER_PARAMS:
+            if key in p:
+                _integer(p[key], key)
+        for key in _DEPTH_LISTS:
+            if key in p and (not isinstance(p[key], (list, tuple)) or any(
+                    isinstance(x, bool) or not isinstance(x, int) for x in p[key])):
+                raise ValueError(f"{key} must be a list of integers, not {p[key]!r}")
         methods = p.get("methods", ()) if self.experiment == "gexit-curve" else ()
         unknown = [m for m in methods if m not in _GEXIT_METHODS]
         if unknown:
             raise ValueError(f"unknown gexit-curve method(s) {unknown}; "
                              f"known: {sorted(_GEXIT_METHODS)}")
-        if "series" in methods and int(p.get("p_max", 1)) < 1:
+        if "series" in methods and p.get("p_max", 1) < 1:
             raise ValueError("the series method needs p_max >= 1")
         uses_de = self.experiment == "de-curve" or "de" in methods
         if uses_de and self.code.get("type", "ensemble") != "ensemble":
@@ -82,18 +104,20 @@ class ExperimentConfig:
                 f"{self.experiment} with density evolution needs an ensemble code "
                 f"(a degree distribution); code type {self.code.get('type')!r} has none")
         depths = [p.get("d", 0), *p.get("d_primes", ()), *p.get("d_refs", ())]
-        if any(int(d) < 0 for d in depths):
+        if any(d < 0 for d in depths):
             raise ValueError("BP depths (d, d_primes, d_refs) must be >= 0")
-        if uses_de and int(p.get("d", 1)) < 1:
+        if uses_de and p.get("d", 1) < 1:
             raise ValueError("density evolution needs d >= 1")
-        if uses_de and int(p.get("n_pop", 1)) < 1:
+        if uses_de and p.get("n_pop", 1) < 1:
             raise ValueError("density evolution needs n_pop >= 1")
         if self.experiment == "limits" and "d_refs" in p and not p["d_refs"]:
             raise ValueError("limits needs at least one reference depth in d_refs")
         if self.experiment == "limits" and "d_primes" in p and len(p["d_primes"]) < 2:
             raise ValueError("limits needs at least two depths in d_primes to compare")
-        if self.experiment in ("bounds", "corr-decay") and int(p.get("graphs", 1)) < 1:
+        if self.experiment in ("bounds", "corr-decay") and p.get("graphs", 1) < 1:
             raise ValueError(f"{self.experiment} needs params.graphs >= 1")
+        if self.experiment == "duality-check" and p.get("n_max", 3) < 3:
+            raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
         if self.experiment == "bounds":
             src = _code_source(self.code)
             if src.kind != LDGM:
@@ -103,6 +127,13 @@ class ExperimentConfig:
                 raise ValueError("bounds draws two distinct checks; the code needs >= 2")
             if not float(p.get("H", 1.0)) > 0.0:
                 raise ValueError("bounds needs a threshold H > 0")
+        if self.experiment in _READS_CODE and self.code.get("type", "ensemble") == "ensemble":
+            # de-curve reads only the degree distribution; the others also n
+            if self.experiment == "de-curve":
+                _degree_distribution(self.code)
+            else:
+                src = _code_source(self.code)
+                ensemble_sizes(src.dd, src.n, src.kind)  # raises unless they balance
 
     @classmethod
     def from_json(cls, doc, experiment=None):
@@ -146,11 +177,30 @@ class ExperimentResult:
 
 
 def _degree_distribution(code):
+    """An ensemble code's degree distribution: integer var_degree and
+    chk_degree, or var_coeffs and chk_coeffs maps of degree: probability."""
     if "var_degree" in code:
-        return DegreeDistribution.regular(code["var_degree"], code["chk_degree"])
-    var = {int(k): float(v) for k, v in code["var_coeffs"].items()}
-    chk = {int(k): float(v) for k, v in code["chk_coeffs"].items()}
-    return DegreeDistribution.from_dicts(var, chk)
+        return DegreeDistribution.regular(_integer(code["var_degree"], "var_degree"),
+                                          _integer(code["chk_degree"], "chk_degree"))
+    return DegreeDistribution.from_dicts(_coeffs(code, "var_coeffs"),
+                                         _coeffs(code, "chk_coeffs"))
+
+
+def _coeffs(code, key):
+    """The {degree: probability} map of code[key], whose degrees are the
+    JSON object's keys, so decimal strings."""
+    coeffs = code[key]
+    if not isinstance(coeffs, dict):
+        raise ValueError(f"{key} must map degrees to probabilities, not {coeffs!r}")
+    out = {}
+    for deg, prob in coeffs.items():
+        deg = int(deg) if isinstance(deg, str) and deg.isdecimal() else deg
+        _integer(deg, f"a {key} degree")
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)) \
+                or not math.isfinite(prob):
+            raise ValueError(f"{key} probabilities must be finite numbers, not {prob!r}")
+        out[deg] = float(prob)
+    return out
 
 
 def _code_source(code):
@@ -161,7 +211,10 @@ def _code_source(code):
     if code.get("type") == "edges":
         return build_graph(code["n_var"], code["n_chk"],
                            [tuple(e) for e in code["edges"]], kind)
-    return gexit.EnsembleSpec(_degree_distribution(code), int(code["n"]), kind)
+    n = _integer(code["n"], "n")
+    if n < 1:
+        raise ValueError(f"an ensemble needs n >= 1 code bits, not {n}")
+    return gexit.EnsembleSpec(_degree_distribution(code), n, kind)
 
 
 def _eps_points(cfg):
@@ -205,7 +258,7 @@ def fit_exponential(points):
 
 def _corr_decay(cfg):
     src = _code_source(cfg.code)
-    n_graphs = int(cfg.params.get("graphs", 8))
+    n_graphs = cfg.params.get("graphs", 8)
     fixed = not isinstance(src, gexit.EnsembleSpec)
     rows, fits = [], {}
     for ch in _eps_points(cfg):
@@ -254,7 +307,7 @@ def _corr_decay(cfg):
 
 
 def _de_estimate(cfg, src, ch, seed):
-    d, n_pop = int(cfg.params.get("d", 10)), int(cfg.params.get("n_pop", 10 ** 5))
+    d, n_pop = cfg.params.get("d", 10), cfg.params.get("n_pop", 10 ** 5)
     val = de.de_gexit(cfg.code.get("family", LDGM), _degree_distribution(cfg.code), ch, d,
                       n_pop, seed)
     return gexit.GexitEstimate(val, 0.0, "de", {"d": d, "n_pop": n_pop})
@@ -264,9 +317,9 @@ def _de_estimate(cfg, src, ch, seed):
 _GEXIT_METHODS = {
     "functional": lambda cfg, src, ch, seed: gexit.map_gexit(src, ch, cfg.samples, seed),
     "series": lambda cfg, src, ch, seed: gexit.map_gexit_series(
-        src, ch, cfg.samples, seed, int(cfg.params.get("p_max", 20))),
+        src, ch, cfg.samples, seed, cfg.params.get("p_max", 20)),
     "bp": lambda cfg, src, ch, seed: gexit.bp_gexit(
-        src, ch, int(cfg.params.get("d", 10)), cfg.samples, seed),
+        src, ch, cfg.params.get("d", 10), cfg.samples, seed),
     "entropy-fd": lambda cfg, src, ch, seed: gexit.entropy_fd(
         src, ch, float(cfg.params.get("eps_step", 1e-3)), cfg.samples, seed),
     "awgn-magnetization": lambda cfg, src, ch, seed: gexit.awgn_gexit(
@@ -292,8 +345,8 @@ def _gexit_curve(cfg):
 def _de_curve(cfg):
     dd = _degree_distribution(cfg.code)
     family = cfg.code.get("family", LDGM)
-    d = int(cfg.params.get("d", 20))
-    n_pop = int(cfg.params.get("n_pop", 10 ** 5))
+    d = cfg.params.get("d", 20)
+    n_pop = cfg.params.get("n_pop", 10 ** 5)
     rows = []
     for ch in _eps_points(cfg):
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
@@ -307,7 +360,7 @@ def _bounds(cfg):
     """Walk-expansion bound against exact correlations on LDGM corpora."""
     src = _code_source(cfg.code)
     ch = ChannelModel.from_spec(cfg.channel)
-    n_graphs = int(cfg.params.get("graphs", 10))
+    n_graphs = cfg.params.get("graphs", 10)
     H = float(cfg.params.get("H", 1.0))
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -336,7 +389,7 @@ def _bounds(cfg):
 def _duality_check(cfg):
     ch = ChannelModel.from_spec(cfg.channel)
     rng = np.random.default_rng(cfg.seed)
-    n_max = int(cfg.params.get("n_max", 12))
+    n_max = cfg.params.get("n_max", 12)
     rows = []
     worst_mw = worst_r = 0.0
     for t in range(cfg.samples):
@@ -394,8 +447,8 @@ def _limits(cfg):
     references, with common noise across depths."""
     src = _code_source(cfg.code)
     ch = ChannelModel.from_spec(cfg.channel)
-    d_primes = [int(x) for x in cfg.params.get("d_primes", (2, 4, 6))]
-    d_refs = [int(x) for x in cfg.params.get("d_refs", (100, 200))]
+    d_primes = list(cfg.params.get("d_primes", (2, 4, 6)))
+    d_refs = list(cfg.params.get("d_refs", (100, 200)))
     depths = sorted(set(d_primes + d_refs))
     ests, diffs = gexit.bp_gexit_multi_depth(src, ch, depths, cfg.samples, cfg.seed)
     rows = [{"d": d, "value": ests[d].value, "std_err": ests[d].std_error}

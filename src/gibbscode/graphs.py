@@ -171,6 +171,22 @@ class DegreeDistribution:
                 np.array([p for _, p in coeffs]))
 
 
+def ensemble_sizes(dd, n, kind):
+    """(n_var, n_chk) of an ensemble graph with n code bits: the other
+    side's node count follows from the mean degrees, so that the socket
+    counts balance; raises ValueError when it is not an integer."""
+    if kind == LDGM:
+        n_chk = n
+        n_var = dd.p_prime * n / dd.lambda_prime
+    else:
+        n_var = n
+        n_chk = dd.lambda_prime * n / dd.p_prime
+    if abs(n_var - round(n_var)) > 1e-9 or abs(n_chk - round(n_chk)) > 1e-9:
+        raise ValueError(
+            f"mean degrees ({dd.lambda_prime:g}, {dd.p_prime:g}) do not balance at n={n}")
+    return int(round(n_var)), int(round(n_chk))
+
+
 def sample_ensemble(dd, n, kind, seed):
     """Sample a simple bipartite graph from the configuration model.
 
@@ -183,17 +199,7 @@ def sample_ensemble(dd, n, kind, seed):
     Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
-    if kind == LDGM:
-        n_chk = n
-        n_var = dd.p_prime * n / dd.lambda_prime
-    else:
-        n_var = n
-        n_chk = dd.lambda_prime * n / dd.p_prime
-    if abs(n_var - round(n_var)) > 1e-9 or abs(n_chk - round(n_chk)) > 1e-9:
-        raise ValueError(
-            f"mean degrees ({dd.lambda_prime:g}, {dd.p_prime:g}) do not balance at n={n}")
-    n_var, n_chk = int(round(n_var)), int(round(n_chk))
-
+    n_var, n_chk = ensemble_sizes(dd, n, kind)
     vdeg_vals, vdeg_p = dd.node_perspective("var")
     cdeg_vals, cdeg_p = dd.node_perspective("chk")
     for _ in range(ENSEMBLE_RETRY_CAP):

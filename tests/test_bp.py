@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_code_corpus, random_tree_graph
-from gibbscode import channels
-from gibbscode.bp import (_run_messages, bp_all_extrinsics, bp_checkpoint_extrinsics,
-                          bp_run, tree_decode)
-from gibbscode.channels import ChannelModel, sample_llr
+from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph, random_tree_graph
+from gibbscode import bp, channels
+from gibbscode.bp import (MessageState, _codebit_estimates, _edge_index, _excl_products,
+                          _run_messages, _sample_groups, _saturated_atanh, bp_all_extrinsics,
+                          bp_checkpoint_extrinsics, bp_run, tree_decode)
+from gibbscode.channels import L_SAT, ChannelModel, block_slices, sample_llr
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
 from gibbscode.graphs import LDGM, LDPC, build_graph, computational_tree
@@ -17,6 +18,13 @@ from gibbscode.graphs import LDGM, LDPC, build_graph, computational_tree
 
 def four_cycle(kind):
     return build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], kind)
+
+
+def assert_bitwise(got, want):
+    """Equal bit patterns: -0.0 differs from 0.0, and NaN equals itself."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -170,18 +178,160 @@ def test_negative_depths_raise():
 
 @pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 30], ids=["default", "chunked"])
 def test_block_flood_matches_single_floods(monkeypatch, budget):
-    """An (S, n_edges) flood equals S separate one-sample floods on the
-    loopy corpus codes at d = 20, also when split into sample chunks."""
+    """An (S, n_edges) flood equals S separate one-sample floods bit for
+    bit on the loopy corpus codes at d = 20, also when split into sample
+    chunks."""
     monkeypatch.setattr(channels, "BLOCK_ELEMENTS", budget)
     rng = np.random.default_rng(22)
     for name, g in fixed_code_corpus()[1:]:
         L = rng.normal(0.5, 1.5, (11, g.code_bit_count))
         block = make_instance(g, L)
         singles = [make_instance(g, l) for l in L]
-        assert np.max(np.abs(bp_all_extrinsics(block, 20) -
-                             [bp_all_extrinsics(s, 20) for s in singles])) <= 1e-15, name
-        assert np.max(np.abs(bp_run(block, 20) -
-                             [bp_run(s, 20) for s in singles])) <= 1e-15, name
+        assert_bitwise(bp_all_extrinsics(block, 20), [bp_all_extrinsics(s, 20) for s in singles])
+        assert_bitwise(bp_run(block, 20), [bp_run(s, 20) for s in singles])
         ckpt = bp_checkpoint_extrinsics(block, [3, 20])
-        assert np.max(np.abs(ckpt[20] - [bp_all_extrinsics(s, 20) for s in singles])) \
-            <= 1e-15, name
+        assert_bitwise(ckpt[20], [bp_all_extrinsics(s, 20) for s in singles])
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point exit against a flood that always runs d iterations
+# ---------------------------------------------------------------------------
+
+def _fixed_depth_run_from(inst, state, extra_iters):
+    """Reference: the flood as it was before the fixed-point exit, which
+    runs every sample for all extra_iters iterations."""
+    if extra_iters < 0:
+        raise ValueError("iteration count must be >= 0")
+    g = inst.graph
+    l = np.atleast_2d(inst.values)
+    v2c = np.atleast_2d(state.v2c).copy()
+    c2v = np.atleast_2d(state.c2v).copy()
+    for samples in block_slices(len(l), g.n_edges):
+        v2c[samples], c2v[samples] = _fixed_depth_flood(g, l[samples], v2c[samples],
+                                                        c2v[samples], extra_iters)
+    shape = state.v2c.shape
+    return MessageState(v2c.reshape(shape), c2v.reshape(shape))
+
+
+def _fixed_depth_flood(g, l, v2c, c2v, iters):
+    """iters flooding iterations on an (S, n_edges) message block with
+    (S, code bits) LLRs; returns the new (v2c, c2v)."""
+    evar, echk = _edge_index(g)
+    S = len(l)
+    var_groups = _sample_groups(evar, g.n_var, S)
+    chk_groups = _sample_groups(echk, g.n_chk, S)
+    v2c, c2v = v2c.ravel(), c2v.ravel()
+    if g.kind == LDPC:
+        l_edge = l[:, evar].ravel()
+    else:
+        tl = np.tanh(l).ravel()
+        extra = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
+                     extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+    for _ in range(iters):
+        if g.kind == LDPC:
+            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+            v2c = l_edge + tot[var_groups] - c2v
+            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
+            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk)
+        else:
+            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk, **extra)
+        c2v = _saturated_atanh(prod)
+        if g.kind == LDGM:
+            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+            v2c = tot[var_groups] - c2v
+            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
+    return v2c.reshape(S, -1), c2v.reshape(S, -1)
+
+
+def _fixed_depth_states(inst, depths):
+    """The reference message states at each of the sorted depths."""
+    shape = inst.values.shape[:-1] + (inst.graph.n_edges,)
+    state, last, out = MessageState(np.zeros(shape), np.zeros(shape)), 0, {}
+    for d in depths:
+        state, last = _fixed_depth_run_from(inst, state, d - last), d
+        out[d] = state
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from([LDPC, LDGM]), loopy=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 12),
+       p_sat=st.sampled_from([0.0, 0.3, 1.0]), p_zero=st.sampled_from([0.0, 0.2, 1.0]),
+       depths=st.lists(st.integers(0, 80), min_size=1, max_size=4))
+@example(kind=LDPC, loopy=False, seed=0, samples=4, p_sat=0.3, p_zero=0.2, depths=[3, 200])
+@example(kind=LDGM, loopy=True, seed=1, samples=12, p_sat=1.0, p_zero=0.0, depths=[40])
+@example(kind=LDPC, loopy=False, seed=3, samples=2, p_sat=0.0, p_zero=1.0, depths=[1, 2, 9])
+def test_fixed_point_exit_matches_fixed_depth_flood_bitwise(kind, loopy, seed, samples,
+                                                            p_sat, p_zero, depths):
+    """bp_run, bp_all_extrinsics and bp_checkpoint_extrinsics equal the
+    d-iteration flood bit for bit, sign bits included, on trees and
+    loopy graphs of both families: blocks whose samples settle at
+    different iterations (or not at all), LLRs saturated up to +-50, and
+    exact zeros of both signs, down to all-zero draws (whose v2c stay 0
+    for one iteration while their c2v move)."""
+    rng = np.random.default_rng(seed)
+    if not loopy:
+        g = random_tree_graph(rng, kind)
+    else:
+        g = random_ldpc_graph(rng) if kind == LDPC else random_ldgm_graph(rng)
+    shape = (samples, g.code_bit_count)
+    L = rng.normal(0.3, 1.5, shape)
+    sat = rng.random(shape) < p_sat
+    L[sat] = rng.choice([-50.0, -31.0, 30.0, 50.0], shape)[sat]
+    zero = rng.random(shape) < p_zero
+    L[zero] = rng.choice([0.0, -0.0], shape)[zero]
+    inst = make_instance(g, L)
+    depths = sorted(set(depths))
+    ref = _fixed_depth_states(inst, depths)
+    for d in depths:
+        assert_bitwise(bp_run(inst, d), _codebit_estimates(inst, ref[d], extrinsic=False))
+        assert_bitwise(bp_all_extrinsics(inst, d),
+                       _codebit_estimates(inst, ref[d], extrinsic=True))
+    ckpt = bp_checkpoint_extrinsics(inst, depths)
+    for d in depths:
+        assert_bitwise(ckpt[d], _codebit_estimates(inst, ref[d], extrinsic=True))
+
+
+def _count_iterations(monkeypatch):
+    """Record the sample count of every flooding iteration: each one makes
+    a single _saturated_atanh call on its (samples x edges) block."""
+    sizes = []
+
+    def counted(prod):
+        sizes.append(prod.size)
+        return _saturated_atanh(prod)
+
+    monkeypatch.setattr(bp, "_saturated_atanh", counted)
+    return sizes
+
+
+def test_flood_stops_at_the_fixed_point(monkeypatch):
+    """A pinned tree instance reaches its fixed point after K iterations:
+    a 1000-iteration run makes at most K + 1 and returns the same array
+    as a (K + 1)-iteration one.  Samples of a block leave it as they
+    settle, and one that never settles floods on alone to d."""
+    K = 5
+    rng = np.random.default_rng(2)
+    g = random_tree_graph(rng, LDPC)
+    inst = make_instance(g, rng.normal(0.5, 1.5, g.code_bit_count))
+    ref = _fixed_depth_states(inst, [K - 1, K, K + 1])
+    assert not (np.array_equal(ref[K - 1].v2c, ref[K].v2c)
+                and np.array_equal(ref[K - 1].c2v, ref[K].c2v))
+    for a, b in ((ref[K].v2c, ref[K + 1].v2c), (ref[K].c2v, ref[K + 1].c2v)):
+        assert_bitwise(a, b)
+    sizes = _count_iterations(monkeypatch)
+    far = bp_run(inst, 1000)
+    assert len(sizes) <= K + 1
+    assert_bitwise(far, bp_run(inst, K + 1))
+    # five draws on the same tree: four reach their fixed points after
+    # 3, 5, 4 and 4 iterations and leave the block one or two iterations
+    # later; the fifth never does (its messages keep moving at the
+    # rounding level) and floods on alone to d
+    block = make_instance(g, np.random.default_rng(7).normal(0.5, 1.5, (5, g.code_bit_count)))
+    sizes.clear()
+    out = bp_run(block, 60)
+    assert len(sizes) == 60
+    assert [n // g.n_edges for n in sizes[:7]] == [5, 5, 5, 5, 3, 2, 1]
+    assert sizes[7:] == [g.n_edges] * 53
+    assert_bitwise(out, _codebit_estimates(block, _fixed_depth_states(block, [60])[60],
+                                           extrinsic=False))

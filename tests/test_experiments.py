@@ -110,38 +110,93 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     stderr, exit code 2 (argparse's code for bad arguments) and no output;
     a missing mandatory key and malformed JSON are rejected the same way,
     and so are values of the wrong JSON type, which are neither truncated
-    (a fractional seed or sample count, a bool seed) nor left to end in a
-    traceback (a top-level array, a code or params that is not an object,
-    a channel that is not a string, a bad eps grid)."""
+    (a fractional seed, sample count, depth or count, a bool seed) nor
+    left to end in a traceback (a top-level array, a code or params that
+    is not an object, a channel that is not a string, a bad eps grid,
+    malformed ensemble fields, degrees that do not balance at n)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
     base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
+    ensemble = {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2,
+                "n": 9}
+    irregular = {"type": "ensemble", "family": "ldgm", "var_coeffs": {"2": 0.5, "3": 0.5},
+                 "chk_coeffs": {"2": 1.0}, "n": 10}
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "o"
-    for text, message in (
-            (json.dumps(base),
+    for experiment, text, message in (
+            ("bounds", json.dumps(base),
              "gibbscode: invalid config: bounds draws two distinct checks; "
              "the code needs >= 2"),
-            (json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4}),
+            ("bounds", json.dumps({"code": one_check, "channel": "bsc:0.3", "samples": 4}),
              "gibbscode: invalid config: missing key 'seed'"),
-            ("{", "gibbscode: invalid config: Expecting property name"),
-            *((json.dumps(doc), f"gibbscode: invalid config: {line}\n") for doc, line in (
-                ({**base, "seed": 5.5, "samples": 5.7}, "seed must be an integer, not 5.5"),
-                ({**base, "samples": 5.7}, "samples must be an integer, not 5.7"),
-                ({**base, "seed": True}, "seed must be an integer, not True"),
-                ([1, 2], "a config must be a JSON object, not list"),
-                ({**base, "code": 5}, "code must be a JSON object, not int"),
-                ({**base, "params": [[1, 2]]}, "params must be a JSON object, not list"),
-                ({**base, "channel": 5}, "channel must be a spec such as 'bsc:0.25', not 5"),
-                ({**base, "eps_grid": 0.2}, "eps_grid must be a list, not float"),
-                ({**base, "eps_grid": ["a"]}, "eps_grid must hold numbers, not ['a']"),
-                ({**base, "eps_grid": [0.2, 0.7]}, "eps=0.7 outside (0, 0.5)")))):
+            ("bounds", "{", "gibbscode: invalid config: Expecting property name"),
+            *((experiment, json.dumps(doc), f"gibbscode: invalid config: {line}\n")
+              for experiment, doc, line in (
+                ("bounds", {**base, "seed": 5.5, "samples": 5.7},
+                 "seed must be an integer, not 5.5"),
+                ("bounds", {**base, "samples": 5.7}, "samples must be an integer, not 5.7"),
+                ("bounds", {**base, "seed": True}, "seed must be an integer, not True"),
+                ("bounds", [1, 2], "a config must be a JSON object, not list"),
+                ("bounds", {**base, "code": 5}, "code must be a JSON object, not int"),
+                ("bounds", {**base, "params": [[1, 2]]},
+                 "params must be a JSON object, not list"),
+                ("bounds", {**base, "channel": 5},
+                 "channel must be a spec such as 'bsc:0.25', not 5"),
+                ("bounds", {**base, "eps_grid": 0.2}, "eps_grid must be a list, not float"),
+                ("bounds", {**base, "eps_grid": ["a"]},
+                 "eps_grid must hold numbers, not ['a']"),
+                ("bounds", {**base, "eps_grid": [0.2, 0.7]}, "eps=0.7 outside (0, 0.5)"),
+                ("gexit-curve", {**base, "params": {"methods": ["bp"], "d": 2.7}},
+                 "d must be an integer, not 2.7"),
+                ("gexit-curve", {**base, "params": {"methods": ["series"], "p_max": 2.5}},
+                 "p_max must be an integer, not 2.5"),
+                ("de-curve", {**base, "code": ensemble, "params": {"n_pop": True}},
+                 "n_pop must be an integer, not True"),
+                ("bounds", {**base, "code": ensemble, "params": {"graphs": 2.0}},
+                 "graphs must be an integer, not 2.0"),
+                ("limits", {**base, "params": {"d_primes": [2, 4.5]}},
+                 "d_primes must be a list of integers, not [2, 4.5]"),
+                ("limits", {**base, "params": {"d_refs": 100}},
+                 "d_refs must be a list of integers, not 100"),
+                ("corr-decay", {**base, "code": {**ensemble, "var_degree": "x"}},
+                 "var_degree must be an integer, not 'x'"),
+                ("corr-decay", {**base, "code": {**ensemble, "chk_degree": 2.5}},
+                 "chk_degree must be an integer, not 2.5"),
+                ("corr-decay", {**base, "code": {**ensemble, "n": [6]}},
+                 "n must be an integer, not [6]"),
+                ("corr-decay", {**base, "code": {**ensemble, "n": True}},
+                 "n must be an integer, not True"),
+                ("corr-decay", {**base, "code": {**ensemble, "n": 7}},
+                 "mean degrees (3, 2) do not balance at n=7"),
+                ("corr-decay", {**base, "code": {**irregular, "var_coeffs": [2, 3]}},
+                 "var_coeffs must map degrees to probabilities, not [2, 3]"),
+                ("corr-decay", {**base, "code": {**irregular, "var_coeffs": {"x": 1.0}}},
+                 "a var_coeffs degree must be an integer, not 'x'"),
+                ("corr-decay", {**base, "code": {**irregular, "chk_coeffs": {"2": "1"}}},
+                 "chk_coeffs probabilities must be finite numbers, not '1'"),
+                ("de-curve", {**base, "code": {**irregular, "chk_coeffs": {"2": 0.5}}},
+                 "chk coefficients must be a probability vector")))):
         cfg_path.write_text(text)
-        assert cli_main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert cli_main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and captured.err.startswith(message), \
+            (experiment, captured.err)
         assert not out.exists()
+
+
+def test_ensemble_fields_validated_only_where_read():
+    """de-curve reads only the degree distribution, so its n is free (the
+    DE tests pass n = 0); the two check suites ignore the code."""
+    de = {"family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 0}
+    assert ExperimentConfig.from_json({"experiment": "de-curve", "code": de,
+                                       "channel": "bsc:0.05", "seed": 2}).code["n"] == 0
+    with pytest.raises(ValueError, match="n >= 1"):
+        ExperimentConfig.from_json({"experiment": "gexit-curve", "code": de,
+                                    "channel": "bsc:0.05", "seed": 2})
+    for exp in ("duality-check", "berretti-check"):
+        ExperimentConfig.from_json({"experiment": exp, "code": {"n": 7},
+                                    "channel": "bsc:0.3", "seed": 2})
 
 
 def test_density_evolution_needs_ensemble_code():
