@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BIAWGNC, L_SAT, gexit_kernel_batch, sample_llr
-from .graphs import LDGM, LDPC
+from .graphs import LDGM, LDPC, draw_degrees
 
 VAR_TO_CHK = "var-to-chk"
 CHK_TO_VAR = "chk-to-var"
@@ -69,11 +69,15 @@ def _resample(rng, samples, rows, cols):
     return samples[rng.integers(0, len(samples), size=(rows, cols))]
 
 
-def _degree_groups(rng, degs, probs, n):
-    """Draw a degree for each of n samples and group the samples by it:
-    (degree, sample indices) for every degree of the distribution that was
-    drawn, in ascending degree order."""
-    deg = rng.choice(degs, size=n, p=probs)
+def _degree_groups(rng, law, n):
+    """Draw a degree for each of n samples from law (an entry of
+    DegreeDistribution.degree_laws) and group the samples by it:
+    (degree, sample indices) for every degree of the law that was drawn,
+    in ascending degree order."""
+    deg = draw_degrees(rng, law, n)
+    degs = law[0]
+    if len(degs) == 1:
+        return [(degs[0], np.arange(n))]
     groups = [(dv, np.flatnonzero(deg == dv)) for dv in np.unique(degs)]
     return [(dv, idx) for dv, idx in groups if len(idx)]
 
@@ -83,7 +87,7 @@ def _check_step(samples, dd, ch, rng, family):
     n = len(samples)
     out = np.empty(n)
     t = np.tanh(samples)
-    for dv, idx in _degree_groups(rng, *dd.edge_perspective("chk"), n):
+    for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "chk"], n):
         prod = np.ones(len(idx)) if dv < 2 else _resample(rng, t, len(idx), dv - 1).prod(axis=1)
         if family == LDGM:
             prod = prod * np.tanh(sample_llr(ch, len(idx), rng).values)
@@ -96,7 +100,7 @@ def _var_step(samples, dd, ch, rng, family):
     """Edge-perspective variable half-step; consumes chk-to-var samples."""
     n = len(samples)
     out = np.zeros(n)
-    for dv, idx in _degree_groups(rng, *dd.edge_perspective("var"), n):
+    for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "var"], n):
         if dv >= 2:
             out[idx] = _resample(rng, samples, len(idx), dv - 1).sum(axis=1)
     if family == LDPC:
@@ -140,7 +144,7 @@ def aggregate_extrinsic(family, pop, dd, rng):
     """Node-perspective code-bit aggregation, in the message domain:
     Delta_d (LDGM) or Lambda_d (LDPC), one value per population sample."""
     n = len(pop.samples)
-    groups = _degree_groups(rng, *dd.node_perspective("chk" if family == LDGM else "var"), n)
+    groups = _degree_groups(rng, dd.degree_laws["node", "chk" if family == LDGM else "var"], n)
     out = np.empty(n)
     if family == LDGM:
         t = np.tanh(pop.samples)

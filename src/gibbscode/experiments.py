@@ -28,8 +28,8 @@ import numpy as np
 from . import clusters, de, duality, gexit
 from .channels import ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
-from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, ensemble_sizes,
-                     graph_distance, load_graph, sample_ensemble)
+from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_distances,
+                     ensemble_sizes, graph_distance, load_graph, sample_ensemble)
 
 EXPERIMENTS = ("corr-decay", "gexit-curve", "de-curve", "bounds",
                "duality-check", "berretti-check", "limits")
@@ -92,10 +92,11 @@ class ExperimentConfig:
                     isinstance(x, bool) or not isinstance(x, int) for x in p[key])):
                 raise ValueError(f"{key} must be a list of integers, not {p[key]!r}")
         methods = p.get("methods", ()) if self.experiment == "gexit-curve" else ()
-        unknown = [m for m in methods if m not in _GEXIT_METHODS]
+        known = (*gexit.MAP_METHODS, *_GEXIT_METHODS)
+        unknown = [m for m in methods if m not in known]
         if unknown:
             raise ValueError(f"unknown gexit-curve method(s) {unknown}; "
-                             f"known: {sorted(_GEXIT_METHODS)}")
+                             f"known: {sorted(known)}")
         if "series" in methods and p.get("p_max", 1) < 1:
             raise ValueError("the series method needs p_max >= 1")
         uses_de = self.experiment == "de-curve" or "de" in methods
@@ -270,8 +271,7 @@ def _corr_decay(cfg):
             g = src if fixed else sample_ensemble(
                 src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
             nb = g.code_bit_count
-            dists = np.array([[graph_distance(g, i, j) for j in range(nb)]
-                              for i in range(nb)], float)
+            dists = np.array([code_bit_distances(g, i) for i in range(nb)], float)
             # noise and root draws interleave: fill the block in draw order
             noise = np.empty((per_graph, nb))
             roots = np.empty(per_graph, np.intp)
@@ -313,11 +313,9 @@ def _de_estimate(cfg, src, ch, seed):
     return gexit.GexitEstimate(val, 0.0, "de", {"d": d, "n_pop": n_pop})
 
 
-#: gexit-curve's routes: method name -> estimate(cfg, source, channel, seed)
+#: gexit-curve's routes besides gexit.MAP_METHODS (which share one pass):
+#: method name -> estimate(cfg, source, channel, seed)
 _GEXIT_METHODS = {
-    "functional": lambda cfg, src, ch, seed: gexit.map_gexit(src, ch, cfg.samples, seed),
-    "series": lambda cfg, src, ch, seed: gexit.map_gexit_series(
-        src, ch, cfg.samples, seed, cfg.params.get("p_max", 20)),
     "bp": lambda cfg, src, ch, seed: gexit.bp_gexit(
         src, ch, cfg.params.get("d", 10), cfg.samples, seed),
     "entropy-fd": lambda cfg, src, ch, seed: gexit.entropy_fd(
@@ -330,11 +328,15 @@ _GEXIT_METHODS = {
 
 def _gexit_curve(cfg):
     src = _code_source(cfg.code)
+    methods = cfg.params.get("methods", ["functional"])
+    map_methods = [m for m in methods if m in gexit.MAP_METHODS]
     rows = []
     for ch in _eps_points(cfg):
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        for method in cfg.params.get("methods", ["functional"]):
-            est = _GEXIT_METHODS[method](cfg, src, ch, seed)
+        ests = gexit.map_gexit_routes(src, ch, cfg.samples, seed, map_methods,
+                                      cfg.params.get("p_max", 20)) if map_methods else {}
+        for method in methods:
+            est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, src, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,
                          "std_err": est.std_error, "n": est.meta.get("n", 0),
                          "d": est.meta.get("d", 0), "samples": cfg.samples,

@@ -19,6 +19,8 @@ Routes provided, all cross-checkable on the same corpus:
   * map_gexit_series   the Nishimori moment series
                        prefactor * sum_p t2p/(2p(2p-1)) (E[M^{2p}] - 1)
                        with an explicit truncation-tail bound
+                       (both are views of map_gexit_routes, which reduces
+                       one pass of exact extrinsics to either or both)
   * awgn_gexit         BIAWGNC magnetization shortcut
                        prefactor * (1 - E<x_i>) / (2 eps^2)
   * bp_gexit           the kernel functional with BP extrinsics
@@ -120,35 +122,52 @@ def _meta(source, ch, samples, seed, **extra):
     return meta
 
 
+#: the routes that reduce the exact extrinsics, served by map_gexit_routes
+MAP_METHODS = ("functional", "series")
+
+
+def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_graph=1):
+    """{method: GexitEstimate} for each MAP route in methods (a subset of
+    MAP_METHODS) from one pass over the samples: each block's exact
+    extrinsics are computed once and reduced to every requested route, so
+    the routes read the same graphs and noise as separate calls with
+    this seed would."""
+    rng = np.random.default_rng(seed)
+    methods = [m for m in MAP_METHODS if m in methods]
+    reducers, meta = [], {}
+    if "functional" in methods:
+        reducers.append(lambda Ms: gexit_kernel_batch(ch, Ms).mean(axis=1))
+        meta["functional"] = _meta(source, ch, samples, seed)
+    if "series" in methods:
+        coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
+        reducers.append(lambda Ms: sum(c * (Ms ** (2 * p) - 1.0)
+                                       for p, c in enumerate(coeffs, 1)).mean(axis=1))
+        tail = t2p_sup(ch) * (math.log(2.0) -
+                              sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
+        meta["series"] = _meta(source, ch, samples, seed, p_max=p_max, tail_bound=tail)
+
+    def reduce(inst):
+        Ms = all_extrinsics(inst)
+        return np.stack([r(Ms) for r in reducers], axis=1)
+
+    vals, blocks = _per_sample(source, ch, samples, rng, reduce, noise_per_graph)
+    return {m: _estimate(vals[:, k], _prefactor(source), m, meta[m], blocks)
+            for k, m in enumerate(methods)}
+
+
 def map_gexit(source, ch, samples, seed, noise_per_graph=1):
     """MAP-GEXIT by the extrinsic kernel functional; each sample averages
     the kernel over all code bits of the instance."""
-    rng = np.random.default_rng(seed)
-    vals, blocks = _per_sample(
-        source, ch, samples, rng,
-        lambda inst: gexit_kernel_batch(ch, all_extrinsics(inst)).mean(axis=1),
-        noise_per_graph)
-    return _estimate(vals, _prefactor(source), "functional",
-                     _meta(source, ch, samples, seed), blocks)
+    return map_gexit_routes(source, ch, samples, seed, ("functional",),
+                            noise_per_graph=noise_per_graph)["functional"]
 
 
 def map_gexit_series(source, ch, samples, seed, p_max=20, noise_per_graph=1):
     """MAP-GEXIT by the moment series, truncated at p_max; the meta dict
     carries a rigorous truncation-tail bound (sup_p |t2p| times the tail
     of sum 1/(2p(2p-1)), since |E[M^{2p}] - 1| <= 1)."""
-    rng = np.random.default_rng(seed)
-    coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
-
-    def reduce(inst):
-        Ms = all_extrinsics(inst)
-        return sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1)).mean(axis=1)
-
-    vals, blocks = _per_sample(source, ch, samples, rng, reduce, noise_per_graph)
-    tail = t2p_sup(ch) * (math.log(2.0) -
-                          sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
-    return _estimate(vals, _prefactor(source), "series",
-                     _meta(source, ch, samples, seed, p_max=p_max, tail_bound=tail),
-                     blocks)
+    return map_gexit_routes(source, ch, samples, seed, ("series",), p_max,
+                            noise_per_graph)["series"]
 
 
 def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):

@@ -108,8 +108,6 @@ def build_graph(n_var, n_chk, edges, kind):
     Rejects out-of-range indices and duplicate edges (a parallel edge
     would cancel mod 2 and silently change the code).
     """
-    adj_var = [[] for _ in range(n_var)]
-    adj_chk = [[] for _ in range(n_chk)]
     seen = set()
     for v, c in edges:
         if not (0 <= v < n_var and 0 <= c < n_chk):
@@ -117,11 +115,19 @@ def build_graph(n_var, n_chk, edges, kind):
         if (v, c) in seen:
             raise ValueError(f"duplicate edge ({v},{c})")
         seen.add((v, c))
+    return _from_simple_edges(n_var, n_chk, edges, kind)
+
+
+def _from_simple_edges(n_var, n_chk, edges, kind):
+    """The TannerGraph of an in-range edge list with no duplicate; each
+    node lists its neighbors in edge-list order."""
+    adj_var = [[] for _ in range(n_var)]
+    adj_chk = [[] for _ in range(n_chk)]
+    for v, c in edges:
         adj_var[v].append(c)
         adj_chk[c].append(v)
     return TannerGraph(kind, n_var, n_chk,
-                       tuple(tuple(a) for a in adj_var),
-                       tuple(tuple(a) for a in adj_chk))
+                       tuple(map(tuple, adj_var)), tuple(map(tuple, adj_chk)))
 
 
 @dataclass(frozen=True)
@@ -158,17 +164,42 @@ class DegreeDistribution:
         """P'(1) = mean check degree."""
         return sum(d * p for d, p in self.chk_coeffs)
 
-    def edge_perspective(self, side):
-        """(degrees, probs) with prob proportional to degree * node prob."""
-        coeffs = self.var_coeffs if side == "var" else self.chk_coeffs
-        degs = np.array([d for d, _ in coeffs])
-        w = np.array([d * p for d, p in coeffs])
-        return degs, w / w.sum()
+    @cached_property
+    def degree_laws(self):
+        """{(perspective, side): (degrees, cdf)} for the node and edge
+        perspectives (edge: probability proportional to degree times node
+        probability) of the "var" and "chk" sides.  Each cdf is formed as
+        numpy's Generator.choice forms it from the probabilities (cumsum,
+        then divided by its last entry), so draw_degrees(rng, law, n)
+        draws what rng.choice(degrees, size=n, p=probs) draws."""
+        laws = {}
+        for side, coeffs in (("var", self.var_coeffs), ("chk", self.chk_coeffs)):
+            degs = np.array([d for d, _ in coeffs])
+            node = np.array([p for _, p in coeffs])
+            edge = degs * node
+            for perspective, probs in (("node", node), ("edge", edge / edge.sum())):
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                laws[perspective, side] = degs, cdf
+        return laws
 
-    def node_perspective(self, side):
-        coeffs = self.var_coeffs if side == "var" else self.chk_coeffs
-        return (np.array([d for d, _ in coeffs]),
-                np.array([p for _, p in coeffs]))
+
+def draw_degrees(rng, law, n):
+    """n degrees drawn from law = (degrees, cdf), an entry of
+    DegreeDistribution.degree_laws, with the values and RNG stream of
+    rng.choice(degrees, size=n, p=probs).  numpy inverts the cdf at n
+    uniforms by a right-sided search, which counts the cdf entries <= u;
+    counting them by one comparison per entry gives the same indices
+    without the search (the last entry, 1.0, lies above every uniform).
+    A one-point law consumes its n uniforms and compares nothing."""
+    degs, cdf = law
+    u = rng.random(n)
+    if len(degs) == 1:
+        return np.full(n, degs[0])
+    idx = np.zeros(n, np.intp)
+    for threshold in cdf[:-1]:
+        idx += u >= threshold
+    return degs[idx]
 
 
 def ensemble_sizes(dd, n, kind):
@@ -200,11 +231,10 @@ def sample_ensemble(dd, n, kind, seed):
     """
     rng = np.random.default_rng(seed)
     n_var, n_chk = ensemble_sizes(dd, n, kind)
-    vdeg_vals, vdeg_p = dd.node_perspective("var")
-    cdeg_vals, cdeg_p = dd.node_perspective("chk")
+    vlaw, claw = dd.degree_laws["node", "var"], dd.degree_laws["node", "chk"]
     for _ in range(ENSEMBLE_RETRY_CAP):
-        vdegs = rng.choice(vdeg_vals, size=n_var, p=vdeg_p)
-        cdegs = rng.choice(cdeg_vals, size=n_chk, p=cdeg_p)
+        vdegs = draw_degrees(rng, vlaw, n_var)
+        cdegs = draw_degrees(rng, claw, n_chk)
         if vdegs.sum() == cdegs.sum():
             break
     else:
@@ -212,20 +242,22 @@ def sample_ensemble(dd, n, kind, seed):
 
     var_sockets = np.repeat(np.arange(n_var), vdegs).tolist()
     pairing = np.repeat(np.arange(n_chk), cdegs)[rng.permutation(vdegs.sum())].tolist()
-    # repair parallel edges by random socket swaps
+    n_edges = len(pairing)
+    # repair parallel edges by random socket swaps, each later copy of an
+    # edge in socket order swapped with a uniform socket
     for _ in range(ENSEMBLE_RETRY_CAP):
-        seen = set()
-        dups = []
-        for pos, edge in enumerate(zip(var_sockets, pairing)):
+        edges = list(zip(var_sockets, pairing))
+        if len(set(edges)) == n_edges:
+            edges.sort()
+            return _from_simple_edges(n_var, n_chk, edges, kind)
+        seen, dups = set(), []
+        for pos, edge in enumerate(edges):
             if edge in seen:
                 dups.append(pos)
             else:
                 seen.add(edge)
-        if not dups:
-            return build_graph(n_var, n_chk,
-                               sorted(zip(var_sockets, pairing)), kind)
         for pos in dups:
-            q = int(rng.integers(len(pairing)))
+            q = int(rng.integers(n_edges))
             pairing[pos], pairing[q] = pairing[q], pairing[pos]
     raise RuntimeError("could not avoid parallel edges; retry cap exceeded")
 
@@ -245,8 +277,27 @@ def _neighbors(g, node):
 def graph_distance(g, i, j):
     """Same-type hop count between code bits i and j (edge distance / 2);
     math.inf when disconnected."""
-    typ = "chk" if g.kind == LDGM else "var"
-    return same_type_distance(g, typ, [i], [j])
+    return code_bit_distances(g, i)[j]
+
+
+def code_bit_distances(g, i):
+    """Same-type hop counts from code bit i to every code bit, by one
+    breadth-first search: a list indexed by code bit, math.inf where
+    disconnected."""
+    adj_self, adj_other = (g.adj_chk, g.adj_var) if g.kind == LDGM else (g.adj_var, g.adj_chk)
+    dist = [math.inf] * len(adj_self)
+    dist[i] = 0
+    frontier = [i]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in adj_self[x]:
+                for y in adj_other[m]:
+                    if dist[y] == math.inf:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+        frontier = nxt
+    return dist
 
 
 def same_type_distance(g, typ, sources, targets):

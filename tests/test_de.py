@@ -15,15 +15,21 @@ DD23 = DegreeDistribution.regular(2, 3)
 
 
 def test_degree_groups_follow_the_drawn_degrees():
-    """One rng.choice draw, grouped in ascending degree order; a degree
-    that was not drawn gives no group."""
+    """The degrees rng.choice would draw, grouped in ascending degree
+    order; a degree that was not drawn gives no group, and a one-point law
+    gives one group of every sample and consumes the same uniforms."""
     degs, probs = np.array([2, 3, 9]), np.array([0.5, 0.5 - 1e-12, 1e-12])
+    dd = DegreeDistribution.from_dicts(dict(zip(degs.tolist(), probs)), {2: 1.0})
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    groups = _degree_groups(rng, degs, probs, 1000)
+    groups = _degree_groups(rng, dd.degree_laws["node", "var"], 1000)
     deg = ref.choice(degs, size=1000, p=probs)
     assert [int(dv) for dv, _ in groups] == np.unique(deg).tolist() == [2, 3]
     for dv, idx in groups:
         assert np.array_equal(idx, np.flatnonzero(deg == dv))
+    assert rng.random() == ref.random()
+    [(dv, idx)] = _degree_groups(rng, dd.degree_laws["node", "chk"], 1000)
+    assert dv == 2 and np.array_equal(idx, np.arange(1000))
+    ref.choice(np.array([2]), size=1000, p=np.array([1.0]))
     assert rng.random() == ref.random()
 
 

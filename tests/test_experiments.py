@@ -310,6 +310,26 @@ def test_gexit_curve_schema():
     assert {r["method"] for r in res.rows} == {"functional", "series", "bp"}
 
 
+@pytest.mark.parametrize("code", [
+    {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2, "n": 9},
+    {"type": "edges", "family": "ldpc", "n_var": 5, "n_chk": 3,
+     "edges": [[0, 0], [1, 0], [2, 0], [2, 1], [3, 1], [3, 2], [4, 2], [0, 2]]},
+], ids=["ensemble", "fixed"])
+def test_map_methods_share_one_pass(code):
+    """functional and series come from one extrinsic pass per point; the
+    rows equal, bit for bit, those of the single-method configs, in the
+    config's method order."""
+    def rows(methods):
+        return run_experiment(ExperimentConfig.from_json({
+            "experiment": "gexit-curve", "code": code, "channel": "bsc:0.3",
+            "eps_grid": [0.2, 0.4], "samples": 40, "seed": 6,
+            "params": {"methods": methods, "p_max": 8}})).rows
+
+    series, functional = rows(["series"]), rows(["functional"])
+    assert rows(["series", "functional"]) == [
+        row for pair in zip(series, functional) for row in pair]
+
+
 def test_de_curve():
     cfg = ExperimentConfig.from_json({
         "experiment": "de-curve",

@@ -8,7 +8,7 @@ from gibbscode.channels import ChannelModel, gexit_kernel_batch, sample_llr, t2p
 from gibbscode.exact import all_extrinsics, conditional_entropy, make_instance
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
-                             map_gexit_series, nishimori_residual,
+                             map_gexit_routes, map_gexit_series, nishimori_residual,
                              series_zero_moment_value)
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensemble
 
@@ -191,3 +191,25 @@ def test_block_routes_match_per_draw_loop():
         slopes.append(g.n_chk / g.n_var * (h[0] - h[1]) / 0.002)
     est = entropy_fd(src, ch, 1e-3, samples, seed)
     assert est.value == pytest.approx(np.mean(slopes), rel=0, abs=1e-9)
+
+
+def test_map_routes_alone_keep_their_values():
+    """map_gexit and map_gexit_series are the two halves of the shared
+    pass, and return what they returned as separate passes (values and
+    standard errors pinned from that implementation)."""
+    ens = EnsembleSpec(DegreeDistribution.regular(3, 2), 9, LDGM)
+    ldpc5 = dict(fixed_code_corpus())["ldpc-5"]
+    pinned = [
+        (ens, ChannelModel("bsc", 0.4), (0.6059359518976046, 0.0030322865340596406),
+         (0.6020810676545346, 0.003154122164907145)),
+        (ldpc5, ChannelModel("biawgnc", 0.8), (0.04457629872039826, 0.015666488534244433),
+         (0.06782041826693976, 0.0202419760408542)),
+    ]
+    for src, ch, functional, series in pinned:
+        f = map_gexit(src, ch, 12, 12, noise_per_graph=3)
+        s = map_gexit_series(src, ch, 12, 12, 6, noise_per_graph=3)
+        both = map_gexit_routes(src, ch, 12, 12, ("series", "functional"), 6,
+                                noise_per_graph=3)
+        assert both == {"functional": f, "series": s}
+        assert (f.value, f.std_error) == pytest.approx(functional, rel=1e-12, abs=0)
+        assert (s.value, s.std_error) == pytest.approx(series, rel=1e-12, abs=0)

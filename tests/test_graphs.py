@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,9 +8,10 @@ import pytest
 from conftest import random_tree_graph
 from gibbscode import graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
-                              NodeCapExceeded, build_graph, computational_tree, enumerate_saws,
+                              NodeCapExceeded, build_graph, code_bit_distances,
+                              computational_tree, draw_degrees, enumerate_saws,
                               graph_distance, load_graph, neighborhood,
-                              sample_ensemble, save_graph)
+                              same_type_distance, sample_ensemble, save_graph)
 
 
 def path_graph():
@@ -93,12 +96,75 @@ def test_sample_ensemble_degree_histogram_mixed():
     assert sum(len(a) for a in g.adj_var) == 28
 
 
+#: the node-perspective law of each case: {degree: probability}
+DRAW_LAWS = {"one-point": {3: 1.0}, "two-point": {2: 2 / 3, 3: 1 / 3},
+             "four-point": {1: 0.1, 2: 0.2, 5: 0.3, 9: 0.4},
+             "zero-weights": {1: 0.0, 2: 0.5, 7: 0.0, 9: 0.5}}
+
+
+@pytest.mark.parametrize("n", [1, 7, 20000])
+@pytest.mark.parametrize("coeffs", DRAW_LAWS.values(), ids=DRAW_LAWS)
+def test_draw_degrees_is_numpy_choice(coeffs, n):
+    """draw_degrees repeats what numpy's Generator.choice(degs, size=n,
+    p=probs) does (n uniforms, cdf = cumsum(p) / cumsum(p)[-1], a
+    right-sided search), so the ensemble sampler and DE keep choice's
+    stream, also where a degree has probability zero.  If numpy changes
+    choice, this fails and both streams move."""
+    dd = DegreeDistribution.from_dicts(coeffs, coeffs)
+    degs = np.array(sorted(coeffs))
+    node = np.array([coeffs[d] for d in sorted(coeffs)])
+    edge = np.array([d * coeffs[d] for d in sorted(coeffs)])
+    for perspective, probs in (("node", node), ("edge", edge / edge.sum())):
+        for side in ("var", "chk"):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            got = draw_degrees(rng, dd.degree_laws[perspective, side], n)
+            want = ref.choice(degs, size=n, p=probs)
+            assert got.dtype == want.dtype and np.array_equal(got, want), \
+                "numpy's Generator.choice no longer draws as draw_degrees assumes"
+            assert rng.bit_generator.state == ref.bit_generator.state, \
+                "numpy's Generator.choice no longer consumes n uniforms"
+
+
+#: sha256 of the JSON edge lists of sample_ensemble(dd, n, kind, seed) over
+#: seeds 0..199, recorded from the sampler that drew degrees with
+#: rng.choice and scanned every repair round in Python
+GOLDEN_ENSEMBLES = {
+    "ldpc-4-4-n16": (DegreeDistribution.regular(4, 4), 16, LDPC,
+                     "e9cc38404cf9518867301a976fa1d1730c5f49edad7a92a823e5d359f57ded62"),
+    "ldgm-3-2-n18": (DegreeDistribution.regular(3, 2), 18, LDGM,
+                     "55592e359e1b1f19114962cd788bbf776ffbba9af929713ab2df37b9a9dbf83c"),
+    "ldgm-mixed-n14": (DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0}), 14,
+                       LDGM, "f89e1c478e7cabd58fbb6f509cb11c6ab3e9c6cf4931875d6bf8cf6ff5c518cc"),
+    "ldpc-3-6-n24": (DegreeDistribution.regular(3, 6), 24, LDPC,
+                     "dc459c9ee1d54e738badf2a8c92d016365823f7ef5bb0e9b71555944937ae156"),
+}
+
+
+@pytest.mark.parametrize("dd, n, kind, digest", GOLDEN_ENSEMBLES.values(),
+                         ids=GOLDEN_ENSEMBLES)
+def test_sample_ensemble_golden_graphs(dd, n, kind, digest):
+    """The degree draws, the socket permutation and the repair's swaps in
+    socket order are the sampler's RNG stream: any change to them moves
+    these digests."""
+    edges = [sample_ensemble(dd, n, kind, seed).edges() for seed in range(200)]
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+
+
 def test_graph_distance():
     g = repetition3()
     assert graph_distance(g, 0, 0) == 0
     assert graph_distance(g, 0, 2) == 2
     g2 = build_graph(2, 2, [(0, 0), (1, 1)], LDPC)
     assert math.isinf(graph_distance(g2, 0, 1))
+    # one BFS per source against the set-to-set BFS, pair by pair
+    mixed = DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0})
+    for g in (g2, sample_ensemble(mixed, 14, LDGM, 5), sample_ensemble(mixed, 14, LDGM, 9),
+              sample_ensemble(DegreeDistribution.regular(3, 6), 24, LDPC, 2)):
+        typ = "chk" if g.kind == LDGM else "var"
+        nb = g.code_bit_count
+        for i in range(nb):
+            assert code_bit_distances(g, i) == [
+                same_type_distance(g, typ, [i], [j]) for j in range(nb)]
 
 
 def test_neighborhood():
