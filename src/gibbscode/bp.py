@@ -13,8 +13,17 @@ Message rules (messages are half-loglikelihoods of +1 vs -1):
   LDPC:  v2c = l_i + sum of other c2v;   c2v = atanh(prod other tanh v2c)
   LDGM:  v2c = sum of other c2v;         c2v = atanh(tanh l_c * prod other tanh v2c)
 
-Messages saturate at L_SAT = 30 nats; check products of magnitude one
-(forced bits) map straight to the saturation bound.
+Check updates run in Gallager's log domain: with psi(x) = -ln tanh|x|,
+a check sends psi^-1(sum of the others' psi), where psi^-1(s) =
+atanh(e^-s) = psi(s/2)/2, with the parity of the others' signs; an LDGM
+check counts its observation l_c as one more message.  A zero message
+(infinite psi, also below about 1e-308) is counted, not summed, and
+zeroes the others' outputs.  One bincount per term sums each check, and
+a message takes the total minus its own term, which loses about
+u * total when the own psi dominates: a check that sees one moderate
+message among saturated ones answers the moderate one with L_SAT.
+Messages otherwise keep their value up to the saturation bound
+L_SAT = 30 nats.
 
 Fixed-point exit: an iteration is a deterministic map of the messages it
 reads (c2v for LDPC, whose v2c follow from them and the LLRs; v2c for
@@ -25,10 +34,10 @@ d-iteration result bit for bit.  The comparison is of bit patterns, not
 values within a tolerance.  A sample whose messages keep moving at the
 rounding level (many loopy floods and some trees) runs all d iterations.
 
-Code-bit outputs: LDPC marginal tanh(l_i + sum c2v); LDGM check i forms
-P = prod tanh(v2c into i) and combines with its own observation through
-(tanh l_i + P) / (1 + P tanh l_i).  Extrinsic estimates drop the own-l
-term (LDPC) or return P (LDGM); messages elsewhere keep their l's.
+Code-bit outputs: LDPC marginal tanh(l_i + sum c2v); LDGM check i reads
+the same check sums over all its incoming v2c as a field c_i and returns
+tanh(l_i + c_i).  Extrinsic estimates drop the own-l term: tanh(sum c2v)
+(LDPC) or tanh(c_i) (LDGM); messages elsewhere keep their l's.
 """
 
 from __future__ import annotations
@@ -41,16 +50,6 @@ import numpy as np
 
 from .channels import L_SAT, block_slices
 from .graphs import LDGM, LDPC
-
-
-def _saturated_atanh(prod):
-    """atanh with output saturation at L_SAT.  Representable |t| < 1 maps
-    below 18.8 nats; products that round to exactly +-1 (forced bits) go
-    to the full +-L_SAT, so hard-decision chains stay sharp instead of
-    eroding through repeated input clamps."""
-    with np.errstate(divide="ignore"):
-        out = np.arctanh(prod)
-    return np.clip(out, -L_SAT, L_SAT)
 
 
 @dataclass
@@ -72,41 +71,36 @@ def _edge_index(graph):
     return np.array(evar, dtype=np.intp), np.array(echk, dtype=np.intp)
 
 
-def _group_logs(vals, groups, n_groups):
-    """Per-factor log-magnitudes and nonzero flags of vals[e], and per
-    group the sum of the log-magnitudes and the counts of negative and of
-    exactly zero factors."""
-    nz = vals != 0.0
-    logs = np.zeros_like(vals)
-    np.log(np.abs(vals), out=logs, where=nz)
-    logsum = np.bincount(groups, weights=logs, minlength=n_groups)
-    negcount = np.bincount(groups, weights=(vals < 0).astype(float), minlength=n_groups)
-    zerocount = np.bincount(groups, weights=(~nz).astype(float), minlength=n_groups)
-    return logs, nz, logsum, negcount, zerocount
+def _psi_terms(msgs):
+    """A message's three check terms: psi(msg) = -ln tanh|msg| (0 where
+    it is infinite), whether msg is negative, and whether psi is
+    infinite (a zero message)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        psi = np.log1p(2.0 / np.expm1(2.0 * np.abs(msgs)))
+    zero = ~np.isfinite(psi)
+    psi[zero] = 0.0
+    return psi, msgs < 0, zero
 
 
-def _excl_products(vals, groups, n_groups, extra_log=None, extra_sign=None,
-                   extra_zero=None):
-    """For factors vals[e] grouped by groups[e], the product over each
-    group excluding e itself; optional per-group extra factors (given as
-    log-magnitude, sign in {+1,-1}, and an exact-zero flag) are always
-    included.  Exact zeros are handled by counting."""
-    logs, nz, logsum, negcount, zerocount = _group_logs(vals, groups, n_groups)
-    if extra_log is not None:
-        logsum = logsum + np.where(extra_zero, 0.0, extra_log)
-        negcount = negcount + (extra_sign < 0)
-        zerocount = zerocount + extra_zero
-    others_zero = zerocount[groups] - (~nz)
-    mag = np.exp(logsum[groups] - logs)
-    signs = np.where((negcount[groups] - (vals < 0)) % 2 == 0, 1.0, -1.0)
-    return np.where(others_zero > 0, 0.0, signs * mag)
+def _check_sums(msgs, groups, n_groups, obs=None):
+    """The check reduction: the (psi, negative, zero) terms of messages
+    msgs[e] and, per check groups[e], their sums, plus the terms obs of
+    each check's own observation when given (LDGM)."""
+    terms = _psi_terms(msgs)
+    sums = [np.bincount(groups, weights=t, minlength=n_groups) for t in terms]
+    if obs is not None:
+        sums = [s + o for s, o in zip(sums, obs)]
+    return terms, sums
 
 
-def _group_products(vals, groups, n_groups):
-    """The product of the factors vals[e] of each group (empty product 1)."""
-    _, _, logsum, negcount, zerocount = _group_logs(vals, groups, n_groups)
-    return np.where(zerocount > 0, 0.0,
-                    np.where(negcount % 2 == 0, 1.0, -1.0) * np.exp(logsum))
+def _check_message(psi, neg, zero):
+    """The check output for summed terms: psi^-1(psi) clipped at L_SAT,
+    negative for an odd count of negative terms, and 0 when a term is
+    zero.  The counts are whole floats; the parity reads them as integers,
+    since numpy's float % 2 takes longer than the rest of the kernel."""
+    with np.errstate(divide="ignore", over="ignore"):
+        mag = np.minimum(0.5 * np.log1p(2.0 / np.expm1(psi)), L_SAT)
+    return np.where(zero > 0, 0.0, np.where(neg.astype(np.intp) & 1, -mag, mag))
 
 
 def _sample_groups(index, n_nodes, samples):
@@ -133,11 +127,9 @@ def _codebit_estimates(inst, state, extrinsic):
         field = tot if extrinsic else l + tot
         est = np.tanh(np.clip(field, -L_SAT, L_SAT))
     else:
-        # LDGM: product of incoming v2c tanh's per check
-        P = _group_products(np.tanh(state.v2c).ravel(), _sample_groups(echk, g.n_chk, S),
-                            S * g.n_chk).reshape(S, g.n_chk)
-        tl = np.tanh(l)
-        est = P if extrinsic else (tl + P) / (1.0 + P * tl)
+        _, sums = _check_sums(state.v2c.ravel(), _sample_groups(echk, g.n_chk, S), S * g.n_chk)
+        c = _check_message(*sums).reshape(S, g.n_chk)
+        est = np.tanh(c if extrinsic else l + c)
     return est.reshape(inst.values.shape)
 
 
@@ -197,9 +189,7 @@ def _flood(g, l, v2c, c2v, iters):
     if g.kind == LDPC:
         per_row = dict(l_edge=l[:, evar].ravel())
     else:
-        tl = np.tanh(l).ravel()
-        per_row = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
-                       extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+        per_row = dict(zip(("psi", "neg", "zero"), _psi_terms(l.ravel())))
     bv2c, bc2v = v2c.ravel(), c2v.ravel()
     for _ in range(iters):
         S = len(rows)
@@ -210,10 +200,9 @@ def _flood(g, l, v2c, c2v, iters):
             tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
             bv2c = per_row["l_edge"] + tot[var_groups] - bc2v
             np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
-            prod = _excl_products(np.tanh(bv2c), chk_groups, S * g.n_chk)
-        else:
-            prod = _excl_products(np.tanh(bv2c), chk_groups, S * g.n_chk, **per_row)
-        bc2v = _saturated_atanh(prod)
+        obs = None if g.kind == LDPC else tuple(per_row.values())
+        own, sums = _check_sums(bv2c, chk_groups, S * g.n_chk, obs)
+        bc2v = _check_message(*(s[chk_groups] - o for s, o in zip(sums, own)))
         if g.kind == LDGM:
             tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
             bv2c = tot[var_groups] - bc2v

@@ -82,18 +82,27 @@ def _degree_groups(rng, law, n):
     return [(dv, idx) for dv, idx in groups if len(idx)]
 
 
-def _check_step(samples, dd, ch, rng, family):
-    """Edge-perspective check half-step; consumes var-to-chk samples."""
-    n = len(samples)
+def _check_outputs(rng, t, law, n, drop, ch=None):
+    """n check outputs atanh(prod of tanh values): each draws a degree dv
+    from law and multiplies dv - drop resampled values of t (drop = 1
+    leaves out the outgoing edge), times the tanh of a fresh channel LLR
+    when ch is given.  Clipped at L_SAT; a product of magnitude one
+    saturates.  A degree-1 check resamples nothing: the empty product is
+    1, and the generator does not move."""
     out = np.empty(n)
-    t = np.tanh(samples)
-    for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "chk"], n):
-        prod = np.ones(len(idx)) if dv < 2 else _resample(rng, t, len(idx), dv - 1).prod(axis=1)
-        if family == LDGM:
+    for dv, idx in _degree_groups(rng, law, n):
+        prod = _resample(rng, t, len(idx), dv - drop).prod(axis=1)
+        if ch is not None:
             prod = prod * np.tanh(sample_llr(ch, len(idx), rng).values)
         with np.errstate(divide="ignore"):
             out[idx] = np.arctanh(prod)
     return np.clip(out, -L_SAT, L_SAT)
+
+
+def _check_step(samples, dd, ch, rng, family):
+    """Edge-perspective check half-step; consumes var-to-chk samples."""
+    return _check_outputs(rng, np.tanh(samples), dd.degree_laws["edge", "chk"], len(samples), 1,
+                          ch if family == LDGM else None)
 
 
 def _var_step(samples, dd, ch, rng, family):
@@ -144,17 +153,11 @@ def aggregate_extrinsic(family, pop, dd, rng):
     """Node-perspective code-bit aggregation, in the message domain:
     Delta_d (LDGM) or Lambda_d (LDPC), one value per population sample."""
     n = len(pop.samples)
-    groups = _degree_groups(rng, dd.degree_laws["node", "chk" if family == LDGM else "var"], n)
-    out = np.empty(n)
     if family == LDGM:
-        t = np.tanh(pop.samples)
-        for dv, idx in groups:
-            prod = _resample(rng, t, len(idx), dv).prod(axis=1)
-            with np.errstate(divide="ignore"):
-                out[idx] = np.arctanh(prod)
-    else:
-        for dv, idx in groups:
-            out[idx] = _resample(rng, pop.samples, len(idx), dv).sum(axis=1)
+        return _check_outputs(rng, np.tanh(pop.samples), dd.degree_laws["node", "chk"], n, 0)
+    out = np.empty(n)
+    for dv, idx in _degree_groups(rng, dd.degree_laws["node", "var"], n):
+        out[idx] = _resample(rng, pop.samples, len(idx), dv).sum(axis=1)
     return np.clip(out, -L_SAT, L_SAT)
 
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph, random_tree_graph
 from gibbscode import bp, channels
-from gibbscode.bp import (MessageState, _codebit_estimates, _edge_index, _excl_products,
-                          _run_messages, _sample_groups, _saturated_atanh, bp_all_extrinsics,
-                          bp_checkpoint_extrinsics, bp_run, tree_decode)
+from gibbscode.bp import (MessageState, _check_message, _check_sums, _codebit_estimates,
+                          _edge_index, _psi_terms, _run_messages, _sample_groups,
+                          bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run, tree_decode)
 from gibbscode.channels import L_SAT, ChannelModel, block_slices, sample_llr
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
@@ -160,6 +160,47 @@ def test_messages_stay_finite_and_saturated():
     assert np.all(np.isfinite(est))
 
 
+def test_saturating_check_messages_keep_their_value():
+    """One iteration on a degree-3 LDPC check with leaf LLRs of +-[19, 30]
+    nats: each c2v equals atanh(tanh a tanh b) of the other two, formed
+    without tanh as (1/2)[logaddexp(2(a + b), 0) - logaddexp(2a, 2b)] on
+    the magnitudes, with the parity sign, within 1e-6 nats (the
+    cancellation bound of the excluded psi sum is under 2e-7 here)."""
+    g = build_graph(3, 1, [(0, 0), (1, 0), (2, 0)], LDPC)
+    grid = np.linspace(19.0, 30.0, 12)
+    mags = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    signs = np.random.default_rng(9).choice([-1.0, 1.0], mags.shape)
+    c2v = _run_messages(make_instance(g, signs * mags), 1).c2v
+    for v in range(3):
+        a, b = np.delete(mags, v, axis=1).T
+        want = 0.5 * (np.logaddexp(2 * (a + b), 0.0) - np.logaddexp(2 * a, 2 * b))
+        want *= np.prod(np.delete(signs, v, axis=1), axis=1)
+        assert float(np.max(np.abs(c2v[:, v] - want))) < 1e-6
+
+
+def test_contradicting_saturated_ldgm_evidence():
+    """One information bit seen by two checks with LLRs (20, -20): the
+    exact marginals are [0, 0], and BP gives them, alone and in a block."""
+    g = build_graph(1, 2, [(0, 0), (0, 1)], LDGM)
+    inst = make_instance(g, [20.0, -20.0])
+    assert np.array_equal(bp_run(inst, 5), [0.0, 0.0])
+    assert np.array_equal(bp_run(inst, 5), all_marginals(inst))
+    block = make_instance(g, [[20.0, -20.0], [0.4, -1.3], [-20.0, 20.0]])
+    out = bp_run(block, 5)
+    assert np.array_equal(out[[0, 2]], np.zeros((2, 2)))
+    assert np.allclose(out, all_marginals(block), atol=1e-12)
+
+
+def test_huge_llrs_give_finite_estimates():
+    """LLRs of +-1e3 on the corpus codes give finite estimates in [-1, 1]."""
+    rng = np.random.default_rng(10)
+    for name, g in fixed_code_corpus():
+        L = 1e3 * rng.choice([-1.0, 1.0], (6, g.code_bit_count))
+        inst = make_instance(g, L)
+        for est in (bp_run(inst, 20), bp_all_extrinsics(inst, 20)):
+            assert np.all(np.isfinite(est)) and np.max(np.abs(est)) <= 1.0, name
+
+
 def test_checkpoint_extrinsics_consistent():
     g = four_cycle(LDPC)
     inst = make_instance(g, [0.3, -0.2])
@@ -222,20 +263,16 @@ def _fixed_depth_flood(g, l, v2c, c2v, iters):
     chk_groups = _sample_groups(echk, g.n_chk, S)
     v2c, c2v = v2c.ravel(), c2v.ravel()
     if g.kind == LDPC:
-        l_edge = l[:, evar].ravel()
+        l_edge, obs = l[:, evar].ravel(), None
     else:
-        tl = np.tanh(l).ravel()
-        extra = dict(extra_log=np.log(np.abs(np.where(tl == 0, 1.0, tl))),
-                     extra_sign=np.where(tl < 0, -1.0, 1.0), extra_zero=(tl == 0.0))
+        obs = _psi_terms(l.ravel())
     for _ in range(iters):
         if g.kind == LDPC:
             tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
             v2c = l_edge + tot[var_groups] - c2v
             np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk)
-        else:
-            prod = _excl_products(np.tanh(v2c), chk_groups, S * g.n_chk, **extra)
-        c2v = _saturated_atanh(prod)
+        own, sums = _check_sums(v2c, chk_groups, S * g.n_chk, obs)
+        c2v = _check_message(*(s[chk_groups] - o for s, o in zip(sums, own)))
         if g.kind == LDGM:
             tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
             v2c = tot[var_groups] - c2v
@@ -294,14 +331,15 @@ def test_fixed_point_exit_matches_fixed_depth_flood_bitwise(kind, loopy, seed, s
 
 def _count_iterations(monkeypatch):
     """Record the sample count of every flooding iteration: each one makes
-    a single _saturated_atanh call on its (samples x edges) block."""
+    a single _check_sums call on its (samples x edges) block (LDPC
+    code-bit estimates make none)."""
     sizes = []
 
-    def counted(prod):
-        sizes.append(prod.size)
-        return _saturated_atanh(prod)
+    def counted(msgs, *args):
+        sizes.append(msgs.size)
+        return _check_sums(msgs, *args)
 
-    monkeypatch.setattr(bp, "_saturated_atanh", counted)
+    monkeypatch.setattr(bp, "_check_sums", counted)
     return sizes
 
 
@@ -310,7 +348,7 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     a 1000-iteration run makes at most K + 1 and returns the same array
     as a (K + 1)-iteration one.  Samples of a block leave it as they
     settle, and one that never settles floods on alone to d."""
-    K = 5
+    K = 4
     rng = np.random.default_rng(2)
     g = random_tree_graph(rng, LDPC)
     inst = make_instance(g, rng.normal(0.5, 1.5, g.code_bit_count))
@@ -323,15 +361,21 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     far = bp_run(inst, 1000)
     assert len(sizes) <= K + 1
     assert_bitwise(far, bp_run(inst, K + 1))
-    # five draws on the same tree: four reach their fixed points after
-    # 3, 5, 4 and 4 iterations and leave the block one or two iterations
-    # later; the fifth never does (its messages keep moving at the
-    # rounding level) and floods on alone to d
+    # five draws on the same tree reach their fixed points after 4, 5, 3,
+    # 4 and 3 iterations and leave the block one or two iterations later
     block = make_instance(g, np.random.default_rng(7).normal(0.5, 1.5, (5, g.code_bit_count)))
     sizes.clear()
     out = bp_run(block, 60)
-    assert len(sizes) == 60
-    assert [n // g.n_edges for n in sizes[:7]] == [5, 5, 5, 5, 3, 2, 1]
-    assert sizes[7:] == [g.n_edges] * 53
+    assert [n // g.n_edges for n in sizes] == [5, 5, 5, 5, 3, 1]
+    assert_bitwise(out, _codebit_estimates(block, _fixed_depth_states(block, [60])[60],
+                                           extrinsic=False))
+    # of the next draw seed's five, four settle after 3 iterations; the
+    # fourth never does (its messages keep moving at the rounding level)
+    # and floods on alone to d
+    block = make_instance(g, np.random.default_rng(8).normal(0.5, 1.5, (5, g.code_bit_count)))
+    sizes.clear()
+    out = bp_run(block, 60)
+    assert [n // g.n_edges for n in sizes[:5]] == [5, 5, 5, 5, 1]
+    assert sizes[5:] == [g.n_edges] * 55
     assert_bitwise(out, _codebit_estimates(block, _fixed_depth_states(block, [60])[60],
                                            extrinsic=False))
