@@ -19,11 +19,13 @@ atanh(e^-s) = psi(s/2)/2, with the parity of the others' signs; an LDGM
 check counts its observation l_c as one more message.  A zero message
 (infinite psi, also below about 1e-308) is counted, not summed, and
 zeroes the others' outputs.  One bincount per term sums each check, and
-a message takes the total minus its own term, which loses about
-u * total when the own psi dominates: a check that sees one moderate
-message among saturated ones answers the moderate one with L_SAT.
-Messages otherwise keep their value up to the saturation bound
-L_SAT = 30 nats.
+a message takes the total minus its own term, except where its own psi
+exceeds the rest 2^20 times over (at most one message per check): there
+the subtraction would lose the rest to the rounding of the total, about
+u * total, so a check that sees one moderate message among saturated
+ones would answer it with L_SAT; a second bincount without the
+dominating terms gives the rest instead.  Messages keep their value up
+to the saturation bound L_SAT = 30 nats.
 
 Fixed-point exit: an iteration is a deterministic map of the messages it
 reads (c2v for LDPC, whose v2c follow from them and the LLRs; v2c for
@@ -77,7 +79,7 @@ def _psi_terms(msgs):
     infinite (a zero message)."""
     with np.errstate(divide="ignore", over="ignore"):
         psi = np.log1p(2.0 / np.expm1(2.0 * np.abs(msgs)))
-    zero = ~np.isfinite(psi)
+    zero = psi == np.inf
     psi[zero] = 0.0
     return psi, msgs < 0, zero
 
@@ -91,6 +93,37 @@ def _check_sums(msgs, groups, n_groups, obs=None):
     if obs is not None:
         sums = [s + o for s, o in zip(sums, obs)]
     return terms, sums
+
+
+#: the own psi term dominates its check's rest when it exceeds it this
+#: many times over.  total - own keeps the rest to within about
+#: deg * u * total, so below the threshold an output is off by at most
+#: about deg * 6e-11 nats (|d psi^-1(s) / d ln s| <= 1/2); above it the
+#: rest is recomputed.  A lower threshold flags most iterations of
+#: moderate BIAWGNC floods (81 of 100 at 64 on the corpus codes, eps
+#: 0.8) and slows them.
+_DOMINANCE = 2.0 ** 20
+
+
+def _check_outputs(msgs, groups, n_groups, obs=None):
+    """Every message's check output: _check_message of the terms of the
+    other messages of its check groups[e], and of the check's own
+    observation when obs is given (LDGM).  Each excluded sum is the
+    check's total minus the message's own term; where the own psi
+    dominates (_DOMINANCE), at most one edge per check, a second
+    bincount with the dominating terms zeroed gives the rest without the
+    subtraction.  Most iterations flag no edge and pay one product and
+    one comparison per edge."""
+    own, sums = _check_sums(msgs, groups, n_groups, obs)
+    rest = [s[groups] - o for s, o in zip(sums, own)]
+    dominant = own[0] > _DOMINANCE * rest[0]
+    if np.count_nonzero(dominant):
+        others = np.bincount(groups, weights=np.where(dominant, 0.0, own[0]),
+                             minlength=n_groups)
+        if obs is not None:
+            others += obs[0]
+        rest[0][dominant] = others[groups[dominant]]
+    return _check_message(*rest)
 
 
 def _check_message(psi, neg, zero):
@@ -201,8 +234,7 @@ def _flood(g, l, v2c, c2v, iters):
             bv2c = per_row["l_edge"] + tot[var_groups] - bc2v
             np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
         obs = None if g.kind == LDPC else tuple(per_row.values())
-        own, sums = _check_sums(bv2c, chk_groups, S * g.n_chk, obs)
-        bc2v = _check_message(*(s[chk_groups] - o for s, o in zip(sums, own)))
+        bc2v = _check_outputs(bv2c, chk_groups, S * g.n_chk, obs)
         if g.kind == LDGM:
             tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
             bv2c = tot[var_groups] - bc2v

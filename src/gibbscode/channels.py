@@ -158,10 +158,9 @@ class ChannelModel:
             vals, probs = self.bsc_atoms(eps)
             return float(probs[np.abs(vals) > H].sum())
         mu, var = self.gauss_params(eps)
-        sd = math.sqrt(var)
-        from scipy.stats import norm
-
-        return float(norm.sf(H, mu, sd) + norm.cdf(-H, mu, sd))
+        scale = math.sqrt(2.0 * var)
+        # P(l > H) + P(l < -H) for l ~ N(mu, var)
+        return 0.5 * math.erfc((H - mu) / scale) + 0.5 * math.erfc((H + mu) / scale)
 
     def gl_grid(self):
         """Fixed Gauss-Legendre nodes/weights on the BIAWGNC window,
@@ -326,18 +325,23 @@ def gexit_kernel_batch(ch, extrinsics):
     with the shape of M.
 
     Agrees with gexit_kernel_integral applied pointwise; used by the
-    Monte Carlo estimators where one integral per sample is needed.
+    Monte Carlo estimators where one integral per sample is needed.  A
+    stack of (S, n) blocks, shape (G, S, n), is evaluated block by block
+    (one batched matmul for the BSC), so each block gets the values a call
+    on that block alone gives: BLAS rounds an entry by where it sits in
+    its call, and a graph's values must not depend on the graphs stacked
+    with it.
     """
     M = np.asarray(extrinsics, dtype=float)
-    flat = M.reshape(-1)
+    blocks = M.reshape(-1, math.prod(M.shape[-2:])) if M.ndim > 2 else M.reshape(1, -1)
     if ch.kind == BSC:
         h = _fd_step(ch.eps)
 
         def F(e):
             vals, probs = ch.bsc_atoms(e)
             t = np.tanh(vals)
-            # rows: the two atoms, columns: samples
-            logs = np.log1p(np.outer(t, flat)) - np.log1p(t)[:, None]
+            # per block, rows: the two atoms, columns: samples
+            logs = np.log1p(t[:, None] * blocks[:, None, :]) - np.log1p(t)[:, None]
             return probs @ logs
 
         return ((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h)).reshape(M.shape)
@@ -345,7 +349,8 @@ def gexit_kernel_batch(ch, extrinsics):
     dc = ch.density_deps(nodes) * weights
     t = np.tanh(nodes)
     log1p_t = np.log1p(t)
-    out = np.empty(flat.shape)
-    for rows in block_slices(len(flat), len(nodes)):
-        out[rows] = (np.log1p(flat[rows, None] * t) - log1p_t) @ dc
+    out = np.empty(blocks.shape)
+    for flat, values in zip(blocks, out):
+        for rows in block_slices(len(flat), len(nodes)):
+            values[rows] = (np.log1p(flat[rows, None] * t) - log1p_t) @ dc
     return out.reshape(M.shape)

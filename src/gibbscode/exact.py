@@ -23,9 +23,14 @@ realizations at once and streams over the int8 table X: each row chunk
 of X is converted to float once per call and run against every block of
 the (S, n) LLR block L, and each sample keeps a running maximum
 log-weight, rescaling its sums when the maximum grows (the online
-log-sum-exp of Milakov and Gimelshein, arXiv:1805.02867).  Temporaries
-stay within channels.BLOCK_ELEMENTS apart from the (S, n) accumulators,
-and no float copy of the whole table is made.  This module is the MAP-side oracle for
+log-sum-exp of Milakov and Gimelshein, arXiv:1805.02867).  The pass
+also takes a leading graph axis: a PosteriorBatch of G graphs whose
+tables share one shape runs as a (G, R, n) table stack against (G, S, n)
+LLRs, every matmul, maximum and sum batched over the graphs, so a group
+of small ensemble graphs costs one call's overhead; one graph is the
+G = 1 case of the same pass.  Temporaries stay within
+channels.BLOCK_ELEMENTS apart from the (G, S, n) accumulators, and no
+float copy of a whole table is made.  This module is the MAP-side oracle for
 the BP decoder, the duality layer and the GEXIT estimators.
 """
 
@@ -82,6 +87,36 @@ class PosteriorInstance:
 
 def make_instance(graph, values):
     return PosteriorInstance(graph, LLRVector(values))
+
+
+@dataclass(frozen=True)
+class PosteriorBatch:
+    """G Tanner graphs whose tables share one shape (the same code-bit
+    count and support dimension), each with its own block of S noise
+    realizations: values has shape (G, S, n).  partition_function,
+    all_marginals, all_extrinsics and conditional_entropy take a batch
+    and return per-graph, per-sample results with leading axes (G, S),
+    each equal to what the graph's own instance gives."""
+
+    graphs: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 3 or len(self.graphs) != len(values):
+            raise ValueError(f"values of shape {values.shape} do not give "
+                             f"{len(self.graphs)} graphs an (S, n) block each")
+        dim = self.graphs[0].free_spin_count
+        for g in self.graphs:
+            if g.code_bit_count != values.shape[2]:
+                raise ValueError(f"graphs and llrs disagree on the code bit count: "
+                                 f"{g.code_bit_count} != {values.shape[2]}")
+            if g.free_spin_count != dim:
+                raise ValueError(f"graphs of a batch must share a table shape; their support "
+                                 f"dimensions {g.free_spin_count} and {dim} differ")
+        if not np.isfinite(values).all():
+            raise ValueError("LLR values must be finite")
 
 
 def _check_cap(graph):
@@ -165,71 +200,85 @@ _TINY_PROBABILITY = 1e-290
 
 
 def _float_chunk(X, rows):
-    """Rows of the int8 table as float: the pass's one conversion, made
-    once per row chunk and call."""
-    return X[rows].astype(float)
+    """Rows of the int8 table, or of each table of a (G, R, n) stack, as
+    float: the pass's one conversion, made once per row chunk and call."""
+    return X[..., rows, :].astype(float)
 
 
 def _posterior(inst, terms, finish):
-    """The posterior pass, streamed over the table: row chunks of at most
-    BLOCK_ELEMENTS entries on the outside, each converted to float once,
-    and every block of samples against that chunk on the inside.  A block
-    holds BLOCK_ELEMENTS // max(chunk rows, n) samples, so its weights and
-    every other temporary stay within the budget; no float copy of the
-    whole table is made.
+    """The posterior pass, streamed over the table stack X of shape
+    (G, R, n), one table per graph of a PosteriorBatch (G = 1 for a
+    PosteriorInstance), against LLRs L of shape (G, S, n): row chunks of
+    at most BLOCK_ELEMENTS entries over all G tables on the outside, each
+    converted to float once, and every block of samples against that
+    chunk on the inside.  A block holds BLOCK_ELEMENTS //
+    (G max(chunk rows, n)) samples, so its weights and every other
+    temporary stay within the budget; no float copy of a whole table is
+    made.  Every matmul, maximum and sum runs batched over the graph
+    axis, each graph's slice exactly as a call on that graph alone
+    would run it when the stack fits one chunk and one block.
 
     Each sample keeps a running maximum log-weight m and sums weighted by
     w = exp(L @ F.T - m), an online log-sum-exp: the sums are rescaled by
     exp(m_old - m_new) when m grows.  terms(F, rows) is called once per
-    chunk and returns a function mapping a block's w and its sample slice
-    to the chunk's share of each weighted sum, a tuple of (samples, ...)
-    arrays.  finish(X, logz, wsum, *sums) maps log Z, the weight sum and
-    those sums, all against the final maxima, to per-sample results;
-    they are returned without the sample axis for a single realization.
-    log Z counts every configuration: an LDGM row's weight is multiplied
-    by the size of its coset, 2^(m - rank G)."""
-    _check_cap(inst.graph)
-    X = codebit_table(inst.graph)
-    L = np.atleast_2d(inst.values)
-    m = np.empty(len(L))
-    wsum = np.zeros(len(L))
+    chunk, F of shape (G, rows, n), and returns a function mapping a
+    block's w, shape (G, samples, rows), and its sample slice to the
+    chunk's share of each weighted sum, a tuple of (G, samples, ...)
+    arrays.  finish(X, L, logz, wsum, *sums) maps log Z, the weight sum
+    and those sums, all against the final maxima, to per-graph,
+    per-sample results; a PosteriorInstance gets them without the graph
+    axis, and without the sample axis for a single realization.  log Z
+    counts every configuration: an LDGM row's weight is multiplied by
+    the size of its coset, 2^(m - rank G)."""
+    batch = isinstance(inst, PosteriorBatch)
+    graphs = inst.graphs if batch else (inst.graph,)
+    L = inst.values if batch else np.atleast_2d(inst.values)[None]
+    for g in graphs:
+        _check_cap(g)
+    tables = [codebit_table(g) for g in graphs]
+    X = tables[0][None] if len(tables) == 1 else np.stack(tables)  # one table: no copy
+    G, R, n = X.shape
+    S = L.shape[1]
+    m = np.empty((G, S))
+    wsum = np.zeros((G, S))
     sums = None
-    for rows in block_slices(*X.shape):
+    for rows in block_slices(R, G * n):
         F = _float_chunk(X, rows)
         chunk_terms = terms(F, rows)
-        for samples in block_slices(len(L), max(F.shape)):
-            Lb = L[samples]
-            # (samples, rows), laid out so that numpy's row maxima and row
-            # sums run along the longer axis
-            logw = Lb @ F.T if len(F) >= len(Lb) else (F @ Lb.T).T
-            top = logw.max(axis=1)
+        for samples in block_slices(S, G * max(F.shape[1:])):
+            Lb = L[:, samples]
+            # (G, samples, rows), laid out so that numpy's row maxima and
+            # row sums run along the longer axis
+            logw = (Lb @ F.swapaxes(1, 2) if F.shape[1] >= Lb.shape[1]
+                    else (F @ Lb.swapaxes(1, 2)).swapaxes(1, 2))
+            top = logw.max(axis=2)
             if rows.start:  # carry the earlier chunks' sums over to the new maxima
-                top = np.maximum(m[samples], top)
-                scale = np.exp(m[samples] - top)  # may underflow to 0
+                top = np.maximum(m[:, samples], top)
+                scale = np.exp(m[:, samples] - top)  # may underflow to 0
                 for total in (wsum, *sums):
-                    block = total[samples].T  # a view, the sample axis last
-                    block *= scale
-            m[samples] = top
-            logw -= top[:, None]
+                    total[:, samples] *= scale.reshape(scale.shape + (1,) * (total.ndim - 2))
+            m[:, samples] = top
+            logw -= top[:, :, None]
             w = np.exp(logw, out=logw)
             parts = chunk_terms(w, samples)
             if sums is None:
-                sums = [np.zeros((len(L),) + part.shape[1:]) for part in parts]
-            for total, part in zip((wsum, *sums), (w.sum(axis=1), *parts)):
-                total[samples] += part
+                sums = [np.zeros((G, S) + part.shape[2:]) for part in parts]
+            for total, part in zip((wsum, *sums), (w.sum(axis=2), *parts)):
+                total[:, samples] += part
     logz = m + np.log(wsum)
-    coset_bits = inst.graph.n_var - inst.graph.free_spin_count if inst.kind == LDGM else 0
-    if coset_bits:
-        logz += coset_bits * math.log(2)
-    out = finish(X, logz, wsum, *sums)
-    return out if inst.values.ndim == 2 else out[0]
+    for k, g in enumerate(graphs):
+        coset_bits = g.n_var - g.free_spin_count if g.kind == LDGM else 0
+        if coset_bits:
+            logz[k] += coset_bits * math.log(2)
+    out = finish(X, L, logz, wsum, *sums)
+    return out if batch else out[0] if inst.values.ndim == 2 else out[0, 0]
 
 
 def _expectation(total, wsum):
     """Posterior means of +-1 functions from their weighted sums, kept
     inside [-1, 1]: the quotient of two rounded sums can miss by an ulp,
     and arctanh of such a value is NaN."""
-    mean = (total.T / wsum).T
+    mean = total / wsum[..., None]
     return np.minimum(np.maximum(mean, -1.0, out=mean), 1.0, out=mean)
 
 
@@ -237,20 +286,21 @@ def partition_function(inst):
     """log Z, computed with a streaming-safe log-sum-exp (Z is a positive
     sum of exponential weights for both code families)."""
     return _posterior(inst, lambda F, rows: lambda w, samples: (),
-                      lambda X, logz, wsum: logz)
+                      lambda X, L, logz, wsum: logz)
 
 
 def all_marginals(inst):
     """<x_i> for every code bit i, as one array."""
     return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,),
-                      lambda X, logz, wsum, wx: _expectation(wx, wsum))
+                      lambda X, L, logz, wsum, wx: _expectation(wx, wsum))
 
 
 def _half_log_weights(X, L):
     """log Z_i+ and log Z_i- for every row of the LLR block L and code bit
     i: streamed log-sum-exps of the log-weights over the rows with
     x_i = +1 and with x_i = -1, each against its own running maximum, so
-    neither half underflows; an empty half gives -inf."""
+    neither half underflows; an empty half gives -inf.  X is one graph's
+    table."""
     top = np.full((2,) + L.shape, -np.inf)
     total = np.zeros((2,) + L.shape)
     for rows in block_slices(*X.shape):
@@ -272,28 +322,28 @@ def all_extrinsics(inst):
     """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at
     once: tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of the
     configurations with x_i = +-1, the log-domain form of reweighting by
-    exp(-l_i x_i), finite for any LLR magnitude."""
-    L = np.atleast_2d(inst.values)
+    exp(-l_i x_i), finite for any LLR magnitude.  Samples whose halves
+    underflow are recomputed graph by graph."""
 
     def chunk(F, rows):
         P, Q = np.maximum(F, 0.0), np.maximum(-F, 0.0)  # indicators of x_i = +1, -1
         return lambda w, samples: (w @ P, w @ Q)
 
-    def finish(X, logz, wsum, zplus, zminus):
-        pplus, pminus = zplus / wsum[:, None], zminus / wsum[:, None]
+    def finish(X, L, logz, wsum, zplus, zminus):
+        pplus, pminus = zplus / wsum[..., None], zminus / wsum[..., None]
         with np.errstate(divide="ignore"):
             out = np.tanh(0.5 * (np.log(pplus) - np.log(pminus)) - L)
         # halves whose probability underflowed; row 0 of every table is all
         # +1, and an empty -1 half (a constant column) is exactly 0 and right
         tiny_minus = pminus < _TINY_PROBABILITY
         if tiny_minus.any():
-            tiny_minus &= X.min(axis=0) < 0
+            tiny_minus &= (X.min(axis=1) < 0)[:, None, :]
         bad = (pplus < _TINY_PROBABILITY) | tiny_minus
-        if bad.any():
-            redo = bad.any(axis=1)
-            lplus, lminus = _half_log_weights(X, L[redo])
-            exact_ext = np.tanh(0.5 * (lplus - lminus) - L[redo])
-            out[redo] = np.where(bad[redo], exact_ext, out[redo])
+        for k in np.flatnonzero(bad.any(axis=(1, 2))) if bad.any() else ():
+            redo = bad[k].any(axis=1)
+            lplus, lminus = _half_log_weights(X[k], L[k, redo])
+            exact_ext = np.tanh(0.5 * (lplus - lminus) - L[k, redo])
+            out[k, redo] = np.where(bad[k, redo], exact_ext, out[k, redo])
         return out
 
     return _posterior(inst, chunk, finish)
@@ -313,12 +363,12 @@ def correlations_with_root(inst, i):
     roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[:1])
 
     def chunk(F, rows):
-        FT = F.T.copy()  # root columns gathered as contiguous rows
-        return lambda w, samples: (w @ F, (w * FT[roots[samples]]) @ F)
+        FT = F.swapaxes(1, 2).copy()  # root columns gathered as contiguous rows
+        return lambda w, samples: (w @ F, (w * FT[:, roots[samples]]) @ F)
 
-    def finish(X, logz, wsum, wx, wxx):
+    def finish(X, L, logz, wsum, wx, wxx):
         means, joint = _expectation(wx, wsum), _expectation(wxx, wsum)
-        return joint - means[np.arange(len(roots)), roots][:, None] * means
+        return joint - means[:, np.arange(len(roots)), roots][:, :, None] * means
 
     return _posterior(inst, chunk, finish)
 
@@ -347,11 +397,11 @@ def spin_product_correlation(inst, A, B):
 
     def chunk(F, rows):
         U = _spin_products(inst.graph, A, B,
-                           np.arange(rows.start, rows.start + len(F), dtype=np.uint64))
+                           np.arange(rows.start, rows.start + F.shape[1], dtype=np.uint64))
         return lambda w, samples: (w @ U,)
 
-    def finish(X, logz, wsum, wu):
-        uAB, uA, uB = _expectation(wu, wsum).T
+    def finish(X, L, logz, wsum, wu):
+        uAB, uA, uB = np.moveaxis(_expectation(wu, wsum), -1, 0)
         return uAB - uA * uB
 
     return _posterior(inst, chunk, finish)
@@ -360,11 +410,10 @@ def spin_product_correlation(inst, A, B):
 def conditional_entropy(inst):
     """Gibbs entropy of the posterior in nats per CODE BIT:
     -(1/n) sum_config p ln p, evaluated in the log domain."""
-    L = np.atleast_2d(inst.values)
 
-    def finish(X, logz, wsum, wx):
+    def finish(X, L, logz, wsum, wx):
         # S = -sum p ln p = ln Z - sum_config p * logw, and logw = L @ x is
         # linear in the row, so sum_config p * logw = L . <x>
-        return (logz - np.einsum("sn,sn->s", L, wx) / wsum) / inst.graph.code_bit_count
+        return (logz - np.einsum("gsn,gsn->gs", L, wx) / wsum) / X.shape[2]
 
     return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,), finish)

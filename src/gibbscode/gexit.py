@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import channels
 from .bp import bp_all_extrinsics
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p, t2p_sup)
-from .exact import (PosteriorInstance, all_extrinsics, all_marginals, conditional_entropy,
+from .exact import (PosteriorBatch, all_extrinsics, all_marginals, conditional_entropy,
                     make_instance)
 from .graphs import LDGM, TannerGraph, sample_ensemble
 
@@ -67,33 +68,78 @@ def _prefactor(source):
     return source.dd.lambda_prime / source.dd.p_prime if source.kind == LDGM else 1.0
 
 
-def _blocks(source, samples, rng, draw, noise_per_graph=1):
-    """Yield (graph index, graph, draw(shape)) covering every sample: a
-    fixed graph carries all samples; an ensemble source draws a fresh code
-    for each noise_per_graph samples (reuse amortizes table construction;
-    variances are then computed over per-graph blocks).  Each graph's
-    draws come as (S, n) chunks of at most BLOCK_ELEMENTS entries; graph
-    seeds and draws are read from rng in the order of one sample at a
-    time."""
+def _blocks(source, samples, rng, draw, noise_per_graph=1, tables=True):
+    """Yield (starts, graph indices, graphs, draws) groups covering
+    every sample once: a fixed graph carries all samples; an ensemble
+    source draws a fresh code for each noise_per_graph samples (reuse
+    amortizes table construction; variances are then computed over
+    per-graph blocks).  Each graph's draws come as (S, n) chunks of at
+    most BLOCK_ELEMENTS entries; a fixed graph's chunks are groups of
+    one.  Consecutive ensemble chunks are collected while their costs
+    sum to at most BLOCK_ELEMENTS floats, a chunk on an (R, n) table
+    costing max(R n, S max(R, n)), and each such window is yielded as
+    one (G, S, n) group per shape (R, n, S), graphs in draw order; the
+    posterior pass then runs a group as one row chunk and one sample
+    block, each graph as a call on it alone would.  With tables=False
+    (the BP routes, which build no table) the shape is (n, S) and the
+    cost S n.  A window's groups interleave in sample order, so starts
+    (G,) holds the sample index of each graph's first draw.  Graph seeds
+    and draws are read from rng in the order of one sample at a time."""
     fixed = isinstance(source, TannerGraph)
     per_graph = samples if fixed else noise_per_graph
+    groups, used = {}, 0
     for index, start in enumerate(range(0, samples, per_graph)):
         g = source if fixed else sample_ensemble(source.dd, source.n, source.kind,
                                                  int(rng.integers(2 ** 63)))
-        n, count = g.code_bit_count, range(min(per_graph, samples - start))
+        n, count = g.code_bit_count, range(start, min(start + per_graph, samples))
         for chunk in block_slices(len(count), n):
-            yield index, g, draw((len(count[chunk]), n))
+            S = len(count[chunk])
+            if fixed:
+                key, cost = None, math.inf
+            elif tables:
+                R = 1 << g.free_spin_count
+                key, cost = (R, n, S), max(R * n, S * max(R, n))
+            else:
+                key, cost = (n, S), S * n
+            if groups and used + cost > channels.BLOCK_ELEMENTS:
+                yield from map(_stack, groups.values())
+                groups, used = {}, 0
+            groups.setdefault(key, []).append((count[chunk].start, index, g, draw((S, n))))
+            used += cost
+    yield from map(_stack, groups.values())
 
 
-def _per_sample(source, ch, samples, rng, reduce, noise_per_graph=1):
-    """reduce(instance) over the LLR chunks of _blocks, each returning one
-    value per sample; returns the values and each sample's graph index."""
-    vals, blocks = [], []
-    for index, g, llrs in _blocks(source, samples, rng,
-                                  lambda shape: sample_llr(ch, shape, rng), noise_per_graph):
-        vals.append(reduce(PosteriorInstance(g, llrs)))
-        blocks.append(np.full(len(vals[-1]), index))
-    return np.concatenate(vals), np.concatenate(blocks)
+def _stack(group):
+    starts, indices, graphs, draws = zip(*group)
+    stacked = draws[0][None] if len(draws) == 1 else np.stack(draws)  # one graph: no copy
+    return np.array(starts), np.array(indices), graphs, stacked
+
+
+def _per_sample(source, samples, rng, draw, reduce, noise_per_graph=1, tables=True):
+    """reduce(graphs, draws) over the groups of _blocks, each returning one
+    value (or one row of values) per graph and sample, shape (G, S, ...);
+    returns the values in sample order and each sample's graph index."""
+    vals = blocks = None
+    for starts, indices, graphs, draws in _blocks(source, samples, rng, draw,
+                                                  noise_per_graph, tables):
+        out = reduce(graphs, draws)
+        if vals is None:
+            vals, blocks = np.empty((samples,) + out.shape[2:]), np.empty(samples, np.intp)
+        positions = starts[:, None] + np.arange(out.shape[1])
+        vals[positions] = out
+        blocks[positions] = indices[:, None]
+    return vals, blocks
+
+
+def _llrs(ch, rng):
+    """The draw of _blocks for the LLR routes: (S, n) half-LLR blocks."""
+    return lambda shape: sample_llr(ch, shape, rng).values
+
+
+def _floods(graphs, llrs, flood):
+    """flood(instance) for each graph of a group: BP runs one graph at a
+    time."""
+    return [flood(make_instance(g, l)) for g, l in zip(graphs, llrs)]
 
 
 def _estimate(values, prefactor, method, meta, blocks=None):
@@ -128,7 +174,7 @@ MAP_METHODS = ("functional", "series")
 
 def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_graph=1):
     """{method: GexitEstimate} for each MAP route in methods (a subset of
-    MAP_METHODS) from one pass over the samples: each block's exact
+    MAP_METHODS) from one pass over the samples: each group's exact
     extrinsics are computed once and reduced to every requested route, so
     the routes read the same graphs and noise as separate calls with
     this seed would."""
@@ -136,21 +182,21 @@ def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_gra
     methods = [m for m in MAP_METHODS if m in methods]
     reducers, meta = [], {}
     if "functional" in methods:
-        reducers.append(lambda Ms: gexit_kernel_batch(ch, Ms).mean(axis=1))
+        reducers.append(lambda Ms: gexit_kernel_batch(ch, Ms).mean(axis=-1))
         meta["functional"] = _meta(source, ch, samples, seed)
     if "series" in methods:
         coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
         reducers.append(lambda Ms: sum(c * (Ms ** (2 * p) - 1.0)
-                                       for p, c in enumerate(coeffs, 1)).mean(axis=1))
+                                       for p, c in enumerate(coeffs, 1)).mean(axis=-1))
         tail = t2p_sup(ch) * (math.log(2.0) -
                               sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
         meta["series"] = _meta(source, ch, samples, seed, p_max=p_max, tail_bound=tail)
 
-    def reduce(inst):
-        Ms = all_extrinsics(inst)
-        return np.stack([r(Ms) for r in reducers], axis=1)
+    def reduce(graphs, llrs):
+        Ms = all_extrinsics(PosteriorBatch(graphs, llrs))
+        return np.stack([r(Ms) for r in reducers], axis=-1)
 
-    vals, blocks = _per_sample(source, ch, samples, rng, reduce, noise_per_graph)
+    vals, blocks = _per_sample(source, samples, rng, _llrs(ch, rng), reduce, noise_per_graph)
     return {m: _estimate(vals[:, k], _prefactor(source), m, meta[m], blocks)
             for k, m in enumerate(methods)}
 
@@ -186,8 +232,9 @@ def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):
         raise ValueError("magnetization shortcut needs the BIAWGNC")
     rng = np.random.default_rng(seed)
     vals, blocks = _per_sample(
-        source, ch, samples, rng,
-        lambda inst: (1.0 - all_marginals(inst).mean(axis=1)) / (2.0 * ch.eps ** 2),
+        source, samples, rng, _llrs(ch, rng),
+        lambda graphs, llrs: (1.0 - all_marginals(PosteriorBatch(graphs, llrs)).mean(axis=-1))
+        / (2.0 * ch.eps ** 2),
         noise_per_graph)
     return _estimate(vals, _prefactor(source), "awgn-magnetization",
                      _meta(source, ch, samples, seed), blocks)
@@ -197,9 +244,10 @@ def bp_gexit(source, ch, d, samples, seed, noise_per_graph=1):
     """BP-GEXIT: the same kernel with the depth-d BP extrinsics."""
     rng = np.random.default_rng(seed)
     vals, blocks = _per_sample(
-        source, ch, samples, rng,
-        lambda inst: gexit_kernel_batch(ch, bp_all_extrinsics(inst, d)).mean(axis=1),
-        noise_per_graph)
+        source, samples, rng, _llrs(ch, rng),
+        lambda graphs, llrs: gexit_kernel_batch(ch, np.stack(_floods(
+            graphs, llrs, lambda inst: bp_all_extrinsics(inst, d)))).mean(axis=-1),
+        noise_per_graph, tables=False)
     return _estimate(vals, _prefactor(source), "bp",
                      _meta(source, ch, samples, seed, d=d), blocks)
 
@@ -214,11 +262,12 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     rng = np.random.default_rng(seed)
     depths = sorted(set(depths))
 
-    def reduce(inst):
-        ext = bp_checkpoint_extrinsics(inst, depths)
-        return np.stack([gexit_kernel_batch(ch, ext[d]).mean(axis=1) for d in depths], axis=1)
+    def reduce(graphs, llrs):
+        exts = _floods(graphs, llrs, lambda inst: bp_checkpoint_extrinsics(inst, depths))
+        return np.stack([gexit_kernel_batch(ch, np.stack([e[d] for e in exts])).mean(axis=-1)
+                         for d in depths], axis=-1)
 
-    vals, _ = _per_sample(source, ch, samples, rng, reduce)
+    vals, _ = _per_sample(source, samples, rng, _llrs(ch, rng), reduce, tables=False)
     pref = _prefactor(source)
     kernels = {d: vals[:, k] for k, d in enumerate(depths)}
     out = {}
@@ -246,12 +295,15 @@ def entropy_fd(source, ch, eps_step, samples, seed):
     rng = np.random.default_rng(seed)
     chp = type(ch)(ch.kind, ch.eps + eps_step)
     chm = type(ch)(ch.kind, ch.eps - eps_step)
-    slopes = []
-    for _, g, noise in _blocks(source, samples, rng, lambda shape: channel_noise(ch, shape, rng)):
-        scale = g.n_chk / g.n_var if g.kind == LDGM else 1.0
-        entropy = lambda c: conditional_entropy(make_instance(g, llrs_from_noise(c, noise)))
-        slopes.append(scale * (entropy(chp) - entropy(chm)) / (2.0 * eps_step))
-    return _estimate(np.concatenate(slopes), 1.0, "entropy-fd",
+
+    def reduce(graphs, noise):
+        scale = np.array([[g.n_chk / g.n_var if g.kind == LDGM else 1.0] for g in graphs])
+        entropy = lambda c: conditional_entropy(PosteriorBatch(graphs, llrs_from_noise(c, noise)))
+        return scale * (entropy(chp) - entropy(chm)) / (2.0 * eps_step)
+
+    slopes, _ = _per_sample(source, samples, rng, lambda shape: channel_noise(ch, shape, rng),
+                            reduce)
+    return _estimate(slopes, 1.0, "entropy-fd",
                      _meta(source, ch, samples, seed, eps_step=eps_step))
 
 
@@ -264,10 +316,10 @@ def nishimori_residual(source, ch, p, samples, seed):
         raise ValueError("p must be >= 1")
     rng = np.random.default_rng(seed)
 
-    def reduce(inst):
-        m = all_marginals(inst)
-        return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=1)
+    def reduce(graphs, llrs):
+        m = all_marginals(PosteriorBatch(graphs, llrs))
+        return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 
-    diffs, _ = _per_sample(source, ch, samples, rng, reduce)
+    diffs, _ = _per_sample(source, samples, rng, _llrs(ch, rng), reduce)
     return (abs(float(diffs.mean())),
             float(diffs.std(ddof=1) / math.sqrt(len(diffs))))

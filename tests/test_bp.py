@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph, random_tree_graph
 from gibbscode import bp, channels
-from gibbscode.bp import (MessageState, _check_message, _check_sums, _codebit_estimates,
-                          _edge_index, _psi_terms, _run_messages, _sample_groups,
-                          bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run, tree_decode)
+from gibbscode.bp import (MessageState, _check_outputs, _check_sums, _codebit_estimates,
+                          _edge_index, _psi_terms, _run_messages, _run_messages_from,
+                          _sample_groups, bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run,
+                          tree_decode)
 from gibbscode.channels import L_SAT, ChannelModel, block_slices, sample_llr
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
@@ -178,6 +179,40 @@ def test_saturating_check_messages_keep_their_value():
         assert float(np.max(np.abs(c2v[:, v] - want))) < 1e-6
 
 
+def _two_message_rule(a, b):
+    """atanh(tanh a tanh b) for magnitudes a, b >= 0, without tanh:
+    (1/2)[logaddexp(2(a + b), 0) - logaddexp(2a, 2b)]."""
+    return 0.5 * (np.logaddexp(2 * (a + b), 0.0) - np.logaddexp(2 * a, 2 * b))
+
+
+def test_dominated_excluded_sums_keep_their_value():
+    """A check that sees one moderate message among saturated ones
+    answers the moderate one with atanh(tanh a tanh b) of the saturated
+    pair, within 1e-6 nats: (1, 25, 25) on a degree-3 LDPC check gives
+    25 - ln(2)/2 = 24.65 (total minus own gave L_SAT), and 300 random
+    triples of one message in [0.05, 3] nats and two in [3, 30] match the
+    two-message rule too, dominated or not.
+    An LDGM check counts its observation among the others: LLR 25 and
+    incoming v2c (1, 25) answer the 1-nat edge with 24.65 too."""
+    g = build_graph(3, 1, [(0, 0), (1, 0), (2, 0)], LDPC)
+    rng = np.random.default_rng(12)
+    mags = np.column_stack([rng.uniform(0.05, 3.0, 300), rng.uniform(3.0, 30.0, (300, 2))])
+    mags[0] = (1.0, 25.0, 25.0)
+    signs = rng.choice([-1.0, 1.0], mags.shape)
+    signs[0] = 1.0
+    c2v = _run_messages(make_instance(g, signs * mags), 1).c2v
+    assert abs(c2v[0, 0] - (25.0 - 0.5 * math.log(2.0))) < 1e-6
+    for v in range(3):
+        a, b = np.delete(mags, v, axis=1).T
+        want = _two_message_rule(a, b) * np.prod(np.delete(signs, v, axis=1), axis=1)
+        assert float(np.max(np.abs(c2v[:, v] - want))) < 1e-6
+    g = build_graph(2, 1, [(0, 0), (1, 0)], LDGM)
+    state = MessageState(np.array([[1.0, 25.0]]), np.zeros((1, 2)))
+    c2v = _run_messages_from(make_instance(g, [[25.0]]), state, 1).c2v
+    assert abs(c2v[0, 0] - (25.0 - 0.5 * math.log(2.0))) < 1e-6
+    assert abs(c2v[0, 1] - _two_message_rule(25.0, 1.0)) < 1e-6
+
+
 def test_contradicting_saturated_ldgm_evidence():
     """One information bit seen by two checks with LLRs (20, -20): the
     exact marginals are [0, 0], and BP gives them, alone and in a block."""
@@ -271,8 +306,7 @@ def _fixed_depth_flood(g, l, v2c, c2v, iters):
             tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
             v2c = l_edge + tot[var_groups] - c2v
             np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-        own, sums = _check_sums(v2c, chk_groups, S * g.n_chk, obs)
-        c2v = _check_message(*(s[chk_groups] - o for s, o in zip(sums, own)))
+        c2v = _check_outputs(v2c, chk_groups, S * g.n_chk, obs)
         if g.kind == LDGM:
             tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
             v2c = tot[var_groups] - c2v

@@ -94,6 +94,21 @@ def test_delta_high_examples():
     assert delta_high(cha, 1e-9) == pytest.approx(cha.tail_prob(1e-9), abs=1e-6)
 
 
+def test_gaussian_tail_matches_scipy_norm():
+    """The BIAWGNC tail P(|l| > H) by erfc equals scipy.stats.norm's
+    sf + cdf at relative 1e-13, at eps from 0.01 to 4 and H from 1e-9 to
+    ten standard deviations of l."""
+    from scipy.stats import norm
+
+    for eps in (0.01, 0.5, 1.0, 4.0):
+        ch = ChannelModel(BIAWGNC, eps)
+        mu, var = ch.gauss_params()
+        sd = math.sqrt(var)
+        for H in np.concatenate([[1e-9, 1e-6, 1e-3], np.linspace(0.05, 10.0, 60) * sd]):
+            want = norm.sf(H, mu, sd) + norm.cdf(-H, mu, sd)
+            assert ch.tail_prob(H) == pytest.approx(want, rel=1e-13, abs=0), (eps, H)
+
+
 def test_delta_high_monte_carlo_tail():
     ch = ChannelModel(BSC, 0.499)
     H = default_H(ch)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels, exact, gf2
-from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
+from gibbscode.exact import (BruteForceCapExceeded, PosteriorBatch, all_extrinsics,
                              all_marginals, codebit_table, conditional_entropy,
                              correlations_with_root, make_instance,
                              pair_correlation,
@@ -510,3 +510,97 @@ def test_rank_deficient_ldgm_matches_cube_enumeration(g, seed):
     for A, B in ((g.adj_chk[0], g.adj_chk[-1]), ({0}, {g.n_var - 1}), (subset(), subset())):
         assert np.max(np.abs(spin_product_correlation(inst, A, B) -
                              _spin_product_reference(g, L, A, B))) <= 1e-12, (A, B)
+
+
+# ---------------------------------------------------------------------------
+# the graph axis: a PosteriorBatch of graphs that share a table shape
+# ---------------------------------------------------------------------------
+
+#: the reductions that take a batch
+BATCHED = (partition_function, all_marginals, all_extrinsics, conditional_entropy)
+
+
+def _same_shape_graphs():
+    """Graphs of both families on 3 code bits with 2-row tables: rep3
+    (LDPC), an LDGM bit repeated on 3 checks, and one with a second
+    information bit in no check (rank 1 of 2, a coset factor of 2)."""
+    return [build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC),
+            build_graph(1, 3, [(0, 0), (0, 1), (0, 2)], LDGM),
+            build_graph(2, 3, [(0, 0), (0, 1), (0, 2)], LDGM)]
+
+
+def test_batch_equals_each_graph_alone():
+    """Every batched reduction gives each graph, bit for bit, what a call
+    on that graph alone gives, on a mixed-family batch and on (4,4) LDPC
+    ensemble graphs of 16 code bits sharing a 4-row table."""
+    from gibbscode.graphs import DegreeDistribution, sample_ensemble
+
+    rng = np.random.default_rng(31)
+    ldpc = [sample_ensemble(DegreeDistribution.regular(4, 4), 16, LDPC, s) for s in range(40)]
+    ldpc = [g for g in ldpc if g.free_spin_count == 2]
+    assert len(ldpc) >= 3
+    for graphs in (_same_shape_graphs(), ldpc):
+        for S in (1, 5):
+            L = rng.normal(0.5, 1.5, (len(graphs), S, graphs[0].code_bit_count))
+            batch = PosteriorBatch(tuple(graphs), L)
+            for reduce in BATCHED:
+                out = reduce(batch)
+                assert out.shape[:2] == (len(graphs), S)
+                for k, g in enumerate(graphs):
+                    alone = reduce(make_instance(g, L[k]))
+                    assert out[k].tobytes() == np.asarray(alone).tobytes(), (reduce, k)
+
+
+def test_batch_recomputes_tiny_halves_per_graph(monkeypatch):
+    """One graph of a batch with saturated LLRs (its -1 half underflows)
+    takes the log-sum-exp recompute, for its flagged samples only; every
+    graph's extrinsics equal its own call's bit for bit."""
+    graphs = _same_shape_graphs()
+    L = np.random.default_rng(32).normal(0.3, 1.0, (3, 2, 3))
+    L[1, 1] = [1000.0, 0.0, 0.5]
+    redone = []
+    half = exact._half_log_weights
+
+    def counted(X, Lr):
+        redone.append(len(Lr))
+        return half(X, Lr)
+
+    monkeypatch.setattr(exact, "_half_log_weights", counted)
+    out = all_extrinsics(PosteriorBatch(tuple(graphs), L))
+    assert redone == [1]
+    for k, g in enumerate(graphs):
+        assert out[k].tobytes() == all_extrinsics(make_instance(g, L[k])).tobytes(), k
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("budget", [3, 7])
+def test_batch_over_row_chunks(monkeypatch, budget):
+    """Under a budget too small for one chunk, a batch streams over row
+    chunks and sample blocks of the whole stack and still matches direct
+    enumeration of each graph at 1e-12."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(33)
+    g = fixed_code_corpus()[2][1]  # ldpc-6: a 4-row table
+    graphs = (g, build_graph(6, 4, [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (4, 2),
+                                    (5, 2), (0, 2), (1, 3), (3, 3), (5, 3)], LDPC))
+    L = rng.normal(0.5, 1.5, (2, 4, 6))
+    L[1, 2] = 400.0 * codebit_table(g)[-1]  # the maximum grows in the last chunk
+    batch = PosteriorBatch(graphs, L)
+    for k, gk in enumerate(graphs):
+        marg, ext, entropy, _, logz = _per_row_reference(gk, L[k])
+        assert np.max(np.abs(partition_function(batch)[k] - logz)) <= 1e-12 * np.abs(logz).max()
+        assert np.max(np.abs(all_marginals(batch)[k] - marg)) <= 1e-12
+        assert np.max(np.abs(all_extrinsics(batch)[k] - ext)) <= 1e-12
+        assert np.max(np.abs(conditional_entropy(batch)[k] - entropy)) <= 1e-12
+
+
+def test_batch_validation():
+    graphs = _same_shape_graphs()
+    with pytest.raises(ValueError, match="code bit count"):
+        PosteriorBatch(tuple(graphs), np.zeros((3, 1, 4)))
+    with pytest.raises(ValueError, match="block each"):
+        PosteriorBatch(tuple(graphs), np.zeros((2, 1, 3)))
+    with pytest.raises(ValueError, match="table shape"):
+        PosteriorBatch((graphs[0], build_graph(3, 1, [(0, 0), (1, 0)], LDPC)), np.zeros((2, 1, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorBatch(tuple(graphs), np.full((3, 1, 3), np.inf))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import fixed_code_corpus
-from gibbscode.channels import ChannelModel, gexit_kernel_batch, sample_llr, t2p
-from gibbscode.exact import all_extrinsics, conditional_entropy, make_instance
+from gibbscode import exact, gexit
+from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
+                                llrs_from_noise, sample_llr, t2p)
+from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
                              map_gexit_routes, map_gexit_series, nishimori_residual,
@@ -213,3 +215,101 @@ def test_map_routes_alone_keep_their_values():
         assert both == {"functional": f, "series": s}
         assert (f.value, f.std_error) == pytest.approx(functional, rel=1e-12, abs=0)
         assert (s.value, s.std_error) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# ensemble graphs grouped by table shape against a loop over graphs
+# ---------------------------------------------------------------------------
+
+GROUPED_SOURCES = [EnsembleSpec(DegreeDistribution.regular(4, 4), 16, LDPC),
+                   EnsembleSpec(DegreeDistribution.regular(3, 2), 9, LDGM)]
+
+
+def _graph_loop(src, ch, samples, seed, per_graph, value):
+    """Reference: one graph seed, then that graph's (S, n) channel noise
+    block, graph after graph; value(g, noise) gives the graph's
+    per-sample values.  Returns the values and each sample's graph."""
+    rng = np.random.default_rng(seed)
+    vals, index = [], []
+    for k, start in enumerate(range(0, samples, per_graph)):
+        g = sample_ensemble(src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
+        S = min(per_graph, samples - start)
+        vals.append(value(g, channel_noise(ch, (S, g.code_bit_count), rng)))
+        index += [k] * S
+    return np.concatenate(vals), np.array(index)
+
+
+def _table_shapes(monkeypatch):
+    """Record the (G, R) of every all_extrinsics / all_marginals /
+    conditional_entropy call gexit makes."""
+    shapes = []
+
+    def recorded(reduce):
+        def call(batch):
+            shapes.append((len(batch.graphs), 1 << batch.graphs[0].free_spin_count))
+            return reduce(batch)
+        return call
+
+    for name in ("all_extrinsics", "all_marginals", "conditional_entropy"):
+        monkeypatch.setattr(gexit, name, recorded(getattr(exact, name)))
+    return shapes
+
+
+@pytest.mark.parametrize("src", GROUPED_SOURCES, ids=["ldpc44-16", "ldgm32-9"])
+@pytest.mark.parametrize("per_graph", [1, 3])
+def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
+    """Functional, series, BIAWGNC magnetization and entropy-fd on an
+    ensemble, whose consecutive graphs are grouped by table shape (mixed
+    2- to 16-row tables for (4,4) LDPC), give every per-sample value and
+    graph index, and so every estimate and SE, of a loop that runs one
+    graph at a time, bit for bit; groups of more than one graph and
+    several table shapes occur, and a short last graph at 3 samples per
+    graph forms its own group."""
+    samples, seed, p_max = 61, 14, 8
+    shapes = _table_shapes(monkeypatch)
+    pref = gexit._prefactor(src)
+    bsc = ChannelModel("bsc", 0.04 if src.kind == LDPC else 0.4)
+    coeffs = [t2p(bsc, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)]
+
+    def map_values(g, noise):
+        Ms = all_extrinsics(make_instance(g, llrs_from_noise(bsc, noise)))
+        series = sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1))
+        return np.stack([gexit_kernel_batch(bsc, Ms).mean(axis=1), series.mean(axis=1)], 1)
+
+    want, index = _graph_loop(src, bsc, samples, seed, per_graph, map_values)
+    rng = np.random.default_rng(seed)
+    got, got_index = gexit._per_sample(
+        src, samples, rng, gexit._llrs(bsc, rng),
+        lambda graphs, L: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
+            exact.PosteriorBatch(graphs, L))).mean(axis=-1)], -1), per_graph)
+    assert got[:, 0].tobytes() == want[:, 0].tobytes()
+    assert np.array_equal(got_index, index)
+    ests = map_gexit_routes(src, bsc, samples, seed, ("functional", "series"), p_max, per_graph)
+    for k, method in enumerate(("functional", "series")):
+        ref = gexit._estimate(want[:, k], pref, method, {}, index)
+        assert (ests[method].value, ests[method].std_error) == (ref.value, ref.std_error)
+    assert max(G for G, _ in shapes) > 1
+    if src.kind == LDPC:
+        assert len({R for _, R in shapes}) >= 3
+
+    awgn = ChannelModel("biawgnc", 0.8)
+    want, index = _graph_loop(src, awgn, samples, seed, per_graph, lambda g, noise: (
+        1.0 - all_marginals(make_instance(g, llrs_from_noise(awgn, noise))).mean(axis=1))
+        / (2.0 * awgn.eps ** 2))
+    est = awgn_gexit(src, awgn, samples, seed, per_graph)
+    ref = gexit._estimate(want, pref, "awgn-magnetization", {}, index)
+    assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+    if per_graph == 1:  # entropy-fd draws one graph per sample
+        step = 1e-3
+        sides = [ChannelModel("bsc", bsc.eps + step), ChannelModel("bsc", bsc.eps - step)]
+
+        def slope(g, noise):
+            h = [conditional_entropy(make_instance(g, llrs_from_noise(c, noise))) for c in sides]
+            scale = g.n_chk / g.n_var if g.kind == LDGM else 1.0
+            return scale * (h[0] - h[1]) / (2.0 * step)
+
+        want, _ = _graph_loop(src, bsc, samples, seed, 1, slope)
+        est = entropy_fd(src, bsc, step, samples, seed)
+        ref = gexit._estimate(want, 1.0, "entropy-fd", {})
+        assert (est.value, est.std_error) == (ref.value, ref.std_error)
