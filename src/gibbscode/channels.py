@@ -13,9 +13,14 @@ Supported channels:
                    Gaussian with mean 1/eps and variance 1/eps; eps > 0.
 
 Besides sampling, the module provides the moment functionals used by the
-correlation-decay bounds (exp_abs_moment, exp_neg_moment, delta_high,
-delta_dual), the tanh-moment derivatives t2p, and the GEXIT kernel
-integral d/deps of E[f(l)].
+correlation-decay bounds (exp_abs_moment, exp_neg_moment, sinh_neg_moment,
+delta_high, delta_dual), the tanh-moment derivatives t2p, and the GEXIT
+kernel integral d/deps of E[f(l)].
+
+Every BIAWGNC integral uses one quadrature: the _GL_NODES-point
+Gauss-Legendre rule on the window mean +- 12 standard deviations of l,
+composite when split at the integrand's kinks (l = 0 for |l| terms, the
+two zeros of dc/deps inside |dc/deps|).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
 
 BSC = "bsc"
 BIAWGNC = "biawgnc"
@@ -36,7 +40,7 @@ L_SAT = 30.0
 #: half width of the BIAWGNC quadrature window, in standard deviations of l
 _QUAD_SIGMAS = 12.0
 
-#: number of Gauss-Legendre nodes for batched kernel integrals
+#: Gauss-Legendre nodes per panel of every BIAWGNC integral
 _GL_NODES = 481
 
 #: series terms t2p searched for the BSC's sup_p |t2p| (t2p_sup)
@@ -63,6 +67,17 @@ def _unit_gauss_legendre():
     x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _gl_integral(g, lo, hi, breaks=()):
+    """Integral of a vectorized g over [lo, hi] by the composite
+    Gauss-Legendre rule: the unit rule on each panel between consecutive
+    breakpoints that fall strictly inside (lo, hi), each panel's sum
+    scaled by its half width."""
+    x, w = _unit_gauss_legendre()
+    ends = [lo, *sorted(b for b in breaks if lo < b < hi), hi]
+    return float(sum(0.5 * (b - a) * (w @ g(0.5 * (b - a) * x + 0.5 * (b + a)))
+                     for a, b in zip(ends, ends[1:])))
 
 
 def _fd_step(eps):
@@ -139,39 +154,37 @@ class ChannelModel:
     # ----- expectations ---------------------------------------------------
 
     def expectation(self, f, eps=None):
-        """E[f(l)]: exact atom sum for the BSC, adaptive quadrature for
-        the BIAWGNC on mean +- 12 standard deviations."""
+        """E[f(l)] for a vectorized f: exact atom sum for the BSC; for the
+        BIAWGNC the Gauss-Legendre rule on mean +- 12 standard deviations,
+        split at l = 0 (where terms in |l| kink)."""
         if self.kind == BSC:
             vals, probs = self.bsc_atoms(eps)
             return float(probs[0] * f(vals[0]) + probs[1] * f(vals[1]))
-        mu, var = self.gauss_params(eps)
-        sd = math.sqrt(var)
-        lo, hi = mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
-        dens = lambda l: self.density(l, eps)
-        pts = [0.0] if lo < 0.0 < hi else None
-        val, _ = quad(lambda l: dens(l) * f(l), lo, hi, limit=200, points=pts)
-        return val
+        return _gl_integral(lambda l: self.density(l, eps) * f(l), *self._window(eps), (0.0,))
 
-    def tail_prob(self, H, eps=None):
+    def tail_prob(self, H):
         """P(|l| > H) (strict inequality)."""
         if self.kind == BSC:
-            vals, probs = self.bsc_atoms(eps)
+            vals, probs = self.bsc_atoms()
             return float(probs[np.abs(vals) > H].sum())
-        mu, var = self.gauss_params(eps)
+        mu, var = self.gauss_params()
         scale = math.sqrt(2.0 * var)
         # P(l > H) + P(l < -H) for l ~ N(mu, var)
         return 0.5 * math.erfc((H - mu) / scale) + 0.5 * math.erfc((H + mu) / scale)
 
-    def gl_grid(self):
-        """Fixed Gauss-Legendre nodes/weights on the BIAWGNC window,
-        premultiplied by nothing; used by the batched kernel integrals."""
-        mu, var = self.gauss_params()
+    def _window(self, eps=None):
+        """(lo, hi): the BIAWGNC quadrature window, mean +- 12 standard
+        deviations of l."""
+        mu, var = self.gauss_params(eps)
         sd = math.sqrt(var)
+        return mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
+
+    def gl_grid(self):
+        """Gauss-Legendre nodes and weights on the BIAWGNC window, one
+        panel; used by the batched kernel integrals."""
+        lo, hi = self._window()
         x, w = _unit_gauss_legendre()
-        lo, hi = mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        weights = 0.5 * (hi - lo) * w
-        return nodes, weights
+        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,8 @@ def t2p(ch, p):
     """d/deps of E[(tanh l)^{2p}].
 
     BSC closed form: E[tanh^{2p} l] = (1-2 eps)^{2p}, so the derivative is
-    -4 p (1-2 eps)^{2p-1}.  BIAWGNC: central finite difference of the
-    quadrature of E[tanh^{2p} l].
+    -4 p (1-2 eps)^{2p-1}.  BIAWGNC: central finite difference of
+    expectation's E[tanh^{2p} l].
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -244,15 +257,15 @@ def t2p_sup(ch):
     of |dc/deps| which bounds all p."""
     if ch.kind == BSC:
         return max(abs(t2p(ch, p)) for p in range(1, T2P_SUP_TERMS + 1))
-    mu, var = ch.gauss_params()
-    sd = math.sqrt(var)
-    val, _ = quad(lambda l: abs(ch.density_deps(l)), mu - _QUAD_SIGMAS * sd,
-                  mu + _QUAD_SIGMAS * sd, limit=200)
-    return val
+    # |dc/deps| kinks where (l-mu)^2 + 2(l-mu)/eps = 1/eps, that is at
+    # l = mu - 1/eps +- sqrt(1/eps^2 + 1/eps) = +-sqrt(1/eps^2 + 1/eps)
+    root = math.sqrt(1.0 / ch.eps ** 2 + 1.0 / ch.eps)
+    return _gl_integral(lambda l: np.abs(ch.density_deps(l)), *ch._window(), (-root, root))
 
 
 def exp_abs_moment(ch, m):
-    """E[e^{m|l|}].  BSC closed form ((1-eps)/eps)^{m/2}; BIAWGNC quadrature."""
+    """E[e^{m|l|}].  BSC closed form ((1-eps)/eps)^{m/2}; BIAWGNC by
+    expectation."""
     if ch.kind == BSC:
         return ((1.0 - ch.eps) / ch.eps) ** (m / 2.0)
     return ch.expectation(lambda l: np.exp(m * np.abs(l)))
@@ -270,6 +283,36 @@ def exp_neg_moment(ch, s):
     if ch.kind == BSC:
         return e ** (s / 2.0) * (1.0 - e) ** (1.0 - s / 2.0) + (1.0 - e) ** (s / 2.0) * e ** (1.0 - s / 2.0)
     return math.exp(-s * (1.0 - s / 2.0) / e)
+
+
+def sinh_neg_moment(ch, s):
+    """E[|sinh 2l|^{-2s}] for 0 <= s < 1/2, the noise average in the dual
+    cluster bound's prefactor.
+
+    BSC: both atoms give |sinh 2l| = (1-2 eps) / (2 eps (1-eps)).
+    BIAWGNC: by channel symmetry c(l) + c(-l) = (1 + e^{-2l}) c(l), so the
+    moment is an integral over l > 0, up to the window's top.  The
+    substitution l = t^q, q = 1/(1-2s), cancels the |2l|^{-2s}
+    singularity at 0: t^{q-1} |sinh 2l|^{-2s} = 2^{-2s} e^{-4sl} r^{-2s}
+    with r = (1 - e^{-4l}) / (4l), which is 1 at l = 0 and never
+    overflows.  The rule splits at the window's bottom when that is
+    above 0.
+    """
+    if not 0.0 <= s < 0.5:
+        raise ValueError("s must lie in [0, 1/2)")
+    if ch.kind == BSC:
+        e = ch.eps
+        return (2.0 * e * (1.0 - e) / (1.0 - 2.0 * e)) ** (2 * s)
+    q = 1.0 / (1.0 - 2.0 * s)
+    lo, hi = ch._window()
+
+    def g(t):
+        l = t ** q
+        r = np.divide(-np.expm1(-4.0 * l), 4.0 * l, out=np.ones_like(l), where=l > 0.0)
+        return q * 2.0 ** (-2 * s) * (1.0 + np.exp(-2.0 * l)) * ch.density(l) \
+            * np.exp(-4.0 * s * l) * r ** (-2.0 * s)
+
+    return _gl_integral(g, 0.0, hi ** (1.0 / q), (lo ** (1.0 / q),) if lo > 0.0 else ())
 
 
 def default_H(ch):
@@ -300,8 +343,8 @@ def gexit_kernel_integral(ch, f):
     """Integral of (dc(l)/deps) f(l) over l.
 
     BSC: central finite difference of the atom sum, including the
-    eps-dependence of the atom locations.  BIAWGNC: quadrature against the
-    analytic dc/deps.
+    eps-dependence of the atom locations.  BIAWGNC: the Gauss-Legendre
+    rule against the analytic dc/deps, split at l = 0.  f is vectorized.
     """
     if ch.kind == BSC:
         h = _fd_step(ch.eps)
@@ -311,12 +354,7 @@ def gexit_kernel_integral(ch, f):
             return probs[0] * f(vals[0]) + probs[1] * f(vals[1])
 
         return float((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h))
-    mu, var = ch.gauss_params()
-    sd = math.sqrt(var)
-    lo, hi = mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
-    pts = [0.0] if lo < 0.0 < hi else None
-    val, _ = quad(lambda l: ch.density_deps(l) * f(l), lo, hi, limit=200, points=pts)
-    return val
+    return _gl_integral(lambda l: ch.density_deps(l) * f(l), *ch._window(), (0.0,))
 
 
 def gexit_kernel_batch(ch, extrinsics):
@@ -347,10 +385,11 @@ def gexit_kernel_batch(ch, extrinsics):
         return ((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h)).reshape(M.shape)
     nodes, weights = ch.gl_grid()
     dc = ch.density_deps(nodes) * weights
-    t = np.tanh(nodes)
-    log1p_t = np.log1p(t)
+    # (1 + M tanh l)/(1 + tanh l) = 1 + B (e^{-2l} - 1) with B = (1 - M)/2:
+    # finite for M in (-1, 1] where tanh l rounds to -1
+    em = np.expm1(-2.0 * nodes)
     out = np.empty(blocks.shape)
     for flat, values in zip(blocks, out):
         for rows in block_slices(len(flat), len(nodes)):
-            values[rows] = (np.log1p(flat[rows, None] * t) - log1p_t) @ dc
+            values[rows] = np.log1p((0.5 - 0.5 * flat[rows])[:, None] * em) @ dc
     return out.reshape(M.shape)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .channels import delta_dual, delta_high
+from .channels import delta_dual, delta_high, sinh_neg_moment
 from .duality import (DualInstance, dual_bracket, dual_partition, dual_weights, signed_log,
                       tau_signs)
 from .exact import partition_function, spin_product_correlation
@@ -279,12 +279,7 @@ def berretti_avg_bound(g, ch, i, j, s):
         raise ValueError("the dual bound applies to LDPC graphs")
     if not 0.0 < s < 0.5:
         raise ValueError("s must lie in (0, 1/2)")
-    if ch.kind == "bsc":
-        e = ch.eps
-        prefactor = (2.0 * e * (1.0 - e) / (1.0 - 2.0 * e)) ** (2 * s)
-    else:
-        prefactor = ch.expectation(lambda l: np.abs(np.sinh(2.0 * l)) ** (-2 * s))
-    prefactor *= 2.0 ** (1 - s)
+    prefactor = 2.0 ** (1 - s) * sinh_neg_moment(ch, s)
     Delta = delta_dual(ch, s)
     K = g.l_max * g.k_max
     rate = 1.0 / (2.0 * g.l_max) if Delta < 1.0 else 1.0 / g.l_max

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clusters, de, duality, gexit
-from .channels import ChannelModel, channel_noise, llrs_from_noise, sample_llr
+from .channels import BIAWGNC, ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
 from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_distances,
                      ensemble_sizes, graph_distance, load_graph, sample_ensemble)
@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ValueError(f"channel must be a spec such as 'bsc:0.25', not {self.channel!r}")
         if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in self.eps_grid):
             raise ValueError(f"eps_grid must hold numbers, not {list(self.eps_grid)!r}")
-        _eps_points(self)  # validates the kind and every eps
+        points = _eps_points(self)  # validates the kind and every eps
         p = self.params
         for key in _INTEGER_PARAMS:
             if key in p:
@@ -99,6 +99,18 @@ class ExperimentConfig:
                              f"known: {sorted(known)}")
         if "series" in methods and p.get("p_max", 1) < 1:
             raise ValueError("the series method needs p_max >= 1")
+        if "awgn-magnetization" in methods and points[0].kind != BIAWGNC:
+            raise ValueError("the awgn-magnetization method needs a biawgnc channel")
+        if "entropy-fd" in methods:
+            step = p.get("eps_step", 1e-3)
+            if isinstance(step, bool) or not isinstance(step, (int, float)) or not step > 0:
+                raise ValueError(f"eps_step must be a number > 0, not {step!r}")
+            outside = [ch.eps for ch in points
+                       if not (0.0 < ch.eps - step and ch.eps + step < ch.eps_max)]
+            if outside:
+                raise ValueError(f"entropy-fd needs eps +- eps_step inside "
+                                 f"(0, {points[0].eps_max}); eps_step {step} leaves it "
+                                 f"at eps {outside}")
         uses_de = self.experiment == "de-curve" or "de" in methods
         if uses_de and self.code.get("type", "ensemble") != "ensemble":
             raise ValueError(

@@ -1,13 +1,20 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gibbscode import channels
 from gibbscode.channels import (BIAWGNC, BSC, ChannelModel, LLRVector,
                                 default_H, delta_dual, delta_high,
                                 exp_abs_moment, exp_neg_moment,
                                 gexit_kernel_batch, gexit_kernel_integral,
-                                sample_llr, t2p)
+                                sample_llr, sinh_neg_moment, t2p, t2p_sup)
+
+#: BIAWGNC noise levels from deep in the waterfall to far past capacity
+EXTREME_EPS = (0.001, 0.01, 0.1, 0.5, 0.8, 1.0, 4.0, 20.0, 100.0)
 
 
 def test_spec_parsing_and_validation():
@@ -192,3 +199,110 @@ def test_kernel_batch_any_shape():
     nodes, weights = ch.gl_grid()
     assert np.allclose(nodes, 1 / 0.8 + half * x, rtol=0, atol=1e-13)
     assert np.allclose(weights, half * w, rtol=0, atol=1e-15)
+
+
+def _kernel(M):
+    """ln[(1 + M tanh l)/(1 + tanh l)] in its cancellation-free form."""
+    return lambda l: np.log1p(0.5 * (1.0 - M) * np.expm1(-2.0 * l))
+
+
+def _gl_integrals():
+    """(name, value, scale) of every Gauss-Legendre-backed integral at the
+    extreme noise levels; scale is the integral of |integrand|."""
+    out = []
+    Ms = np.array([-0.9, 0.0, 0.99])
+    for eps in EXTREME_EPS:
+        ch = ChannelModel(BIAWGNC, eps)
+        for name, f in (("E tanh^2", lambda l: np.tanh(l) ** 2),
+                        ("E tanh^10", lambda l: np.tanh(l) ** 10),
+                        ("E e^{|l|/4}", lambda l: np.exp(0.25 * np.abs(l)))):
+            value = ch.expectation(f)
+            out.append((f"{name} at {eps}", value, value))
+        value = exp_abs_moment(ch, 0.25)
+        out.append((f"exp_abs_moment at {eps}", value, value))
+        value = t2p_sup(ch)
+        out.append((f"t2p_sup at {eps}", value, value))
+        for s in (0.1, 0.25, 0.4, 0.499):
+            value = sinh_neg_moment(ch, s)
+            out.append((f"sinh_neg_moment({s}) at {eps}", value, value))
+        batch = gexit_kernel_batch(ch, Ms)
+        for M, b in zip(Ms, batch):
+            f = _kernel(M)
+            scale = channels._gl_integral(lambda l: np.abs(ch.density_deps(l) * f(l)),
+                                          *ch._window(), (0.0,))
+            out.append((f"kernel integral M={M} at {eps}", gexit_kernel_integral(ch, f), scale))
+            out.append((f"kernel batch M={M} at {eps}", b, scale))
+    return out
+
+
+def test_gauss_legendre_integrals_converged(monkeypatch):
+    """Each Gauss-Legendre-backed BIAWGNC integral equals the same rule
+    with twice the nodes per panel, to 1e-12 of the integral of
+    |integrand|, from eps 0.001 to 100.  (Near eps 0.001 the kernel
+    cancels to about 1e-12 of that, so a relative bound says nothing
+    there.)"""
+    base = _gl_integrals()
+    doubled = np.polynomial.legendre.leggauss(2 * channels._GL_NODES)
+    monkeypatch.setattr(channels, "_unit_gauss_legendre", lambda: doubled)
+    for (name, value, scale), (_, fine, _) in zip(base, _gl_integrals()):
+        assert math.isfinite(value) and scale > 0, name
+        assert abs(value - fine) <= 1e-12 * scale, (name, value, fine, scale)
+
+
+def test_sinh_neg_moment_pinned_to_mpmath():
+    """E|sinh 2l|^{-2s} on the BIAWGNC against 40-digit mpmath values
+    (computed once, offline; mpmath is not a dependency), and the BSC
+    atom value.  At s = 1/4 the integrand peaks at its singularity,
+    l = 0."""
+    for eps, s, want in ((0.01, 0.1, 1.454730612724356e-14),
+                         (0.01, 0.25, 1.486863242792098e-22),
+                         (0.1, 0.25, 0.006109811990263433)):
+        got = sinh_neg_moment(ChannelModel(BIAWGNC, eps), s)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (eps, s)
+    ch = ChannelModel(BSC, 0.1)
+    vals, _ = ch.bsc_atoms()
+    assert sinh_neg_moment(ch, 0.3) == pytest.approx(abs(math.sinh(2 * vals[0])) ** -0.6,
+                                                     rel=1e-14)
+    assert sinh_neg_moment(ChannelModel(BIAWGNC, 0.7), 0.0) == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        sinh_neg_moment(ch, 0.5)
+
+
+def test_t2p_sup_matches_quad_split_at_the_kinks():
+    """The integral of |dc/deps| against scipy's adaptive quadrature (a
+    test-only oracle) told about the two zeros of dc/deps."""
+    from scipy.integrate import quad
+
+    for eps in EXTREME_EPS:
+        ch = ChannelModel(BIAWGNC, eps)
+        lo, hi = ch._window()
+        root = math.sqrt(1.0 / eps ** 2 + 1.0 / eps)
+        kinks = [k for k in (-root, root) if lo < k < hi]
+        want, _ = quad(lambda l: abs(ch.density_deps(l)), lo, hi, points=kinks,
+                       limit=200, epsabs=0.0, epsrel=1e-13)
+        assert t2p_sup(ch) == pytest.approx(want, rel=1e-12), eps
+
+
+def test_kernel_batch_finite_where_tanh_saturates():
+    """At BIAWGNC eps 0.01 to 0.25 the window reaches below l = -19.06,
+    where tanh l rounds to -1; the kernel stays finite for M in (-1, 1]
+    and agrees with the pointwise integral."""
+    Ms = np.array([-0.999, -0.5, 0.0, 0.5, 1.0])
+    for eps in (0.01, 0.1, 0.25):
+        ch = ChannelModel(BIAWGNC, eps)
+        assert ch._window()[0] < -19.1
+        batch = gexit_kernel_batch(ch, Ms)
+        assert np.all(np.isfinite(batch))
+        scalar = [gexit_kernel_integral(ch, _kernel(M)) for M in Ms]
+        assert np.allclose(batch, scalar, rtol=0, atol=1e-12)
+
+
+def test_library_imports_no_scipy():
+    """numpy is the only runtime dependency: importing the package and
+    its CLI loads no scipy module."""
+    code = ("import sys, gibbscode, gibbscode.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

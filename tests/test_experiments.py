@@ -113,7 +113,9 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     (a fractional seed, sample count, depth or count, a bool seed) nor
     left to end in a traceback (a top-level array, a code or params that
     is not an object, a channel that is not a string, a bad eps grid,
-    malformed ensemble fields, degrees that do not balance at n)."""
+    malformed ensemble fields, degrees that do not balance at n, an
+    entropy-fd step that is not a positive number or leaves (0, eps_max),
+    the magnetization route off the BIAWGNC)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
     base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
@@ -150,6 +152,16 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "d must be an integer, not 2.7"),
                 ("gexit-curve", {**base, "params": {"methods": ["series"], "p_max": 2.5}},
                  "p_max must be an integer, not 2.5"),
+                ("gexit-curve", {**base, "params": {"methods": ["entropy-fd"], "eps_step": 0}},
+                 "eps_step must be a number > 0, not 0"),
+                ("gexit-curve", {**base, "params": {"methods": ["entropy-fd"], "eps_step": "x"}},
+                 "eps_step must be a number > 0, not 'x'"),
+                ("gexit-curve", {**base, "eps_grid": [0.1, 0.3],
+                                 "params": {"methods": ["entropy-fd"], "eps_step": 0.25}},
+                 "entropy-fd needs eps +- eps_step inside (0, 0.5); eps_step 0.25 leaves it "
+                 "at eps [0.1, 0.3]"),
+                ("gexit-curve", {**base, "params": {"methods": ["awgn-magnetization"]}},
+                 "the awgn-magnetization method needs a biawgnc channel"),
                 ("de-curve", {**base, "code": ensemble, "params": {"n_pop": True}},
                  "n_pop must be an integer, not True"),
                 ("bounds", {**base, "code": ensemble, "params": {"graphs": 2.0}},
@@ -308,6 +320,21 @@ def test_gexit_curve_schema():
     res = run_experiment(cfg)
     assert len(res.rows) == 6
     assert {r["method"] for r in res.rows} == {"functional", "series", "bp"}
+
+
+def test_gexit_curve_finite_at_low_biawgnc_noise():
+    """At BIAWGNC eps 0.01 to 0.25 the kernel's window reaches where tanh
+    rounds to -1; the functional and BP rows stay finite (a RuntimeWarning
+    fails the suite)."""
+    cfg = ExperimentConfig.from_json({
+        "experiment": "gexit-curve",
+        "code": {"type": "edges", "family": "ldpc", "n_var": 3, "n_chk": 2,
+                 "edges": [[0, 0], [1, 0], [1, 1], [2, 1]]},
+        "channel": "biawgnc:0.1", "eps_grid": [0.01, 0.1, 0.25], "samples": 20, "seed": 3,
+        "params": {"methods": ["functional", "bp"], "d": 4}})
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 6
+    assert all(math.isfinite(r["value"]) and math.isfinite(r["std_err"]) for r in rows)
 
 
 @pytest.mark.parametrize("code", [
