@@ -18,9 +18,9 @@ delta_high, delta_dual), the tanh-moment derivatives t2p, and the GEXIT
 kernel integral d/deps of E[f(l)].
 
 Every BIAWGNC integral uses one quadrature: the _GL_NODES-point
-Gauss-Legendre rule on the window mean +- 12 standard deviations of l,
-composite when split at the integrand's kinks (l = 0 for |l| terms, the
-two zeros of dc/deps inside |dc/deps|).
+Gauss-Legendre rule (tabulated in _gauss_legendre) on the window mean
++- 12 standard deviations of l, composite when split at the integrand's
+kinks (l = 0 for |l| terms, the two zeros of dc/deps inside |dc/deps|).
 """
 
 from __future__ import annotations
@@ -62,9 +62,16 @@ def block_slices(samples, width):
 
 @cache
 def _unit_gauss_legendre():
-    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use
-    (about 20 ms) and shared read-only by every channel."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only by
+    every channel: the tabulated non-negative half, imported on first use,
+    mirrored as numpy's leggauss mirrors its rule (x[i] = -x[-1 - i],
+    w[i] = w[-1 - i], +0.0 in the middle), so the rule is bit for bit
+    leggauss(_GL_NODES) without its eigen-solve."""
+    from ._gauss_legendre import NODES, WEIGHTS
+
+    half_x, half_w = np.array(NODES), np.array(WEIGHTS)
+    x = np.concatenate((-half_x[:0:-1], half_x))
+    w = np.concatenate((half_w[:0:-1], half_w))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -239,16 +246,27 @@ def t2p(ch, p):
     """d/deps of E[(tanh l)^{2p}].
 
     BSC closed form: E[tanh^{2p} l] = (1-2 eps)^{2p}, so the derivative is
-    -4 p (1-2 eps)^{2p-1}.  BIAWGNC: central finite difference of
-    expectation's E[tanh^{2p} l].
+    -4 p (1-2 eps)^{2p-1}.  BIAWGNC: gexit_kernel_integral of
+    tanh^{2p} l - 1 (dc/deps integrates to 0), written as
+    -sech^2 l sum_{k<p} tanh^{2k} l with sech^2 l = 4 e^{-2|l|} /
+    (1 + e^{-2|l|})^2: no term cancels, so the value keeps its relative
+    accuracy where it is tiny (small eps), and underflows to 0 below that.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if ch.kind == BSC:
         return -4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1)
-    h = _fd_step(ch.eps)
-    f = lambda l: np.tanh(l) ** (2 * p)
-    return (ch.expectation(f, ch.eps + h) - ch.expectation(f, ch.eps - h)) / (2.0 * h)
+
+    def f(l):
+        t2 = np.tanh(l) ** 2
+        power, total = np.ones_like(l), np.ones_like(l)
+        for _ in range(p - 1):
+            power *= t2
+            total += power
+        e = np.exp(-2.0 * np.abs(l))
+        return -4.0 * e / (1.0 + e) ** 2 * total
+
+    return gexit_kernel_integral(ch, f)
 
 
 def t2p_sup(ch):

@@ -65,8 +65,20 @@ def ldpc_initial_population(ch, n_pop, seed):
     return Population(np.clip(vals, -L_SAT, L_SAT), 0, LDPC, VAR_TO_CHK)
 
 
-def _resample(rng, samples, rows, cols):
-    return samples[rng.integers(0, len(samples), size=(rows, cols))]
+def _resampled(reduce, rng, samples, rows, cols):
+    """reduce (np.multiply or np.add) over cols resampled values for each
+    of rows outputs, in column order from the identity: ((id op a0) op a1)
+    op ...  The (rows, cols) index draw is numpy's, so the generator moves
+    as a row reduction of that block would move it; the draws are gathered
+    column by column, so no short axis is reduced.  The output is
+    allocated after the draws: DE's time hangs on glibc's heap trimming,
+    and an output kept inside the draws' block costs (4,4) LDPC twenty
+    times the page faults."""
+    columns = samples[rng.integers(0, len(samples), size=(rows, cols)).T]
+    out = np.full(rows, float(reduce.identity))
+    for column in columns:
+        reduce(out, column, out=out)
+    return out
 
 
 def _degree_groups(rng, law, n):
@@ -91,7 +103,7 @@ def _check_outputs(rng, t, law, n, drop, ch=None):
     1, and the generator does not move."""
     out = np.empty(n)
     for dv, idx in _degree_groups(rng, law, n):
-        prod = _resample(rng, t, len(idx), dv - drop).prod(axis=1)
+        prod = _resampled(np.multiply, rng, t, len(idx), dv - drop)
         if ch is not None:
             prod = prod * np.tanh(sample_llr(ch, len(idx), rng).values)
         with np.errstate(divide="ignore"):
@@ -111,7 +123,7 @@ def _var_step(samples, dd, ch, rng, family):
     out = np.zeros(n)
     for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "var"], n):
         if dv >= 2:
-            out[idx] = _resample(rng, samples, len(idx), dv - 1).sum(axis=1)
+            out[idx] = _resampled(np.add, rng, samples, len(idx), dv - 1)
     if family == LDPC:
         out = out + sample_llr(ch, n, rng).values
     return np.clip(out, -L_SAT, L_SAT)
@@ -157,7 +169,7 @@ def aggregate_extrinsic(family, pop, dd, rng):
         return _check_outputs(rng, np.tanh(pop.samples), dd.degree_laws["node", "chk"], n, 0)
     out = np.empty(n)
     for dv, idx in _degree_groups(rng, dd.degree_laws["node", "var"], n):
-        out[idx] = _resample(rng, pop.samples, len(idx), dv).sum(axis=1)
+        out[idx] = _resampled(np.add, rng, pop.samples, len(idx), dv)
     return np.clip(out, -L_SAT, L_SAT)
 
 

@@ -168,6 +168,18 @@ def _meta(source, ch, samples, seed, **extra):
     return meta
 
 
+def moment_series(Ms, coeffs):
+    """sum_p coeffs[p - 1] (M^{2p} - 1) over p = 1..len(coeffs), elementwise
+    in M, summed in p order; M^{2p} is a running power, multiplied by M^2
+    once per term."""
+    square = Ms * Ms
+    power, out = np.ones_like(square), np.zeros_like(square)
+    for c in coeffs:
+        power *= square
+        out += c * (power - 1.0)
+    return out
+
+
 #: the routes that reduce the exact extrinsics, served by map_gexit_routes
 MAP_METHODS = ("functional", "series")
 
@@ -186,8 +198,7 @@ def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_gra
         meta["functional"] = _meta(source, ch, samples, seed)
     if "series" in methods:
         coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
-        reducers.append(lambda Ms: sum(c * (Ms ** (2 * p) - 1.0)
-                                       for p, c in enumerate(coeffs, 1)).mean(axis=-1))
+        reducers.append(lambda Ms: moment_series(Ms, coeffs).mean(axis=-1))
         tail = t2p_sup(ch) * (math.log(2.0) -
                               sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
         meta["series"] = _meta(source, ch, samples, seed, p_max=p_max, tail_bound=tail)

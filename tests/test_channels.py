@@ -158,6 +158,24 @@ def test_kernel_integral_examples():
         pytest.approx(t2p(ch, 2), abs=1e-7)
 
 
+def test_t2p_biawgnc_pinned_to_mpmath():
+    """t2p against 40-digit mpmath values of the integral of
+    (dc/deps)(tanh^{2p} l - 1) over the real line (computed once,
+    offline; mpmath is not a dependency), down to eps 0.01, where t2p is
+    about 1e-19; at eps 0.001 (truth -1.4e-213) it underflows to 0."""
+    pinned = {
+        0.8: (-0.40255299022012475, -0.483694569617438, -0.5026513528963165),
+        0.1: (-0.13053376108106154, -0.18956058924113098, -0.396413334861734),
+        0.03: (-6.9197641121246575e-06, -1.0277277238516342e-05, -2.3301441774797102e-05),
+        0.01: (-1.2058525549874636e-19, -1.8027775673348579e-19, -4.18511912837445e-19),
+    }
+    for eps, values in pinned.items():
+        ch = ChannelModel(BIAWGNC, eps)
+        for p, want in zip((1, 2, 10), values):
+            assert t2p(ch, p) == pytest.approx(want, rel=1e-13, abs=0), (eps, p)
+    assert [t2p(ChannelModel(BIAWGNC, 0.001), p) for p in (1, 20)] == [0.0, 0.0]
+
+
 def test_kernel_integral_matches_t2p_all_p():
     for ch in (ChannelModel(BSC, 0.35), ChannelModel(BIAWGNC, 0.9)):
         for p in range(1, 6):
@@ -222,6 +240,8 @@ def _gl_integrals():
         out.append((f"exp_abs_moment at {eps}", value, value))
         value = t2p_sup(ch)
         out.append((f"t2p_sup at {eps}", value, value))
+        for p in (1, 5):
+            out.append((f"t2p({p}) at {eps}", t2p(ch, p), value))
         for s in (0.1, 0.25, 0.4, 0.499):
             value = sinh_neg_moment(ch, s)
             out.append((f"sinh_neg_moment({s}) at {eps}", value, value))
@@ -247,6 +267,45 @@ def test_gauss_legendre_integrals_converged(monkeypatch):
     for (name, value, scale), (_, fine, _) in zip(base, _gl_integrals()):
         assert math.isfinite(value) and scale > 0, name
         assert abs(value - fine) <= 1e-12 * scale, (name, value, fine, scale)
+
+
+def test_tabulated_rule_is_leggauss():
+    """The tabulated rule is exactly antisymmetric in its nodes and
+    symmetric in its weights, with a +0.0 middle node, its weights sum to
+    2, and it is numpy's leggauss(481) to within a few ulp (the eigen-solve's
+    last bits vary with the LAPACK build; the table, not leggauss, is the
+    reference)."""
+    x, w = channels._unit_gauss_legendre()
+    assert len(x) == len(w) == channels._GL_NODES
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert x[channels._GL_NODES // 2] == 0.0 and not np.signbit(x[channels._GL_NODES // 2])
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.sum(w) == pytest.approx(2.0, rel=1e-15)
+    assert not (x.flags.writeable or w.flags.writeable)
+    want_x, want_w = np.polynomial.legendre.leggauss(channels._GL_NODES)
+    assert np.all(np.abs(x - want_x) <= 4 * np.spacing(1.0))
+    assert np.all(np.abs(w - want_w) <= 4 * np.spacing(want_w))
+
+
+def test_rule_needs_no_eigen_solve(monkeypatch):
+    """No runtime path computes the rule: with leggauss and eigvalsh made
+    to raise and the cached rule dropped, the BIAWGNC kernel and t2p still
+    give their values."""
+    ch = ChannelModel(BIAWGNC, 0.8)
+    Ms = np.array([-0.5, 0.0, 0.9])
+    want = gexit_kernel_batch(ch, Ms), t2p(ch, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gauss-Legendre rule was computed at run time")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    channels._unit_gauss_legendre.cache_clear()
+    try:
+        assert gexit_kernel_batch(ch, Ms).tobytes() == want[0].tobytes()
+        assert t2p(ch, 3) == want[1]
+    finally:
+        channels._unit_gauss_legendre.cache_clear()
 
 
 def test_sinh_neg_moment_pinned_to_mpmath():
@@ -299,9 +358,11 @@ def test_kernel_batch_finite_where_tanh_saturates():
 
 def test_library_imports_no_scipy():
     """numpy is the only runtime dependency: importing the package and
-    its CLI loads no scipy module."""
+    its CLI loads no scipy module; nor does it load the tabulated
+    quadrature rule, which the first BIAWGNC integral imports."""
     code = ("import sys, gibbscode, gibbscode.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+            "print([m for m in sys.modules "
+            "if m.startswith('scipy') or m == 'gibbscode._gauss_legendre'])")
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
                           capture_output=True, text=True, check=True)

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gibbscode.channels import ChannelModel, sample_llr
-from gibbscode.de import (CHK_TO_VAR, VAR_TO_CHK, Population, _degree_groups,
+from gibbscode.channels import L_SAT, ChannelModel, sample_llr
+from gibbscode.de import (CHK_TO_VAR, VAR_TO_CHK, Population, _degree_groups, _resampled,
                           de_full_marginal_moments, de_gexit, de_moment, de_step,
                           ldgm_initial_population, ldpc_initial_population, run_de)
 from gibbscode.exact import all_extrinsics, make_instance
@@ -31,6 +31,35 @@ def test_degree_groups_follow_the_drawn_degrees():
     assert dv == 2 and np.array_equal(idx, np.arange(1000))
     ref.choice(np.array([2]), size=1000, p=np.array([1.0]))
     assert rng.random() == ref.random()
+
+
+def test_resampled_columns_reduce_in_order():
+    """The resampled product and sum are, bit for bit and signed zeros
+    included, the in-order reduction from the identity over the columns of
+    numpy's (rows, cols) index draw, for 0 to 12 columns, on populations
+    holding +-0.0, +-L_SAT and their tanh +-1; they agree with np.prod and
+    np.sum over that block to within rounding (products also in the sign
+    of their zeros, which no order changes); the generator ends where
+    that block's draw leaves it."""
+    rng = np.random.default_rng(8)
+    atoms = np.array([0.0, -0.0, L_SAT, -L_SAT, 0.3, -1.7, 1e-300, -12.5])
+    llrs = np.concatenate([rng.choice(atoms, 300), rng.standard_normal(300) * 9])
+    for samples in (llrs, np.tanh(llrs)):
+        for cols in range(13):
+            for reduce, numpy_reduce in ((np.multiply, np.prod), (np.add, np.sum)):
+                got_rng, want_rng = np.random.default_rng(cols), np.random.default_rng(cols)
+                got = _resampled(reduce, got_rng, samples, 4000, cols)
+                block = samples[want_rng.integers(0, len(samples), size=(4000, cols))]
+                want = np.full(4000, float(reduce.identity))
+                for j in range(cols):
+                    want = reduce(want, block[:, j])
+                assert got.tobytes() == want.tobytes(), (reduce, cols)
+                assert got_rng.random() == want_rng.random()
+                scale = numpy_reduce(np.abs(block), axis=1)
+                bound = 1e-15 * cols * scale + np.finfo(float).tiny
+                assert np.all(np.abs(got - numpy_reduce(block, axis=1)) <= bound)
+                if reduce is np.multiply:
+                    assert np.array_equal(np.signbit(got), np.signbit(np.prod(block, axis=1)))
 
 
 def test_initial_populations():

@@ -10,8 +10,8 @@ from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
 from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
-                             map_gexit_routes, map_gexit_series, nishimori_residual,
-                             series_zero_moment_value)
+                             map_gexit_routes, map_gexit_series, moment_series,
+                             nishimori_residual, series_zero_moment_value)
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensemble
 
 
@@ -198,14 +198,16 @@ def test_block_routes_match_per_draw_loop():
 def test_map_routes_alone_keep_their_values():
     """map_gexit and map_gexit_series are the two halves of the shared
     pass, and return what they returned as separate passes (values and
-    standard errors pinned from that implementation)."""
+    standard errors pinned from that implementation; the BIAWGNC series
+    pin re-derived when t2p became the integral of dc/deps instead of a
+    central difference, which moved it by 2.65e-9 relative)."""
     ens = EnsembleSpec(DegreeDistribution.regular(3, 2), 9, LDGM)
     ldpc5 = dict(fixed_code_corpus())["ldpc-5"]
     pinned = [
         (ens, ChannelModel("bsc", 0.4), (0.6059359518976046, 0.0030322865340596406),
          (0.6020810676545346, 0.003154122164907145)),
         (ldpc5, ChannelModel("biawgnc", 0.8), (0.04457629872039826, 0.015666488534244433),
-         (0.06782041826693976, 0.0202419760408542)),
+         (0.06782041808696124, 0.02024197598822544)),
     ]
     for src, ch, functional, series in pinned:
         f = map_gexit(src, ch, 12, 12, noise_per_graph=3)
@@ -215,6 +217,22 @@ def test_map_routes_alone_keep_their_values():
         assert both == {"functional": f, "series": s}
         assert (f.value, f.std_error) == pytest.approx(functional, rel=1e-12, abs=0)
         assert (s.value, s.std_error) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+def test_moment_series_matches_powers():
+    """The running-power series equals sum_p c_p (M^{2p} - 1) with each
+    power taken by pow, to 1e-15 of sum_p |c_p|, for M across [-1, 1],
+    near +-1 and at +-0 and +-1 exactly, on both channels at p_max 20."""
+    rng = np.random.default_rng(3)
+    Ms = np.concatenate([rng.uniform(-1, 1, 5000), 1 - np.logspace(-16, -1, 200),
+                         -1 + np.logspace(-16, -1, 200), [0.0, -0.0, 1.0, -1.0]])
+    for ch in (ChannelModel("bsc", 0.1), ChannelModel("biawgnc", 0.8)):
+        coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, 21)])
+        want = sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1))
+        got = moment_series(Ms.reshape(4, -1), coeffs)
+        assert got.shape == (4, len(Ms) // 4)
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-15 * np.abs(coeffs).sum()
+        assert np.array_equal(moment_series(np.array([1.0, -1.0]), coeffs), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +291,7 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
 
     def map_values(g, noise):
         Ms = all_extrinsics(make_instance(g, llrs_from_noise(bsc, noise)))
-        series = sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1))
+        series = moment_series(Ms, coeffs)
         return np.stack([gexit_kernel_batch(bsc, Ms).mean(axis=1), series.mean(axis=1)], 1)
 
     want, index = _graph_loop(src, bsc, samples, seed, per_graph, map_values)
