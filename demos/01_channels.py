@@ -2,7 +2,7 @@
 
 Walks through the two supported BMS channels: sampling, the closed-form
 moment functionals used by the decay bounds, and the GEXIT kernel
-integral (the eps-derivative of channel expectations).
+(the eps-derivative of channel expectations).
 """
 
 import math
@@ -11,7 +11,8 @@ import numpy as np
 
 from gibbscode.channels import (ChannelModel, default_H, delta_dual, delta_high,
                                 exp_abs_moment, exp_neg_moment,
-                                gexit_kernel_integral, sample_llr, t2p)
+                                gexit_kernel_batch, gexit_kernel_integral, sample_llr,
+                                t2p)
 
 # ---------------------------------------------------------------------------
 # The BSC(eps): half-LLRs are +-(1/2) ln((1-eps)/eps) under the all-one
@@ -45,9 +46,14 @@ print("low-noise dual weight Delta(0.01, s=0.1) =", delta_dual(cha, 0.1),
       " -> vanishes as eps -> 0")
 
 # ---------------------------------------------------------------------------
-# The GEXIT kernel integral: d/deps of E[f(l)].  For f = tanh^{2p} it
-# reproduces the tanh-moment derivatives t2p (BSC closed form
-# -4p(1-2eps)^{2p-1}).
+# The GEXIT kernel integral: d/deps of E[f(l)], against the BIAWGNC
+# density's eps-derivative.  For f = tanh^{2p} it reproduces the
+# tanh-moment derivatives t2p.
 for p in (1, 2, 3):
-    ki = gexit_kernel_integral(bsc, lambda l, p=p: np.tanh(l) ** (2 * p))
-    print(f"p={p}: kernel integral {ki:+.6f}   t2p closed form {t2p(bsc, p):+.6f}")
+    ki = gexit_kernel_integral(awgn, lambda l, p=p: np.tanh(l) ** (2 * p))
+    print(f"p={p}: kernel integral {ki:+.6f}   t2p {t2p(awgn, p):+.6f}")
+
+# On the BSC the GEXIT kernel is a closed form: at M = 0 (no extrinsic
+# knowledge) it is the derivative of the binary entropy, ln((1-eps)/eps).
+print("BSC(0.25) GEXIT kernel at M = 0:", gexit_kernel_batch(bsc, np.array([0.0]))[0],
+      " ln 3 =", math.log(3))

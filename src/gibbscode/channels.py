@@ -15,9 +15,8 @@ Supported channels:
 Besides sampling, the module provides the moment functionals used by the
 correlation-decay bounds (exp_abs_moment, exp_neg_moment, sinh_neg_moment,
 delta_high, delta_dual), the tanh-moment derivatives t2p, and the GEXIT
-kernel integral d/deps of E[f(l)].
-
-Every BIAWGNC integral uses one quadrature: the _GL_NODES-point
+kernel.  On the BSC the eps-derivatives are closed forms of the two-atom
+sum.  Every BIAWGNC integral uses one quadrature: the _GL_NODES-point
 Gauss-Legendre rule (tabulated in _gauss_legendre) on the window mean
 +- 12 standard deviations of l, composite when split at the integrand's
 kinks (l = 0 for |l| terms, the two zeros of dc/deps inside |dc/deps|).
@@ -85,11 +84,6 @@ def _gl_integral(g, lo, hi, breaks=()):
     ends = [lo, *sorted(b for b in breaks if lo < b < hi), hi]
     return float(sum(0.5 * (b - a) * (w @ g(0.5 * (b - a) * x + 0.5 * (b + a)))
                      for a, b in zip(ends, ends[1:])))
-
-
-def _fd_step(eps):
-    """Central-difference step for eps-derivatives."""
-    return 1e-4 * max(eps, 0.01)
 
 
 @dataclass(frozen=True)
@@ -358,49 +352,49 @@ def delta_dual(ch, s):
 
 
 def gexit_kernel_integral(ch, f):
-    """Integral of (dc(l)/deps) f(l) over l.
-
-    BSC: central finite difference of the atom sum, including the
-    eps-dependence of the atom locations.  BIAWGNC: the Gauss-Legendre
-    rule against the analytic dc/deps, split at l = 0.  f is vectorized.
-    """
+    """Integral of (dc(l)/deps) f(l) over l, for a vectorized f, by the
+    Gauss-Legendre rule against the analytic BIAWGNC dc/deps, split at
+    l = 0.  The BSC needs no integral: gexit_kernel_batch and t2p give
+    its kernel and moment derivatives in closed form."""
     if ch.kind == BSC:
-        h = _fd_step(ch.eps)
-
-        def F(e):
-            vals, probs = ch.bsc_atoms(e)
-            return probs[0] * f(vals[0]) + probs[1] * f(vals[1])
-
-        return float((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h))
+        raise ValueError("gexit_kernel_integral integrates against the BIAWGNC dc/deps; "
+                         "for the BSC use gexit_kernel_batch or t2p (closed forms)")
     return _gl_integral(lambda l: ch.density_deps(l) * f(l), *ch._window(), (0.0,))
 
 
 def gexit_kernel_batch(ch, extrinsics):
-    """Vectorized GEXIT kernel: for each extrinsic estimate M (an array of
-    any shape) return integral of (dc/deps)(l) ln[(1 + M tanh l)/(1 + tanh l)],
-    with the shape of M.
+    """Vectorized GEXIT kernel: for each extrinsic estimate M in [-1, 1]
+    (an array of any shape) return integral of
+    (dc/deps)(l) ln[(1 + M tanh l)/(1 + tanh l)], with the shape of M.
 
-    Agrees with gexit_kernel_integral applied pointwise; used by the
-    Monte Carlo estimators where one integral per sample is needed.  A
-    stack of (S, n) blocks, shape (G, S, n), is evaluated block by block
-    (one batched matmul for the BSC), so each block gets the values a call
-    on that block alone gives: BLAS rounds an entry by where it sits in
-    its call, and a graph's values must not depend on the graphs stacked
-    with it.
+    BSC: the exact eps-derivative of the two-atom sum
+    (1 - eps) ln[(1 + M t)/(2 - 2 eps)] + eps ln[(1 - M t)/(2 eps)],
+    t = 1 - 2 eps.  With u = 1 - M and x = t u / (1 - M t^2) it is
+    2 atanh(x) - 2 M t u / (1 - M^2 t^2), whose terms cancel to O(u^2)
+    as M -> 1, so it is evaluated as
+    2 (atanh(x) - x) + 2 t u^2 / ((1 - M t^2)(1 - M t)(1 + M t)), with
+    1 - M t^2 = 4 eps (1 - eps) + u t^2 and 1 -+ M t = 2 eps + (1 -+ M) t
+    as sums of terms >= 0.  At eps 0.01-0.49 it is within 5e-15 of
+    50-digit mpmath for M <= 0.9 and 7e-14 at M = 0.999.  It is
+    elementwise: an entry's value does not depend on the entries
+    evaluated with it.
+
+    BIAWGNC: agrees with gexit_kernel_integral applied pointwise; the
+    rule is one gemv per chunk of M.  A stack of (S, n) blocks, shape
+    (G, S, n), is evaluated block by block, so each block gets the values
+    a call on that block alone gives: BLAS rounds an entry by where it
+    sits in its call, and a graph's values must not depend on the graphs
+    stacked with it.
     """
     M = np.asarray(extrinsics, dtype=float)
-    blocks = M.reshape(-1, math.prod(M.shape[-2:])) if M.ndim > 2 else M.reshape(1, -1)
     if ch.kind == BSC:
-        h = _fd_step(ch.eps)
-
-        def F(e):
-            vals, probs = ch.bsc_atoms(e)
-            t = np.tanh(vals)
-            # per block, rows: the two atoms, columns: samples
-            logs = np.log1p(t[:, None] * blocks[:, None, :]) - np.log1p(t)[:, None]
-            return probs @ logs
-
-        return ((F(ch.eps + h) - F(ch.eps - h)) / (2.0 * h)).reshape(M.shape)
+        e, t = ch.eps, 1.0 - 2.0 * ch.eps
+        u = 1.0 - M
+        a = 4.0 * e * (1.0 - e) + u * (t * t)
+        x = t * u / a
+        denominator = a * (2.0 * e + u * t) * (2.0 * e + (1.0 + M) * t)
+        return 2.0 * (np.arctanh(x) - x) + 2.0 * t * u * u / denominator
+    blocks = M.reshape(-1, math.prod(M.shape[-2:])) if M.ndim > 2 else M.reshape(1, -1)
     nodes, weights = ch.gl_grid()
     dc = ch.density_deps(nodes) * weights
     # (1 + M tanh l)/(1 + tanh l) = 1 + B (e^{-2l} - 1) with B = (1 - M)/2:

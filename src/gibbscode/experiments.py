@@ -44,6 +44,9 @@ CORR_FLOOR = 1e-12
 #: bins with fewer samples than this are excluded from fits
 MIN_BIN_SAMPLES = 30
 
+#: limits' default depths: the compared depths d' and the reference depths
+_LIMITS_D_PRIMES, _LIMITS_D_REFS = (2, 4, 6), (100, 200)
+
 #: integer params (a depth or a count), checked wherever a config sets them
 _INTEGER_PARAMS = ("d", "n_pop", "graphs", "p_max", "n_max")
 
@@ -91,7 +94,9 @@ class ExperimentConfig:
             if key in p and (not isinstance(p[key], (list, tuple)) or any(
                     isinstance(x, bool) or not isinstance(x, int) for x in p[key])):
                 raise ValueError(f"{key} must be a list of integers, not {p[key]!r}")
-        methods = p.get("methods", ()) if self.experiment == "gexit-curve" else ()
+        methods = p.get("methods", ["functional"]) if self.experiment == "gexit-curve" else []
+        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+            raise ValueError(f"methods must be a list of method names, not {methods!r}")
         known = (*gexit.MAP_METHODS, *_GEXIT_METHODS)
         unknown = [m for m in methods if m not in known]
         if unknown:
@@ -123,30 +128,51 @@ class ExperimentConfig:
             raise ValueError("density evolution needs d >= 1")
         if uses_de and p.get("n_pop", 1) < 1:
             raise ValueError("density evolution needs n_pop >= 1")
-        if self.experiment == "limits" and "d_refs" in p and not p["d_refs"]:
-            raise ValueError("limits needs at least one reference depth in d_refs")
-        if self.experiment == "limits" and "d_primes" in p and len(p["d_primes"]) < 2:
-            raise ValueError("limits needs at least two depths in d_primes to compare")
+        if self.experiment == "limits":
+            d_primes, d_refs = p.get("d_primes", _LIMITS_D_PRIMES), p.get("d_refs", _LIMITS_D_REFS)
+            if not d_refs:
+                raise ValueError("limits needs at least one reference depth in d_refs")
+            if len(d_primes) < 2:
+                raise ValueError("limits needs at least two depths in d_primes to compare")
+            ref = max(d_refs)
+            if max(d_primes) >= ref or (len(d_refs) > 1 and min(d_refs) == ref):
+                raise ValueError(
+                    f"limits compares d_primes {list(d_primes)} and the smallest of d_refs "
+                    f"with the largest reference depth {ref}; each must be smaller")
+            if self.samples < 2:
+                raise ValueError("limits estimates standard errors over the samples; "
+                                 "needs samples >= 2")
         if self.experiment in ("bounds", "corr-decay") and p.get("graphs", 1) < 1:
             raise ValueError(f"{self.experiment} needs params.graphs >= 1")
         if self.experiment == "duality-check" and p.get("n_max", 3) < 3:
             raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
+        if "H" in p and (isinstance(p["H"], bool) or not isinstance(p["H"], (int, float))):
+            raise ValueError(f"H must be a number, not {p['H']!r}")
+        src = None
+        if self.experiment in _READS_CODE:
+            family = self.code.get("family", LDGM)
+            if family not in (LDGM, LDPC):
+                raise ValueError(f"unknown code family {family!r}; known: {[LDGM, LDPC]}")
+            # de-curve reads only the degree distribution; the others build
+            # the code
+            if self.experiment == "de-curve":
+                _degree_distribution(self.code)
+            else:
+                src = _code_source(self.code)
         if self.experiment == "bounds":
-            src = _code_source(self.code)
             if src.kind != LDGM:
                 raise ValueError(
                     "bounds checks the walk bound, which applies to LDGM codes only")
             if (src.n if isinstance(src, gexit.EnsembleSpec) else src.n_chk) < 2:
                 raise ValueError("bounds draws two distinct checks; the code needs >= 2")
-            if not float(p.get("H", 1.0)) > 0.0:
+            if not p.get("H", 1.0) > 0.0:
                 raise ValueError("bounds needs a threshold H > 0")
-        if self.experiment in _READS_CODE and self.code.get("type", "ensemble") == "ensemble":
-            # de-curve reads only the degree distribution; the others also n
-            if self.experiment == "de-curve":
-                _degree_distribution(self.code)
-            else:
-                src = _code_source(self.code)
-                ensemble_sizes(src.dd, src.n, src.kind)  # raises unless they balance
+        if isinstance(src, gexit.EnsembleSpec):
+            ensemble_sizes(src.dd, src.n, src.kind)  # raises unless they balance
+        sampled = [m for m in methods if m != "de"]
+        if sampled and self.samples < 2:
+            raise ValueError(f"gexit-curve methods {sampled} estimate a standard error over "
+                             f"the samples; need samples >= 2")
 
     @classmethod
     def from_json(cls, doc, experiment=None):
@@ -220,10 +246,23 @@ def _code_source(code):
     """A fixed TannerGraph or an EnsembleSpec, from the config dict."""
     kind = code.get("family", LDGM)
     if code.get("type", "ensemble") == "file":
-        return load_graph(code["path"])
+        path = code["path"]
+        if not isinstance(path, str):
+            raise ValueError(f"path must be a file name, not {path!r}")
+        try:
+            return load_graph(path)
+        except OSError as err:
+            raise ValueError(f"cannot read code file {path!r}: {err.strerror}") from None
     if code.get("type") == "edges":
-        return build_graph(code["n_var"], code["n_chk"],
-                           [tuple(e) for e in code["edges"]], kind)
+        edges = code["edges"]
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2
+                and not any(isinstance(x, bool) or not isinstance(x, int) for x in e)
+                for e in edges):
+            raise ValueError(f"edges must be a list of [variable, check] integer pairs, "
+                             f"not {edges!r}")
+        return build_graph(_integer(code["n_var"], "n_var"), _integer(code["n_chk"], "n_chk"),
+                           [tuple(e) for e in edges], kind)
     n = _integer(code["n"], "n")
     if n < 1:
         raise ValueError(f"an ensemble needs n >= 1 code bits, not {n}")
@@ -461,8 +500,8 @@ def _limits(cfg):
     references, with common noise across depths."""
     src = _code_source(cfg.code)
     ch = ChannelModel.from_spec(cfg.channel)
-    d_primes = list(cfg.params.get("d_primes", (2, 4, 6)))
-    d_refs = list(cfg.params.get("d_refs", (100, 200)))
+    d_primes = list(cfg.params.get("d_primes", _LIMITS_D_PRIMES))
+    d_refs = list(cfg.params.get("d_refs", _LIMITS_D_REFS))
     depths = sorted(set(d_primes + d_refs))
     ests, diffs = gexit.bp_gexit_multi_depth(src, ch, depths, cfg.samples, cfg.seed)
     rows = [{"d": d, "value": ests[d].value, "std_err": ests[d].std_error}

@@ -180,6 +180,12 @@ def moment_series(Ms, coeffs):
     return out
 
 
+def series_coefficients(ch, p_max):
+    """The Nishimori series coefficients t2p(ch, p) / (2p(2p-1)) for
+    p = 1..p_max, as an array."""
+    return np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
+
+
 #: the routes that reduce the exact extrinsics, served by map_gexit_routes
 MAP_METHODS = ("functional", "series")
 
@@ -197,7 +203,7 @@ def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_gra
         reducers.append(lambda Ms: gexit_kernel_batch(ch, Ms).mean(axis=-1))
         meta["functional"] = _meta(source, ch, samples, seed)
     if "series" in methods:
-        coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
+        coeffs = series_coefficients(ch, p_max)
         reducers.append(lambda Ms: moment_series(Ms, coeffs).mean(axis=-1))
         tail = t2p_sup(ch) * (math.log(2.0) -
                               sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
@@ -231,8 +237,7 @@ def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
     """The series value when every extrinsic moment vanishes:
     -prefactor * sum_p t2p/(2p(2p-1)); for the BSC this closes to
     prefactor * ln((1-eps)/eps) = 2 prefactor atanh(1-2 eps)."""
-    s = sum(t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1))
-    return -source_kind_prefactor * s
+    return -source_kind_prefactor * float(sum(series_coefficients(ch, p_max)))
 
 
 def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):

@@ -1,8 +1,11 @@
 """Shared corpora and generators for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
+from gibbscode.exact import PosteriorBatch
 from gibbscode.graphs import LDGM, LDPC, build_graph
 
 
@@ -99,3 +102,19 @@ def fixed_code_corpus():
 @pytest.fixture(scope="session")
 def small_codes():
     return fixed_code_corpus()
+
+
+# ----- exact BSC noise averages ------------------------------------------
+
+def bsc_noise_patterns(graph, eps):
+    """Every BSC noise pattern of a code's n code bits, as one (1, 2^n, n)
+    PosteriorBatch of half-LLRs, and each pattern's probability
+    eps^k (1 - eps)^(n - k), k its number of flips: the probability-
+    weighted sum of any per-pattern value is its exact noise average, with
+    no Monte Carlo error.  Meant for n <= 12."""
+    n = graph.code_bit_count
+    flips = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    a = 0.5 * math.log((1.0 - eps) / eps)
+    k = flips.sum(axis=1)
+    return (PosteriorBatch((graph,), np.where(flips == 1, -a, a)[None]),
+            eps ** k * (1.0 - eps) ** (n - k))

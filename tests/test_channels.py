@@ -148,14 +148,26 @@ def test_channel_symmetry():
                        rtol=1e-12, atol=1e-300)
 
 
+def bsc_kernel_integral(eps, f, h=1e-30):
+    """Reference for the BSC: the eps-derivative of the atom sum
+    F(e) = (1 - e) f(a) + e f(-a), a = (1/2) ln((1 - e)/e), by the complex
+    step Im F(eps + ih) / h (Squire and Trapp, SIAM Review 1998).  For an
+    analytic f it has no difference to cancel, so it is exact to rounding
+    up to an O(h^2) term."""
+    e = complex(eps, h)
+    a = 0.5 * np.log((1.0 - e) / e)
+    return ((1.0 - e) * f(a) + e * f(-a)).imag / h
+
+
 def test_kernel_integral_examples():
-    for ch in (ChannelModel(BSC, 0.25), ChannelModel(BIAWGNC, 0.6)):
-        assert abs(gexit_kernel_integral(ch, lambda l: 1.0)) < 1e-8
-    ch = ChannelModel(BSC, 0.25)
-    assert gexit_kernel_integral(ch, lambda l: np.tanh(l) ** 2) == \
-        pytest.approx(t2p(ch, 1), abs=1e-7)
-    assert gexit_kernel_integral(ch, lambda l: np.tanh(l) ** 4) == \
-        pytest.approx(t2p(ch, 2), abs=1e-7)
+    assert abs(gexit_kernel_integral(ChannelModel(BIAWGNC, 0.6), lambda l: 1.0)) < 1e-8
+    assert abs(bsc_kernel_integral(0.25, lambda l: 1.0)) < 1e-8
+    assert bsc_kernel_integral(0.25, lambda l: np.tanh(l) ** 2) == \
+        pytest.approx(t2p(ChannelModel(BSC, 0.25), 1), rel=1e-12, abs=0)
+    assert bsc_kernel_integral(0.25, lambda l: np.tanh(l) ** 4) == \
+        pytest.approx(t2p(ChannelModel(BSC, 0.25), 2), rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match="gexit_kernel_batch or t2p"):
+        gexit_kernel_integral(ChannelModel(BSC, 0.25), lambda l: np.tanh(l) ** 2)
 
 
 def test_t2p_biawgnc_pinned_to_mpmath():
@@ -177,20 +189,57 @@ def test_t2p_biawgnc_pinned_to_mpmath():
 
 
 def test_kernel_integral_matches_t2p_all_p():
-    for ch in (ChannelModel(BSC, 0.35), ChannelModel(BIAWGNC, 0.9)):
-        for p in range(1, 6):
-            ki = gexit_kernel_integral(ch, lambda l, p=p: np.tanh(l) ** (2 * p))
-            assert ki == pytest.approx(t2p(ch, p), rel=1e-4, abs=1e-6)
+    bsc, awgn = ChannelModel(BSC, 0.35), ChannelModel(BIAWGNC, 0.9)
+    for p in range(1, 6):
+        def f(l, p=p):
+            return np.tanh(l) ** (2 * p)
+        assert bsc_kernel_integral(bsc.eps, f) == pytest.approx(t2p(bsc, p), rel=1e-12, abs=0)
+        assert gexit_kernel_integral(awgn, f) == pytest.approx(t2p(awgn, p), rel=1e-4, abs=1e-6)
 
 
 def test_kernel_batch_matches_scalar():
     Ms = np.array([-0.9, -0.3, 0.0, 0.4, 0.99])
     for ch in (ChannelModel(BSC, 0.3), ChannelModel(BIAWGNC, 0.8)):
+        integral = gexit_kernel_integral if ch.kind == BIAWGNC else \
+            lambda ch, f: bsc_kernel_integral(ch.eps, f)
         batch = gexit_kernel_batch(ch, Ms)
-        scalar = [gexit_kernel_integral(
-            ch, lambda l, M=M: np.log((1 + M * np.tanh(l)) / (1 + np.tanh(l))))
-            for M in Ms]
+        scalar = [integral(ch, lambda l, M=M: np.log((1 + M * np.tanh(l)) / (1 + np.tanh(l))))
+                  for M in Ms]
         assert np.allclose(batch, scalar, atol=1e-9)
+
+
+def test_bsc_kernel_pinned_to_mpmath():
+    """The BSC kernel against 50-digit mpmath derivatives of the atom sum
+    (1 - e) ln[(1 + M t)/(2 - 2e)] + e ln[(1 - M t)/(2e)], t = 1 - 2e, at
+    e = eps (computed once, offline; mpmath is not a dependency).  The
+    kernel is O((1 - M)^2) as M -> 1: at M = 0.999 it is 1e-6 to 3e-4 of
+    its M = 0 value, and 0 at M = 1."""
+    Ms = (-1.0, -0.9, 0.0, 0.5, 0.999)
+    pinned = {
+        0.01: (108.18013869016816, 22.456656167763494, 4.59511985013459, 2.878177489849369,
+               0.0011732597143467906),
+        0.1: (13.283338043561328, 9.693577666898056, 2.197224577336219, 0.8737362407585395,
+              1.228740633665185e-05),
+        0.3: (3.5993576255363124, 3.172760839234172, 0.8472978603872037, 0.23349941894570592,
+              1.1332114188128185e-06),
+        0.49: (0.1600426820325205, 0.14443139215238704, 0.0400053346136992,
+               0.010003667807019645, 4.003197650839522e-08),
+    }
+    for eps, values in pinned.items():
+        got = gexit_kernel_batch(ChannelModel(BSC, eps), np.array(Ms))
+        for M, g, want in zip(Ms, got, values):
+            assert g == pytest.approx(want, rel=1e-13, abs=0), (eps, M)
+        assert gexit_kernel_batch(ChannelModel(BSC, eps), np.array([1.0]))[0] == 0.0
+
+
+def test_bsc_kernel_is_position_free():
+    """The BSC kernel is elementwise: one call on a (40, 3, 9) stack gives
+    every entry the bits a call on that entry alone gives."""
+    Ms = np.random.default_rng(6).uniform(-1, 1, (40, 3, 9))
+    for eps in (0.03, 0.2, 0.4):
+        ch = ChannelModel(BSC, eps)
+        alone = np.array([gexit_kernel_batch(ch, M) for M in Ms.ravel()]).reshape(Ms.shape)
+        assert gexit_kernel_batch(ch, Ms).tobytes() == alone.tobytes()
 
 
 def test_block_draws_reproduce_per_draw_streams():

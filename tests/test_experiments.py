@@ -115,7 +115,11 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     is not an object, a channel that is not a string, a bad eps grid,
     malformed ensemble fields, degrees that do not balance at n, an
     entropy-fd step that is not a positive number or leaves (0, eps_max),
-    the magnetization route off the BIAWGNC)."""
+    the magnetization route off the BIAWGNC, a fixed code that does not
+    build or whose file cannot be read, an unknown family, methods that
+    are not a list of names, an H that is not a number, one sample where
+    a standard error is estimated, limits depths at or above the
+    reference)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
     base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
@@ -187,7 +191,47 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                 ("corr-decay", {**base, "code": {**irregular, "chk_coeffs": {"2": "1"}}},
                  "chk_coeffs probabilities must be finite numbers, not '1'"),
                 ("de-curve", {**base, "code": {**irregular, "chk_coeffs": {"2": 0.5}}},
-                 "chk coefficients must be a probability vector")))):
+                 "chk coefficients must be a probability vector"),
+                ("gexit-curve", {**base, "code": {**one_check, "edges": [[0, 0], [2, 0]]}},
+                 "edge (2,0) out of range"),
+                ("gexit-curve", {**base, "code": {**one_check, "edges": [[0, 0], [0, 0]]}},
+                 "duplicate edge (0,0)"),
+                ("gexit-curve", {**base, "code": {**one_check, "edges": [[0, 0], [0.5, 0]]}},
+                 "edges must be a list of [variable, check] integer pairs, "
+                 "not [[0, 0], [0.5, 0]]"),
+                ("corr-decay", {**base, "code": {**one_check, "n_var": 2.0}},
+                 "n_var must be an integer, not 2.0"),
+                ("gexit-curve", {**base, "code": {**one_check, "family": "ldxx"}},
+                 "unknown code family 'ldxx'; known: ['ldgm', 'ldpc']"),
+                ("de-curve", {**base, "code": {**ensemble, "family": "ldxx"}},
+                 "unknown code family 'ldxx'; known: ['ldgm', 'ldpc']"),
+                ("gexit-curve", {**base, "code": {"type": "file", "path": str(tmp_path / "no")}},
+                 f"cannot read code file {str(tmp_path / 'no')!r}: No such file or directory"),
+                ("limits", {**base, "code": {"type": "file", "path": 5}},
+                 "path must be a file name, not 5"),
+                ("gexit-curve", {**base, "params": {"methods": 5}},
+                 "methods must be a list of method names, not 5"),
+                ("gexit-curve", {**base, "params": {"methods": "functional"}},
+                 "methods must be a list of method names, not 'functional'"),
+                ("bounds", {**base, "code": ensemble, "params": {"H": None}},
+                 "H must be a number, not None"),
+                ("bounds", {**base, "code": ensemble, "params": {"H": [1]}},
+                 "H must be a number, not [1]"),
+                ("gexit-curve", {**base, "samples": 1},
+                 "gexit-curve methods ['functional'] estimate a standard error over the "
+                 "samples; need samples >= 2"),
+                ("gexit-curve", {**base, "code": ensemble, "samples": 1,
+                                 "params": {"methods": ["de", "bp"]}},
+                 "gexit-curve methods ['bp'] estimate a standard error over the samples; "
+                 "need samples >= 2"),
+                ("limits", {**base, "samples": 1},
+                 "limits estimates standard errors over the samples; needs samples >= 2"),
+                ("limits", {**base, "params": {"d_refs": [5, 6]}},
+                 "limits compares d_primes [2, 4, 6] and the smallest of d_refs with the "
+                 "largest reference depth 6; each must be smaller"),
+                ("limits", {**base, "params": {"d_refs": [50, 50]}},
+                 "limits compares d_primes [2, 4, 6] and the smallest of d_refs with the "
+                 "largest reference depth 50; each must be smaller")))):
         cfg_path.write_text(text)
         assert cli_main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()

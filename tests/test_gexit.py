@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixed_code_corpus
+from conftest import bsc_noise_patterns, fixed_code_corpus
 from gibbscode import exact, gexit
 from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
                                 llrs_from_noise, sample_llr, t2p)
@@ -11,7 +11,8 @@ from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, 
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
                              map_gexit_routes, map_gexit_series, moment_series,
-                             nishimori_residual, series_zero_moment_value)
+                             nishimori_residual, series_coefficients,
+                             series_zero_moment_value)
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensemble
 
 
@@ -104,10 +105,10 @@ def test_bp_gexit_tree_equals_map():
     b = bp_gexit(g, ch, 8, 1500, 5)
     f = map_gexit(g, ch, 1500, 5)
     assert b.value == pytest.approx(f.value, abs=1e-10)
-    # d = 0: no extrinsic knowledge, the zero-moment value (up to the
-    # finite-difference truncation of the kernel integral, ~1e-9)
+    # d = 0: no extrinsic knowledge, the zero-moment value ln((1-eps)/eps)
+    # (the kernel at M = 0 and the series at p_max 20 agree to rounding)
     b0 = bp_gexit(g, ch, 0, 400, 5)
-    assert b0.value == pytest.approx(series_zero_moment_value(1.0, ch), abs=1e-8)
+    assert b0.value == pytest.approx(series_zero_moment_value(1.0, ch), abs=1e-14)
     assert b0.std_error < 1e-12
 
 
@@ -200,11 +201,14 @@ def test_map_routes_alone_keep_their_values():
     pass, and return what they returned as separate passes (values and
     standard errors pinned from that implementation; the BIAWGNC series
     pin re-derived when t2p became the integral of dc/deps instead of a
-    central difference, which moved it by 2.65e-9 relative)."""
+    central difference, which moved it by 2.65e-9 relative, and the BSC
+    functional pin when the BSC kernel became the closed-form
+    eps-derivative instead of a central difference, which moved it by
+    2.3e-9 relative)."""
     ens = EnsembleSpec(DegreeDistribution.regular(3, 2), 9, LDGM)
     ldpc5 = dict(fixed_code_corpus())["ldpc-5"]
     pinned = [
-        (ens, ChannelModel("bsc", 0.4), (0.6059359518976046, 0.0030322865340596406),
+        (ens, ChannelModel("bsc", 0.4), (0.6059359505083393, 0.003032286534291737),
          (0.6020810676545346, 0.003154122164907145)),
         (ldpc5, ChannelModel("biawgnc", 0.8), (0.04457629872039826, 0.015666488534244433),
          (0.06782041808696124, 0.02024197598822544)),
@@ -227,7 +231,8 @@ def test_moment_series_matches_powers():
     Ms = np.concatenate([rng.uniform(-1, 1, 5000), 1 - np.logspace(-16, -1, 200),
                          -1 + np.logspace(-16, -1, 200), [0.0, -0.0, 1.0, -1.0]])
     for ch in (ChannelModel("bsc", 0.1), ChannelModel("biawgnc", 0.8)):
-        coeffs = np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, 21)])
+        coeffs = series_coefficients(ch, 20)
+        assert np.array_equal(coeffs, [t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, 21)])
         want = sum(c * (Ms ** (2 * p) - 1.0) for p, c in enumerate(coeffs, 1))
         got = moment_series(Ms.reshape(4, -1), coeffs)
         assert got.shape == (4, len(Ms) // 4)
@@ -287,7 +292,7 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
     shapes = _table_shapes(monkeypatch)
     pref = gexit._prefactor(src)
     bsc = ChannelModel("bsc", 0.04 if src.kind == LDPC else 0.4)
-    coeffs = [t2p(bsc, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)]
+    coeffs = series_coefficients(bsc, p_max)
 
     def map_values(g, noise):
         Ms = all_extrinsics(make_instance(g, llrs_from_noise(bsc, noise)))
@@ -331,3 +336,55 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
         est = entropy_fd(src, bsc, step, samples, seed)
         ref = gexit._estimate(want, 1.0, "entropy-fd", {})
         assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+
+# ---------------------------------------------------------------------------
+# exact noise averages: every BSC noise pattern of a code, weighted by its
+# probability
+# ---------------------------------------------------------------------------
+
+EXACT_CODES = [(DegreeDistribution.regular(3, 6), 12, LDPC),
+               (DegreeDistribution.regular(3, 2), 9, LDGM)]
+
+
+def _exact_gexit(g, eps):
+    """prefactor * E[mean_i G(<x_i>_0)] over all noise patterns."""
+    batch, weights = bsc_noise_patterns(g, eps)
+    kernels = gexit_kernel_batch(ChannelModel("bsc", eps), all_extrinsics(batch)[0])
+    return gexit._prefactor(g) * (weights @ kernels.mean(axis=1))
+
+
+def _exact_entropy(g, eps):
+    """E[H(X | Y = y)] per code bit (per information bit for LDGM, like
+    entropy_fd) over all noise patterns."""
+    batch, weights = bsc_noise_patterns(g, eps)
+    return gexit._prefactor(g) * (weights @ conditional_entropy(batch)[0])
+
+
+@pytest.mark.parametrize("dd,n,kind", EXACT_CODES, ids=["ldpc36-12", "ldgm32-9"])
+def test_area_theorem_on_exact_noise_averages(dd, n, kind):
+    """The area theorem (Measson, Montanari, Richardson and Urbanke,
+    arXiv cs/0511039): the integral of the exact MAP GEXIT over
+    [lo, hi] equals H(hi) - H(lo), with no sampling error on either side;
+    40-point Gauss-Legendre in eps."""
+    g = sample_ensemble(dd, n, kind, 3)
+    assert g.code_bit_count == n
+    x, w = np.polynomial.legendre.leggauss(40)
+    for lo, hi in ((0.02, 0.1), (0.1, 0.3), (0.3, 0.45)):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        area = half * sum(wk * _exact_gexit(g, half * xk + mid) for xk, wk in zip(x, w))
+        want = _exact_entropy(g, hi) - _exact_entropy(g, lo)
+        assert area == pytest.approx(want, rel=1e-12, abs=0), (lo, hi)
+
+
+@pytest.mark.parametrize("dd,n,kind", EXACT_CODES, ids=["ldpc36-12", "ldgm32-9"])
+def test_nishimori_identity_on_exact_noise_averages(dd, n, kind):
+    """E<x_i>^{2p-1} = E<x_i>^{2p} for every code bit, as exact noise
+    averages."""
+    g = sample_ensemble(dd, n, kind, 3)
+    for eps in (0.03, 0.2, 0.45):
+        batch, weights = bsc_noise_patterns(g, eps)
+        m = all_marginals(batch)[0]
+        for p in (1, 2, 3, 5):
+            gap = weights @ (m ** (2 * p - 1) - m ** (2 * p))
+            assert np.max(np.abs(gap)) <= 1e-12, (eps, p)
