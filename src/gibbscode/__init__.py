@@ -5,7 +5,7 @@ Submodules:
 
   channels     BSC / BIAWGNC half-loglikelihood models and moment functionals
   gf2          GF(2) bitmask elimination, codeword enumeration, parity signs
-  graphs       Tanner graphs, ensembles, neighborhoods, covers, walks
+  graphs       Tanner graphs, ensembles, computational trees, walks
   exact        brute-force-exact posterior marginals, correlations, entropy
   bp           sum-product decoding on graphs and computational trees
   de           population-dynamics density evolution and DE-limit GEXIT

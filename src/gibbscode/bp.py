@@ -18,14 +18,24 @@ a check sends psi^-1(sum of the others' psi), where psi^-1(s) =
 atanh(e^-s) = psi(s/2)/2, with the parity of the others' signs; an LDGM
 check counts its observation l_c as one more message.  A zero message
 (infinite psi, also below about 1e-308) is counted, not summed, and
-zeroes the others' outputs.  One bincount per term sums each check, and
-a message takes the total minus its own term, except where its own psi
-exceeds the rest 2^20 times over (at most one message per check): there
-the subtraction would lose the rest to the rounding of the total, about
-u * total, so a check that sees one moderate message among saturated
-ones would answer it with L_SAT; a second bincount without the
-dominating terms gives the rest instead.  Messages keep their value up
-to the saturation bound L_SAT = 30 nats.
+zeroes the others' outputs.  Each message has two terms: its psi (0 for
+a zero message) and one count, neg + 2^20 zero, so a check's total
+count carries the parity of its negative terms in its low bit and marks
+a zero term by reaching 2^20 (an even weight above any degree).  One
+bincount per term sums each check, and a message takes the totals minus
+its own terms, except where its own psi exceeds the rest 2^20 times over
+(at most one message per check): there the subtraction would lose the
+rest to the rounding of the total, about u * total, so a check that
+sees one moderate message among saturated ones would answer it with
+L_SAT; a second bincount without the dominating terms gives the rest
+instead.  Messages keep their value up to the saturation bound L_SAT =
+30 nats.
+
+psi(0) = inf and the overflow of psi or psi^-1 to 0 at large arguments
+are intended values, not errors.  The check helpers do not silence them
+themselves: each flood (_flood) and each LDGM code-bit estimate enters
+np.errstate once, around all its iterations, and a caller of the
+helpers outside those holds the same errstate.
 
 Fixed-point exit: an iteration is a deterministic map of the messages it
 reads (c2v for LDPC, whose v2c follow from them and the LLRs; v2c for
@@ -73,25 +83,42 @@ def _edge_index(graph):
     return np.array(evar, dtype=np.intp), np.array(echk, dtype=np.intp)
 
 
+#: a zero message's weight in its check's count term: even, so a
+#: count's low bit stays the parity of the negative terms, and larger
+#: than any check degree, so a count of at least _ZERO marks a zero term
+_ZERO = 2.0 ** 20
+
+#: the np.errstate of the psi maps (module docstring): psi(0) = inf
+#: divides by 0, and psi or psi^-1 of a large argument overflows to 0
+_PSI_ERRORS = dict(divide="ignore", over="ignore")
+
+
 def _psi_terms(msgs):
-    """A message's three check terms: psi(msg) = -ln tanh|msg| (0 where
-    it is infinite), whether msg is negative, and whether psi is
-    infinite (a zero message)."""
-    with np.errstate(divide="ignore", over="ignore"):
-        psi = np.log1p(2.0 / np.expm1(2.0 * np.abs(msgs)))
+    """A message's two check terms: psi(msg) = -ln tanh|msg| (0 where it
+    is infinite) and its count, 1 for a negative message plus _ZERO for a
+    zero one (infinite psi).  Call it under _PSI_ERRORS."""
+    psi = np.abs(msgs)
+    psi *= 2.0
+    np.expm1(psi, out=psi)
+    np.divide(2.0, psi, out=psi)
+    np.log1p(psi, out=psi)
     zero = psi == np.inf
     psi[zero] = 0.0
-    return psi, msgs < 0, zero
+    count = zero * _ZERO
+    count += msgs < 0
+    return psi, count
 
 
 def _check_sums(msgs, groups, n_groups, obs=None):
-    """The check reduction: the (psi, negative, zero) terms of messages
-    msgs[e] and, per check groups[e], their sums, plus the terms obs of
-    each check's own observation when given (LDGM)."""
+    """The check reduction: the (psi, count) terms of messages msgs[e]
+    and, per check groups[e], their sums, plus the terms obs of each
+    check's own observation when given (LDGM).  The counts are whole
+    floats below 2^53, so they add exactly in any order."""
     terms = _psi_terms(msgs)
     sums = [np.bincount(groups, weights=t, minlength=n_groups) for t in terms]
     if obs is not None:
-        sums = [s + o for s, o in zip(sums, obs)]
+        for s, o in zip(sums, obs):
+            s += o
     return terms, sums
 
 
@@ -113,27 +140,40 @@ def _check_outputs(msgs, groups, n_groups, obs=None):
     dominates (_DOMINANCE), at most one edge per check, a second
     bincount with the dominating terms zeroed gives the rest without the
     subtraction.  Most iterations flag no edge and pay one product and
-    one comparison per edge."""
-    own, sums = _check_sums(msgs, groups, n_groups, obs)
-    rest = [s[groups] - o for s, o in zip(sums, own)]
-    dominant = own[0] > _DOMINANCE * rest[0]
+    one comparison per edge.  Call it under _PSI_ERRORS."""
+    (own_psi, own_count), (psi_sums, count_sums) = _check_sums(msgs, groups, n_groups, obs)
+    psi, count = psi_sums[groups], count_sums[groups]
+    psi -= own_psi
+    count -= own_count
+    dominant = own_psi > _DOMINANCE * psi
     if np.count_nonzero(dominant):
-        others = np.bincount(groups, weights=np.where(dominant, 0.0, own[0]),
+        others = np.bincount(groups, weights=np.where(dominant, 0.0, own_psi),
                              minlength=n_groups)
         if obs is not None:
             others += obs[0]
-        rest[0][dominant] = others[groups[dominant]]
-    return _check_message(*rest)
+        psi[dominant] = others[groups[dominant]]
+    return _check_message(psi, count)
 
 
-def _check_message(psi, neg, zero):
-    """The check output for summed terms: psi^-1(psi) clipped at L_SAT,
-    negative for an odd count of negative terms, and 0 when a term is
-    zero.  The counts are whole floats; the parity reads them as integers,
-    since numpy's float % 2 takes longer than the rest of the kernel."""
-    with np.errstate(divide="ignore", over="ignore"):
-        mag = np.minimum(0.5 * np.log1p(2.0 / np.expm1(psi)), L_SAT)
-    return np.where(zero > 0, 0.0, np.where(neg.astype(np.intp) & 1, -mag, mag))
+def _check_message(psi, count):
+    """The check output for summed terms, computed in place of psi:
+    psi^-1(psi) clipped at L_SAT, negative for an odd count, and 0 for a
+    count of at least _ZERO.  The magnitude is +0 or more, so negating it
+    sets its sign bit: the count, read as an integer (numpy's float % 2
+    takes longer than the rest of the kernel) and shifted left by 63,
+    keeps just its low bit, in the sign bit's place.  Call it under
+    _PSI_ERRORS."""
+    np.expm1(psi, out=psi)
+    np.divide(2.0, psi, out=psi)
+    np.log1p(psi, out=psi)
+    psi *= 0.5
+    np.minimum(psi, L_SAT, out=psi)
+    sign = count.astype(np.uint64)
+    sign <<= 63
+    bits = psi.view(np.uint64)
+    bits |= sign
+    np.copyto(psi, 0.0, where=count >= _ZERO)
+    return psi
 
 
 def _sample_groups(index, n_nodes, samples):
@@ -158,10 +198,14 @@ def _codebit_estimates(inst, state, extrinsic):
         tot = np.bincount(_sample_groups(evar, g.n_var, S), weights=state.c2v.ravel(),
                           minlength=S * g.n_var).reshape(S, g.n_var)
         field = tot if extrinsic else l + tot
-        est = np.tanh(np.clip(field, -L_SAT, L_SAT))
+        np.minimum(field, L_SAT, out=field)
+        np.maximum(field, -L_SAT, out=field)
+        est = np.tanh(field, out=field)
     else:
-        _, sums = _check_sums(state.v2c.ravel(), _sample_groups(echk, g.n_chk, S), S * g.n_chk)
-        c = _check_message(*sums).reshape(S, g.n_chk)
+        with np.errstate(**_PSI_ERRORS):
+            _, sums = _check_sums(state.v2c.ravel(), _sample_groups(echk, g.n_chk, S),
+                                  S * g.n_chk)
+            c = _check_message(*sums).reshape(S, g.n_chk)
         est = np.tanh(c if extrinsic else l + c)
     return est.reshape(inst.values.shape)
 
@@ -207,6 +251,19 @@ def _run_messages_from(inst, state, extra_iters):
     return MessageState(v2c.reshape(shape), c2v.reshape(shape))
 
 
+def _variable_outputs(c2v, groups, n_groups, l_edge=None):
+    """Every edge's variable output: the total of the c2v into its
+    variable groups[e] minus its own, plus the variable's observation
+    l_edge[e] when given (LDPC), clipped at L_SAT."""
+    v2c = np.bincount(groups, weights=c2v, minlength=n_groups)[groups]
+    if l_edge is not None:
+        v2c += l_edge
+    v2c -= c2v
+    np.minimum(v2c, L_SAT, out=v2c)
+    np.maximum(v2c, -L_SAT, out=v2c)
+    return v2c
+
+
 def _flood(g, l, v2c, c2v, iters):
     """iters flooding iterations, in place, on an (S, n_edges) message
     block with (S, code bits) LLRs; a sample leaves the block at its
@@ -219,36 +276,31 @@ def _flood(g, l, v2c, c2v, iters):
     rows = np.arange(len(l))  # block rows still flooding
     var_groups = _sample_groups(evar, g.n_var, len(l))
     chk_groups = _sample_groups(echk, g.n_chk, len(l))
-    if g.kind == LDPC:
-        per_row = dict(l_edge=l[:, evar].ravel())
-    else:
-        per_row = dict(zip(("psi", "neg", "zero"), _psi_terms(l.ravel())))
     bv2c, bc2v = v2c.ravel(), c2v.ravel()
-    for _ in range(iters):
-        S = len(rows)
-        if S == 0:
-            break
-        read = bc2v if g.kind == LDPC else bv2c  # what this iteration maps
-        if g.kind == LDPC:
-            tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
-            bv2c = per_row["l_edge"] + tot[var_groups] - bc2v
-            np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
-        obs = None if g.kind == LDPC else tuple(per_row.values())
-        bc2v = _check_outputs(bv2c, chk_groups, S * g.n_chk, obs)
-        if g.kind == LDGM:
-            tot = np.bincount(var_groups, weights=bc2v, minlength=S * g.n_var)
-            bv2c = tot[var_groups] - bc2v
-            np.clip(bv2c, -L_SAT, L_SAT, out=bv2c)
-        # bit patterns, not ==: -0.0 == 0.0, and the CSV prints them apart
-        now = bc2v if g.kind == LDPC else bv2c
-        settled = (now.view(np.int64) == read.view(np.int64)).reshape(S, E).all(axis=1)
-        if settled.any():
-            keep = ~settled
-            bv2c, bc2v = bv2c.reshape(S, E), bc2v.reshape(S, E)
-            v2c[rows[settled]], c2v[rows[settled]] = bv2c[settled], bc2v[settled]
-            rows, bv2c, bc2v = rows[keep], bv2c[keep].ravel(), bc2v[keep].ravel()
-            per_row = {k: a.reshape(S, -1)[keep].ravel() for k, a in per_row.items()}
-            var_groups, chk_groups = var_groups[:len(rows) * E], chk_groups[:len(rows) * E]
+    with np.errstate(**_PSI_ERRORS):
+        # per-row inputs: each LDPC edge's LLR, or each LDGM check's terms
+        per_row = (l[:, evar].ravel(),) if g.kind == LDPC else _psi_terms(l.ravel())
+        for _ in range(iters):
+            S = len(rows)
+            if S == 0:
+                break
+            if g.kind == LDPC:  # maps c2v
+                read = bc2v
+                bv2c = _variable_outputs(bc2v, var_groups, S * g.n_var, per_row[0])
+                bc2v = now = _check_outputs(bv2c, chk_groups, S * g.n_chk)
+            else:  # maps v2c
+                read = bv2c
+                bc2v = _check_outputs(bv2c, chk_groups, S * g.n_chk, per_row)
+                bv2c = now = _variable_outputs(bc2v, var_groups, S * g.n_var)
+            # bit patterns, not ==: -0.0 == 0.0, and the CSV prints them apart
+            settled = (now.view(np.int64) == read.view(np.int64)).reshape(S, E).all(axis=1)
+            if settled.any():
+                keep = ~settled
+                bv2c, bc2v = bv2c.reshape(S, E), bc2v.reshape(S, E)
+                v2c[rows[settled]], c2v[rows[settled]] = bv2c[settled], bc2v[settled]
+                rows, bv2c, bc2v = rows[keep], bv2c[keep].ravel(), bc2v[keep].ravel()
+                per_row = tuple(a.reshape(S, -1)[keep].ravel() for a in per_row)
+                var_groups, chk_groups = var_groups[:len(rows) * E], chk_groups[:len(rows) * E]
     v2c[rows], c2v[rows] = bv2c.reshape(len(rows), E), bc2v.reshape(len(rows), E)
 
 

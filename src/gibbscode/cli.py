@@ -4,8 +4,9 @@
 
 where <experiment> is one of corr-decay, gexit-curve, de-curve, bounds,
 duality-check, berretti-check, limits.  The config file is a single JSON
-document (the experiment field may be omitted; the subcommand wins).
-Outputs <experiment>.csv and <experiment>.json in the output directory.
+document (the experiment field may be omitted; the command line's
+experiment wins).  Outputs <experiment>.csv and <experiment>.json in the
+output directory.
 Exit codes: 0 on success, 1 when a check-type experiment prints FAIL,
 and 2 for bad arguments or a config that fails validation (one line on
 stderr, "gibbscode: invalid config: <message>"; nothing is run).
@@ -24,11 +25,9 @@ from .experiments import EXPERIMENTS, ExperimentConfig, emit, run_experiment
 def build_parser():
     parser = argparse.ArgumentParser(prog="gibbscode",
                                      description="sparse-graph decoding lab")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output directory")
     return parser
 
 

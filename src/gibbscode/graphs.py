@@ -7,10 +7,10 @@ Conventions:
     channel observation.
   * LDPC: code bits sit on the VARIABLE nodes, subject to one parity
     constraint per check.
-  * Depth arguments for neighborhoods / computational trees count EDGE
-    hops and must be even (so the boundary has the same node type as the
-    root).  graph_distance between two code bits counts same-type hops,
-    i.e. edge distance divided by two.
+  * Depth arguments for computational trees count EDGE hops and must be
+    even (so the boundary has the same node type as the root).
+    graph_distance between two code bits counts same-type hops, i.e. edge
+    distance divided by two.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -263,16 +263,8 @@ def sample_ensemble(dd, n, kind, seed):
 
 
 # ---------------------------------------------------------------------------
-# distances and neighborhoods
+# distances
 # ---------------------------------------------------------------------------
-
-def _neighbors(g, node):
-    """Neighbors of a (type, index) node."""
-    typ, idx = node
-    if typ == "var":
-        return [("chk", c) for c in g.adj_var[idx]]
-    return [("var", v) for v in g.adj_chk[idx]]
-
 
 def graph_distance(g, i, j):
     """Same-type hop count between code bits i and j (edge distance / 2);
@@ -324,40 +316,6 @@ def same_type_distance(g, typ, sources, targets):
             return dist
         frontier = nxt
     return math.inf
-
-
-def neighborhood(g, node, d):
-    """Ball of edge-radius d (even) around node = (type, index).
-
-    Returns (subgraph, is_tree, boundary, var_map, chk_map) where the maps
-    send original node ids to subgraph ids and boundary lists the
-    subgraph's nodes at edge distance exactly d, as (type, original id).
-    """
-    if d % 2 != 0 or d < 0:
-        raise ValueError("depth must be even and >= 0")
-    dist = {node: 0}
-    frontier = [node]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            if dist[x] == d:
-                continue
-            for y in _neighbors(g, x):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    vars_in = sorted(i for (t, i) in dist if t == "var")
-    chks_in = sorted(i for (t, i) in dist if t == "chk")
-    var_map = {v: k for k, v in enumerate(vars_in)}
-    chk_map = {c: k for k, c in enumerate(chks_in)}
-    edges = [(var_map[v], chk_map[c])
-             for v in vars_in for c in g.adj_var[v] if ("chk", c) in dist]
-    sub = build_graph(len(vars_in), len(chks_in), edges, g.kind)
-    # the induced ball is connected, so tree-ness is an edge count check
-    is_tree = sub.n_edges == sub.n_var + sub.n_chk - 1
-    boundary = [x for x, dd_ in dist.items() if dd_ == d]
-    return sub, is_tree, boundary, var_map, chk_map
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -269,6 +271,64 @@ def test_block_flood_matches_single_floods(monkeypatch, budget):
         assert_bitwise(ckpt[20], [bp_all_extrinsics(s, 20) for s in singles])
 
 
+#: sha256 of the float64 bit patterns of bp_all_extrinsics(d = 20),
+#: bp_run(d = 20) and bp_checkpoint_extrinsics at depths 3, 10 and 20, in
+#: that order, for 150 draws per point (seed 100 k + j for code k and
+#: channel j): the bits any rewrite of the flood must keep
+FLOOD_DIGESTS = {
+    ('ldpc-rep3', 'bsc:0.2'): "ec134451b8d1f339243b3ee191ce13fe5a1b9a7ba17ed4196297fe3a958a22ce",
+    ('ldpc-rep3', 'bsc:0.3'): "ee35947777e207f216765b5f27882f85b3cdce158244d4fb0444ae2b92de68a1",
+    ('ldpc-rep3', 'bsc:0.4'): "143bfd3047dbc318a65ccd0cccf41e57533b360967c77d3070c93dd9cf110966",
+    ('ldpc-rep3', 'biawgnc:0.8'): "b5f2532bcd790d628d0ad80dcc3ce08161301b637e03bf117cd889080e6ada78",
+    ('ldpc-5', 'bsc:0.2'): "1b0558f7ac2e5a113b36b49113e44f7b4821af32ac11a7067a29311c7e029c42",
+    ('ldpc-5', 'bsc:0.3'): "dcf3b2a65d1f2719a9a6d3fb1d297d611a12c6f9362cf1ef33347cf7eb4f12d7",
+    ('ldpc-5', 'bsc:0.4'): "d215067ae294d36f0232b128b0045e53babc45d4dd9ad538ce27c6af91e39077",
+    ('ldpc-5', 'biawgnc:0.8'): "c8d20cd5118b239817df7fd5e59b7ce64d324944c4d2ccf3393184a4056ae699",
+    ('ldpc-6', 'bsc:0.2'): "fc57b17c8a962bd48eef21c4663aa8c414c155ebac6813f8361d3c19a75b6212",
+    ('ldpc-6', 'bsc:0.3'): "f590692dd7652693b87cbb3f3cebdd2b47ddecdb393860bc16e4f8a70ea00b5a",
+    ('ldpc-6', 'bsc:0.4'): "44a866df58bd80afe02d4a22b69488c0ef0640f9af5913930c2a56ce1e40db6f",
+    ('ldpc-6', 'biawgnc:0.8'): "39fa895170e4f72b230d900aef06d769e43c5105ee62de9bf05dcf558023a4ae",
+    ('ldgm-chain', 'bsc:0.2'): "12a666b1ed1907edf2b0fd2e357962014e7e305aa59e1e0af9e4f7926d2be7fd",
+    ('ldgm-chain', 'bsc:0.3'): "537c04860c0686db188808ade858086f5e216059aa0214ac1ea36e704f4ef4e9",
+    ('ldgm-chain', 'bsc:0.4'): "550a9afa23c17ed622900ef0b4e84815c4110429ed3a468dd06e0a6faab81d03",
+    ('ldgm-chain', 'biawgnc:0.8'): "a31f09e361a42fa3ab36a6746c80781df8cfeb3801854dd44f0ae8e3ed1a7f3c",
+    ('ldgm-loop', 'bsc:0.2'): "c400c027380e86b67b5c5a8398b419d8623c203a579cd504dfbb06d943206af5",
+    ('ldgm-loop', 'bsc:0.3'): "f8a5eb67255316b207ab6462ece8ae6a9c7fb4fda6231203c9aaaedc6cb1d18c",
+    ('ldgm-loop', 'bsc:0.4'): "90974aae97bf7e58a05391f444ce09b70afe506624ddc5293c3b792568ff4a95",
+    ('ldgm-loop', 'biawgnc:0.8'): "af704e4c1958b71a23dc5a74cfb5ac764a4fbeb500273554c4918c6937477027",
+}
+
+#: where the digests were recorded: the bits of expm1, log1p and tanh
+#: depend on numpy's build and on which SIMD loops it dispatches to
+FLOOD_DIGEST_PLATFORM = ("2.4.6", "x86_64", True)
+
+
+def _flood_platform():
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    return np.__version__, platform.machine(), bool(features.get("AVX512_SKX"))
+
+
+@pytest.mark.skipif(_flood_platform() != FLOOD_DIGEST_PLATFORM,
+                    reason="flood digests were recorded with numpy 2.4.6 on x86_64 "
+                           "with AVX512_SKX loops")
+def test_flood_outputs_keep_their_recorded_bits():
+    """The three BP entry points on the five corpus codes at BSC 0.2, 0.3
+    and 0.4 and BIAWGNC 0.8 give the recorded bit patterns: a rewrite of
+    the flood must change no output bit, not even a sign of zero."""
+    specs = ("bsc:0.2", "bsc:0.3", "bsc:0.4", "biawgnc:0.8")
+    for k, (name, g) in enumerate(fixed_code_corpus()):
+        for j, spec in enumerate(specs):
+            L = sample_llr(ChannelModel.from_spec(spec), (150, g.code_bit_count),
+                           100 * k + j).values
+            inst = make_instance(g, L)
+            ckpt = bp_checkpoint_extrinsics(inst, [3, 10, 20])
+            digest = hashlib.sha256()
+            for out in (bp_all_extrinsics(inst, 20), bp_run(inst, 20), ckpt[3], ckpt[10],
+                        ckpt[20]):
+                digest.update(np.asarray(out, "<f8").tobytes())
+            assert digest.hexdigest() == FLOOD_DIGESTS[(name, spec)], (name, spec)
+
+
 # ---------------------------------------------------------------------------
 # the fixed-point exit against a flood that always runs d iterations
 # ---------------------------------------------------------------------------
@@ -291,26 +351,29 @@ def _fixed_depth_run_from(inst, state, extra_iters):
 
 def _fixed_depth_flood(g, l, v2c, c2v, iters):
     """iters flooding iterations on an (S, n_edges) message block with
-    (S, code bits) LLRs; returns the new (v2c, c2v)."""
+    (S, code bits) LLRs; returns the new (v2c, c2v).  It holds the
+    errstate the library's flood holds: the psi helpers leave it to their
+    caller."""
     evar, echk = _edge_index(g)
     S = len(l)
     var_groups = _sample_groups(evar, g.n_var, S)
     chk_groups = _sample_groups(echk, g.n_chk, S)
     v2c, c2v = v2c.ravel(), c2v.ravel()
-    if g.kind == LDPC:
-        l_edge, obs = l[:, evar].ravel(), None
-    else:
-        obs = _psi_terms(l.ravel())
-    for _ in range(iters):
+    with np.errstate(divide="ignore", over="ignore"):
         if g.kind == LDPC:
-            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
-            v2c = l_edge + tot[var_groups] - c2v
-            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
-        c2v = _check_outputs(v2c, chk_groups, S * g.n_chk, obs)
-        if g.kind == LDGM:
-            tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
-            v2c = tot[var_groups] - c2v
-            np.clip(v2c, -L_SAT, L_SAT, out=v2c)
+            l_edge, obs = l[:, evar].ravel(), None
+        else:
+            obs = _psi_terms(l.ravel())
+        for _ in range(iters):
+            if g.kind == LDPC:
+                tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+                v2c = l_edge + tot[var_groups] - c2v
+                np.clip(v2c, -L_SAT, L_SAT, out=v2c)
+            c2v = _check_outputs(v2c, chk_groups, S * g.n_chk, obs)
+            if g.kind == LDGM:
+                tot = np.bincount(var_groups, weights=c2v, minlength=S * g.n_var)
+                v2c = tot[var_groups] - c2v
+                np.clip(v2c, -L_SAT, L_SAT, out=v2c)
     return v2c.reshape(S, -1), c2v.reshape(S, -1)
 
 

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,42 @@ def test_bsc_kernel_pinned_to_mpmath():
         for M, g, want in zip(Ms, got, values):
             assert g == pytest.approx(want, rel=1e-13, abs=0), (eps, M)
         assert gexit_kernel_batch(ChannelModel(BSC, eps), np.array([1.0]))[0] == 0.0
+
+
+def test_bsc_kernel_finite_at_tiny_eps():
+    """At eps 1e-9 and 1e-10, x = t u / (1 - M t^2) rounds to 1 for M at
+    and near -1, where arctanh would give inf or NaN; the kernel takes
+    2 atanh x from logarithms there and matches 50-digit mpmath
+    derivatives of the atom sum (computed once, offline) with no warning.
+    M = -0.5 keeps the arctanh path, whose x carries a rounding of about
+    1e-16 / (1 - x) relative: 3.7e-9 and 3.2e-9 here."""
+    Ms = (-1.0, -1.0 + 1e-9, -0.5)
+    pinned = {
+        1e-9: (1000000040.4465317, 666666713.103718, 23.821878115281187),
+        1e-10: (10000000045.0517, 1666666748.6515148, 26.124463217575233),
+    }
+    for eps, values in pinned.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gexit_kernel_batch(ChannelModel(BSC, eps), np.array(Ms))
+        for M, g, want, rel in zip(Ms, got, values, (1e-13, 1e-13, 1e-8)):
+            assert g == pytest.approx(want, rel=rel, abs=0), (eps, M)
+
+
+def test_bsc_t2p_sup_equals_the_full_search():
+    """The BSC t2p_sup, a maximum over four terms around the peak
+    p* = -1/(2 ln(1 - 2 eps)), equals the maximum over all T2P_SUP_TERMS
+    terms bit for bit: on 2,000 eps spread evenly over (1e-6, 0.5) and
+    2,000 spread geometrically from 1e-12 to 0.4999999, among them eps
+    below 1.25e-3, where p* passes T2P_SUP_TERMS and the search ends on
+    its last term."""
+    grid = np.concatenate([np.linspace(1e-6, 0.5, 2002)[1:-1],
+                           np.geomspace(1e-12, 0.4999999, 2000)])
+    assert np.count_nonzero(-0.5 / np.log1p(-2.0 * grid) > channels.T2P_SUP_TERMS) > 500
+    for eps in grid:
+        ch = ChannelModel(BSC, float(eps))
+        full = max(abs(t2p(ch, p)) for p in range(1, channels.T2P_SUP_TERMS + 1))
+        assert t2p_sup(ch) == full, eps
 
 
 def test_bsc_kernel_is_position_free():

@@ -12,7 +12,7 @@ from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.cli import main as cli_main
 from gibbscode.clusters import dkp_pointwise_bound
 from gibbscode.exact import make_instance, spin_product_correlation
-from gibbscode.experiments import (DecayFit, ExperimentConfig, emit,
+from gibbscode.experiments import (EXPERIMENTS, DecayFit, ExperimentConfig, emit,
                                    fit_exponential, run_experiment)
 from gibbscode.graphs import (DegreeDistribution, build_graph, load_graph, sample_ensemble,
                               save_graph, LDGM)
@@ -103,6 +103,25 @@ def test_cli_rejects_threads(tmp_path):
         cli_main(["corr-decay", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                   "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_cli_help_lists_every_experiment_and_rejects_unknown_ones(tmp_path, capsys):
+    """One parser serves every experiment: --help names all seven and
+    exits 0, and an experiment it does not know exits 2 before any
+    config is read."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert len(EXPERIMENTS) == 7
+    for name in EXPERIMENTS:
+        assert name in usage
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["no-such-experiment", "--config", str(tmp_path / "missing.json"),
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-experiment'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import bsc_noise_patterns, fixed_code_corpus
 from gibbscode import exact, gexit
+from gibbscode.bp import bp_all_extrinsics, bp_checkpoint_extrinsics
 from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
                                 llrs_from_noise, sample_llr, t2p)
 from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
@@ -120,6 +121,36 @@ def test_bp_gexit_multi_depth_stabilizes():
     ests, diffs = bp_gexit_multi_depth(g, ch, [2, 4, 6, 40], 400, 6)
     gaps = [abs(diffs[(d, 40)][0]) for d in (2, 4, 6)]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_floods_run_each_distinct_row_once_bitwise():
+    """gexit._floods floods each distinct LLR row of a graph's block once
+    and gathers the outputs back: on blocks with repeated rows, and rows
+    that differ only in the sign of a zero, both entry points it serves
+    equal one flood per row bit for bit.  Rows are told apart by their
+    bytes, so -0.0 and 0.0 rows are flooded separately."""
+    rng = np.random.default_rng(31)
+    floods = (lambda inst: bp_all_extrinsics(inst, 20),
+              lambda inst: np.stack(list(bp_checkpoint_extrinsics(inst, [2, 20]).values()),
+                                    axis=1))
+    for name, g in fixed_code_corpus()[1:]:
+        distinct = rng.normal(0.3, 1.5, (4, g.code_bit_count))
+        distinct[1, 0] = 0.0
+        distinct[2] = distinct[1]
+        distinct[2, 0] = -0.0
+        block = distinct[[0, 1, 0, 2, 3, 1, 1, 2, 0]]
+        for flood in floods:
+            flooded = []
+
+            def counted(inst):
+                flooded.append(len(inst.values))
+                return flood(inst)
+
+            got, = gexit._floods([g], block[None], counted)
+            assert flooded == [4], name
+            want = np.concatenate([flood(make_instance(g, row[None])) for row in block])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_entropy_fd_step_insensitive():

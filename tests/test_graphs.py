@@ -10,8 +10,8 @@ from gibbscode import graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
                               NodeCapExceeded, build_graph, code_bit_distances,
                               computational_tree, draw_degrees, enumerate_saws,
-                              graph_distance, load_graph, neighborhood,
-                              same_type_distance, sample_ensemble, save_graph)
+                              graph_distance, load_graph, same_type_distance,
+                              sample_ensemble, save_graph)
 
 
 def path_graph():
@@ -165,6 +165,43 @@ def test_graph_distance():
         for i in range(nb):
             assert code_bit_distances(g, i) == [
                 same_type_distance(g, typ, [i], [j]) for j in range(nb)]
+
+
+def neighborhood(g, node, d):
+    """Ball of edge-radius d (even) around node = (type, index), the tree
+    oracle for computational_tree.
+
+    Returns (subgraph, is_tree, boundary, var_map, chk_map) where the maps
+    send original node ids to subgraph ids and boundary lists the
+    subgraph's nodes at edge distance exactly d, as (type, original id).
+    """
+    if d % 2 != 0 or d < 0:
+        raise ValueError("depth must be even and >= 0")
+    dist = {node: 0}
+    frontier = [node]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            if dist[x] == d:
+                continue
+            typ, idx = x
+            for y in ([("chk", c) for c in g.adj_var[idx]] if typ == "var"
+                      else [("var", v) for v in g.adj_chk[idx]]):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    vars_in = sorted(i for (t, i) in dist if t == "var")
+    chks_in = sorted(i for (t, i) in dist if t == "chk")
+    var_map = {v: k for k, v in enumerate(vars_in)}
+    chk_map = {c: k for k, c in enumerate(chks_in)}
+    edges = [(var_map[v], chk_map[c])
+             for v in vars_in for c in g.adj_var[v] if ("chk", c) in dist]
+    sub = build_graph(len(vars_in), len(chks_in), edges, g.kind)
+    # the induced ball is connected, so tree-ness is an edge count check
+    is_tree = sub.n_edges == sub.n_var + sub.n_chk - 1
+    boundary = [x for x, dd_ in dist.items() if dd_ == d]
+    return sub, is_tree, boundary, var_map, chk_map
 
 
 def test_neighborhood():
