@@ -120,24 +120,23 @@ class ChannelModel:
 
     # ----- BSC atoms / Gaussian parameters -------------------------------
 
-    def bsc_atoms(self, eps=None):
+    def bsc_atoms(self):
         """(values, probabilities) of the two-atom BSC half-LLR."""
         if self.kind != BSC:
             raise ValueError("atoms only defined for the BSC")
-        e = self.eps if eps is None else eps
+        e = self.eps
         a = 0.5 * math.log((1.0 - e) / e)
         return np.array([a, -a]), np.array([1.0 - e, e])
 
-    def gauss_params(self, eps=None):
+    def gauss_params(self):
         """(mean, variance) of the BIAWGNC half-LLR."""
         if self.kind != BIAWGNC:
             raise ValueError("gauss_params only defined for the BIAWGNC")
-        e = self.eps if eps is None else eps
-        return 1.0 / e, 1.0 / e
+        return 1.0 / self.eps, 1.0 / self.eps
 
-    def density(self, l, eps=None):
+    def density(self, l):
         """BIAWGNC half-LLR density c(l) (vectorized)."""
-        mu, var = self.gauss_params(eps)
+        mu, var = self.gauss_params()
         l = np.asarray(l, dtype=float)
         return np.exp(-((l - mu) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
@@ -154,14 +153,14 @@ class ChannelModel:
 
     # ----- expectations ---------------------------------------------------
 
-    def expectation(self, f, eps=None):
+    def expectation(self, f):
         """E[f(l)] for a vectorized f: exact atom sum for the BSC; for the
         BIAWGNC the Gauss-Legendre rule on mean +- 12 standard deviations,
         split at l = 0 (where terms in |l| kink)."""
         if self.kind == BSC:
-            vals, probs = self.bsc_atoms(eps)
+            vals, probs = self.bsc_atoms()
             return float(probs[0] * f(vals[0]) + probs[1] * f(vals[1]))
-        return _gl_integral(lambda l: self.density(l, eps) * f(l), *self._window(eps), (0.0,))
+        return _gl_integral(lambda l: self.density(l) * f(l), *self._window(), (0.0,))
 
     def tail_prob(self, H):
         """P(|l| > H) (strict inequality)."""
@@ -173,10 +172,10 @@ class ChannelModel:
         # P(l > H) + P(l < -H) for l ~ N(mu, var)
         return 0.5 * math.erfc((H - mu) / scale) + 0.5 * math.erfc((H + mu) / scale)
 
-    def _window(self, eps=None):
+    def _window(self):
         """(lo, hi): the BIAWGNC quadrature window, mean +- 12 standard
         deviations of l."""
-        mu, var = self.gauss_params(eps)
+        mu, var = self.gauss_params()
         sd = math.sqrt(var)
         return mu - _QUAD_SIGMAS * sd, mu + _QUAD_SIGMAS * sd
 

@@ -29,6 +29,13 @@ hyperedge-connected and its boundary together with d(i), d(j) equals
 Xhat exactly.  (Gamma may contain i or j; Gamma = empty is compatible
 precisely when i and j share a check.)  This subsumes the walk condition:
 the connecting walk is witnessed and stored with each term.
+
+The graph searches are graphs.hop_distances: one search inside each
+candidate Y tests its connectivity, and the witness is a shortest path
+read back from the same distances.  The replica sums and the reduced
+dual partition functions run over the dual codewords of exact's table
+on graphs.dual_graph, each standing for the 2^coset_bits dual
+configurations that give it.
 """
 
 from __future__ import annotations
@@ -39,13 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
+from . import exact, gf2
 from .channels import delta_dual, delta_high, sinh_neg_moment
-from .duality import (DualInstance, dual_bracket, dual_partition, dual_weights, signed_log,
-                      tau_signs)
+from .duality import DualInstance, dual_bracket, dual_partition, dual_weights, signed_log
 from .exact import partition_function, spin_product_correlation
-from .graphs import (LDGM, LDPC, EnumerationCapExceeded, enumerate_saws,
-                     graph_distance, same_type_distance)
+from .graphs import (LDGM, LDPC, EnumerationCapExceeded, dual_graph, enumerate_saws,
+                     graph_distance, hop_distances, same_type_distance)
 
 #: cluster enumeration refuses more candidate sets (2^(n_var - 2)) than this
 CLUSTER_ENUM_CAP = 10 ** 6
@@ -122,60 +128,23 @@ def dkp_avg_bound(g, ch, A, B, H):
 @dataclass(frozen=True)
 class ClusterTerm:
     """A check cluster Xhat with its compatible Gamma sets and, for each
-    Gamma, the interior variables of a witnessing walk from d(i) to d(j)."""
+    Gamma, the interior variables of a witnessing walk from d(i) to d(j):
+    a shortest path from i to j inside Gamma | {i, j}."""
 
     xhat: frozenset
     gammas: tuple  # of frozensets of variable ids
     witnesses: tuple  # parallel to gammas: tuples of interior variables
 
 
-def _var_adjacent(g, v):
-    out = set()
-    for c in g.adj_var[v]:
-        out.update(g.adj_chk[c])
-    out.discard(v)
-    return out
-
-
-def _is_var_connected(g, nodes):
-    nodes = set(nodes)
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in _var_adjacent(g, v):
-            if w in nodes and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == nodes
-
-
-def _witness_interior(g, nodes, i, j):
-    """Interior variables of a shortest i-to-j path inside the variable
-    set nodes (empty when i and j share a check)."""
-    if set(g.adj_var[i]) & set(g.adj_var[j]):
-        return ()
-    prev = {i: None}
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in _var_adjacent(g, v):
-                if w in nodes and w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-                    if w == j:
-                        path = []
-                        x = prev[j]
-                        while x is not None and x != i:
-                            path.append(x)
-                            x = prev[x]
-                        return tuple(reversed(path))
-        frontier = nxt
-    raise AssertionError("connected set without a connecting path")
+def _interior(g, dist, i):
+    """Interior variables of a shortest path from i to the source of the
+    hop distances dist, read back one hop at a time (empty when i and the
+    source share a check)."""
+    path = []
+    while dist[i] > 1:
+        i = next(w for c in g.adj_var[i] for w in g.adj_chk[c] if dist[w] == dist[i] - 1)
+        path.append(i)
+    return tuple(path)
 
 
 def enumerate_clusters(g, i, j):
@@ -196,15 +165,15 @@ def enumerate_clusters(g, i, j):
     for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             Y = frozenset(extra) | {i, j}
-            if not _is_var_connected(g, Y):
+            dist = hop_distances(g, "var", (j,), within=Y)
+            if any(math.isinf(dist[v]) for v in Y):
                 continue
             xhat = frozenset(c for v in Y for c in g.adj_var[v])
-            by_xhat.setdefault(xhat, []).append(Y)
+            by_xhat.setdefault(xhat, []).append((Y, _interior(g, dist, i)))
     terms = []
     for xhat in sorted(by_xhat, key=lambda x: (len(x), sorted(x))):
         gammas, witnesses = [], []
-        for Y in by_xhat[xhat]:
-            interior = _witness_interior(g, Y, i, j)
+        for Y, interior in by_xhat[xhat]:
             for drop in ((), (i,), (j,), (i, j)):
                 gammas.append(Y - frozenset(drop))
                 witnesses.append(interior)
@@ -218,19 +187,22 @@ def reduced_dual_partition(inst, xhat):
     g = inst.graph
     comp = [c for c in range(g.n_chk) if c not in xhat]
     keep = [v for v in range(g.n_var) if not (set(g.adj_var[v]) & xhat)]
-    return signed_log(dual_weights(tau_signs(g, keep, comp), inst.values[keep]).sum())
+    _, W = dual_weights(dual_graph(g, keep, comp), inst.values[keep])
+    return signed_log(W.sum())
 
 
 def berretti_term(inst, term, i, j):
     """(K_ij(Xhat), sign, log|Z_dual(Xhat^c)|) for one cluster term, by
-    exact enumeration of the two replicas restricted to Xhat."""
+    exact enumeration of the two replicas restricted to Xhat: each replica
+    runs over the dual codewords of the checks in Xhat, each standing for
+    2^coset_bits of their configurations, so a pair stands for 4^coset_bits."""
     g = inst.graph
     if len(term.xhat) > REPLICA_CAP:
         raise EnumerationCapExceeded(
             f"cluster of size {len(term.xhat)} exceeds replica cap {REPLICA_CAP}")
-    chk_list = sorted(term.xhat)
     vars_needed = list({i, j}.union(*term.gammas))
-    signs = tau_signs(g, vars_needed, chk_list)
+    dual = dual_graph(g, vars_needed, sorted(term.xhat))
+    signs = exact.codebit_table(dual)
     cols = dict(zip(vars_needed, np.ascontiguousarray(signs.T, dtype=float)))
     l = inst.values
     ti, tj = cols[i], cols[j]
@@ -244,7 +216,7 @@ def berretti_term(inst, term, i, j):
             tk = cols[k]
             prod *= e2 * (tk[:, None] + tk[None, :]) + e2 * e2 * tk[:, None] * tk[None, :]
         gamma_sum += prod
-    K = float((Fi * Fj * gamma_sum).sum())
+    K = float((Fi * Fj * gamma_sum).sum()) * 4.0 ** dual.coset_bits
     zs, zl = reduced_dual_partition(inst, term.xhat)
     return K, zs, zl
 
@@ -315,26 +287,6 @@ def _replica_tables(inst, A, B):
     return FAB, Ms
 
 
-def _g_connects(g, G_plus_bad, A, B):
-    """Does some walk from A to B use only checks in G_plus_bad?"""
-    if set(A) & set(B):
-        return True
-    reach = set(A)
-    stack = list(A)
-    while stack:
-        v = stack.pop()
-        for c in g.adj_var[v]:
-            if c not in G_plus_bad:
-                continue
-            for w in g.adj_chk[c]:
-                if w not in reach:
-                    if w in B:
-                        return True
-                    reach.add(w)
-                    stack.append(w)
-    return False
-
-
 def replica_g_sums(inst, A, B, H):
     """(connecting_sum, nonconnecting_sum) of the replicated-measure
     decomposition over subsets G of the good checks:
@@ -366,7 +318,8 @@ def replica_g_sums(inst, A, B, H):
             for c in G:
                 prod *= Ms[c] - 1.0
             val = scale * float((FAB * prod).sum())
-            if _g_connects(g, bad_set | set(G), A, B):
+            reach = hop_distances(g, "var", A, through=bad_set.union(G))
+            if any(reach[v] < math.inf for v in B):
                 con += val
             else:
                 noncon += val

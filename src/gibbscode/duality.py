@@ -14,7 +14,10 @@ and satisfies the extended MacWilliams identity
 The u-sum visits each dual codeword 2^{m-rank(H)} times, so the 2^{-m}
 normalization equals |C_dual|^{-1} = 2^{-rank(H)} exactly when the parity
 matrix has full row rank (no redundant checks) and is the exact
-normalization in general.
+normalization in general.  The sums here run over the dual codewords
+once each: graphs.dual_graph reads the dual as an LDGM graph, whose
+exact.codebit_table has one row per dual codeword (2^rank(H) rows), and
+each row's weight carries the factor 2^{m-rank(H)}.
 
 Differentiating the log of the identity in the l's gives the correlation
 maps checked by duality_residuals:
@@ -39,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from . import exact, gf2
-from .exact import BruteForceCapExceeded, TableCache, all_marginals, pair_correlation
-from .graphs import LDPC
+from . import exact
+from .exact import all_marginals, pair_correlation
+from .graphs import LDPC, dual_graph
 
 #: relative margin of the lower bound Z_dual >= 2^m: a computed Z_dual
 #: under 2^m (1 - Z_DUAL_FLOOR) has cancelled away and raises DualDegenerate
@@ -81,42 +84,29 @@ class DualInstance:
 
     @cached_property
     def weights(self):
-        """(T, W, Z_dual): the tau table, the signed weight of every dual
-        configuration and their sum, built once per instance; the dual
-        spins (checks) are capped by exact.BRUTE_FORCE_CAP."""
-        if self.graph.n_chk > exact.BRUTE_FORCE_CAP:
-            raise BruteForceCapExceeded(
-                f"{self.graph.n_chk} dual spins exceed cap {exact.BRUTE_FORCE_CAP}")
-        T = _tau_table(self.graph)
-        W = dual_weights(T, self.values)
+        """(T, W, Z_dual): the dual codewords, each one's signed weight
+        (dual_weights) and their sum, built once per instance; the dual
+        table is capped as exact caps an LDGM table, on its rank, rank H."""
+        g = self.graph
+        dual = dual_graph(g, range(g.n_var), range(g.n_chk))
+        exact._check_cap(dual)
+        T, W = dual_weights(dual, self.values)
         return T, W, W.sum()
 
 
-def tau_signs(graph, vars_needed, chk_list):
-    """int8 tau_k over the dual configurations of the checks in chk_list (rows)
-    for each variable k in vars_needed (columns; its checks lie in chk_list)."""
-    pos = {c: b for b, c in enumerate(chk_list)}
-    return gf2.parity_signs(gf2.cube(len(chk_list)),
-                            [gf2.mask(pos[c] for c in graph.adj_var[k]) for k in vars_needed])
-
-
-@partial(TableCache, maxsize=32)
-def _tau_table(graph):
-    """tau_i(u) for every dual configuration u (rows) and variable i
-    (columns), as int8 signs; u enumerates {-1,+1}^{n_chk}."""
-    return tau_signs(graph, range(graph.n_var), range(graph.n_chk))
-
-
-def dual_weights(T, l):
-    """Per-configuration signed weight prod_i (1 + e^{-2l_i} T[:, i]) for a
-    sign table T (configurations x code bits), in extended precision
-    (the signed sum cancels heavily on some draws)."""
-    W = np.ones(T.shape[0], dtype=np.longdouble)
+def dual_weights(dual, l):
+    """(T, W) for a dual graph (graphs.dual_graph) and LLRs l of its code
+    bits: T = exact.codebit_table(dual), whose rows are the dual codewords
+    tau, and W, the signed weight prod_i (1 + e^{-2 l_i} tau_i) of each
+    codeword times the 2^coset_bits dual configurations u that give it,
+    in extended precision (the signed sum cancels heavily on some draws)."""
+    T = exact.codebit_table(dual)
+    W = np.full(len(T), np.longdouble(2.0 ** dual.coset_bits))
     for i in range(T.shape[1]):
         fac = np.longdouble(1.0) + np.exp(np.longdouble(-2.0) * np.longdouble(l[i])) \
             * T[:, i].astype(np.longdouble)
         W *= fac
-    return W
+    return T, W
 
 
 def signed_log(total):

@@ -47,11 +47,12 @@ from . import gf2
 from .channels import LLRVector, block_slices
 from .graphs import LDGM, LDPC, TannerGraph
 
-#: cap on the support dimension, rank G (LDGM) or n - rank H (LDPC), and
-#: on duality's dual spins; 2^24 ~ 1.7e7 configurations
+#: cap on the support dimension, rank G (LDGM) or n - rank H (LDPC); the
+#: dual of an LDPC code is an LDGM code, so its cap is on rank H;
+#: 2^24 ~ 1.7e7 table rows
 BRUTE_FORCE_CAP = 24
 
-#: bytes of tables each table cache may keep (one 2^24 x 16 int8 table)
+#: bytes of tables the table cache may keep (one 2^24 x 16 int8 table)
 TABLE_CACHE_BYTES = 256 << 20
 
 
@@ -267,9 +268,8 @@ def _posterior(inst, terms, finish):
                 total[:, samples] += part
     logz = m + np.log(wsum)
     for k, g in enumerate(graphs):
-        coset_bits = g.n_var - g.free_spin_count if g.kind == LDGM else 0
-        if coset_bits:
-            logz[k] += coset_bits * math.log(2)
+        if g.coset_bits:
+            logz[k] += g.coset_bits * math.log(2)
     out = finish(X, L, logz, wsum, *sums)
     return out if batch else out[0] if inst.values.ndim == 2 else out[0, 0]
 

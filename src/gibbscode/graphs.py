@@ -9,8 +9,12 @@ Conventions:
     constraint per check.
   * Depth arguments for computational trees count EDGE hops and must be
     even (so the boundary has the same node type as the root).
-    graph_distance between two code bits counts same-type hops, i.e. edge
-    distance divided by two.
+    Distances count same-type hops, i.e. edge distance divided by two;
+    hop_distances is the one breadth-first search, and graph_distance,
+    code_bit_distances and same_type_distance read from it.
+  * The MacWilliams dual of an LDPC graph is an LDGM graph with the sides
+    swapped (dual_graph): its brute-force table (exact.codebit_table)
+    holds the dual codewords.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -97,6 +101,13 @@ class TannerGraph:
         the codewords)."""
         rank = len(self.reduced_checks)
         return rank if self.kind == LDGM else self.n_var - rank
+
+    @property
+    def coset_bits(self):
+        """log2 of the configurations each row of the brute-force table
+        stands for: n_var - rank G for LDGM (a coset of the kernel of G),
+        0 for LDPC (a codeword)."""
+        return self.n_var - self.free_spin_count if self.kind == LDGM else 0
 
     def edges(self):
         return [(v, c) for v in range(self.n_var) for c in self.adj_var[v]]
@@ -266,6 +277,32 @@ def sample_ensemble(dd, n, kind, seed):
 # distances
 # ---------------------------------------------------------------------------
 
+def hop_distances(g, side, sources, within=None, through=None):
+    """Same-side hop counts (edge distance / 2) from the nearest source to
+    every node of side ("var" or "chk"), by one breadth-first search: a
+    list indexed by node, 0 at the sources and math.inf where a node is
+    not reached.  within, when given, holds the nodes of side the search
+    may enter; through, the nodes of the other side a hop may pass."""
+    adj_self, adj_other = (g.adj_var, g.adj_chk) if side == "var" else (g.adj_chk, g.adj_var)
+    dist = [math.inf] * len(adj_self)
+    frontier = list(set(sources))
+    for x in frontier:
+        dist[x] = 0
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for x in frontier:
+            for m in adj_self[x]:
+                if through is None or m in through:
+                    for y in adj_other[m]:
+                        if dist[y] == math.inf and (within is None or y in within):
+                            dist[y] = hops
+                            nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def graph_distance(g, i, j):
     """Same-type hop count between code bits i and j (edge distance / 2);
     math.inf when disconnected."""
@@ -273,49 +310,29 @@ def graph_distance(g, i, j):
 
 
 def code_bit_distances(g, i):
-    """Same-type hop counts from code bit i to every code bit, by one
-    breadth-first search: a list indexed by code bit, math.inf where
-    disconnected."""
-    adj_self, adj_other = (g.adj_chk, g.adj_var) if g.kind == LDGM else (g.adj_var, g.adj_chk)
-    dist = [math.inf] * len(adj_self)
-    dist[i] = 0
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for m in adj_self[x]:
-                for y in adj_other[m]:
-                    if dist[y] == math.inf:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-        frontier = nxt
-    return dist
+    """Same-type hop counts from code bit i to every code bit: a list
+    indexed by code bit, math.inf where disconnected."""
+    return hop_distances(g, "chk" if g.kind == LDGM else "var", (i,))
 
 
 def same_type_distance(g, typ, sources, targets):
-    """BFS distance in same-type hops from a source set to a target set
-    (both of node type typ); 0 when the sets intersect, inf if unreachable."""
-    targets = set(targets)
-    if targets & set(sources):
-        return 0
-    frontier = set(sources)
-    seen = set(frontier)
-    dist = 0
-    adj_self = g.adj_var if typ == "var" else g.adj_chk
-    adj_other = g.adj_chk if typ == "var" else g.adj_var
-    while frontier:
-        dist += 1
-        nxt = set()
-        for x in frontier:
-            for m in adj_self[x]:
-                for y in adj_other[m]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.add(y)
-        if nxt & targets:
-            return dist
-        frontier = nxt
-    return math.inf
+    """Distance in same-type hops from a source set to a target set (both
+    of node type typ); 0 when the sets intersect, inf if unreachable."""
+    dist = hop_distances(g, typ, sources)
+    return min((dist[t] for t in targets), default=math.inf)
+
+
+def dual_graph(g, code_bits, spins):
+    """The MacWilliams dual of the LDPC graph g read as an LDGM graph, its
+    sides swapped: the dual's information bits are the checks in spins
+    and its checks (code bits) the variables in code_bits, dual check k
+    (variable code_bits[k]) joined to dual spin b (check spins[b]) where
+    g joins them.  Every check of a listed variable must be among the
+    spins.  The rows of the dual's codebit_table are the dual codewords
+    tau, tau_i = prod_{a in d(i)} u_a."""
+    pos = {c: b for b, c in enumerate(spins)}
+    edges = [(pos[c], k) for k, v in enumerate(code_bits) for c in g.adj_var[v]]
+    return _from_simple_edges(len(pos), len(code_bits), edges, LDGM)
 
 
 # ---------------------------------------------------------------------------

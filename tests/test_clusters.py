@@ -1,10 +1,12 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_ldgm_graph, tiny_ldpc_no_isolated
-from gibbscode import clusters
+from gibbscode import clusters, exact, gf2
 from gibbscode.channels import ChannelModel, default_H, sample_llr
 from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 berretti_identity_residual, berretti_term,
@@ -12,7 +14,7 @@ from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 enumerate_clusters, replica_decomposition_residual,
                                 replica_g_sums)
 from gibbscode.exact import make_instance, spin_product_correlation
-from gibbscode.graphs import LDGM, LDPC, EnumerationCapExceeded, build_graph
+from gibbscode.graphs import LDGM, LDPC, EnumerationCapExceeded, build_graph, dual_graph
 
 
 def test_bad_set():
@@ -265,3 +267,53 @@ def test_replica_decomposition_on_rank_deficient_graph():
         assert abs(noncon) < 1e-12
         assert replica_decomposition_residual(inst, A, B, 0.5) < 1e-10
     assert abs(spin_product_correlation(inst, {0}, {2})) > 1e-3
+
+
+def full_cube_K(inst, term, i, j):
+    """(K_ij(Xhat), sum of its terms' magnitudes) over both replicas' 2^|Xhat|
+    dual configurations in exact arithmetic: the brute force that
+    berretti_term's codeword table stands in for."""
+    g, l = inst.graph, inst.values
+    pos = {c: b for b, c in enumerate(sorted(term.xhat))}
+    needed = sorted({i, j}.union(*term.gammas))
+    signs = gf2.parity_signs(gf2.cube(len(pos)),
+                             [gf2.mask(pos[c] for c in g.adj_var[v]) for v in needed])
+    tau = [dict(zip(needed, map(int, row))) for row in signs]
+    a = {k: Fraction(math.exp(-2.0 * l[k])) for k in needed}
+    total = scale = Fraction(0)
+    for t1, t2 in itertools.product(tau, repeat=2):
+        for gamma in term.gammas:
+            term_value = (t1[i] - t2[i]) * (t1[j] - t2[j])
+            for k in gamma:
+                term_value *= a[k] * (t1[k] + t2[k]) + a[k] ** 2 * t1[k] * t2[k]
+            total += term_value
+            scale += abs(term_value)
+    return float(total), float(scale)
+
+
+def test_berretti_term_on_rank_deficient_clusters():
+    """A cluster whose checks are dependent on the variables the term
+    reads (rank < |Xhat|) runs its replicas over 2^rank dual codewords,
+    each pair standing for 4^(|Xhat| - rank) configuration pairs; K equals
+    the full-cube sum, and the identity still closes."""
+    graphs = [build_graph(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)], LDPC),  # a double check
+              build_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2)], LDPC),
+              build_graph(4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2), (2, 3),
+                                 (3, 3), (0, 3)], LDPC)]
+    rng = np.random.default_rng(8)
+    deficient = 0
+    for g in graphs:
+        inst = make_instance(g, rng.uniform(-1.5, 1.5, g.n_var))
+        i, j = 0, g.n_var - 1
+        for term in enumerate_clusters(g, i, j):
+            needed = list({i, j}.union(*term.gammas))
+            dual = dual_graph(g, needed, sorted(term.xhat))
+            rank = len(dual.reduced_checks)
+            assert exact.codebit_table(dual).shape == (2 ** rank, len(needed))
+            K, _, _ = berretti_term(inst, term, i, j)
+            want, scale = full_cube_K(inst, term, i, j)
+            # relative 1e-12, or rounding of its terms where K vanishes
+            assert abs(K - want) <= 1e-12 * abs(want) + 1e-15 * scale
+            deficient += rank < len(term.xhat) and want != 0.0
+        assert berretti_identity_residual(inst, i, j) < 1e-12
+    assert deficient == 2

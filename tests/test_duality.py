@@ -149,8 +149,47 @@ def test_dual_weights_built_once_per_instance(monkeypatch):
     macwilliams_log_residual(dinst)
     duality_residuals(dinst, 0, 1)
     assert len(builds) == 1
-    # the dual-spin cap is checked where the weights are built
-    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", g.n_chk - 1)
-    with pytest.raises(BruteForceCapExceeded, match=f"{g.n_chk} dual spins exceed cap"):
+    # the dual table is capped where the weights are built, by exact's rule
+    # for an LDGM table: on its rank, which is rank H
+    rank = len(g.reduced_checks)
+    monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", rank - 1)
+    with pytest.raises(BruteForceCapExceeded,
+                       match=rf"support dimension {rank} \(rank G\) exceeds cap {rank - 1}"):
         dual_bracket(DualInstance(make_instance(g, rng.uniform(-2, 2, g.n_var))), (0,))
     assert len(builds) == 1
+
+
+def full_cube_dual(g, l):
+    """tau over all 2^m dual configurations u (rows) and the signed weight
+    of each: the brute force the dual codeword table stands in for."""
+    T = gf2.parity_signs(gf2.cube(g.n_chk), [gf2.mask(a) for a in g.adj_var])
+    a = np.exp(-2.0 * np.asarray(l, dtype=np.longdouble))
+    return T, np.prod(1 + a * T, axis=1)
+
+
+def test_dual_sums_over_codewords_on_redundant_checks():
+    """With a redundant check (m > rank H) the dual table holds 2^rank H
+    codewords, each weighted by the 2^(m - rank H) configurations u that
+    give it; Z_dual and the brackets equal the full 2^m-cube sums."""
+    rng = np.random.default_rng(5)
+    # check 2 is the sum of checks 0 and 1
+    triangle = build_graph(4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2), (2, 3),
+                                  (3, 3)], LDPC)
+    graphs = [triangle] + [g for g in (random_ldpc_graph(rng) for _ in range(300))
+                           if len(g.reduced_checks) < g.n_chk][:20]
+    assert len(graphs) == 21
+    for g in graphs:
+        rank = len(g.reduced_checks)
+        l = rng.uniform(-1.5, 1.5, g.n_var)
+        dinst = DualInstance(make_instance(g, l))
+        T, W, z = dinst.weights
+        assert T.shape == (2 ** rank, g.n_var)
+        assert len(np.unique(T, axis=0)) == 2 ** rank  # each dual codeword once
+        Tc, Wc = full_cube_dual(g, l)
+        s, lz = dual_partition(dinst)
+        assert s * math.exp(lz) == pytest.approx(float(Wc.sum()), rel=1e-12)
+        i, j = (int(x) for x in rng.choice(g.n_var, 2, replace=False))
+        for S in ((i,), (i, j)):
+            want = float(Wc @ np.prod(Tc[:, list(S)], axis=1) / Wc.sum())
+            assert dual_bracket(dinst, S) == pytest.approx(want, rel=1e-12)
+        assert macwilliams_log_residual(dinst) < 1e-12

@@ -10,8 +10,8 @@ from gibbscode import graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
                               NodeCapExceeded, build_graph, code_bit_distances,
                               computational_tree, draw_degrees, enumerate_saws,
-                              graph_distance, load_graph, same_type_distance,
-                              sample_ensemble, save_graph)
+                              graph_distance, hop_distances, load_graph,
+                              same_type_distance, sample_ensemble, save_graph)
 
 
 def path_graph():
@@ -150,21 +150,65 @@ def test_sample_ensemble_golden_graphs(dd, n, kind, digest):
     assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
 
 
+def same_side_adjacency(g, side, through=None):
+    """Boolean adjacency of the nodes of side that share a neighbor on the
+    other side (one in through, when given)."""
+    adj_self, adj_other = (g.adj_var, g.adj_chk) if side == "var" else (g.adj_chk, g.adj_var)
+    A = np.zeros((len(adj_self), len(adj_self)), bool)
+    for x, nbrs in enumerate(adj_self):
+        for m in nbrs:
+            if through is None or m in through:
+                A[x, list(adj_other[m])] = True
+    return A
+
+
+def reference_distances(g, side, sources, within=None, through=None):
+    """Hop counts from the nearest source by scipy's unweighted shortest
+    paths on the same-side adjacency, restricted to the subgraph induced
+    by within and the sources."""
+    from scipy.sparse.csgraph import shortest_path
+
+    A = same_side_adjacency(g, side, through)
+    keep = np.arange(len(A)) if within is None else np.array(sorted(set(within) | set(sources)))
+    D = shortest_path(A[np.ix_(keep, keep)], directed=False, unweighted=True,
+                      indices=np.searchsorted(keep, sorted(sources)))
+    out = np.full(len(A), np.inf)
+    out[keep] = D.min(axis=0)
+    return out
+
+
 def test_graph_distance():
     g = repetition3()
     assert graph_distance(g, 0, 0) == 0
     assert graph_distance(g, 0, 2) == 2
     g2 = build_graph(2, 2, [(0, 0), (1, 1)], LDPC)
     assert math.isinf(graph_distance(g2, 0, 1))
-    # one BFS per source against the set-to-set BFS, pair by pair
+    # every view of the search against scipy's shortest paths, from every
+    # node of each side, and searches restricted to random node sets
+    rng = np.random.default_rng(0)
     mixed = DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0})
     for g in (g2, sample_ensemble(mixed, 14, LDGM, 5), sample_ensemble(mixed, 14, LDGM, 9),
               sample_ensemble(DegreeDistribution.regular(3, 6), 24, LDPC, 2)):
-        typ = "chk" if g.kind == LDGM else "var"
-        nb = g.code_bit_count
-        for i in range(nb):
-            assert code_bit_distances(g, i) == [
-                same_type_distance(g, typ, [i], [j]) for j in range(nb)]
+        code_side = "chk" if g.kind == LDGM else "var"
+        for side, n, n_other in (("var", g.n_var, g.n_chk), ("chk", g.n_chk, g.n_var)):
+            for i in range(n):
+                want = reference_distances(g, side, [i])
+                assert np.array_equal(hop_distances(g, side, [i]), want)
+                if side == code_side:
+                    assert np.array_equal(code_bit_distances(g, i), want)
+                    j = int(rng.integers(n))
+                    assert graph_distance(g, i, j) == want[j]
+                targets = rng.choice(n, 3)
+                assert same_type_distance(g, side, [i, 0], targets) == min(
+                    reference_distances(g, side, [i, 0])[targets])
+            for _ in range(20):
+                sources = rng.choice(n, int(rng.integers(1, 3)), replace=False).tolist()
+                within = set(sources) | set(np.flatnonzero(rng.random(n) < 0.7).tolist())
+                through = set(np.flatnonzero(rng.random(n_other) < 0.7).tolist())
+                for kw in ({"within": within}, {"through": through},
+                           {"within": within, "through": through}):
+                    assert np.array_equal(hop_distances(g, side, sources, **kw),
+                                          reference_distances(g, side, sources, **kw))
 
 
 def neighborhood(g, node, d):
