@@ -50,6 +50,12 @@ Code-bit outputs: LDPC marginal tanh(l_i + sum c2v); LDGM check i reads
 the same check sums over all its incoming v2c as a field c_i and returns
 tanh(l_i + c_i).  Extrinsic estimates drop the own-l term: tanh(sum c2v)
 (LDPC) or tanh(c_i) (LDGM); messages elsewhere keep their l's.
+
+Computational trees (tree_decode) are summed exactly rather than
+flooded: one bottom-up sweep per set of inserted code-bit observables
+(none, then each pair node) returns the tree sum both without and with
+the root's observable inserted, since the two differ only in the root's
+factor; each of the two root sums is normalised on its own.
 """
 
 from __future__ import annotations
@@ -314,19 +320,19 @@ def tree_decode(ct, inst, pair_nodes=()):
     across tree nodes), plus optional root-to-node covariances.
 
     pair_nodes are TREE node ids of code-bit type; the return value is
-    (root_marginal, {k: <x_root x_k> - <x_root><x_k>}).
+    (root_marginal, {k: <x_root x_k> - <x_root><x_k>}).  One sweep per
+    insert set (none, then each pair node) gives the sums with and
+    without the root inserted.
     """
     code_type = "chk" if inst.kind == LDGM else "var"
     for k in pair_nodes:
         if k == 0 or ct.node_type[k] != code_type:
             raise ValueError(f"pair node {k} must be a non-root code-bit node")
-    logZ0, val0 = _tree_eval(ct, inst, frozenset())
-    logZr, valr = _tree_eval(ct, inst, frozenset([0]))
+    (logZ0, val0), (logZr, valr) = _tree_eval(ct, inst, frozenset())
     root_mean = valr / val0 * math.exp(logZr - logZ0)
     corrs = {}
     for k in pair_nodes:
-        logZk, valk = _tree_eval(ct, inst, frozenset([k]))
-        logZrk, valrk = _tree_eval(ct, inst, frozenset([0, k]))
+        (logZk, valk), (logZrk, valrk) = _tree_eval(ct, inst, frozenset([k]))
         mk = valk / val0 * math.exp(logZk - logZ0)
         mrk = valrk / val0 * math.exp(logZrk - logZ0)
         corrs[k] = mrk - root_mean * mk
@@ -334,9 +340,13 @@ def tree_decode(ct, inst, pair_nodes=()):
 
 
 def _tree_eval(ct, inst, inserts):
-    """Sum over tree spin configurations of the Gibbs weight times the
-    product of inserted code-bit observables.  Returns (logscale, value)
-    with |value| <= 1: the sum equals value * exp(logscale).
+    """Sums over tree spin configurations of the Gibbs weight times the
+    product of the inserted code-bit observables (non-root nodes), from
+    one bottom-up sweep: ((logscale, value) without the root inserted,
+    (logscale, value) with it), each sum equal to value * exp(logscale)
+    with |value| <= 1.  The two differ only in the root's factor, so
+    every other message is computed once, and each root is normalised
+    on its own.
 
     Messages are pairs over the node's spin (LDGM: info-bit spin at var
     nodes; check factors carry observations).  Checks whose variable
@@ -344,10 +354,9 @@ def _tree_eval(ct, inst, inserts):
     uniformly, which reproduces the zero-initialized BP boundary."""
     g, l = inst.graph, inst.values
     kind = inst.kind
-    order = sorted(range(ct.n_nodes), key=lambda k: -ct.node_depth[k])
     msg = {}
-    logscale = 0.0
-    for k in order:
+
+    def message(k, ins):
         typ, img = ct.node_type[k], ct.proj[k]
         ch = ct.children[k]
         if kind == LDGM:
@@ -356,50 +365,52 @@ def _tree_eval(ct, inst, inserts):
                 for c in ch:
                     up *= msg[c][0]
                     down *= msg[c][1]
-                vec = (up, down)
-            else:
-                # combine var children into distribution of their product
-                qp, qm = 1.0, 0.0
-                for c in ch:
-                    qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
-                deg = len(g.adj_chk[img])
-                present = len(ch) + (0 if ct.parent[k] == -1 else 1)
-                phantom = deg > present
-                lc = l[img]
-                ins = k in inserts
-                if ct.parent[k] == -1:
-                    vec = (_ldgm_check_total(qp, qm, 1.0, lc, phantom, ins), 0.0)
-                else:
-                    vec = (_ldgm_check_total(qp, qm, 1.0, lc, phantom, ins),
-                           _ldgm_check_total(qp, qm, -1.0, lc, phantom, ins))
-        else:
-            if typ == "var":
-                lv = l[img]
-                up, down = math.exp(min(lv, L_SAT)), math.exp(max(-lv, -L_SAT))
-                for c in ch:
-                    up *= msg[c][0]
-                    down *= msg[c][1]
-                if k in inserts:
-                    down = -down
-                vec = (up, down)
-            else:
-                qp, qm = 1.0, 0.0
-                for c in ch:
-                    qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
-                if ct.parent[k] == -1:
-                    vec = (qp, 0.0)  # unreachable: LDPC roots are variables
-                else:
-                    vec = (qp, qm)  # parity: parent +1 needs product +1
+                return up, down
+            # combine var children into distribution of their product
+            qp, qm = 1.0, 0.0
+            for c in ch:
+                qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
+            deg = len(g.adj_chk[img])
+            present = len(ch) + (0 if ct.parent[k] == -1 else 1)
+            phantom = deg > present
+            lc = l[img]
+            if ct.parent[k] == -1:
+                return _ldgm_check_total(qp, qm, 1.0, lc, phantom, ins), 0.0
+            return (_ldgm_check_total(qp, qm, 1.0, lc, phantom, ins),
+                    _ldgm_check_total(qp, qm, -1.0, lc, phantom, ins))
+        if typ == "var":
+            lv = l[img]
+            up, down = math.exp(min(lv, L_SAT)), math.exp(max(-lv, -L_SAT))
+            for c in ch:
+                up *= msg[c][0]
+                down *= msg[c][1]
+            return (up, -down) if ins else (up, down)
+        qp, qm = 1.0, 0.0
+        for c in ch:
+            qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
+        if ct.parent[k] == -1:
+            return qp, 0.0  # unreachable: LDPC roots are variables
+        return qp, qm  # parity: parent +1 needs product +1
+
+    logscale = 0.0
+    # deepest first; the root, node 0 and the only node at depth 0, last
+    for k in sorted(range(1, ct.n_nodes), key=lambda k: -ct.node_depth[k]):
+        vec = message(k, k in inserts)
         m = max(abs(vec[0]), abs(vec[1]))
         if m == 0.0:
-            return logscale, 0.0
+            return (logscale, 0.0), (logscale, 0.0)
         logscale += math.log(m)
         msg[k] = (vec[0] / m, vec[1] / m)
 
-    root = msg[0]
-    if kind == LDGM:
-        return logscale, root[0]
-    return logscale, root[0] + root[1]
+    def root_sum(ins):
+        vec = message(0, ins)
+        m = max(abs(vec[0]), abs(vec[1]))
+        if m == 0.0:
+            return logscale, 0.0
+        up, down = vec[0] / m, vec[1] / m
+        return logscale + math.log(m), up if kind == LDGM else up + down
+
+    return root_sum(False), root_sum(True)
 
 
 def _ldgm_check_total(qp, qm, u_par, lc, phantom, insert):

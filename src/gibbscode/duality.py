@@ -28,8 +28,14 @@ maps checked by duality_residuals:
 
 The dual bracket is signed (weights are negative for l_i < 0 and
 tau_i = -1), so everything is evaluated in sign/log-magnitude form.
-The signed weights are built once per DualInstance; the partition
-function, the brackets and the residuals are reductions over them.
+The signed weights are built once per DualInstance, as one
+extended-precision product over the columns of the dual table; the
+partition function, the brackets and the residuals are reductions over
+them.  The primal side is one posterior pass per DualInstance as well
+(exact.moments_with_root): log Z, every marginal <x_i> and the
+correlation row of the instance's root code bit come from the same
+weights, so the MacWilliams residual and both correlation maps at a
+pair (root, j) cost one pass.
 
 In exact arithmetic Z_dual = 2^m e^{-sum l} Z >= 2^m, because the
 all-plus codeword alone gives Z >= e^{sum l}.  A computed Z_dual under
@@ -47,7 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from . import exact
-from .exact import all_marginals, pair_correlation
+from .channels import block_slices
+from .exact import all_marginals, moments_with_root, pair_correlation
 from .graphs import LDPC, dual_graph
 
 #: relative margin of the lower bound Z_dual >= 2^m: a computed Z_dual
@@ -66,9 +73,12 @@ class DualDegenerate(ArithmeticError):
 
 @dataclass(frozen=True)
 class DualInstance:
-    """An LDPC posterior together with its dual-LDGM reading."""
+    """An LDPC posterior together with its dual-LDGM reading.  root is
+    the code bit whose correlation row the cached primal pass carries:
+    duality_residuals at (root, j) reads that pass."""
 
     base: object  # PosteriorInstance with kind LDPC
+    root: int = 0
 
     def __post_init__(self):
         if self.base.kind != LDPC:
@@ -93,19 +103,28 @@ class DualInstance:
         T, W = dual_weights(dual, self.values)
         return T, W, W.sum()
 
+    @cached_property
+    def primal(self):
+        """(log Z, <x>, <x_root x_j> - <x_root><x_j> for all j): the
+        primal side, one exact posterior pass per instance."""
+        return moments_with_root(self.base, self.root)
+
 
 def dual_weights(dual, l):
     """(T, W) for a dual graph (graphs.dual_graph) and LLRs l of its code
     bits: T = exact.codebit_table(dual), whose rows are the dual codewords
     tau, and W, the signed weight prod_i (1 + e^{-2 l_i} tau_i) of each
     codeword times the 2^coset_bits dual configurations u that give it,
-    in extended precision (the signed sum cancels heavily on some draws)."""
+    in extended precision (the signed sum cancels heavily on some draws).
+    Each block of rows forms its (rows, n) factor block and multiplies it
+    out along the columns in column order, one reduce; 2^coset_bits is
+    an exact power of two, so where it enters does not move a bit."""
     T = exact.codebit_table(dual)
-    W = np.full(len(T), np.longdouble(2.0 ** dual.coset_bits))
-    for i in range(T.shape[1]):
-        fac = np.longdouble(1.0) + np.exp(np.longdouble(-2.0) * np.longdouble(l[i])) \
-            * T[:, i].astype(np.longdouble)
-        W *= fac
+    a = np.exp(np.longdouble(-2.0) * np.asarray(l, dtype=np.longdouble))
+    W = np.empty(len(T), np.longdouble)
+    for rows in block_slices(*T.shape):
+        W[rows] = np.multiply.reduce(1.0 + a * T[rows], axis=1)
+    W *= 2.0 ** dual.coset_bits
     return T, W
 
 
@@ -156,9 +175,7 @@ def macwilliams_log_residual(dinst):
     """Relative residual |Z - 2^{-m} e^{sum l} Z_dual| / Z computed in the
     log domain; the acceptance identity.  The 2^{-m} normalization equals
     |C_dual|^{-1} whenever the parity matrix has full row rank."""
-    from .exact import partition_function
-
-    logz = partition_function(dinst.base)
+    logz = dinst.primal[0]
     zs, zl = dual_partition(dinst)
     log_rhs_mag = zl + float(np.sum(dinst.values)) - dinst.graph.n_chk * math.log(2.0)
     if zs <= 0.0:
@@ -169,11 +186,13 @@ def macwilliams_log_residual(dinst):
 def duality_residuals(dinst, i, j):
     """(r1, r2): absolute residuals of the first- and second-derivative
     correlation maps at code bits i and j, primal side from the exact
-    Gibbs module.  A residual is returned as nan (skipped) when its
-    |sinh 2l| is at most SINH_FLOOR (the identity has a removable
-    singularity at l = 0) or when Z_dual is degenerate (DualDegenerate)."""
+    Gibbs module: the instance's cached pass when i is its root, one
+    pass rooted at i otherwise.  A residual is returned as nan (skipped)
+    when its |sinh 2l| is at most SINH_FLOOR (the identity has a
+    removable singularity at l = 0) or when Z_dual is degenerate
+    (DualDegenerate)."""
     l = dinst.values
-    marg = all_marginals(dinst.base)
+    _, marg, corr = dinst.primal if i == dinst.root else moments_with_root(dinst.base, i)
     si, sj = math.sinh(2 * l[i]), math.sinh(2 * l[j])
     r1 = r2 = math.nan
     if abs(si) <= SINH_FLOOR:
@@ -186,6 +205,5 @@ def duality_residuals(dinst, i, j):
     if abs(sj) > SINH_FLOOR:
         tj = dual_bracket(dinst, (j,))
         tij = dual_bracket(dinst, (i, j))
-        primal = pair_correlation(dinst.base, i, j)
-        r2 = abs(primal - (tij - ti * tj) / (si * sj))
+        r2 = abs(float(corr[j]) - (tij - ti * tj) / (si * sj))
     return r1, r2

@@ -16,9 +16,10 @@ of the generator G; the table holds the 2^(rank G) configurations of the
 pivot information bits, one per coset of the kernel, and each row stands
 for 2^(m - rank G) configurations, a factor log Z carries.  LDPC: the
 2^(n - rank H) codewords, spanned from a nullspace basis of the parity
-checks.  It works in the log domain, and relies on numpy's pairwise
-summation for reproducible reductions.  Every quantity is a weighted
-sum over one posterior pass, which takes a whole block of noise
+checks.  Both tables are spans, doubled up from the parity signs of
+their basis words.  It works in the log domain, and relies on numpy's
+pairwise summation for reproducible reductions.  Every quantity is a
+weighted sum over one posterior pass, which takes a whole block of noise
 realizations at once and streams over the int8 table X: each row chunk
 of X is converted to float once per call and run against every block of
 the (S, n) LLR block L, and each sample keeps a running maximum
@@ -185,13 +186,21 @@ def codebit_table(graph):
     parity checks in ascending order of their bitmasks (the order of a
     2^n enumeration filtered by the parity indicators); X[r, i] is spin
     i of codeword r.
+
+    Both are spans: gf2.parity_signs gives the sign rows of the basis
+    words (LDGM: each pivot information bit against the checks; LDPC:
+    each nullspace basis word's spins), and gf2.span_signs doubles them
+    into the table, row k the product of the rows picked by the bits of
+    k, which is the parity-sign row of the XOR of those words.
     """
     reduced = graph.reduced_checks
     if graph.kind == LDGM:
-        return gf2.parity_signs(gf2.cube(len(reduced)),
-                                gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced))
-    return gf2.parity_signs(gf2.codewords(reduced, graph.n_var),
-                            [1 << i for i in range(graph.n_var)])
+        words = [1 << k for k in range(len(reduced))]
+        masks = gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced)
+    else:
+        words = gf2.nullspace_basis(reduced, graph.n_var)
+        masks = [1 << i for i in range(graph.n_var)]
+    return gf2.span_signs(gf2.parity_signs(np.array(words, dtype=np.uint64), masks))
 
 
 #: a half's posterior probability below this is recomputed by a
@@ -227,8 +236,9 @@ def _posterior(inst, terms, finish):
     chunk's share of each weighted sum, a tuple of (G, samples, ...)
     arrays.  finish(X, L, logz, wsum, *sums) maps log Z, the weight sum
     and those sums, all against the final maxima, to per-graph,
-    per-sample results; a PosteriorInstance gets them without the graph
-    axis, and without the sample axis for a single realization.  log Z
+    per-sample results, an array or a tuple of arrays; a
+    PosteriorInstance gets each without the graph axis, and without the
+    sample axis for a single realization.  log Z
     counts every configuration: an LDGM row's weight is multiplied by
     the size of its coset, 2^(m - rank G)."""
     batch = isinstance(inst, PosteriorBatch)
@@ -271,7 +281,10 @@ def _posterior(inst, terms, finish):
         if g.coset_bits:
             logz[k] += g.coset_bits * math.log(2)
     out = finish(X, L, logz, wsum, *sums)
-    return out if batch else out[0] if inst.values.ndim == 2 else out[0, 0]
+    if batch:
+        return out
+    pick = (lambda a: a[0]) if inst.values.ndim == 2 else (lambda a: a[0, 0])
+    return tuple(map(pick, out)) if isinstance(out, tuple) else pick(out)
 
 
 def _expectation(total, wsum):
@@ -360,6 +373,13 @@ def correlations_with_root(inst, i):
     """<x_i x_j> - <x_i><x_j> for all j at once (j = i slot holds the
     variance 1 - <x_i>^2); used by the correlation-decay experiments.  For
     a block, i may also give one root per sample."""
+    return moments_with_root(inst, i)[2]
+
+
+def moments_with_root(inst, i):
+    """(log Z, <x>, correlations_with_root(inst, i)) from one posterior
+    pass: the three share its weights, and log Z and the marginals are
+    bit for bit those of partition_function and all_marginals."""
     roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[:1])
 
     def chunk(F, rows):
@@ -368,7 +388,7 @@ def correlations_with_root(inst, i):
 
     def finish(X, L, logz, wsum, wx, wxx):
         means, joint = _expectation(wx, wsum), _expectation(wxx, wsum)
-        return joint - means[:, np.arange(len(roots)), roots][:, :, None] * means
+        return logz, means, joint - means[:, np.arange(len(roots)), roots][:, :, None] * means
 
     return _posterior(inst, chunk, finish)
 

@@ -455,9 +455,10 @@ def _duality_check(cfg):
                 edges.add((int(v), c))
         g = build_graph(n, m, sorted(edges), LDPC)
         l = rng.uniform(-3, 3, n)
-        dinst = duality.DualInstance(make_instance(g, l))
-        mw = duality.macwilliams_log_residual(dinst)
         i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        # rooted at i: the MacWilliams residual and both maps read one primal pass
+        dinst = duality.DualInstance(make_instance(g, l), i)
+        mw = duality.macwilliams_log_residual(dinst)
         r1, r2 = duality.duality_residuals(dinst, i, j)
         rows.append({"case": t, "n": n, "m": m, "macwilliams": mw,
                      "r1": r1, "r2": r2})

@@ -6,9 +6,10 @@ are all bitmasks here (bit i set iff index i is in the set, or spin i is
 -1).  This module owns the four operations the enumeration layers share:
 the mask of an index set, the parity signs (-1)^{popcount(word & mask)}
 of a batch of words, the row reduction (rank, row-space membership, pivot
-coordinates and nullspace basis) and the codeword enumeration.  The
-functions after row_reduce take its output, so a caller that needs
-several of them reduces its rows once.
+coordinates and nullspace basis) and the sign table of a whole span,
+doubled up from the signs of its basis words.  The functions after
+row_reduce take its output, so a caller that needs several of them
+reduces its rows once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .channels import block_slices
 
-#: most code bits a codeword may have: codewords are enumerated as uint64
+#: most code bits a codeword may have: parity signs are taken of uint64
 #: words, kept clear of the top bit
 MAX_WORD_BITS = 63
 
@@ -102,14 +103,14 @@ def nullspace_basis(reduced, n_cols):
     return basis
 
 
-def codewords(reduced, n_cols):
-    """Every word x of the nullspace of the reduced rows (each row & x of
-    even popcount), as ascending uint64 words; n_cols is at most
-    MAX_WORD_BITS.  Doubling over the basis in ascending free column
-    keeps the words sorted: the word at index k XORs the basis words
-    picked by the bits of k, and its highest bit is the highest free
-    column picked, so comparing two words compares their indices."""
-    words = np.zeros(1, np.uint64)
-    for b in nullspace_basis(reduced, n_cols):
-        words = np.concatenate([words, words ^ np.uint64(b)])
-    return words
+def span_signs(signs):
+    """The parity-sign table of a span from the sign rows of its basis
+    words: row k is the product of the rows picked by the bits of k, the
+    signs of the XOR of those words, so row 0 is all +1.  Built by
+    doubling: each basis row multiplies the rows so far into the next
+    half of the int8 table, with no wider temporaries."""
+    out = np.empty((1 << len(signs), signs.shape[1]), np.int8)
+    out[0] = 1
+    for b, row in enumerate(signs):
+        np.multiply(out[:1 << b], row, out=out[1 << b:2 << b])
+    return out

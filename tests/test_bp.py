@@ -118,6 +118,82 @@ def test_tree_pair_correlations_match_exact_on_tree_graph():
                                     abs=1e-10)
 
 
+def two_sweep_tree_eval(ct, inst, inserts):
+    """The tree sum as one sweep per insert set, the root among the
+    inserts when inserted: (logscale, value) with the sum equal to
+    value * exp(logscale), each node's message normalised by its largest
+    component, deepest nodes first."""
+    g, l = inst.graph, inst.values
+    msg, logscale = {}, 0.0
+    for k in sorted(range(ct.n_nodes), key=lambda k: -ct.node_depth[k]):
+        img, ch, ins, top = ct.proj[k], ct.children[k], k in inserts, ct.parent[k] == -1
+        if ct.node_type[k] == "var":
+            up, down = ((1.0, 1.0) if inst.kind == LDGM
+                        else (math.exp(min(l[img], L_SAT)), math.exp(max(-l[img], -L_SAT))))
+            for c in ch:
+                up, down = up * msg[c][0], down * msg[c][1]
+            vec = (up, -down if ins else down)
+        else:
+            qp, qm = 1.0, 0.0
+            for c in ch:
+                qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
+            if inst.kind == LDGM:
+                phantom = len(g.adj_chk[img]) > len(ch) + (0 if top else 1)
+                vec = tuple(bp._ldgm_check_total(qp, qm, u, l[img], phantom, ins)
+                            for u in ((1.0,) if top else (1.0, -1.0)))
+                vec = vec + (0.0,) * (2 - len(vec))
+            else:
+                vec = (qp, qm)
+        m = max(abs(vec[0]), abs(vec[1]))
+        if m == 0.0:
+            return logscale, 0.0
+        logscale += math.log(m)
+        msg[k] = (vec[0] / m, vec[1] / m)
+    return logscale, msg[0][0] if inst.kind == LDGM else msg[0][0] + msg[0][1]
+
+
+def two_sweep_tree_decode(ct, inst, pair_nodes):
+    """tree_decode from two sweeps per insert set, without and with the
+    root inserted."""
+    logZ0, val0 = two_sweep_tree_eval(ct, inst, frozenset())
+    logZr, valr = two_sweep_tree_eval(ct, inst, frozenset([0]))
+    root_mean = valr / val0 * math.exp(logZr - logZ0)
+    corrs = {}
+    for k in pair_nodes:
+        logZk, valk = two_sweep_tree_eval(ct, inst, frozenset([k]))
+        logZrk, valrk = two_sweep_tree_eval(ct, inst, frozenset([0, k]))
+        corrs[k] = (valrk / val0 * math.exp(logZrk - logZ0)
+                    - root_mean * (valk / val0 * math.exp(logZk - logZ0)))
+    return root_mean, corrs
+
+
+def test_tree_decode_matches_two_sweeps_bitwise(monkeypatch):
+    """One sweep per insert set gives the root marginal and every pair
+    covariance bit for bit as two sweeps (without and with the root
+    inserted) do, on computational trees of the loopy corpus codes of
+    both families with every code-bit node as a pair node, and at
+    saturated LLRs; tree_decode makes 1 + |pair_nodes| sweeps."""
+    sweeps = []
+    real = bp._tree_eval
+    monkeypatch.setattr(bp, "_tree_eval", lambda *a: sweeps.append(1) or real(*a))
+    rng = np.random.default_rng(22)
+    for name, g in fixed_code_corpus():
+        code_type = "chk" if g.kind == LDGM else "var"
+        for scale in (1.0, 25.0):
+            inst = make_instance(g, rng.normal(0.3, scale, g.code_bit_count))
+            for i in range(g.code_bit_count):
+                for d in (1, 2, 3):
+                    ct = computational_tree(g, i, 2 * d)
+                    pairs = tuple(k for k in range(1, ct.n_nodes) if ct.node_type[k] == code_type)
+                    del sweeps[:]
+                    root, corrs = tree_decode(ct, inst, pairs)
+                    assert len(sweeps) == 1 + len(pairs)
+                    want_root, want_corrs = two_sweep_tree_decode(ct, inst, pairs)
+                    assert_bitwise(root, want_root)
+                    assert list(corrs) == list(want_corrs)
+                    assert_bitwise(list(corrs.values()), list(want_corrs.values()))
+
+
 def test_tree_correlation_decay_fixed_noise():
     """On a fixed LDGM ring with single-bit observations at high noise,
     root-to-node covariances on the computational tree decay log-linearly

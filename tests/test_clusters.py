@@ -252,6 +252,53 @@ def test_replica_decomposition_and_vanishing():
     assert worst_id < 1e-10   # the full G-sum reproduces the correlation
 
 
+def test_replica_sums_class_cutting_subsets_as_nonconnecting(monkeypatch):
+    """replica_g_sums puts a subset G of good checks in the connecting sum
+    iff the bad checks and G join A to B.  The terms of the other subsets
+    vanish identically, so the sums alone cannot tell the split: here
+    f_A f_B is replaced by 1, every term is nonzero, and both sums must
+    equal the terms of the subsets that a union-find over bad | G
+    classes.  A path 0 -c0- 1 -c1- 2 -c2- 3 with single-bit checks c3 on
+    0 and c4 on 3, A = {0}, B = {3}: with every check good, {c0, c2} cuts
+    A from B; with c1 bad, {c0, c2} connects and {c0} does not."""
+    g = build_graph(4, 5, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3), (3, 4)],
+                    LDGM)
+    real = clusters._replica_tables
+
+    def flat(inst, A, B):
+        FAB, Ms = real(inst, A, B)
+        return np.ones_like(FAB), Ms
+
+    monkeypatch.setattr(clusters, "_replica_tables", flat)
+
+    def joined(checks):
+        comp = list(range(g.n_var))
+        find = lambda v: v if comp[v] == v else find(comp[v])
+        for c in checks:
+            for v in g.adj_chk[c][1:]:
+                comp[find(v)] = find(g.adj_chk[c][0])
+        return find(0) == find(3)
+
+    for l, cut, joins in (([0.3, -0.2, 0.4, 0.1, -0.5], (0, 2), (0, 1, 2)),
+                          ([0.3, -2.0, 0.4, 0.1, -0.5], (0,), (0, 2))):
+        inst = make_instance(g, l)
+        bad = [c for c in range(g.n_chk) if abs(l[c]) > 1.0]
+        good = [c for c in range(g.n_chk) if c not in bad]
+        assert not joined(bad + list(cut)) and joined(bad + list(joins))
+        _, Ms = real(inst, {0}, {3})
+        base = np.prod([Ms[c] for c in bad], axis=0) if bad else np.ones_like(Ms[0])
+        scale = math.exp(-2.0 * (exact.partition_function(inst) + np.abs(l).sum())) / 2.0
+        want = [0.0, 0.0]
+        for r in range(len(good) + 1):
+            for G in itertools.combinations(good, r):
+                prod = base * np.prod([Ms[c] - 1.0 for c in G], axis=0) if G else base
+                want[not joined(bad + list(G))] += scale * float(prod.sum())
+        con, noncon = replica_g_sums(inst, {0}, {3}, 1.0)
+        assert abs(noncon) > 1e-3 * abs(con) > 0
+        assert con == pytest.approx(want[0], rel=1e-12)
+        assert noncon == pytest.approx(want[1], rel=1e-12)
+
+
 def test_replica_decomposition_on_rank_deficient_graph():
     """The replica sums run over all 2^n_var configurations while the
     exact correlation comes from the table of one configuration per coset

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ldpc_graph
-from gibbscode import duality, exact, gf2
+from gibbscode import duality, exact, gf2, graphs
 from gibbscode.duality import (DualDegenerate, DualInstance, dual_bracket,
                                dual_bracket_via_primal, dual_partition,
                                duality_residuals, macwilliams_log_residual)
@@ -193,3 +193,71 @@ def test_dual_sums_over_codewords_on_redundant_checks():
             want = float(Wc @ np.prod(Tc[:, list(S)], axis=1) / Wc.sum())
             assert dual_bracket(dinst, S) == pytest.approx(want, rel=1e-12)
         assert macwilliams_log_residual(dinst) < 1e-12
+
+
+def test_one_primal_pass_per_duality_case(monkeypatch):
+    """A duality case rooted at i reads log Z, <x_i> and the (i, j)
+    correlation from one exact posterior pass, and each equals the
+    separate pass (partition_function, all_marginals, pair_correlation)
+    bit for bit; duality-check makes one primal pass per case."""
+    from gibbscode.experiments import ExperimentConfig, run_experiment
+
+    passes = []
+    real = exact._posterior
+    monkeypatch.setattr(exact, "_posterior", lambda *a: passes.append(1) or real(*a))
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        g = random_ldpc_graph(rng)
+        l = rng.uniform(-3, 3, g.n_var)
+        i, j = (int(x) for x in rng.choice(g.n_var, 2, replace=False))
+        dinst = DualInstance(make_instance(g, l), i)
+        del passes[:]
+        mw = macwilliams_log_residual(dinst)
+        r1, r2 = duality_residuals(dinst, i, j)
+        assert len(passes) == 1
+        # the same residuals from the three separate passes
+        logz, marg = partition_function(dinst.base), exact.all_marginals(dinst.base)
+        corr = exact.pair_correlation(dinst.base, i, j)
+        zs, zl = dual_partition(dinst)
+        want_mw = abs(math.expm1(zl + float(np.sum(l)) - g.n_chk * math.log(2.0) - logz))
+        assert mw == want_mw
+        si, sj = math.sinh(2 * l[i]), math.sinh(2 * l[j])
+        if abs(si) > duality.SINH_FLOOR:
+            ti = dual_bracket(dinst, (i,))
+            assert r1 == abs(marg[i] - (1.0 / math.tanh(2 * l[i]) - ti / si))
+            if abs(sj) > duality.SINH_FLOOR:
+                tij, tj = dual_bracket(dinst, (i, j)), dual_bracket(dinst, (j,))
+                assert r2 == abs(corr - (tij - ti * tj) / (si * sj))
+        # rooted elsewhere: one more pass, rooted at i, with the same residuals
+        del passes[:]
+        assert duality_residuals(DualInstance(dinst.base, j), i, j) == pytest.approx(
+            (r1, r2), nan_ok=True, rel=0, abs=0)
+        assert len(passes) == 1
+    del passes[:]
+    cfg = ExperimentConfig.from_json({"experiment": "duality-check", "code": {},
+                                      "channel": "bsc:0.3", "samples": 30, "seed": 102})
+    assert len(run_experiment(cfg).rows) == 30
+    assert len(passes) == 30
+
+
+def test_dual_weights_multiply_in_column_order():
+    """W is the column-by-column product of the longdouble factors
+    1 + e^{-2 l_i} tau_i, started from 2^coset_bits, bit for bit (the
+    power of two moves no bit wherever it enters); on graphs with
+    redundant checks too, and at LLRs where the factors span many
+    orders of magnitude."""
+    rng = np.random.default_rng(23)
+    redundant = 0
+    for k in range(40):
+        g = random_ldpc_graph(rng)
+        redundant += len(g.reduced_checks) < g.n_chk
+        dual = graphs.dual_graph(g, range(g.n_var), range(g.n_chk))
+        l = rng.uniform(-3, 3, g.n_var) if k % 2 else rng.uniform(-12, 12, g.n_var)
+        T, W = duality.dual_weights(dual, l)
+        want = np.full(len(T), np.longdouble(2.0 ** dual.coset_bits))
+        for i in range(T.shape[1]):
+            want *= np.longdouble(1.0) + np.exp(np.longdouble(-2.0) * np.longdouble(l[i])) \
+                * T[:, i].astype(np.longdouble)
+        assert W.dtype == np.longdouble and np.array_equal(W, want)
+        assert np.array_equal(np.signbit(W), np.signbit(want))
+    assert redundant >= 3

@@ -271,6 +271,80 @@ def test_table_cache_bounded_by_bytes(monkeypatch):
     codebit_table.cache_clear()
 
 
+def codewords(reduced, n_cols):
+    """Every codeword of the reduced parity checks as an ascending uint64
+    word, doubled over the nullspace basis in ascending free column: the
+    word at index k XORs the basis words picked by the bits of k."""
+    words = np.zeros(1, np.uint64)
+    for b in gf2.nullspace_basis(reduced, n_cols):
+        words = np.concatenate([words, words ^ np.uint64(b)])
+    return words
+
+
+def parity_sign_table(g):
+    """The table as parity signs of every enumerated word: the 2^rank G
+    pivot configurations against the compressed checks (LDGM), or the
+    codewords against the unit masks (LDPC)."""
+    reduced = g.reduced_checks
+    if g.kind == LDGM:
+        return gf2.parity_signs(gf2.cube(len(reduced)),
+                                gf2.compress((gf2.mask(c) for c in g.adj_chk), reduced))
+    return gf2.parity_signs(codewords(reduced, g.n_var), [1 << i for i in range(g.n_var)])
+
+
+def test_codebit_table_doubles_the_parity_signs():
+    """The doubled table equals gf2.parity_signs over the cube (LDGM) or
+    the codewords (LDPC) bit for bit: same int8 values, same row order;
+    on random graphs of both families, rank-deficient generators,
+    redundant parity checks, and tables that span several parity_signs
+    blocks of BLOCK_ELEMENTS entries."""
+    rng = np.random.default_rng(19)
+    graphs = [g for _, g in fixed_code_corpus()]
+    for _ in range(40):
+        graphs += [random_ldgm_graph(rng), random_ldpc_graph(rng)]
+    # rank G 3 of 5: a 4-cycle of degree-2 checks and a variable in no check
+    graphs.append(build_graph(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3),
+                                     (3, 3)], LDGM))
+    # check 2 is the sum of checks 0 and 1
+    graphs.append(build_graph(4, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2), (2, 2), (2, 3),
+                                     (3, 3)], LDPC))
+    # 2^13 x 16 and 2^14 x 20 tables: 16 and 40 blocks of parity signs
+    graphs.append(build_graph(13, 16, [(c % 13, c) for c in range(16)]
+                              + [((c + 5) % 13, c) for c in range(16)], LDGM))
+    graphs.append(build_graph(20, 6, [(v, v % 6) for v in range(20)], LDPC))
+    deficient = redundant = big = 0
+    for g in graphs:
+        want = parity_sign_table(g)
+        codebit_table.cache_clear()
+        X = codebit_table(g)
+        assert X.dtype == np.int8 and X.shape == want.shape
+        assert np.array_equal(X, want), g
+        rank = len(g.reduced_checks)
+        deficient += g.kind == LDGM and rank < g.n_var
+        redundant += g.kind == LDPC and rank < g.n_chk
+        big += X.size > 4 * channels.BLOCK_ELEMENTS
+    assert deficient >= 5 and redundant >= 2 and big == 2
+
+
+@pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 24], ids=["default", "chunked"])
+def test_moments_with_root_is_each_pass_bitwise(monkeypatch, budget):
+    """log Z, the marginals and the root's correlation row from the one
+    pass equal partition_function, all_marginals and
+    correlations_with_root bit for bit, for a single realization and for
+    a block with one root per sample, in one chunk or many."""
+    monkeypatch.setattr(channels, "BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(20)
+    bits = lambda a: np.asarray(a, float).view(np.int64)
+    for name, g in fixed_code_corpus():
+        L = rng.normal(0.5, 2.0, (5, g.code_bit_count))
+        for inst, root in ((make_instance(g, L[0]), 1),
+                           (make_instance(g, L), rng.integers(g.code_bit_count, size=5))):
+            logz, marg, corr = exact.moments_with_root(inst, root)
+            assert np.array_equal(bits(logz), bits(partition_function(inst))), name
+            assert np.array_equal(bits(marg), bits(all_marginals(inst))), name
+            assert np.array_equal(bits(corr), bits(correlations_with_root(inst, root))), name
+
+
 def test_matches_high_precision_oracle():
     """Log-domain results match a 256-bit mpmath oracle to 1e-9 with
     |l| up to 30 on small instances."""
