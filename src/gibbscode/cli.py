@@ -8,8 +8,9 @@ document (the experiment field may be omitted; the command line's
 experiment wins).  Outputs <experiment>.csv and <experiment>.json in the
 output directory.
 Exit codes: 0 on success, 1 when a check-type experiment prints FAIL,
-and 2 for bad arguments or a config that fails validation (one line on
-stderr, "gibbscode: invalid config: <message>"; nothing is run).
+and 2 for bad arguments or a config that cannot be read or fails
+validation (one line on stderr, "gibbscode: invalid config: <message>";
+nothing is run).
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    with open(args.config) as fh:
-        try:
+    try:
+        with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(json.load(fh), args.experiment)
-        except KeyError as err:
-            print(f"gibbscode: invalid config: missing key {err}", file=sys.stderr)
-            return 2
-        except ValueError as err:  # also malformed JSON
-            print(f"gibbscode: invalid config: {err}", file=sys.stderr)
-            return 2
+    except (OSError, KeyError, ValueError) as err:  # ValueError: also malformed JSON
+        reason = (f"cannot read config file {args.config!r}: {err.strerror}"
+                  if isinstance(err, OSError) else
+                  f"missing key {err}" if isinstance(err, KeyError) else err)
+        print(f"gibbscode: invalid config: {reason}", file=sys.stderr)
+        return 2
     result = run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     emit(result, "csv", os.path.join(args.out, f"{args.experiment}.csv"))

@@ -28,11 +28,10 @@ to close: Gamma is compatible with Xhat iff Gamma | {i, j} is
 hyperedge-connected and its boundary together with d(i), d(j) equals
 Xhat exactly.  (Gamma may contain i or j; Gamma = empty is compatible
 precisely when i and j share a check.)  This subsumes the walk condition:
-the connecting walk is witnessed and stored with each term.
+a connected Y holds a walk from d(i) to d(j).
 
 The graph searches are graphs.hop_distances: one search inside each
-candidate Y tests its connectivity, and the witness is a shortest path
-read back from the same distances.  The replica sums and the reduced
+candidate Y tests its connectivity.  The replica sums and the reduced
 dual partition functions run over the dual codewords of exact's table
 on graphs.dual_graph, each standing for the 2^coset_bits dual
 configurations that give it.
@@ -127,24 +126,10 @@ def dkp_avg_bound(g, ch, A, B, H):
 
 @dataclass(frozen=True)
 class ClusterTerm:
-    """A check cluster Xhat with its compatible Gamma sets and, for each
-    Gamma, the interior variables of a witnessing walk from d(i) to d(j):
-    a shortest path from i to j inside Gamma | {i, j}."""
+    """A check cluster Xhat with its compatible Gamma sets."""
 
     xhat: frozenset
     gammas: tuple  # of frozensets of variable ids
-    witnesses: tuple  # parallel to gammas: tuples of interior variables
-
-
-def _interior(g, dist, i):
-    """Interior variables of a shortest path from i to the source of the
-    hop distances dist, read back one hop at a time (empty when i and the
-    source share a check)."""
-    path = []
-    while dist[i] > 1:
-        i = next(w for c in g.adj_var[i] for w in g.adj_chk[c] if dist[w] == dist[i] - 1)
-        path.append(i)
-    return tuple(path)
 
 
 def enumerate_clusters(g, i, j):
@@ -169,16 +154,10 @@ def enumerate_clusters(g, i, j):
             if any(math.isinf(dist[v]) for v in Y):
                 continue
             xhat = frozenset(c for v in Y for c in g.adj_var[v])
-            by_xhat.setdefault(xhat, []).append((Y, _interior(g, dist, i)))
-    terms = []
-    for xhat in sorted(by_xhat, key=lambda x: (len(x), sorted(x))):
-        gammas, witnesses = [], []
-        for Y, interior in by_xhat[xhat]:
-            for drop in ((), (i,), (j,), (i, j)):
-                gammas.append(Y - frozenset(drop))
-                witnesses.append(interior)
-        terms.append(ClusterTerm(xhat, tuple(gammas), tuple(witnesses)))
-    return terms
+            by_xhat.setdefault(xhat, []).append(Y)
+    return [ClusterTerm(xhat, tuple(Y - frozenset(drop) for Y in by_xhat[xhat]
+                                    for drop in ((), (i,), (j,), (i, j))))
+            for xhat in sorted(by_xhat, key=lambda x: (len(x), sorted(x)))]
 
 
 def reduced_dual_partition(inst, xhat):

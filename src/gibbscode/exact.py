@@ -121,13 +121,16 @@ class PosteriorBatch:
             raise ValueError("LLR values must be finite")
 
 
-def _check_cap(graph):
-    if graph.kind == LDPC and graph.n_var > gf2.MAX_WORD_BITS:
+def _check_cap(kind, n_var, dim):
+    """Raise BruteForceCapExceeded unless the table of a code of this
+    family on n_var variables with support dimension dim (its
+    free_spin_count) is within the caps."""
+    if kind == LDPC and n_var > gf2.MAX_WORD_BITS:
         raise BruteForceCapExceeded(
-            f"{graph.n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
-    if graph.free_spin_count > BRUTE_FORCE_CAP:
-        what = "rank G" if graph.kind == LDGM else "codeword dimension n - rank H"
-        raise BruteForceCapExceeded(f"support dimension {graph.free_spin_count} ({what}) "
+            f"{n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
+    if dim > BRUTE_FORCE_CAP:
+        what = "rank G" if kind == LDGM else "codeword dimension n - rank H"
+        raise BruteForceCapExceeded(f"support dimension {dim} ({what}) "
                                     f"exceeds cap {BRUTE_FORCE_CAP}")
 
 
@@ -245,7 +248,7 @@ def _posterior(inst, terms, finish):
     graphs = inst.graphs if batch else (inst.graph,)
     L = inst.values if batch else np.atleast_2d(inst.values)[None]
     for g in graphs:
-        _check_cap(g)
+        _check_cap(g.kind, g.n_var, g.free_spin_count)
     tables = [codebit_table(g) for g in graphs]
     X = tables[0][None] if len(tables) == 1 else np.stack(tables)  # one table: no copy
     G, R, n = X.shape

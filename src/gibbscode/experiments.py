@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clusters, de, duality, gexit
+from . import clusters, de, duality, exact, gexit
 from .channels import BIAWGNC, ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
 from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_distances,
@@ -97,6 +97,8 @@ class ExperimentConfig:
         methods = p.get("methods", ["functional"]) if self.experiment == "gexit-curve" else []
         if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
             raise ValueError(f"methods must be a list of method names, not {methods!r}")
+        if self.experiment == "gexit-curve" and not methods:
+            raise ValueError("gexit-curve needs at least one method in methods")
         known = (*gexit.MAP_METHODS, *_GEXIT_METHODS)
         unknown = [m for m in methods if m not in known]
         if unknown:
@@ -168,7 +170,15 @@ class ExperimentConfig:
             if not p.get("H", 1.0) > 0.0:
                 raise ValueError("bounds needs a threshold H > 0")
         if isinstance(src, gexit.EnsembleSpec):
-            ensemble_sizes(src.dd, src.n, src.kind)  # raises unless they balance
+            n_chk = ensemble_sizes(src.dd, src.n, src.kind)[1]  # raises unless they balance
+        # where exact tables are built, a fixed code's must fit the caps, and
+        # so must an LDPC ensemble's, each draw having n - rank H >= n - n_chk
+        # (an LDGM draw's rank G is known only once drawn, at run time)
+        if self.experiment in ("corr-decay", "bounds") or set(methods) & set(gexit.MAP_METHODS):
+            if not isinstance(src, gexit.EnsembleSpec):
+                exact._check_cap(src.kind, src.n_var, src.free_spin_count)
+            elif src.kind == LDPC:
+                exact._check_cap(LDPC, src.n, src.n - n_chk)
         sampled = [m for m in methods if m != "de"]
         if sampled and self.samples < 2:
             raise ValueError(f"gexit-curve methods {sampled} estimate a standard error over "
@@ -369,10 +379,6 @@ def _de_estimate(cfg, src, ch, seed):
 _GEXIT_METHODS = {
     "bp": lambda cfg, src, ch, seed: gexit.bp_gexit(
         src, ch, cfg.params.get("d", 10), cfg.samples, seed),
-    "entropy-fd": lambda cfg, src, ch, seed: gexit.entropy_fd(
-        src, ch, float(cfg.params.get("eps_step", 1e-3)), cfg.samples, seed),
-    "awgn-magnetization": lambda cfg, src, ch, seed: gexit.awgn_gexit(
-        src, ch, cfg.samples, seed),
     "de": _de_estimate,
 }
 
@@ -384,8 +390,9 @@ def _gexit_curve(cfg):
     rows = []
     for ch in _eps_points(cfg):
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        ests = gexit.map_gexit_routes(src, ch, cfg.samples, seed, map_methods,
-                                      cfg.params.get("p_max", 20)) if map_methods else {}
+        ests = gexit.map_gexit_routes(
+            src, ch, cfg.samples, seed, map_methods, cfg.params.get("p_max", 20),
+            eps_step=float(cfg.params.get("eps_step", 1e-3))) if map_methods else {}
         for method in methods:
             est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, src, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,

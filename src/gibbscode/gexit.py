@@ -19,13 +19,16 @@ Routes provided, all cross-checkable on the same corpus:
   * map_gexit_series   the Nishimori moment series
                        prefactor * sum_p t2p/(2p(2p-1)) (E[M^{2p}] - 1)
                        with an explicit truncation-tail bound
-                       (both are views of map_gexit_routes, which reduces
-                       one pass of exact extrinsics to either or both)
   * awgn_gexit         BIAWGNC magnetization shortcut
                        prefactor * (1 - E<x_i>) / (2 eps^2)
-  * bp_gexit           the kernel functional with BP extrinsics
   * entropy_fd         central finite difference of the sampled
                        conditional entropy (the definitional oracle)
+  * bp_gexit           the kernel functional with BP extrinsics
+
+The first four read exact posteriors and are views of map_gexit_routes,
+which serves any subset of them from one pass over the samples.  Every
+route, nishimori_residual included, walks the samples through
+_per_sample, which draws the graphs and the channel noise.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import numpy as np
 
 from . import channels
 from .bp import bp_all_extrinsics
+# sample_llr is not called here, but gcbench/layers.py wraps gexit.sample_llr
+# by name, so the name stays bound
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p, t2p_sup)
 from .exact import (PosteriorBatch, all_extrinsics, all_marginals, conditional_entropy,
@@ -68,23 +73,24 @@ def _prefactor(source):
     return source.dd.lambda_prime / source.dd.p_prime if source.kind == LDGM else 1.0
 
 
-def _blocks(source, samples, rng, draw, noise_per_graph=1, tables=True):
-    """Yield (starts, graph indices, graphs, draws) groups covering
-    every sample once: a fixed graph carries all samples; an ensemble
-    source draws a fresh code for each noise_per_graph samples (reuse
-    amortizes table construction; variances are then computed over
-    per-graph blocks).  Each graph's draws come as (S, n) chunks of at
-    most BLOCK_ELEMENTS entries; a fixed graph's chunks are groups of
-    one.  Consecutive ensemble chunks are collected while their costs
-    sum to at most BLOCK_ELEMENTS floats, a chunk on an (R, n) table
-    costing max(R n, S max(R, n)), and each such window is yielded as
-    one (G, S, n) group per shape (R, n, S), graphs in draw order; the
+def _blocks(source, ch, samples, seed, noise_per_graph=1):
+    """Yield (starts, graph indices, graphs, noise) groups covering every
+    sample once, reading default_rng(seed): a fixed graph carries all
+    samples; an ensemble source draws a fresh code for each
+    noise_per_graph samples (reuse amortizes table construction;
+    variances are then computed over per-graph blocks).  Each graph's
+    channel noise is drawn as (S, n) chunks of at most BLOCK_ELEMENTS
+    entries; a fixed graph's chunks are groups of one.  Consecutive
+    ensemble chunks are collected while their costs sum to at most
+    BLOCK_ELEMENTS floats, a chunk on an (R, n) table costing
+    max(R n, S max(R, n)), and each such window is yielded as one
+    (G, S, n) group per shape (R, n, S), graphs in draw order; the
     posterior pass then runs a group as one row chunk and one sample
-    block, each graph as a call on it alone would.  With tables=False
-    (the BP routes, which build no table) the shape is (n, S) and the
-    cost S n.  A window's groups interleave in sample order, so starts
-    (G,) holds the sample index of each graph's first draw.  Graph seeds
-    and draws are read from rng in the order of one sample at a time."""
+    block, each graph as a call on it alone would.  A window's groups
+    interleave in sample order, so starts (G,) holds the sample index of
+    each graph's first draw.  Graph seeds and noise are read in the order
+    of one sample at a time."""
+    rng = np.random.default_rng(seed)
     fixed = isinstance(source, TannerGraph)
     per_graph = samples if fixed else noise_per_graph
     groups, used = {}, 0
@@ -96,44 +102,37 @@ def _blocks(source, samples, rng, draw, noise_per_graph=1, tables=True):
             S = len(count[chunk])
             if fixed:
                 key, cost = None, math.inf
-            elif tables:
+            else:
                 R = 1 << g.free_spin_count
                 key, cost = (R, n, S), max(R * n, S * max(R, n))
-            else:
-                key, cost = (n, S), S * n
             if groups and used + cost > channels.BLOCK_ELEMENTS:
                 yield from map(_stack, groups.values())
                 groups, used = {}, 0
-            groups.setdefault(key, []).append((count[chunk].start, index, g, draw((S, n))))
+            groups.setdefault(key, []).append(
+                (count[chunk].start, index, g, channel_noise(ch, (S, n), rng)))
             used += cost
     yield from map(_stack, groups.values())
 
 
 def _stack(group):
-    starts, indices, graphs, draws = zip(*group)
-    stacked = draws[0][None] if len(draws) == 1 else np.stack(draws)  # one graph: no copy
+    starts, indices, graphs, noise = zip(*group)
+    stacked = noise[0][None] if len(noise) == 1 else np.stack(noise)  # one graph: no copy
     return np.array(starts), np.array(indices), graphs, stacked
 
 
-def _per_sample(source, samples, rng, draw, reduce, noise_per_graph=1, tables=True):
-    """reduce(graphs, draws) over the groups of _blocks, each returning one
+def _per_sample(source, ch, samples, seed, reduce, noise_per_graph=1):
+    """reduce(graphs, noise) over the groups of _blocks, each returning one
     value (or one row of values) per graph and sample, shape (G, S, ...);
     returns the values in sample order and each sample's graph index."""
     vals = blocks = None
-    for starts, indices, graphs, draws in _blocks(source, samples, rng, draw,
-                                                  noise_per_graph, tables):
-        out = reduce(graphs, draws)
+    for starts, indices, graphs, noise in _blocks(source, ch, samples, seed, noise_per_graph):
+        out = reduce(graphs, noise)
         if vals is None:
             vals, blocks = np.empty((samples,) + out.shape[2:]), np.empty(samples, np.intp)
         positions = starts[:, None] + np.arange(out.shape[1])
         vals[positions] = out
         blocks[positions] = indices[:, None]
     return vals, blocks
-
-
-def _llrs(ch, rng):
-    """The draw of _blocks for the LLR routes: (S, n) half-LLR blocks."""
-    return lambda shape: sample_llr(ch, shape, rng).values
 
 
 def _floods(graphs, llrs, flood):
@@ -204,35 +203,57 @@ def series_coefficients(ch, p_max):
     return np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
 
 
-#: the routes that reduce the exact extrinsics, served by map_gexit_routes
-MAP_METHODS = ("functional", "series")
+#: the routes that reduce exact posteriors, served by one map_gexit_routes pass
+MAP_METHODS = ("functional", "series", "awgn-magnetization", "entropy-fd")
 
 
-def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_graph=1):
-    """{method: GexitEstimate} for each MAP route in methods (a subset of
-    MAP_METHODS) from one pass over the samples: each group's exact
-    extrinsics are computed once and reduced to every requested route, so
-    the routes read the same graphs and noise as separate calls with
-    this seed would."""
-    rng = np.random.default_rng(seed)
+def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_graph=1,
+                     eps_step=1e-3):
+    """{method: GexitEstimate} for each route in methods (a subset of
+    MAP_METHODS) from one pass: each group's channel noise is mapped to
+    LLRs at eps (and at eps +- eps_step for entropy-fd), and each exact
+    reduction (extrinsics, marginals, the two entropies) runs once for
+    every route that reads it, so the routes read the same graphs and
+    noise as separate calls with this seed would."""
     methods = [m for m in MAP_METHODS if m in methods]
-    reducers, meta = [], {}
-    if "functional" in methods:
-        reducers.append(lambda Ms: gexit_kernel_batch(ch, Ms).mean(axis=-1))
-        meta["functional"] = _meta(source, ch, samples, seed)
+    if "awgn-magnetization" in methods and ch.kind != BIAWGNC:
+        raise ValueError("magnetization shortcut needs the BIAWGNC")
+    if "entropy-fd" in methods and not (0.0 < ch.eps - eps_step
+                                        and ch.eps + eps_step < ch.eps_max):
+        raise ValueError("eps +- eps_step must stay inside (0, eps_max)")
+    meta = {m: _meta(source, ch, samples, seed) for m in methods}
     if "series" in methods:
         coeffs = series_coefficients(ch, p_max)
-        reducers.append(lambda Ms: moment_series(Ms, coeffs).mean(axis=-1))
         tail = t2p_sup(ch) * (math.log(2.0) -
                               sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
-        meta["series"] = _meta(source, ch, samples, seed, p_max=p_max, tail_bound=tail)
+        meta["series"].update(p_max=p_max, tail_bound=tail)
+    if "entropy-fd" in methods:
+        meta["entropy-fd"]["eps_step"] = eps_step
+        sides = [type(ch)(ch.kind, ch.eps + eps_step), type(ch)(ch.kind, ch.eps - eps_step)]
 
-    def reduce(graphs, llrs):
-        Ms = all_extrinsics(PosteriorBatch(graphs, llrs))
-        return np.stack([r(Ms) for r in reducers], axis=-1)
+    def reduce(graphs, noise):
+        out = {}
+        if "entropy-fd" in methods:  # first: the LLRs at eps overwrite the noise
+            scale = np.array([[g.n_chk / g.n_var if g.kind == LDGM else 1.0] for g in graphs])
+            h = [conditional_entropy(PosteriorBatch(graphs, llrs_from_noise(c, noise)))
+                 for c in sides]
+            out["entropy-fd"] = scale * (h[0] - h[1]) / (2.0 * eps_step)
+        if methods != ["entropy-fd"]:
+            batch = PosteriorBatch(graphs, llrs_from_noise(ch, noise, out=noise))
+        if "functional" in methods or "series" in methods:
+            Ms = all_extrinsics(batch)
+            if "functional" in methods:
+                out["functional"] = gexit_kernel_batch(ch, Ms).mean(axis=-1)
+            if "series" in methods:
+                out["series"] = moment_series(Ms, coeffs).mean(axis=-1)
+        if "awgn-magnetization" in methods:
+            out["awgn-magnetization"] = (1.0 - all_marginals(batch).mean(axis=-1)) \
+                / (2.0 * ch.eps ** 2)
+        return np.stack([out[m] for m in methods], axis=-1)
 
-    vals, blocks = _per_sample(source, samples, rng, _llrs(ch, rng), reduce, noise_per_graph)
-    return {m: _estimate(vals[:, k], _prefactor(source), m, meta[m], blocks)
+    vals, blocks = _per_sample(source, ch, samples, seed, reduce, noise_per_graph)
+    pref = _prefactor(source)  # entropy-fd scales each graph by its own n/m above
+    return {m: _estimate(vals[:, k], 1.0 if m == "entropy-fd" else pref, m, meta[m], blocks)
             for k, m in enumerate(methods)}
 
 
@@ -251,6 +272,24 @@ def map_gexit_series(source, ch, samples, seed, p_max=20, noise_per_graph=1):
                             noise_per_graph)["series"]
 
 
+def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):
+    """Magnetization form for the BIAWGNC:
+    prefactor * (1 - E[<x_i>]) / (2 eps^2), with <x_i> the full marginal
+    (equivalently tanh(l_i + atanh <x_i>_0))."""
+    return map_gexit_routes(source, ch, samples, seed, ("awgn-magnetization",),
+                            noise_per_graph=noise_per_graph)["awgn-magnetization"]
+
+
+def entropy_fd(source, ch, eps_step, samples, seed):
+    """The definitional oracle: central finite difference in eps of the
+    sampled conditional entropy, with common random numbers coupling the
+    two sides (shared uniforms for the BSC, shared normals for the
+    BIAWGNC).  LDGM rescales to the per-information-bit entropy (times
+    n/m) so the estimate matches the functional's normalization."""
+    return map_gexit_routes(source, ch, samples, seed, ("entropy-fd",),
+                            eps_step=eps_step)["entropy-fd"]
+
+
 def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
     """The series value when every extrinsic moment vanishes:
     -prefactor * sum_p t2p/(2p(2p-1)); for the BSC this closes to
@@ -258,30 +297,14 @@ def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
     return -source_kind_prefactor * float(sum(series_coefficients(ch, p_max)))
 
 
-def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):
-    """Magnetization form for the BIAWGNC:
-    prefactor * (1 - E[<x_i>]) / (2 eps^2), with <x_i> the full marginal
-    (equivalently tanh(l_i + atanh <x_i>_0))."""
-    if ch.kind != BIAWGNC:
-        raise ValueError("magnetization shortcut needs the BIAWGNC")
-    rng = np.random.default_rng(seed)
-    vals, blocks = _per_sample(
-        source, samples, rng, _llrs(ch, rng),
-        lambda graphs, llrs: (1.0 - all_marginals(PosteriorBatch(graphs, llrs)).mean(axis=-1))
-        / (2.0 * ch.eps ** 2),
-        noise_per_graph)
-    return _estimate(vals, _prefactor(source), "awgn-magnetization",
-                     _meta(source, ch, samples, seed), blocks)
-
-
 def bp_gexit(source, ch, d, samples, seed, noise_per_graph=1):
     """BP-GEXIT: the same kernel with the depth-d BP extrinsics."""
-    rng = np.random.default_rng(seed)
     vals, blocks = _per_sample(
-        source, samples, rng, _llrs(ch, rng),
-        lambda graphs, llrs: gexit_kernel_batch(ch, np.stack(_floods(
-            graphs, llrs, lambda inst: bp_all_extrinsics(inst, d)))).mean(axis=-1),
-        noise_per_graph, tables=False)
+        source, ch, samples, seed,
+        lambda graphs, noise: gexit_kernel_batch(ch, np.stack(_floods(
+            graphs, llrs_from_noise(ch, noise, out=noise),
+            lambda inst: bp_all_extrinsics(inst, d)))).mean(axis=-1),
+        noise_per_graph)
     return _estimate(vals, _prefactor(source), "bp",
                      _meta(source, ch, samples, seed, d=d), blocks)
 
@@ -293,16 +316,16 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     the individual values."""
     from .bp import bp_checkpoint_extrinsics
 
-    rng = np.random.default_rng(seed)
     depths = sorted(set(depths))
 
-    def reduce(graphs, llrs):
-        exts = _floods(graphs, llrs, lambda inst: np.stack(  # (S, depths, n) each
-            list(bp_checkpoint_extrinsics(inst, depths).values()), axis=1))
+    def reduce(graphs, noise):
+        exts = _floods(graphs, llrs_from_noise(ch, noise, out=noise),
+                       lambda inst: np.stack(  # (S, depths, n) each
+                           list(bp_checkpoint_extrinsics(inst, depths).values()), axis=1))
         return np.stack([gexit_kernel_batch(ch, np.stack([e[:, k] for e in exts])).mean(axis=-1)
                          for k in range(len(depths))], axis=-1)
 
-    vals, _ = _per_sample(source, samples, rng, _llrs(ch, rng), reduce, tables=False)
+    vals, _ = _per_sample(source, ch, samples, seed, reduce)
     pref = _prefactor(source)
     kernels = {d: vals[:, k] for k, d in enumerate(depths)}
     out = {}
@@ -319,29 +342,6 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     return out, diffs
 
 
-def entropy_fd(source, ch, eps_step, samples, seed):
-    """The definitional oracle: central finite difference in eps of the
-    sampled conditional entropy, with common random numbers coupling the
-    two sides (shared uniforms for the BSC, shared normals for the
-    BIAWGNC).  LDGM rescales to the per-information-bit entropy (times
-    n/m) so the estimate matches the functional's normalization."""
-    if not (0.0 < ch.eps - eps_step and ch.eps + eps_step < ch.eps_max):
-        raise ValueError("eps +- eps_step must stay inside (0, eps_max)")
-    rng = np.random.default_rng(seed)
-    chp = type(ch)(ch.kind, ch.eps + eps_step)
-    chm = type(ch)(ch.kind, ch.eps - eps_step)
-
-    def reduce(graphs, noise):
-        scale = np.array([[g.n_chk / g.n_var if g.kind == LDGM else 1.0] for g in graphs])
-        entropy = lambda c: conditional_entropy(PosteriorBatch(graphs, llrs_from_noise(c, noise)))
-        return scale * (entropy(chp) - entropy(chm)) / (2.0 * eps_step)
-
-    slopes, _ = _per_sample(source, samples, rng, lambda shape: channel_noise(ch, shape, rng),
-                            reduce)
-    return _estimate(slopes, 1.0, "entropy-fd",
-                     _meta(source, ch, samples, seed, eps_step=eps_step))
-
-
 def nishimori_residual(source, ch, p, samples, seed):
     """(residual, se): |E<x_i>^{2p-1} - E<x_i>^{2p}| with the standard
     error of the paired per-sample difference (averaged over code bits);
@@ -349,12 +349,11 @@ def nishimori_residual(source, ch, p, samples, seed):
     parameter."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    rng = np.random.default_rng(seed)
 
-    def reduce(graphs, llrs):
-        m = all_marginals(PosteriorBatch(graphs, llrs))
+    def reduce(graphs, noise):
+        m = all_marginals(PosteriorBatch(graphs, llrs_from_noise(ch, noise, out=noise)))
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 
-    diffs, _ = _per_sample(source, samples, rng, _llrs(ch, rng), reduce)
+    diffs, _ = _per_sample(source, ch, samples, seed, reduce)
     return (abs(float(diffs.mean())),
             float(diffs.std(ddof=1) / math.sqrt(len(diffs))))

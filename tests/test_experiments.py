@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fixed_code_corpus
+from gibbscode import gexit
 from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.cli import main as cli_main
 from gibbscode.clusters import dkp_pointwise_bound
@@ -136,9 +138,10 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     entropy-fd step that is not a positive number or leaves (0, eps_max),
     the magnetization route off the BIAWGNC, a fixed code that does not
     build or whose file cannot be read, an unknown family, methods that
-    are not a list of names, an H that is not a number, one sample where
-    a standard error is estimated, limits depths at or above the
-    reference)."""
+    are not a list of names or none at all, an H that is not a number,
+    one sample where a standard error is estimated, limits depths at or
+    above the reference, an exact table that must exceed the brute-force
+    cap)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
     base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
@@ -146,6 +149,11 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                 "n": 9}
     irregular = {"type": "ensemble", "family": "ldgm", "var_coeffs": {"2": 0.5, "3": 0.5},
                  "chk_coeffs": {"2": 1.0}, "n": 10}
+    two_checks = {"type": "edges", "family": "ldpc", "n_var": 30, "n_chk": 2,
+                  "edges": [[v, v // 15] for v in range(30)]}
+    ldpc36 = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 60}
+    identity = {"type": "edges", "family": "ldgm", "n_var": 26, "n_chk": 26,
+                "edges": [[v, v] for v in range(26)]}
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "o"
     for experiment, text, message in (
@@ -232,6 +240,19 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "methods must be a list of method names, not 5"),
                 ("gexit-curve", {**base, "params": {"methods": "functional"}},
                  "methods must be a list of method names, not 'functional'"),
+                ("gexit-curve", {**base, "params": {"methods": []}},
+                 "gexit-curve needs at least one method in methods"),
+                ("gexit-curve", {**base, "code": two_checks},
+                 "support dimension 28 (codeword dimension n - rank H) exceeds cap 24"),
+                ("corr-decay", {**base, "code": two_checks},
+                 "support dimension 28 (codeword dimension n - rank H) exceeds cap 24"),
+                ("corr-decay", {**base, "code": ldpc36},
+                 "support dimension 30 (codeword dimension n - rank H) exceeds cap 24"),
+                ("gexit-curve", {**base, "code": {**ldpc36, "n": 64},
+                                 "params": {"methods": ["bp", "entropy-fd"]}},
+                 "64 code bits exceed the 63 a codeword word holds"),
+                ("bounds", {**base, "code": identity},
+                 "support dimension 26 (rank G) exceeds cap 24"),
                 ("bounds", {**base, "code": ensemble, "params": {"H": None}},
                  "H must be a number, not None"),
                 ("bounds", {**base, "code": ensemble, "params": {"H": [1]}},
@@ -258,6 +279,39 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and captured.err.startswith(message), \
             (experiment, captured.err)
         assert not out.exists()
+
+
+def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys):
+    """A config file that cannot be opened is an invalid config too: one
+    line on stderr naming the file, exit code 2 and no output."""
+    out = tmp_path / "o"
+    for path, reason in ((tmp_path / "nope.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert cli_main(["gexit-curve", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"gibbscode: invalid config: cannot read config file "
+                                f"{str(path)!r}: {reason}\n")
+        assert not out.exists()
+
+
+def test_table_cap_checked_only_where_tables_are_built():
+    """The brute-force cap is checked at validation only where exact
+    tables are built: BP-only gexit-curve runs on a 70-bit LDPC code and
+    on a (3,6) LDPC ensemble past the cap, and an LDGM ensemble, whose
+    rank G is known only per draw, is left to run time."""
+    ldpc70 = {"type": "edges", "family": "ldpc", "n_var": 70, "n_chk": 35,
+              "edges": [[v, v // 2] for v in range(70)]}
+    ldpc36 = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6,
+              "n": 60}
+    ldgm = {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2, "n": 60}
+    for experiment, code, methods in (("gexit-curve", ldpc70, ["bp"]),
+                                      ("gexit-curve", ldpc36, ["bp", "de"]),
+                                      ("gexit-curve", ldgm, ["functional"]),
+                                      ("corr-decay", ldgm, None)):
+        ExperimentConfig.from_json({"experiment": experiment, "code": code,
+                                    "channel": "bsc:0.3", "samples": 4, "seed": 1,
+                                    "params": {"methods": methods} if methods else {}})
 
 
 def test_ensemble_fields_validated_only_where_read():
@@ -406,18 +460,55 @@ def test_gexit_curve_finite_at_low_biawgnc_noise():
      "edges": [[0, 0], [1, 0], [2, 0], [2, 1], [3, 1], [3, 2], [4, 2], [0, 2]]},
 ], ids=["ensemble", "fixed"])
 def test_map_methods_share_one_pass(code):
-    """functional and series come from one extrinsic pass per point; the
-    rows equal, bit for bit, those of the single-method configs, in the
-    config's method order."""
-    def rows(methods):
-        return run_experiment(ExperimentConfig.from_json({
-            "experiment": "gexit-curve", "code": code, "channel": "bsc:0.3",
-            "eps_grid": [0.2, 0.4], "samples": 40, "seed": 6,
-            "params": {"methods": methods, "p_max": 8}})).rows
+    """The exact-posterior routes (functional, series and entropy-fd on a
+    BSC, functional and awgn-magnetization on the BIAWGNC) come from one
+    pass per point; the rows equal, bit for bit, those of the
+    single-method configs, in the config's method order."""
+    for channel, grid, methods in (
+            ("bsc:0.3", [0.2, 0.4], ["series", "entropy-fd", "functional"]),
+            ("biawgnc:0.8", [0.5, 0.8], ["awgn-magnetization", "functional"])):
+        def rows(methods):
+            return run_experiment(ExperimentConfig.from_json({
+                "experiment": "gexit-curve", "code": code, "channel": channel,
+                "eps_grid": grid, "samples": 40, "seed": 6,
+                "params": {"methods": methods, "p_max": 8}})).rows
 
-    series, functional = rows(["series"]), rows(["functional"])
-    assert rows(["series", "functional"]) == [
-        row for pair in zip(series, functional) for row in pair]
+        singles = [rows([m]) for m in methods]
+        assert rows(methods) == [row for point in zip(*singles) for row in point]
+
+
+def test_gexit_curve_walks_the_samples_once_per_point(monkeypatch):
+    """A gexit-curve point walks the samples (gexit._blocks) once for all
+    of its exact-posterior routes and once for BP.  The ten configs of
+    the benchmark's fixed-gexit workload (functional, series, entropy-fd
+    and bp on a BSC at three eps, functional, awgn-magnetization and bp
+    on the BIAWGNC at one, on each corpus code) make 40 walks."""
+    walks = []
+    blocks = gexit._blocks
+
+    def counted(*args):
+        walks.append(args[1].kind)
+        return blocks(*args)
+
+    monkeypatch.setattr(gexit, "_blocks", counted)
+
+    def run(g, channel, grid, methods, samples):
+        code = {"type": "edges", "family": g.kind, "n_var": g.n_var, "n_chk": g.n_chk,
+                "edges": [list(e) for e in g.edges()]}
+        run_experiment(ExperimentConfig.from_json({
+            "experiment": "gexit-curve", "code": code, "channel": channel, "eps_grid": grid,
+            "samples": samples, "seed": 11, "params": {"methods": methods, "d": 20}}))
+
+    corpus = fixed_code_corpus()
+    ldpc5 = dict(corpus)["ldpc-5"]
+    run(ldpc5, "bsc:0.3", [0.3], ["functional", "series", "entropy-fd"], 20)
+    run(ldpc5, "biawgnc:0.8", [0.8], ["functional", "awgn-magnetization"], 20)
+    assert walks == ["bsc", "biawgnc"]
+    walks.clear()
+    for _, g in corpus:
+        run(g, "bsc:0.3", [0.2, 0.3, 0.4], ["functional", "series", "entropy-fd", "bp"], 150)
+        run(g, "biawgnc:0.8", [], ["functional", "awgn-magnetization", "bp"], 20)
+    assert len(walks) == 40
 
 
 def test_de_curve():

@@ -331,11 +331,11 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
         return np.stack([gexit_kernel_batch(bsc, Ms).mean(axis=1), series.mean(axis=1)], 1)
 
     want, index = _graph_loop(src, bsc, samples, seed, per_graph, map_values)
-    rng = np.random.default_rng(seed)
     got, got_index = gexit._per_sample(
-        src, samples, rng, gexit._llrs(bsc, rng),
-        lambda graphs, L: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
-            exact.PosteriorBatch(graphs, L))).mean(axis=-1)], -1), per_graph)
+        src, bsc, samples, seed,
+        lambda graphs, noise: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
+            exact.PosteriorBatch(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1),
+        per_graph)
     assert got[:, 0].tobytes() == want[:, 0].tobytes()
     assert np.array_equal(got_index, index)
     ests = map_gexit_routes(src, bsc, samples, seed, ("functional", "series"), p_max, per_graph)
