@@ -1,8 +1,8 @@
 """Population-dynamics density evolution and its GEXIT limit.
 
-Tracks sample populations of BP messages through the check/variable
-half-recursions, aggregates them into extrinsic code-bit estimates, and
-evaluates the DE-limit GEXIT value.  Shows the LDPC decoding transition
+Tracks sample populations of BP messages, plain arrays, through the
+check/variable half-recursions, aggregates them into extrinsic code-bit
+estimates, and evaluates the DE-limit GEXIT value.  Shows the LDPC decoding transition
 and the LDGM peculiarity that all-degree->=2 ensembles stay pinned at
 the zero population (their DE-GEXIT is the no-knowledge value).
 """
@@ -10,8 +10,7 @@ the zero population (their DE-GEXIT is the no-knowledge value).
 import numpy as np
 
 from gibbscode.channels import ChannelModel
-from gibbscode.de import (de_gexit, de_moment, ldpc_initial_population,
-                          de_step, run_de)
+from gibbscode.de import de_gexit, de_moment, run_de
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution
 
 # ---------------------------------------------------------------------------
@@ -28,12 +27,12 @@ for eps in (0.03, 0.06, 0.09, 0.12):
         gx = de_gexit(LDPC, dd, ch, 12, 50000, seed=1)
     print(f"              {eps:5.2f}   {m2:16.4f}   {gx:12.4f}")
 
-# the populations themselves
+# the populations themselves: run_de returns the w array after the d-th
+# check step
 ch = ChannelModel("bsc", 0.06)
-pop = ldpc_initial_population(ch, 6, seed=2)
-print("\ninitial lambda population:", np.round(pop.samples, 3))
-pop = de_step(pop, dd, ch, seed=3)
-print("after one check step (w):  ", np.round(pop.samples, 3))
+print()
+for d in (1, 2):
+    print(f"w population, d = {d}:", np.round(run_de(LDPC, dd, ch, d, 6, seed=2), 3))
 
 # ---------------------------------------------------------------------------
 # LDGM: with every check degree >= 2 the zero population is a fixed
@@ -53,4 +52,4 @@ print("LDGM with P_1 = 1/2: de_gexit(d=8) =",
       round(de_gexit(LDGM, dd_obs, ch, 8, 50000, seed=4), 6),
       "(observation checks move the fixed point)")
 print("final v-population sample:",
-      np.round(run_de(LDGM, dd_obs, ch, 8, 8, seed=5).samples, 3))
+      np.round(run_de(LDGM, dd_obs, ch, 8, 8, seed=5), 3))

@@ -8,6 +8,12 @@ boundary conditions: LDPC leaves keep their channel observations, LDGM
 leaf checks (whose variable children were truncated) marginalize to
 constants and drop out.
 
+The messages are two plain (samples, n_edges) arrays, v2c and c2v, with
+edges in TannerGraph.edges() order.  One flood (_flood_depths) runs from
+zero messages over sample blocks of at most BLOCK_ELEMENTS messages and
+reads the code-bit estimates at each requested depth on the way;
+bp_run, bp_all_extrinsics and bp_checkpoint_extrinsics are its views.
+
 Message rules (messages are half-loglikelihoods of +1 vs -1):
 
   LDPC:  v2c = l_i + sum of other c2v;   c2v = atanh(prod other tanh v2c)
@@ -61,32 +67,11 @@ factor; each of the two root sums is normalised on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import L_SAT, block_slices
 from .graphs import LDGM, LDPC
-
-
-@dataclass
-class MessageState:
-    """Per-edge messages after some number of flooding iterations, shape
-    (n_edges,) for one realization or (S, n_edges) for a block."""
-
-    v2c: np.ndarray
-    c2v: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _edge_index(graph):
-    evar, echk = [], []
-    for v in range(graph.n_var):
-        for c in graph.adj_var[v]:
-            evar.append(v)
-            echk.append(c)
-    return np.array(evar, dtype=np.intp), np.array(echk, dtype=np.intp)
 
 
 #: a zero message's weight in its check's count term: even, so a
@@ -189,19 +174,13 @@ def _sample_groups(index, n_nodes, samples):
     return (index + n_nodes * np.arange(samples)[:, None]).ravel()
 
 
-def _run_messages(inst, d):
-    """d flooding iterations from zero messages; returns MessageState."""
-    shape = inst.values.shape[:-1] + (inst.graph.n_edges,)
-    return _run_messages_from(inst, MessageState(np.zeros(shape), np.zeros(shape)), d)
-
-
-def _codebit_estimates(inst, state, extrinsic):
+def _codebit_estimates(inst, v2c, c2v, extrinsic):
     g = inst.graph
-    evar, echk = _edge_index(g)
+    evar, echk = g.edge_ends
     l = np.atleast_2d(inst.values)
     S = len(l)
     if g.kind == LDPC:
-        tot = np.bincount(_sample_groups(evar, g.n_var, S), weights=state.c2v.ravel(),
+        tot = np.bincount(_sample_groups(evar, g.n_var, S), weights=c2v.ravel(),
                           minlength=S * g.n_var).reshape(S, g.n_var)
         field = tot if extrinsic else l + tot
         np.minimum(field, L_SAT, out=field)
@@ -209,52 +188,46 @@ def _codebit_estimates(inst, state, extrinsic):
         est = np.tanh(field, out=field)
     else:
         with np.errstate(**_PSI_ERRORS):
-            _, sums = _check_sums(state.v2c.ravel(), _sample_groups(echk, g.n_chk, S),
-                                  S * g.n_chk)
+            _, sums = _check_sums(v2c.ravel(), _sample_groups(echk, g.n_chk, S), S * g.n_chk)
             c = _check_message(*sums).reshape(S, g.n_chk)
         est = np.tanh(c if extrinsic else l + c)
     return est.reshape(inst.values.shape)
+
+
+def _flood_depths(inst, depths, extrinsic):
+    """Flood from zero messages, over blocks of at most BLOCK_ELEMENTS
+    messages (samples x edges), and read the code-bit estimates at each
+    of the depths: {d: estimates} in ascending d."""
+    g = inst.graph
+    l = np.atleast_2d(inst.values)
+    v2c, c2v = np.zeros((len(l), g.n_edges)), np.zeros((len(l), g.n_edges))
+    out, last = {}, 0
+    for d in sorted(set(depths)):
+        if d < 0:
+            raise ValueError("iteration count must be >= 0")
+        for samples in block_slices(len(l), g.n_edges):
+            _flood(g, l[samples], v2c[samples], c2v[samples], d - last)
+        out[d], last = _codebit_estimates(inst, v2c, c2v, extrinsic), d
+    return out
 
 
 def bp_run(inst, d):
     """Flooding sum-product for d full iterations from zero messages;
     returns the per-code-bit marginal estimates (per sample, for an
     instance holding a block of LLR draws)."""
-    return _codebit_estimates(inst, _run_messages(inst, d), extrinsic=False)
+    return _flood_depths(inst, [d], extrinsic=False)[d]
 
 
 def bp_all_extrinsics(inst, d):
     """Extrinsic BP estimates <x_i>_{0,d} for every code bit: own observation
     removed at the root only (cycles still carry l_i into the messages)."""
-    return _codebit_estimates(inst, _run_messages(inst, d), extrinsic=True)
+    return _flood_depths(inst, [d], extrinsic=True)[d]
 
 
 def bp_checkpoint_extrinsics(inst, depths):
     """Extrinsic estimates at several iteration depths from one message
     run (shared noise; used by the iteration-vs-blocklength experiment)."""
-    depths = sorted(set(depths))
-    out = {}
-    state = _run_messages(inst, 0)
-    last = 0
-    for d in depths:
-        state, last = _run_messages_from(inst, state, d - last), d
-        out[d] = _codebit_estimates(inst, state, extrinsic=True)
-    return out
-
-
-def _run_messages_from(inst, state, extra_iters):
-    """Continue flooding from an existing MessageState, over blocks of at
-    most BLOCK_ELEMENTS messages (samples x edges)."""
-    if extra_iters < 0:
-        raise ValueError("iteration count must be >= 0")
-    g = inst.graph
-    l = np.atleast_2d(inst.values)
-    v2c = np.atleast_2d(state.v2c).copy()
-    c2v = np.atleast_2d(state.c2v).copy()
-    for samples in block_slices(len(l), g.n_edges):
-        _flood(g, l[samples], v2c[samples], c2v[samples], extra_iters)
-    shape = state.v2c.shape
-    return MessageState(v2c.reshape(shape), c2v.reshape(shape))
+    return _flood_depths(inst, depths, extrinsic=True)
 
 
 def _variable_outputs(c2v, groups, n_groups, l_edge=None):
@@ -277,7 +250,7 @@ def _flood(g, l, v2c, c2v, iters):
     other samples' values bit for bit: no two samples share a bincount
     group, and bincount adds a group's edges in edge order whatever the
     block holds."""
-    evar, echk = _edge_index(g)
+    evar, echk = g.edge_ends
     E = g.n_edges
     rows = np.arange(len(l))  # block rows still flooding
     var_groups = _sample_groups(evar, g.n_var, len(l))

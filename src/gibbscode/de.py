@@ -1,21 +1,24 @@
 """Sample-based (population dynamics) density evolution for both code
 families, and the DE-limit GEXIT values.
 
-Message populations live in the half-loglikelihood domain and are
-saturated at L_SAT.  One full iteration is a check half-step followed by
-a variable half-step; degrees inside the recursion are edge-perspective
-(prob proportional to degree), the final code-bit aggregation is
+A message density is a plain array of n_pop samples in the
+half-loglikelihood domain, saturated at L_SAT; run_de keeps one such
+array alive from half-step to half-step.  One full iteration is a check
+half-step (_check_outputs) followed by a variable half-step (_var_step);
+degrees inside the recursion are edge-perspective (prob proportional to
+degree), the final code-bit aggregation (aggregate_extrinsic) is
 node-perspective.
 
-  LDGM   initial var-to-chk population: point mass at 0.
+  LDGM   start:      v = 0 for every sample.
          check step: u = atanh(tanh l * prod_{r-1} tanh v), fresh l ~ c.
          var step:   v = sum_{dv-1} u.
          aggregate:  tanh(Delta_d) = prod over a node-perspective check
                      degree of tanh v  (the extrinsic code-bit estimate).
 
-  LDPC   initial var-to-chk population: channel samples c(l).
+  LDPC   start:      lam = channel samples c(l).
          check step: w = atanh(prod_{r-1} tanh lam).
-         var step:   lam = l + sum_{dv-1} w, fresh l ~ c.
+         var step:   lam = l + sum_{dv-1} w, fresh l ~ c; skipped after
+                     the d-th check step, so run_de returns w.
          aggregate:  Lambda_d = sum over a node-perspective variable
                      degree of w  (again extrinsic: own l excluded).
 
@@ -27,42 +30,11 @@ length.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import BIAWGNC, L_SAT, gexit_kernel_batch, sample_llr
 from .graphs import LDGM, LDPC, draw_degrees
-
-VAR_TO_CHK = "var-to-chk"
-CHK_TO_VAR = "chk-to-var"
-
-
-@dataclass(frozen=True)
-class Population:
-    """A sample-based message density: N_pop half-LLR values plus which
-    half-recursion produced them."""
-
-    samples: np.ndarray
-    generation: int
-    family: str
-    side: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("population samples must be finite")
-
-
-def ldgm_initial_population(n_pop):
-    """Point mass at zero on the variable-to-check side."""
-    return Population(np.zeros(n_pop), 0, LDGM, VAR_TO_CHK)
-
-
-def ldpc_initial_population(ch, n_pop, seed):
-    """Channel samples on the variable-to-check side."""
-    vals = sample_llr(ch, n_pop, seed).values
-    return Population(np.clip(vals, -L_SAT, L_SAT), 0, LDPC, VAR_TO_CHK)
 
 
 def _resampled(reduce, rng, samples, rows, cols):
@@ -111,14 +83,8 @@ def _check_outputs(rng, t, law, n, drop, ch=None):
     return np.clip(out, -L_SAT, L_SAT)
 
 
-def _check_step(samples, dd, ch, rng, family):
-    """Edge-perspective check half-step; consumes var-to-chk samples."""
-    return _check_outputs(rng, np.tanh(samples), dd.degree_laws["edge", "chk"], len(samples), 1,
-                          ch if family == LDGM else None)
-
-
 def _var_step(samples, dd, ch, rng, family):
-    """Edge-perspective variable half-step; consumes chk-to-var samples."""
+    """Edge-perspective variable half-step on check-to-variable messages."""
     n = len(samples)
     out = np.zeros(n)
     for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "var"], n):
@@ -129,54 +95,40 @@ def _var_step(samples, dd, ch, rng, family):
     return np.clip(out, -L_SAT, L_SAT)
 
 
-def de_step(pop, dd, ch, seed):
-    """One half-iteration: a var-to-chk population goes through the check
-    recursion, a chk-to-var population through the variable recursion."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if pop.side == VAR_TO_CHK:
-        vals = _check_step(pop.samples, dd, ch, rng, pop.family)
-        return Population(vals, pop.generation + 1, pop.family, CHK_TO_VAR)
-    vals = _var_step(pop.samples, dd, ch, rng, pop.family)
-    return Population(vals, pop.generation, pop.family, VAR_TO_CHK)
-
-
 def run_de(family, dd, ch, d, n_pop, seed):
-    """d full iterations; returns the aggregation-ready population:
-    the var-to-chk side for LDGM (v after the d-th variable step), the
-    chk-to-var side for LDPC (w after the d-th check step)."""
+    """d full iterations from zero (LDGM) or clipped channel samples
+    (LDPC); returns the aggregation-ready message array: v after the d-th
+    variable step (LDGM), w after the d-th check step (LDPC)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if family == LDGM:
-        pop = ldgm_initial_population(n_pop)
-        for _ in range(d):
-            pop = de_step(pop, dd, ch, rng)   # check
-            pop = de_step(pop, dd, ch, rng)   # variable
-        return pop
-    pop = ldpc_initial_population(ch, n_pop, rng)
+        msgs = np.zeros(n_pop)
+    else:
+        msgs = np.clip(sample_llr(ch, n_pop, rng).values, -L_SAT, L_SAT)
     for t in range(d):
-        pop = de_step(pop, dd, ch, rng)       # check
-        if t < d - 1:
-            pop = de_step(pop, dd, ch, rng)   # variable
-    return pop
+        msgs = _check_outputs(rng, np.tanh(msgs), dd.degree_laws["edge", "chk"], n_pop, 1,
+                              ch if family == LDGM else None)
+        if family == LDGM or t < d - 1:
+            msgs = _var_step(msgs, dd, ch, rng, family)
+    return msgs
 
 
-def aggregate_extrinsic(family, pop, dd, rng):
-    """Node-perspective code-bit aggregation, in the message domain:
-    Delta_d (LDGM) or Lambda_d (LDPC), one value per population sample."""
-    n = len(pop.samples)
+def aggregate_extrinsic(family, msgs, dd, rng):
+    """Node-perspective code-bit aggregation of run_de's messages:
+    Delta_d (LDGM) or Lambda_d (LDPC), one value per message."""
+    n = len(msgs)
     if family == LDGM:
-        return _check_outputs(rng, np.tanh(pop.samples), dd.degree_laws["node", "chk"], n, 0)
+        return _check_outputs(rng, np.tanh(msgs), dd.degree_laws["node", "chk"], n, 0)
     out = np.empty(n)
     for dv, idx in _degree_groups(rng, dd.degree_laws["node", "var"], n):
-        out[idx] = _resampled(np.add, rng, pop.samples, len(idx), dv)
+        out[idx] = _resampled(np.add, rng, msgs, len(idx), dv)
     return np.clip(out, -L_SAT, L_SAT)
 
 
 def _aggregates(family, dd, ch, d, n_pop, seed):
     rng = np.random.default_rng(seed)
-    pop = run_de(family, dd, ch, d, n_pop, rng)
-    agg = aggregate_extrinsic(family, pop, dd, rng)
+    agg = aggregate_extrinsic(family, run_de(family, dd, ch, d, n_pop, rng), dd, rng)
     if np.mean(np.abs(agg) >= L_SAT - 1e-9) > 0.99:
         warnings.warn("population degeneracy: >99% of aggregates saturate")
     return agg, rng

@@ -78,7 +78,8 @@ class ExperimentConfig:
         for key, value in (("code", self.code), ("params", self.params)):
             if not isinstance(value, dict):
                 raise ValueError(f"{key} must be a JSON object, not {type(value).__name__}")
-        _integer(self.seed, "seed")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if _integer(self.samples, "samples") < 1:
             raise ValueError("samples must be >= 1")
         if not isinstance(self.channel, str):
@@ -146,8 +147,16 @@ class ExperimentConfig:
                                  "needs samples >= 2")
         if self.experiment in ("bounds", "corr-decay") and p.get("graphs", 1) < 1:
             raise ValueError(f"{self.experiment} needs params.graphs >= 1")
-        if self.experiment == "duality-check" and p.get("n_max", 3) < 3:
-            raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
+        if self.experiment == "duality-check":
+            n_max = p.get("n_max", 3)
+            if n_max < 3:
+                raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
+            # the worst draw: n_max bits under one rank-1 check
+            try:
+                exact._check_cap(LDPC, n_max, n_max - 1)
+            except exact.BruteForceCapExceeded as err:
+                raise ValueError(f"duality-check draws LDPC codes of up to n_max = {n_max} "
+                                 f"bits and as few as one check: {err}") from None
         if "H" in p and (isinstance(p["H"], bool) or not isinstance(p["H"], (int, float))):
             raise ValueError(f"H must be a number, not {p['H']!r}")
         src = None

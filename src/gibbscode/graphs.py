@@ -112,6 +112,15 @@ class TannerGraph:
     def edges(self):
         return [(v, c) for v in range(self.n_var) for c in self.adj_var[v]]
 
+    @cached_property
+    def edge_ends(self):
+        """The variable and the check of every edge, in edges() order: a
+        read-only (2, n_edges) index array, built once per graph (the BP
+        flood's edge index)."""
+        ends = np.array(self.edges(), dtype=np.intp).reshape(-1, 2).T
+        ends.flags.writeable = False
+        return ends
+
 
 def build_graph(n_var, n_chk, edges, kind):
     """Construct a TannerGraph from an explicit (var, chk) edge list.

@@ -1,12 +1,29 @@
 """Shared corpora and generators for the test suite."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
 
 from gibbscode.exact import PosteriorBatch
 from gibbscode.graphs import LDGM, LDPC, build_graph
+
+#: where the golden sha256 digests (test_bp's flood, test_de's density
+#: evolution) were recorded: the bits of expm1, log1p, tanh and arctanh
+#: depend on numpy's build and on which SIMD loops it dispatches to
+DIGEST_PLATFORM = ("2.4.6", "x86_64", True)
+
+
+def _numpy_platform():
+    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
+    return np.__version__, platform.machine(), bool(features.get("AVX512_SKX"))
+
+
+#: skips a golden-digest test away from DIGEST_PLATFORM
+on_digest_platform = pytest.mark.skipif(
+    _numpy_platform() != DIGEST_PLATFORM,
+    reason="golden digests were recorded with numpy 2.4.6 on x86_64 with AVX512_SKX loops")
 
 
 def random_tree_graph(rng, kind, max_code_bits=15):

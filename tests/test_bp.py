@@ -1,18 +1,17 @@
 import hashlib
 import math
-import platform
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph, random_tree_graph
+from conftest import (fixed_code_corpus, on_digest_platform, random_ldgm_graph, random_ldpc_graph,
+                      random_tree_graph)
 from gibbscode import bp, channels
-from gibbscode.bp import (MessageState, _check_outputs, _check_sums, _codebit_estimates,
-                          _edge_index, _psi_terms, _run_messages, _run_messages_from,
-                          _sample_groups, bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run,
-                          tree_decode)
+from gibbscode.bp import (_check_outputs, _check_sums, _codebit_estimates, _psi_terms,
+                          _sample_groups, bp_all_extrinsics, bp_checkpoint_extrinsics,
+                          bp_run, tree_decode)
 from gibbscode.channels import L_SAT, ChannelModel, block_slices, sample_llr
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
@@ -230,12 +229,22 @@ def test_tree_correlation_decay_fixed_noise():
         assert mags[-1] < mags[0]
 
 
+def _flooded(inst, iters, v2c=None):
+    """(v2c, c2v) of bp._flood after iters iterations on the instance's
+    block, from zero messages or from the given v2c (and zero c2v)."""
+    l = np.atleast_2d(inst.values)
+    v2c = np.zeros((len(l), inst.graph.n_edges)) if v2c is None else np.array(v2c, float)
+    c2v = np.zeros_like(v2c)
+    bp._flood(inst.graph, l, v2c, c2v, iters)
+    return v2c, c2v
+
+
 def test_messages_stay_finite_and_saturated():
     g = four_cycle(LDPC)
     inst = make_instance(g, [30.0, 30.0])
-    est, state = bp_run(inst, 50), _run_messages(inst, 50)
-    assert np.all(np.isfinite(state.v2c)) and np.all(np.isfinite(state.c2v))
-    assert np.max(np.abs(state.v2c)) <= 30.0 + 1e-12
+    est, (v2c, c2v) = bp_run(inst, 50), _flooded(inst, 50)
+    assert np.all(np.isfinite(v2c)) and np.all(np.isfinite(c2v))
+    assert np.max(np.abs(v2c)) <= 30.0 + 1e-12
     assert np.all(np.isfinite(est))
 
 
@@ -249,7 +258,7 @@ def test_saturating_check_messages_keep_their_value():
     grid = np.linspace(19.0, 30.0, 12)
     mags = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     signs = np.random.default_rng(9).choice([-1.0, 1.0], mags.shape)
-    c2v = _run_messages(make_instance(g, signs * mags), 1).c2v
+    _, c2v = _flooded(make_instance(g, signs * mags), 1)
     for v in range(3):
         a, b = np.delete(mags, v, axis=1).T
         want = 0.5 * (np.logaddexp(2 * (a + b), 0.0) - np.logaddexp(2 * a, 2 * b))
@@ -278,15 +287,14 @@ def test_dominated_excluded_sums_keep_their_value():
     mags[0] = (1.0, 25.0, 25.0)
     signs = rng.choice([-1.0, 1.0], mags.shape)
     signs[0] = 1.0
-    c2v = _run_messages(make_instance(g, signs * mags), 1).c2v
+    _, c2v = _flooded(make_instance(g, signs * mags), 1)
     assert abs(c2v[0, 0] - (25.0 - 0.5 * math.log(2.0))) < 1e-6
     for v in range(3):
         a, b = np.delete(mags, v, axis=1).T
         want = _two_message_rule(a, b) * np.prod(np.delete(signs, v, axis=1), axis=1)
         assert float(np.max(np.abs(c2v[:, v] - want))) < 1e-6
     g = build_graph(2, 1, [(0, 0), (1, 0)], LDGM)
-    state = MessageState(np.array([[1.0, 25.0]]), np.zeros((1, 2)))
-    c2v = _run_messages_from(make_instance(g, [[25.0]]), state, 1).c2v
+    _, c2v = _flooded(make_instance(g, [[25.0]]), 1, v2c=[[1.0, 25.0]])
     assert abs(c2v[0, 0] - (25.0 - 0.5 * math.log(2.0))) < 1e-6
     assert abs(c2v[0, 1] - _two_message_rule(25.0, 1.0)) < 1e-6
 
@@ -374,19 +382,8 @@ FLOOD_DIGESTS = {
     ('ldgm-loop', 'biawgnc:0.8'): "af704e4c1958b71a23dc5a74cfb5ac764a4fbeb500273554c4918c6937477027",
 }
 
-#: where the digests were recorded: the bits of expm1, log1p and tanh
-#: depend on numpy's build and on which SIMD loops it dispatches to
-FLOOD_DIGEST_PLATFORM = ("2.4.6", "x86_64", True)
 
-
-def _flood_platform():
-    features = getattr(np._core._multiarray_umath, "__cpu_features__", {})
-    return np.__version__, platform.machine(), bool(features.get("AVX512_SKX"))
-
-
-@pytest.mark.skipif(_flood_platform() != FLOOD_DIGEST_PLATFORM,
-                    reason="flood digests were recorded with numpy 2.4.6 on x86_64 "
-                           "with AVX512_SKX loops")
+@on_digest_platform
 def test_flood_outputs_keep_their_recorded_bits():
     """The three BP entry points on the five corpus codes at BSC 0.2, 0.3
     and 0.4 and BIAWGNC 0.8 give the recorded bit patterns: a rewrite of
@@ -411,18 +408,17 @@ def test_flood_outputs_keep_their_recorded_bits():
 
 def _fixed_depth_run_from(inst, state, extra_iters):
     """Reference: the flood as it was before the fixed-point exit, which
-    runs every sample for all extra_iters iterations."""
+    runs every sample for all extra_iters iterations from the (v2c, c2v)
+    state; returns the new (v2c, c2v)."""
     if extra_iters < 0:
         raise ValueError("iteration count must be >= 0")
     g = inst.graph
     l = np.atleast_2d(inst.values)
-    v2c = np.atleast_2d(state.v2c).copy()
-    c2v = np.atleast_2d(state.c2v).copy()
+    v2c, c2v = (np.atleast_2d(m).copy() for m in state)
     for samples in block_slices(len(l), g.n_edges):
         v2c[samples], c2v[samples] = _fixed_depth_flood(g, l[samples], v2c[samples],
                                                         c2v[samples], extra_iters)
-    shape = state.v2c.shape
-    return MessageState(v2c.reshape(shape), c2v.reshape(shape))
+    return v2c, c2v
 
 
 def _fixed_depth_flood(g, l, v2c, c2v, iters):
@@ -430,7 +426,7 @@ def _fixed_depth_flood(g, l, v2c, c2v, iters):
     (S, code bits) LLRs; returns the new (v2c, c2v).  It holds the
     errstate the library's flood holds: the psi helpers leave it to their
     caller."""
-    evar, echk = _edge_index(g)
+    evar, echk = np.array(g.edges(), dtype=np.intp).reshape(-1, 2).T
     S = len(l)
     var_groups = _sample_groups(evar, g.n_var, S)
     chk_groups = _sample_groups(echk, g.n_chk, S)
@@ -454,9 +450,9 @@ def _fixed_depth_flood(g, l, v2c, c2v, iters):
 
 
 def _fixed_depth_states(inst, depths):
-    """The reference message states at each of the sorted depths."""
+    """The reference (v2c, c2v) states at each of the sorted depths."""
     shape = inst.values.shape[:-1] + (inst.graph.n_edges,)
-    state, last, out = MessageState(np.zeros(shape), np.zeros(shape)), 0, {}
+    state, last, out = (np.zeros(shape), np.zeros(shape)), 0, {}
     for d in depths:
         state, last = _fixed_depth_run_from(inst, state, d - last), d
         out[d] = state
@@ -494,12 +490,12 @@ def test_fixed_point_exit_matches_fixed_depth_flood_bitwise(kind, loopy, seed, s
     depths = sorted(set(depths))
     ref = _fixed_depth_states(inst, depths)
     for d in depths:
-        assert_bitwise(bp_run(inst, d), _codebit_estimates(inst, ref[d], extrinsic=False))
+        assert_bitwise(bp_run(inst, d), _codebit_estimates(inst, *ref[d], extrinsic=False))
         assert_bitwise(bp_all_extrinsics(inst, d),
-                       _codebit_estimates(inst, ref[d], extrinsic=True))
+                       _codebit_estimates(inst, *ref[d], extrinsic=True))
     ckpt = bp_checkpoint_extrinsics(inst, depths)
     for d in depths:
-        assert_bitwise(ckpt[d], _codebit_estimates(inst, ref[d], extrinsic=True))
+        assert_bitwise(ckpt[d], _codebit_estimates(inst, *ref[d], extrinsic=True))
 
 
 def _count_iterations(monkeypatch):
@@ -526,9 +522,9 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     g = random_tree_graph(rng, LDPC)
     inst = make_instance(g, rng.normal(0.5, 1.5, g.code_bit_count))
     ref = _fixed_depth_states(inst, [K - 1, K, K + 1])
-    assert not (np.array_equal(ref[K - 1].v2c, ref[K].v2c)
-                and np.array_equal(ref[K - 1].c2v, ref[K].c2v))
-    for a, b in ((ref[K].v2c, ref[K + 1].v2c), (ref[K].c2v, ref[K + 1].c2v)):
+    assert not (np.array_equal(ref[K - 1][0], ref[K][0])
+                and np.array_equal(ref[K - 1][1], ref[K][1]))
+    for a, b in zip(ref[K], ref[K + 1]):
         assert_bitwise(a, b)
     sizes = _count_iterations(monkeypatch)
     far = bp_run(inst, 1000)
@@ -540,7 +536,7 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     sizes.clear()
     out = bp_run(block, 60)
     assert [n // g.n_edges for n in sizes] == [5, 5, 5, 5, 3, 1]
-    assert_bitwise(out, _codebit_estimates(block, _fixed_depth_states(block, [60])[60],
+    assert_bitwise(out, _codebit_estimates(block, *_fixed_depth_states(block, [60])[60],
                                            extrinsic=False))
     # of the next draw seed's five, four settle after 3 iterations; the
     # fourth never does (its messages keep moving at the rounding level)
@@ -550,5 +546,5 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     out = bp_run(block, 60)
     assert [n // g.n_edges for n in sizes[:5]] == [5, 5, 5, 5, 1]
     assert sizes[5:] == [g.n_edges] * 55
-    assert_bitwise(out, _codebit_estimates(block, _fixed_depth_states(block, [60])[60],
+    assert_bitwise(out, _codebit_estimates(block, *_fixed_depth_states(block, [60])[60],
                                            extrinsic=False))

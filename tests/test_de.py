@@ -1,13 +1,14 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import on_digest_platform
 from gibbscode.channels import L_SAT, ChannelModel, sample_llr
-from gibbscode.de import (CHK_TO_VAR, VAR_TO_CHK, Population, _degree_groups, _resampled,
-                          de_full_marginal_moments, de_gexit, de_moment, de_step,
-                          ldgm_initial_population, ldpc_initial_population, run_de)
+from gibbscode.de import (_degree_groups, _resampled, de_full_marginal_moments, de_gexit,
+                          de_moment, run_de)
 from gibbscode.exact import all_extrinsics, make_instance
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph
 
@@ -63,59 +64,58 @@ def test_resampled_columns_reduce_in_order():
 
 
 def test_initial_populations():
-    pop = ldgm_initial_population(100)
-    assert np.all(pop.samples == 0.0) and pop.side == VAR_TO_CHK
+    """LDGM starts from zero messages, LDPC from the clipped channel
+    samples: a degree-2 check passes its one other message through, so
+    after one check step every LDPC message is +-a on the BSC."""
     ch = ChannelModel("bsc", 0.25)
-    pop2 = ldpc_initial_population(ch, 1000, 3)
+    assert np.all(run_de(LDGM, DD23, ch, 1, 100, 3) == 0.0)
+    dd = DegreeDistribution.from_dicts({2: 1.0}, {2: 1.0})
     a = 0.5 * math.log(3.0)
-    assert set(np.round(np.abs(pop2.samples), 12)) == {round(a, 12)}
+    assert set(np.round(np.abs(run_de(LDPC, dd, ch, 1, 1000, 3)), 12)) == {round(a, 12)}
 
 
 def test_ldgm_zero_start_stays_zero():
     """With every check degree >= 2 the all-zero population is exact after
-    each half-step (the zero product kills the check message)."""
+    each iteration (the zero product kills the check message)."""
     ch = ChannelModel("bsc", 0.3)
-    pop = ldgm_initial_population(500)
-    for _ in range(4):
-        pop = de_step(pop, DD23, ch, 0)
-        assert np.all(pop.samples == 0.0)
+    for d in range(1, 5):
+        assert np.all(run_de(LDGM, DD23, ch, d, 500, 0) == 0.0)
 
 
 def test_ldgm_degree_one_checks_seed_the_recursion():
     dd = DegreeDistribution.from_dicts({2: 1.0}, {1: 0.5, 2: 0.5})
     ch = ChannelModel("bsc", 0.3)
-    pop = de_step(ldgm_initial_population(2000), dd, ch, 0)
-    assert pop.side == CHK_TO_VAR
-    assert np.any(pop.samples != 0.0)
-
-
-def test_sides_alternate_and_generation_counts():
-    ch = ChannelModel("bsc", 0.2)
-    pop = ldpc_initial_population(ch, 100, 0)
-    pop = de_step(pop, DD23, ch, 1)
-    assert pop.side == CHK_TO_VAR and pop.generation == 1
-    pop = de_step(pop, DD23, ch, 2)
-    assert pop.side == VAR_TO_CHK and pop.generation == 1
+    assert np.any(run_de(LDGM, dd, ch, 1, 2000, 0) != 0.0)
 
 
 def test_run_de_sides():
+    """run_de returns the LDGM variable-to-check messages (v after the
+    d-th variable step) and the LDPC check-to-variable ones (w after the
+    d-th check step); d < 1 is rejected.  With degree-1 checks every
+    LDGM u is a channel LLR +-a and a degree-3 variable sends the sum of
+    two, so v is in {0, +-2a}; a (2,3) LDPC check sends +-atanh(tanh^2 a)
+    at d = 1."""
     ch = ChannelModel("bsc", 0.1)
-    assert run_de(LDGM, DD23, ch, 2, 100, 0).side == VAR_TO_CHK
-    assert run_de(LDPC, DD23, ch, 2, 100, 0).side == CHK_TO_VAR
-    with pytest.raises(ValueError):
-        run_de(LDPC, DD23, ch, 0, 100, 0)
+    a = 0.5 * math.log(0.9 / 0.1)
+    dd = DegreeDistribution.from_dicts({3: 1.0}, {1: 1.0})
+    assert set(np.round(run_de(LDGM, dd, ch, 2, 100, 0), 10)) <= {0.0, round(2 * a, 10),
+                                                                   round(-2 * a, 10)}
+    w = math.atanh(math.tanh(a) ** 2)
+    assert set(np.round(np.abs(run_de(LDPC, DD23, ch, 1, 100, 0)), 10)) == {round(w, 10)}
+    for family in (LDGM, LDPC):
+        with pytest.raises(ValueError):
+            run_de(family, DD23, ch, 0, 100, 0)
 
 
 def test_regular_check_step_matches_formula():
     """For the (2,3)-regular LDPC, one check step from the channel
     population is w = atanh(tanh(l1) tanh(l2)) with resampled inputs."""
     ch = ChannelModel("bsc", 0.2)
-    pop = ldpc_initial_population(ch, 5000, 7)
-    out = de_step(pop, DD23, ch, 8)
+    out = run_de(LDPC, DD23, ch, 1, 5000, 7)
     a = math.tanh(0.5 * math.log(0.8 / 0.2))
     allowed = {round(math.atanh(s1 * a * s2 * a), 10) for s1 in (-1, 1)
                for s2 in (-1, 1)}
-    assert set(np.round(out.samples, 10)).issubset(allowed)
+    assert set(np.round(out, 10)).issubset(allowed)
 
 
 def test_de_gexit_deterministic():
@@ -211,6 +211,51 @@ def test_monotone_stabilization_ldpc_low_noise():
     assert all(diffs[k + 1] < diffs[k] for k in range(len(diffs) - 1))
 
 
-def test_population_validation():
-    with pytest.raises(ValueError):
-        Population(np.array([1.0, math.nan]), 0, LDPC, VAR_TO_CHK)
+#: the density-evolution cases of DE_DIGESTS: family, (var law, check
+#: law) as regular degrees or {degree: probability} maps, channel, depth
+DE_CASES = {
+    "ldpc-36-bsc": (LDPC, ((3,), (6,)), "bsc:0.06", 4),
+    "ldpc-36-biawgnc": (LDPC, ((3,), (6,)), "biawgnc:0.8", 3),
+    "ldpc-irregular-bsc": (LDPC, ({2: 0.4, 3: 0.6}, {4: 0.5, 6: 0.5}), "bsc:0.08", 3),
+    "ldpc-36-saturated": (LDPC, ((3,), (6,)), "bsc:0.001", 12),
+    "ldgm-23-bsc": (LDGM, ((2,), (3,)), "bsc:0.3", 3),
+    "ldgm-obs-bsc": (LDGM, ({2: 1.0}, {1: 0.5, 2: 0.5}), "bsc:0.4", 4),
+    "ldgm-obs-biawgnc": (LDGM, ({2: 1.0, 3: 0.0}, {1: 0.3, 2: 0.3, 3: 0.4}), "biawgnc:0.9", 3),
+}
+
+#: sha256 of the float64 bit patterns of run_de's message array, then of
+#: de_gexit, de_moment (p = 2) and de_full_marginal_moments (powers 1 to
+#: 4), for each DE_CASES case k at n_pop 3000 and seed 300 + k: the bits
+#: any rewrite of the recursion must keep
+DE_DIGESTS = {
+    "ldpc-36-bsc": "748a9f326285faa17d839a5f4183a496fa95dc42145c4c6a4938f094f855229e",
+    "ldpc-36-biawgnc": "6b93c20ddeffa880a18b92eedd198ac26e7f4969b12878d618a1911b1e23c33f",
+    "ldpc-irregular-bsc": "931394cd188abcc7924dac37ded38994b9de8502e6f74169ff59e9cb24793517",
+    "ldpc-36-saturated": "29812241fe15656d18b456d10d0e6c62f9476e3a3d4b430747dc20f43d843d3b",
+    "ldgm-23-bsc": "d1051e751ac2c820a42a5727c6a1c4e992eb68de65fb1e8636d096b18f620824",
+    "ldgm-obs-bsc": "6baee4c4d9d4444bef1ccda21ce50f81f5c97b9274280f5111289ffd7d323e32",
+    "ldgm-obs-biawgnc": "968000eeedc282ad6f3fcce609410269bfea34326ebc986193b948580a3c2cde",
+}
+
+
+@on_digest_platform
+def test_de_outputs_keep_their_recorded_bits():
+    """run_de and the three DE estimates give the recorded bit patterns
+    on LDPC and LDGM laws, regular and irregular, over the BSC and the
+    BIAWGNC, with saturated populations, degree-1 checks and a never
+    drawn variable degree: a rewrite of the recursion must change no output bit."""
+    n_pop = 3000
+    for k, (name, (family, (var, chk), spec, d)) in enumerate(DE_CASES.items()):
+        dd = (DegreeDistribution.regular(var[0], chk[0]) if isinstance(var, tuple)
+              else DegreeDistribution.from_dicts(var, chk))
+        ch, seed = ChannelModel.from_spec(spec), 300 + k
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the saturated case's degeneracy warning
+            digest.update(np.asarray(run_de(family, dd, ch, d, n_pop, seed), "<f8").tobytes())
+            values = [de_gexit(family, dd, ch, d, n_pop, seed),
+                      de_moment(family, dd, ch, d, n_pop, 2, seed),
+                      *de_full_marginal_moments(family, dd, ch, d, n_pop, (1, 2, 3, 4),
+                                                seed).values()]
+        digest.update(np.asarray(values, "<f8").tobytes())
+        assert digest.hexdigest() == DE_DIGESTS[name], name

@@ -130,7 +130,8 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     """A config that fails validation is not a failed check: one line on
     stderr, exit code 2 (argparse's code for bad arguments) and no output;
     a missing mandatory key and malformed JSON are rejected the same way,
-    and so are values of the wrong JSON type, which are neither truncated
+    and so are a negative seed (numpy's seeding rejects it mid-run) and
+    values of the wrong JSON type, which are neither truncated
     (a fractional seed, sample count, depth or count, a bool seed) nor
     left to end in a traceback (a top-level array, a code or params that
     is not an object, a channel that is not a string, a bad eps grid,
@@ -141,7 +142,7 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     are not a list of names or none at all, an H that is not a number,
     one sample where a standard error is estimated, limits depths at or
     above the reference, an exact table that must exceed the brute-force
-    cap)."""
+    cap, duality-check draws whose table may exceed it)."""
     one_check = {"type": "edges", "family": "ldgm", "n_var": 2, "n_chk": 1,
                  "edges": [[0, 0], [1, 0]]}
     base = {"code": one_check, "channel": "bsc:0.3", "samples": 4, "seed": 1}
@@ -169,6 +170,7 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "seed must be an integer, not 5.5"),
                 ("bounds", {**base, "samples": 5.7}, "samples must be an integer, not 5.7"),
                 ("bounds", {**base, "seed": True}, "seed must be an integer, not True"),
+                ("gexit-curve", {**base, "seed": -1}, "seed must be >= 0, not -1"),
                 ("bounds", [1, 2], "a config must be a JSON object, not list"),
                 ("bounds", {**base, "code": 5}, "code must be a JSON object, not int"),
                 ("bounds", {**base, "params": [[1, 2]]},
@@ -253,6 +255,9 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "64 code bits exceed the 63 a codeword word holds"),
                 ("bounds", {**base, "code": identity},
                  "support dimension 26 (rank G) exceeds cap 24"),
+                ("duality-check", {**base, "params": {"n_max": 30}},
+                 "duality-check draws LDPC codes of up to n_max = 30 bits and as few as one "
+                 "check: support dimension 29 (codeword dimension n - rank H) exceeds cap 24"),
                 ("bounds", {**base, "code": ensemble, "params": {"H": None}},
                  "H must be a number, not None"),
                 ("bounds", {**base, "code": ensemble, "params": {"H": [1]}},
