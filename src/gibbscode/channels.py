@@ -75,15 +75,21 @@ def _unit_gauss_legendre():
     return x, w
 
 
-def _gl_integral(g, lo, hi, breaks=()):
-    """Integral of a vectorized g over [lo, hi] by the composite
-    Gauss-Legendre rule: the unit rule on each panel between consecutive
-    breakpoints that fall strictly inside (lo, hi), each panel's sum
-    scaled by its half width."""
+def _gl_integrals(g, lo, hi, breaks=()):
+    """Integrals over [lo, hi] of the integrands a vectorized g yields,
+    by the composite Gauss-Legendre rule: the unit rule on each panel
+    between consecutive breakpoints that fall strictly inside (lo, hi),
+    each panel's sum (a dot product of its own) scaled by its half width."""
     x, w = _unit_gauss_legendre()
     ends = [lo, *sorted(b for b in breaks if lo < b < hi), hi]
-    return float(sum(0.5 * (b - a) * (w @ g(0.5 * (b - a) * x + 0.5 * (b + a)))
-                     for a, b in zip(ends, ends[1:])))
+    panels = [[0.5 * (b - a) * (w @ y) for y in g(0.5 * (b - a) * x + 0.5 * (b + a))]
+              for a, b in zip(ends, ends[1:])]
+    return [float(sum(sums)) for sums in zip(*panels)]
+
+
+def _gl_integral(g, lo, hi, breaks=()):
+    """The integral of one vectorized g over [lo, hi] (_gl_integrals)."""
+    return _gl_integrals(lambda l: [g(l)], lo, hi, breaks)[0]
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,12 @@ def sample_llr(ch, n, seed):
 
 
 def t2p(ch, p):
-    """d/deps of E[(tanh l)^{2p}].
+    """d/deps of E[(tanh l)^{2p}], the last of t2p_terms(ch, p)."""
+    return t2p_terms(ch, p)[-1]
+
+
+def t2p_terms(ch, p_max):
+    """[t2p(ch, p) for p = 1..p_max].
 
     BSC closed form: E[tanh^{2p} l] = (1-2 eps)^{2p}, so the derivative is
     -4 p (1-2 eps)^{2p-1}.  BIAWGNC: gexit_kernel_integral of
@@ -244,22 +255,25 @@ def t2p(ch, p):
     -sech^2 l sum_{k<p} tanh^{2k} l with sech^2 l = 4 e^{-2|l|} /
     (1 + e^{-2|l|})^2: no term cancels, so the value keeps its relative
     accuracy where it is tiny (small eps), and underflows to 0 below that.
+    One set of node evaluations serves every p: the power sums of
+    p = 1..p_max are the prefixes of one running sum.
     """
-    if p < 1:
+    if p_max < 1:
         raise ValueError("p must be >= 1")
     if ch.kind == BSC:
-        return -4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1)
+        return [-4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1) for p in range(1, p_max + 1)]
 
-    def f(l):
-        t2 = np.tanh(l) ** 2
+    def integrands(l):
+        t2, e, dc = np.tanh(l) ** 2, np.exp(-2.0 * np.abs(l)), ch.density_deps(l)
+        sech2 = -4.0 * e / (1.0 + e) ** 2
         power, total = np.ones_like(l), np.ones_like(l)
-        for _ in range(p - 1):
+        yield dc * (sech2 * total)
+        for _ in range(p_max - 1):
             power *= t2
             total += power
-        e = np.exp(-2.0 * np.abs(l))
-        return -4.0 * e / (1.0 + e) ** 2 * total
+            yield dc * (sech2 * total)
 
-    return gexit_kernel_integral(ch, f)
+    return _gl_integrals(integrands, *ch._window(), (0.0,))
 
 
 def t2p_sup(ch):
@@ -270,13 +284,13 @@ def t2p_sup(ch):
     On the BSC |t2p| = 4 p t^{2p-1}, t = 1 - 2 eps, is unimodal in p with
     its peak at p* = -1/(2 ln t), so the maximum is taken over the integers
     floor(p*) - 1 .. floor(p*) + 2 within [1, T2P_SUP_TERMS]: the value of
-    the full search, bit for bit, at four t2p calls instead of 200."""
+    the full search, bit for bit, from at most floor(p*) + 2 closed forms."""
     if ch.kind == BSC:
         log_t = math.log(1.0 - 2.0 * ch.eps)
         # p* > T2P_SUP_TERMS: |t2p| still rises at the last searched term
         peak = T2P_SUP_TERMS if log_t > -0.5 / T2P_SUP_TERMS else math.floor(-0.5 / log_t)
-        return max(abs(t2p(ch, p))
-                   for p in range(max(1, peak - 1), min(T2P_SUP_TERMS, peak + 2) + 1))
+        terms = t2p_terms(ch, min(T2P_SUP_TERMS, peak + 2))
+        return max(map(abs, terms[max(0, peak - 2):]))
     # |dc/deps| kinks where (l-mu)^2 + 2(l-mu)/eps = 1/eps, that is at
     # l = mu - 1/eps +- sqrt(1/eps^2 + 1/eps) = +-sqrt(1/eps^2 + 1/eps)
     root = math.sqrt(1.0 / ch.eps ** 2 + 1.0 / ch.eps)

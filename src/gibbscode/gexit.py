@@ -27,23 +27,26 @@ Routes provided, all cross-checkable on the same corpus:
 
 The first four read exact posteriors and are views of map_gexit_routes,
 which serves any subset of them from one pass over the samples.  Every
-route, nishimori_residual included, walks the samples through
-_per_sample, which draws the graphs and the channel noise.
+route, nishimori_residual included, reduces the graphs and channel noise
+of one _draws walk through _per_sample.  The exact-posterior routes put
+_batches on the walk, which groups the draws by table shape; the BP
+routes (one walk, _bp_kernels) read it one graph at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channels
+from . import bp, channels
+# bp_all_extrinsics and sample_llr are not called here, but gcbench/layers.py
+# wraps gexit.bp_all_extrinsics and gexit.sample_llr by name, so they stay bound
 from .bp import bp_all_extrinsics
-# sample_llr is not called here, but gcbench/layers.py wraps gexit.sample_llr
-# by name, so the name stays bound
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
-                       llrs_from_noise, sample_llr, t2p, t2p_sup)
+                       llrs_from_noise, sample_llr, t2p_sup, t2p_terms)
 from .exact import (PosteriorBatch, all_extrinsics, all_marginals, conditional_entropy,
                     make_instance)
 from .graphs import LDGM, TannerGraph, sample_ensemble
@@ -73,44 +76,48 @@ def _prefactor(source):
     return source.dd.lambda_prime / source.dd.p_prime if source.kind == LDGM else 1.0
 
 
-def _blocks(source, ch, samples, seed, noise_per_graph=1):
-    """Yield (starts, graph indices, graphs, noise) groups covering every
-    sample once, reading default_rng(seed): a fixed graph carries all
-    samples; an ensemble source draws a fresh code for each
-    noise_per_graph samples (reuse amortizes table construction;
-    variances are then computed over per-graph blocks).  Each graph's
-    channel noise is drawn as (S, n) chunks of at most BLOCK_ELEMENTS
-    entries; a fixed graph's chunks are groups of one.  Consecutive
-    ensemble chunks are collected while their costs sum to at most
-    BLOCK_ELEMENTS floats, a chunk on an (R, n) table costing
-    max(R n, S max(R, n)), and each such window is yielded as one
-    (G, S, n) group per shape (R, n, S), graphs in draw order; the
-    posterior pass then runs a group as one row chunk and one sample
-    block, each graph as a call on it alone would.  A window's groups
-    interleave in sample order, so starts (G,) holds the sample index of
-    each graph's first draw.  Graph seeds and noise are read in the order
-    of one sample at a time."""
+def _draws(source, ch, samples, seed, noise_per_graph=1):
+    """Yield (start, graph index, graph, (S, n) noise) draws covering
+    every sample once, reading default_rng(seed) in the order of one
+    sample at a time: a fixed graph carries all samples; an ensemble
+    draws a fresh code for each noise_per_graph samples.  A graph's noise
+    comes in chunks of at most BLOCK_ELEMENTS entries, start being the
+    sample index of a chunk's first row."""
     rng = np.random.default_rng(seed)
     fixed = isinstance(source, TannerGraph)
     per_graph = samples if fixed else noise_per_graph
-    groups, used = {}, 0
     for index, start in enumerate(range(0, samples, per_graph)):
         g = source if fixed else sample_ensemble(source.dd, source.n, source.kind,
                                                  int(rng.integers(2 ** 63)))
         n, count = g.code_bit_count, range(start, min(start + per_graph, samples))
         for chunk in block_slices(len(count), n):
-            S = len(count[chunk])
-            if fixed:
-                key, cost = None, math.inf
-            else:
-                R = 1 << g.free_spin_count
-                key, cost = (R, n, S), max(R * n, S * max(R, n))
-            if groups and used + cost > channels.BLOCK_ELEMENTS:
-                yield from map(_stack, groups.values())
-                groups, used = {}, 0
-            groups.setdefault(key, []).append(
-                (count[chunk].start, index, g, channel_noise(ch, (S, n), rng)))
-            used += cost
+            yield count[chunk].start, index, g, channel_noise(ch, (len(count[chunk]), n), rng)
+
+
+def _batches(draws):
+    """The exact routes' batching of the draws: consecutive draws are
+    collected while their costs sum to at most BLOCK_ELEMENTS floats, S
+    samples on an (R, n) table costing max(R n, S max(R, n)), and each
+    such window is yielded as one (starts, graph indices, graphs,
+    (G, S, n) noise) group per shape (R, n, S), graphs in draw order; the
+    posterior pass then runs a group as one row chunk and one sample
+    block, each graph as a call on it alone would.  A window's groups
+    interleave in sample order.  A window with no room left for n floats
+    (a chunk's least cost) goes before the next chunk is drawn, so a
+    graph's chunks (all but its last cost over BLOCK_ELEMENTS - n) never
+    share one: a fixed graph's groups hold one chunk each."""
+    groups, used = {}, 0
+    for start, index, g, noise in draws:
+        (S, n), R = noise.shape, 1 << g.free_spin_count
+        cost = max(R * n, S * max(R, n))
+        if groups and used + cost > channels.BLOCK_ELEMENTS:
+            yield from map(_stack, groups.values())
+            groups, used = {}, 0
+        groups.setdefault((R, n, S), []).append((start, index, g, noise))
+        used += cost
+        if used + n > channels.BLOCK_ELEMENTS:
+            yield from map(_stack, groups.values())
+            groups, used = {}, 0
     yield from map(_stack, groups.values())
 
 
@@ -120,43 +127,20 @@ def _stack(group):
     return np.array(starts), np.array(indices), graphs, stacked
 
 
-def _per_sample(source, ch, samples, seed, reduce, noise_per_graph=1):
-    """reduce(graphs, noise) over the groups of _blocks, each returning one
-    value (or one row of values) per graph and sample, shape (G, S, ...);
-    returns the values in sample order and each sample's graph index."""
-    vals = blocks = None
-    for starts, indices, graphs, noise in _blocks(source, ch, samples, seed, noise_per_graph):
+def _per_sample(walk, samples, reduce):
+    """reduce(graph, noise) over a walk's draws, or reduce(graphs, noise)
+    over its _batches groups, giving a value (or row) per graph and sample:
+    the values in sample order and each sample's graph index, filled in
+    place (lists of the groups' arrays cost an ensemble pass 0.25 MiB RSS)."""
+    vals, blocks = None, np.empty(samples, np.intp)
+    for start, index, graphs, noise in walk:
         out = reduce(graphs, noise)
         if vals is None:
-            vals, blocks = np.empty((samples,) + out.shape[2:]), np.empty(samples, np.intp)
-        positions = starts[:, None] + np.arange(out.shape[1])
+            vals = np.empty((samples,) + out.shape[np.ndim(start) + 1:])
+        positions = np.add.outer(start, np.arange(noise.shape[-2]))  # (S,) or (G, S)
         vals[positions] = out
-        blocks[positions] = indices[:, None]
+        blocks[positions] = np.expand_dims(index, -1)
     return vals, blocks
-
-
-def _floods(graphs, llrs, flood):
-    """flood(instance) for each graph of a group, whose output holds one
-    entry per LLR row: BP runs one graph at a time, and each distinct row
-    of a graph's (S, n) block once.  A flood is a pure map of each row (no
-    two samples share a bincount group, and each leaves at its own fixed
-    point), so the distinct rows' outputs, gathered back, are bit for bit
-    those of the whole block.  Rows are told apart by their bytes, so
-    -0.0 and 0.0 stay distinct; a dict of the bytes does that without
-    np.unique on a void view of the rows, which raised the peak RSS of a
-    corpus GEXIT pass by 0.15 MiB."""
-    out = []
-    for g, l in zip(graphs, llrs):
-        first = inverse = slice(None)
-        if len(l) > 1:
-            keys = [row.tobytes() for row in l]
-            firsts = {}  # each distinct row's bytes -> the index of its first row
-            for i, key in enumerate(keys):
-                firsts.setdefault(key, i)
-            slot = {key: j for j, key in enumerate(firsts)}
-            first, inverse = list(firsts.values()), [slot[key] for key in keys]
-        out.append(flood(make_instance(g, l[first]))[inverse])
-    return out
 
 
 def _estimate(values, prefactor, method, meta, blocks=None):
@@ -174,15 +158,9 @@ def _estimate(values, prefactor, method, meta, blocks=None):
 
 
 def _meta(source, ch, samples, seed, **extra):
-    meta = {"channel": ch.spec(), "samples": samples, "seed": seed}
-    if isinstance(source, TannerGraph):
-        meta["n"] = source.code_bit_count
-        meta["family"] = source.kind
-    else:
-        meta["n"] = source.n
-        meta["family"] = source.kind
-    meta.update(extra)
-    return meta
+    n = source.code_bit_count if isinstance(source, TannerGraph) else source.n
+    return {"channel": ch.spec(), "samples": samples, "seed": seed, "n": n,
+            "family": source.kind, **extra}
 
 
 def moment_series(Ms, coeffs):
@@ -200,7 +178,7 @@ def moment_series(Ms, coeffs):
 def series_coefficients(ch, p_max):
     """The Nishimori series coefficients t2p(ch, p) / (2p(2p-1)) for
     p = 1..p_max, as an array."""
-    return np.array([t2p(ch, p) / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)])
+    return np.array([t / (2 * p * (2 * p - 1)) for p, t in enumerate(t2p_terms(ch, p_max), 1)])
 
 
 #: the routes that reduce exact posteriors, served by one map_gexit_routes pass
@@ -251,7 +229,8 @@ def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_gra
                 / (2.0 * ch.eps ** 2)
         return np.stack([out[m] for m in methods], axis=-1)
 
-    vals, blocks = _per_sample(source, ch, samples, seed, reduce, noise_per_graph)
+    walk = _batches(_draws(source, ch, samples, seed, noise_per_graph))
+    vals, blocks = _per_sample(walk, samples, reduce)
     pref = _prefactor(source)  # entropy-fd scales each graph by its own n/m above
     return {m: _estimate(vals[:, k], 1.0 if m == "entropy-fd" else pref, m, meta[m], blocks)
             for k, m in enumerate(methods)}
@@ -297,15 +276,22 @@ def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
     return -source_kind_prefactor * float(sum(series_coefficients(ch, p_max)))
 
 
+def _bp_kernels(source, ch, depths, samples, seed, noise_per_graph=1):
+    """Both BP routes' walk: per sample, the code-bit mean of the kernel at
+    the depth-d BP extrinsics for each sorted depth d, (samples, depths),
+    and each sample's graph index; BP reads one graph at a time."""
+    def reduce(g, noise):
+        inst = make_instance(g, llrs_from_noise(ch, noise, out=noise))
+        return np.stack([gexit_kernel_batch(ch, M).mean(axis=-1)
+                         for M in bp.bp_checkpoint_extrinsics(inst, depths).values()], axis=-1)
+
+    return _per_sample(_draws(source, ch, samples, seed, noise_per_graph), samples, reduce)
+
+
 def bp_gexit(source, ch, d, samples, seed, noise_per_graph=1):
     """BP-GEXIT: the same kernel with the depth-d BP extrinsics."""
-    vals, blocks = _per_sample(
-        source, ch, samples, seed,
-        lambda graphs, noise: gexit_kernel_batch(ch, np.stack(_floods(
-            graphs, llrs_from_noise(ch, noise, out=noise),
-            lambda inst: bp_all_extrinsics(inst, d)))).mean(axis=-1),
-        noise_per_graph)
-    return _estimate(vals, _prefactor(source), "bp",
+    vals, blocks = _bp_kernels(source, ch, [d], samples, seed, noise_per_graph)
+    return _estimate(vals[:, 0], _prefactor(source), "bp",
                      _meta(source, ch, samples, seed, d=d), blocks)
 
 
@@ -314,31 +300,17 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
     {d: GexitEstimate} plus pairwise-difference standard errors in meta.
     Shared randomness makes the depth differences far more precise than
     the individual values."""
-    from .bp import bp_checkpoint_extrinsics
-
     depths = sorted(set(depths))
-
-    def reduce(graphs, noise):
-        exts = _floods(graphs, llrs_from_noise(ch, noise, out=noise),
-                       lambda inst: np.stack(  # (S, depths, n) each
-                           list(bp_checkpoint_extrinsics(inst, depths).values()), axis=1))
-        return np.stack([gexit_kernel_batch(ch, np.stack([e[:, k] for e in exts])).mean(axis=-1)
-                         for k in range(len(depths))], axis=-1)
-
-    vals, _ = _per_sample(source, ch, samples, seed, reduce)
+    vals, _ = _bp_kernels(source, ch, depths, samples, seed)
     pref = _prefactor(source)
     kernels = {d: vals[:, k] for k, d in enumerate(depths)}
-    out = {}
-    for d in depths:
-        out[d] = _estimate(kernels[d], pref, "bp",
-                           _meta(source, ch, samples, seed, d=d))
+    out = {d: _estimate(kernels[d], pref, "bp", _meta(source, ch, samples, seed, d=d))
+           for d in depths}
     diffs = {}
-    for a in depths:
-        for b in depths:
-            if a < b:
-                delta = pref * (kernels[b] - kernels[a])
-                diffs[(a, b)] = (float(np.mean(delta)),
-                                 float(np.std(delta, ddof=1) / math.sqrt(len(delta))))
+    for a, b in itertools.combinations(depths, 2):
+        delta = pref * (kernels[b] - kernels[a])
+        diffs[(a, b)] = (float(np.mean(delta)),
+                         float(np.std(delta, ddof=1) / math.sqrt(len(delta))))
     return out, diffs
 
 
@@ -354,6 +326,6 @@ def nishimori_residual(source, ch, p, samples, seed):
         m = all_marginals(PosteriorBatch(graphs, llrs_from_noise(ch, noise, out=noise)))
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 
-    diffs, _ = _per_sample(source, ch, samples, seed, reduce)
+    diffs, _ = _per_sample(_batches(_draws(source, ch, samples, seed)), samples, reduce)
     return (abs(float(diffs.mean())),
             float(diffs.std(ddof=1) / math.sqrt(len(diffs))))

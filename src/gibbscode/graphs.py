@@ -489,13 +489,19 @@ def save_graph(g, path):
 
 
 def load_graph(path):
+    """Read save_graph's format.  A malformed line raises ValueError naming
+    the file, the line number and the form that line must have."""
     with open(path) as fh:
-        kind, n_var, n_chk = fh.readline().split()
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            v, c = line.split()
-            edges.append((int(v), int(c)))
-    return build_graph(int(n_var), int(n_chk), edges, kind)
+        lines = [(k, line) for k, line in enumerate(fh, 1) if k == 1 or line.strip()]
+    rows = []
+    for k, line in lines or [(1, "")]:
+        form, fields = "kind n_var n_chk" if k == 1 else "v c", line.split()
+        try:
+            if len(fields) != len(form.split()):
+                raise ValueError
+            rows.append(fields[:k == 1] + [int(f) for f in fields[k == 1:]])
+        except ValueError:
+            raise ValueError(f"code file {path!r} line {k}: expected '{form}', "
+                             f"not {line.strip()!r}") from None
+    (kind, n_var, n_chk), edges = rows[0], rows[1:]
+    return build_graph(n_var, n_chk, [tuple(e) for e in edges], kind)

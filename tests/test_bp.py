@@ -355,6 +355,39 @@ def test_block_flood_matches_single_floods(monkeypatch, budget):
         assert_bitwise(ckpt[20], [bp_all_extrinsics(s, 20) for s in singles])
 
 
+def test_flood_runs_each_distinct_row_once_bitwise(monkeypatch):
+    """The flood runs each distinct LLR row of a block once and gathers
+    the estimates back: on blocks with repeated rows, and rows that
+    differ only in the sign of a zero, bp_all_extrinsics and
+    bp_checkpoint_extrinsics equal one flood per row bit for bit.  Rows
+    are told apart by their bytes, so -0.0 and 0.0 rows are flooded
+    separately."""
+    flooded = []
+
+    def counted(g, l, *args):
+        flooded.append(len(l))
+        return flood(g, l, *args)
+
+    flood = bp._flood
+    monkeypatch.setattr(bp, "_flood", counted)
+    rng = np.random.default_rng(31)
+    floods = (lambda inst: bp_all_extrinsics(inst, 20),
+              lambda inst: np.stack(list(bp_checkpoint_extrinsics(inst, [2, 20]).values()),
+                                    axis=1))
+    for name, g in fixed_code_corpus()[1:]:
+        distinct = rng.normal(0.3, 1.5, (4, g.code_bit_count))
+        distinct[1, 0] = 0.0
+        distinct[2] = distinct[1]
+        distinct[2, 0] = -0.0
+        block = distinct[[0, 1, 0, 2, 3, 1, 1, 2, 0]]
+        for depths, run in zip((1, 2), floods):
+            flooded.clear()
+            got = run(make_instance(g, block))
+            assert flooded == [4] * depths, name
+            want = np.concatenate([run(make_instance(g, row[None])) for row in block])
+            assert_bitwise(got, want)
+
+
 #: sha256 of the float64 bit patterns of bp_all_extrinsics(d = 20),
 #: bp_run(d = 20) and bp_checkpoint_extrinsics at depths 3, 10 and 20, in
 #: that order, for 150 draws per point (seed 100 k + j for code k and
@@ -490,12 +523,12 @@ def test_fixed_point_exit_matches_fixed_depth_flood_bitwise(kind, loopy, seed, s
     depths = sorted(set(depths))
     ref = _fixed_depth_states(inst, depths)
     for d in depths:
-        assert_bitwise(bp_run(inst, d), _codebit_estimates(inst, *ref[d], extrinsic=False))
+        assert_bitwise(bp_run(inst, d), _codebit_estimates(g, L, *ref[d], extrinsic=False))
         assert_bitwise(bp_all_extrinsics(inst, d),
-                       _codebit_estimates(inst, *ref[d], extrinsic=True))
+                       _codebit_estimates(g, L, *ref[d], extrinsic=True))
     ckpt = bp_checkpoint_extrinsics(inst, depths)
     for d in depths:
-        assert_bitwise(ckpt[d], _codebit_estimates(inst, *ref[d], extrinsic=True))
+        assert_bitwise(ckpt[d], _codebit_estimates(g, L, *ref[d], extrinsic=True))
 
 
 def _count_iterations(monkeypatch):
@@ -536,8 +569,8 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     sizes.clear()
     out = bp_run(block, 60)
     assert [n // g.n_edges for n in sizes] == [5, 5, 5, 5, 3, 1]
-    assert_bitwise(out, _codebit_estimates(block, *_fixed_depth_states(block, [60])[60],
-                                           extrinsic=False))
+    assert_bitwise(out, _codebit_estimates(
+        g, block.values, *_fixed_depth_states(block, [60])[60], extrinsic=False))
     # of the next draw seed's five, four settle after 3 iterations; the
     # fourth never does (its messages keep moving at the rounding level)
     # and floods on alone to d
@@ -546,5 +579,5 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     out = bp_run(block, 60)
     assert [n // g.n_edges for n in sizes[:5]] == [5, 5, 5, 5, 1]
     assert sizes[5:] == [g.n_edges] * 55
-    assert_bitwise(out, _codebit_estimates(block, *_fixed_depth_states(block, [60])[60],
-                                           extrinsic=False))
+    assert_bitwise(out, _codebit_estimates(
+        g, block.values, *_fixed_depth_states(block, [60])[60], extrinsic=False))

@@ -12,7 +12,7 @@ from gibbscode.channels import (BIAWGNC, BSC, ChannelModel, LLRVector,
                                 default_H, delta_dual, delta_high,
                                 exp_abs_moment, exp_neg_moment,
                                 gexit_kernel_batch, gexit_kernel_integral,
-                                sample_llr, sinh_neg_moment, t2p, t2p_sup)
+                                sample_llr, sinh_neg_moment, t2p, t2p_sup, t2p_terms)
 
 #: BIAWGNC noise levels from deep in the waterfall to far past capacity
 EXTREME_EPS = (0.001, 0.01, 0.1, 0.5, 0.8, 1.0, 4.0, 20.0, 100.0)
@@ -187,6 +187,37 @@ def test_t2p_biawgnc_pinned_to_mpmath():
         for p, want in zip((1, 2, 10), values):
             assert t2p(ch, p) == pytest.approx(want, rel=1e-13, abs=0), (eps, p)
     assert [t2p(ChannelModel(BIAWGNC, 0.001), p) for p in (1, 20)] == [0.0, 0.0]
+
+
+def test_t2p_terms_equal_one_integral_per_p_bitwise():
+    """t2p_terms evaluates the nodes once for every p, yet each term is,
+    bit for bit, the integral of its own power sum against dc/deps
+    (gexit_kernel_integral of -sech^2 l sum_{k<p} tanh^{2k} l, the
+    running sum taken p - 1 times), and t2p(ch, p) is its last term; the
+    BSC terms are the closed forms, from eps 0.001 to far past capacity
+    and for p_max 1 to 40."""
+    def per_p(ch, p):
+        def f(l):
+            t2 = np.tanh(l) ** 2
+            power, total = np.ones_like(l), np.ones_like(l)
+            for _ in range(p - 1):
+                power *= t2
+                total += power
+            e = np.exp(-2.0 * np.abs(l))
+            return -4.0 * e / (1.0 + e) ** 2 * total
+        if ch.kind == BSC:
+            return -4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1)
+        return gexit_kernel_integral(ch, f)
+
+    for ch in [ChannelModel(BIAWGNC, eps) for eps in (0.001, 0.05, 0.3, 0.8, 4.0, 100.0)] + \
+            [ChannelModel(BSC, eps) for eps in (0.001, 0.1, 0.45)]:
+        for p_max in (1, 3, 20, 40):
+            terms = t2p_terms(ch, p_max)
+            assert [x.hex() for x in terms] == [per_p(ch, p).hex()
+                                                for p in range(1, p_max + 1)], (ch, p_max)
+            assert t2p(ch, p_max) == terms[-1]
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        t2p_terms(ChannelModel(BIAWGNC, 0.8), 0)
 
 
 def test_kernel_integral_matches_t2p_all_p():

@@ -138,7 +138,9 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     malformed ensemble fields, degrees that do not balance at n, an
     entropy-fd step that is not a positive number or leaves (0, eps_max),
     the magnetization route off the BIAWGNC, a fixed code that does not
-    build or whose file cannot be read, an unknown family, methods that
+    build or whose file cannot be read or holds a malformed header, edge
+    line or number (the message names the file, the line and its form),
+    an unknown family, methods that
     are not a list of names or none at all, an H that is not a number,
     one sample where a standard error is estimated, limits depths at or
     above the reference, an exact table that must exceed the brute-force
@@ -155,6 +157,10 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     ldpc36 = {"type": "ensemble", "family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 60}
     identity = {"type": "edges", "family": "ldgm", "n_var": 26, "n_chk": 26,
                 "edges": [[v, v] for v in range(26)]}
+    bad_header, bad_edge, non_integer = (tmp_path / f"code{k}.txt" for k in range(3))
+    bad_header.write_text("ldpc 3\n")
+    bad_edge.write_text("ldpc 3 2\n0 0\n1 0 1\n")
+    non_integer.write_text("ldpc 3 2\n0 x\n1 0\n")
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "o"
     for experiment, text, message in (
@@ -238,6 +244,12 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  f"cannot read code file {str(tmp_path / 'no')!r}: No such file or directory"),
                 ("limits", {**base, "code": {"type": "file", "path": 5}},
                  "path must be a file name, not 5"),
+                *(("gexit-curve", {**base, "code": {"type": "file", "path": str(path)}},
+                   f"code file {str(path)!r} line {line}: expected '{form}', not {text!r}")
+                  for path, line, form, text in (
+                      (bad_header, 1, "kind n_var n_chk", "ldpc 3"),
+                      (bad_edge, 3, "v c", "1 0 1"),
+                      (non_integer, 2, "v c", "0 x"))),
                 ("gexit-curve", {**base, "params": {"methods": 5}},
                  "methods must be a list of method names, not 5"),
                 ("gexit-curve", {**base, "params": {"methods": "functional"}},
@@ -483,19 +495,19 @@ def test_map_methods_share_one_pass(code):
 
 
 def test_gexit_curve_walks_the_samples_once_per_point(monkeypatch):
-    """A gexit-curve point walks the samples (gexit._blocks) once for all
+    """A gexit-curve point walks the samples (gexit._draws) once for all
     of its exact-posterior routes and once for BP.  The ten configs of
     the benchmark's fixed-gexit workload (functional, series, entropy-fd
     and bp on a BSC at three eps, functional, awgn-magnetization and bp
     on the BIAWGNC at one, on each corpus code) make 40 walks."""
     walks = []
-    blocks = gexit._blocks
+    draws = gexit._draws
 
     def counted(*args):
         walks.append(args[1].kind)
-        return blocks(*args)
+        return draws(*args)
 
-    monkeypatch.setattr(gexit, "_blocks", counted)
+    monkeypatch.setattr(gexit, "_draws", counted)
 
     def run(g, channel, grid, methods, samples):
         code = {"type": "edges", "family": g.kind, "n_var": g.n_var, "n_chk": g.n_chk,

@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import bsc_noise_patterns, fixed_code_corpus
-from gibbscode import exact, gexit
-from gibbscode.bp import bp_all_extrinsics, bp_checkpoint_extrinsics
+from conftest import bsc_noise_patterns, fixed_code_corpus, on_digest_platform
+from gibbscode import channels, exact, gexit, gf2
+from gibbscode.bp import bp_all_extrinsics
 from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
                                 llrs_from_noise, sample_llr, t2p)
 from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
@@ -14,7 +15,8 @@ from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              map_gexit_routes, map_gexit_series, moment_series,
                              nishimori_residual, series_coefficients,
                              series_zero_moment_value)
-from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensemble
+from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, TannerGraph, build_graph,
+                              sample_ensemble)
 
 
 def rep3():
@@ -121,36 +123,6 @@ def test_bp_gexit_multi_depth_stabilizes():
     ests, diffs = bp_gexit_multi_depth(g, ch, [2, 4, 6, 40], 400, 6)
     gaps = [abs(diffs[(d, 40)][0]) for d in (2, 4, 6)]
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_floods_run_each_distinct_row_once_bitwise():
-    """gexit._floods floods each distinct LLR row of a graph's block once
-    and gathers the outputs back: on blocks with repeated rows, and rows
-    that differ only in the sign of a zero, both entry points it serves
-    equal one flood per row bit for bit.  Rows are told apart by their
-    bytes, so -0.0 and 0.0 rows are flooded separately."""
-    rng = np.random.default_rng(31)
-    floods = (lambda inst: bp_all_extrinsics(inst, 20),
-              lambda inst: np.stack(list(bp_checkpoint_extrinsics(inst, [2, 20]).values()),
-                                    axis=1))
-    for name, g in fixed_code_corpus()[1:]:
-        distinct = rng.normal(0.3, 1.5, (4, g.code_bit_count))
-        distinct[1, 0] = 0.0
-        distinct[2] = distinct[1]
-        distinct[2, 0] = -0.0
-        block = distinct[[0, 1, 0, 2, 3, 1, 1, 2, 0]]
-        for flood in floods:
-            flooded = []
-
-            def counted(inst):
-                flooded.append(len(inst.values))
-                return flood(inst)
-
-            got, = gexit._floods([g], block[None], counted)
-            assert flooded == [4], name
-            want = np.concatenate([flood(make_instance(g, row[None])) for row in block])
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), name
 
 
 def test_entropy_fd_step_insensitive():
@@ -332,10 +304,9 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
 
     want, index = _graph_loop(src, bsc, samples, seed, per_graph, map_values)
     got, got_index = gexit._per_sample(
-        src, bsc, samples, seed,
+        gexit._batches(gexit._draws(src, bsc, samples, seed, per_graph)), samples,
         lambda graphs, noise: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
-            exact.PosteriorBatch(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1),
-        per_graph)
+            exact.PosteriorBatch(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1))
     assert got[:, 0].tobytes() == want[:, 0].tobytes()
     assert np.array_equal(got_index, index)
     ests = map_gexit_routes(src, bsc, samples, seed, ("functional", "series"), p_max, per_graph)
@@ -367,6 +338,117 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
         est = entropy_fd(src, bsc, step, samples, seed)
         ref = gexit._estimate(want, 1.0, "entropy-fd", {})
         assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+
+@pytest.mark.parametrize("dd,n,kind", [((3, 6), 120, LDPC), ((3, 2), 60, LDGM)],
+                         ids=["ldpc36-120", "ldgm32-60"])
+def test_bp_routes_build_no_table(monkeypatch, dd, n, kind):
+    """The BP routes read an ensemble's draws one graph at a time and
+    never row-reduce a graph, whose exact table no BP route builds (at
+    n = 1000 the rank cost most of a bp_gexit pass); bp_gexit's values and
+    standard error are those of a loop that floods one graph at a time."""
+    reduced, row_reduce = [], gf2.row_reduce
+
+    def counted(rows):
+        reduced.append(1)
+        return row_reduce(rows)
+
+    monkeypatch.setattr(gf2, "row_reduce", counted)
+    src, ch = EnsembleSpec(DegreeDistribution.regular(*dd), n, kind), ChannelModel("bsc", 0.05)
+    est = bp_gexit(src, ch, 5, 7, 1, noise_per_graph=2)
+    bp_gexit_multi_depth(src, ch, [2, 5], 4, 1)
+    assert reduced == []
+    want, index = _graph_loop(src, ch, 7, 1, 2, lambda g, noise: gexit_kernel_batch(
+        ch, bp_all_extrinsics(make_instance(g, llrs_from_noise(ch, noise)), 5)).mean(axis=1))
+    ref = gexit._estimate(want, gexit._prefactor(src), "bp", {}, index)
+    assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+
+def test_batches_keep_the_chunks_of_a_fixed_graph_apart():
+    """A fixed graph's noise chunks never share a batch window, so each
+    of its groups holds one chunk, in sample order, and the walk covers
+    every sample once."""
+    g = dict(fixed_code_corpus())["ldpc-5"]
+    step = channels.BLOCK_ELEMENTS // g.code_bit_count
+    groups = list(gexit._batches(gexit._draws(g, ChannelModel("bsc", 0.3), 2 * step + 5, 3)))
+    assert [(list(starts), len(graphs), noise.shape) for starts, _, graphs, noise in groups] == \
+        [([0], 1, (1, step, 5)), ([step], 1, (1, step, 5)), ([2 * step], 1, (1, 5, 5))]
+
+
+#: sha256 of the repr of each route's result on two ensembles whose
+#: batch windows span several table shapes (noise_per_graph 1 and 3) and
+#: on two corpus codes, on the BSC and the BIAWGNC (61 samples, seed 14;
+#: series at p_max 8, bp at d = 5, multi-depth at 1, 3 and 20, Nishimori
+#: at p = 2), recorded before the walk was split into draws and batches
+ROUTE_DIGESTS = {
+    "ldpc44-16 bsc 1 map": "4c7915169bdd9f379c41f3cc99785068c85b4a78c953ee01e9b05478bbd097f9",
+    "ldpc44-16 bsc 1 bp": "5166421ae6af9cafd48a089c9e689d978302f9b90789749733f34014ff5d4d53",
+    "ldpc44-16 bsc 1 multi": "2c6ad9f6b7d306c85589c2b01218a1dd1d0e4f3249f2d021a6cfc84657314cfa",
+    "ldpc44-16 bsc 1 nishimori": "9906bd0d307753127d34247fccad3510019195d14ff44a42d2a7e59977a564e2",
+    "ldpc44-16 bsc 3 map": "be886ebffa3c6f712d8765257e531f8a134539b94af2ed0502660f2ddbc055b9",
+    "ldpc44-16 bsc 3 bp": "790ea6536258229b16bedd57184f2c9f31ada7bbb1530bd120330b7ce20ff035",
+    "ldpc44-16 biawgnc 1 map": "d681d2d1602d0b2312d9a9af4f367b527d8c8026d4868021f56c36ebb97e016f",
+    "ldpc44-16 biawgnc 1 bp": "f67d3e5099d7d55a963c599d372670b8b78f43f99e24bbf56e9875a21dcbe296",
+    "ldpc44-16 biawgnc 1 multi": "df1391ef658e6dcbe0af76b435f78829442993216c677b8610f84a1cb58d848c",
+    "ldpc44-16 biawgnc 1 nishimori": "4a0ab631973cd422942010dae933f882429c92a48d6aa08946bf99f97868b69f",
+    "ldpc44-16 biawgnc 3 map": "b74711d2270f38b8c3a5dfbf721b36283f0a9f2b1c75bc00ae62e82d39f7f2ac",
+    "ldpc44-16 biawgnc 3 bp": "df8d38d1e2de54bc296aa75d9e817a986ddcf4413e81f85527b5ebf93c544945",
+    "ldgm32-9 bsc 1 map": "d7edc1e50c8009c0fa0c4c66f8f945b4bc2ea382f3ae49c7525f9ecd725e85e8",
+    "ldgm32-9 bsc 1 bp": "843b94666b2f7573728f6a44f6b6f6fec57dfa614344cdcd4a2869ab97d712cf",
+    "ldgm32-9 bsc 1 multi": "b9ebbe9bf18c8b20992330d50515a86dbbe01b2e40a897b6076bcfcaea40fcaf",
+    "ldgm32-9 bsc 1 nishimori": "e24309977a5fd4ff0195fdc80bd3826d7d8139cd7eedd0adbf6d939e1fe6034f",
+    "ldgm32-9 bsc 3 map": "1a1a9b66ae93e9c3e0294c99426a0860c18044212db9e53865ed9b7e50e75464",
+    "ldgm32-9 bsc 3 bp": "c8b3afe8cfa8edfd472aeda590bd2ec7dc67520ea5779f2bf1621e53476b7e89",
+    "ldgm32-9 biawgnc 1 map": "c331c61ccf8cd3641b657dd25351aec76c4745e75f801550ed04f262f6db3810",
+    "ldgm32-9 biawgnc 1 bp": "f6675ee83be62ed19e99021a82b7176372c8c9e18109c99db55741629ddc41e8",
+    "ldgm32-9 biawgnc 1 multi": "0537c339791c69b38910da7bcb05ba5445cec903d40118bb8468f2cb7ff29a16",
+    "ldgm32-9 biawgnc 1 nishimori": "3022077e88343d739c5015d088196cc1d1cedcd86db2e7edd117fdd32063da09",
+    "ldgm32-9 biawgnc 3 map": "b41b84adf5df97d2eb148f3e058b743b9fea06789ceec96a5b72c15434f140bc",
+    "ldgm32-9 biawgnc 3 bp": "af3da6b69cc6a7f81dae4ba659ef545069e448ab52d4fa118fa505ee91b75925",
+    "ldpc-5 bsc 1 map": "cdd9bad95a3373de095b89ca4661f7168e94ad15dafca900914952ef933a9919",
+    "ldpc-5 bsc 1 bp": "0f1ae8ab979769104a2df508ceed4ecca276044c4e1430c99f76902b1e4fe0fb",
+    "ldpc-5 bsc 1 multi": "9a8f0ea259debc2eb2b79b5e3506b1ef597ac15097de1d0725f228b394c081c4",
+    "ldpc-5 bsc 1 nishimori": "13cd20b7bc028af6dd664459375604596ce9e91b80beda77aa8374f801851e25",
+    "ldpc-5 biawgnc 1 map": "93893558150554e806ce356da21470bc9c560cf176fa92d5149ef3ce7aacfc81",
+    "ldpc-5 biawgnc 1 bp": "dabc40db28495bc909785cd82946840abdb87ef2ca45afa63a4cf8188d17091a",
+    "ldpc-5 biawgnc 1 multi": "83e4d6d526855dd23369757a3ea63ba1fd86cde9c9222e32f51d8f321c851344",
+    "ldpc-5 biawgnc 1 nishimori": "c5db16e4c70e726a1488c032f3ab6d30d6abb19b27c19a480670c0e11cbda6bd",
+    "ldgm-loop bsc 1 map": "b6be5ca16abefb6f9deeeb4c55ea21e6cf6c0afdc099dbfd85c1e3702fada508",
+    "ldgm-loop bsc 1 bp": "d5b6b89605c18c265b6584126d2c254afc4ed6a40c500fc473065ca91ccc9395",
+    "ldgm-loop bsc 1 multi": "40bf18ee5e9d2a25fbc85d9cc559d4a7be9bb952c597537834e12cfdafe01264",
+    "ldgm-loop bsc 1 nishimori": "5fd1e77b14f00bfdcb9b9180d0aed9de39a79cfba2e7c6c5af35ab1f9f2950b5",
+    "ldgm-loop biawgnc 1 map": "7b7b38cbbcd663671ecc7d6181fffb0cd2641fc474acaaa28f3df5984e46c813",
+    "ldgm-loop biawgnc 1 bp": "7e6fda9cdc3f6dc82e86ed59ce33d3a907dcbe6a556b451cfb10275b80f1617c",
+    "ldgm-loop biawgnc 1 multi": "0b9e63da6645c263fd599725b8b6a86c55647776d79e1459d5fb51742971b005",
+    "ldgm-loop biawgnc 1 nishimori": "fcdc9f49a7926513c078bb0959be98ca9da08bd75102b6a3137acc11f8fda381",
+}
+
+
+@on_digest_platform
+def test_routes_keep_their_recorded_bits():
+    """map_gexit_routes, bp_gexit, bp_gexit_multi_depth and
+    nishimori_residual give the recorded values and standard errors bit
+    for bit."""
+    corpus = dict(fixed_code_corpus())
+    sources = {"ldpc44-16": GROUPED_SOURCES[0], "ldgm32-9": GROUPED_SOURCES[1],
+               "ldpc-5": corpus["ldpc-5"], "ldgm-loop": corpus["ldgm-loop"]}
+    got = {}
+    for name, src in sources.items():
+        for kind in ("bsc", "biawgnc"):
+            ch = ChannelModel(kind, 0.8 if kind == "biawgnc" else
+                              0.04 if name.startswith("ldpc") else 0.3)
+            methods = ("functional", "series", "entropy-fd") + (
+                ("awgn-magnetization",) if kind == "biawgnc" else ())
+            for npg in (1,) if isinstance(src, TannerGraph) else (1, 3):
+                out = {"map": map_gexit_routes(src, ch, 61, 14, methods, 8, npg),
+                       "bp": bp_gexit(src, ch, 5, 61, 14, npg)}
+                if npg == 1:
+                    out["multi"] = bp_gexit_multi_depth(src, ch, [1, 3, 20], 61, 14)
+                    out["nishimori"] = nishimori_residual(src, ch, 2, 61, 14)
+                for key, val in out.items():
+                    digest = hashlib.sha256(repr(val).encode()).hexdigest()
+                    got[f"{name} {kind} {npg} {key}"] = digest
+    assert got == ROUTE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
