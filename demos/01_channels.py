@@ -12,7 +12,7 @@ import numpy as np
 from gibbscode.channels import (ChannelModel, default_H, delta_dual, delta_high,
                                 exp_abs_moment, exp_neg_moment,
                                 gexit_kernel_batch, gexit_kernel_integral, sample_llr,
-                                t2p)
+                                t2p_terms)
 
 # ---------------------------------------------------------------------------
 # The BSC(eps): half-LLRs are +-(1/2) ln((1-eps)/eps) under the all-one
@@ -48,10 +48,10 @@ print("low-noise dual weight Delta(0.01, s=0.1) =", delta_dual(cha, 0.1),
 # ---------------------------------------------------------------------------
 # The GEXIT kernel integral: d/deps of E[f(l)], against the BIAWGNC
 # density's eps-derivative.  For f = tanh^{2p} it reproduces the
-# tanh-moment derivatives t2p.
-for p in (1, 2, 3):
+# tanh-moment derivatives t2p, all three read from one t2p_terms call.
+for p, t in enumerate(t2p_terms(awgn, 3), 1):
     ki = gexit_kernel_integral(awgn, lambda l, p=p: np.tanh(l) ** (2 * p))
-    print(f"p={p}: kernel integral {ki:+.6f}   t2p {t2p(awgn, p):+.6f}")
+    print(f"p={p}: kernel integral {ki:+.6f}   t2p {t:+.6f}")
 
 # On the BSC the GEXIT kernel is a closed form: at M = 0 (no extrinsic
 # knowledge) it is the derivative of the binary entropy, ln((1-eps)/eps).

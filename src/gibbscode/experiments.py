@@ -29,7 +29,8 @@ from . import clusters, de, duality, exact, gexit
 from .channels import BIAWGNC, ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
 from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_distances,
-                     ensemble_sizes, graph_distance, load_graph, sample_ensemble)
+                     ensemble_sizes, graph_distance, load_graph, sample_ensemble,
+                     sample_ensembles)
 
 EXPERIMENTS = ("corr-decay", "gexit-curve", "de-curve", "bounds",
                "duality-check", "berretti-check", "limits")
@@ -333,13 +334,14 @@ def _corr_decay(cfg):
     fixed = not isinstance(src, gexit.EnsembleSpec)
     rows, fits = [], {}
     for ch in _eps_points(cfg):
-        seeds = _point_seeds(cfg, ch).spawn(n_graphs)
+        # each graph reads its own spawned generator: an ensemble code's
+        # seed first, then its noise and roots
+        rngs = [np.random.default_rng(s) for s in _point_seeds(cfg, ch).spawn(n_graphs)]
+        codes = [src] * n_graphs if fixed else sample_ensembles(
+            src.dd, src.n, src.kind, [int(rng.integers(2 ** 63)) for rng in rngs])
         per_graph = max(1, cfg.samples // n_graphs)
         sums = sumsq = counts = 0  # per distance bin, summed over graphs
-        for gi in range(n_graphs):
-            rng = np.random.default_rng(seeds[gi])
-            g = src if fixed else sample_ensemble(
-                src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
+        for rng, g in zip(rngs, codes):
             nb = g.code_bit_count
             dists = np.array([code_bit_distances(g, i) for i in range(nb)], float)
             # noise and root draws interleave: fill the block in draw order

@@ -28,7 +28,9 @@ Routes provided, all cross-checkable on the same corpus:
 The first four read exact posteriors and are views of map_gexit_routes,
 which serves any subset of them from one pass over the samples.  Every
 route, nishimori_residual included, reduces the graphs and channel noise
-of one _draws walk through _per_sample.  The exact-posterior routes put
+of one _draws walk through _per_sample; the walk samples an ensemble's
+graphs a window at a time (graphs.sample_ensembles), in the RNG order of
+one sample at a time.  The exact-posterior routes put
 _batches on the walk, which groups the draws by table shape; the BP
 routes (one walk, _bp_kernels) read it one graph at a time.
 """
@@ -42,14 +44,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bp, channels
-# bp_all_extrinsics and sample_llr are not called here, but gcbench/layers.py
-# wraps gexit.bp_all_extrinsics and gexit.sample_llr by name, so they stay bound
+# bp_all_extrinsics, sample_llr and sample_ensemble are not called here, but
+# gcbench/layers.py wraps gexit.bp_all_extrinsics, gexit.sample_llr and
+# gexit.sample_ensemble by name, so they stay bound
 from .bp import bp_all_extrinsics
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p_sup, t2p_terms)
 from .exact import (PosteriorBatch, all_extrinsics, all_marginals, conditional_entropy,
                     make_instance)
-from .graphs import LDGM, TannerGraph, sample_ensemble
+from .graphs import (LDGM, TannerGraph, ensemble_window, sample_ensemble,
+                     sample_ensembles)
 
 
 @dataclass(frozen=True)
@@ -80,18 +84,40 @@ def _draws(source, ch, samples, seed, noise_per_graph=1):
     """Yield (start, graph index, graph, (S, n) noise) draws covering
     every sample once, reading default_rng(seed) in the order of one
     sample at a time: a fixed graph carries all samples; an ensemble
-    draws a fresh code for each noise_per_graph samples.  A graph's noise
-    comes in chunks of at most BLOCK_ELEMENTS entries, start being the
-    sample index of a chunk's first row."""
+    draws a fresh code for each noise_per_graph samples, its seed and
+    then its noise.  A graph's noise comes in chunks of at most
+    BLOCK_ELEMENTS entries, start being the sample index of a chunk's
+    first row.  Ensemble codes are drawn a window at a time: the seeds
+    and noise of up to ensemble_window graphs whose noise fits
+    BLOCK_ELEMENTS floats together, then one sample_ensembles call for
+    the window's seeds.  A window of one graph, like a fixed graph,
+    draws each chunk as it is read."""
     rng = np.random.default_rng(seed)
-    fixed = isinstance(source, TannerGraph)
-    per_graph = samples if fixed else noise_per_graph
-    for index, start in enumerate(range(0, samples, per_graph)):
-        g = source if fixed else sample_ensemble(source.dd, source.n, source.kind,
-                                                 int(rng.integers(2 ** 63)))
-        n, count = g.code_bit_count, range(start, min(start + per_graph, samples))
-        for chunk in block_slices(len(count), n):
-            yield count[chunk].start, index, g, channel_noise(ch, (len(count[chunk]), n), rng)
+    if isinstance(source, TannerGraph):
+        for start, noise in _noise_chunks(ch, range(samples), source.code_bit_count, rng):
+            yield start, 0, source, noise
+        return
+    n, per_graph = source.n, noise_per_graph
+    starts = range(0, samples, per_graph)
+    window = max(1, min(ensemble_window(source.dd, n, source.kind),
+                        channels.BLOCK_ELEMENTS // (per_graph * n)))
+    for first in range(0, len(starts), window):
+        seeds, noise = [], []
+        for start in starts[first:first + window]:
+            seeds.append(int(rng.integers(2 ** 63)))
+            chunks = _noise_chunks(ch, range(start, min(start + per_graph, samples)), n, rng)
+            noise.append(chunks if window == 1 else list(chunks))
+        codes = sample_ensembles(source.dd, n, source.kind, seeds)
+        for index, g, chunks in zip(itertools.count(first), codes, noise):
+            for start, z in chunks:
+                yield start, index, g, z
+
+
+def _noise_chunks(ch, count, n, rng):
+    """(start, (S, n) noise) for the samples in the range count, in
+    chunks of at most BLOCK_ELEMENTS entries, each drawn as it is read."""
+    for chunk in block_slices(len(count), n):
+        yield count[chunk].start, channel_noise(ch, (len(count[chunk]), n), rng)
 
 
 def _batches(draws):
@@ -103,7 +129,7 @@ def _batches(draws):
     posterior pass then runs a group as one row chunk and one sample
     block, each graph as a call on it alone would.  A window's groups
     interleave in sample order.  A window with no room left for n floats
-    (a chunk's least cost) goes before the next chunk is drawn, so a
+    (a chunk's least cost) goes before the next chunk is read, so a
     graph's chunks (all but its last cost over BLOCK_ELEMENTS - n) never
     share one: a fixed graph's groups hold one chunk each."""
     groups, used = {}, 0

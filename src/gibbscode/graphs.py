@@ -15,6 +15,11 @@ Conventions:
   * The MacWilliams dual of an LDPC graph is an LDGM graph with the sides
     swapped (dual_graph): its brute-force table (exact.codebit_table)
     holds the dual codewords.
+  * Ensemble graphs come from the configuration model through one
+    sampler, sample_ensembles (sample_ensemble is its one-seed view):
+    each graph's draws are fixed by its seed, and the parallel-edge
+    repair runs a window of graphs at a time, one stable argsort per
+    round.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -22,6 +27,7 @@ so derived tables can be cached on them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
+from .channels import BLOCK_ELEMENTS
 
 LDGM = "ldgm"
 LDPC = "ldpc"
@@ -39,7 +46,7 @@ TREE_NODE_CAP = 10 ** 6
 #: cap on enumerated self-avoiding walks
 SAW_ENUM_CAP = 10 ** 6
 
-#: cap on sample_ensemble's degree redraws and on its parallel-edge repair rounds
+#: cap on sample_ensembles' degree redraws and on its parallel-edge repair rounds
 ENSEMBLE_RETRY_CAP = 1000
 
 
@@ -225,7 +232,9 @@ def draw_degrees(rng, law, n):
 def ensemble_sizes(dd, n, kind):
     """(n_var, n_chk) of an ensemble graph with n code bits: the other
     side's node count follows from the mean degrees, so that the socket
-    counts balance; raises ValueError when it is not an integer."""
+    counts balance.  Raises ValueError when it is not an integer, or when
+    a degree drawn with positive probability exceeds the node count of
+    the other side (no simple graph has such a node)."""
     if kind == LDGM:
         n_chk = n
         n_var = dd.p_prime * n / dd.lambda_prime
@@ -235,51 +244,148 @@ def ensemble_sizes(dd, n, kind):
     if abs(n_var - round(n_var)) > 1e-9 or abs(n_chk - round(n_chk)) > 1e-9:
         raise ValueError(
             f"mean degrees ({dd.lambda_prime:g}, {dd.p_prime:g}) do not balance at n={n}")
-    return int(round(n_var)), int(round(n_chk))
+    n_var, n_chk = int(round(n_var)), int(round(n_chk))
+    for side, coeffs, other, count in (("variable", dd.var_coeffs, "checks", n_chk),
+                                       ("check", dd.chk_coeffs, "variables", n_var)):
+        degree = max(d for d, p in coeffs if p > 0)
+        if degree > count:
+            raise ValueError(f"{side} degree {degree} exceeds the {count} {other} "
+                             f"of an ensemble graph at n={n}")
+    return n_var, n_chk
 
 
 def sample_ensemble(dd, n, kind, seed):
-    """Sample a simple bipartite graph from the configuration model.
+    """One graph of sample_ensembles, drawn from seed."""
+    return sample_ensembles(dd, n, kind, (seed,))[0]
+
+
+def sample_ensembles(dd, n, kind, seeds):
+    """One simple bipartite graph from the configuration model per seed,
+    in seed order; each graph is what its seed alone draws.
 
     n is the number of CODE BITS (checks for LDGM, variables for LDPC);
     the other side's node count is inferred from the mean degrees so that
-    socket counts balance.  Degrees are drawn per node, repaired by
-    resampling until the two socket sums match, and the uniform socket
-    pairing is repaired until it is parallel-edge free (each up to
-    ENSEMBLE_RETRY_CAP rounds).
-    Deterministic given seed.
-    """
-    rng = np.random.default_rng(seed)
-    n_var, n_chk = ensemble_sizes(dd, n, kind)
-    vlaw, claw = dd.degree_laws["node", "var"], dd.degree_laws["node", "chk"]
-    for _ in range(ENSEMBLE_RETRY_CAP):
-        vdegs = draw_degrees(rng, vlaw, n_var)
-        cdegs = draw_degrees(rng, claw, n_chk)
-        if vdegs.sum() == cdegs.sum():
-            break
-    else:
-        raise RuntimeError("could not balance socket counts; retry cap exceeded")
+    socket counts balance (ensemble_sizes).  Each graph reads
+    default_rng(seed): its node degrees, redrawn until the two socket
+    sums match, then a uniform permutation of the check sockets against
+    the variable sockets, then one uniform socket per repair swap: every
+    later copy of an edge in socket order is swapped with a uniform
+    socket, round after round until the pairing is simple (each loop up
+    to ENSEMBLE_RETRY_CAP rounds).
 
-    var_sockets = np.repeat(np.arange(n_var), vdegs).tolist()
-    pairing = np.repeat(np.arange(n_chk), cdegs)[rng.permutation(vdegs.sum())].tolist()
-    n_edges = len(pairing)
-    # repair parallel edges by random socket swaps, each later copy of an
-    # edge in socket order swapped with a uniform socket
+    Only those draws run graph by graph.  The graphs are repaired a
+    window of ensemble_window graphs at a time: a pairing is a row of
+    integer edge codes v * n_chk + c (padding sockets get distinct codes
+    above every edge, so draws of different edge counts share the rows),
+    and one stable argsort of the window's rows per round finds every
+    later copy; a graph leaves the window once it is simple, its
+    adjacency decoded from its sorted codes.
+    """
+    n_var, n_chk = ensemble_sizes(dd, n, kind)
+    window = ensemble_window(dd, n, kind)
+    seeds = list(seeds)
+    out = []
+    for w in range(0, len(seeds), window):
+        out += _sample_window(dd, n_var, n_chk, kind, seeds[w:w + window])
+    return out
+
+
+def ensemble_window(dd, n, kind):
+    """How many graphs sample_ensembles repairs at once: as many as fit
+    BLOCK_ELEMENTS // 4 sockets (at least one), so that the window's
+    four (graphs, sockets) integer arrays hold about one block together;
+    its live generators (about 0.9 KB each) number 32 on a (4,4) LDPC
+    code at n = 16."""
+    n_var, n_chk = ensemble_sizes(dd, n, kind)
+    sockets = min(n_var * max(d for d, _ in dd.var_coeffs),
+                  n_chk * max(d for d, _ in dd.chk_coeffs))
+    return max(1, BLOCK_ELEMENTS // 4 // sockets)
+
+
+def _sample_window(dd, n_var, n_chk, kind, seeds):
+    """sample_ensembles on one window of seeds."""
+    vlaw, claw = dd.degree_laws["node", "var"], dd.degree_laws["node", "chk"]
+    rngs, vdegs, cdegs, perms = [], [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(ENSEMBLE_RETRY_CAP):
+            vd = draw_degrees(rng, vlaw, n_var)
+            cd = draw_degrees(rng, claw, n_chk)
+            sockets = int(cd.sum())
+            if vd.sum() == sockets:
+                break
+        else:
+            raise RuntimeError("could not balance socket counts; retry cap exceeded")
+        rngs.append(rng)
+        vdegs.append(vd)
+        cdegs.append(cd)
+        perms.append(rng.permutation(sockets))
+    vdegs, cdegs = np.array(vdegs), np.array(cdegs)
+    n_edges = vdegs.sum(axis=1)
+    # (graphs, sockets) rows: socket j of a graph joins variable var[j]
+    # (stored as var[j] * n_chk) to check pairing[j]; padding sockets past
+    # a graph's edges get distinct codes above every edge
+    width = int(n_edges.max())
+    real = np.arange(width) < n_edges[:, None]
+    var = np.empty(real.shape, np.intp)
+    var[:] = n_var * n_chk + np.arange(width)
+    var[real] = (np.arange(vdegs.size) % n_var * n_chk).repeat(vdegs.ravel())
+    pairing = np.zeros(real.shape, np.intp)
+    first = (n_edges.cumsum() - n_edges).repeat(n_edges)  # each socket's graph offset
+    pairing[real] = (np.arange(cdegs.size) % n_chk).repeat(cdegs.ravel())[
+        np.concatenate(perms) + first]
+    out, live, n_edges = [None] * len(seeds), np.arange(len(seeds)), n_edges.tolist()
     for _ in range(ENSEMBLE_RETRY_CAP):
-        edges = list(zip(var_sockets, pairing))
-        if len(set(edges)) == n_edges:
-            edges.sort()
-            return _from_simple_edges(n_var, n_chk, edges, kind)
-        seen, dups = set(), []
-        for pos, edge in enumerate(edges):
-            if edge in seen:
-                dups.append(pos)
-            else:
-                seen.add(edge)
-        for pos in dups:
-            q = int(rng.integers(n_edges))
-            pairing[pos], pairing[q] = pairing[q], pairing[pos]
+        codes = var + pairing
+        order = codes.argsort(axis=1, kind="stable")
+        codes = codes.ravel()[order + np.arange(0, codes.size, width)[:, None]]
+        dup = codes[:, 1:] == codes[:, :-1]  # a later copy of the edge before it
+        simple = ~dup.any(axis=1)
+        done = live[simple]
+        if len(done):
+            for gi, g in zip(done.tolist(), _decode(codes[simple], vdegs[done], cdegs[done],
+                                                    n_var, n_chk, kind)):
+                out[gi], rngs[gi] = g, None
+            if len(done) == len(live):
+                return out
+        # the later copies in socket order, the positions a scan of the
+        # pairing socket by socket finds already seen, swapped in that order
+        later = np.zeros(codes.shape, bool)
+        rows, cols = np.nonzero(dup)
+        later[rows, order[rows, cols + 1]] = True
+        keep = ~simple
+        live, var, pairing = live[keep], var[keep], pairing[keep]
+        flat, base = pairing.reshape(-1), live.tolist()
+        rows, cols = np.nonzero(later[keep])
+        for row, pos in zip(rows.tolist(), cols.tolist()):
+            gi = base[row]
+            pos += row * width
+            q = row * width + int(rngs[gi].integers(n_edges[gi]))
+            flat[pos], flat[q] = flat[q], flat[pos]
     raise RuntimeError("could not avoid parallel edges; retry cap exceeded")
+
+
+def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
+    """The TannerGraphs of simple pairings given as rows of sorted edge
+    codes (padding last) with their degree rows: adjacency as
+    _from_simple_edges gives it for the sorted edge list, each
+    variable's checks and each check's variables ascending."""
+    width = codes.shape[1]
+    chk, var = codes % n_chk, codes // n_chk
+    # each check's variables, ascending: a stable sort of the
+    # variable-major edges by check, padding sockets last
+    padded = np.where(np.arange(width) < vdegs.sum(axis=1)[:, None], chk, n_chk)
+    order = padded.argsort(axis=1, kind="stable") + np.arange(0, codes.size, width)[:, None]
+    by_chk = var.ravel()[order]
+    for c, v, vd, cd in zip(chk.tolist(), by_chk.tolist(), vdegs.tolist(), cdegs.tolist()):
+        yield TannerGraph(kind, n_var, n_chk, _split(c, vd), _split(v, cd))
+
+
+def _split(flat, lengths):
+    """The leading entries of flat cut into consecutive tuples of the
+    given lengths."""
+    ends = list(itertools.accumulate(lengths))
+    return tuple([tuple(flat[i:j]) for i, j in zip([0] + ends, ends)])
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     (a fractional seed, sample count, depth or count, a bool seed) nor
     left to end in a traceback (a top-level array, a code or params that
     is not an object, a channel that is not a string, a bad eps grid,
-    malformed ensemble fields, degrees that do not balance at n, an
+    malformed ensemble fields, degrees that do not balance at n, a
+    degree above the node count of the other side, an
     entropy-fd step that is not a positive number or leaves (0, eps_max),
     the magnetization route off the BIAWGNC, a fixed code that does not
     build or whose file cannot be read or holds a malformed header, edge
@@ -219,6 +220,12 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "n must be an integer, not True"),
                 ("corr-decay", {**base, "code": {**ensemble, "n": 7}},
                  "mean degrees (3, 2) do not balance at n=7"),
+                ("gexit-curve", {**base, "code": {**ensemble, "family": "ldpc", "var_degree": 4,
+                                                  "chk_degree": 4, "n": 3}},
+                 "variable degree 4 exceeds the 3 checks of an ensemble graph at n=3"),
+                ("corr-decay", {**base, "code": {**irregular, "var_coeffs": {"3": 1.0},
+                                                 "chk_coeffs": {"2": 0.5, "4": 0.5}, "n": 3}},
+                 "check degree 4 exceeds the 3 variables of an ensemble graph at n=3"),
                 ("corr-decay", {**base, "code": {**irregular, "var_coeffs": [2, 3]}},
                  "var_coeffs must map degrees to probabilities, not [2, 3]"),
                 ("corr-decay", {**base, "code": {**irregular, "var_coeffs": {"x": 1.0}}},

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -373,6 +374,41 @@ def test_batches_keep_the_chunks_of_a_fixed_graph_apart():
     groups = list(gexit._batches(gexit._draws(g, ChannelModel("bsc", 0.3), 2 * step + 5, 3)))
     assert [(list(starts), len(graphs), noise.shape) for starts, _, graphs, noise in groups] == \
         [([0], 1, (1, step, 5)), ([step], 1, (1, step, 5)), ([2 * step], 1, (1, 5, 5))]
+
+
+#: sha256 of each draw's (start, graph index, adjacency, noise shape) and
+#: noise bytes over gexit._draws on a (4,4) LDPC ensemble at n = 16 (BSC
+#: 0.03, seed 5) and on an irregular LDGM ensemble at n = 14 (BIAWGNC
+#: 0.5, seed 7), 1,300 samples at 1, 3 and 600 samples per graph (the
+#: first two span several draw windows, the last draws each graph's noise
+#: in two chunks), recorded from the walk that drew one graph at a time
+DRAW_DIGESTS = {
+    "ldpc44-16 1": "24ac1eeb31fae84027f1ef77d16c2182cfde5aa6169b4410b64b9705ecdd9c6f",
+    "ldpc44-16 3": "b481a6e60cfdabe05a05a86f5f74fa920e63d1549b7ced9fef31a149a5f71a62",
+    "ldpc44-16 600": "f935b16b900a16fe70c1b3b9204127d63631df8d763470c9255486764ea21ae1",
+    "ldgm-mixed-14 1": "f58e427818d82b4988420f7327eed0f44157603e401bf07924e0ed7d1557ae1e",
+    "ldgm-mixed-14 3": "55e2286bc6b242286584c90d3755cee65caad49a064ea2571ccbd4f430ff8558",
+    "ldgm-mixed-14 600": "b2d6eedbc91aa0040300b617cbfa8e12ffda033fd68bdf5a7f63144185513f0d",
+}
+
+
+@pytest.mark.parametrize("key", DRAW_DIGESTS)
+def test_draws_keep_their_recorded_sequence(key):
+    """Drawing ensemble graphs a window at a time keeps the (graph, noise)
+    sequence: each graph's seed and then its noise from the walk's rng,
+    in sample order."""
+    name, per_graph = key.split()
+    src, ch, seed = {
+        "ldpc44-16": (EnsembleSpec(DegreeDistribution.regular(4, 4), 16, LDPC),
+                      ChannelModel("bsc", 0.03), 5),
+        "ldgm-mixed-14": (EnsembleSpec(DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3},
+                                                                     {2: 1.0}), 14, LDGM),
+                          ChannelModel("biawgnc", 0.5), 7)}[name]
+    digest = hashlib.sha256()
+    for start, index, g, noise in gexit._draws(src, ch, 1300, seed, int(per_graph)):
+        digest.update(json.dumps([start, index, g.adj_var, g.adj_chk, noise.shape]).encode())
+        digest.update(noise.tobytes())
+    assert digest.hexdigest() == DRAW_DIGESTS[key]
 
 
 #: sha256 of the repr of each route's result on two ensembles whose

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_graph
-from gibbscode import graphs
+from gibbscode import channels, graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
                               NodeCapExceeded, build_graph, code_bit_distances,
                               computational_tree, draw_degrees, enumerate_saws,
                               graph_distance, hop_distances, load_graph,
-                              same_type_distance, sample_ensemble, save_graph)
+                              same_type_distance, sample_ensemble, sample_ensembles,
+                              save_graph)
 
 
 def path_graph():
@@ -148,6 +149,80 @@ def test_sample_ensemble_golden_graphs(dd, n, kind, digest):
     these digests."""
     edges = [sample_ensemble(dd, n, kind, seed).edges() for seed in range(200)]
     assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+
+
+#: BLOCK_ELEMENTS values that make sample_ensembles draw one graph per
+#: window, its own windows, and every seed of a call in one window
+WINDOW_BLOCKS = {"one-graph": 1, "default": channels.BLOCK_ELEMENTS, "one-window": 1 << 24}
+
+
+@pytest.mark.parametrize("block", WINDOW_BLOCKS.values(), ids=WINDOW_BLOCKS)
+@pytest.mark.parametrize("dd, n, kind, digest", GOLDEN_ENSEMBLES.values(),
+                         ids=GOLDEN_ENSEMBLES)
+def test_sample_ensembles_golden_graphs_in_windows(monkeypatch, dd, n, kind, digest, block):
+    """One sample_ensembles call over the 200 seeds, repaired a window at
+    a time, draws the graphs each seed draws alone."""
+    monkeypatch.setattr(graphs, "BLOCK_ELEMENTS", block)
+    edges = [g.edges() for g in sample_ensembles(dd, n, kind, range(200))]
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == digest
+
+
+#: sha256 of the JSON [adj_var, adj_chk] pairs of sample_ensemble(dd, n,
+#: kind, seed) over seeds 0..count-1 (edges() does not pin the order of
+#: adj_chk), recorded from the sampler that scanned every repair round in
+#: Python; the irregular LDPC draws graphs of 44 to 54 edges
+GOLDEN_ADJACENCY = {
+    "ldpc-4-4-n16": (DegreeDistribution.regular(4, 4), 16, LDPC, 200,
+                     "079ad7c10bbd9b874953c58c93cefa89e2d1dc007c34fa3920f505faa9f1000e"),
+    "ldgm-3-2-n18": (DegreeDistribution.regular(3, 2), 18, LDGM, 200,
+                     "432f68739a00a37ecebcbffb538b171762f87c4a45083b25e9229cf879e64ea3"),
+    "ldgm-mixed-n14": (DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0}), 14,
+                       LDGM, 200,
+                       "c12ae56dbd88e13dbfc8cd1741b27c8dda5d0523ca7d9e86b8003db5cc5ac663"),
+    "ldpc-3-6-n24": (DegreeDistribution.regular(3, 6), 24, LDPC, 200,
+                     "52b8b4ee09e58b39595b460cf363d7b7dc66abb3399a15d28cde805624b31573"),
+    "ldpc-irregular-n20": (DegreeDistribution.from_dicts({2: 0.5, 3: 0.5}, {4: 0.5, 6: 0.5}),
+                           20, LDPC, 200,
+                           "30d1d3e28f953b8ed285ef804c826d321140b3d537d8a1b1413bc49f845d8834"),
+    "ldpc-3-6-n1000": (DegreeDistribution.regular(3, 6), 1000, LDPC, 20,
+                       "3901e46e136a6baac9195b3a7eb5da921f071393f48e56d35fa5fdcfb85f4e2d"),
+}
+
+
+@pytest.mark.parametrize("block", [None, *WINDOW_BLOCKS.values()],
+                         ids=["per-seed", *WINDOW_BLOCKS])
+@pytest.mark.parametrize("dd, n, kind, count, digest", GOLDEN_ADJACENCY.values(),
+                         ids=GOLDEN_ADJACENCY)
+def test_sample_ensembles_golden_adjacency(monkeypatch, dd, n, kind, count, digest, block):
+    """Both adjacency tuples, each variable's checks and each check's
+    variables, are the recorded ones, per seed and in windows, also
+    where one window holds draws of different edge counts."""
+    if block is None:
+        drawn = [sample_ensemble(dd, n, kind, seed) for seed in range(count)]
+    else:
+        monkeypatch.setattr(graphs, "BLOCK_ELEMENTS", block)
+        drawn = sample_ensembles(dd, n, kind, range(count))
+    if kind == LDPC and n == 20:
+        assert len({g.n_edges for g in drawn}) > 1
+    adjacency = [[g.adj_var, g.adj_chk] for g in drawn]
+    assert hashlib.sha256(json.dumps(adjacency).encode()).hexdigest() == digest
+
+
+def test_impossible_ensembles_are_rejected():
+    """A degree drawn with positive probability above the node count of
+    the other side has no simple graph: ensemble_sizes, and so the
+    sampler, reject it before any draw; a zero-probability degree does
+    not count."""
+    with pytest.raises(ValueError, match="variable degree 4 exceeds the 3 checks "
+                                         "of an ensemble graph at n=3"):
+        sample_ensemble(DegreeDistribution.regular(4, 4), 3, LDPC, 0)
+    with pytest.raises(ValueError, match="check degree 4 exceeds the 3 variables "
+                                         "of an ensemble graph at n=3"):
+        sample_ensembles(DegreeDistribution.from_dicts({3: 1.0}, {2: 0.5, 4: 0.5}), 3,
+                         LDGM, [0, 1])
+    dd = DegreeDistribution.from_dicts({3: 1.0, 9: 0.0}, {3: 1.0})
+    assert graphs.ensemble_sizes(dd, 4, LDPC) == (4, 4)
+    assert all(len(a) == 3 for a in sample_ensemble(dd, 4, LDPC, 0).adj_var)
 
 
 def same_side_adjacency(g, side, through=None):
