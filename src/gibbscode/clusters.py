@@ -48,6 +48,8 @@ import numpy as np
 from . import exact, gf2
 from .channels import delta_dual, delta_high, sinh_neg_moment
 from .duality import DualInstance, dual_bracket, dual_partition, dual_weights, signed_log
+# spin_product_correlation is not called here, but gcbench/layers.py wraps
+# clusters.spin_product_correlation by name, so it stays bound
 from .exact import partition_function, spin_product_correlation
 from .graphs import (LDGM, LDPC, EnumerationCapExceeded, dual_graph, enumerate_saws,
                      graph_distance, hop_distances, same_type_distance)
@@ -303,9 +305,3 @@ def replica_g_sums(inst, A, B, H):
             else:
                 noncon += val
     return con, noncon
-
-
-def replica_decomposition_residual(inst, A, B, H):
-    """|full G-sum - exact correlation|: the decomposition identity."""
-    con, noncon = replica_g_sums(inst, A, B, H)
-    return abs((con + noncon) - spin_product_correlation(inst, A, B))

@@ -157,13 +157,3 @@ def de_moment(family, dd, ch, d, n_pop, p, seed):
         raise ValueError("p must be >= 1")
     agg, _ = _aggregates(family, dd, ch, d, n_pop, seed)
     return float(np.mean(np.tanh(agg) ** (2 * p)))
-
-
-def de_full_marginal_moments(family, dd, ch, d, n_pop, powers, seed):
-    """Moments E[m^k] of the full-marginal population m = tanh(Delta + l)
-    with a fresh own-observation l, for each power k in powers; used for
-    the Nishimori moment identities at the DE level."""
-    agg, rng = _aggregates(family, dd, ch, d, n_pop, seed)
-    l = sample_llr(ch, len(agg), rng).values
-    m = np.tanh(agg + l)
-    return {k: float(np.mean(m ** k)) for k in powers}

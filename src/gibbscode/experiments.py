@@ -11,8 +11,12 @@ Experiments (see the CLI for the subcommand names):
   berretti-check  dual cluster-expansion identity residual suite
   limits          iteration count vs block length on a fixed LDGM code
 
-Every experiment is deterministic given its seed: points draw their
-randomness from spawned child seeds in a fixed order.
+A config is parsed once, by ExperimentConfig's validation: PARAMS lists
+the params each experiment reads and their defaults, and the runners read
+only what validation built (the params with their defaults, the code
+source and the channel of each eps point).  Every experiment is
+deterministic given its seed: points draw their randomness from spawned
+child seeds in a fixed order.
 """
 
 from __future__ import annotations
@@ -32,12 +36,20 @@ from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_dista
                      ensemble_sizes, graph_distance, load_graph, sample_ensemble,
                      sample_ensembles)
 
-EXPERIMENTS = ("corr-decay", "gexit-curve", "de-curve", "bounds",
-               "duality-check", "berretti-check", "limits")
+#: the params each experiment reads, and their defaults; a given value must
+#: have its default's JSON type
+PARAMS = {
+    "corr-decay": {"graphs": 8},
+    "gexit-curve": {"methods": ["functional"], "d": 10, "n_pop": 10 ** 5, "p_max": 20,
+                    "eps_step": 1e-3},
+    "de-curve": {"d": 20, "n_pop": 10 ** 5},
+    "bounds": {"graphs": 10, "H": 1.0},
+    "duality-check": {"n_max": 12},
+    "berretti-check": {},
+    "limits": {"d_primes": [2, 4, 6], "d_refs": [100, 200]},
+}
 
-#: the experiments that read the config's code (the two check suites draw
-#: their own)
-_READS_CODE = ("corr-decay", "gexit-curve", "de-curve", "bounds", "limits")
+EXPERIMENTS = tuple(PARAMS)
 
 #: bins below this mean are double-precision noise and excluded from fits
 CORR_FLOOR = 1e-12
@@ -45,22 +57,28 @@ CORR_FLOOR = 1e-12
 #: bins with fewer samples than this are excluded from fits
 MIN_BIN_SAMPLES = 30
 
-#: limits' default depths: the compared depths d' and the reference depths
-_LIMITS_D_PRIMES, _LIMITS_D_REFS = (2, 4, 6), (100, 200)
 
-#: integer params (a depth or a count), checked wherever a config sets them
-_INTEGER_PARAMS = ("d", "n_pop", "graphs", "p_max", "n_max")
-
-#: list-of-integer params (depths)
-_DEPTH_LISTS = ("d_primes", "d_refs")
+def _fits(value, default):
+    """Whether value has default's JSON type: an integer (a float would be
+    truncated, and a bool is an int to python), a number, a string, or a
+    list of what default's first item is."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(x, default[0]) for x in value)
+    kind = (int, float) if isinstance(default, float) else type(default)
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _integer(value, name):
-    """value if it is an integer; a float would be truncated, and a bool
-    is an int to python."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _fits(value, 0):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return value
+
+
+def _json_type(default):
+    """The name a type error gives default's JSON type."""
+    if isinstance(default, list):
+        return "a list of " + {int: "integers", str: "method names"}[type(default[0])]
+    return {int: "an integer", float: "a number"}[type(default)]
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,12 @@ class ExperimentConfig:
     seed: int
     eps_grid: tuple = ()
     params: dict = field(default_factory=dict)
+    # what validation built, all the runners read: the params with their
+    # defaults, the code source (a TannerGraph or an EnsembleSpec; None in
+    # the check suites, which draw their own) and each eps point's channel
+    settings: dict = field(init=False, compare=False, repr=False)
+    source: object = field(init=False, compare=False, repr=False)
+    points: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -85,20 +109,25 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if not isinstance(self.channel, str):
             raise ValueError(f"channel must be a spec such as 'bsc:0.25', not {self.channel!r}")
-        if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in self.eps_grid):
+        if not _fits(list(self.eps_grid), [0.0]):
             raise ValueError(f"eps_grid must hold numbers, not {list(self.eps_grid)!r}")
-        points = _eps_points(self)  # validates the kind and every eps
-        p = self.params
-        for key in _INTEGER_PARAMS:
-            if key in p:
-                _integer(p[key], key)
-        for key in _DEPTH_LISTS:
-            if key in p and (not isinstance(p[key], (list, tuple)) or any(
-                    isinstance(x, bool) or not isinstance(x, int) for x in p[key])):
-                raise ValueError(f"{key} must be a list of integers, not {p[key]!r}")
-        methods = p.get("methods", ["functional"]) if self.experiment == "gexit-curve" else []
-        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-            raise ValueError(f"methods must be a list of method names, not {methods!r}")
+        ch0 = ChannelModel.from_spec(self.channel)  # validates the kind and every eps
+        points = tuple(ChannelModel(ch0.kind, e) for e in self.eps_grid) or (ch0,)
+        if self.eps_grid and self.experiment not in ("corr-decay", "gexit-curve", "de-curve"):
+            raise ValueError(f"{self.experiment} reads the channel alone, not eps_grid")
+        defaults = PARAMS[self.experiment]
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown {self.experiment} param(s) {unknown}; "
+                             f"known: {sorted(defaults)}")
+        p = {**defaults, **self.params}
+        if "eps_step" in p and not (_fits(p["eps_step"], defaults["eps_step"])
+                                    and p["eps_step"] > 0):
+            raise ValueError(f"eps_step must be a number > 0, not {p['eps_step']!r}")
+        for key, value in p.items():
+            if not _fits(value, defaults[key]):
+                raise ValueError(f"{key} must be {_json_type(defaults[key])}, not {value!r}")
+        methods = p.get("methods", [])
         if self.experiment == "gexit-curve" and not methods:
             raise ValueError("gexit-curve needs at least one method in methods")
         known = (*gexit.MAP_METHODS, *_GEXIT_METHODS)
@@ -106,34 +135,32 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown gexit-curve method(s) {unknown}; "
                              f"known: {sorted(known)}")
-        if "series" in methods and p.get("p_max", 1) < 1:
+        if "series" in methods and p["p_max"] < 1:
             raise ValueError("the series method needs p_max >= 1")
-        if "awgn-magnetization" in methods and points[0].kind != BIAWGNC:
+        if "awgn-magnetization" in methods and ch0.kind != BIAWGNC:
             raise ValueError("the awgn-magnetization method needs a biawgnc channel")
         if "entropy-fd" in methods:
-            step = p.get("eps_step", 1e-3)
-            if isinstance(step, bool) or not isinstance(step, (int, float)) or not step > 0:
-                raise ValueError(f"eps_step must be a number > 0, not {step!r}")
+            step = p["eps_step"]
             outside = [ch.eps for ch in points
                        if not (0.0 < ch.eps - step and ch.eps + step < ch.eps_max)]
             if outside:
                 raise ValueError(f"entropy-fd needs eps +- eps_step inside "
-                                 f"(0, {points[0].eps_max}); eps_step {step} leaves it "
+                                 f"(0, {ch0.eps_max}); eps_step {step} leaves it "
                                  f"at eps {outside}")
         uses_de = self.experiment == "de-curve" or "de" in methods
         if uses_de and self.code.get("type", "ensemble") != "ensemble":
             raise ValueError(
                 f"{self.experiment} with density evolution needs an ensemble code "
                 f"(a degree distribution); code type {self.code.get('type')!r} has none")
-        depths = [p.get("d", 0), *p.get("d_primes", ()), *p.get("d_refs", ())]
+        depths = [d for key in ("d", "d_primes", "d_refs") if key in p
+                  for d in np.atleast_1d(p[key])]
         if any(d < 0 for d in depths):
             raise ValueError("BP depths (d, d_primes, d_refs) must be >= 0")
-        if uses_de and p.get("d", 1) < 1:
-            raise ValueError("density evolution needs d >= 1")
-        if uses_de and p.get("n_pop", 1) < 1:
-            raise ValueError("density evolution needs n_pop >= 1")
+        for key in ("d", "n_pop") if uses_de else ():
+            if p[key] < 1:
+                raise ValueError(f"density evolution needs {key} >= 1")
         if self.experiment == "limits":
-            d_primes, d_refs = p.get("d_primes", _LIMITS_D_PRIMES), p.get("d_refs", _LIMITS_D_REFS)
+            d_primes, d_refs = p["d_primes"], p["d_refs"]
             if not d_refs:
                 raise ValueError("limits needs at least one reference depth in d_refs")
             if len(d_primes) < 2:
@@ -141,15 +168,15 @@ class ExperimentConfig:
             ref = max(d_refs)
             if max(d_primes) >= ref or (len(d_refs) > 1 and min(d_refs) == ref):
                 raise ValueError(
-                    f"limits compares d_primes {list(d_primes)} and the smallest of d_refs "
+                    f"limits compares d_primes {d_primes} and the smallest of d_refs "
                     f"with the largest reference depth {ref}; each must be smaller")
             if self.samples < 2:
                 raise ValueError("limits estimates standard errors over the samples; "
                                  "needs samples >= 2")
-        if self.experiment in ("bounds", "corr-decay") and p.get("graphs", 1) < 1:
+        if "graphs" in p and p["graphs"] < 1:
             raise ValueError(f"{self.experiment} needs params.graphs >= 1")
         if self.experiment == "duality-check":
-            n_max = p.get("n_max", 3)
+            n_max = p["n_max"]
             if n_max < 3:
                 raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
             # the worst draw: n_max bits under one rank-1 check
@@ -158,28 +185,23 @@ class ExperimentConfig:
             except exact.BruteForceCapExceeded as err:
                 raise ValueError(f"duality-check draws LDPC codes of up to n_max = {n_max} "
                                  f"bits and as few as one check: {err}") from None
-        if "H" in p and (isinstance(p["H"], bool) or not isinstance(p["H"], (int, float))):
-            raise ValueError(f"H must be a number, not {p['H']!r}")
         src = None
-        if self.experiment in _READS_CODE:
+        if self.experiment not in ("duality-check", "berretti-check"):
             family = self.code.get("family", LDGM)
             if family not in (LDGM, LDPC):
                 raise ValueError(f"unknown code family {family!r}; known: {[LDGM, LDPC]}")
-            # de-curve reads only the degree distribution; the others build
-            # the code
-            if self.experiment == "de-curve":
-                _degree_distribution(self.code)
-            else:
-                src = _code_source(self.code)
+            # de-curve reads the degree distribution alone, not n
+            src = (gexit.EnsembleSpec(_degree_distribution(self.code), None, family)
+                   if self.experiment == "de-curve" else _code_source(self.code))
         if self.experiment == "bounds":
             if src.kind != LDGM:
                 raise ValueError(
                     "bounds checks the walk bound, which applies to LDGM codes only")
             if (src.n if isinstance(src, gexit.EnsembleSpec) else src.n_chk) < 2:
                 raise ValueError("bounds draws two distinct checks; the code needs >= 2")
-            if not p.get("H", 1.0) > 0.0:
+            if not p["H"] > 0.0:
                 raise ValueError("bounds needs a threshold H > 0")
-        if isinstance(src, gexit.EnsembleSpec):
+        if isinstance(src, gexit.EnsembleSpec) and src.n is not None:
             n_chk = ensemble_sizes(src.dd, src.n, src.kind)[1]  # raises unless they balance
         # where exact tables are built, a fixed code's must fit the caps, and
         # so must an LDPC ensemble's, each draw having n - rank H >= n - n_chk
@@ -193,6 +215,8 @@ class ExperimentConfig:
         if sampled and self.samples < 2:
             raise ValueError(f"gexit-curve methods {sampled} estimate a standard error over "
                              f"the samples; need samples >= 2")
+        for name, value in (("settings", p), ("source", src), ("points", points)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, doc, experiment=None):
@@ -255,8 +279,7 @@ def _coeffs(code, key):
     for deg, prob in coeffs.items():
         deg = int(deg) if isinstance(deg, str) and deg.isdecimal() else deg
         _integer(deg, f"a {key} degree")
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)) \
-                or not math.isfinite(prob):
+        if not _fits(prob, 0.0) or not math.isfinite(prob):
             raise ValueError(f"{key} probabilities must be finite numbers, not {prob!r}")
         out[deg] = float(prob)
     return out
@@ -275,10 +298,7 @@ def _code_source(code):
             raise ValueError(f"cannot read code file {path!r}: {err.strerror}") from None
     if code.get("type") == "edges":
         edges = code["edges"]
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2
-                and not any(isinstance(x, bool) or not isinstance(x, int) for x in e)
-                for e in edges):
+        if not _fits(edges, [[0]]) or any(len(e) != 2 for e in edges):
             raise ValueError(f"edges must be a list of [variable, check] integer pairs, "
                              f"not {edges!r}")
         return build_graph(_integer(code["n_var"], "n_var"), _integer(code["n_chk"], "n_chk"),
@@ -287,12 +307,6 @@ def _code_source(code):
     if n < 1:
         raise ValueError(f"an ensemble needs n >= 1 code bits, not {n}")
     return gexit.EnsembleSpec(_degree_distribution(code), n, kind)
-
-
-def _eps_points(cfg):
-    ch0 = ChannelModel.from_spec(cfg.channel)
-    grid = cfg.eps_grid or (ch0.eps,)
-    return [ChannelModel(ch0.kind, e) for e in grid]
 
 
 def _point_seeds(cfg, ch):
@@ -329,11 +343,10 @@ def fit_exponential(points):
 # ---------------------------------------------------------------------------
 
 def _corr_decay(cfg):
-    src = _code_source(cfg.code)
-    n_graphs = cfg.params.get("graphs", 8)
+    src, n_graphs = cfg.source, cfg.settings["graphs"]
     fixed = not isinstance(src, gexit.EnsembleSpec)
     rows, fits = [], {}
-    for ch in _eps_points(cfg):
+    for ch in cfg.points:
         # each graph reads its own spawned generator: an ensemble code's
         # seed first, then its noise and roots
         rngs = [np.random.default_rng(s) for s in _point_seeds(cfg, ch).spawn(n_graphs)]
@@ -378,34 +391,34 @@ def _corr_decay(cfg):
     return ExperimentResult(cfg, rows, {"fits": fits})
 
 
-def _de_estimate(cfg, src, ch, seed):
-    d, n_pop = cfg.params.get("d", 10), cfg.params.get("n_pop", 10 ** 5)
-    val = de.de_gexit(cfg.code.get("family", LDGM), _degree_distribution(cfg.code), ch, d,
-                      n_pop, seed)
-    return gexit.GexitEstimate(val, 0.0, "de", {"d": d, "n_pop": n_pop})
+def _de_value(cfg, ch, seed):
+    """The DE-limit GEXIT value at one eps point (de-curve, and
+    gexit-curve's de method)."""
+    src, p = cfg.source, cfg.settings
+    return de.de_gexit(src.kind, src.dd, ch, p["d"], p["n_pop"], seed)
 
 
 #: gexit-curve's routes besides gexit.MAP_METHODS (which share one pass):
-#: method name -> estimate(cfg, source, channel, seed)
+#: method name -> estimate(cfg, channel, seed)
 _GEXIT_METHODS = {
-    "bp": lambda cfg, src, ch, seed: gexit.bp_gexit(
-        src, ch, cfg.params.get("d", 10), cfg.samples, seed),
-    "de": _de_estimate,
+    "bp": lambda cfg, ch, seed: gexit.bp_gexit(
+        cfg.source, ch, cfg.settings["d"], cfg.samples, seed),
+    "de": lambda cfg, ch, seed: gexit.GexitEstimate(
+        _de_value(cfg, ch, seed), 0.0, "de", {"d": cfg.settings["d"]}),
 }
 
 
 def _gexit_curve(cfg):
-    src = _code_source(cfg.code)
-    methods = cfg.params.get("methods", ["functional"])
-    map_methods = [m for m in methods if m in gexit.MAP_METHODS]
+    p = cfg.settings
+    map_methods = [m for m in p["methods"] if m in gexit.MAP_METHODS]
     rows = []
-    for ch in _eps_points(cfg):
+    for ch in cfg.points:
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
         ests = gexit.map_gexit_routes(
-            src, ch, cfg.samples, seed, map_methods, cfg.params.get("p_max", 20),
-            eps_step=float(cfg.params.get("eps_step", 1e-3))) if map_methods else {}
-        for method in methods:
-            est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, src, ch, seed)
+            cfg.source, ch, cfg.samples, seed, map_methods, p["p_max"],
+            eps_step=float(p["eps_step"])) if map_methods else {}
+        for method in p["methods"]:
+            est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,
                          "std_err": est.std_error, "n": est.meta.get("n", 0),
                          "d": est.meta.get("d", 0), "samples": cfg.samples,
@@ -414,25 +427,19 @@ def _gexit_curve(cfg):
 
 
 def _de_curve(cfg):
-    dd = _degree_distribution(cfg.code)
-    family = cfg.code.get("family", LDGM)
-    d = cfg.params.get("d", 20)
-    n_pop = cfg.params.get("n_pop", 10 ** 5)
     rows = []
-    for ch in _eps_points(cfg):
+    for ch in cfg.points:
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        val = de.de_gexit(family, dd, ch, d, n_pop, seed)
-        rows.append({"eps": ch.eps, "method": "de", "value": val, "std_err": 0.0,
-                     "n": 0, "d": d, "samples": n_pop, "seed": seed})
+        rows.append({"eps": ch.eps, "method": "de", "value": _de_value(cfg, ch, seed),
+                     "std_err": 0.0, "n": 0, "d": cfg.settings["d"],
+                     "samples": cfg.settings["n_pop"], "seed": seed})
     return ExperimentResult(cfg, rows, {})
 
 
 def _bounds(cfg):
     """Walk-expansion bound against exact correlations on LDGM corpora."""
-    src = _code_source(cfg.code)
-    ch = ChannelModel.from_spec(cfg.channel)
-    n_graphs = cfg.params.get("graphs", 10)
-    H = float(cfg.params.get("H", 1.0))
+    src, (ch,) = cfg.source, cfg.points
+    n_graphs, H = cfg.settings["graphs"], float(cfg.settings["H"])
     rng = np.random.default_rng(cfg.seed)
     rows = []
     violations = 0
@@ -458,9 +465,8 @@ def _bounds(cfg):
 
 
 def _duality_check(cfg):
-    ch = ChannelModel.from_spec(cfg.channel)
     rng = np.random.default_rng(cfg.seed)
-    n_max = cfg.params.get("n_max", 12)
+    n_max = cfg.settings["n_max"]
     rows = []
     worst_mw = worst_r = 0.0
     for t in range(cfg.samples):
@@ -517,12 +523,9 @@ def _berretti_check(cfg):
 def _limits(cfg):
     """Fixed-code LDGM: BP-GEXIT at small depths against large-depth
     references, with common noise across depths."""
-    src = _code_source(cfg.code)
-    ch = ChannelModel.from_spec(cfg.channel)
-    d_primes = list(cfg.params.get("d_primes", _LIMITS_D_PRIMES))
-    d_refs = list(cfg.params.get("d_refs", _LIMITS_D_REFS))
+    (ch,), d_primes, d_refs = cfg.points, cfg.settings["d_primes"], cfg.settings["d_refs"]
     depths = sorted(set(d_primes + d_refs))
-    ests, diffs = gexit.bp_gexit_multi_depth(src, ch, depths, cfg.samples, cfg.seed)
+    ests, diffs = gexit.bp_gexit_multi_depth(cfg.source, ch, depths, cfg.samples, cfg.seed)
     rows = [{"d": d, "value": ests[d].value, "std_err": ests[d].std_error}
             for d in depths]
     ref = max(d_refs)
@@ -565,12 +568,8 @@ def _fmt(x):
 
 def _jsonable(x):
     """Convert numpy scalars so the JSON document carries real numbers."""
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+    if isinstance(x, np.generic):
+        return x.item()
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 

@@ -295,13 +295,6 @@ def entropy_fd(source, ch, eps_step, samples, seed):
                             eps_step=eps_step)["entropy-fd"]
 
 
-def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
-    """The series value when every extrinsic moment vanishes:
-    -prefactor * sum_p t2p/(2p(2p-1)); for the BSC this closes to
-    prefactor * ln((1-eps)/eps) = 2 prefactor atanh(1-2 eps)."""
-    return -source_kind_prefactor * float(sum(series_coefficients(ch, p_max)))
-
-
 def _bp_kernels(source, ch, depths, samples, seed, noise_per_graph=1):
     """Both BP routes' walk: per sample, the code-bit mean of the kernel at
     the depth-d BP extrinsics for each sorted depth d, (samples, depths),

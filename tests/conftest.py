@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gibbscode.exact import PosteriorBatch
+from gibbscode.gexit import series_coefficients
 from gibbscode.graphs import LDGM, LDPC, build_graph
 
 #: where the golden sha256 digests (test_bp's flood, test_de's density
@@ -119,6 +120,13 @@ def fixed_code_corpus():
 @pytest.fixture(scope="session")
 def small_codes():
     return fixed_code_corpus()
+
+
+def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
+    """The series value when every extrinsic moment vanishes:
+    -prefactor * sum_p t2p/(2p(2p-1)); for the BSC this closes to
+    prefactor * ln((1-eps)/eps) = 2 prefactor atanh(1-2 eps)."""
+    return -source_kind_prefactor * float(sum(series_coefficients(ch, p_max)))
 
 
 # ----- exact BSC noise averages ------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_tree_graph, \
-    tiny_ldpc_no_isolated
+    series_zero_moment_value, tiny_ldpc_no_isolated
 from gibbscode.bp import bp_run
 from gibbscode.channels import ChannelModel, default_H, sample_llr
 from gibbscode.clusters import (berretti_identity_residual, dkp_pointwise_bound,
@@ -24,8 +24,7 @@ from gibbscode.exact import (all_marginals, make_instance,
                              spin_product_correlation)
 from gibbscode.experiments import ExperimentConfig, run_experiment
 from gibbscode.gexit import (EnsembleSpec, entropy_fd, map_gexit,
-                             map_gexit_series, nishimori_residual,
-                             series_zero_moment_value)
+                             map_gexit_series, nishimori_residual)
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph
 
 

@@ -11,8 +11,7 @@ from gibbscode.channels import ChannelModel, default_H, sample_llr
 from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 berretti_identity_residual, berretti_term,
                                 dkp_avg_bound, dkp_pointwise_bound,
-                                enumerate_clusters, replica_decomposition_residual,
-                                replica_g_sums)
+                                enumerate_clusters, replica_g_sums)
 from gibbscode.exact import make_instance, spin_product_correlation
 from gibbscode.graphs import LDGM, LDPC, EnumerationCapExceeded, build_graph, dual_graph
 
@@ -232,6 +231,12 @@ def test_berretti_avg_bound_dominates_truth():
         inst = make_instance(chain, sample_llr(cha, 5, rng).values)
         vals.append(abs(pair_correlation(inst, 0, 2)))
     assert np.mean(vals) <= b
+
+
+def replica_decomposition_residual(inst, A, B, H):
+    """|full G-sum - exact correlation|: the decomposition identity."""
+    con, noncon = replica_g_sums(inst, A, B, H)
+    return abs((con + noncon) - spin_product_correlation(inst, A, B))
 
 
 def test_replica_decomposition_and_vanishing():

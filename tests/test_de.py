@@ -7,12 +7,21 @@ import pytest
 
 from conftest import on_digest_platform
 from gibbscode.channels import L_SAT, ChannelModel, sample_llr
-from gibbscode.de import (_degree_groups, _resampled, de_full_marginal_moments, de_gexit,
-                          de_moment, run_de)
+from gibbscode.de import _aggregates, _degree_groups, _resampled, de_gexit, de_moment, run_de
 from gibbscode.exact import all_extrinsics, make_instance
 from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph
 
 DD23 = DegreeDistribution.regular(2, 3)
+
+
+def de_full_marginal_moments(family, dd, ch, d, n_pop, powers, seed):
+    """Moments E[m^k] of the full-marginal population m = tanh(Delta + l)
+    with a fresh own-observation l, for each power k in powers; the
+    oracle of the Nishimori moment identities at the DE level."""
+    agg, rng = _aggregates(family, dd, ch, d, n_pop, seed)
+    l = sample_llr(ch, len(agg), rng).values
+    m = np.tanh(agg + l)
+    return {k: float(np.mean(m ** k)) for k in powers}
 
 
 def test_degree_groups_follow_the_drawn_degrees():

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import fixed_code_corpus
-from gibbscode import gexit
+from gibbscode import experiments, gexit
 from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.cli import main as cli_main
 from gibbscode.clusters import dkp_pointwise_bound
 from gibbscode.exact import make_instance, spin_product_correlation
-from gibbscode.experiments import (EXPERIMENTS, DecayFit, ExperimentConfig, emit,
-                                   fit_exponential, run_experiment)
+from gibbscode.experiments import (EXPERIMENTS, PARAMS, DecayFit, ExperimentConfig,
+                                   ExperimentResult, emit, fit_exponential, run_experiment)
 from gibbscode.graphs import (DegreeDistribution, build_graph, load_graph, sample_ensemble,
                               save_graph, LDGM)
 
@@ -137,7 +137,9 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     is not an object, a channel that is not a string, a bad eps grid,
     malformed ensemble fields, degrees that do not balance at n, a
     degree above the node count of the other side, an
-    entropy-fd step that is not a positive number or leaves (0, eps_max),
+    eps_step that is not a positive number (whatever the methods) or that
+    leaves (0, eps_max) under entropy-fd, a param the experiment does not
+    read, an eps_grid where the channel alone is read,
     the magnetization route off the BIAWGNC, a fixed code that does not
     build or whose file cannot be read or holds a malformed header, edge
     line or number (the message names the file, the line and its form),
@@ -196,6 +198,18 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "eps_step must be a number > 0, not 0"),
                 ("gexit-curve", {**base, "params": {"methods": ["entropy-fd"], "eps_step": "x"}},
                  "eps_step must be a number > 0, not 'x'"),
+                ("gexit-curve", {**base, "params": {"methods": ["functional"], "eps_step": "x"}},
+                 "eps_step must be a number > 0, not 'x'"),
+                ("gexit-curve", {**base, "params": {"methods": ["functional"], "eps_step": None}},
+                 "eps_step must be a number > 0, not None"),
+                ("de-curve", {**base, "code": ensemble, "params": {"n-pop": 10}},
+                 "unknown de-curve param(s) ['n-pop']; known: ['d', 'n_pop']"),
+                ("corr-decay", {**base, "params": {"d": 4, "graphs": 2}},
+                 "unknown corr-decay param(s) ['d']; known: ['graphs']"),
+                ("limits", {**base, "eps_grid": [0.1, 0.2]},
+                 "limits reads the channel alone, not eps_grid"),
+                ("duality-check", {**base, "eps_grid": [0.3]},
+                 "duality-check reads the channel alone, not eps_grid"),
                 ("gexit-curve", {**base, "eps_grid": [0.1, 0.3],
                                  "params": {"methods": ["entropy-fd"], "eps_step": 0.25}},
                  "entropy-fd needs eps +- eps_step inside (0, 0.5); eps_step 0.25 leaves it "
@@ -317,6 +331,56 @@ def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys):
         assert captured.err == (f"gibbscode: invalid config: cannot read config file "
                                 f"{str(path)!r}: {reason}\n")
         assert not out.exists()
+
+
+def test_file_code_is_read_once_per_run(tmp_path, monkeypatch):
+    """Validation builds the code and the run reads what it built, so a
+    file code is read once per run_experiment, in every experiment that
+    reads the code."""
+    g = build_graph(4, 6, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2),
+                           (3, 3), (0, 3), (0, 4), (2, 5)], LDGM)
+    path = tmp_path / "code.txt"
+    save_graph(g, path)
+    reads = []
+    monkeypatch.setattr(experiments, "load_graph", lambda p: reads.append(p) or load_graph(p))
+    for experiment, params in (("corr-decay", {}), ("gexit-curve", {"methods": ["bp"]}),
+                               ("bounds", {"graphs": 2}), ("limits", {"d_refs": [20]})):
+        del reads[:]
+        run_experiment(ExperimentConfig.from_json({
+            "experiment": experiment, "code": {"type": "file", "path": str(path)},
+            "channel": "bsc:0.3", "samples": 8, "seed": 1, "params": params}))
+        assert reads == [str(path)], experiment
+
+
+#: the content hashes of two configs, one without params: the hash covers
+#: the config as given, and no default enters it
+CONTENT_HASHES = (
+    (CORR_CFG, "900ad4de70fbb8320e3608b7cf7240f268a5934d32b1c468f25500c28dfea239"),
+    ({"experiment": "duality-check", "code": {}, "channel": "bsc:0.3", "samples": 10,
+      "seed": 5}, "07bfa91542979055ea51637499ecb88970c6e3b5043a8ae75ab76949de54153d"),
+)
+
+
+def test_content_hash_covers_the_config_as_given(tmp_path):
+    for doc, digest in CONTENT_HASHES:
+        cfg = ExperimentConfig.from_json(doc)
+        assert cfg.as_dict()["params"] == doc.get("params", {})
+        emit(ExperimentResult(cfg, [], {}), "json", tmp_path / "a.json")
+        assert json.loads((tmp_path / "a.json").read_text())["content_hash"] == digest
+
+
+def test_readme_params_table_is_experiments_params():
+    """README's table of params and defaults lists experiments.PARAMS, in
+    its order and with its JSON types."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| experiment | param | default | what it sets |\n")[1]
+    listed = {}
+    for line in table.split("\n\n")[0].splitlines()[1:]:
+        experiment, param, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        listed.setdefault(experiment, {})
+        if param != "none":
+            listed[experiment][param] = json.loads(default)
+    assert json.dumps(listed) == json.dumps(PARAMS)
 
 
 def test_table_cap_checked_only_where_tables_are_built():

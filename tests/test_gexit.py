@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bsc_noise_patterns, fixed_code_corpus, on_digest_platform
+from conftest import (bsc_noise_patterns, fixed_code_corpus, on_digest_platform,
+                      series_zero_moment_value)
 from gibbscode import channels, exact, gexit, gf2
 from gibbscode.bp import bp_all_extrinsics
 from gibbscode.channels import (ChannelModel, channel_noise, gexit_kernel_batch,
@@ -14,8 +15,7 @@ from gibbscode.exact import all_extrinsics, all_marginals, conditional_entropy, 
 from gibbscode.gexit import (EnsembleSpec, awgn_gexit, bp_gexit,
                              bp_gexit_multi_depth, entropy_fd, map_gexit,
                              map_gexit_routes, map_gexit_series, moment_series,
-                             nishimori_residual, series_coefficients,
-                             series_zero_moment_value)
+                             nishimori_residual, series_coefficients)
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, TannerGraph, build_graph,
                               sample_ensemble)
 
