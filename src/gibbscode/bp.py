@@ -45,14 +45,20 @@ themselves: each flood (_flood) and each LDGM code-bit estimate enters
 np.errstate once, around all its iterations, and a caller of the
 helpers outside those holds the same errstate.
 
-Fixed-point exit: an iteration is a deterministic map of the messages it
-reads (c2v for LDPC, whose v2c follow from them and the LLRs; v2c for
-LDGM).  Once an iteration leaves those bitwise unchanged for a sample,
-every later one would too, so that sample stops flooding and leaves the
-active block; its state, and every estimate read from it, equal the
-d-iteration result bit for bit.  The comparison is of bit patterns, not
-values within a tolerance.  A sample whose messages keep moving at the
-rounding level (many loopy floods and some trees) runs all d iterations.
+Fixed-point and cycle exits: an iteration is a deterministic map of the
+messages it reads (c2v for LDPC, whose v2c follow from them and the
+LLRs; v2c for LDGM).  Once an iteration leaves those bitwise unchanged
+for a sample, every later one would too, so that sample stops flooding
+and leaves the active block.  Every _CYCLE-th iteration of a flood also
+compares each sample's read messages with their bits _CYCLE iterations
+before: a sample that matches repeats with a period dividing _CYCLE, so
+it runs the (iters - t) % _CYCLE iterations that bring it to the phase
+of iteration iters, and leaves.  Either way its state, and every
+estimate read from it, equal the d-iteration result bit for bit.  The
+comparisons are of bit patterns, not values within a tolerance.  A
+sample whose messages keep moving at the rounding level, or repeat with
+a period that _CYCLE is not a multiple of (some trees repeat with period
+3, 5 or 6), runs all d iterations.
 
 Code-bit outputs: LDPC marginal tanh(l_i + sum c2v); LDGM check i reads
 the same check sums over all its incoming v2c as a field c_i and returns
@@ -251,23 +257,40 @@ def _variable_outputs(c2v, groups, n_groups, l_edge=None):
     return v2c
 
 
+#: the cycle exit's lag: every _CYCLE-th iteration of a flood compares
+#: each sample's read messages with their bits _CYCLE iterations before,
+#: which catches the periods dividing it (1, 2 and 4).  Period-4 cycles
+#: are common: 148 of the 386 distinct draws of criterion 12's LDGM at
+#: BSC 0.45 end in one.  Its flood to depths 2, 4, 6, 100 and 200 runs
+#: 10,976 row-iterations at lag 4, 36,432 at lag 2 (which leaves those
+#: draws flooding to d) and 15,120 at lag 12 (which catches them later).
+_CYCLE = 4
+
+
 def _flood(g, l, v2c, c2v, iters):
     """iters flooding iterations, in place, on an (S, n_edges) message
     block with (S, code bits) LLRs; a sample leaves the block at its
-    fixed point (the module docstring's exit).  Dropping rows keeps the
+    fixed point, or in the phase of iteration iters once its read
+    messages repeat those of _CYCLE iterations before (the module
+    docstring's exits).  The snapshot of those messages and the mask of
+    repeating rows follow the rows that stay.  Dropping rows keeps the
     other samples' values bit for bit: no two samples share a bincount
     group, and bincount adds a group's edges in edge order whatever the
     block holds."""
     evar, echk = g.edge_ends
     E = g.n_edges
     rows = np.arange(len(l))  # block rows still flooding
+    # rows found repeating at the last cycle check, and the iteration they leave after
+    repeats, leave = np.zeros(len(l), dtype=bool), 0
     var_groups = _sample_groups(evar, g.n_var, len(l))
     chk_groups = _sample_groups(echk, g.n_chk, len(l))
     bv2c, bc2v = v2c.ravel(), c2v.ravel()
+    # the read messages _CYCLE iterations back, as bit patterns
+    snap = (bc2v if g.kind == LDPC else bv2c).view(np.int64).reshape(len(l), E)
     with np.errstate(**_PSI_ERRORS):
         # per-row inputs: each LDPC edge's LLR, or each LDGM check's terms
         per_row = (l[:, evar].ravel(),) if g.kind == LDPC else _psi_terms(l.ravel())
-        for _ in range(iters):
+        for t in range(1, iters + 1):
             S = len(rows)
             if S == 0:
                 break
@@ -280,12 +303,18 @@ def _flood(g, l, v2c, c2v, iters):
                 bc2v = _check_outputs(bv2c, chk_groups, S * g.n_chk, per_row)
                 bv2c = now = _variable_outputs(bc2v, var_groups, S * g.n_var)
             # bit patterns, not ==: -0.0 == 0.0, and the CSV prints them apart
-            settled = (now.view(np.int64) == read.view(np.int64)).reshape(S, E).all(axis=1)
-            if settled.any():
-                keep = ~settled
+            now = now.view(np.int64).reshape(S, E)
+            done = (now == read.view(np.int64).reshape(S, E)).all(axis=1)
+            if t % _CYCLE == 0:
+                repeats, leave, snap = (now == snap).all(axis=1), t + (iters - t) % _CYCLE, now
+            if t == leave:
+                done |= repeats
+            if done.any():
+                keep = ~done
                 bv2c, bc2v = bv2c.reshape(S, E), bc2v.reshape(S, E)
-                v2c[rows[settled]], c2v[rows[settled]] = bv2c[settled], bc2v[settled]
+                v2c[rows[done]], c2v[rows[done]] = bv2c[done], bc2v[done]
                 rows, bv2c, bc2v = rows[keep], bv2c[keep].ravel(), bc2v[keep].ravel()
+                snap, repeats = snap[keep], repeats[keep]
                 per_row = tuple(a.reshape(S, -1)[keep].ravel() for a in per_row)
                 var_groups, chk_groups = var_groups[:len(rows) * E], chk_groups[:len(rows) * E]
     v2c[rows], c2v[rows] = bv2c.reshape(len(rows), E), bc2v.reshape(len(rows), E)

@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ValueError(f"eps_grid must hold numbers, not {list(self.eps_grid)!r}")
         ch0 = ChannelModel.from_spec(self.channel)  # validates the kind and every eps
         points = tuple(ChannelModel(ch0.kind, e) for e in self.eps_grid) or (ch0,)
+        if self.eps_grid and self.experiment in ("duality-check", "berretti-check"):
+            raise ValueError(f"{self.experiment} draws its codes and LLRs from the seed, "
+                             f"not from the channel or eps_grid")
         if self.eps_grid and self.experiment not in ("corr-decay", "gexit-curve", "de-curve"):
             raise ValueError(f"{self.experiment} reads the channel alone, not eps_grid")
         defaults = PARAMS[self.experiment]

@@ -27,6 +27,14 @@ on_digest_platform = pytest.mark.skipif(
     reason="golden digests were recorded with numpy 2.4.6 on x86_64 with AVX512_SKX loops")
 
 
+#: acceptance criterion 12's fixed LDGM, 10 code bits on 7 information
+#: bits: a ring of degree-2 checks plus three single-bit observation
+#: checks that seed BP
+LIMITS_EDGES = [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2], [3, 3], [4, 3],
+                [4, 4], [5, 4], [5, 5], [6, 5], [6, 6], [0, 6],
+                [0, 7], [3, 8], [5, 9]]
+
+
 def random_tree_graph(rng, kind, max_code_bits=15):
     """A uniformly grown bipartite tree Tanner graph: each new node
     attaches to a random existing node of the opposite type."""

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixed_code_corpus, random_ldgm_graph, random_tree_graph, \
+from conftest import LIMITS_EDGES, fixed_code_corpus, random_ldgm_graph, random_tree_graph, \
     series_zero_moment_value, tiny_ldpc_no_isolated
 from gibbscode.bp import bp_run
 from gibbscode.channels import ChannelModel, default_H, sample_llr
@@ -267,15 +267,10 @@ def test_criterion_11_correlation_decay_signature():
 
 # --------------------------------------------------------------------------
 def test_criterion_12_limits_exchange_mechanism():
-    # fixed LDGM, 10 code bits on 7 information bits: a ring of degree-2
-    # checks plus three single-bit observation checks that seed BP
-    edges = [[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2], [3, 3], [4, 3],
-             [4, 4], [5, 4], [5, 5], [6, 5], [6, 6], [0, 6],
-             [0, 7], [3, 8], [5, 9]]
     cfg = ExperimentConfig.from_json({
         "experiment": "limits",
         "code": {"type": "edges", "family": "ldgm", "n_var": 7, "n_chk": 10,
-                 "edges": edges},
+                 "edges": LIMITS_EDGES},
         "channel": "bsc:0.45", "samples": 500, "seed": 112,
         "params": {"d_primes": [2, 4, 6], "d_refs": [100, 200]}})
     res = run_experiment(cfg)

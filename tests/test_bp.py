@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fixed_code_corpus, on_digest_platform, random_ldgm_graph, random_ldpc_graph,
-                      random_tree_graph)
+from conftest import (LIMITS_EDGES, fixed_code_corpus, on_digest_platform, random_ldgm_graph,
+                      random_ldpc_graph, random_tree_graph)
 from gibbscode import bp, channels
 from gibbscode.bp import (_check_outputs, _check_sums, _codebit_estimates, _psi_terms,
                           _sample_groups, bp_all_extrinsics, bp_checkpoint_extrinsics,
@@ -500,14 +500,19 @@ def _fixed_depth_states(inst, depths):
 @example(kind=LDPC, loopy=False, seed=0, samples=4, p_sat=0.3, p_zero=0.2, depths=[3, 200])
 @example(kind=LDGM, loopy=True, seed=1, samples=12, p_sat=1.0, p_zero=0.0, depths=[40])
 @example(kind=LDPC, loopy=False, seed=3, samples=2, p_sat=0.0, p_zero=1.0, depths=[1, 2, 9])
+@example(kind=LDGM, loopy=True, seed=14, samples=12, p_sat=0.0, p_zero=0.0, depths=[7, 30, 57])
+@example(kind=LDPC, loopy=True, seed=0, samples=12, p_sat=0.0, p_zero=0.0, depths=[7, 30, 57])
 def test_fixed_point_exit_matches_fixed_depth_flood_bitwise(kind, loopy, seed, samples,
                                                             p_sat, p_zero, depths):
     """bp_run, bp_all_extrinsics and bp_checkpoint_extrinsics equal the
     d-iteration flood bit for bit, sign bits included, on trees and
     loopy graphs of both families: blocks whose samples settle at
-    different iterations (or not at all), LLRs saturated up to +-50, and
-    exact zeros of both signs, down to all-zero draws (whose v2c stay 0
-    for one iteration while their c2v move)."""
+    different iterations (or not at all), or repeat bitwise (the loopy
+    examples at depths 7, 30 and 57, where samples leave through the
+    cycle exit with iterations left to run while others settle), LLRs
+    saturated up to +-50, and exact zeros of both signs, down to
+    all-zero draws (whose v2c stay 0 for one iteration while their c2v
+    move)."""
     rng = np.random.default_rng(seed)
     if not loopy:
         g = random_tree_graph(rng, kind)
@@ -581,3 +586,40 @@ def test_flood_stops_at_the_fixed_point(monkeypatch):
     assert sizes[5:] == [g.n_edges] * 55
     assert_bitwise(out, _codebit_estimates(
         g, block.values, *_fixed_depth_states(block, [60])[60], extrinsic=False))
+
+
+def _limits_instance():
+    """Criterion 12's flood: its fixed LDGM and the 500 BSC 0.45 draws of
+    seed 112 that the limits experiment reads (one noise chunk)."""
+    g = build_graph(7, 10, [tuple(e) for e in LIMITS_EDGES], LDGM)
+    return make_instance(g, sample_llr(ChannelModel.from_spec("bsc:0.45"), (500, 10), 112).values)
+
+
+def test_cycle_exit_matches_fixed_depth_flood_bitwise():
+    """On criterion 12's flood, where 148 of the 386 distinct draws end in
+    period-4 cycles, bp_run, bp_all_extrinsics and bp_checkpoint_extrinsics
+    equal the d-iteration flood bit for bit at depths of every phase mod 4,
+    also when a cycle found in one checkpoint segment is re-entered in the
+    next (99 -> 100 -> 101 -> 103 -> 200)."""
+    inst = _limits_instance()
+    g, L = inst.graph, inst.values
+    depths = [2, 4, 6, 99, 100, 101, 103, 200]
+    ref = _fixed_depth_states(inst, depths)
+    ckpt = bp_checkpoint_extrinsics(inst, depths)
+    for d in depths:
+        assert_bitwise(ckpt[d], _codebit_estimates(g, L, *ref[d], extrinsic=True))
+        assert_bitwise(bp_run(inst, d), _codebit_estimates(g, L, *ref[d], extrinsic=False))
+        assert_bitwise(bp_all_extrinsics(inst, d),
+                       _codebit_estimates(g, L, *ref[d], extrinsic=True))
+
+
+def test_flood_stops_in_bitwise_cycles(monkeypatch):
+    """Criterion 12's flood to depths 2, 4, 6, 100 and 200 runs at most
+    12,000 row-iterations, its five estimates included: its period-4 rows
+    leave at most 3 iterations after the cycle check that finds them
+    repeating, instead of flooding on to d = 200 (36,432 row-iterations
+    with the fixed-point exit alone)."""
+    inst = _limits_instance()
+    sizes = _count_iterations(monkeypatch)
+    bp_checkpoint_extrinsics(inst, [2, 4, 6, 100, 200])
+    assert sum(sizes) // inst.graph.n_edges <= 12000

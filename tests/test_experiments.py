@@ -139,7 +139,8 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
     degree above the node count of the other side, an
     eps_step that is not a positive number (whatever the methods) or that
     leaves (0, eps_max) under entropy-fd, a param the experiment does not
-    read, an eps_grid where the channel alone is read,
+    read, an eps_grid where the channel alone is read or where the codes
+    and LLRs come from the seed alone (duality-check, berretti-check),
     the magnetization route off the BIAWGNC, a fixed code that does not
     build or whose file cannot be read or holds a malformed header, edge
     line or number (the message names the file, the line and its form),
@@ -209,7 +210,11 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                 ("limits", {**base, "eps_grid": [0.1, 0.2]},
                  "limits reads the channel alone, not eps_grid"),
                 ("duality-check", {**base, "eps_grid": [0.3]},
-                 "duality-check reads the channel alone, not eps_grid"),
+                 "duality-check draws its codes and LLRs from the seed, not from the channel "
+                 "or eps_grid"),
+                ("berretti-check", {**base, "eps_grid": [0.3]},
+                 "berretti-check draws its codes and LLRs from the seed, not from the channel "
+                 "or eps_grid"),
                 ("gexit-curve", {**base, "eps_grid": [0.1, 0.3],
                                  "params": {"methods": ["entropy-fd"], "eps_step": 0.25}},
                  "entropy-fd needs eps +- eps_step inside (0, 0.5); eps_step 0.25 leaves it "
