@@ -18,14 +18,14 @@ from gibbscode.channels import (ChannelModel, default_H, delta_dual, delta_high,
 # The BSC(eps): half-LLRs are +-(1/2) ln((1-eps)/eps) under the all-one
 # codeword, the minus sign with probability eps.
 bsc = ChannelModel.from_spec("bsc:0.25")
-llr = sample_llr(bsc, 8, seed=1).values
+llr = sample_llr(bsc, 8, seed=1)
 print("BSC(0.25) half-LLR draws:", np.round(llr, 4))
 print("  atom magnitude 0.5*ln(3) =", round(0.5 * math.log(3), 4))
 
 # The BIAWGNC(eps): y = x + noise of variance eps, so l = y/eps is
 # Gaussian with mean and variance 1/eps.
 awgn = ChannelModel.from_spec("biawgnc:0.5")
-v = sample_llr(awgn, 100000, seed=2).values
+v = sample_llr(awgn, 100000, seed=2)
 print(f"BIAWGNC(0.5): sample mean {v.mean():.3f} (expect 2.0), "
       f"variance {v.var():.3f} (expect 2.0)")
 

@@ -20,7 +20,7 @@ from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, build_graph,
 # checks force them equal.
 rep3 = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
 ch = ChannelModel("bsc", 0.2)
-inst = make_instance(rep3, sample_llr(ch, 3, seed=5).values)
+inst = make_instance(rep3, sample_llr(ch, 3, seed=5))
 print("repetition code, one realization")
 print("  llrs          ", np.round(inst.values, 3))
 print("  exact marginals", np.round(all_marginals(inst), 4))
@@ -33,7 +33,7 @@ print("  entropy/bit    ", round(conditional_entropy(inst), 4), "nats")
 # information bits.  Correlations between code bits decay with distance.
 dd = DegreeDistribution.regular(3, 2)
 g = sample_ensemble(dd, 15, LDGM, seed=9)
-li = make_instance(g, sample_llr(ChannelModel("bsc", 0.45), 15, seed=10).values)
+li = make_instance(g, sample_llr(ChannelModel("bsc", 0.45), 15, seed=10))
 print("\nLDGM(3,2) sample, n=15 code bits on", g.n_var, "information bits")
 for j in (1, 5, 9):
     d = graph_distance(g, 0, j)

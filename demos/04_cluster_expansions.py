@@ -25,7 +25,7 @@ from gibbscode.graphs import LDGM, LDPC, build_graph
 g = build_graph(4, 5, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2),
                        (0, 3), (2, 3), (1, 4), (3, 4)], LDGM)
 ch = ChannelModel("bsc", 0.45)
-inst = make_instance(g, sample_llr(ch, 5, seed=4).values)
+inst = make_instance(g, sample_llr(ch, 5, seed=4))
 A, B = set(g.adj_chk[0]), set(g.adj_chk[2])
 H = default_H(ch)
 truth = abs(spin_product_correlation(inst, A, B))

@@ -92,6 +92,12 @@ _ZERO = 2.0 ** 20
 _PSI_ERRORS = dict(divide="ignore", over="ignore")
 
 
+def _group_sums(groups, weights, n_groups):
+    """Per-group sums of float weights, np.bincount's; as floats also over
+    an edgeless graph's empty index, for which bincount returns int64."""
+    return np.bincount(groups, weights=weights, minlength=n_groups).astype(float, copy=False)
+
+
 def _psi_terms(msgs):
     """A message's two check terms: psi(msg) = -ln tanh|msg| (0 where it
     is infinite) and its count, 1 for a negative message plus _ZERO for a
@@ -114,7 +120,7 @@ def _check_sums(msgs, groups, n_groups, obs=None):
     check's own observation when given (LDGM).  The counts are whole
     floats below 2^53, so they add exactly in any order."""
     terms = _psi_terms(msgs)
-    sums = [np.bincount(groups, weights=t, minlength=n_groups) for t in terms]
+    sums = [_group_sums(groups, t, n_groups) for t in terms]
     if obs is not None:
         for s, o in zip(sums, obs):
             s += o
@@ -146,8 +152,7 @@ def _check_outputs(msgs, groups, n_groups, obs=None):
     count -= own_count
     dominant = own_psi > _DOMINANCE * psi
     if np.count_nonzero(dominant):
-        others = np.bincount(groups, weights=np.where(dominant, 0.0, own_psi),
-                             minlength=n_groups)
+        others = _group_sums(groups, np.where(dominant, 0.0, own_psi), n_groups)
         if obs is not None:
             others += obs[0]
         psi[dominant] = others[groups[dominant]]
@@ -187,8 +192,8 @@ def _codebit_estimates(g, l, v2c, c2v, extrinsic):
     evar, echk = g.edge_ends
     S = len(l)
     if g.kind == LDPC:
-        tot = np.bincount(_sample_groups(evar, g.n_var, S), weights=c2v.ravel(),
-                          minlength=S * g.n_var).reshape(S, g.n_var)
+        tot = _group_sums(_sample_groups(evar, g.n_var, S), c2v.ravel(),
+                          S * g.n_var).reshape(S, g.n_var)
         field = tot if extrinsic else l + tot
         np.minimum(field, L_SAT, out=field)
         np.maximum(field, -L_SAT, out=field)
@@ -248,7 +253,7 @@ def _variable_outputs(c2v, groups, n_groups, l_edge=None):
     """Every edge's variable output: the total of the c2v into its
     variable groups[e] minus its own, plus the variable's observation
     l_edge[e] when given (LDPC), clipped at L_SAT."""
-    v2c = np.bincount(groups, weights=c2v, minlength=n_groups)[groups]
+    v2c = _group_sums(groups, c2v, n_groups)[groups]
     if l_edge is not None:
         v2c += l_edge
     v2c -= c2v

@@ -12,7 +12,10 @@ Supported channels:
   * BIAWGNC(eps):  y = x + noise with noise variance eps, so l = y/eps is
                    Gaussian with mean 1/eps and variance 1/eps; eps > 0.
 
-Besides sampling, the module provides the moment functionals used by the
+Sampling (sample_llr, or channel_noise mapped by llrs_from_noise) gives
+plain float arrays of half-LLRs, (n,) for one realization or (S, n) for
+a block; exact.PosteriorInstance pairs them with a graph.  Besides
+sampling, the module provides the moment functionals used by the
 correlation-decay bounds (exp_abs_moment, exp_neg_moment, sinh_neg_moment,
 delta_high, delta_dual), the tanh-moment derivatives t2p, and the GEXIT
 kernel.  On the BSC the eps-derivatives are closed forms of the two-atom
@@ -193,21 +196,6 @@ class ChannelModel:
         return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-@dataclass(frozen=True)
-class LLRVector:
-    """Half-loglikelihoods of one noise realization, shape (n,), or of a
-    block of S realizations, shape (S, n)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim not in (1, 2):
-            raise ValueError("LLR values must have shape (n,) or (S, n)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("LLR values must be finite")
-
-
 def channel_noise(ch, shape, rng):
     """The raw randomness behind LLR draws of the given shape: uniforms
     (BSC) or standard normals (BIAWGNC).  Drawing an (S, n) block gives
@@ -230,19 +218,23 @@ def llrs_from_noise(ch, noise, out=None):
 
 
 def sample_llr(ch, n, seed):
-    """i.i.d. half-LLR draws under the all-one codeword; n is a length, or
-    a shape (S, n) for a block of S realizations drawn one after another.
-    Deterministic given seed (an int or a numpy Generator)."""
+    """i.i.d. half-LLR draws under the all-one codeword, an array of shape
+    (n,), or (S, n) for a block of S realizations drawn one after another
+    when n is that shape.  Deterministic given seed (an int or a numpy
+    Generator)."""
     shape = (n,) if isinstance(n, (int, np.integer)) else tuple(n)
     if len(shape) not in (1, 2) or min(shape) < 1:
         raise ValueError("n must be >= 1 (or a shape (S, n) with S, n >= 1)")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     noise = channel_noise(ch, shape, rng)
-    return LLRVector(llrs_from_noise(ch, noise, out=noise))
+    return llrs_from_noise(ch, noise, out=noise)
 
 
 def t2p(ch, p):
-    """d/deps of E[(tanh l)^{2p}], the last of t2p_terms(ch, p)."""
+    """d/deps of E[(tanh l)^{2p}], the last of t2p_terms(ch, p): on the
+    BSC its closed form alone, which t2p_terms evaluates for each p."""
+    if ch.kind == BSC and p >= 1:
+        return -4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1)
     return t2p_terms(ch, p)[-1]
 
 
@@ -261,7 +253,7 @@ def t2p_terms(ch, p_max):
     if p_max < 1:
         raise ValueError("p must be >= 1")
     if ch.kind == BSC:
-        return [-4.0 * p * (1.0 - 2.0 * ch.eps) ** (2 * p - 1) for p in range(1, p_max + 1)]
+        return [t2p(ch, p) for p in range(1, p_max + 1)]
 
     def integrands(l):
         t2, e, dc = np.tanh(l) ** 2, np.exp(-2.0 * np.abs(l)), ch.density_deps(l)

@@ -93,8 +93,9 @@ def dkp_pointwise_bound(inst, A, B, H, max_len=None):
     if max_len is None:
         max_len = exhaustive_len
     walks = enumerate_saws(g, A, B, max_len)
-    l = np.atleast_2d(inst.values)
-    rho = np.where(np.abs(l) > H, 1.0, np.expm1(4.0 * np.abs(l)))
+    l = np.abs(np.atleast_2d(inst.values))
+    rho, kept = np.ones_like(l), l <= H
+    rho[kept] = np.expm1(4.0 * l[kept])  # only there: it overflows at large |l|
     total = np.zeros(len(l))
     for w in walks:
         prod = np.ones(len(l))

@@ -77,7 +77,7 @@ def _check_outputs(rng, t, law, n, drop, ch=None):
     for dv, idx in _degree_groups(rng, law, n):
         prod = _resampled(np.multiply, rng, t, len(idx), dv - drop)
         if ch is not None:
-            prod = prod * np.tanh(sample_llr(ch, len(idx), rng).values)
+            prod = prod * np.tanh(sample_llr(ch, len(idx), rng))
         with np.errstate(divide="ignore"):
             out[idx] = np.arctanh(prod)
     return np.clip(out, -L_SAT, L_SAT)
@@ -91,7 +91,7 @@ def _var_step(samples, dd, ch, rng, family):
         if dv >= 2:
             out[idx] = _resampled(np.add, rng, samples, len(idx), dv - 1)
     if family == LDPC:
-        out = out + sample_llr(ch, n, rng).values
+        out = out + sample_llr(ch, n, rng)
     return np.clip(out, -L_SAT, L_SAT)
 
 
@@ -105,7 +105,7 @@ def run_de(family, dd, ch, d, n_pop, seed):
     if family == LDGM:
         msgs = np.zeros(n_pop)
     else:
-        msgs = np.clip(sample_llr(ch, n_pop, rng).values, -L_SAT, L_SAT)
+        msgs = np.clip(sample_llr(ch, n_pop, rng), -L_SAT, L_SAT)
     for t in range(d):
         msgs = _check_outputs(rng, np.tanh(msgs), dd.degree_laws["edge", "chk"], n_pop, 1,
                               ch if family == LDGM else None)
@@ -144,7 +144,7 @@ def de_gexit(family, dd, ch, d, n_pop, seed):
     agg, rng = _aggregates(family, dd, ch, d, n_pop, seed)
     prefactor = dd.lambda_prime / dd.p_prime if family == LDGM else 1.0
     if ch.kind == BIAWGNC:
-        l = sample_llr(ch, len(agg), rng).values
+        l = sample_llr(ch, len(agg), rng)
         return prefactor * (1.0 - float(np.mean(np.tanh(l + agg)))) / (2.0 * ch.eps ** 2)
     kernels = gexit_kernel_batch(ch, np.tanh(agg))
     return prefactor * float(np.mean(kernels))

@@ -25,7 +25,7 @@ of X is converted to float once per call and run against every block of
 the (S, n) LLR block L, and each sample keeps a running maximum
 log-weight, rescaling its sums when the maximum grows (the online
 log-sum-exp of Milakov and Gimelshein, arXiv:1805.02867).  The pass
-also takes a leading graph axis: a PosteriorBatch of G graphs whose
+also takes a leading graph axis: a PosteriorInstance of G graphs whose
 tables share one shape runs as a (G, R, n) table stack against (G, S, n)
 LLRs, every matmul, maximum and sum batched over the graphs, so a group
 of small ensemble graphs costs one call's overhead; one graph is the
@@ -45,8 +45,8 @@ from functools import partial, update_wrapper
 import numpy as np
 
 from . import gf2
-from .channels import LLRVector, block_slices
-from .graphs import LDGM, LDPC, TannerGraph
+from .channels import block_slices
+from .graphs import LDGM, LDPC
 
 #: cap on the support dimension, rank G (LDGM) or n - rank H (LDPC); the
 #: dual of an LDPC code is an LDGM code, so its cap is on rank H;
@@ -64,61 +64,51 @@ class BruteForceCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class PosteriorInstance:
-    """A Tanner graph plus half-loglikelihoods (one entry per code bit):
-    the Gibbs measure being decoded.  The LLRs may hold one noise
-    realization, shape (n,), or a block of S realizations, shape (S, n);
-    the functions below then return per-sample results with a leading
-    sample axis."""
+    """Tanner graphs plus half-loglikelihoods (one entry per code bit):
+    the Gibbs measures being decoded, the one input of every posterior
+    reduction and BP flood.  graph is one TannerGraph, whose values hold
+    one noise realization, shape (n,), or a block of S of them, shape
+    (S, n); or a tuple of G graphs whose tables share one shape (the same
+    code-bit count and support dimension), each with its own block:
+    values of shape (G, S, n).  The posterior reductions below return
+    per-sample results with the leading axes of values, (), (S,) or
+    (G, S), each graph's equal to what the graph's own instance gives;
+    the spin products, the BP floods and the bounds take one graph.
+    Only a tuple of two or more graphs has its support dimensions
+    compared, so a one-graph instance (a BP flood's) does not row-reduce
+    its checks."""
 
-    graph: TannerGraph
-    llrs: LLRVector
-
-    def __post_init__(self):
-        if self.llrs.values.shape[-1] != self.graph.code_bit_count:
-            raise ValueError(f"llr length {self.llrs.values.shape[-1]} != "
-                             f"code bit count {self.graph.code_bit_count}")
-
-    @property
-    def kind(self):
-        return self.graph.kind
-
-    @property
-    def values(self):
-        return self.llrs.values
-
-
-def make_instance(graph, values):
-    return PosteriorInstance(graph, LLRVector(values))
-
-
-@dataclass(frozen=True)
-class PosteriorBatch:
-    """G Tanner graphs whose tables share one shape (the same code-bit
-    count and support dimension), each with its own block of S noise
-    realizations: values has shape (G, S, n).  partition_function,
-    all_marginals, all_extrinsics and conditional_entropy take a batch
-    and return per-graph, per-sample results with leading axes (G, S),
-    each equal to what the graph's own instance gives."""
-
-    graphs: tuple
+    graph: object
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.ndim != 3 or len(self.graphs) != len(values):
-            raise ValueError(f"values of shape {values.shape} do not give "
-                             f"{len(self.graphs)} graphs an (S, n) block each")
-        dim = self.graphs[0].free_spin_count
-        for g in self.graphs:
-            if g.code_bit_count != values.shape[2]:
-                raise ValueError(f"graphs and llrs disagree on the code bit count: "
-                                 f"{g.code_bit_count} != {values.shape[2]}")
-            if g.free_spin_count != dim:
-                raise ValueError(f"graphs of a batch must share a table shape; their support "
-                                 f"dimensions {g.free_spin_count} and {dim} differ")
+        graphs = self.graphs
+        ndims = (3,) if isinstance(self.graph, tuple) else (1, 2)
+        if values.ndim not in ndims or values.ndim == 3 and len(values) != len(graphs):
+            raise ValueError(f"values of shape {values.shape} do not give {len(graphs)} "
+                             f"graph(s) an (n,), (S, n) or (G, S, n) block each")
+        for g in graphs:
+            if g.code_bit_count != values.shape[-1]:
+                raise ValueError(f"graph and llrs disagree on the code bit count: "
+                                 f"{g.code_bit_count} != {values.shape[-1]}")
+        if len(graphs) > 1 and len({g.free_spin_count for g in graphs}) > 1:
+            raise ValueError(f"graphs of a batch must share a table shape; their support "
+                             f"dimensions {sorted({g.free_spin_count for g in graphs})} differ")
         if not np.isfinite(values).all():
             raise ValueError("LLR values must be finite")
+
+    @property
+    def graphs(self):
+        return self.graph if isinstance(self.graph, tuple) else (self.graph,)
+
+    @property
+    def kind(self):
+        return self.graph.kind
+
+
+make_instance = PosteriorInstance
 
 
 def _check_cap(kind, n_var, dim):
@@ -220,8 +210,8 @@ def _float_chunk(X, rows):
 
 def _posterior(inst, terms, finish):
     """The posterior pass, streamed over the table stack X of shape
-    (G, R, n), one table per graph of a PosteriorBatch (G = 1 for a
-    PosteriorInstance), against LLRs L of shape (G, S, n): row chunks of
+    (G, R, n), one table per graph of the instance, against its values
+    reshaped to LLRs L of shape (G, S, n): row chunks of
     at most BLOCK_ELEMENTS entries over all G tables on the outside, each
     converted to float once, and every block of samples against that
     chunk on the inside.  A block holds BLOCK_ELEMENTS //
@@ -239,14 +229,12 @@ def _posterior(inst, terms, finish):
     chunk's share of each weighted sum, a tuple of (G, samples, ...)
     arrays.  finish(X, L, logz, wsum, *sums) maps log Z, the weight sum
     and those sums, all against the final maxima, to per-graph,
-    per-sample results, an array or a tuple of arrays; a
-    PosteriorInstance gets each without the graph axis, and without the
-    sample axis for a single realization.  log Z
+    per-sample results, an array or a tuple of arrays, each returned
+    with the leading axes of the instance's values.  log Z
     counts every configuration: an LDGM row's weight is multiplied by
     the size of its coset, 2^(m - rank G)."""
-    batch = isinstance(inst, PosteriorBatch)
-    graphs = inst.graphs if batch else (inst.graph,)
-    L = inst.values if batch else np.atleast_2d(inst.values)[None]
+    graphs, values = inst.graphs, inst.values
+    L = values.reshape(len(graphs), -1, values.shape[-1])
     for g in graphs:
         _check_cap(g.kind, g.n_var, g.free_spin_count)
     tables = [codebit_table(g) for g in graphs]
@@ -284,10 +272,8 @@ def _posterior(inst, terms, finish):
         if g.coset_bits:
             logz[k] += g.coset_bits * math.log(2)
     out = finish(X, L, logz, wsum, *sums)
-    if batch:
-        return out
-    pick = (lambda a: a[0]) if inst.values.ndim == 2 else (lambda a: a[0, 0])
-    return tuple(map(pick, out)) if isinstance(out, tuple) else pick(out)
+    unstack = lambda a: a.reshape(values.shape[:-1] + a.shape[2:])[()]  # () gives a scalar
+    return tuple(map(unstack, out)) if isinstance(out, tuple) else unstack(out)
 
 
 def _expectation(total, wsum):
@@ -383,7 +369,7 @@ def moments_with_root(inst, i):
     """(log Z, <x>, correlations_with_root(inst, i)) from one posterior
     pass: the three share its weights, and log Z and the marginals are
     bit for bit those of partition_function and all_marginals."""
-    roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[:1])
+    roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[-2:-1])
 
     def chunk(F, rows):
         FT = F.swapaxes(1, 2).copy()  # root columns gathered as contiguous rows

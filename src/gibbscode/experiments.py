@@ -452,7 +452,7 @@ def _bounds(cfg):
             src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
         i, j = rng.choice(g.n_chk, 2, replace=False)
         A, B = set(g.adj_chk[int(i)]), set(g.adj_chk[int(j)])
-        inst = make_instance(g, sample_llr(ch, (per_graph, g.n_chk), rng).values)
+        inst = make_instance(g, sample_llr(ch, (per_graph, g.n_chk), rng))
         corrs = np.abs(spin_product_correlation(inst, A, B))
         bounds, _ = clusters.dkp_pointwise_bound(inst, A, B, H)
         violations += int(np.count_nonzero(corrs > bounds + 1e-12))

@@ -50,8 +50,7 @@ from . import bp, channels
 from .bp import bp_all_extrinsics
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p_sup, t2p_terms)
-from .exact import (PosteriorBatch, all_extrinsics, all_marginals, conditional_entropy,
-                    make_instance)
+from .exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
 from .graphs import (LDGM, TannerGraph, ensemble_window, sample_ensemble,
                      sample_ensembles)
 
@@ -239,11 +238,11 @@ def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_gra
         out = {}
         if "entropy-fd" in methods:  # first: the LLRs at eps overwrite the noise
             scale = np.array([[g.n_chk / g.n_var if g.kind == LDGM else 1.0] for g in graphs])
-            h = [conditional_entropy(PosteriorBatch(graphs, llrs_from_noise(c, noise)))
+            h = [conditional_entropy(make_instance(graphs, llrs_from_noise(c, noise)))
                  for c in sides]
             out["entropy-fd"] = scale * (h[0] - h[1]) / (2.0 * eps_step)
         if methods != ["entropy-fd"]:
-            batch = PosteriorBatch(graphs, llrs_from_noise(ch, noise, out=noise))
+            batch = make_instance(graphs, llrs_from_noise(ch, noise, out=noise))
         if "functional" in methods or "series" in methods:
             Ms = all_extrinsics(batch)
             if "functional" in methods:
@@ -342,7 +341,7 @@ def nishimori_residual(source, ch, p, samples, seed):
         raise ValueError("p must be >= 1")
 
     def reduce(graphs, noise):
-        m = all_marginals(PosteriorBatch(graphs, llrs_from_noise(ch, noise, out=noise)))
+        m = all_marginals(make_instance(graphs, llrs_from_noise(ch, noise, out=noise)))
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 
     diffs, _ = _per_sample(_batches(_draws(source, ch, samples, seed)), samples, reduce)

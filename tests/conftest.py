@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from gibbscode.exact import PosteriorBatch
+from gibbscode.exact import make_instance
 from gibbscode.gexit import series_coefficients
 from gibbscode.graphs import LDGM, LDPC, build_graph
 
@@ -141,7 +141,7 @@ def series_zero_moment_value(source_kind_prefactor, ch, p_max=20):
 
 def bsc_noise_patterns(graph, eps):
     """Every BSC noise pattern of a code's n code bits, as one (1, 2^n, n)
-    PosteriorBatch of half-LLRs, and each pattern's probability
+    one-graph instance of half-LLRs, and each pattern's probability
     eps^k (1 - eps)^(n - k), k its number of flips: the probability-
     weighted sum of any per-pattern value is its exact noise average, with
     no Monte Carlo error.  Meant for n <= 12."""
@@ -149,5 +149,5 @@ def bsc_noise_patterns(graph, eps):
     flips = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     a = 0.5 * math.log((1.0 - eps) / eps)
     k = flips.sum(axis=1)
-    return (PosteriorBatch((graph,), np.where(flips == 1, -a, a)[None]),
+    return (make_instance((graph,), np.where(flips == 1, -a, a)[None]),
             eps ** k * (1.0 - eps) ** (n - k))

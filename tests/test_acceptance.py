@@ -47,8 +47,7 @@ def test_criterion_01_tree_exactness():
                 graphs += 1
                 d = g.n_var + g.n_chk
                 for _ in range(100):
-                    inst = make_instance(g, sample_llr(ch, g.code_bit_count,
-                                                       rng).values)
+                    inst = make_instance(g, sample_llr(ch, g.code_bit_count, rng))
                     diff = np.max(np.abs(bp_run(inst, d) - all_marginals(inst)))
                     worst = max(worst, float(diff))
     report(1, "tree-exactness", worst < 1e-9,
@@ -106,7 +105,7 @@ def test_criterion_04_dkp_pointwise_dominance():
             i, j = (int(x) for x in rng.choice(g.n_chk, 2, replace=False))
             A, B = set(g.adj_chk[i]), set(g.adj_chk[j])
             # 1000 draws as one block: the same numbers as 1000 single draws
-            inst = make_instance(g, sample_llr(ch, (1000, g.n_chk), rng).values)
+            inst = make_instance(g, sample_llr(ch, (1000, g.n_chk), rng))
             corr = np.abs(spin_product_correlation(inst, A, B))
             bound, _ = dkp_pointwise_bound(inst, A, B, H)
             cases += len(corr)

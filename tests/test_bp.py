@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from gibbscode.bp import (_check_outputs, _check_sums, _codebit_estimates, _psi_
                           _sample_groups, bp_all_extrinsics, bp_checkpoint_extrinsics,
                           bp_run, tree_decode)
 from gibbscode.channels import L_SAT, ChannelModel, block_slices, sample_llr
+from gibbscode.cli import main as cli_main
 from gibbscode.exact import all_extrinsics, all_marginals, make_instance
 from gibbscode.experiments import fit_exponential
 from gibbscode.graphs import LDGM, LDPC, build_graph, computational_tree
@@ -219,7 +221,7 @@ def test_tree_correlation_decay_fixed_noise():
     assert len(chain) >= 6
     rng = np.random.default_rng(5)
     for trial in range(5):
-        inst = make_instance(g, sample_llr(ch, 2 * m, rng).values)
+        inst = make_instance(g, sample_llr(ch, 2 * m, rng))
         _, corrs = tree_decode(ct, inst, pair_nodes=tuple(chain))
         mags = [abs(corrs[k]) for k in chain]
         pts = [(t + 1, mag, 1e-9) for t, mag in enumerate(mags) if mag > 1e-12]
@@ -330,6 +332,29 @@ def test_checkpoint_extrinsics_consistent():
     assert np.allclose(out[5], bp_all_extrinsics(inst, 5))
 
 
+def test_edgeless_codes_flood(tmp_path):
+    """A code with no edges floods without error: numpy's bincount over
+    the empty edge index returns int64 zeros, and the floods added float
+    messages into them.  LDPC bits keep their own observations (marginal
+    tanh l, extrinsic 0); an LDGM check on no variable is the empty
+    product, +1, like its exact posterior.  The repro of a limits config
+    on such a code runs to a PASS or a FAIL."""
+    l = np.array([[0.4, -0.8, 1.1, 0.0], [-0.3, 0.2, 0.0, 2.0]])
+    ldpc = make_instance(build_graph(4, 1, [], LDPC), l)
+    assert_bitwise(bp_run(ldpc, 7), np.tanh(l))
+    assert_bitwise(bp_all_extrinsics(ldpc, 7), np.zeros_like(l))
+    ldgm = make_instance(build_graph(2, 4, [], LDGM), l)
+    for run in (bp_run, bp_all_extrinsics):
+        assert_bitwise(run(ldgm, 7), np.ones_like(l))
+    assert np.array_equal(all_marginals(ldgm), np.ones_like(l))
+    config = tmp_path / "limits.json"
+    config.write_text(json.dumps({
+        "code": {"type": "edges", "family": "ldpc", "n_var": 4, "n_chk": 1, "edges": []},
+        "channel": "bsc:0.3", "samples": 2, "seed": 750065,
+        "params": {"d_primes": [7, 11], "d_refs": [19]}}))
+    assert cli_main(["limits", "--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+
+
 def test_negative_depths_raise():
     inst = make_instance(four_cycle(LDPC), [0.3, -0.2])
     for run in (lambda: bp_run(inst, -1), lambda: bp_all_extrinsics(inst, -4),
@@ -424,8 +449,7 @@ def test_flood_outputs_keep_their_recorded_bits():
     specs = ("bsc:0.2", "bsc:0.3", "bsc:0.4", "biawgnc:0.8")
     for k, (name, g) in enumerate(fixed_code_corpus()):
         for j, spec in enumerate(specs):
-            L = sample_llr(ChannelModel.from_spec(spec), (150, g.code_bit_count),
-                           100 * k + j).values
+            L = sample_llr(ChannelModel.from_spec(spec), (150, g.code_bit_count), 100 * k + j)
             inst = make_instance(g, L)
             ckpt = bp_checkpoint_extrinsics(inst, [3, 10, 20])
             digest = hashlib.sha256()
@@ -592,7 +616,7 @@ def _limits_instance():
     """Criterion 12's flood: its fixed LDGM and the 500 BSC 0.45 draws of
     seed 112 that the limits experiment reads (one noise chunk)."""
     g = build_graph(7, 10, [tuple(e) for e in LIMITS_EDGES], LDGM)
-    return make_instance(g, sample_llr(ChannelModel.from_spec("bsc:0.45"), (500, 10), 112).values)
+    return make_instance(g, sample_llr(ChannelModel.from_spec("bsc:0.45"), (500, 10), 112))
 
 
 def test_cycle_exit_matches_fixed_depth_flood_bitwise():

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from gibbscode import channels
-from gibbscode.channels import (BIAWGNC, BSC, ChannelModel, LLRVector,
-                                default_H, delta_dual, delta_high,
+from gibbscode.channels import (BIAWGNC, BSC, ChannelModel, default_H, delta_dual, delta_high,
                                 exp_abs_moment, exp_neg_moment,
                                 gexit_kernel_batch, gexit_kernel_integral,
                                 sample_llr, sinh_neg_moment, t2p, t2p_sup, t2p_terms)
@@ -32,25 +31,20 @@ def test_spec_parsing_and_validation():
 
 def test_bsc_llr_atoms():
     ch = ChannelModel(BSC, 0.25)
-    v = sample_llr(ch, 2000, 1).values
+    v = sample_llr(ch, 2000, 1)
     a = 0.5 * math.log(3.0)
     assert set(np.round(np.abs(v), 12)) == {round(a, 12)}
     # probability of the negative atom ~ eps
     assert abs(np.mean(v < 0) - 0.25) < 0.03
     # determinism
-    assert np.array_equal(v, sample_llr(ch, 2000, 1).values)
+    assert np.array_equal(v, sample_llr(ch, 2000, 1))
 
 
 def test_awgn_llr_moments():
     ch = ChannelModel(BIAWGNC, 0.5)
-    v = sample_llr(ch, 200000, 2).values
+    v = sample_llr(ch, 200000, 2)
     assert abs(np.mean(v) - 2.0) < 0.02   # mean 1/eps
     assert abs(np.var(v) - 2.0) < 0.05    # variance 1/eps
-
-
-def test_llr_vector_finite():
-    with pytest.raises(ValueError):
-        LLRVector(np.array([1.0, math.inf]))
 
 
 def test_t2p_bsc_closed_form():
@@ -83,7 +77,7 @@ def test_exp_neg_moment_monotone_in_eps():
 def test_monte_carlo_matches_closed_forms():
     n = 10 ** 6
     ch = ChannelModel(BIAWGNC, 0.8)
-    v = sample_llr(ch, n, 3).values
+    v = sample_llr(ch, n, 3)
     for stat, exact in ((np.exp(-0.5 * v), exp_neg_moment(ch, 0.5)),
                         (np.exp(1.0 * np.abs(v)), exp_abs_moment(ch, 1.0))):
         se = stat.std(ddof=1) / math.sqrt(n)
@@ -120,7 +114,7 @@ def test_gaussian_tail_matches_scipy_norm():
 def test_delta_high_monte_carlo_tail():
     ch = ChannelModel(BSC, 0.499)
     H = default_H(ch)
-    v = np.abs(sample_llr(ch, 10 ** 5, 5).values)
+    v = np.abs(sample_llr(ch, 10 ** 5, 5))
     assert np.mean(v > H) == 0.0
 
 
@@ -312,9 +306,9 @@ def test_bsc_kernel_is_position_free():
 
 def test_block_draws_reproduce_per_draw_streams():
     for ch in (ChannelModel(BSC, 0.3), ChannelModel(BIAWGNC, 0.8)):
-        block = sample_llr(ch, (6, 5), np.random.default_rng(4)).values
+        block = sample_llr(ch, (6, 5), np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        rows = [sample_llr(ch, 5, rng).values for _ in range(6)]
+        rows = [sample_llr(ch, 5, rng) for _ in range(6)]
         assert block.shape == (6, 5) and np.array_equal(block, rows)
     with pytest.raises(ValueError):
         sample_llr(ChannelModel(BSC, 0.3), (0, 5), 1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from gibbscode.clusters import (BadSet, ClusterTerm, berretti_avg_bound,
                                 dkp_avg_bound, dkp_pointwise_bound,
                                 enumerate_clusters, replica_g_sums)
 from gibbscode.exact import make_instance, spin_product_correlation
+from gibbscode.experiments import ExperimentConfig, run_experiment
 from gibbscode.graphs import LDGM, LDPC, EnumerationCapExceeded, build_graph, dual_graph
 
 
@@ -39,6 +41,24 @@ def test_dkp_pointwise_examples():
     # truncation flag
     _, tr = dkp_pointwise_bound(inst, {0}, {1}, 1.0, max_len=0)
     assert tr
+
+
+def test_dkp_pointwise_bound_skips_the_bad_checks_expm1():
+    """rho = expm1(4|l|) is evaluated on the kept checks alone: the bad
+    ones (|l| > H) take 1 without it, so LLRs far above H, as BIAWGNC at
+    eps 1e-3 draws them, raise no overflow warning; and the bounds stage
+    of such a config runs under RuntimeWarning as an error."""
+    g = build_graph(2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)], LDGM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b, _ = dkp_pointwise_bound(make_instance(g, [[1000.0, 0.1, 900.0], [0.2, 1e4, 0.3]]),
+                                   {0}, {1}, 2.0)
+        assert b.tolist() == [2.0 * math.expm1(0.4), 2.0]  # the one walk, via check 1
+        cfg = ExperimentConfig.from_json({
+            "experiment": "bounds", "channel": "biawgnc:0.001", "samples": 10, "seed": 3,
+            "code": {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2,
+                     "n": 9}})
+        assert run_experiment(cfg).passed is not None
 
 
 def test_dkp_pointwise_dominance_random():
@@ -97,7 +117,7 @@ def test_dkp_avg_bound():
     rng = np.random.default_rng(1)
     vals = []
     for s in range(1500):
-        inst = make_instance(g, sample_llr(ch, m, rng).values)
+        inst = make_instance(g, sample_llr(ch, m, rng))
         vals.append(dkp_pointwise_bound(inst, {0}, {3}, H)[0])
     assert np.mean(vals) <= b * (1 + 1e-6)
     # diverged flag when K delta >= 1
@@ -228,7 +248,7 @@ def test_berretti_avg_bound_dominates_truth():
     vals = []
     from gibbscode.exact import pair_correlation
     for s in range(2000):
-        inst = make_instance(chain, sample_llr(cha, 5, rng).values)
+        inst = make_instance(chain, sample_llr(cha, 5, rng))
         vals.append(abs(pair_correlation(inst, 0, 2)))
     assert np.mean(vals) <= b
 

@@ -19,7 +19,7 @@ def de_full_marginal_moments(family, dd, ch, d, n_pop, powers, seed):
     with a fresh own-observation l, for each power k in powers; the
     oracle of the Nishimori moment identities at the DE level."""
     agg, rng = _aggregates(family, dd, ch, d, n_pop, seed)
-    l = sample_llr(ch, len(agg), rng).values
+    l = sample_llr(ch, len(agg), rng)
     m = np.tanh(agg + l)
     return {k: float(np.mean(m ** k)) for k in powers}
 
@@ -194,7 +194,7 @@ def test_de_moment_matches_tree_ensemble():
                     v2 = vid[0]; vid[0] += 1
                     edges.append((v2, c2))
         g = build_graph(vid[0], cid[0], edges, LDPC)
-        inst = make_instance(g, sample_llr(ch, vid[0], rng).values)
+        inst = make_instance(g, sample_llr(ch, vid[0], rng))
         vals.append(all_extrinsics(inst)[root])
     vals = np.array(vals)
     for p in (1, 2, 3):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels, exact, gf2
-from gibbscode.exact import (BruteForceCapExceeded, PosteriorBatch, all_extrinsics,
+from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, codebit_table, conditional_entropy,
                              correlations_with_root, make_instance,
                              pair_correlation,
@@ -587,11 +587,12 @@ def test_rank_deficient_ldgm_matches_cube_enumeration(g, seed):
 
 
 # ---------------------------------------------------------------------------
-# the graph axis: a PosteriorBatch of graphs that share a table shape
+# the graph axis: an instance of several graphs that share a table shape
 # ---------------------------------------------------------------------------
 
 #: the reductions that take a batch
-BATCHED = (partition_function, all_marginals, all_extrinsics, conditional_entropy)
+BATCHED = (partition_function, all_marginals, all_extrinsics, conditional_entropy,
+           lambda inst: correlations_with_root(inst, 1))
 
 
 def _same_shape_graphs():
@@ -616,7 +617,7 @@ def test_batch_equals_each_graph_alone():
     for graphs in (_same_shape_graphs(), ldpc):
         for S in (1, 5):
             L = rng.normal(0.5, 1.5, (len(graphs), S, graphs[0].code_bit_count))
-            batch = PosteriorBatch(tuple(graphs), L)
+            batch = make_instance(tuple(graphs), L)
             for reduce in BATCHED:
                 out = reduce(batch)
                 assert out.shape[:2] == (len(graphs), S)
@@ -640,7 +641,7 @@ def test_batch_recomputes_tiny_halves_per_graph(monkeypatch):
         return half(X, Lr)
 
     monkeypatch.setattr(exact, "_half_log_weights", counted)
-    out = all_extrinsics(PosteriorBatch(tuple(graphs), L))
+    out = all_extrinsics(make_instance(tuple(graphs), L))
     assert redone == [1]
     for k, g in enumerate(graphs):
         assert out[k].tobytes() == all_extrinsics(make_instance(g, L[k])).tobytes(), k
@@ -659,7 +660,7 @@ def test_batch_over_row_chunks(monkeypatch, budget):
                                     (5, 2), (0, 2), (1, 3), (3, 3), (5, 3)], LDPC))
     L = rng.normal(0.5, 1.5, (2, 4, 6))
     L[1, 2] = 400.0 * codebit_table(g)[-1]  # the maximum grows in the last chunk
-    batch = PosteriorBatch(graphs, L)
+    batch = make_instance(graphs, L)
     for k, gk in enumerate(graphs):
         marg, ext, entropy, _, logz = _per_row_reference(gk, L[k])
         assert np.max(np.abs(partition_function(batch)[k] - logz)) <= 1e-12 * np.abs(logz).max()
@@ -669,12 +670,35 @@ def test_batch_over_row_chunks(monkeypatch, budget):
 
 
 def test_batch_validation():
+    """One instance type: a graph with (n,) or (S, n) values, or a tuple
+    of G graphs with (G, S, n) values sharing a table shape.  Support
+    dimensions are compared only across two or more graphs, so neither a
+    one-graph instance nor its BP flood row-reduces the checks."""
     graphs = _same_shape_graphs()
     with pytest.raises(ValueError, match="code bit count"):
-        PosteriorBatch(tuple(graphs), np.zeros((3, 1, 4)))
+        make_instance(tuple(graphs), np.zeros((3, 1, 4)))
+    with pytest.raises(ValueError, match="code bit count"):
+        make_instance(graphs[0], np.zeros((2, 4)))
     with pytest.raises(ValueError, match="block each"):
-        PosteriorBatch(tuple(graphs), np.zeros((2, 1, 3)))
+        make_instance(tuple(graphs), np.zeros((2, 1, 3)))
+    with pytest.raises(ValueError, match="block each"):
+        make_instance(tuple(graphs), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="block each"):
+        make_instance(graphs[0], np.zeros((3, 1, 3)))
     with pytest.raises(ValueError, match="table shape"):
-        PosteriorBatch((graphs[0], build_graph(3, 1, [(0, 0), (1, 0)], LDPC)), np.zeros((2, 1, 3)))
+        make_instance((graphs[0], build_graph(3, 1, [(0, 0), (1, 0)], LDPC)), np.zeros((2, 1, 3)))
     with pytest.raises(ValueError, match="finite"):
-        PosteriorBatch(tuple(graphs), np.full((3, 1, 3), np.inf))
+        make_instance(tuple(graphs), np.full((3, 1, 3), np.inf))
+    assert make_instance((graphs[0],), np.zeros((1, 2, 3))).values.shape == (1, 2, 3)
+    from gibbscode.bp import bp_all_extrinsics
+    g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
+    bp_all_extrinsics(make_instance(g, np.ones((2, 3))), 3)
+    assert "reduced_checks" not in vars(g)
+
+
+def test_instance_values_finite():
+    g = build_graph(2, 1, [(0, 0), (1, 0)], LDPC)
+    with pytest.raises(ValueError, match="finite"):
+        make_instance(g, np.array([1.0, math.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        make_instance(g, np.array([[0.5, math.nan]]))

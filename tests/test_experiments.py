@@ -637,7 +637,7 @@ def _bounds_per_draw(cfg):
         A, B = set(g.adj_chk[int(i)]), set(g.adj_chk[int(j)])
         corrs, bounds = [], []
         for _ in range(cfg.samples // n_graphs):
-            inst = make_instance(g, sample_llr(ch, g.n_chk, rng).values)
+            inst = make_instance(g, sample_llr(ch, g.n_chk, rng))
             corrs.append(abs(spin_product_correlation(inst, A, B)))
             bounds.append(dkp_pointwise_bound(inst, A, B, H)[0])
             violations += corrs[-1] > bounds[-1] + 1e-12

@@ -178,7 +178,7 @@ def test_block_routes_match_per_draw_loop():
     for s in range(samples):
         if s % per_graph == 0:
             g = sample_ensemble(src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
-        inst = make_instance(g, sample_llr(ch, g.code_bit_count, rng).values)
+        inst = make_instance(g, sample_llr(ch, g.code_bit_count, rng))
         vals.append(np.mean(gexit_kernel_batch(ch, all_extrinsics(inst))))
         blocks.append(s // per_graph)
     means = [np.mean(vals[b * per_graph:(b + 1) * per_graph]) for b in range(4)]
@@ -307,7 +307,7 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
     got, got_index = gexit._per_sample(
         gexit._batches(gexit._draws(src, bsc, samples, seed, per_graph)), samples,
         lambda graphs, noise: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
-            exact.PosteriorBatch(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1))
+            exact.make_instance(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1))
     assert got[:, 0].tobytes() == want[:, 0].tobytes()
     assert np.array_equal(got_index, index)
     ests = map_gexit_routes(src, bsc, samples, seed, ("functional", "series"), p_max, per_graph)
