@@ -17,8 +17,10 @@ pivot information bits, one per coset of the kernel, and each row stands
 for 2^(m - rank G) configurations, a factor log Z carries.  LDPC: the
 2^(n - rank H) codewords, spanned from a nullspace basis of the parity
 checks.  Both tables are spans, doubled up from the parity signs of
-their basis words.  It works in the log domain, and relies on numpy's
-pairwise summation for reproducible reductions.  Every quantity is a
+their basis words: one graph's table alone and cached (codebit_table),
+the tables of a group of graphs that share one shape as one (G, R, n)
+stack (codebit_tables).  It works in the log domain, and relies on
+numpy's pairwise summation for reproducible reductions.  Every quantity is a
 weighted sum over one posterior pass, which takes a whole block of noise
 realizations at once and streams over the int8 table X: each row chunk
 of X is converted to float once per call and run against every block of
@@ -168,7 +170,8 @@ class TableCache:
 
 @partial(TableCache, maxsize=8)
 def codebit_table(graph):
-    """Code-bit value matrix X over the enumerated support.
+    """Code-bit value matrix X over the enumerated support: the one-graph
+    case of codebit_tables, cached.
 
     LDGM: X has shape (2^rank G, n_chk); row k gives x_i(u) for every
     check, with u the configuration whose pivot information bits are the
@@ -186,14 +189,30 @@ def codebit_table(graph):
     into the table, row k the product of the rows picked by the bits of
     k, which is the parity-sign row of the XOR of those words.
     """
+    return gf2.span_signs(gf2.parity_signs(*_span_basis(graph)))
+
+
+def codebit_tables(graphs):
+    """The codebit_tables of graphs whose tables share one shape, as a
+    (G, R, n) int8 stack built by one gf2.parity_signs and one
+    gf2.span_signs call over the graph axis; each slice is bit for bit
+    the graph's codebit_table.  Uncached: the posterior pass builds the
+    stack of a group of two or more graphs, which _batches bounds to one
+    block."""
+    words, masks = zip(*map(_span_basis, graphs))
+    return gf2.span_signs(gf2.parity_signs(words, masks))
+
+
+def _span_basis(graph):
+    """The basis words whose parity signs against the masks are the sign
+    rows codebit_table doubles: LDGM, the pivot information bits
+    (compressed, word k is bit k) against the compressed checks; LDPC,
+    the nullspace basis against the unit masks of the variables."""
     reduced = graph.reduced_checks
     if graph.kind == LDGM:
-        words = [1 << k for k in range(len(reduced))]
-        masks = gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced)
-    else:
-        words = gf2.nullspace_basis(reduced, graph.n_var)
-        masks = [1 << i for i in range(graph.n_var)]
-    return gf2.span_signs(gf2.parity_signs(np.array(words, dtype=np.uint64), masks))
+        return ([1 << k for k in range(len(reduced))],
+                gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced))
+    return gf2.nullspace_basis(reduced, graph.n_var), [1 << i for i in range(graph.n_var)]
 
 
 #: a half's posterior probability below this is recomputed by a
@@ -210,8 +229,9 @@ def _float_chunk(X, rows):
 
 def _posterior(inst, terms, finish):
     """The posterior pass, streamed over the table stack X of shape
-    (G, R, n), one table per graph of the instance, against its values
-    reshaped to LLRs L of shape (G, S, n): row chunks of
+    (G, R, n), one table per graph of the instance (one graph's cached
+    codebit_table, or the codebit_tables stack of two or more), against
+    its values reshaped to LLRs L of shape (G, S, n): row chunks of
     at most BLOCK_ELEMENTS entries over all G tables on the outside, each
     converted to float once, and every block of samples against that
     chunk on the inside.  A block holds BLOCK_ELEMENTS //
@@ -237,8 +257,7 @@ def _posterior(inst, terms, finish):
     L = values.reshape(len(graphs), -1, values.shape[-1])
     for g in graphs:
         _check_cap(g.kind, g.n_var, g.free_spin_count)
-    tables = [codebit_table(g) for g in graphs]
-    X = tables[0][None] if len(tables) == 1 else np.stack(tables)  # one table: no copy
+    X = codebit_table(graphs[0])[None] if len(graphs) == 1 else codebit_tables(graphs)
     G, R, n = X.shape
     S = L.shape[1]
     m = np.empty((G, S))

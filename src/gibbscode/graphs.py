@@ -19,7 +19,9 @@ Conventions:
     sampler, sample_ensembles (sample_ensemble is its one-seed view):
     each graph's draws are fixed by its seed, and the parallel-edge
     repair runs a window of graphs at a time, one stable argsort per
-    round.
+    round.  A window's graphs also row-reduce their checks together, in
+    one gf2.row_reduce_stack call on the first read of any graph's
+    reduced_checks; any other graph runs gf2.row_reduce.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -68,6 +70,11 @@ class TannerGraph:
     adj_var: tuple  # adj_var[v] = tuple of incident check ids
     adj_chk: tuple  # adj_chk[c] = tuple of incident variable ids
 
+    #: (_WindowChecks, row) of a graph that sample_ensembles drew in a
+    #: window of two or more graphs (not a field: equality and hashing
+    #: ignore it); None on every other graph
+    _window = None
+
     def __post_init__(self):
         if self.kind not in (LDGM, LDPC):
             raise ValueError(f"unknown code kind {self.kind!r}")
@@ -95,8 +102,15 @@ class TannerGraph:
     @cached_property
     def reduced_checks(self):
         """The checks as bitmasks over the variables, row-reduced over
-        GF(2) (gf2.row_reduce) once per graph; they number rank G (LDGM)
-        or rank H (LDPC)."""
+        GF(2) once per graph: the (pivot, row) pairs of gf2.row_reduce, in
+        some order; they number rank G (LDGM) or rank H (LDPC).  A graph
+        drawn in a window of sampled graphs reads its share of the
+        window's one gf2.row_reduce_stack call, which the first read on
+        any graph of the window makes; any other graph runs
+        gf2.row_reduce."""
+        if self._window is not None:
+            checks, row = self._window
+            return checks[row]
         return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
 
     @property
@@ -232,9 +246,16 @@ def draw_degrees(rng, law, n):
 def ensemble_sizes(dd, n, kind):
     """(n_var, n_chk) of an ensemble graph with n code bits: the other
     side's node count follows from the mean degrees, so that the socket
-    counts balance.  Raises ValueError when it is not an integer, or when
-    a degree drawn with positive probability exceeds the node count of
-    the other side (no simple graph has such a node)."""
+    counts balance.  Raises ValueError when it is not an integer, when a
+    degree drawn with positive probability exceeds the node count of the
+    other side (no simple graph has such a node), or when the two socket
+    sums can never be equal (the sampler would redraw degrees until its
+    retry cap): a side of N nodes whose degrees d_1 < ... < d_k have
+    positive probability sums to between N d_1 and N d_k, always to
+    N d_1 modulo g, the gcd of the gaps d_j - d_1, so the two sides can
+    meet only if their residues agree modulo the gcd of their two g.
+    (Their ranges always overlap once the mean degrees balance: both hold
+    the mean socket count.)"""
     if kind == LDGM:
         n_chk = n
         n_var = dd.p_prime * n / dd.lambda_prime
@@ -251,6 +272,16 @@ def ensemble_sizes(dd, n, kind):
         if degree > count:
             raise ValueError(f"{side} degree {degree} exceeds the {count} {other} "
                              f"of an ensemble graph at n={n}")
+    (vlo, vhi, vgap), (clo, chi, cgap) = (
+        (count * min(degs), count * max(degs), math.gcd(*(d - min(degs) for d in degs)))
+        for count, degs in ((n_var, [d for d, p in dd.var_coeffs if p > 0]),
+                            (n_chk, [d for d, p in dd.chk_coeffs if p > 0])))
+    gap = math.gcd(vgap, cgap)
+    if gap and (vlo - clo) % gap:
+        sums = lambda lo, hi, g: f"{lo}..{hi} in steps of {g}" if g else str(lo)
+        raise ValueError(f"socket counts never balance at n={n}: the {n_var} variables' "
+                         f"sockets number {sums(vlo, vhi, vgap)}, the {n_chk} checks' "
+                         f"{sums(clo, chi, cgap)}")
     return n_var, n_chk
 
 
@@ -279,7 +310,12 @@ def sample_ensembles(dd, n, kind, seeds):
     above every edge, so draws of different edge counts share the rows),
     and one stable argsort of the window's rows per round finds every
     later copy; a graph leaves the window once it is simple, its
-    adjacency decoded from its sorted codes.
+    adjacency decoded from its sorted codes.  The same codes give a
+    window's check masks, a (graphs, n_chk) uint64 stack, when the window
+    holds two or more graphs on at most gf2.MAX_WORD_BITS variables: the
+    first reduced_checks read on any of its graphs row-reduces the whole
+    stack in one gf2.row_reduce_stack call.  Nothing row-reduces a graph
+    whose reduced_checks no one reads (the BP routes').
     """
     n_var, n_chk = ensemble_sizes(dd, n, kind)
     window = ensemble_window(dd, n, kind)
@@ -335,6 +371,8 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
     pairing[real] = (np.arange(cdegs.size) % n_chk).repeat(cdegs.ravel())[
         np.concatenate(perms) + first]
     out, live, n_edges = [None] * len(seeds), np.arange(len(seeds)), n_edges.tolist()
+    batched = len(seeds) > 1 and n_var <= gf2.MAX_WORD_BITS
+    masks = np.zeros((len(seeds), n_chk), np.uint64) if batched else None
     for _ in range(ENSEMBLE_RETRY_CAP):
         codes = var + pairing
         order = codes.argsort(axis=1, kind="stable")
@@ -346,7 +384,13 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
             for gi, g in zip(done.tolist(), _decode(codes[simple], vdegs[done], cdegs[done],
                                                     n_var, n_chk, kind)):
                 out[gi], rngs[gi] = g, None
+            if batched:
+                masks[done] = _check_masks(codes[simple], n_var, n_chk)
             if len(done) == len(live):
+                if batched:
+                    checks = _WindowChecks(masks)
+                    for row, g in enumerate(out):
+                        object.__setattr__(g, "_window", (checks, row))
                 return out
         # the later copies in socket order, the positions a scan of the
         # pairing socket by socket finds already seen, swapped in that order
@@ -379,6 +423,32 @@ def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
     by_chk = var.ravel()[order]
     for c, v, vd, cd in zip(chk.tolist(), by_chk.tolist(), vdegs.tolist(), cdegs.tolist()):
         yield TannerGraph(kind, n_var, n_chk, _split(c, vd), _split(v, cd))
+
+
+def _check_masks(codes, n_var, n_chk):
+    """Each check's variables as a uint64 bitmask, (graphs, n_chk), from
+    rows of distinct edge codes v * n_chk + c (padding codes, past every
+    edge, are skipped); n_var is at most gf2.MAX_WORD_BITS."""
+    var, chk = np.divmod(codes, n_chk)
+    rows, cols = np.nonzero(var < n_var)
+    masks = np.zeros((len(codes), n_chk), np.uint64)
+    # an edge's bit is set once, so adding the bits ORs them
+    np.add.at(masks, (rows, chk[rows, cols]), np.uint64(1) << var[rows, cols].astype(np.uint64))
+    return masks
+
+
+class _WindowChecks:
+    """The check masks of the graphs of one sampled window, a (G, n_chk)
+    uint64 stack, row-reduced for all G graphs by one
+    gf2.row_reduce_stack call on the first read of any row."""
+
+    def __init__(self, masks):
+        self._masks, self._reduced = masks, None
+
+    def __getitem__(self, row):
+        if self._reduced is None:
+            self._reduced, self._masks = gf2.row_reduce_stack(self._masks), None
+        return self._reduced[row]
 
 
 def _split(flat, lengths):

@@ -332,13 +332,14 @@ def test_checkpoint_extrinsics_consistent():
     assert np.allclose(out[5], bp_all_extrinsics(inst, 5))
 
 
-def test_edgeless_codes_flood(tmp_path):
+def test_edgeless_codes_flood(tmp_path, capsys):
     """A code with no edges floods without error: numpy's bincount over
     the empty edge index returns int64 zeros, and the floods added float
     messages into them.  LDPC bits keep their own observations (marginal
     tanh l, extrinsic 0); an LDGM check on no variable is the empty
     product, +1, like its exact posterior.  The repro of a limits config
-    on such a code runs to a PASS or a FAIL."""
+    on such a code passes: BP has converged, so every gap to the
+    reference depth is exactly 0."""
     l = np.array([[0.4, -0.8, 1.1, 0.0], [-0.3, 0.2, 0.0, 2.0]])
     ldpc = make_instance(build_graph(4, 1, [], LDPC), l)
     assert_bitwise(bp_run(ldpc, 7), np.tanh(l))
@@ -352,7 +353,10 @@ def test_edgeless_codes_flood(tmp_path):
         "code": {"type": "edges", "family": "ldpc", "n_var": 4, "n_chk": 1, "edges": []},
         "channel": "bsc:0.3", "samples": 2, "seed": 750065,
         "params": {"d_primes": [7, 11], "d_refs": [19]}}))
-    assert cli_main(["limits", "--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+    assert cli_main(["limits", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "limits: PASS\n"
+    summary = json.loads((tmp_path / "limits.json").read_text())["summary"]
+    assert summary["gaps_to_ref"] == {"7": 0.0, "11": 0.0} and summary["monotone"]
 
 
 def test_negative_depths_raise():

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels, exact, gf2
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
-                             all_marginals, codebit_table, conditional_entropy,
+                             all_marginals, codebit_table, codebit_tables,
+                             conditional_entropy,
                              correlations_with_root, make_instance,
                              pair_correlation,
                              partition_function, spin_product_correlation)
-from gibbscode.graphs import LDGM, LDPC, build_graph
+from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensembles
 
 
 def single_check(l0, l1):
@@ -324,6 +325,47 @@ def test_codebit_table_doubles_the_parity_signs():
         redundant += g.kind == LDPC and rank < g.n_chk
         big += X.size > 4 * channels.BLOCK_ELEMENTS
     assert deficient >= 5 and redundant >= 2 and big == 2
+
+
+def test_row_reduce_stack_is_row_reduce_per_matrix():
+    """gf2.row_reduce_stack gives each matrix of the stack the pairs
+    gf2.row_reduce gives it, sorted by pivot: on sparse random masks of up
+    to 63 bits, with zero rows, repeated rows and a row that is the sum of
+    two others, and on empty stacks."""
+    rng = np.random.default_rng(23)
+    for G, m, bits in [(40, 16, 16), (9, 7, 5), (1, 5, 4), (6, 12, 63), (2, 5, 1)]:
+        masks = rng.integers(0, 1 << bits, (G, m), dtype=np.uint64) \
+            & rng.integers(0, 1 << bits, (G, m), dtype=np.uint64)
+        masks[:, 0] = 0
+        masks[:, 1] = masks[:, 2]
+        masks[:, -1] = masks[:, 2] ^ masks[:, 3]
+        got = gf2.row_reduce_stack(masks)
+        assert got == [sorted(gf2.row_reduce(row)) for row in masks.tolist()]
+    assert gf2.row_reduce_stack(np.zeros((3, 0), np.uint64)) == [[], [], []]
+    assert gf2.row_reduce_stack(np.zeros((0, 4), np.uint64)) == []
+
+
+def test_codebit_tables_stack_each_graphs_table():
+    """codebit_tables stacks the codebit_table of each graph bit for bit,
+    on groups of one table shape drawn from LDPC and LDGM ensembles
+    (windowed, rank-deficient checks among them) and on fixed graphs."""
+    ensembles = [(DegreeDistribution.regular(4, 4), 16, LDPC),
+                 (DegreeDistribution.regular(3, 6), 12, LDPC),
+                 (DegreeDistribution.regular(3, 2), 9, LDGM),
+                 (DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0}), 14, LDGM)]
+    groups = []
+    for dd, n, kind in ensembles:
+        shapes = {}
+        for g in sample_ensembles(dd, n, kind, range(60)):
+            shapes.setdefault(g.free_spin_count, []).append(g)
+        groups += shapes.values()
+    groups.append([g for _, g in fixed_code_corpus() if g.kind == LDPC and g.n_var == 5] * 2)
+    for group in groups:
+        X = codebit_tables(tuple(group))
+        codebit_table.cache_clear()
+        assert X.dtype == np.int8
+        assert np.array_equal(X, np.stack([codebit_table(g) for g in group]))
+    assert sum(len(group) > 1 for group in groups) >= 8
 
 
 @pytest.mark.parametrize("budget", [channels.BLOCK_ELEMENTS, 24], ids=["default", "chunked"])

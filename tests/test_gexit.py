@@ -346,15 +346,17 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
 def test_bp_routes_build_no_table(monkeypatch, dd, n, kind):
     """The BP routes read an ensemble's draws one graph at a time and
     never row-reduce a graph, whose exact table no BP route builds (at
-    n = 1000 the rank cost most of a bp_gexit pass); bp_gexit's values and
-    standard error are those of a loop that floods one graph at a time."""
-    reduced, row_reduce = [], gf2.row_reduce
+    n = 1000 the rank cost most of a bp_gexit pass): neither the one-graph
+    reduction nor a sampled window's batched one runs.  bp_gexit's values
+    and standard error are those of a loop that floods one graph at a
+    time."""
+    reduced = []
+    for name in ("row_reduce", "row_reduce_stack"):
+        def counted(rows, reduce=getattr(gf2, name), name=name):
+            reduced.append(name)
+            return reduce(rows)
 
-    def counted(rows):
-        reduced.append(1)
-        return row_reduce(rows)
-
-    monkeypatch.setattr(gf2, "row_reduce", counted)
+        monkeypatch.setattr(gf2, name, counted)
     src, ch = EnsembleSpec(DegreeDistribution.regular(*dd), n, kind), ChannelModel("bsc", 0.05)
     est = bp_gexit(src, ch, 5, 7, 1, noise_per_graph=2)
     bp_gexit_multi_depth(src, ch, [2, 5], 4, 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_graph
-from gibbscode import channels, graphs
+from gibbscode import channels, gf2, graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
                               NodeCapExceeded, build_graph, code_bit_distances,
                               computational_tree, draw_degrees, enumerate_saws,
@@ -223,6 +223,73 @@ def test_impossible_ensembles_are_rejected():
     dd = DegreeDistribution.from_dicts({3: 1.0, 9: 0.0}, {3: 1.0})
     assert graphs.ensemble_sizes(dd, 4, LDPC) == (4, 4)
     assert all(len(a) == 3 for a in sample_ensemble(dd, 4, LDPC, 0).adj_var)
+    # 45 odd variable degrees always sum to an odd count, the check degrees
+    # to an even one: the sampler would redraw until its retry cap
+    with pytest.raises(ValueError, match=r"socket counts never balance at n=18: the 45 "
+                                         r"variables' sockets number 45\.\.135 in steps of 2, "
+                                         r"the 18 checks' 72\.\.108 in steps of 2"):
+        sample_ensembles(DegreeDistribution.from_dicts({3: 0.5, 1: 0.5}, {6: 0.5, 4: 0.5}),
+                         18, LDGM, [438096, 1])
+    # odd and even variable degrees reach every count; a regular side has one
+    dd = DegreeDistribution.from_dicts({2: 0.5, 3: 0.5}, {5: 1.0})
+    assert graphs.ensemble_sizes(dd, 10, LDPC) == (10, 5)
+    assert len(sample_ensemble(dd, 10, LDPC, 0).edges()) == 25
+    with pytest.raises(ValueError, match="the 5 variables' sockets number 5..15 in steps "
+                                         "of 2, the 5 checks' 10$"):
+        graphs.ensemble_sizes(DegreeDistribution.from_dicts({1: 0.5, 3: 0.5}, {2: 1.0}), 5,
+                              LDPC)
+
+
+#: ensembles whose sampled windows row-reduce in one batched elimination:
+#: every (4,4) LDPC graph at n = 16 has dependent checks (each variable
+#: sits in an even number of them), (3,6) LDPC at n = 24 mostly none,
+#: and an LDGM graph has more checks than variables, so rank G < n_chk
+WINDOWED_ENSEMBLES = {
+    "ldpc-4-4-n16": (DegreeDistribution.regular(4, 4), 16, LDPC),
+    "ldpc-3-6-n24": (DegreeDistribution.regular(3, 6), 24, LDPC),
+    "ldgm-3-2-n18": (DegreeDistribution.regular(3, 2), 18, LDGM),
+    "ldgm-mixed-n14": (DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0}), 14,
+                       LDGM),
+}
+
+
+@pytest.mark.parametrize("dd, n, kind", WINDOWED_ENSEMBLES.values(), ids=WINDOWED_ENSEMBLES)
+def test_sampled_windows_row_reduce_as_row_reduce(monkeypatch, dd, n, kind):
+    """Each sampled graph's reduced_checks are gf2.row_reduce's pairs for
+    its checks, sorted by pivot.  They come from one gf2.row_reduce_stack
+    call per window, made by the first read on any graph of the window
+    and none before; a graph sampled alone runs gf2.row_reduce."""
+    stacks, row_reduce_stack = [], gf2.row_reduce_stack
+
+    def counted(masks):
+        stacks.append(len(masks))
+        return row_reduce_stack(masks)
+
+    monkeypatch.setattr(gf2, "row_reduce_stack", counted)
+    drawn = sample_ensembles(dd, n, kind, range(100))
+    assert stacks == []
+    window = graphs.ensemble_window(dd, n, kind)
+    deficient = 0
+    for k, g in enumerate(drawn):
+        want = gf2.row_reduce(gf2.mask(c) for c in g.adj_chk)
+        assert g.reduced_checks == sorted(want)
+        assert len(stacks) == k // window + 1
+        deficient += len(want) < g.n_chk
+    assert stacks == [len(range(100)[w:w + window]) for w in range(0, 100, window)]
+    assert deficient > 0 or (dd, n, kind) == WINDOWED_ENSEMBLES["ldpc-3-6-n24"]
+    alone = sample_ensemble(dd, n, kind, 7)
+    assert alone.reduced_checks == gf2.row_reduce(gf2.mask(c) for c in alone.adj_chk)
+    assert len(stacks) == len(range(0, 100, window))
+
+
+def test_wide_windows_row_reduce_graph_by_graph(monkeypatch):
+    """Graphs on more variables than a uint64 word holds form no mask
+    stack: each runs gf2.row_reduce."""
+    monkeypatch.setattr(gf2, "row_reduce_stack", None)
+    drawn = sample_ensembles(DegreeDistribution.regular(3, 6), 64, LDPC, range(3))
+    assert all(g._window is None for g in drawn)
+    assert [len(g.reduced_checks) for g in drawn] == [
+        gf2.rank(gf2.mask(c) for c in g.adj_chk) for g in drawn]
 
 
 def same_side_adjacency(g, side, through=None):
