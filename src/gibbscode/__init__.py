@@ -4,7 +4,7 @@ over binary-input memoryless symmetric channels.
 Submodules:
 
   channels     BSC / BIAWGNC half-loglikelihood models and moment functionals
-  gf2          GF(2) bitmask elimination, codeword enumeration, parity signs
+  gf2          GF(2) bitmask elimination and the +-1 tables of spans
   graphs       Tanner graphs, ensembles, computational trees, walks
   exact        brute-force-exact posterior marginals, correlations, entropy
   bp           sum-product decoding on graphs and computational trees

@@ -374,38 +374,33 @@ def _tree_eval(ct, inst, inserts):
     def message(k, ins):
         typ, img = ct.node_type[k], ct.proj[k]
         ch = ct.children[k]
-        if kind == LDGM:
-            if typ == "var":
+        if typ == "var":
+            if kind == LDGM:
                 up, down = 1.0, 1.0  # components for u = +1 / -1
                 for c in ch:
                     up *= msg[c][0]
                     down *= msg[c][1]
                 return up, down
-            # combine var children into distribution of their product
-            qp, qm = 1.0, 0.0
-            for c in ch:
-                qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
-            deg = len(g.adj_chk[img])
-            present = len(ch) + (0 if ct.parent[k] == -1 else 1)
-            phantom = deg > present
-            lc = l[img]
-            if ct.parent[k] == -1:
-                return _ldgm_check_total(qp, qm, 1.0, lc, phantom, ins), 0.0
-            return (_ldgm_check_total(qp, qm, 1.0, lc, phantom, ins),
-                    _ldgm_check_total(qp, qm, -1.0, lc, phantom, ins))
-        if typ == "var":
             lv = l[img]
             up, down = math.exp(min(lv, L_SAT)), math.exp(max(-lv, -L_SAT))
             for c in ch:
                 up *= msg[c][0]
                 down *= msg[c][1]
             return (up, -down) if ins else (up, down)
+        # combine var children into distribution of their product
         qp, qm = 1.0, 0.0
         for c in ch:
             qp, qm = qp * msg[c][0] + qm * msg[c][1], qp * msg[c][1] + qm * msg[c][0]
+        if kind == LDPC:
+            return qp, qm  # parity: parent +1 needs product +1
+        deg = len(g.adj_chk[img])
+        present = len(ch) + (0 if ct.parent[k] == -1 else 1)
+        phantom = deg > present
+        lc = l[img]
         if ct.parent[k] == -1:
-            return qp, 0.0  # unreachable: LDPC roots are variables
-        return qp, qm  # parity: parent +1 needs product +1
+            return _ldgm_check_total(qp, qm, 1.0, lc, phantom, ins), 0.0
+        return (_ldgm_check_total(qp, qm, 1.0, lc, phantom, ins),
+                _ldgm_check_total(qp, qm, -1.0, lc, phantom, ins))
 
     logscale = 0.0
     # deepest first; the root, node 0 and the only node at depth 0, last

@@ -10,7 +10,9 @@ output directory.
 Exit codes: 0 on success, 1 when a check-type experiment prints FAIL,
 and 2 for bad arguments or a config that cannot be read or fails
 validation (one line on stderr, "gibbscode: invalid config: <message>";
-nothing is run).
+nothing is run), or for a run that hits a cap (an exact table, a
+computational tree or an enumeration grows past it: one line on stderr,
+"gibbscode: cap exceeded: <message>"; no output is written).
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import json
 import os
 import sys
 
+from .exact import BruteForceCapExceeded
 from .experiments import EXPERIMENTS, ExperimentConfig, emit, run_experiment
+from .graphs import EnumerationCapExceeded, NodeCapExceeded
 
 
 def build_parser():
@@ -43,7 +47,11 @@ def main(argv=None):
                   f"missing key {err}" if isinstance(err, KeyError) else err)
         print(f"gibbscode: invalid config: {reason}", file=sys.stderr)
         return 2
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except (BruteForceCapExceeded, EnumerationCapExceeded, NodeCapExceeded) as err:
+        print(f"gibbscode: cap exceeded: {err}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     emit(result, "csv", os.path.join(args.out, f"{args.experiment}.csv"))
     emit(result, "json", os.path.join(args.out, f"{args.experiment}.json"))

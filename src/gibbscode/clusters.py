@@ -257,10 +257,13 @@ def _replica_tables(inst, A, B):
     """Config-pair matrices for the replicated LDGM measure: per-check
     weight factors M_c and the product f_A f_B of replica differences,
     over all 2^n_var configurations u of each replica (the posterior
-    pass's table keeps one per coset of the kernel of G instead)."""
+    pass's table keeps one per coset of the kernel of G instead), in
+    ascending order: the span doubled from each variable's incidence
+    row, -1 on its checks and on u_A, u_B if it lies in A, B."""
     g = inst.graph
-    masks = [gf2.mask(c) for c in g.adj_chk] + [gf2.mask(A), gf2.mask(B)]
-    signs = gf2.parity_signs(gf2.cube(g.n_var), masks).astype(float)
+    signs = gf2.span_signs(gf2.sign_rows(
+        [[*g.adj_var[v], *(g.n_chk + k for k, S in enumerate((A, B)) if v in S)]
+         for v in range(g.n_var)], g.n_chk + 2)).astype(float)
     X, uA, uB = signs[:, :g.n_chk], signs[:, -2], signs[:, -1]  # (configs, n_chk), u_A, u_B
     l = inst.values
     FAB = (uA[:, None] - uA[None, :]) * (uB[:, None] - uB[None, :])

@@ -16,9 +16,11 @@ of the generator G; the table holds the 2^(rank G) configurations of the
 pivot information bits, one per coset of the kernel, and each row stands
 for 2^(m - rank G) configurations, a factor log Z carries.  LDPC: the
 2^(n - rank H) codewords, spanned from a nullspace basis of the parity
-checks.  Both tables are spans, doubled up from the parity signs of
-their basis words: one graph's table alone and cached (codebit_table),
-the tables of a group of graphs that share one shape as one (G, R, n)
+checks.  Both tables are the +-1 span of a basis of the code, doubled
+up by gf2.span_signs from its sign rows (LDGM: the generator rows of
+the pivot information bits, read from adjacency; LDPC: the nullspace
+basis words): one graph's table alone and cached (codebit_table), the
+tables of a group of graphs that share one shape as one (G, R, n)
 stack (codebit_tables).  It works in the log domain, and relies on
 numpy's pairwise summation for reproducible reductions.  Every quantity is a
 weighted sum over one posterior pass, which takes a whole block of noise
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import partial, update_wrapper
+from functools import cache, partial, update_wrapper
 
 import numpy as np
 
@@ -183,36 +185,36 @@ def codebit_table(graph):
     2^n enumeration filtered by the parity indicators); X[r, i] is spin
     i of codeword r.
 
-    Both are spans: gf2.parity_signs gives the sign rows of the basis
-    words (LDGM: each pivot information bit against the checks; LDPC:
-    each nullspace basis word's spins), and gf2.span_signs doubles them
-    into the table, row k the product of the rows picked by the bits of
-    k, which is the parity-sign row of the XOR of those words.
+    Both are the +-1 span of a basis of the code: gf2.span_signs doubles
+    the basis rows of _span_basis into the table, row k the product of
+    the rows picked by the bits of k, which is the sign row of the XOR of
+    those basis words.
     """
-    return gf2.span_signs(gf2.parity_signs(*_span_basis(graph)))
+    return codebit_tables((graph,))[0]
 
 
 def codebit_tables(graphs):
     """The codebit_tables of graphs whose tables share one shape, as a
-    (G, R, n) int8 stack built by one gf2.parity_signs and one
-    gf2.span_signs call over the graph axis; each slice is bit for bit
-    the graph's codebit_table.  Uncached: the posterior pass builds the
-    stack of a group of two or more graphs, which _batches bounds to one
-    block."""
-    words, masks = zip(*map(_span_basis, graphs))
-    return gf2.span_signs(gf2.parity_signs(words, masks))
+    (G, R, n) int8 stack doubled by one gf2.span_signs call over the
+    graph axis; each slice is bit for bit the graph's codebit_table.
+    Uncached: the posterior pass builds the stack of a group of two or
+    more graphs, which _batches bounds to one block."""
+    return gf2.span_signs(_span_basis(graphs))
 
 
-def _span_basis(graph):
-    """The basis words whose parity signs against the masks are the sign
-    rows codebit_table doubles: LDGM, the pivot information bits
-    (compressed, word k is bit k) against the compressed checks; LDPC,
-    the nullspace basis against the unit masks of the variables."""
-    reduced = graph.reduced_checks
-    if graph.kind == LDGM:
-        return ([1 << k for k in range(len(reduced))],
-                gf2.compress((gf2.mask(c) for c in graph.adj_chk), reduced))
-    return gf2.nullspace_basis(reduced, graph.n_var), [1 << i for i in range(graph.n_var)]
+def _span_basis(graphs):
+    """The int8 sign rows of a basis of each graph's code, which
+    codebit_tables doubles, as one (G, b, n) stack for graphs of one
+    table shape, from the supports of the basis words: LDGM, the
+    generator rows of the pivot information bits in ascending order, row
+    j -1 on the checks of the j-th lowest pivot, read from adjacency;
+    LDPC, the nullspace basis words.  No word width applies."""
+    rows = []
+    for g in graphs:
+        rows += ([g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
+                 if g.kind == LDGM else gf2.nullspace_basis(g.reduced_checks, g.n_var))
+    shape = (len(graphs), graphs[0].free_spin_count, graphs[0].code_bit_count)
+    return gf2.sign_rows(rows, shape[2]).reshape(shape)
 
 
 #: a half's posterior probability below this is recomputed by a
@@ -401,31 +403,33 @@ def moments_with_root(inst, i):
     return _posterior(inst, chunk, finish)
 
 
-def _spin_products(graph, A, B, words):
-    """u_A u_B, u_A and u_B as float columns over rows of an LDGM graph's
-    codebit_table, given as uint64 row indices.  u_S is constant on each
-    coset of the kernel of G when S lies in the row space of G, and is
-    then read off the row's pivot bits; otherwise it is +1 and -1 on
-    equal halves of every coset, so its posterior mean is 0, and its
-    column is 0."""
+def _spin_products(graph, A, B):
+    """u_A u_B, u_A and u_B as the int8 columns of a table over the rows
+    of an LDGM graph's codebit_table, doubled from the pivots'
+    membership in A + B (symmetric difference), A and B.  u_S is
+    constant on each coset of the kernel of G when S lies in the row
+    space of G, and is then read off the row's pivot bits; otherwise it
+    is +1 and -1 on equal halves of every coset, so its posterior mean is
+    0, and its column is 0."""
     reduced = graph.reduced_checks
     masks = [gf2.mask(A) ^ gf2.mask(B), gf2.mask(A), gf2.mask(B)]
-    U = gf2.parity_signs(words, gf2.compress(masks, reduced)).astype(float)
-    U[:, [gf2.reduce(s, reduced) != 0 for s in masks]] = 0.0
+    U = gf2.span_signs(gf2.sign_rows(
+        [[k for k, s in enumerate(masks) if s & p] for p in sorted(p for p, _ in reduced)], 3))
+    U[:, [gf2.reduce(s, reduced) != 0 for s in masks]] = 0
     return U
 
 
 def spin_product_correlation(inst, A, B):
     """<u_A u_B> - <u_A><u_B> for variable sets A, B of an LDGM instance,
     where u_S is the product of the spins in S; the quantity bounded by
-    the self-avoiding-walk expansion.  The spin products are built per
-    row chunk, after the cap check."""
+    the self-avoiding-walk expansion.  The spin-product table is built
+    once, after the cap check, and converted to float per row chunk."""
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
+    products = cache(lambda: _spin_products(inst.graph, A, B))
 
     def chunk(F, rows):
-        U = _spin_products(inst.graph, A, B,
-                           np.arange(rows.start, rows.start + F.shape[1], dtype=np.uint64))
+        U = products()[rows].astype(float)
         return lambda w, samples: (w @ U,)
 
     def finish(X, L, logz, wsum, wu):

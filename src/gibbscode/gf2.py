@@ -1,34 +1,39 @@
-"""Linear algebra over GF(2) on python-int bitmasks, and the parity-sign
-tables built from it.
+"""Linear algebra over GF(2) on python-int bitmasks, and the sign tables
+of its spans.
 
 An index set, a parity-check row, a codeword and a spin configuration
 are all bitmasks here (bit i set iff index i is in the set, or spin i is
--1).  This module owns the four operations the enumeration layers share:
-the mask of an index set, the parity signs (-1)^{popcount(word & mask)}
-of a batch of words, the row reduction (rank, row-space membership, pivot
-coordinates and nullspace basis) and the sign table of a whole span,
-doubled up from the signs of its basis words.  The functions after
-row_reduce take its output, so a caller that needs several of them
-reduces its rows once.
+-1); only the basis words that tables are built from are given by their
+supports, index lists, so no word width limits them.  This module owns
+what the enumeration layers share: the mask of an index set, the row
+reduction (rank, row-space membership, pivot coordinates and the
+supports of a nullspace basis) and the one enumeration, span_signs: the
++-1 table of a whole span, doubled up from the sign rows of a basis of
+it, which sign_rows builds from the supports.  Every table of the
+library is such a span: the codewords, the pivot configurations of an
+LDGM generator, the spin products and the replica configurations.  The
+functions after row_reduce take its output, so a caller that needs
+several of them reduces its rows once.
 
 row_reduce is the one-matrix reduction and the reference;
 row_reduce_stack reduces a (G, m) uint64 stack of G matrices at once,
 column by column for all G (the word-parallel elimination of M4RI,
 Albrecht and Bard, ACM TOMS 2010), and gives each the same pairs.
-parity_signs and span_signs take a leading graph axis, so the sign
-tables of G spans of one shape are built as one stack.
+span_signs takes a leading graph axis, so the tables of G spans of one
+shape are built as one stack.  cube and parity_signs, the popcount of
+explicit words against masks, are the brute force the tables are
+checked against.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .channels import block_slices
 
-#: most code bits a codeword may have: parity signs are taken of uint64
-#: words, kept clear of the top bit
+#: most bits a uint64 word holds with its top bit clear: the most
+#: variables of a sampled window whose check masks are stacked as words,
+#: and the most code bits of an LDPC code with an exact table
 MAX_WORD_BITS = 63
 
 
@@ -48,17 +53,14 @@ def cube(n_spins):
 
 def parity_signs(words, masks):
     """(-1)^{popcount(word & mask)} for every word (rows) and mask
-    (columns), as an int8 table; words of shape (..., W) and masks of
-    shape (..., M) with the same leading axes give a (..., W, M) stack,
-    one table per leading index (per graph).  The uint64 temporaries are
+    (columns), as an int8 table: the popcount brute force that the
+    doubled span tables are checked against.  The uint64 temporaries are
     bounded by the block budget."""
-    words, masks = np.asarray(words, np.uint64), np.array(masks, dtype=np.uint64)
-    lead = words.shape[:-1]
-    out = np.empty(lead + (words.shape[-1], masks.shape[-1]), np.int8)
-    for rows in block_slices(words.shape[-1], math.prod(lead) * masks.shape[-1]):
-        block = out[..., rows, :]
-        block[...] = np.bitwise_count(words[..., rows, None] & masks[..., None, :]) \
-            & np.uint8(1)
+    masks = np.array(masks, dtype=np.uint64)
+    out = np.empty((len(words), len(masks)), np.int8)
+    for rows in block_slices(len(words), len(masks)):
+        block = out[rows]
+        block[...] = np.bitwise_count(words[rows, None] & masks) & np.uint8(1)
         block *= -2
         block += 1
     return out
@@ -130,27 +132,23 @@ def rank(rows):
     return len(row_reduce(rows))
 
 
-def compress(words, reduced):
-    """Each word's bits at the pivots of the reduced rows, packed in
-    ascending pivot order: bit k of the result is the word's bit at the
-    k-th lowest pivot.  Words supported on the pivots are one per coset
-    of the rows' nullspace, and popcount(compress(w) & k) is the parity
-    of w against the word whose pivot bits are those of k."""
-    pivots = sorted(p for p, _ in reduced)
-    return [sum(1 << k for k, p in enumerate(pivots) if w & p) for w in words]
-
-
 def nullspace_basis(reduced, n_cols):
-    """One word per free column f of the reduced rows, in ascending f:
-    bit f plus the pivots of the rows that hold f.  Pivots are the rows'
-    lowest bits, so f is the word's highest bit."""
+    """The supports of a basis of the nullspace of the reduced rows, one
+    word per free column f, in ascending f: f plus the pivots of the rows
+    that hold f, as an index list.  Pivots are the rows' lowest bits, so
+    f is the word's highest index."""
     pivots = sum(p for p, _ in reduced)  # distinct single bits
-    basis = []
-    for f in range(n_cols):
-        bit = 1 << f
-        if not pivots & bit:
-            basis.append(bit + sum(p for p, q in reduced if q & bit))
-    return basis
+    return [[*(p.bit_length() - 1 for p, q in reduced if q >> f & 1), f]
+            for f in range(n_cols) if not pivots >> f & 1]
+
+
+def sign_rows(supports, width):
+    """The int8 sign rows of words given by their supports: row k is -1 on
+    the indices in supports[k] and +1 elsewhere, width entries; no word
+    width applies."""
+    out = np.ones((len(supports), width), np.int8)
+    np.put(out, [k * width + i for k, s in enumerate(supports) for i in s], -1)
+    return out
 
 
 def span_signs(signs):

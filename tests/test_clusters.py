@@ -339,6 +339,30 @@ def test_replica_decomposition_on_rank_deficient_graph():
     assert abs(spin_product_correlation(inst, {0}, {2})) > 1e-3
 
 
+def test_replica_tables_match_the_popcount():
+    """The replica tables doubled from the variables' incidence rows equal
+    those read off the popcounted parity signs of all 2^n_var
+    configurations against the check masks and the masks of A and B, bit
+    for bit; on random LDGM graphs, a variable in no check among them."""
+    rng = np.random.default_rng(31)
+    graphs = [random_ldgm_graph(rng) for _ in range(30)]
+    graphs.append(build_graph(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3),
+                                     (3, 3)], LDGM))
+    for g in graphs:
+        A = {v for v in range(g.n_var) if rng.random() < 0.5}
+        B = {v for v in range(g.n_var) if rng.random() < 0.5}
+        inst = make_instance(g, rng.normal(0.3, 1.0, g.n_chk))
+        masks = [gf2.mask(c) for c in g.adj_chk] + [gf2.mask(A), gf2.mask(B)]
+        signs = gf2.parity_signs(gf2.cube(g.n_var), masks).astype(float)
+        X, uA, uB = signs[:, :g.n_chk], signs[:, -2], signs[:, -1]
+        l = inst.values
+        FAB, Ms = clusters._replica_tables(inst, A, B)
+        assert np.array_equal(FAB, (uA[:, None] - uA[None, :]) * (uB[:, None] - uB[None, :]))
+        for c in range(g.n_chk):
+            want = np.exp(l[c] * (X[:, c][:, None] + X[:, c][None, :]) + 2.0 * abs(l[c]))
+            assert np.array_equal(Ms[c], want), (g, c)
+
+
 def full_cube_K(inst, term, i, j):
     """(K_ij(Xhat), sum of its terms' magnitudes) over both replicas' 2^|Xhat|
     dual configurations in exact arithmetic: the brute force that

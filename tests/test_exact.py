@@ -278,27 +278,37 @@ def codewords(reduced, n_cols):
     word at index k XORs the basis words picked by the bits of k."""
     words = np.zeros(1, np.uint64)
     for b in gf2.nullspace_basis(reduced, n_cols):
-        words = np.concatenate([words, words ^ np.uint64(b)])
+        words = np.concatenate([words, words ^ np.uint64(gf2.mask(b))])
     return words
 
 
+def pivot_configurations(g):
+    """The 2^rank G configurations of an LDGM graph's pivot information
+    bits as uint64 words in variable coordinates, all other bits 0: bit
+    j of the index k set at the j-th lowest pivot, in ascending k."""
+    index = gf2.cube(len(g.reduced_checks))
+    configs = np.zeros_like(index)
+    for j, pivot in enumerate(sorted(p for p, _ in g.reduced_checks)):
+        configs |= (index >> np.uint64(j) & np.uint64(1)) * np.uint64(pivot)
+    return configs
+
+
 def parity_sign_table(g):
-    """The table as parity signs of every enumerated word: the 2^rank G
-    pivot configurations against the compressed checks (LDGM), or the
+    """The table as popcounted parity signs of every enumerated word: the
+    2^rank G pivot configurations against the check masks (LDGM), or the
     codewords against the unit masks (LDPC)."""
-    reduced = g.reduced_checks
     if g.kind == LDGM:
-        return gf2.parity_signs(gf2.cube(len(reduced)),
-                                gf2.compress((gf2.mask(c) for c in g.adj_chk), reduced))
-    return gf2.parity_signs(codewords(reduced, g.n_var), [1 << i for i in range(g.n_var)])
+        return gf2.parity_signs(pivot_configurations(g), [gf2.mask(c) for c in g.adj_chk])
+    return gf2.parity_signs(codewords(g.reduced_checks, g.n_var),
+                            [1 << i for i in range(g.n_var)])
 
 
 def test_codebit_table_doubles_the_parity_signs():
-    """The doubled table equals gf2.parity_signs over the cube (LDGM) or
-    the codewords (LDPC) bit for bit: same int8 values, same row order;
-    on random graphs of both families, rank-deficient generators,
-    redundant parity checks, and tables that span several parity_signs
-    blocks of BLOCK_ELEMENTS entries."""
+    """The doubled table equals gf2.parity_signs over the pivot
+    configurations (LDGM) or the codewords (LDPC) bit for bit: same int8
+    values, same row order; on random graphs of both families,
+    rank-deficient generators, redundant parity checks, and tables that
+    span several parity_signs blocks of BLOCK_ELEMENTS entries."""
     rng = np.random.default_rng(19)
     graphs = [g for _, g in fixed_code_corpus()]
     for _ in range(40):
@@ -347,8 +357,9 @@ def test_row_reduce_stack_is_row_reduce_per_matrix():
 
 def test_codebit_tables_stack_each_graphs_table():
     """codebit_tables stacks the codebit_table of each graph bit for bit,
-    on groups of one table shape drawn from LDPC and LDGM ensembles
-    (windowed, rank-deficient checks among them) and on fixed graphs."""
+    and each slice is the graph's popcounted parity_sign_table, on groups
+    of one table shape drawn from LDPC and LDGM ensembles (windowed,
+    rank-deficient checks among them) and on fixed graphs."""
     ensembles = [(DegreeDistribution.regular(4, 4), 16, LDPC),
                  (DegreeDistribution.regular(3, 6), 12, LDPC),
                  (DegreeDistribution.regular(3, 2), 9, LDGM),
@@ -365,6 +376,7 @@ def test_codebit_tables_stack_each_graphs_table():
         codebit_table.cache_clear()
         assert X.dtype == np.int8
         assert np.array_equal(X, np.stack([codebit_table(g) for g in group]))
+        assert np.array_equal(X, np.stack([parity_sign_table(g) for g in group]))
     assert sum(len(group) > 1 for group in groups) >= 8
 
 
@@ -626,6 +638,50 @@ def test_rank_deficient_ldgm_matches_cube_enumeration(g, seed):
     for A, B in ((g.adj_chk[0], g.adj_chk[-1]), ({0}, {g.n_var - 1}), (subset(), subset())):
         assert np.max(np.abs(spin_product_correlation(inst, A, B) -
                              _spin_product_reference(g, L, A, B))) <= 1e-12, (A, B)
+
+
+def test_spin_products_match_the_popcount():
+    """The doubled spin-product table equals the parity signs of the
+    pivot configurations against the masks of A + B, A and B bit for
+    bit, with the columns of sets outside the row space of G zeroed; on
+    random LDGM graphs, rank-deficient ones among them, and sets inside
+    and outside the row space."""
+    rng = np.random.default_rng(23)
+    outside = deficient = 0
+    for _ in range(60):
+        g = random_ldgm_graph(rng)
+        deficient += len(g.reduced_checks) < g.n_var
+        subset = lambda: {v for v in range(g.n_var) if rng.random() < 0.5}
+        for A, B in ((g.adj_chk[0], g.adj_chk[-1]), (subset(), subset())):
+            masks = [gf2.mask(A) ^ gf2.mask(B), gf2.mask(A), gf2.mask(B)]
+            want = gf2.parity_signs(pivot_configurations(g), masks)
+            zero = [gf2.reduce(s, g.reduced_checks) != 0 for s in masks]
+            want[:, zero] = 0
+            U = exact._spin_products(g, A, B)
+            assert U.dtype == np.int8 and np.array_equal(U, want), (g, A, B)
+            outside += any(zero)
+    assert outside >= 10 and deficient >= 5
+
+
+def test_ldgm_beyond_word_width_has_closed_forms():
+    """LDGM codes of more information bits than a uint64 word holds: 6
+    checks on disjoint sets of 11 variables, 66 in all, and the same
+    checks moved past 14 variables in no check, so that pivots lie past
+    bit 63.  The table is the 2^6 sign cube of the checks, log Z = n_var
+    ln 2 + sum_c ln cosh l_c, <x_c> = tanh l_c, and distinct checks are
+    uncorrelated."""
+    bits = np.arange(64)[:, None] >> np.arange(6) & 1
+    l = np.random.default_rng(29).normal(0.3, 1.0, (5, 6))
+    for skip in (0, 14):
+        g = build_graph(66 + skip, 6, [(skip + v, v // 11) for v in range(66)], LDGM)
+        assert np.array_equal(codebit_table(g), (1 - 2 * bits).astype(np.int8))
+        inst = make_instance(g, l)
+        logz = g.n_var * math.log(2) + np.log(np.cosh(l)).sum(axis=1)
+        assert np.max(np.abs(partition_function(inst) - logz)) <= 1e-12 * np.abs(logz).max()
+        assert np.max(np.abs(all_marginals(inst) - np.tanh(l))) <= 1e-12
+        assert np.max(np.abs(spin_product_correlation(inst, g.adj_chk[0], g.adj_chk[5]))) <= 1e-12
+        assert np.max(np.abs(spin_product_correlation(inst, g.adj_chk[2], g.adj_chk[2])
+                             - (1 - np.tanh(l[:, 2]) ** 2))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

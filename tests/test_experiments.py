@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import fixed_code_corpus
-from gibbscode import experiments, gexit
+from gibbscode import cli, exact, experiments, gexit, graphs
 from gibbscode.channels import ChannelModel, sample_llr
 from gibbscode.cli import main as cli_main
 from gibbscode.clusters import dkp_pointwise_bound
@@ -322,6 +322,45 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and captured.err.startswith(message), \
             (experiment, captured.err)
         assert not out.exists()
+
+
+def test_cli_cap_hit_at_run_time_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """A run that hits a cap is not a failed check either: one line on
+    stderr, exit code 2 and no output written, for each of the three cap
+    errors (under small caps: an LDGM draw's rank G over the brute-force
+    cap, the walks of bounds over the walk cap; no experiment builds a
+    computational tree, so a run that raises its cap error stands in for
+    one).  Other errors are not caught."""
+    ensemble = {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2,
+                "n": 9}
+    base = {"code": ensemble, "channel": "bsc:0.3", "samples": 4, "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "o"
+    run = cli.run_experiment
+
+    def raising(err):
+        def run_experiment(cfg):
+            raise err
+        return run_experiment
+
+    for experiment, doc, patch, message in (
+            ("gexit-curve", {**base, "params": {"methods": ["functional"]}},
+             (exact, "BRUTE_FORCE_CAP", 2), "support dimension 5 (rank G) exceeds cap 2"),
+            ("bounds", base, (graphs, "SAW_ENUM_CAP", 1), "more than 1 walks"),
+            ("bounds", base, (cli, "run_experiment", raising(graphs.NodeCapExceeded("tree"))),
+             "tree")):
+        cfg_path.write_text(json.dumps(doc))
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert cli_main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbscode: cap exceeded: {message}\n"
+        assert not out.exists()
+    assert cli.run_experiment is run
+    monkeypatch.setattr(cli, "run_experiment", raising(ValueError("not a cap")))
+    with pytest.raises(ValueError, match="not a cap"):
+        cli_main(["bounds", "--config", str(cfg_path), "--out", str(out)])
 
 
 def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys):
