@@ -99,7 +99,7 @@ class DualInstance:
         table is capped as exact caps an LDGM table, on its rank, rank H."""
         g = self.graph
         dual = dual_graph(g, range(g.n_var), range(g.n_chk))
-        exact._check_cap(dual.kind, dual.n_var, dual.free_spin_count)
+        exact._check_cap(dual.kind, dual.free_spin_count)
         T, W = dual_weights(dual, self.values)
         return T, W, W.sum()
 

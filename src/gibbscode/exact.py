@@ -23,7 +23,9 @@ basis words): one graph's table alone and cached (codebit_table), the
 tables of a group of graphs that share one shape as one (G, R, n)
 stack (codebit_tables).  It works in the log domain, and relies on
 numpy's pairwise summation for reproducible reductions.  Every quantity is a
-weighted sum over one posterior pass, which takes a whole block of noise
+weighted sum over one posterior pass (an extrinsic <x_i>_0 whose half
+underflows is a marginal of the same pass, under LLRs with l_i = 0),
+which takes a whole block of noise
 realizations at once and streams over the int8 table X: each row chunk
 of X is converted to float once per call and run against every block of
 the (S, n) LLR block L, and each sample keeps a running maximum
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import gf2
 from .channels import block_slices
-from .graphs import LDGM, LDPC
+from .graphs import LDGM
 
 #: cap on the support dimension, rank G (LDGM) or n - rank H (LDPC); the
 #: dual of an LDPC code is an LDGM code, so its cap is on rank H;
@@ -115,13 +117,11 @@ class PosteriorInstance:
 make_instance = PosteriorInstance
 
 
-def _check_cap(kind, n_var, dim):
-    """Raise BruteForceCapExceeded unless the table of a code of this
-    family on n_var variables with support dimension dim (its
-    free_spin_count) is within the caps."""
-    if kind == LDPC and n_var > gf2.MAX_WORD_BITS:
-        raise BruteForceCapExceeded(
-            f"{n_var} code bits exceed the {gf2.MAX_WORD_BITS} a codeword word holds")
+def _check_cap(kind, dim):
+    """Raise BruteForceCapExceeded unless a table of this family with
+    support dimension dim (its free_spin_count) is within the cap; no
+    word width applies, since every table is doubled from the supports
+    of basis words."""
     if dim > BRUTE_FORCE_CAP:
         what = "rank G" if kind == LDGM else "codeword dimension n - rank H"
         raise BruteForceCapExceeded(f"support dimension {dim} ({what}) "
@@ -218,8 +218,8 @@ def _span_basis(graphs):
 
 
 #: a half's posterior probability below this is recomputed by a
-#: log-sum-exp over that half alone: its terms may be subnormal or have
-#: underflowed to zero
+#: posterior pass with that bit's LLR set to 0: its terms may be
+#: subnormal or have underflowed to zero
 _TINY_PROBABILITY = 1e-290
 
 
@@ -258,7 +258,7 @@ def _posterior(inst, terms, finish):
     graphs, values = inst.graphs, inst.values
     L = values.reshape(len(graphs), -1, values.shape[-1])
     for g in graphs:
-        _check_cap(g.kind, g.n_var, g.free_spin_count)
+        _check_cap(g.kind, g.free_spin_count)
     X = codebit_table(graphs[0])[None] if len(graphs) == 1 else codebit_tables(graphs)
     G, R, n = X.shape
     S = L.shape[1]
@@ -318,35 +318,14 @@ def all_marginals(inst):
                       lambda X, L, logz, wsum, wx: _expectation(wx, wsum))
 
 
-def _half_log_weights(X, L):
-    """log Z_i+ and log Z_i- for every row of the LLR block L and code bit
-    i: streamed log-sum-exps of the log-weights over the rows with
-    x_i = +1 and with x_i = -1, each against its own running maximum, so
-    neither half underflows; an empty half gives -inf.  X is one graph's
-    table."""
-    top = np.full((2,) + L.shape, -np.inf)
-    total = np.zeros((2,) + L.shape)
-    for rows in block_slices(*X.shape):
-        F = _float_chunk(X, rows)
-        for samples in block_slices(len(L), F.size):  # (samples, rows, n) temporaries
-            logw = (L[samples] @ F.T)[:, :, None]
-            for h, sign in enumerate((1.0, -1.0)):
-                half = np.where(F == sign, logw, -np.inf)
-                new = np.maximum(top[h, samples], half.max(axis=1))
-                shift = np.where(new > -np.inf, new, 0.0)  # no row of the half yet
-                total[h, samples] *= np.exp(top[h, samples] - shift)
-                total[h, samples] += np.exp(half - shift[:, None]).sum(axis=1)
-                top[h, samples] = new
-    with np.errstate(divide="ignore"):
-        return top + np.log(total)
-
-
 def all_extrinsics(inst):
     """<x_i>_0, the marginal recomputed with l_i = 0, for every code bit at
     once: tanh(ln(Z_i+ / Z_i-) / 2 - l_i), with Z_i+- the weight of the
     configurations with x_i = +-1, the log-domain form of reweighting by
-    exp(-l_i x_i), finite for any LLR magnitude.  Samples whose halves
-    underflow are recomputed graph by graph."""
+    exp(-l_i x_i), finite for any LLR magnitude.  An entry whose half
+    underflows is that definition itself: bit i's marginal under its
+    sample's LLRs with l_i set to 0, one row of an all_marginals pass
+    per entry, graph by graph."""
 
     def chunk(F, rows):
         P, Q = np.maximum(F, 0.0), np.maximum(-F, 0.0)  # indicators of x_i = +1, -1
@@ -363,10 +342,10 @@ def all_extrinsics(inst):
             tiny_minus &= (X.min(axis=1) < 0)[:, None, :]
         bad = (pplus < _TINY_PROBABILITY) | tiny_minus
         for k in np.flatnonzero(bad.any(axis=(1, 2))) if bad.any() else ():
-            redo = bad[k].any(axis=1)
-            lplus, lminus = _half_log_weights(X[k], L[k, redo])
-            exact_ext = np.tanh(0.5 * (lplus - lminus) - L[k, redo])
-            out[k, redo] = np.where(bad[k, redo], exact_ext, out[k, redo])
+            s, i = np.nonzero(bad[k])
+            rows, entries = L[k, s], (np.arange(len(s)), i)  # one row per entry
+            rows[entries] = 0.0
+            out[k, s, i] = all_marginals(PosteriorInstance(inst.graphs[k], rows))[entries]
         return out
 
     return _posterior(inst, chunk, finish)

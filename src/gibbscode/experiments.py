@@ -184,7 +184,7 @@ class ExperimentConfig:
                 raise ValueError("duality-check draws codes of 3 to n_max bits; needs n_max >= 3")
             # the worst draw: n_max bits under one rank-1 check
             try:
-                exact._check_cap(LDPC, n_max, n_max - 1)
+                exact._check_cap(LDPC, n_max - 1)
             except exact.BruteForceCapExceeded as err:
                 raise ValueError(f"duality-check draws LDPC codes of up to n_max = {n_max} "
                                  f"bits and as few as one check: {err}") from None
@@ -206,14 +206,14 @@ class ExperimentConfig:
                 raise ValueError("bounds needs a threshold H > 0")
         if isinstance(src, gexit.EnsembleSpec) and src.n is not None:
             n_chk = ensemble_sizes(src.dd, src.n, src.kind)[1]  # raises unless they balance
-        # where exact tables are built, a fixed code's must fit the caps, and
+        # where exact tables are built, a fixed code's must fit the cap, and
         # so must an LDPC ensemble's, each draw having n - rank H >= n - n_chk
         # (an LDGM draw's rank G is known only once drawn, at run time)
         if self.experiment in ("corr-decay", "bounds") or set(methods) & set(gexit.MAP_METHODS):
             if not isinstance(src, gexit.EnsembleSpec):
-                exact._check_cap(src.kind, src.n_var, src.free_spin_count)
+                exact._check_cap(src.kind, src.free_spin_count)
             elif src.kind == LDPC:
-                exact._check_cap(LDPC, src.n, src.n - n_chk)
+                exact._check_cap(LDPC, src.n - n_chk)
         sampled = [m for m in methods if m != "de"]
         if sampled and self.samples < 2:
             raise ValueError(f"gexit-curve methods {sampled} estimate a standard error over "

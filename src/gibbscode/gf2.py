@@ -33,7 +33,8 @@ from .channels import block_slices
 
 #: most bits a uint64 word holds with its top bit clear: the most
 #: variables of a sampled window whose check masks are stacked as words,
-#: and the most code bits of an LDPC code with an exact table
+#: its only use (tables are doubled from supports, so no code's length
+#: is limited by it)
 MAX_WORD_BITS = 63
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -70,9 +70,10 @@ class TannerGraph:
     adj_var: tuple  # adj_var[v] = tuple of incident check ids
     adj_chk: tuple  # adj_chk[c] = tuple of incident variable ids
 
-    #: (_WindowChecks, row) of a graph that sample_ensembles drew in a
-    #: window of two or more graphs (not a field: equality and hashing
-    #: ignore it); None on every other graph
+    #: (reduce, row) of a graph that sample_ensembles drew in a window of
+    #: two or more graphs, reduce() the window's row-reduced checks, cached
+    #: (not a field: equality and hashing ignore it); None on every other
+    #: graph
     _window = None
 
     def __post_init__(self):
@@ -109,8 +110,8 @@ class TannerGraph:
         any graph of the window makes; any other graph runs
         gf2.row_reduce."""
         if self._window is not None:
-            checks, row = self._window
-            return checks[row]
+            reduce, row = self._window
+            return reduce()[row]
         return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
 
     @property
@@ -302,7 +303,8 @@ def sample_ensembles(dd, n, kind, seeds):
     the variable sockets, then one uniform socket per repair swap: every
     later copy of an edge in socket order is swapped with a uniform
     socket, round after round until the pairing is simple (each loop up
-    to ENSEMBLE_RETRY_CAP rounds).
+    to ENSEMBLE_RETRY_CAP rounds, past which EnumerationCapExceeded names
+    the rounds and the graph's sizes).
 
     Only those draws run graph by graph.  The graphs are repaired a
     window of ensemble_window graphs at a time: a pairing is a row of
@@ -351,7 +353,9 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
             if vd.sum() == sockets:
                 break
         else:
-            raise RuntimeError("could not balance socket counts; retry cap exceeded")
+            raise EnumerationCapExceeded(
+                f"could not balance socket counts in {ENSEMBLE_RETRY_CAP} degree draws of a "
+                f"graph of {n_var} variables and {n_chk} checks")
         rngs.append(rng)
         vdegs.append(vd)
         cdegs.append(cd)
@@ -388,9 +392,9 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
                 masks[done] = _check_masks(codes[simple], n_var, n_chk)
             if len(done) == len(live):
                 if batched:
-                    checks = _WindowChecks(masks)
+                    reduce = cache(lambda: gf2.row_reduce_stack(masks))
                     for row, g in enumerate(out):
-                        object.__setattr__(g, "_window", (checks, row))
+                        object.__setattr__(g, "_window", (reduce, row))
                 return out
         # the later copies in socket order, the positions a scan of the
         # pairing socket by socket finds already seen, swapped in that order
@@ -406,7 +410,9 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
             pos += row * width
             q = row * width + int(rngs[gi].integers(n_edges[gi]))
             flat[pos], flat[q] = flat[q], flat[pos]
-    raise RuntimeError("could not avoid parallel edges; retry cap exceeded")
+    raise EnumerationCapExceeded(
+        f"could not avoid parallel edges in {ENSEMBLE_RETRY_CAP} repair rounds of a graph "
+        f"of {n_var} variables and {n_chk} checks")
 
 
 def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
@@ -435,20 +441,6 @@ def _check_masks(codes, n_var, n_chk):
     # an edge's bit is set once, so adding the bits ORs them
     np.add.at(masks, (rows, chk[rows, cols]), np.uint64(1) << var[rows, cols].astype(np.uint64))
     return masks
-
-
-class _WindowChecks:
-    """The check masks of the graphs of one sampled window, a (G, n_chk)
-    uint64 stack, row-reduced for all G graphs by one
-    gf2.row_reduce_stack call on the first read of any row."""
-
-    def __init__(self, masks):
-        self._masks, self._reduced = masks, None
-
-    def __getitem__(self, row):
-        if self._reduced is None:
-            self._reduced, self._masks = gf2.row_reduce_stack(self._masks), None
-        return self._reduced[row]
 
 
 def _split(flat, lengths):

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -165,10 +166,15 @@ def test_cap_enforced(monkeypatch):
     inst = make_instance(g, np.zeros(26))
     with pytest.raises(BruteForceCapExceeded, match="dimension 25"):
         partition_function(inst)
-    # a 64-bit chain code has dimension 1, but its codewords overflow a word
+    # a 64-bit chain code has dimension 1 and no word width limit: its
+    # table is the two rows all +1 and all -1, so log Z = log 2cosh(sum l)
     chain = build_graph(64, 63, [(c + d, c) for c in range(63) for d in (0, 1)], LDPC)
-    with pytest.raises(BruteForceCapExceeded, match="64 code bits"):
-        partition_function(make_instance(chain, np.zeros(64)))
+    l = np.random.default_rng(9).normal(0.0, 0.05, 64)
+    inst = make_instance(chain, l)
+    assert codebit_table(chain).tolist() == [[1] * 64, [-1] * 64]
+    assert partition_function(inst) == pytest.approx(math.log(2 * math.cosh(l.sum())), rel=1e-14)
+    assert np.allclose(all_marginals(inst), math.tanh(l.sum()), rtol=0, atol=1e-14)
+    assert np.allclose(all_extrinsics(inst), np.tanh(l.sum() - l), rtol=0, atol=1e-14)
     # the single check's codewords span dimension 1
     monkeypatch.setattr(exact, "BRUTE_FORCE_CAP", 1)
     partition_function(single_check(0.1, 0.2))
@@ -441,8 +447,8 @@ def test_extrinsics_finite_at_saturated_llrs():
 
 def test_extrinsics_finite_at_saturated_llrs_in_row_chunks(monkeypatch):
     """The same cases with one table row per chunk: +++ and --- stream
-    through separate chunks, and the underflow fallback recomputes the
-    flagged samples chunk by chunk too."""
+    through separate chunks, and the underflow fallback's marginal pass
+    over the flagged entries streams chunk by chunk too."""
     monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 3)
     _check_rep3_saturated_extrinsics()
 
@@ -456,8 +462,21 @@ def _check_rep3_saturated_extrinsics():
         inst = make_instance(g, l)
         assert np.allclose(all_extrinsics(inst), ext, rtol=0, atol=1e-12), l
         assert all_extrinsics(inst)[1] == pytest.approx(ext[1], abs=1e-12)
-    # the cases as one block: the fallback recomputes only the flagged rows
+    # the cases as one block: the fallback recomputes only the flagged entries
     assert np.allclose(all_extrinsics(make_instance(g, cases)), expect, rtol=0, atol=1e-12)
+
+
+def _enumerated_rows(g):
+    """The code-bit values of every configuration (all 2^n_var spins of
+    an LDGM graph, the parity-satisfying ones of an LDPC graph), by
+    direct enumeration."""
+    rows = []
+    for spins in itertools.product((1, -1), repeat=g.n_var):
+        if g.kind == LDGM:
+            rows.append([math.prod(spins[a] for a in g.adj_chk[i]) for i in range(g.n_chk)])
+        elif all(math.prod(spins[v] for v in g.adj_chk[c]) == 1 for c in range(g.n_chk)):
+            rows.append(list(spins))
+    return rows
 
 
 def _per_row_reference(g, L, roots=None):
@@ -465,13 +484,7 @@ def _per_row_reference(g, L, roots=None):
     root roots[s] (default 0) and log Z for each row s of L, by direct
     enumeration of the spins (all 2^n_var of an LDGM graph); weights are
     shifted by their maximum, so saturated rows stay finite."""
-    rows = []
-    for spins in itertools.product((1, -1), repeat=g.n_var):
-        if g.kind == LDGM:
-            rows.append([math.prod(spins[a] for a in g.adj_chk[i]) for i in range(g.n_chk)])
-        elif all(math.prod(spins[v] for v in g.adj_chk[c]) == 1 for c in range(g.n_chk)):
-            rows.append(list(spins))
-    X = np.array(rows, float)
+    X = np.array(_enumerated_rows(g), float)
     out = []
     for l, root in zip(L, np.zeros(len(L), int) if roots is None else roots):
         logw = X @ l
@@ -726,24 +739,57 @@ def test_batch_equals_each_graph_alone():
 
 def test_batch_recomputes_tiny_halves_per_graph(monkeypatch):
     """One graph of a batch with saturated LLRs (its -1 half underflows)
-    takes the log-sum-exp recompute, for its flagged samples only; every
-    graph's extrinsics equal its own call's bit for bit."""
+    takes the recompute, one all_marginals pass on that graph alone with
+    a row per flagged entry; every graph's extrinsics equal its own
+    call's bit for bit."""
     graphs = _same_shape_graphs()
     L = np.random.default_rng(32).normal(0.3, 1.0, (3, 2, 3))
     L[1, 1] = [1000.0, 0.0, 0.5]
     redone = []
-    half = exact._half_log_weights
+    marginals = exact.all_marginals
 
-    def counted(X, Lr):
-        redone.append(len(Lr))
-        return half(X, Lr)
+    def counted(inst):
+        redone.append((inst.graph, inst.values.shape))
+        return marginals(inst)
 
-    monkeypatch.setattr(exact, "_half_log_weights", counted)
+    monkeypatch.setattr(exact, "all_marginals", counted)
     out = all_extrinsics(make_instance(tuple(graphs), L))
-    assert redone == [1]
+    assert redone == [(graphs[1], (3, 3))]  # the three bits of sample 1
     for k, g in enumerate(graphs):
         assert out[k].tobytes() == all_extrinsics(make_instance(g, L[k])).tobytes(), k
     assert np.all(np.isfinite(out))
+
+
+def test_recomputed_extrinsics_match_a_50_digit_enumeration(monkeypatch):
+    """Saturated draws on the corpus codes (|l| up to 2400) whose halves
+    underflow: the recomputed extrinsics, and every other, are within
+    1e-12 of <x_i> with l_i = 0 summed in 50-digit decimal arithmetic
+    over the enumerated configurations."""
+    redone = []
+    marginals = exact.all_marginals
+
+    def counted(inst):
+        redone.append(len(inst.values))
+        return marginals(inst)
+
+    monkeypatch.setattr(exact, "all_marginals", counted)
+    rng = np.random.default_rng(34)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for _, g in fixed_code_corpus():
+            n = g.code_bit_count
+            L = rng.normal(0.0, 1.0, (3, n))
+            big = rng.random(L.shape) < 0.5
+            L[big] = rng.choice([-1.0, 1.0], big.sum()) * rng.uniform(300.0, 2400.0, big.sum())
+            out = all_extrinsics(make_instance(g, L))
+            rows = _enumerated_rows(g)
+            for l, ext in zip(L, out):
+                for i in range(n):
+                    w = [(sum(decimal.Decimal(l[j]) * x[j] for j in range(n) if j != i).exp(),
+                          x[i]) for x in rows]
+                    ref = sum(wk * xi for wk, xi in w) / sum(wk for wk, _ in w)
+                    assert abs(ext[i] - float(ref)) <= 1e-12, (g, l, i)
+    assert sum(redone) >= 30, redone
 
 
 @pytest.mark.parametrize("budget", [3, 7])

@@ -290,7 +290,7 @@ def test_cli_rejected_config_exits_2_with_one_line(tmp_path, capsys):
                  "support dimension 30 (codeword dimension n - rank H) exceeds cap 24"),
                 ("gexit-curve", {**base, "code": {**ldpc36, "n": 64},
                                  "params": {"methods": ["bp", "entropy-fd"]}},
-                 "64 code bits exceed the 63 a codeword word holds"),
+                 "support dimension 32 (codeword dimension n - rank H) exceeds cap 24"),
                 ("bounds", {**base, "code": identity},
                  "support dimension 26 (rank G) exceeds cap 24"),
                 ("duality-check", {**base, "params": {"n_max": 30}},
@@ -328,9 +328,12 @@ def test_cli_cap_hit_at_run_time_exits_2_with_one_line(tmp_path, capsys, monkeyp
     """A run that hits a cap is not a failed check either: one line on
     stderr, exit code 2 and no output written, for each of the three cap
     errors (under small caps: an LDGM draw's rank G over the brute-force
-    cap, the walks of bounds over the walk cap; no experiment builds a
-    computational tree, so a run that raises its cap error stands in for
-    one).  Other errors are not caught."""
+    cap, the walks of bounds over the walk cap; at the default retry cap,
+    a draw of a (5,6) LDGM or (6,5) LDPC ensemble at n = 5, whose only
+    simple graph is complete, that runs out its parallel-edge repair
+    rounds; no experiment builds a computational tree, so a run that
+    raises its cap error stands in for one).  Other errors are not
+    caught."""
     ensemble = {"type": "ensemble", "family": "ldgm", "var_degree": 3, "chk_degree": 2,
                 "n": 9}
     base = {"code": ensemble, "channel": "bsc:0.3", "samples": 4, "seed": 1}
@@ -346,6 +349,14 @@ def test_cli_cap_hit_at_run_time_exits_2_with_one_line(tmp_path, capsys, monkeyp
     for experiment, doc, patch, message in (
             ("gexit-curve", {**base, "params": {"methods": ["functional"]}},
              (exact, "BRUTE_FORCE_CAP", 2), "support dimension 5 (rank G) exceeds cap 2"),
+            *(("limits", {**base, "code": {"type": "ensemble", "family": family,
+                                           "var_degree": dv, "chk_degree": dc, "n": 5},
+                          "samples": 2, "seed": seed},
+               (graphs, "ENSEMBLE_RETRY_CAP", 1000),
+               f"could not avoid parallel edges in 1000 repair rounds of a graph of {sizes}")
+              for family, dv, dc, seed, sizes in (
+                ("ldgm", 5, 6, 201, "6 variables and 5 checks"),
+                ("ldpc", 6, 5, 240, "5 variables and 6 checks"))),
             ("bounds", base, (graphs, "SAW_ENUM_CAP", 1), "more than 1 walks"),
             ("bounds", base, (cli, "run_experiment", raising(graphs.NodeCapExceeded("tree"))),
              "tree")):
@@ -361,6 +372,28 @@ def test_cli_cap_hit_at_run_time_exits_2_with_one_line(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli, "run_experiment", raising(ValueError("not a cap")))
     with pytest.raises(ValueError, match="not a cap"):
         cli_main(["bounds", "--config", str(cfg_path), "--out", str(out)])
+
+
+def test_cli_long_ldpc_code_of_small_dimension(tmp_path, capsys):
+    """No word width limits an LDPC code: a 70-bit chain code (every bit
+    equal, dimension 1) runs the MAP functional and series routes and BP
+    through the CLI.  Each extrinsic is tanh of the sum of the other 69
+    LLRs; at eps 0.1 that sum is far above 20 in every draw, the
+    extrinsics round to 1 and the MAP routes read exactly 0."""
+    edges = [[c + d, c] for c in range(69) for d in (0, 1)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "code": {"type": "edges", "family": "ldpc", "n_var": 70, "n_chk": 69, "edges": edges},
+        "channel": "bsc:0.1", "eps_grid": [0.1, 0.3], "samples": 20, "seed": 1,
+        "params": {"methods": ["functional", "series", "bp"], "d": 4}}))
+    out = tmp_path / "o"
+    assert cli_main(["gexit-curve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "gexit-curve: wrote 6 rows\n"
+    rows = json.loads((out / "gexit-curve.json").read_text())["rows"]
+    assert [(r["eps"], r["method"]) for r in rows] == [
+        (eps, m) for eps in (0.1, 0.3) for m in ("functional", "series", "bp")]
+    assert all(r["n"] == 70 and math.isfinite(r["value"]) for r in rows)
+    assert [r["value"] for r in rows[:2]] == [0.0, 0.0]
 
 
 def test_cli_unreadable_config_exits_2_with_one_line(tmp_path, capsys):

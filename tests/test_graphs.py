@@ -469,10 +469,18 @@ def test_ensemble_retry_cap(monkeypatch):
     for seed in (0, 1):
         g = sample_ensemble(dd, 10, LDPC, seed)
         assert (g.n_var, g.n_chk, g.n_edges) == (10, 5, 25)
+    # a (5,6) LDGM ensemble at n = 5, whose only simple graph is complete:
+    # seed 171's repair swaps do not reach it in 1000 rounds
+    complete = DegreeDistribution.from_dicts({5: 1.0}, {6: 1.0})
+    with pytest.raises(EnumerationCapExceeded, match="could not avoid parallel edges in 1000 "
+                       "repair rounds of a graph of 6 variables and 5 checks"):
+        sample_ensemble(complete, 5, LDGM, 171)
     monkeypatch.setattr(graphs, "ENSEMBLE_RETRY_CAP", 1)
-    with pytest.raises(RuntimeError, match="could not balance socket counts"):
+    with pytest.raises(EnumerationCapExceeded, match="could not balance socket counts in 1 "
+                       "degree draws of a graph of 10 variables and 5 checks"):
         sample_ensemble(dd, 10, LDPC, 0)
-    with pytest.raises(RuntimeError, match="could not avoid parallel edges"):
+    with pytest.raises(EnumerationCapExceeded, match="could not avoid parallel edges in 1 "
+                       "repair rounds of a graph of 10 variables and 5 checks"):
         sample_ensemble(dd, 10, LDPC, 1)
 
 
