@@ -211,7 +211,7 @@ def _flood_depths(inst, depths, extrinsic):
     row: bit for bit a flood of every row, as no two rows share a bincount
     group.  A dict tells rows apart by their bytes (-0.0 is not 0.0);
     np.unique on a void view raised a GEXIT pass's peak RSS 0.15 MiB."""
-    g, l = inst.graph, np.atleast_2d(inst.values)
+    g, l = inst.one_graph("a BP flood"), np.atleast_2d(inst.values)
     slot, first, inverse = {}, [], []  # slot: a distinct row's bytes -> its place
     for i, row in enumerate(l):
         inverse.append(slot.setdefault(row.tobytes(), len(first)))
@@ -339,6 +339,8 @@ def tree_decode(ct, inst, pair_nodes=()):
     insert set (none, then each pair node) gives the sums with and
     without the root inserted.
     """
+    if inst.one_graph("tree_decode", realizations=False) != ct.graph:
+        raise ValueError("tree_decode needs an instance on the tree's graph, ct.graph")
     code_type = "chk" if inst.kind == LDGM else "var"
     for k in pair_nodes:
         if k == 0 or ct.node_type[k] != code_type:

@@ -389,12 +389,13 @@ def gexit_kernel_batch(ch, extrinsics):
     2 (atanh(x) - x) + 2 t u^2 / ((1 - M t^2)(1 - M t)(1 + M t)), with
     1 - M t^2 = 4 eps (1 - eps) + u t^2 and 1 -+ M t = 2 eps + (1 -+ M) t
     as sums of terms >= 0.  At eps 0.01-0.49 it is within 5e-15 of
-    50-digit mpmath for M <= 0.9 and 7e-14 at M = 0.999.  Where x rounds
-    to 1 or above (eps below about 7e-9, M near -1) atanh(x) comes from
-    logarithms instead and stays finite; elsewhere x's rounding costs
-    about 1e-16 / (1 - x) relative (3e-9 at eps 1e-10, M = -0.5).  It is
-    elementwise: an entry's value does not depend on the entries
-    evaluated with it.
+    50-digit mpmath for M <= 0.9 and 7e-14 at M = 0.999.  Where
+    1 - x = 2 eps (1 + M t) / a is below 1e-6 (M near -1 at eps below
+    about 7e-4, and more of [-1, 1) the smaller eps is), atanh(x) comes
+    from logarithms of the same cancellation-free sums instead, so x's
+    rounding, about 1e-16 / (1 - x) relative, never exceeds about 1e-10
+    and the kernel stays finite where x rounds to 1.  It is elementwise:
+    an entry's value does not depend on the entries evaluated with it.
 
     BIAWGNC: agrees with gexit_kernel_integral applied pointwise; the
     rule is one gemv per chunk of M.  A stack of (S, n) blocks, shape
@@ -412,15 +413,15 @@ def gexit_kernel_batch(ch, extrinsics):
         # a function, not an array held through the return expression:
         # one more live array there made a 2e5-entry DE call 20% slower
         atanh = np.arctanh
-        if np.max(x, initial=0.0) >= 1.0:
-            # x rounds to 1 or above for M within about 1e-16 / eps of -1
-            # (eps below about 7e-9); there 2 atanh x is
+        if np.max(x, initial=0.0) > 1.0 - 2e-6:
+            # where 1 - x = 2 eps (1 + M t) / a is below 1e-6 (M near -1,
+            # eps below about 7e-4), 2 atanh x is
             # ln[(1 - eps)(1 - M t)] - ln[eps (1 + M t)], with no 1 - x to lose
             def atanh(x):
-                outside = x >= 1.0
-                return np.where(outside, 0.5 * (np.log((1.0 - e) * (2.0 * e + u * t))
-                                                - np.log(e * (2.0 * e + (1.0 + M) * t))),
-                                np.arctanh(np.where(outside, 0.0, x)))
+                near = 2.0 * e * (2.0 * e + (1.0 + M) * t) < 1e-6 * a
+                return np.where(near, 0.5 * (np.log((1.0 - e) * (2.0 * e + u * t))
+                                             - np.log(e * (2.0 * e + (1.0 + M) * t))),
+                                np.arctanh(np.where(near, 0.0, x)))
         denominator = a * (2.0 * e + u * t) * (2.0 * e + (1.0 + M) * t)
         return 2.0 * (atanh(x) - x) + 2.0 * t * u * u / denominator
     blocks = M.reshape(-1, math.prod(M.shape[-2:])) if M.ndim > 2 else M.reshape(1, -1)

@@ -86,9 +86,9 @@ def dkp_pointwise_bound(inst, A, B, H, max_len=None):
     noise realization or one value per sample of a block (each row equals
     its one-realization bound bit for bit).  truncated is True when max_len
     may not exhaust W_AB, in which case the value is a lower bound OF the bound."""
+    g = inst.one_graph("dkp_pointwise_bound")
     if inst.kind != LDGM:
         raise ValueError("the walk bound applies to LDGM instances")
-    g = inst.graph
     exhaustive_len = min(g.n_chk, max(g.n_var - 1, 0))
     if max_len is None:
         max_len = exhaustive_len

@@ -3,11 +3,14 @@ families, and the DE-limit GEXIT values.
 
 A message density is a plain array of n_pop samples in the
 half-loglikelihood domain, saturated at L_SAT; run_de keeps one such
-array alive from half-step to half-step.  One full iteration is a check
-half-step (_check_outputs) followed by a variable half-step (_var_step);
-degrees inside the recursion are edge-perspective (prob proportional to
-degree), the final code-bit aggregation (aggregate_extrinsic) is
-node-perspective.
+array alive from half-step to half-step.  DE has two node kernels, one
+per node type, each serving a half-step and an aggregate: _check_outputs
+(the product of tanh values) and _variable_outputs (the sum of
+messages).  A kernel draws a degree for every output and resamples that
+many inputs, less drop = 1 for an edge-perspective half-step (the
+outgoing edge, prob proportional to degree) and drop = 0 for the
+node-perspective code-bit aggregate (aggregate_extrinsic).  One full
+iteration is a check half-step followed by a variable half-step.
 
   LDGM   start:      v = 0 for every sample.
          check step: u = atanh(tanh l * prod_{r-1} tanh v), fresh l ~ c.
@@ -83,14 +86,16 @@ def _check_outputs(rng, t, law, n, drop, ch=None):
     return np.clip(out, -L_SAT, L_SAT)
 
 
-def _var_step(samples, dd, ch, rng, family):
-    """Edge-perspective variable half-step on check-to-variable messages."""
-    n = len(samples)
-    out = np.zeros(n)
-    for dv, idx in _degree_groups(rng, dd.degree_laws["edge", "var"], n):
-        if dv >= 2:
-            out[idx] = _resampled(np.add, rng, samples, len(idx), dv - 1)
-    if family == LDPC:
+def _variable_outputs(rng, msgs, law, n, drop, ch=None):
+    """n variable outputs: each draws a degree dv from law and sums dv -
+    drop resampled values of msgs (drop = 1 leaves out the outgoing edge),
+    plus a fresh channel LLR when ch is given.  Clipped at L_SAT.  A
+    degree that leaves nothing to resample draws nothing: the empty sum
+    is 0, and the generator does not move."""
+    out = np.empty(n)
+    for dv, idx in _degree_groups(rng, law, n):
+        out[idx] = _resampled(np.add, rng, msgs, len(idx), dv - drop)
+    if ch is not None:
         out = out + sample_llr(ch, n, rng)
     return np.clip(out, -L_SAT, L_SAT)
 
@@ -110,20 +115,17 @@ def run_de(family, dd, ch, d, n_pop, seed):
         msgs = _check_outputs(rng, np.tanh(msgs), dd.degree_laws["edge", "chk"], n_pop, 1,
                               ch if family == LDGM else None)
         if family == LDGM or t < d - 1:
-            msgs = _var_step(msgs, dd, ch, rng, family)
+            msgs = _variable_outputs(rng, msgs, dd.degree_laws["edge", "var"], n_pop, 1,
+                                     ch if family == LDPC else None)
     return msgs
 
 
 def aggregate_extrinsic(family, msgs, dd, rng):
     """Node-perspective code-bit aggregation of run_de's messages:
     Delta_d (LDGM) or Lambda_d (LDPC), one value per message."""
-    n = len(msgs)
     if family == LDGM:
-        return _check_outputs(rng, np.tanh(msgs), dd.degree_laws["node", "chk"], n, 0)
-    out = np.empty(n)
-    for dv, idx in _degree_groups(rng, dd.degree_laws["node", "var"], n):
-        out[idx] = _resampled(np.add, rng, msgs, len(idx), dv)
-    return np.clip(out, -L_SAT, L_SAT)
+        return _check_outputs(rng, np.tanh(msgs), dd.degree_laws["node", "chk"], len(msgs), 0)
+    return _variable_outputs(rng, msgs, dd.degree_laws["node", "var"], len(msgs), 0)
 
 
 def _aggregates(family, dd, ch, d, n_pop, seed):

@@ -77,10 +77,11 @@ class DualInstance:
     the code bit whose correlation row the cached primal pass carries:
     duality_residuals at (root, j) reads that pass."""
 
-    base: object  # PosteriorInstance with kind LDPC
+    base: object  # PosteriorInstance of one LDPC graph and one realization
     root: int = 0
 
     def __post_init__(self):
+        self.base.one_graph("DualInstance", realizations=False)
         if self.base.kind != LDPC:
             raise ValueError("duality is defined for LDPC instances")
 

@@ -79,7 +79,9 @@ class PosteriorInstance:
     values of shape (G, S, n).  The posterior reductions below return
     per-sample results with the leading axes of values, (), (S,) or
     (G, S), each graph's equal to what the graph's own instance gives;
-    the spin products, the BP floods and the bounds take one graph.
+    the graphs of a tuple share one family, which kind reads.  The spin
+    products, the BP floods and the bounds take one graph (one_graph),
+    the duality layer and tree_decode one graph and one realization.
     Only a tuple of two or more graphs has its support dimensions
     compared, so a one-graph instance (a BP flood's) does not row-reduce
     its checks."""
@@ -92,6 +94,8 @@ class PosteriorInstance:
         object.__setattr__(self, "values", values)
         graphs = self.graphs
         ndims = (3,) if isinstance(self.graph, tuple) else (1, 2)
+        if not graphs:
+            raise ValueError("a graph tuple needs at least one graph")
         if values.ndim not in ndims or values.ndim == 3 and len(values) != len(graphs):
             raise ValueError(f"values of shape {values.shape} do not give {len(graphs)} "
                              f"graph(s) an (n,), (S, n) or (G, S, n) block each")
@@ -104,6 +108,8 @@ class PosteriorInstance:
                              f"dimensions {sorted({g.free_spin_count for g in graphs})} differ")
         if not np.isfinite(values).all():
             raise ValueError("LLR values must be finite")
+        if len({g.kind for g in graphs}) > 1:
+            raise ValueError("graphs of a batch must share a family, ldgm or ldpc")
 
     @property
     def graphs(self):
@@ -111,7 +117,16 @@ class PosteriorInstance:
 
     @property
     def kind(self):
-        return self.graph.kind
+        return self.graphs[0].kind
+
+    def one_graph(self, reader, realizations=True):
+        """The graph, for a reader that takes one graph and, unless
+        realizations, one noise realization (values of shape (n,))."""
+        if isinstance(self.graph, tuple):
+            raise ValueError(f"{reader} takes one graph, not a tuple of {len(self.graph)}")
+        if not realizations and self.values.ndim != 1:
+            raise ValueError(f"{reader} takes one noise realization (n,), not {self.values.shape}")
+        return self.graph
 
 
 make_instance = PosteriorInstance
@@ -403,9 +418,10 @@ def spin_product_correlation(inst, A, B):
     where u_S is the product of the spins in S; the quantity bounded by
     the self-avoiding-walk expansion.  The spin-product table is built
     once, after the cap check, and converted to float per row chunk."""
+    g = inst.one_graph("spin_product_correlation")
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
-    products = cache(lambda: _spin_products(inst.graph, A, B))
+    products = cache(lambda: _spin_products(g, A, B))
 
     def chunk(F, rows):
         U = products()[rows].astype(float)

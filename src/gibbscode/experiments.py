@@ -5,7 +5,8 @@ Experiments (see the CLI for the subcommand names):
   corr-decay      sample codes and noise, bin E|<x_i x_j> - <x_i><x_j>|
                   by graph distance, fit an exponential decay profile
   gexit-curve     MAP / BP / series / DE estimates across an eps grid
-  de-curve        DE-limit GEXIT values across an eps grid
+  de-curve        DE-limit GEXIT values across an eps grid (gexit-curve's
+                  de route alone)
   bounds          walk-expansion bound vs exact correlations (LDGM)
   duality-check   MacWilliams and correlation-duality residual suite
   berretti-check  dual cluster-expansion identity residual suite
@@ -394,48 +395,35 @@ def _corr_decay(cfg):
     return ExperimentResult(cfg, rows, {"fits": fits})
 
 
-def _de_value(cfg, ch, seed):
-    """The DE-limit GEXIT value at one eps point (de-curve, and
-    gexit-curve's de method)."""
-    src, p = cfg.source, cfg.settings
-    return de.de_gexit(src.kind, src.dd, ch, p["d"], p["n_pop"], seed)
-
-
 #: gexit-curve's routes besides gexit.MAP_METHODS (which share one pass):
 #: method name -> estimate(cfg, channel, seed)
 _GEXIT_METHODS = {
     "bp": lambda cfg, ch, seed: gexit.bp_gexit(
         cfg.source, ch, cfg.settings["d"], cfg.samples, seed),
     "de": lambda cfg, ch, seed: gexit.GexitEstimate(
-        _de_value(cfg, ch, seed), 0.0, "de", {"d": cfg.settings["d"]}),
+        de.de_gexit(cfg.source.kind, cfg.source.dd, ch, cfg.settings["d"],
+                    cfg.settings["n_pop"], seed),
+        0.0, "de", {"d": cfg.settings["d"], "samples": cfg.settings["n_pop"]}),
 }
 
 
 def _gexit_curve(cfg):
+    """gexit-curve, and de-curve as its de route alone."""
     p = cfg.settings
-    map_methods = [m for m in p["methods"] if m in gexit.MAP_METHODS]
+    methods = p.get("methods", ["de"])
+    map_methods = [m for m in methods if m in gexit.MAP_METHODS]
     rows = []
     for ch in cfg.points:
         seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
         ests = gexit.map_gexit_routes(
             cfg.source, ch, cfg.samples, seed, map_methods, p["p_max"],
             eps_step=float(p["eps_step"])) if map_methods else {}
-        for method in p["methods"]:
+        for method in methods:
             est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,
                          "std_err": est.std_error, "n": est.meta.get("n", 0),
-                         "d": est.meta.get("d", 0), "samples": cfg.samples,
+                         "d": est.meta.get("d", 0), "samples": est.meta["samples"],
                          "seed": seed})
-    return ExperimentResult(cfg, rows, {})
-
-
-def _de_curve(cfg):
-    rows = []
-    for ch in cfg.points:
-        seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        rows.append({"eps": ch.eps, "method": "de", "value": _de_value(cfg, ch, seed),
-                     "std_err": 0.0, "n": 0, "d": cfg.settings["d"],
-                     "samples": cfg.settings["n_pop"], "seed": seed})
     return ExperimentResult(cfg, rows, {})
 
 
@@ -467,6 +455,26 @@ def _bounds(cfg):
                             passed=bool(violations == 0))
 
 
+def _ldpc_case(rng, n, m, deg_lo, deg_hi, l_max, cover=False):
+    """One check-suite case (g, l, i, j), drawn from rng in this order: an
+    LDPC graph of n bits and m checks, each check on deg_lo to deg_hi
+    distinct bits; with cover, one more edge to a random check for each
+    bit left in none (the Berretti cover); LLRs uniform in (-l_max,
+    l_max); two distinct bits i, j."""
+    edges = set()
+    for c in range(m):
+        deg = int(rng.integers(deg_lo, deg_hi + 1))
+        for v in rng.choice(n, deg, replace=False):
+            edges.add((int(v), c))
+    for v in range(n) if cover else ():
+        if not any(e[0] == v for e in edges):
+            edges.add((v, int(rng.integers(m))))
+    g = build_graph(n, m, sorted(edges), LDPC)
+    l = rng.uniform(-l_max, l_max, n)
+    i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+    return g, l, i, j
+
+
 def _duality_check(cfg):
     rng = np.random.default_rng(cfg.seed)
     n_max = cfg.settings["n_max"]
@@ -475,14 +483,7 @@ def _duality_check(cfg):
     for t in range(cfg.samples):
         n = int(rng.integers(3, n_max + 1))
         m = int(rng.integers(1, min(n, 9)))
-        edges = set()
-        for c in range(m):
-            deg = int(rng.integers(2, 4))
-            for v in rng.choice(n, deg, replace=False):
-                edges.add((int(v), c))
-        g = build_graph(n, m, sorted(edges), LDPC)
-        l = rng.uniform(-3, 3, n)
-        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        g, l, i, j = _ldpc_case(rng, n, m, 2, 3, 3)
         # rooted at i: the MacWilliams residual and both maps read one primal pass
         dinst = duality.DualInstance(make_instance(g, l), i)
         mw = duality.macwilliams_log_residual(dinst)
@@ -505,17 +506,7 @@ def _berretti_check(cfg):
     for t in range(cfg.samples):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 7))
-        edges = set()
-        for c in range(m):
-            deg = int(rng.integers(1, min(n, 3) + 1))
-            for v in rng.choice(n, deg, replace=False):
-                edges.add((int(v), c))
-        for v in range(n):
-            if not any(e[0] == v for e in edges):
-                edges.add((v, int(rng.integers(m))))
-        g = build_graph(n, m, sorted(edges), LDPC)
-        l = rng.uniform(-2, 2, n)
-        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        g, l, i, j = _ldpc_case(rng, n, m, 1, min(n, 3), 2, cover=True)
         resid = clusters.berretti_identity_residual(make_instance(g, l), i, j)
         rows.append({"case": t, "n": n, "m": m, "i": i, "j": j, "residual": resid})
         worst = max(worst, resid)
@@ -546,14 +537,16 @@ def _limits(cfg):
 
 
 _RUNNERS = {"corr-decay": _corr_decay, "gexit-curve": _gexit_curve,
-            "de-curve": _de_curve, "bounds": _bounds,
+            "de-curve": _gexit_curve, "bounds": _bounds,
             "duality-check": _duality_check, "berretti-check": _berretti_check,
             "limits": _limits}
 
+_CURVE_HEADER = ["eps", "method", "value", "std_err", "n", "d", "samples", "seed"]
+
 _HEADERS = {
     "corr-decay": ["eps", "distance", "mean_abs_corr", "std_err", "n_samples"],
-    "gexit-curve": ["eps", "method", "value", "std_err", "n", "d", "samples", "seed"],
-    "de-curve": ["eps", "method", "value", "std_err", "n", "d", "samples", "seed"],
+    "gexit-curve": _CURVE_HEADER,
+    "de-curve": _CURVE_HEADER,
     "bounds": ["graph", "i", "j", "dist", "mc_mean_abs_corr", "mc_se",
                "mean_pointwise_bound", "avg_bound", "diverged"],
     "duality-check": ["case", "n", "m", "macwilliams", "r1", "r2"],

@@ -345,5 +345,5 @@ def nishimori_residual(source, ch, p, samples, seed):
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 
     diffs, _ = _per_sample(_batches(_draws(source, ch, samples, seed)), samples, reduce)
-    return (abs(float(diffs.mean())),
-            float(diffs.std(ddof=1) / math.sqrt(len(diffs))))
+    est = _estimate(diffs, 1.0, "nishimori", {})
+    return abs(est.value), est.std_error

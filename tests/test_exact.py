@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from conftest import fixed_code_corpus, random_ldgm_graph, random_ldpc_graph
 from gibbscode import channels, exact, gf2
+from gibbscode.bp import bp_all_extrinsics, bp_checkpoint_extrinsics, bp_run, tree_decode
+from gibbscode.clusters import berretti_identity_residual, dkp_pointwise_bound
+from gibbscode.duality import DualInstance
 from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              all_marginals, codebit_table, codebit_tables,
                              conditional_entropy,
                              correlations_with_root, make_instance,
                              pair_correlation,
                              partition_function, spin_product_correlation)
-from gibbscode.graphs import LDGM, LDPC, DegreeDistribution, build_graph, sample_ensembles
+from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, build_graph,
+                              computational_tree, sample_ensembles)
 
 
 def single_check(l0, l1):
@@ -707,18 +711,20 @@ BATCHED = (partition_function, all_marginals, all_extrinsics, conditional_entrop
 
 
 def _same_shape_graphs():
-    """Graphs of both families on 3 code bits with 2-row tables: rep3
-    (LDPC), an LDGM bit repeated on 3 checks, and one with a second
-    information bit in no check (rank 1 of 2, a coset factor of 2)."""
-    return [build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC),
+    """LDGM graphs on 3 code bits with 2-row tables (a batch shares one
+    family): two information bits in every check (rank 1 of 2), a bit
+    repeated on 3 checks, and one with a second information bit in no
+    check (rank 1 of 2, a coset factor of 2)."""
+    return [build_graph(2, 3, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)], LDGM),
             build_graph(1, 3, [(0, 0), (0, 1), (0, 2)], LDGM),
             build_graph(2, 3, [(0, 0), (0, 1), (0, 2)], LDGM)]
 
 
 def test_batch_equals_each_graph_alone():
     """Every batched reduction gives each graph, bit for bit, what a call
-    on that graph alone gives, on a mixed-family batch and on (4,4) LDPC
-    ensemble graphs of 16 code bits sharing a 4-row table."""
+    on that graph alone gives, on an LDGM batch of differing coset factors
+    and on (4,4) LDPC ensemble graphs of 16 code bits sharing a 4-row
+    table."""
     from gibbscode.graphs import DegreeDistribution, sample_ensemble
 
     rng = np.random.default_rng(31)
@@ -814,10 +820,11 @@ def test_batch_over_row_chunks(monkeypatch, budget):
 
 
 def test_batch_validation():
-    """One instance type: a graph with (n,) or (S, n) values, or a tuple
-    of G graphs with (G, S, n) values sharing a table shape.  Support
-    dimensions are compared only across two or more graphs, so neither a
-    one-graph instance nor its BP flood row-reduces the checks."""
+    """One instance type: a graph with (n,) or (S, n) values, or a
+    nonempty tuple of G graphs with (G, S, n) values sharing a table shape
+    and a family, which kind reads.  Support dimensions are compared only
+    across two or more graphs, so neither a one-graph instance nor its BP
+    flood row-reduces the checks."""
     graphs = _same_shape_graphs()
     with pytest.raises(ValueError, match="code bit count"):
         make_instance(tuple(graphs), np.zeros((3, 1, 4)))
@@ -833,11 +840,66 @@ def test_batch_validation():
         make_instance((graphs[0], build_graph(3, 1, [(0, 0), (1, 0)], LDPC)), np.zeros((2, 1, 3)))
     with pytest.raises(ValueError, match="finite"):
         make_instance(tuple(graphs), np.full((3, 1, 3), np.inf))
+    rep3 = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)  # a 2-row table
+    with pytest.raises(ValueError, match="share a family"):
+        make_instance((graphs[0], rep3), np.zeros((2, 1, 3)))
+    assert make_instance(tuple(graphs), np.zeros((3, 1, 3))).kind == LDGM
+    with pytest.raises(ValueError, match="at least one graph"):
+        make_instance((), np.zeros((0, 1, 3)))
     assert make_instance((graphs[0],), np.zeros((1, 2, 3))).values.shape == (1, 2, 3)
-    from gibbscode.bp import bp_all_extrinsics
     g = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
     bp_all_extrinsics(make_instance(g, np.ones((2, 3))), 3)
     assert "reduced_checks" not in vars(g)
+
+
+_LDGM_3 = build_graph(2, 3, [(0, 0), (1, 0), (1, 1), (0, 2)], LDGM)
+_LDPC_3 = build_graph(3, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], LDPC)
+
+
+def _pair(g):
+    """A tuple of two copies of g, one noise realization each."""
+    return make_instance((g, g), np.zeros((2, 1, g.code_bit_count)))
+
+
+def _block(g):
+    """g under a block of two noise realizations."""
+    return make_instance(g, np.zeros((2, g.code_bit_count)))
+
+
+def _tree(inst):
+    return tree_decode(computational_tree(_LDGM_3, 0, 2), inst)
+
+
+#: reader -> (a call on a shape it does not take, the error's match)
+ONE_GRAPH_READERS = {
+    "bp_run": (lambda: bp_run(_pair(_LDPC_3), 2), "one graph"),
+    "bp_all_extrinsics": (lambda: bp_all_extrinsics(_pair(_LDGM_3), 2), "one graph"),
+    "bp_checkpoint_extrinsics": (
+        lambda: bp_checkpoint_extrinsics(_pair(_LDGM_3), [1, 2]), "one graph"),
+    "spin_product_correlation": (
+        lambda: spin_product_correlation(_pair(_LDGM_3), {0}, {1}), "one graph"),
+    "dkp_pointwise_bound": (
+        lambda: dkp_pointwise_bound(_pair(_LDGM_3), {0}, {1}, 1.0), "one graph"),
+    "DualInstance-tuple": (lambda: DualInstance(_pair(_LDPC_3)), "one graph"),
+    "DualInstance-block": (lambda: DualInstance(_block(_LDPC_3)), "one noise realization"),
+    "berretti_identity_residual-block": (
+        lambda: berretti_identity_residual(_block(_LDPC_3), 0, 2), "one noise realization"),
+    "tree_decode-tuple": (lambda: _tree(_pair(_LDGM_3)), "one graph"),
+    "tree_decode-block": (lambda: _tree(_block(_LDGM_3)), "one noise realization"),
+    "tree_decode-other-graph": (
+        lambda: _tree(make_instance(build_graph(2, 3, [(0, 0), (1, 1), (1, 2)], LDGM),
+                                    np.zeros(3))), "ct.graph"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ONE_GRAPH_READERS))
+def test_one_graph_readers_reject_other_shapes(reader):
+    """A reader of one graph rejects a graph tuple, and a reader of one
+    realization an (S, n) block, with a ValueError that names what it
+    takes; tree_decode also rejects an instance off its tree's graph."""
+    call, match = ONE_GRAPH_READERS[reader]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_instance_values_finite():

@@ -686,6 +686,61 @@ def test_de_curve():
     assert len(res.rows) == 2 and all(r["method"] == "de" for r in res.rows)
 
 
+def test_de_curve_is_gexit_curves_de_route(tmp_path):
+    """de-curve and gexit-curve with methods ["de"] on the same ensemble,
+    seed, eps_grid, d and n_pop write byte-identical CSVs: a DE row's
+    samples is the population in both, beside a MAP row's noise samples."""
+    base = {"code": {"family": "ldpc", "var_degree": 3, "chk_degree": 6, "n": 12},
+            "channel": "bsc:0.1", "eps_grid": [0.08, 0.12], "samples": 30, "seed": 4}
+    de_params = {"d": 3, "n_pop": 2000}
+    csvs = []
+    for exp, params in (("de-curve", de_params),
+                        ("gexit-curve", {**de_params, "methods": ["de"]})):
+        cfg_path = tmp_path / f"{exp}.json"
+        cfg_path.write_text(json.dumps({**base, "params": params}))
+        assert cli_main([exp, "--config", str(cfg_path), "--out", str(tmp_path / exp)]) == 0
+        csvs.append((tmp_path / exp / f"{exp}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    res = run_experiment(ExperimentConfig.from_json({
+        **base, "experiment": "gexit-curve",
+        "params": {**de_params, "methods": ["functional", "de"]}}))
+    assert [(r["method"], r["samples"]) for r in res.rows] == \
+        [("functional", 30), ("de", 2000)] * 2
+
+
+def test_check_suites_draw_the_acceptance_corpora():
+    """duality-check at seed 102 (200 samples) holds criteria 2 and 3's
+    corpus, and berretti-check at seed 105 (24 samples) criterion 5's,
+    row by row and bit for bit."""
+    from conftest import tiny_ldpc_no_isolated
+    from gibbscode.clusters import berretti_identity_residual
+    from gibbscode.duality import duality_residuals, macwilliams_log_residual
+    from test_acceptance import _duality_corpus
+
+    def run(exp, samples, seed):
+        return run_experiment(ExperimentConfig.from_json({
+            "experiment": exp, "code": {}, "channel": "bsc:0.3",
+            "samples": samples, "seed": seed})).rows
+
+    rows = run("duality-check", 200, 102)
+    assert len(rows) == 200
+    for row, (dinst, i, j) in zip(rows, _duality_corpus()):
+        want = (dinst.graph.n_var, dinst.graph.n_chk, macwilliams_log_residual(dinst),
+                *duality_residuals(dinst, i, j))
+        got = tuple(row[k] for k in ("n", "m", "macwilliams", "r1", "r2"))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), row["case"]
+    rows = run("berretti-check", 24, 105)
+    assert len(rows) == 24
+    rng = np.random.default_rng(105)
+    for row in rows:
+        g = tiny_ldpc_no_isolated(rng)
+        l = rng.uniform(-2, 2, g.n_var)
+        i, j = (int(x) for x in rng.choice(g.n_var, 2, replace=False))
+        want = (g.n_var, g.n_chk, i, j, berretti_identity_residual(make_instance(g, l), i, j))
+        got = tuple(row[k] for k in ("n", "m", "i", "j", "residual"))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), row["case"]
+
+
 def test_check_experiments_pass():
     for exp, samples in (("duality-check", 25), ("berretti-check", 10)):
         cfg = ExperimentConfig.from_json({"experiment": exp, "code": {},
