@@ -8,22 +8,41 @@ LDPC posterior over code bits x in {-1,+1}^n:
 
     p(x) = (1/Z) prod_c (1/2)(1 + prod_{i in d(c)} x_i) prod_i exp(l_i x_i)
 
-Everything here enumerates the support of the measure directly, each
-configuration of it once, from the GF(2) row reduction of the checks
-cached on the graph.  LDGM: the weight depends on u only through the
-codeword x(u), so u and u + k weigh the same for every k in the kernel
-of the generator G; the table holds the 2^(rank G) configurations of the
-pivot information bits, one per coset of the kernel, and each row stands
-for 2^(m - rank G) configurations, a factor log Z carries.  LDPC: the
-2^(n - rank H) codewords, spanned from a nullspace basis of the parity
-checks.  Both tables are the +-1 span of a basis of the code, doubled
-up by gf2.span_signs from its sign rows (LDGM: the generator rows of
-the pivot information bits, read from adjacency; LDPC: the nullspace
-basis words): one graph's table alone and cached (codebit_table), the
-tables of a group of graphs that share one shape as one (G, R, n)
-stack (codebit_tables).  It works in the log domain, and relies on
-numpy's pairwise summation for reproducible reductions.  Every quantity is a
-weighted sum over one posterior pass (an extrinsic <x_i>_0 whose half
+Everything here enumerates a table directly, each row of it once, from
+the GF(2) row reduction of the checks cached on the graph.  The primal
+table is the support of the measure.  LDGM: the weight depends on u
+only through the codeword x(u), so u and u + k weigh the same for every
+k in the kernel of the generator G; the table holds the 2^(rank G)
+configurations of the pivot information bits, one per coset of the
+kernel, and each row stands for 2^(m - rank G) configurations, a factor
+log Z carries.  LDPC: the 2^(n - rank H) codewords, spanned from a
+nullspace basis of the parity checks.  Both tables are the +-1 span of a
+basis of the code, doubled up by gf2.span_signs from its sign rows
+(LDGM: the generator rows of the pivot information bits, read from
+adjacency; LDPC: the nullspace basis words): one graph's table alone
+and cached (codebit_table), the tables of a group of graphs that share
+one shape as one (G, R, n) stack (codebit_tables).
+
+An LDGM code has a second table source: its dual code C-perp, the
+2^(n - rank G) words y with G y = 0, whose basis the same row reduction
+gives (TannerGraph.dual_basis; dual_table, dual_tables).  By MacWilliams
+duality Z = 2^m prod_i cosh l_i sum_{y in C-perp} prod_{i in y} t_i,
+t_i = tanh l_i, and every marginal, extrinsic and root correlation is a
+ratio of such signed sums.  In the LDGM regime (high noise, |t_i| << 1)
+the sum barely cancels, and the dual table is far the smaller: 8 rows
+against 2048 at corr-decay's n = 14, 2^9 against 2^47 at n = 56.
+table_source reads it whenever its rows, plus the dual pass's own work
+per code bit, come to fewer than the primal table's.  Each dual sample
+also carries sum |W|, so its cancellation kappa = sum |W| / |sum W| is
+known; one whose rounding bound n u kappa (u = 2^-53) passes
+_DUAL_ROUNDING = 1e-13, or that holds a t_i = 0, is recomputed on the
+primal table, which raises BruteForceCapExceeded when that table is over
+the cap.  The spin products read the pivot bits of the primal rows and
+always run on the primal table.
+
+It works in the log domain, and relies on numpy's pairwise summation
+for reproducible reductions.  Every quantity is a weighted sum over one
+posterior pass (an extrinsic <x_i>_0 whose half
 underflows is a marginal of the same pass, under LLRs with l_i = 0),
 which takes a whole block of noise
 realizations at once and streams over the int8 table X: each row chunk
@@ -75,16 +94,16 @@ class PosteriorInstance:
     reduction and BP flood.  graph is one TannerGraph, whose values hold
     one noise realization, shape (n,), or a block of S of them, shape
     (S, n); or a tuple of G graphs whose tables share one shape (the same
-    code-bit count and support dimension), each with its own block:
+    code-bit count and table_source), each with its own block:
     values of shape (G, S, n).  The posterior reductions below return
     per-sample results with the leading axes of values, (), (S,) or
     (G, S), each graph's equal to what the graph's own instance gives;
     the graphs of a tuple share one family, which kind reads.  The spin
     products, the BP floods and the bounds take one graph (one_graph),
     the duality layer and tree_decode one graph and one realization.
-    Only a tuple of two or more graphs has its support dimensions
-    compared, so a one-graph instance (a BP flood's) does not row-reduce
-    its checks."""
+    Only a tuple of two or more graphs has its table sources compared,
+    so a one-graph instance (a BP flood's) does not row-reduce its
+    checks."""
 
     graph: object
     values: np.ndarray
@@ -103,9 +122,10 @@ class PosteriorInstance:
             if g.code_bit_count != values.shape[-1]:
                 raise ValueError(f"graph and llrs disagree on the code bit count: "
                                  f"{g.code_bit_count} != {values.shape[-1]}")
-        if len(graphs) > 1 and len({g.free_spin_count for g in graphs}) > 1:
-            raise ValueError(f"graphs of a batch must share a table shape; their support "
-                             f"dimensions {sorted({g.free_spin_count for g in graphs})} differ")
+        if len(graphs) > 1 and len({table_source(g) for g in graphs}) > 1:
+            raise ValueError(f"graphs of a batch must share a table shape; their (support "
+                             f"dimension, dual) pairs {sorted({table_source(g) for g in graphs})} "
+                             f"differ")
         if not np.isfinite(values).all():
             raise ValueError("LLR values must be finite")
         if len({g.kind for g in graphs}) > 1:
@@ -132,13 +152,33 @@ class PosteriorInstance:
 make_instance = PosteriorInstance
 
 
-def _check_cap(kind, dim):
+#: table rows that the dual pass's own work per code bit and sample
+#: weighs: four transcendentals of each LLR (tanh, ln, ln1p, sinh), where
+#: the primal pass spends one exp per table row
+_DUAL_BIT_ROWS = 4
+
+
+def table_source(g):
+    """(support dimension, dual) of the table g's posterior pass reads:
+    an LDGM graph reads its dual code's table, of dimension n_chk - rank G,
+    whenever that table plus the dual pass's per-bit work is the smaller,
+    2^(n_chk - rank G) + _DUAL_BIT_ROWS n_chk < 2^rank G; every other
+    graph reads its own codebit_table, of dimension free_spin_count.  (A
+    primal table of 16 rows or fewer is always read as it is.)"""
+    dim = g.free_spin_count
+    if g.kind == LDGM and (1 << g.n_chk - dim) + _DUAL_BIT_ROWS * g.n_chk < 1 << dim:
+        return g.n_chk - dim, True
+    return dim, False
+
+
+def _check_cap(kind, dim, dual=False):
     """Raise BruteForceCapExceeded unless a table of this family with
-    support dimension dim (its free_spin_count) is within the cap; no
-    word width applies, since every table is doubled from the supports
-    of basis words."""
+    support dimension dim (table_source's, or free_spin_count's for a
+    primal table) is within the cap; no word width applies, since every
+    table is doubled from the supports of basis words."""
     if dim > BRUTE_FORCE_CAP:
-        what = "rank G" if kind == LDGM else "codeword dimension n - rank H"
+        what = ("dual code dimension n - rank G" if dual else
+                "rank G" if kind == LDGM else "codeword dimension n - rank H")
         raise BruteForceCapExceeded(f"support dimension {dim} ({what}) "
                                     f"exceeds cap {BRUTE_FORCE_CAP}")
 
@@ -217,18 +257,38 @@ def codebit_tables(graphs):
     return gf2.span_signs(_span_basis(graphs))
 
 
-def _span_basis(graphs):
-    """The int8 sign rows of a basis of each graph's code, which
-    codebit_tables doubles, as one (G, b, n) stack for graphs of one
-    table shape, from the supports of the basis words: LDGM, the
-    generator rows of the pivot information bits in ascending order, row
-    j -1 on the checks of the j-th lowest pivot, read from adjacency;
-    LDPC, the nullspace basis words.  No word width applies."""
+@partial(TableCache, maxsize=8)
+def dual_table(graph):
+    """The 0/1 table Y of an LDGM graph's dual code: the one-graph case
+    of dual_tables, cached."""
+    return dual_tables((graph,))[0]
+
+
+def dual_tables(graphs):
+    """The dual codewords of LDGM graphs whose dual codes share one
+    dimension, as a (G, 2^(n_chk - rank G), n_chk) int8 stack of 0/1
+    entries, Y[y, i] = 1 iff check i is in dual codeword y: the sign table
+    of the span of each graph's dual_basis, doubled like codebit_tables,
+    with -1 read as 1."""
+    return (gf2.span_signs(_span_basis(graphs, dual=True)) < 0).view(np.int8)
+
+
+def _span_basis(graphs, dual=False):
+    """The int8 sign rows of a basis of each graph's code (or, with dual,
+    of its dual code), which codebit_tables doubles, as one (G, b, n)
+    stack for graphs of one table shape, from the supports of the basis
+    words: LDGM, the generator rows of the pivot information bits in
+    ascending order, row j -1 on the checks of the j-th lowest pivot,
+    read from adjacency; LDPC, the nullspace basis words; the dual of an
+    LDGM code, its dual_basis.  No word width applies."""
     rows = []
     for g in graphs:
-        rows += ([g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
+        rows += (g.dual_basis if dual else
+                 [g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
                  if g.kind == LDGM else gf2.nullspace_basis(g.reduced_checks, g.n_var))
-    shape = (len(graphs), graphs[0].free_spin_count, graphs[0].code_bit_count)
+    g = graphs[0]
+    dim = g.n_chk - g.free_spin_count if dual else g.free_spin_count
+    shape = (len(graphs), dim, g.code_bit_count)
     return gf2.sign_rows(rows, shape[2]).reshape(shape)
 
 
@@ -237,6 +297,19 @@ def _span_basis(graphs):
 #: subnormal or have underflowed to zero
 _TINY_PROBABILITY = 1e-290
 
+#: the rounding error a dual sum may carry: a sample whose bound n u kappa
+#: passes it (u = 2^-53, kappa = sum|W| / |sum W| its cancellation), or
+#: whose log-weights' bound n u |ln|t_i|| does (infinite at t_i = 0), is
+#: recomputed on the primal table; the dual route is tested to equal the
+#: primal table to this target
+_DUAL_ROUNDING = 1e-13
+
+
+#: what a posterior pass hands its finish: the graphs, the (G, R, n)
+#: table stack, the (G, S, n) LLRs, the samples' positions and, on the
+#: dual table, t = tanh L
+_Pass = namedtuple("_Pass", "graphs X L index t")
+
 
 def _float_chunk(X, rows):
     """Rows of the int8 table, or of each table of a (G, R, n) stack, as
@@ -244,12 +317,20 @@ def _float_chunk(X, rows):
     return X[..., rows, :].astype(float)
 
 
-def _posterior(inst, terms, finish):
+def _row_products(A, F):
+    """A @ F^T for each graph, shape (G, samples, rows), laid out so that
+    numpy's row maxima and row sums run along the longer axis."""
+    if F.shape[1] >= A.shape[1]:
+        return A @ F.swapaxes(1, 2)
+    return (F @ A.swapaxes(1, 2)).swapaxes(1, 2)
+
+
+def _posterior(inst, terms, finish, dual=None, index=None):
     """The posterior pass, streamed over the table stack X of shape
     (G, R, n), one table per graph of the instance (one graph's cached
-    codebit_table, or the codebit_tables stack of two or more), against
-    its values reshaped to LLRs L of shape (G, S, n): row chunks of
-    at most BLOCK_ELEMENTS entries over all G tables on the outside, each
+    table, or the stack built for two or more), against its values
+    reshaped to LLRs L of shape (G, S, n): row chunks of at most
+    BLOCK_ELEMENTS entries over all G tables on the outside, each
     converted to float once, and every block of samples against that
     chunk on the inside.  A block holds BLOCK_ELEMENTS //
     (G max(chunk rows, n)) samples, so its weights and every other
@@ -259,22 +340,54 @@ def _posterior(inst, terms, finish):
     would run it when the stack fits one chunk and one block.
 
     Each sample keeps a running maximum log-weight m and sums weighted by
-    w = exp(L @ F.T - m), an online log-sum-exp: the sums are rescaled by
+    w = exp(A @ F.T - m), an online log-sum-exp: the sums are rescaled by
     exp(m_old - m_new) when m grows.  terms(F, rows) is called once per
     chunk, F of shape (G, rows, n), and returns a function mapping a
-    block's w, shape (G, samples, rows), and its sample slice to the
-    chunk's share of each weighted sum, a tuple of (G, samples, ...)
-    arrays.  finish(X, L, logz, wsum, *sums) maps log Z, the weight sum
-    and those sums, all against the final maxima, to per-graph,
-    per-sample results, an array or a tuple of arrays, each returned
-    with the leading axes of the instance's values.  log Z
-    counts every configuration: an LDGM row's weight is multiplied by
-    the size of its coset, 2^(m - rank G)."""
+    block's w, shape (G, samples, rows), and its samples' positions to
+    the chunk's share of each weighted sum, a tuple of (G, samples, ...)
+    arrays.  finish(p, logz, wsum, *sums) maps log Z, the weight sum and
+    those sums, all against the final maxima, to per-graph, per-sample
+    results, an array or a tuple of arrays, each returned with the
+    leading axes of the instance's values; p is the _Pass, and index
+    the samples' positions among the caller's (default: 0 to S - 1).
+
+    The table is the source table_source dispatches to when the
+    reduction gives dual, its (terms, finish) on the dual table, and
+    the graph's codebit_table otherwise.  On the primal table A = L and
+    F is +-1; log Z counts every configuration, an LDGM row's weight
+    multiplied by the size of its coset, 2^(m - rank G).  On the dual
+    table F is 0/1 (dual_table) and A = ln|t|, t = tanh L: the weight
+    of dual word y is W(y) = prod_{i in y} t_i, its log-magnitude A @ y
+    (at most 0, the empty word's, so no running maximum is kept) and its
+    sign the parity of the negative t_i in y, and
+    Z = 2^m_var prod_i cosh l_i sum_y W(y) (MacWilliams).  The pass then
+    also sums |W| (kept from finish), so that each sample's cancellation
+    kappa is known, and a sample past _DUAL_ROUNDING is recomputed by the
+    primal (terms, finish) on its graph alone, which raises
+    BruteForceCapExceeded if the primal table is over the cap."""
     graphs, values = inst.graphs, inst.values
     L = values.reshape(len(graphs), -1, values.shape[-1])
-    for g in graphs:
-        _check_cap(g.kind, g.free_spin_count)
-    X = codebit_table(graphs[0])[None] if len(graphs) == 1 else codebit_tables(graphs)
+    index = np.arange(L.shape[1]) if index is None else index
+    sources = [table_source(g) if dual else (g.free_spin_count, False) for g in graphs]
+    for g, source in zip(graphs, sources):
+        _check_cap(g.kind, *source)
+    on_dual = sources[0][1]
+    if on_dual:
+        primal, (terms, finish) = (terms, finish), dual
+        X = dual_table(graphs[0])[None] if len(graphs) == 1 else dual_tables(graphs)
+        limit = _DUAL_ROUNDING / (X.shape[2] * 2.0 ** -53)  # on kappa and on |ln|t_i||
+        T = np.tanh(L)
+        with np.errstate(divide="ignore"):
+            A = np.log(np.abs(T))  # -inf at t = 0
+        cosh = np.abs(L) - np.log1p(np.abs(T))  # ln cosh l, ln Z's terms
+        far = False
+        if A.min() < -limit:
+            far = (A < -limit).any(axis=2)
+            np.maximum(A, -700.0, out=A)  # no inf * 0; these samples are redone
+        negative = (L < 0).astype(float)
+    else:
+        X = codebit_table(graphs[0])[None] if len(graphs) == 1 else codebit_tables(graphs)
+        A = L
     G, R, n = X.shape
     S = L.shape[1]
     m = np.empty((G, S))
@@ -284,30 +397,52 @@ def _posterior(inst, terms, finish):
         F = _float_chunk(X, rows)
         chunk_terms = terms(F, rows)
         for samples in block_slices(S, G * max(F.shape[1:])):
-            Lb = L[:, samples]
-            # (G, samples, rows), laid out so that numpy's row maxima and
-            # row sums run along the longer axis
-            logw = (Lb @ F.swapaxes(1, 2) if F.shape[1] >= Lb.shape[1]
-                    else (F @ Lb.swapaxes(1, 2)).swapaxes(1, 2))
-            top = logw.max(axis=2)
-            if rows.start:  # carry the earlier chunks' sums over to the new maxima
-                top = np.maximum(m[:, samples], top)
-                scale = np.exp(m[:, samples] - top)  # may underflow to 0
-                for total in (wsum, *sums):
-                    total[:, samples] *= scale.reshape(scale.shape + (1,) * (total.ndim - 2))
-            m[:, samples] = top
-            logw -= top[:, :, None]
+            logw = _row_products(A[:, samples], F)
+            if not on_dual:  # the dual's log-weights are at most 0, the empty word's
+                top = logw.max(axis=2)
+                if rows.start:  # carry the earlier chunks' sums over to the new maxima
+                    top = np.maximum(m[:, samples], top)
+                    scale = np.exp(m[:, samples] - top)  # may underflow to 0
+                    for total in (wsum, *sums):
+                        total[:, samples] *= scale.reshape(scale.shape + (1,) * (total.ndim - 2))
+                m[:, samples] = top
+                logw -= top[:, :, None]
             w = np.exp(logw, out=logw)
-            parts = chunk_terms(w, samples)
+            parts = ()
+            if on_dual:  # sum |W|, then sign each weight by its count of negative t_i
+                parts = (w.sum(axis=2),)
+                odd = _row_products(negative[:, samples], F) % 2.0  # exact on counts
+                np.copysign(w, 0.5 - odd, out=w)
+            parts += chunk_terms(w, index[samples])
             if sums is None:
                 sums = [np.zeros((G, S) + part.shape[2:]) for part in parts]
             for total, part in zip((wsum, *sums), (w.sum(axis=2), *parts)):
                 total[:, samples] += part
-    logz = m + np.log(wsum)
-    for k, g in enumerate(graphs):
-        if g.coset_bits:
-            logz[k] += g.coset_bits * math.log(2)
-    out = finish(X, L, logz, wsum, *sums)
+    if not on_dual:
+        logz = m + np.log(wsum)
+        for k, g in enumerate(graphs):
+            if g.coset_bits:
+                logz[k] += g.coset_bits * math.log(2)
+        out = finish(_Pass(graphs, X, L, index, None), logz, wsum, *sums)
+    else:
+        zabs, *sums = sums
+        with np.errstate(all="ignore"):  # a flagged sample's z may be <= 0
+            # ln Z = ln z + sum_i ln cosh l_i + m_var ln 2
+            logz = np.log(wsum) + cosh.sum(axis=2)
+            logz += np.array([g.n_var for g in graphs])[:, None] * math.log(2)
+            out = finish(_Pass(graphs, X, L, index, T), logz, wsum, *sums)
+        redo = (zabs > limit * wsum) | far
+        outs = out if isinstance(out, tuple) else (out,)
+        for k in np.flatnonzero(redo.any(axis=1)) if redo.any() else ():
+            s = np.flatnonzero(redo[k])
+            try:
+                again = _posterior(PosteriorInstance(graphs[k], L[k, s]), *primal, None, index[s])
+            except BruteForceCapExceeded as err:
+                raise BruteForceCapExceeded(
+                    f"{len(s)} sample(s) need the primal table (their dual sums cancel, or a "
+                    f"t_i is near 0, past {_DUAL_ROUNDING:g}), whose {err}") from None
+            for o, a in zip(outs, again if isinstance(again, tuple) else (again,)):
+                o[k, s] = a
     unstack = lambda a: a.reshape(values.shape[:-1] + a.shape[2:])[()]  # () gives a scalar
     return tuple(map(unstack, out)) if isinstance(out, tuple) else unstack(out)
 
@@ -320,17 +455,37 @@ def _expectation(total, wsum):
     return np.minimum(np.maximum(mean, -1.0, out=mean), 1.0, out=mean)
 
 
+def _first_moments(F, rows):
+    """A chunk's weighted column sums: sum w x on the primal table, and
+    on the dual's a_i, the signed weight of the dual words through i."""
+    return lambda w, samples: (w @ F,)
+
+
+def _dual_slopes(L):
+    """g_i = 1/t_i - t_i = 2 / sinh(2 l_i): flipping bit i of every dual
+    word multiplies the weight of a word without i by t_i and divides that
+    of a word with i by t_i, which turns z into <x_i> z = t_i z + g_i a_i."""
+    return 2.0 / np.sinh(2.0 * L)
+
+
+def _dual_means(p, z, a):
+    """<x_i> = t_i + g_i a_i / z from the dual sums, kept inside [-1, 1]."""
+    return np.clip(p.t + _dual_slopes(p.L) * a / z[..., None], -1.0, 1.0)
+
+
 def partition_function(inst):
     """log Z, computed with a streaming-safe log-sum-exp (Z is a positive
     sum of exponential weights for both code families)."""
-    return _posterior(inst, lambda F, rows: lambda w, samples: (),
-                      lambda X, L, logz, wsum: logz)
+    terms = lambda F, rows: lambda w, samples: ()
+    finish = lambda p, logz, wsum: logz
+    return _posterior(inst, terms, finish, (terms, finish))
 
 
 def all_marginals(inst):
     """<x_i> for every code bit i, as one array."""
-    return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,),
-                      lambda X, L, logz, wsum, wx: _expectation(wx, wsum))
+    return _posterior(inst, _first_moments,
+                      lambda p, logz, wsum, wx: _expectation(wx, wsum),
+                      (_first_moments, lambda p, logz, z, a: _dual_means(p, z, a)))
 
 
 def all_extrinsics(inst):
@@ -340,13 +495,15 @@ def all_extrinsics(inst):
     exp(-l_i x_i), finite for any LLR magnitude.  An entry whose half
     underflows is that definition itself: bit i's marginal under its
     sample's LLRs with l_i set to 0, one row of an all_marginals pass
-    per entry, graph by graph."""
+    per entry, graph by graph.  On the dual table, t_i = 0 keeps only the
+    dual words without i: <x_i>_0 = (a_i / t_i) / (z - a_i)."""
 
     def chunk(F, rows):
         P, Q = np.maximum(F, 0.0), np.maximum(-F, 0.0)  # indicators of x_i = +1, -1
         return lambda w, samples: (w @ P, w @ Q)
 
-    def finish(X, L, logz, wsum, zplus, zminus):
+    def finish(p, logz, wsum, zplus, zminus):
+        L = p.L
         pplus, pminus = zplus / wsum[..., None], zminus / wsum[..., None]
         with np.errstate(divide="ignore"):
             out = np.tanh(0.5 * (np.log(pplus) - np.log(pminus)) - L)
@@ -354,16 +511,20 @@ def all_extrinsics(inst):
         # +1, and an empty -1 half (a constant column) is exactly 0 and right
         tiny_minus = pminus < _TINY_PROBABILITY
         if tiny_minus.any():
-            tiny_minus &= (X.min(axis=1) < 0)[:, None, :]
+            tiny_minus &= (p.X.min(axis=1) < 0)[:, None, :]
         bad = (pplus < _TINY_PROBABILITY) | tiny_minus
         for k in np.flatnonzero(bad.any(axis=(1, 2))) if bad.any() else ():
             s, i = np.nonzero(bad[k])
             rows, entries = L[k, s], (np.arange(len(s)), i)  # one row per entry
             rows[entries] = 0.0
-            out[k, s, i] = all_marginals(PosteriorInstance(inst.graphs[k], rows))[entries]
+            out[k, s, i] = all_marginals(PosteriorInstance(p.graphs[k], rows))[entries]
         return out
 
-    return _posterior(inst, chunk, finish)
+    def dual_finish(p, logz, z, a):
+        z = z[..., None]
+        return np.clip(a / (p.t * (z - a)), -1.0, 1.0)
+
+    return _posterior(inst, chunk, finish, (_first_moments, dual_finish))
 
 
 def pair_correlation(inst, i, j):
@@ -383,18 +544,29 @@ def correlations_with_root(inst, i):
 def moments_with_root(inst, i):
     """(log Z, <x>, correlations_with_root(inst, i)) from one posterior
     pass: the three share its weights, and log Z and the marginals are
-    bit for bit those of partition_function and all_marginals."""
+    bit for bit those of partition_function and all_marginals.  On the
+    dual table the root's sums d_j (the signed weight of the dual words
+    through both r and j) give <x_r x_j> - <x_r><x_j> =
+    g_r g_j (d_j z - a_r a_j) / z^2."""
     roots = np.broadcast_to(np.asarray(i), np.atleast_2d(inst.values).shape[-2:-1])
 
     def chunk(F, rows):
         FT = F.swapaxes(1, 2).copy()  # root columns gathered as contiguous rows
         return lambda w, samples: (w @ F, (w * FT[:, roots[samples]]) @ F)
 
-    def finish(X, L, logz, wsum, wx, wxx):
+    def finish(p, logz, wsum, wx, wxx):
         means, joint = _expectation(wx, wsum), _expectation(wxx, wsum)
-        return logz, means, joint - means[:, np.arange(len(roots)), roots][:, :, None] * means
+        at = (slice(None), np.arange(len(p.index)), roots[p.index])  # each sample's root
+        return logz, means, joint - means[at][:, :, None] * means
 
-    return _posterior(inst, chunk, finish)
+    def dual_finish(p, logz, z, a, d):
+        means, g, z = _dual_means(p, z, a), _dual_slopes(p.L), z[..., None]
+        at = (slice(None), np.arange(len(p.index)), roots[p.index])
+        corr = g[at][:, :, None] * g * (d * z - a[at][:, :, None] * a) / (z * z)
+        corr[at] = 1.0 - means[at] ** 2
+        return logz, means, corr
+
+    return _posterior(inst, chunk, finish, (chunk, dual_finish))
 
 
 def _spin_products(graph, A, B):
@@ -416,8 +588,10 @@ def _spin_products(graph, A, B):
 def spin_product_correlation(inst, A, B):
     """<u_A u_B> - <u_A><u_B> for variable sets A, B of an LDGM instance,
     where u_S is the product of the spins in S; the quantity bounded by
-    the self-avoiding-walk expansion.  The spin-product table is built
-    once, after the cap check, and converted to float per row chunk."""
+    the self-avoiding-walk expansion.  It reads the pivot bits of the
+    primal table's rows, so it runs on the primal table whatever
+    table_source says.  The spin-product table is built once, after the
+    cap check, and converted to float per row chunk."""
     g = inst.one_graph("spin_product_correlation")
     if inst.kind != LDGM:
         raise ValueError("spin products are an LDGM notion")
@@ -427,7 +601,7 @@ def spin_product_correlation(inst, A, B):
         U = products()[rows].astype(float)
         return lambda w, samples: (w @ U,)
 
-    def finish(X, L, logz, wsum, wu):
+    def finish(p, logz, wsum, wu):
         uAB, uA, uB = np.moveaxis(_expectation(wu, wsum), -1, 0)
         return uAB - uA * uB
 
@@ -438,9 +612,12 @@ def conditional_entropy(inst):
     """Gibbs entropy of the posterior in nats per CODE BIT:
     -(1/n) sum_config p ln p, evaluated in the log domain."""
 
-    def finish(X, L, logz, wsum, wx):
+    def finish(p, logz, wsum, wx):
         # S = -sum p ln p = ln Z - sum_config p * logw, and logw = L @ x is
         # linear in the row, so sum_config p * logw = L . <x>
-        return (logz - np.einsum("gsn,gsn->gs", L, wx) / wsum) / X.shape[2]
+        return (logz - np.einsum("gsn,gsn->gs", p.L, wx) / wsum) / p.L.shape[2]
 
-    return _posterior(inst, lambda F, rows: lambda w, samples: (w @ F,), finish)
+    def dual_finish(p, logz, z, a):
+        return (logz - np.einsum("gsn,gsn->gs", p.L, _dual_means(p, z, a))) / p.L.shape[2]
+
+    return _posterior(inst, _first_moments, finish, (_first_moments, dual_finish))

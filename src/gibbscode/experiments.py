@@ -33,6 +33,8 @@ import numpy as np
 from . import clusters, de, duality, exact, gexit
 from .channels import BIAWGNC, ChannelModel, channel_noise, llrs_from_noise, sample_llr
 from .exact import correlations_with_root, make_instance, spin_product_correlation
+# sample_ensemble is not called here, but gcbench/layers.py wraps
+# experiments.sample_ensemble by name, so it stays bound
 from .graphs import (LDGM, LDPC, DegreeDistribution, build_graph, code_bit_distances,
                      ensemble_sizes, graph_distance, load_graph, sample_ensemble,
                      sample_ensembles)
@@ -207,12 +209,16 @@ class ExperimentConfig:
                 raise ValueError("bounds needs a threshold H > 0")
         if isinstance(src, gexit.EnsembleSpec) and src.n is not None:
             n_chk = ensemble_sizes(src.dd, src.n, src.kind)[1]  # raises unless they balance
-        # where exact tables are built, a fixed code's must fit the cap, and
-        # so must an LDPC ensemble's, each draw having n - rank H >= n - n_chk
-        # (an LDGM draw's rank G is known only once drawn, at run time)
+        # where exact tables are built, a fixed code's must fit the cap (the
+        # table its posterior pass reads, or the primal one that bounds'
+        # spin products read), and so must an LDPC ensemble's, each draw
+        # having n - rank H >= n - n_chk (an LDGM draw's rank G is known
+        # only once drawn, at run time)
         if self.experiment in ("corr-decay", "bounds") or set(methods) & set(gexit.MAP_METHODS):
             if not isinstance(src, gexit.EnsembleSpec):
-                exact._check_cap(src.kind, src.free_spin_count)
+                exact._check_cap(src.kind, *((src.free_spin_count, False)
+                                             if self.experiment == "bounds"
+                                             else exact.table_source(src)))
             elif src.kind == LDPC:
                 exact._check_cap(LDPC, src.n - n_chk)
         sampled = [m for m in methods if m != "de"]
@@ -431,16 +437,24 @@ def _bounds(cfg):
     """Walk-expansion bound against exact correlations on LDGM corpora."""
     src, (ch,) = cfg.source, cfg.points
     n_graphs, H = cfg.settings["graphs"], float(cfg.settings["H"])
+    fixed = not isinstance(src, gexit.EnsembleSpec)
+    n_chk = src.n_chk if fixed else ensemble_sizes(src.dd, src.n, src.kind)[1]
     rng = np.random.default_rng(cfg.seed)
     rows = []
     violations = 0
     per_graph = max(1, cfg.samples // n_graphs)
-    for gi in range(n_graphs):
-        g = src if not isinstance(src, gexit.EnsembleSpec) else sample_ensemble(
-            src.dd, src.n, src.kind, int(rng.integers(2 ** 63)))
-        i, j = rng.choice(g.n_chk, 2, replace=False)
+    # each graph's seed, check pair and LLR block in draw order, then one
+    # sampler call for all the graphs
+    seeds, draws = [], []
+    for _ in range(n_graphs):
+        if not fixed:
+            seeds.append(int(rng.integers(2 ** 63)))
+        draws.append((rng.choice(n_chk, 2, replace=False),
+                      sample_llr(ch, (per_graph, n_chk), rng)))
+    codes = [src] * n_graphs if fixed else sample_ensembles(src.dd, src.n, src.kind, seeds)
+    for gi, (g, ((i, j), llrs)) in enumerate(zip(codes, draws)):
         A, B = set(g.adj_chk[int(i)]), set(g.adj_chk[int(j)])
-        inst = make_instance(g, sample_llr(ch, (per_graph, g.n_chk), rng))
+        inst = make_instance(g, llrs)
         corrs = np.abs(spin_product_correlation(inst, A, B))
         bounds, _ = clusters.dkp_pointwise_bound(inst, A, B, H)
         violations += int(np.count_nonzero(corrs > bounds + 1e-12))

@@ -50,7 +50,8 @@ from . import bp, channels
 from .bp import bp_all_extrinsics
 from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p_sup, t2p_terms)
-from .exact import all_extrinsics, all_marginals, conditional_entropy, make_instance
+from .exact import (all_extrinsics, all_marginals, conditional_entropy, make_instance,
+                    table_source)
 from .graphs import (LDGM, TannerGraph, ensemble_window, sample_ensemble,
                      sample_ensembles)
 
@@ -122,23 +123,26 @@ def _noise_chunks(ch, count, n, rng):
 def _batches(draws):
     """The exact routes' batching of the draws: consecutive draws are
     collected while their costs sum to at most BLOCK_ELEMENTS floats, S
-    samples on an (R, n) table costing max(R n, S max(R, n)), and each
+    samples on an (R, n) table costing max(R n, S max(R, n)), R the rows
+    of the table exact.table_source dispatches the graph to, and each
     such window is yielded as one (starts, graph indices, graphs,
-    (G, S, n) noise) group per shape (R, n, S), graphs in draw order; the
-    posterior pass then runs a group as one row chunk and one sample
-    block, each graph as a call on it alone would.  A window's groups
-    interleave in sample order.  A window with no room left for n floats
-    (a chunk's least cost) goes before the next chunk is read, so a
-    graph's chunks (all but its last cost over BLOCK_ELEMENTS - n) never
-    share one: a fixed graph's groups hold one chunk each."""
+    (G, S, n) noise) group per source and shape (R, n, S), graphs in
+    draw order; the posterior pass then runs a group as one row chunk
+    and one sample block, each graph as a call on it alone would.  A
+    window's groups interleave in sample order.  A window with no room
+    left for n floats (a chunk's least cost) goes before the next chunk
+    is read, so a graph's chunks (all but its last cost over
+    BLOCK_ELEMENTS - n) never share one: a fixed graph's groups hold one
+    chunk each."""
     groups, used = {}, 0
     for start, index, g, noise in draws:
-        (S, n), R = noise.shape, 1 << g.free_spin_count
+        (S, n), (dim, dual) = noise.shape, table_source(g)
+        R = 1 << dim
         cost = max(R * n, S * max(R, n))
         if groups and used + cost > channels.BLOCK_ELEMENTS:
             yield from map(_stack, groups.values())
             groups, used = {}, 0
-        groups.setdefault((R, n, S), []).append((start, index, g, noise))
+        groups.setdefault((dual, R, n, S), []).append((start, index, g, noise))
         used += cost
         if used + n > channels.BLOCK_ELEMENTS:
             yield from map(_stack, groups.values())
@@ -326,9 +330,8 @@ def bp_gexit_multi_depth(source, ch, depths, samples, seed):
            for d in depths}
     diffs = {}
     for a, b in itertools.combinations(depths, 2):
-        delta = pref * (kernels[b] - kernels[a])
-        diffs[(a, b)] = (float(np.mean(delta)),
-                         float(np.std(delta, ddof=1) / math.sqrt(len(delta))))
+        est = _estimate(pref * (kernels[b] - kernels[a]), 1.0, "bp", {})
+        diffs[(a, b)] = (est.value, est.std_error)
     return out, diffs
 
 

@@ -585,7 +585,10 @@ def test_streamed_pass_over_row_chunks(monkeypatch, chunk_rows):
 def test_each_row_chunk_converted_once_per_call(monkeypatch):
     """A 500-sample call converts each row chunk of the table to float
     exactly once, whatever the reduction (a 2^7 x 12 table, rank 7 of 10
-    information bits, in chunks of 12 rows)."""
+    information bits, in chunks of 12 rows).  The spin products read that
+    table; the other reductions read the dual code's 2^5 x 12 table, and
+    then the primal table once more for the samples whose dual sums
+    cancel past the rounding target, one pass over the flagged samples."""
     monkeypatch.setattr(channels, "BLOCK_ELEMENTS", 144)
     rng = np.random.default_rng(23)
     g = build_graph(10, 12, [(v, c) for c in range(12) for v in {c % 10, (3 * c + 1) % 10}],
@@ -602,12 +605,17 @@ def test_each_row_chunk_converted_once_per_call(monkeypatch):
     monkeypatch.setattr(exact, "_float_chunk", counted)
     inst = make_instance(g, rng.normal(1.0, 1.0, (500, g.n_chk)))
     roots = rng.integers(g.n_chk, size=500)
+    primal = [(rows.start, rows.stop) for rows in chunks]
+    dual = [(rows.start, rows.stop) for rows in channels.block_slices(*exact.dual_table(g).shape)]
+    assert exact.table_source(g) == (5, True)
     for reduce in (partition_function, all_marginals, all_extrinsics, conditional_entropy,
-                   lambda inst: correlations_with_root(inst, roots),
-                   lambda inst: spin_product_correlation(inst, {0}, {5})):
+                   lambda inst: correlations_with_root(inst, roots)):
         converted.clear()
         reduce(inst)
-        assert converted == [(rows.start, rows.stop) for rows in chunks]
+        assert converted == dual + primal
+    converted.clear()
+    spin_product_correlation(inst, {0}, {5})
+    assert converted == primal
 
 
 @st.composite
@@ -720,18 +728,24 @@ def _same_shape_graphs():
             build_graph(2, 3, [(0, 0), (0, 1), (0, 2)], LDGM)]
 
 
-def test_batch_equals_each_graph_alone():
+def test_batch_equals_each_graph_alone(monkeypatch):
     """Every batched reduction gives each graph, bit for bit, what a call
-    on that graph alone gives, on an LDGM batch of differing coset factors
-    and on (4,4) LDPC ensemble graphs of 16 code bits sharing a 4-row
-    table."""
+    on that graph alone gives, on an LDGM batch of differing coset factors,
+    on (4,4) LDPC ensemble graphs of 16 code bits sharing a 4-row table,
+    and on (3,2) LDGM ensemble graphs of 18 code bits that read their
+    dual codes' 128-row tables, some samples of which cancel past the
+    rounding target and are redone on the primal table, graph by graph."""
     from gibbscode.graphs import DegreeDistribution, sample_ensemble
 
     rng = np.random.default_rng(31)
     ldpc = [sample_ensemble(DegreeDistribution.regular(4, 4), 16, LDPC, s) for s in range(40)]
     ldpc = [g for g in ldpc if g.free_spin_count == 2]
     assert len(ldpc) >= 3
-    for graphs in (_same_shape_graphs(), ldpc):
+    dual = [g for g in sample_ensembles(DegreeDistribution.regular(3, 2), 18, LDGM, range(12))
+            if exact.table_source(g) == (7, True)][:3]  # one chunk: 3 x 128 x 18 entries
+    assert len(dual) == 3
+    redone = _count_redone(monkeypatch)
+    for graphs in (_same_shape_graphs(), ldpc, dual):
         for S in (1, 5):
             L = rng.normal(0.5, 1.5, (len(graphs), S, graphs[0].code_bit_count))
             batch = make_instance(tuple(graphs), L)
@@ -741,6 +755,127 @@ def test_batch_equals_each_graph_alone():
                 for k, g in enumerate(graphs):
                     alone = reduce(make_instance(g, L[k]))
                     assert out[k].tobytes() == np.asarray(alone).tobytes(), (reduce, k)
+    assert redone[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# the dual code's table
+# ---------------------------------------------------------------------------
+
+def _count_redone(monkeypatch):
+    """A one-entry list counting the samples that dual passes redo on the
+    primal table (the passes that _posterior gives sample positions)."""
+    redone, posterior = [0], exact._posterior
+
+    def counted(inst, terms, finish, dual=None, index=None):
+        redone[0] += 0 if index is None else len(index)
+        return posterior(inst, terms, finish, dual, index)
+
+    monkeypatch.setattr(exact, "_posterior", counted)
+    return redone
+
+
+def _dual_test_graphs():
+    """The corpus LDGM codes and LDGM ensemble draws of 9 to 24 code bits,
+    rank-deficient generators among them."""
+    graphs = [g for _, g in fixed_code_corpus() if g.kind == LDGM]
+    for dd, n, seeds in ((DegreeDistribution.regular(3, 2), 9, range(3)),
+                         (DegreeDistribution.regular(3, 2), 18, range(3)),
+                         (DegreeDistribution.regular(3, 2), 24, range(2)),
+                         (DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0}), 14,
+                          range(3))):
+        graphs += sample_ensembles(dd, n, LDGM, seeds)
+    return graphs
+
+
+def test_dual_tables_are_the_dual_codes():
+    """Each graph's dual_basis spans its dual code: the rows of dual_table
+    are every y in {0,1}^n_chk with an even number of checks of y at every
+    variable, each once, found by popcount over all 2^n_chk words; a
+    sampled window's graphs give the same basis as the graph built alone,
+    and dual_tables stacks the one-graph tables."""
+    graphs = _dual_test_graphs()[:-5]  # n_chk <= 18
+    for g in graphs:
+        Y = exact.dual_table(g)
+        words = np.arange(1 << g.n_chk, dtype=np.uint64)
+        var_masks = [gf2.mask(a) for a in g.adj_var]
+        even = (gf2.parity_signs(words, var_masks) == 1).all(axis=1)
+        want = {tuple(int(w) >> i & 1 for i in range(g.n_chk)) for w in words[even]}
+        assert len(Y) == len(want) == 2 ** (g.n_chk - g.free_spin_count)
+        assert {tuple(row) for row in Y.tolist()} == want
+        assert build_graph(g.n_var, g.n_chk, g.edges(), LDGM).dual_basis == g.dual_basis
+    same = [g for g in graphs if g.n_chk == 18 and g.free_spin_count == graphs[-1].free_spin_count]
+    assert np.array_equal(exact.dual_tables(tuple(same)),
+                          np.stack([exact.dual_table(g) for g in same]))
+
+
+def test_dispatch_reads_the_smaller_table():
+    """LDGM graphs read the dual code's table when it and the dual pass's
+    per-bit work come to fewer rows than the primal table; small tables
+    and LDPC graphs read their own."""
+    law = DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0})
+    for g in sample_ensembles(law, 56, LDGM, range(4)):
+        rank = g.free_spin_count
+        assert rank > exact.BRUTE_FORCE_CAP and exact.table_source(g) == (56 - rank, True)
+    for _, g in fixed_code_corpus():  # tables of 2 to 16 rows
+        assert exact.table_source(g) == (g.free_spin_count, False)
+    g = sample_ensembles(DegreeDistribution.regular(3, 6), 24, LDPC, [0])[0]
+    assert exact.table_source(g) == (g.free_spin_count, False)
+
+
+def test_dual_redo_past_the_cap_raises():
+    """A sample that needs the primal table (here one holding t = 0) on a
+    graph whose rank G is past the cap raises BruteForceCapExceeded, and
+    the message says why the primal table was needed."""
+    law = DegreeDistribution.from_dicts({2: 2 / 3, 3: 1 / 3}, {2: 1.0})
+    g = sample_ensembles(law, 56, LDGM, [0])[0]
+    L = np.full((3, 56), 0.1)
+    assert np.all(np.isfinite(all_marginals(make_instance(g, L))))
+    L[1, 7] = 0.0
+    with pytest.raises(BruteForceCapExceeded, match=r"^1 sample\(s\) need the primal table .*"
+                                                    r"whose support dimension 4\d \(rank G\)"):
+        all_marginals(make_instance(g, L))
+
+
+def test_dual_route_equals_the_primal_table(monkeypatch):
+    """The oracle for the dual route: log Z, marginals, extrinsics,
+    conditional entropy and root correlations read from the dual code's
+    table equal the primal table's to 1e-13 (log Z relative to max(1,
+    |log Z|)), on every corpus LDGM code and on ensemble draws of up to 24
+    code bits, at BSC eps 0.03 to 0.47 and BIAWGNC eps 0.5 to 2, with
+    saturated LLRs (|l| = 40, so t = +-1) and exact zeros (t = 0) mixed
+    in.  Samples whose dual sums cancel past the target, and those with
+    t = 0, are redone on the primal table, and both kinds occur."""
+    rng = np.random.default_rng(41)
+    redone = _count_redone(monkeypatch)
+    channels_ = [channels.ChannelModel("bsc", e) for e in (0.03, 0.1, 0.2, 0.3, 0.4, 0.47)] + \
+        [channels.ChannelModel("biawgnc", e) for e in (0.5, 1.0, 2.0)]
+    reductions = (partition_function, all_marginals, all_extrinsics, conditional_entropy)
+    cases = zero_cases = 0
+    for g in _dual_test_graphs():
+        dual, primal = (g.n_chk - g.free_spin_count, True), (g.free_spin_count, False)
+        for ch in channels_:
+            L = channels.sample_llr(ch, (30, g.n_chk), rng)
+            saturated = rng.random(L.shape) < 0.03
+            L[saturated] = rng.choice([-40.0, 40.0], saturated.sum())
+            L[-1, rng.integers(g.n_chk)] = 0.0
+            inst = make_instance(g, L)
+            roots = rng.integers(g.n_chk, size=len(L))
+            got = {}
+            for source in (dual, primal):
+                monkeypatch.setattr(exact, "table_source", lambda g, source=source: source)
+                before = redone[0]
+                got[source] = [f(inst) for f in reductions] + [
+                    correlations_with_root(inst, roots)]
+                if source == dual:
+                    cases += 1
+                    zero_cases += redone[0] - before >= len(reductions) + 1
+            for k, (a, b) in enumerate(zip(got[dual], got[primal])):
+                scale = np.maximum(1.0, np.abs(b)) if k == 0 else 1.0
+                assert np.all(np.isfinite(a)), (g, ch, k)
+                assert np.max(np.abs(a - b) / scale) <= 1e-13, (g, ch, k)
+    assert zero_cases == cases  # the sample holding t = 0 is redone in every call
+    assert redone[0] > 2 * cases * (len(reductions) + 1)  # and others, past kappa
 
 
 def test_batch_recomputes_tiny_halves_per_graph(monkeypatch):
