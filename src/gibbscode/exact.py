@@ -24,8 +24,9 @@ and cached (codebit_table), the tables of a group of graphs that share
 one shape as one (G, R, n) stack (codebit_tables).
 
 An LDGM code has a second table source: its dual code C-perp, the
-2^(n - rank G) words y with G y = 0, whose basis the same row reduction
-gives (TannerGraph.dual_basis; dual_table, dual_tables).  By MacWilliams
+2^(n - rank G) words y with G y = 0, whose table is the codebit_table
+of the LDPC graph with the sides swapped (TannerGraph.dual_code), read
+as 0/1 words.  By MacWilliams
 duality Z = 2^m prod_i cosh l_i sum_{y in C-perp} prod_{i in y} t_i,
 t_i = tanh l_i, and every marginal, extrinsic and root correlation is a
 ratio of such signed sums.  In the LDGM regime (high noise, |t_i| << 1)
@@ -257,38 +258,18 @@ def codebit_tables(graphs):
     return gf2.span_signs(_span_basis(graphs))
 
 
-@partial(TableCache, maxsize=8)
-def dual_table(graph):
-    """The 0/1 table Y of an LDGM graph's dual code: the one-graph case
-    of dual_tables, cached."""
-    return dual_tables((graph,))[0]
-
-
-def dual_tables(graphs):
-    """The dual codewords of LDGM graphs whose dual codes share one
-    dimension, as a (G, 2^(n_chk - rank G), n_chk) int8 stack of 0/1
-    entries, Y[y, i] = 1 iff check i is in dual codeword y: the sign table
-    of the span of each graph's dual_basis, doubled like codebit_tables,
-    with -1 read as 1."""
-    return (gf2.span_signs(_span_basis(graphs, dual=True)) < 0).view(np.int8)
-
-
-def _span_basis(graphs, dual=False):
-    """The int8 sign rows of a basis of each graph's code (or, with dual,
-    of its dual code), which codebit_tables doubles, as one (G, b, n)
-    stack for graphs of one table shape, from the supports of the basis
-    words: LDGM, the generator rows of the pivot information bits in
-    ascending order, row j -1 on the checks of the j-th lowest pivot,
-    read from adjacency; LDPC, the nullspace basis words; the dual of an
-    LDGM code, its dual_basis.  No word width applies."""
+def _span_basis(graphs):
+    """The int8 sign rows of a basis of each graph's code, which
+    codebit_tables doubles, as one (G, b, n) stack for graphs of one
+    table shape, from the supports of the basis words: LDGM, the
+    generator rows of the pivot information bits in ascending order, row
+    j -1 on the checks of the j-th lowest pivot, read from adjacency;
+    LDPC, the nullspace basis words.  No word width applies."""
     rows = []
     for g in graphs:
-        rows += (g.dual_basis if dual else
-                 [g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
+        rows += ([g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
                  if g.kind == LDGM else gf2.nullspace_basis(g.reduced_checks, g.n_var))
-    g = graphs[0]
-    dim = g.n_chk - g.free_spin_count if dual else g.free_spin_count
-    shape = (len(graphs), dim, g.code_bit_count)
+    shape = (len(graphs), graphs[0].free_spin_count, graphs[0].code_bit_count)
     return gf2.sign_rows(rows, shape[2]).reshape(shape)
 
 
@@ -306,8 +287,8 @@ _DUAL_ROUNDING = 1e-13
 
 
 #: what a posterior pass hands its finish: the graphs, the (G, R, n)
-#: table stack, the (G, S, n) LLRs, the samples' positions and, on the
-#: dual table, t = tanh L
+#: table stack, the (G, S, n) LLRs, the samples' positions (slice(None)
+#: for all of them) and, on the dual table, t = tanh L
 _Pass = namedtuple("_Pass", "graphs X L index t")
 
 
@@ -349,14 +330,16 @@ def _posterior(inst, terms, finish, dual=None, index=None):
     those sums, all against the final maxima, to per-graph, per-sample
     results, an array or a tuple of arrays, each returned with the
     leading axes of the instance's values; p is the _Pass, and index
-    the samples' positions among the caller's (default: 0 to S - 1).
+    the samples' positions among the caller's, an index array (default:
+    all S in order, handed to terms as the block's slice).
 
     The table is the source table_source dispatches to when the
     reduction gives dual, its (terms, finish) on the dual table, and
     the graph's codebit_table otherwise.  On the primal table A = L and
     F is +-1; log Z counts every configuration, an LDGM row's weight
     multiplied by the size of its coset, 2^(m - rank G).  On the dual
-    table F is 0/1 (dual_table) and A = ln|t|, t = tanh L: the weight
+    table, the codebit_table of the graph's dual_code read as 0/1
+    (each chunk's F = (1 - F) / 2, exact), A = ln|t|, t = tanh L: the weight
     of dual word y is W(y) = prod_{i in y} t_i, its log-magnitude A @ y
     (at most 0, the empty word's, so no running maximum is kept) and its
     sign the parity of the negative t_i in y, and
@@ -367,14 +350,16 @@ def _posterior(inst, terms, finish, dual=None, index=None):
     BruteForceCapExceeded if the primal table is over the cap."""
     graphs, values = inst.graphs, inst.values
     L = values.reshape(len(graphs), -1, values.shape[-1])
-    index = np.arange(L.shape[1]) if index is None else index
-    sources = [table_source(g) if dual else (g.free_spin_count, False) for g in graphs]
-    for g, source in zip(graphs, sources):
-        _check_cap(g.kind, *source)
-    on_dual = sources[0][1]
+    pos = slice(None) if index is None else index  # the samples' positions, for finish
+    # the graphs of a batch share one table_source (PosteriorInstance), and
+    # the primal-only readers (the spin products, a redo) take one graph
+    source = table_source(graphs[0]) if dual else (graphs[0].free_spin_count, False)
+    _check_cap(inst.kind, *source)
+    on_dual = source[1]
     if on_dual:
         primal, (terms, finish) = (terms, finish), dual
-        X = dual_table(graphs[0])[None] if len(graphs) == 1 else dual_tables(graphs)
+        X = (codebit_table(graphs[0].dual_code)[None] if len(graphs) == 1 else
+             codebit_tables(tuple(g.dual_code for g in graphs)))
         limit = _DUAL_ROUNDING / (X.shape[2] * 2.0 ** -53)  # on kappa and on |ln|t_i||
         T = np.tanh(L)
         with np.errstate(divide="ignore"):
@@ -395,6 +380,9 @@ def _posterior(inst, terms, finish, dual=None, index=None):
     sums = None
     for rows in block_slices(R, G * n):
         F = _float_chunk(X, rows)
+        if on_dual:  # dual word y as 0/1, y_i = (1 - (-1)^y_i) / 2
+            F *= -0.5
+            F += 0.5
         chunk_terms = terms(F, rows)
         for samples in block_slices(S, G * max(F.shape[1:])):
             logw = _row_products(A[:, samples], F)
@@ -413,7 +401,7 @@ def _posterior(inst, terms, finish, dual=None, index=None):
                 parts = (w.sum(axis=2),)
                 odd = _row_products(negative[:, samples], F) % 2.0  # exact on counts
                 np.copysign(w, 0.5 - odd, out=w)
-            parts += chunk_terms(w, index[samples])
+            parts += chunk_terms(w, samples if index is None else index[samples])
             if sums is None:
                 sums = [np.zeros((G, S) + part.shape[2:]) for part in parts]
             for total, part in zip((wsum, *sums), (w.sum(axis=2), *parts)):
@@ -423,20 +411,21 @@ def _posterior(inst, terms, finish, dual=None, index=None):
         for k, g in enumerate(graphs):
             if g.coset_bits:
                 logz[k] += g.coset_bits * math.log(2)
-        out = finish(_Pass(graphs, X, L, index, None), logz, wsum, *sums)
+        out = finish(_Pass(graphs, X, L, pos, None), logz, wsum, *sums)
     else:
         zabs, *sums = sums
         with np.errstate(all="ignore"):  # a flagged sample's z may be <= 0
             # ln Z = ln z + sum_i ln cosh l_i + m_var ln 2
             logz = np.log(wsum) + cosh.sum(axis=2)
             logz += np.array([g.n_var for g in graphs])[:, None] * math.log(2)
-            out = finish(_Pass(graphs, X, L, index, T), logz, wsum, *sums)
+            out = finish(_Pass(graphs, X, L, pos, T), logz, wsum, *sums)
         redo = (zabs > limit * wsum) | far
         outs = out if isinstance(out, tuple) else (out,)
         for k in np.flatnonzero(redo.any(axis=1)) if redo.any() else ():
             s = np.flatnonzero(redo[k])
             try:
-                again = _posterior(PosteriorInstance(graphs[k], L[k, s]), *primal, None, index[s])
+                again = _posterior(PosteriorInstance(graphs[k], L[k, s]), *primal, None,
+                                   s if index is None else index[s])
             except BruteForceCapExceeded as err:
                 raise BruteForceCapExceeded(
                     f"{len(s)} sample(s) need the primal table (their dual sums cancel, or a "
@@ -556,12 +545,12 @@ def moments_with_root(inst, i):
 
     def finish(p, logz, wsum, wx, wxx):
         means, joint = _expectation(wx, wsum), _expectation(wxx, wsum)
-        at = (slice(None), np.arange(len(p.index)), roots[p.index])  # each sample's root
+        at = (slice(None), np.arange(p.L.shape[1]), roots[p.index])  # each sample's root
         return logz, means, joint - means[at][:, :, None] * means
 
     def dual_finish(p, logz, z, a, d):
         means, g, z = _dual_means(p, z, a), _dual_slopes(p.L), z[..., None]
-        at = (slice(None), np.arange(len(p.index)), roots[p.index])
+        at = (slice(None), np.arange(p.L.shape[1]), roots[p.index])
         corr = g[at][:, :, None] * g * (d * z - a[at][:, :, None] * a) / (z * z)
         corr[at] = 1.0 - means[at] ** 2
         return logz, means, corr

@@ -31,10 +31,10 @@ import numpy as np
 
 from .channels import block_slices
 
-#: most bits a uint64 word holds with its top bit clear: the most bits
-#: (variables, plus checks for LDGM) of the check masks of a sampled
-#: window stacked as words, its only use (tables are doubled from
-#: supports, so no code's length is limited by it)
+#: most bits a uint64 word holds with its top bit clear: the most
+#: variables of a sampled window whose check masks are stacked as words,
+#: its only use (tables are doubled from supports, so no code's length
+#: is limited by it)
 MAX_WORD_BITS = 63
 
 

@@ -13,17 +13,16 @@ Conventions:
     hop_distances is the one breadth-first search, and graph_distance,
     code_bit_distances and same_type_distance read from it.
   * The MacWilliams dual of an LDPC graph is an LDGM graph with the sides
-    swapped (dual_graph): its brute-force table (exact.codebit_table)
-    holds the dual codewords.
+    swapped (dual_graph), and that of an LDGM graph the LDPC graph with
+    the sides swapped (TannerGraph.dual_code): either's brute-force table
+    (exact.codebit_table) holds the dual codewords.
   * Ensemble graphs come from the configuration model through one
     sampler, sample_ensembles (sample_ensemble is its one-seed view):
     each graph's draws are fixed by its seed, and the parallel-edge
     repair runs a window of graphs at a time, one stable argsort per
     round.  A window's graphs also row-reduce their checks together, in
     one gf2.row_reduce_stack call on the first read of any graph's
-    reduced_checks; any other graph runs gf2.row_reduce.  An LDGM check
-    carries its own bit past the variables, so that one
-    reduction gives both rank G and a basis of the dual code (dual_basis).
+    reduced_checks; any other graph runs gf2.row_reduce.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -103,11 +102,10 @@ class TannerGraph:
         return self.n_chk if self.kind == LDGM else self.n_var
 
     @cached_property
-    def _row_reduction(self):
-        """The graph's one GF(2) row reduction: the (pivot, row) pairs of
-        gf2.row_reduce for the checks as bitmasks over the variables, an
-        LDGM check c also carrying bit n_var + c, so that the reduction
-        tracks which checks each of its rows sums (dual_basis).  A graph
+    def reduced_checks(self):
+        """The checks as bitmasks over the variables, row-reduced over
+        GF(2) once per graph: the (pivot, row) pairs of gf2.row_reduce, in
+        some order; they number rank G (LDGM) or rank H (LDPC).  A graph
         drawn in a window of sampled graphs reads its share of the
         window's one gf2.row_reduce_stack call, which the first read on
         any graph of the window makes; any other graph runs
@@ -115,30 +113,17 @@ class TannerGraph:
         if self._window is not None:
             reduce, row = self._window
             return reduce()[row]
-        own = self.n_var if self.kind == LDGM else None  # check c's own bit, n_var + c
-        return gf2.row_reduce(gf2.mask(c) | (0 if own is None else 1 << own + k)
-                              for k, c in enumerate(self.adj_chk))
+        return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
 
     @cached_property
-    def reduced_checks(self):
-        """The checks as bitmasks over the variables, row-reduced over
-        GF(2) once per graph: the (pivot, row) pairs of gf2.row_reduce, in
-        some order; they number rank G (LDGM) or rank H (LDPC)."""
+    def dual_code(self):
+        """LDGM: the MacWilliams dual code, the words y over the checks
+        with G^T y = 0, as the LDPC graph with the sides swapped (each
+        variable a parity check on its checks); its free_spin_count is
+        n_chk - rank G."""
         if self.kind != LDGM:
-            return self._row_reduction
-        var_bits = (1 << self.n_var) - 1
-        return [(p, q & var_bits) for p, q in self._row_reduction if p <= var_bits]
-
-    @cached_property
-    def dual_basis(self):
-        """LDGM: the supports of a basis of the dual code, check index
-        lists in ascending pivot order, n_chk - rank G of them.  The
-        reduction's rows whose pivot lies past the variables had every
-        variable bit cancel, so their check bits name a set of checks
-        whose variable masks sum to 0 mod 2: a dual codeword, and these
-        words are independent, since the check bits began as the identity."""
-        return [[i for i, b in enumerate(bin(q >> self.n_var)[:1:-1]) if b == "1"]
-                for p, q in sorted(self._row_reduction) if p >> self.n_var]
+            raise ValueError("dual_code reads an LDGM graph")
+        return TannerGraph(LDPC, self.n_chk, self.n_var, self.adj_chk, self.adj_var)
 
     @property
     def free_spin_count(self):
@@ -340,10 +325,9 @@ def sample_ensembles(dd, n, kind, seeds):
     later copy; a graph leaves the window once it is simple, its
     adjacency decoded from its sorted codes.  The same codes give a
     window's check masks, a (graphs, n_chk) uint64 stack, when the window
-    holds two or more graphs whose check masks (an LDGM check's with its
-    own bit, see TannerGraph._row_reduction) fit gf2.MAX_WORD_BITS bits:
-    the first reduced_checks read on any of its graphs row-reduces the
-    whole stack in one gf2.row_reduce_stack call.  Nothing row-reduces a graph
+    holds two or more graphs on at most gf2.MAX_WORD_BITS variables: the
+    first reduced_checks read on any of its graphs row-reduces the whole
+    stack in one gf2.row_reduce_stack call.  Nothing row-reduces a graph
     whose reduced_checks no one reads (the BP routes').
     """
     n_var, n_chk = ensemble_sizes(dd, n, kind)
@@ -402,8 +386,7 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
     pairing[real] = (np.arange(cdegs.size) % n_chk).repeat(cdegs.ravel())[
         np.concatenate(perms) + first]
     out, live, n_edges = [None] * len(seeds), np.arange(len(seeds)), n_edges.tolist()
-    track = n_var if kind == LDGM else None  # an LDGM check's own bit, n_var + c
-    batched = len(seeds) > 1 and n_var + (n_chk if kind == LDGM else 0) <= gf2.MAX_WORD_BITS
+    batched = len(seeds) > 1 and n_var <= gf2.MAX_WORD_BITS
     masks = np.zeros((len(seeds), n_chk), np.uint64) if batched else None
     for _ in range(ENSEMBLE_RETRY_CAP):
         codes = var + pairing
@@ -417,7 +400,7 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
                                                     n_var, n_chk, kind)):
                 out[gi], rngs[gi] = g, None
             if batched:
-                masks[done] = _check_masks(codes[simple], n_var, n_chk, track)
+                masks[done] = _check_masks(codes[simple], n_var, n_chk)
             if len(done) == len(live):
                 if batched:
                     reduce = cache(lambda: gf2.row_reduce_stack(masks))
@@ -459,16 +442,13 @@ def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
         yield TannerGraph(kind, n_var, n_chk, _split(c, vd), _split(v, cd))
 
 
-def _check_masks(codes, n_var, n_chk, track):
+def _check_masks(codes, n_var, n_chk):
     """Each check's variables as a uint64 bitmask, (graphs, n_chk), from
     rows of distinct edge codes v * n_chk + c (padding codes, past every
-    edge, are skipped); check c's own bit is track + c, none when track
-    is None, and every mask fits gf2.MAX_WORD_BITS bits."""
+    edge, are skipped); n_var is at most gf2.MAX_WORD_BITS."""
     var, chk = np.divmod(codes, n_chk)
     rows, cols = np.nonzero(var < n_var)
     masks = np.zeros((len(codes), n_chk), np.uint64)
-    if track is not None:
-        masks[:] = np.uint64(1) << np.arange(track, track + n_chk, dtype=np.uint64)
     # an edge's bit is set once, so adding the bits ORs them
     np.add.at(masks, (rows, chk[rows, cols]), np.uint64(1) << var[rows, cols].astype(np.uint64))
     return masks

@@ -606,7 +606,7 @@ def test_each_row_chunk_converted_once_per_call(monkeypatch):
     inst = make_instance(g, rng.normal(1.0, 1.0, (500, g.n_chk)))
     roots = rng.integers(g.n_chk, size=500)
     primal = [(rows.start, rows.stop) for rows in chunks]
-    dual = [(rows.start, rows.stop) for rows in channels.block_slices(*exact.dual_table(g).shape)]
+    dual = [(rows.start, rows.stop) for rows in _chunks(g.dual_code)]
     assert exact.table_source(g) == (5, True)
     for reduce in (partition_function, all_marginals, all_extrinsics, conditional_entropy,
                    lambda inst: correlations_with_root(inst, roots)):
@@ -789,24 +789,24 @@ def _dual_test_graphs():
 
 
 def test_dual_tables_are_the_dual_codes():
-    """Each graph's dual_basis spans its dual code: the rows of dual_table
-    are every y in {0,1}^n_chk with an even number of checks of y at every
-    variable, each once, found by popcount over all 2^n_chk words; a
-    sampled window's graphs give the same basis as the graph built alone,
-    and dual_tables stacks the one-graph tables."""
+    """Each graph's dual_code is its dual code: the rows of its
+    codebit_table are, as 0/1 words, every y in {0,1}^n_chk with an even
+    number of checks of y at every variable, each once, found by popcount
+    over all 2^n_chk words; and codebit_tables stacks the one-graph
+    dual tables."""
     graphs = _dual_test_graphs()[:-5]  # n_chk <= 18
     for g in graphs:
-        Y = exact.dual_table(g)
+        Y = (exact.codebit_table(g.dual_code) < 0).view(np.int8)
         words = np.arange(1 << g.n_chk, dtype=np.uint64)
         var_masks = [gf2.mask(a) for a in g.adj_var]
         even = (gf2.parity_signs(words, var_masks) == 1).all(axis=1)
         want = {tuple(int(w) >> i & 1 for i in range(g.n_chk)) for w in words[even]}
         assert len(Y) == len(want) == 2 ** (g.n_chk - g.free_spin_count)
         assert {tuple(row) for row in Y.tolist()} == want
-        assert build_graph(g.n_var, g.n_chk, g.edges(), LDGM).dual_basis == g.dual_basis
-    same = [g for g in graphs if g.n_chk == 18 and g.free_spin_count == graphs[-1].free_spin_count]
-    assert np.array_equal(exact.dual_tables(tuple(same)),
-                          np.stack([exact.dual_table(g) for g in same]))
+    same = [g.dual_code for g in graphs
+            if g.n_chk == 18 and g.free_spin_count == graphs[-1].free_spin_count]
+    assert np.array_equal(exact.codebit_tables(tuple(same)),
+                          np.stack([exact.codebit_table(d) for d in same]))
 
 
 def test_dispatch_reads_the_smaller_table():
