@@ -23,23 +23,12 @@ adjacency; LDPC: the nullspace basis words): one graph's table alone
 and cached (codebit_table), the tables of a group of graphs that share
 one shape as one (G, R, n) stack (codebit_tables).
 
-An LDGM code has a second table source: its dual code C-perp, the
-2^(n - rank G) words y with G y = 0, whose table is the codebit_table
-of the LDPC graph with the sides swapped (TannerGraph.dual_code), read
-as 0/1 words.  By MacWilliams
-duality Z = 2^m prod_i cosh l_i sum_{y in C-perp} prod_{i in y} t_i,
-t_i = tanh l_i, and every marginal, extrinsic and root correlation is a
-ratio of such signed sums.  In the LDGM regime (high noise, |t_i| << 1)
-the sum barely cancels, and the dual table is far the smaller: 8 rows
-against 2048 at corr-decay's n = 14, 2^9 against 2^47 at n = 56.
-table_source reads it whenever its rows, plus the dual pass's own work
-per code bit, come to fewer than the primal table's.  Each dual sample
-also carries sum |W|, so its cancellation kappa = sum |W| / |sum W| is
-known; one whose rounding bound n u kappa (u = 2^-53) passes
-_DUAL_ROUNDING = 1e-13, or that holds a t_i = 0, is recomputed on the
-primal table, which raises BruteForceCapExceeded when that table is over
-the cap.  The spin products read the pivot bits of the primal rows and
-always run on the primal table.
+An LDGM graph may read a second table, its dual code's (table_source):
+the codebit_table of TannerGraph.dual_code read as 0/1 words, over
+which every posterior sum is a signed MacWilliams sum (_posterior).  A
+sample whose cancellation kappa = sum|W| / |sum W| puts its rounding
+past _DUAL_ROUNDING, or that holds a t_i = 0, is recomputed on the
+primal table; the spin products always read the primal table.
 
 It works in the log domain, and relies on numpy's pairwise summation
 for reproducible reductions.  Every quantity is a weighted sum over one
