@@ -17,11 +17,12 @@ configurations of the pivot information bits, one per coset of the
 kernel, and each row stands for 2^(m - rank G) configurations, a factor
 log Z carries.  LDPC: the 2^(n - rank H) codewords, spanned from a
 nullspace basis of the parity checks.  Both tables are the +-1 span of a
-basis of the code, doubled up by gf2.span_signs from its sign rows
-(LDGM: the generator rows of the pivot information bits, read from
-adjacency; LDPC: the nullspace basis words): one graph's table alone
-and cached (codebit_table), the tables of a group of graphs that share
-one shape as one (G, R, n) stack (codebit_tables).
+basis of the code, doubled up by gf2.span_signs from its sign rows,
+TannerGraph.code_basis (LDGM: the generator rows of the pivot
+information bits, read from adjacency; LDPC: the nullspace basis
+words): one graph's table alone and cached (codebit_table), the tables
+of a group of graphs that share one shape as one (G, R, n) stack
+(codebit_tables).
 
 An LDGM graph may read a second table, its dual code's (table_source):
 the codebit_table of TannerGraph.dual_code read as 0/1 words, over
@@ -231,35 +232,21 @@ def codebit_table(graph):
     i of codeword r.
 
     Both are the +-1 span of a basis of the code: gf2.span_signs doubles
-    the basis rows of _span_basis into the table, row k the product of
+    the graph's code_basis rows into the table, row k the product of
     the rows picked by the bits of k, which is the sign row of the XOR of
     those basis words.
     """
-    return codebit_tables((graph,))[0]
+    return gf2.span_signs(graph.code_basis)
 
 
 def codebit_tables(graphs):
     """The codebit_tables of graphs whose tables share one shape, as a
     (G, R, n) int8 stack doubled by one gf2.span_signs call over the
-    graph axis; each slice is bit for bit the graph's codebit_table.
-    Uncached: the posterior pass builds the stack of a group of two or
-    more graphs, which _batches bounds to one block."""
-    return gf2.span_signs(_span_basis(graphs))
-
-
-def _span_basis(graphs):
-    """The int8 sign rows of a basis of each graph's code, which
-    codebit_tables doubles, as one (G, b, n) stack for graphs of one
-    table shape, from the supports of the basis words: LDGM, the
-    generator rows of the pivot information bits in ascending order, row
-    j -1 on the checks of the j-th lowest pivot, read from adjacency;
-    LDPC, the nullspace basis words.  No word width applies."""
-    rows = []
-    for g in graphs:
-        rows += ([g.adj_var[p.bit_length() - 1] for p in sorted(p for p, _ in g.reduced_checks)]
-                 if g.kind == LDGM else gf2.nullspace_basis(g.reduced_checks, g.n_var))
-    shape = (len(graphs), graphs[0].free_spin_count, graphs[0].code_bit_count)
-    return gf2.sign_rows(rows, shape[2]).reshape(shape)
+    graph axis from the stacked TannerGraph.code_basis rows; each slice
+    is bit for bit the graph's codebit_table.  Uncached: the posterior
+    pass builds the stack of a group of two or more graphs, which
+    _batches bounds to one block."""
+    return gf2.span_signs(np.stack([g.code_basis for g in graphs]))
 
 
 #: a half's posterior probability below this is recomputed by a

@@ -52,8 +52,7 @@ from .channels import (BIAWGNC, block_slices, channel_noise, gexit_kernel_batch,
                        llrs_from_noise, sample_llr, t2p_sup, t2p_terms)
 from .exact import (all_extrinsics, all_marginals, conditional_entropy, make_instance,
                     table_source)
-from .graphs import (LDGM, TannerGraph, ensemble_window, sample_ensemble,
-                     sample_ensembles)
+from .graphs import LDGM, TannerGraph, sample_ensemble, sample_ensembles, window_size
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,11 @@ def _draws(source, ch, samples, seed, noise_per_graph=1):
     then its noise.  A graph's noise comes in chunks of at most
     BLOCK_ELEMENTS entries, start being the sample index of a chunk's
     first row.  Ensemble codes are drawn a window at a time: the seeds
-    and noise of up to ensemble_window graphs whose noise fits
-    BLOCK_ELEMENTS floats together, then one sample_ensembles call for
-    the window's seeds.  A window of one graph, like a fixed graph,
-    draws each chunk as it is read."""
+    and noise of graphs.window_size(n, noise_per_graph) graphs, whose
+    noise fits BLOCK_ELEMENTS floats together, then one sample_ensembles
+    call for the window's seeds, which it samples as one window.  A
+    window of one graph, like a fixed graph, draws each chunk as it is
+    read."""
     rng = np.random.default_rng(seed)
     if isinstance(source, TannerGraph):
         for start, noise in _noise_chunks(ch, range(samples), source.code_bit_count, rng):
@@ -99,8 +99,7 @@ def _draws(source, ch, samples, seed, noise_per_graph=1):
         return
     n, per_graph = source.n, noise_per_graph
     starts = range(0, samples, per_graph)
-    window = max(1, min(ensemble_window(source.dd, n, source.kind),
-                        channels.BLOCK_ELEMENTS // (per_graph * n)))
+    window = window_size(n, per_graph)
     for first in range(0, len(starts), window):
         seeds, noise = [], []
         for start in starts[first:first + window]:

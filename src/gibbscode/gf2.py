@@ -18,7 +18,9 @@ several of them reduces its rows once.
 row_reduce is the one-matrix reduction and the reference;
 row_reduce_stack reduces a (G, m) uint64 stack of G matrices at once,
 column by column for all G (the word-parallel elimination of M4RI,
-Albrecht and Bard, ACM TOMS 2010), and gives each the same pairs.
+Albrecht and Bard, ACM TOMS 2010), and gives each the same pairs as
+arrays, from which nullspace_signs builds the sign rows of every
+matrix's nullspace basis in one array.
 span_signs takes a leading graph axis, so the tables of G spans of one
 shape are built as one stack.  cube and parity_signs, the popcount of
 explicit words against masks, are the brute force the tables are
@@ -31,10 +33,10 @@ import numpy as np
 
 from .channels import block_slices
 
-#: most bits a uint64 word holds with its top bit clear: the most
-#: variables of a sampled window whose check masks are stacked as words,
-#: its only use (tables are doubled from supports, so no code's length
-#: is limited by it)
+#: most bits a uint64 word holds with its top bit clear: the most bits
+#: of the masks a sampled window stacks as words (its variables, and an
+#: LDGM window's checks), its only use (tables are doubled from
+#: supports, so no code's length is limited by it)
 MAX_WORD_BITS = 63
 
 
@@ -91,10 +93,14 @@ def row_reduce(rows):
     return reduced
 
 
-def row_reduce_stack(masks):
-    """row_reduce of each row of a (G, m) stack of uint64 bitmasks: a list
-    of G lists of (pivot, row) pairs, each sorted by pivot, the same set
-    as row_reduce gives (the reduced row-echelon form is unique).
+def row_reduce_stack(masks, width):
+    """row_reduce of each row of a (G, m) stack of uint64 bitmasks over
+    width bits, as two (G, width) arrays: pivots, bool, marks the pivot
+    columns of each matrix, and rows, uint64, holds in pivot column j the
+    reduced row whose pivot is bit j (0 in any other column).  The pairs
+    (1 << j, rows[g, j]) over the pivot columns j of matrix g, in
+    ascending j, are the set row_reduce gives (the reduced row-echelon
+    form is unique).
 
     Gauss-Jordan elimination column by column for all G matrices at once:
     at column j, the first row of each matrix that holds bit j and is no
@@ -105,10 +111,13 @@ def row_reduce_stack(masks):
     end as zero."""
     rows = np.array(masks, dtype=np.uint64)
     G, m = rows.shape
+    pivots = np.zeros((G, width), bool)
+    if not m:
+        return np.zeros((G, width), np.uint64), pivots
     graph = np.arange(G)
     free = np.ones((G, m), bool)  # no pivot row yet
-    firsts, founds = [], []
-    for j in range(int(rows.max(initial=0)).bit_length()):
+    firsts = np.zeros((G, width), np.intp)
+    for j in range(width):
         holds = (rows & np.uint64(1 << j)).astype(bool)
         candidates = holds & free
         first = candidates.argmax(axis=1)
@@ -117,15 +126,25 @@ def row_reduce_stack(masks):
         pivot_rows = rows[graph, first] * found  # 0 where no row holds bit j
         rows ^= holds * pivot_rows[:, None]
         free[graph, first] &= ~found
-        firsts.append(first)
-        founds.append(found)
-    # each column's pivot row, per matrix: (G, columns)
-    shape = (len(firsts), G)
-    rows = rows[graph[:, None], np.array(firsts, np.intp).reshape(shape).T]
-    found = np.array(founds, bool).reshape(shape).T
-    bits = [1 << j for j in range(found.shape[1])]
-    return [[(p, q) for p, q, f in zip(bits, r, k) if f]
-            for r, k in zip(rows.tolist(), found.tolist())]
+        firsts[:, j] = first
+        pivots[:, j] = found
+    return rows[graph[:, None], firsts] * pivots, pivots
+
+
+def nullspace_signs(rows, pivots):
+    """The sign rows of the nullspace basis words of each matrix that
+    row_reduce_stack reduced, from its (rows, pivots): one
+    (sum of the nullities, width) int8 array, the matrices in order, each
+    one's words in ascending free column f, row f -1 on f and on the
+    pivots of the rows that hold f; each matrix's rows are
+    sign_rows(nullspace_basis(...)) of its pairs, bit for bit."""
+    G, width = pivots.shape
+    # holds[g, j, f]: reduced row j of matrix g holds bit f
+    octets = np.ascontiguousarray(rows, "<u8").view(np.uint8).reshape(G, width, 8)
+    holds = np.unpackbits(octets, axis=2, count=width, bitorder="little").view(bool)
+    words = holds.swapaxes(1, 2) & pivots[:, None, :]  # (G, f, j): word f holds pivot j
+    words |= np.eye(width, dtype=bool)
+    return np.where(words[~pivots], np.int8(-1), np.int8(1))
 
 
 def rank(rows):

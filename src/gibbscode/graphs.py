@@ -17,12 +17,15 @@ Conventions:
     the sides swapped (TannerGraph.dual_code): either's brute-force table
     (exact.codebit_table) holds the dual codewords.
   * Ensemble graphs come from the configuration model through one
-    sampler, sample_ensembles (sample_ensemble is its one-seed view):
-    each graph's draws are fixed by its seed, and the parallel-edge
-    repair runs a window of graphs at a time, one stable argsort per
-    round.  A window's graphs also row-reduce their checks together, in
-    one gf2.row_reduce_stack call on the first read of any graph's
-    reduced_checks; any other graph runs gf2.row_reduce.
+    sampler, sample_ensembles (sample_ensemble is its one-seed view).
+    Each graph's draws are fixed by its seed, and all other work runs a
+    window of window_size(n) graphs at a time, the rule gexit._draws
+    reads too: one stable argsort per parallel-edge repair round, one
+    decode of the window's adjacency after the last round, and one
+    gf2.row_reduce_stack call per mask stack on the first read of any
+    graph's reduction.  That call gives every graph of the window its
+    rank, reduced_checks and code_basis (for LDGM also its dual code's)
+    as slices of arrays; any other graph runs gf2.row_reduce.
 
 Graphs are immutable after construction (tuple adjacency) and hashable,
 so derived tables can be cached on them.
@@ -33,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -71,10 +74,10 @@ class TannerGraph:
     adj_var: tuple  # adj_var[v] = tuple of incident check ids
     adj_chk: tuple  # adj_chk[c] = tuple of incident variable ids
 
-    #: (reduce, row) of a graph that sample_ensembles drew in a window of
-    #: two or more graphs, reduce() the window's row-reduced checks, cached
-    #: (not a field: equality and hashing ignore it); None on every other
-    #: graph
+    #: (window, row) of a graph that sample_ensembles drew in a window of
+    #: two or more graphs, window its _Window (for the dual code of such
+    #: an LDGM graph, the window's dual); not a field, so equality and
+    #: hashing ignore it; None on every other graph
     _window = None
 
     def __post_init__(self):
@@ -107,23 +110,29 @@ class TannerGraph:
         GF(2) once per graph: the (pivot, row) pairs of gf2.row_reduce, in
         some order; they number rank G (LDGM) or rank H (LDPC).  A graph
         drawn in a window of sampled graphs reads its share of the
-        window's one gf2.row_reduce_stack call, which the first read on
-        any graph of the window makes; any other graph runs
+        window's reduction, in ascending pivot; any other graph runs
         gf2.row_reduce."""
-        if self._window is not None:
-            reduce, row = self._window
-            return reduce()[row]
-        return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
+        if self._window is None:
+            return gf2.row_reduce(gf2.mask(c) for c in self.adj_chk)
+        window, row = self._window
+        rows, pivots, _ = window.reduction
+        cols = np.flatnonzero(pivots[row])
+        return [(1 << j, q) for j, q in zip(cols.tolist(), rows[row, cols].tolist())]
 
     @cached_property
     def dual_code(self):
         """LDGM: the MacWilliams dual code, the words y over the checks
         with G^T y = 0, as the LDPC graph with the sides swapped (each
         variable a parity check on its checks); its free_spin_count is
-        n_chk - rank G."""
+        n_chk - rank G.  The dual of a graph drawn in a window reads the
+        window's reduction of the variables."""
         if self.kind != LDGM:
             raise ValueError("dual_code reads an LDGM graph")
-        return TannerGraph(LDPC, self.n_chk, self.n_var, self.adj_chk, self.adj_var)
+        dual = TannerGraph(LDPC, self.n_chk, self.n_var, self.adj_chk, self.adj_var)
+        if self._window is not None:
+            window, row = self._window
+            object.__setattr__(dual, "_window", (window.dual, row))
+        return dual
 
     @property
     def free_spin_count(self):
@@ -131,9 +140,32 @@ class TannerGraph:
         rank G for LDGM (one configuration of the pivot information bits
         per coset of the kernel of G, each standing for 2^(n_var - rank G)
         configurations), n - rank H for LDPC (the free columns that span
-        the codewords)."""
-        rank = len(self.reduced_checks)
+        the codewords).  A graph drawn in a window reads its rank from the
+        window's reduction."""
+        if self._window is None:
+            rank = len(self.reduced_checks)
+        else:
+            window, row = self._window
+            rank = window.reduction[2][row]
         return rank if self.kind == LDGM else self.n_var - rank
+
+    @property
+    def code_basis(self):
+        """The int8 sign rows of the basis that the brute-force table
+        (exact.codebit_table) is the span of, shape (free_spin_count,
+        code_bit_count): LDGM, the generator rows of the pivot information
+        bits in ascending order, row j -1 on the checks of the j-th lowest
+        pivot, read from adjacency; LDPC, the nullspace basis words of
+        gf2.nullspace_basis.  An LDPC graph drawn in a window (or the dual
+        code of an LDGM graph drawn in one) reads its rows, read-only,
+        from the window's one gf2.nullspace_signs array."""
+        if self.kind == LDGM:
+            pivots = sorted(p for p, _ in self.reduced_checks)
+            return gf2.sign_rows([self.adj_var[p.bit_length() - 1] for p in pivots], self.n_chk)
+        if self._window is None:
+            return gf2.sign_rows(gf2.nullspace_basis(self.reduced_checks, self.n_var), self.n_var)
+        window, row = self._window
+        return window.nullspaces[row]
 
     @property
     def coset_bits(self):
@@ -317,21 +349,23 @@ def sample_ensembles(dd, n, kind, seeds):
     to ENSEMBLE_RETRY_CAP rounds, past which EnumerationCapExceeded names
     the rounds and the graph's sizes).
 
-    Only those draws run graph by graph.  The graphs are repaired a
-    window of ensemble_window graphs at a time: a pairing is a row of
-    integer edge codes v * n_chk + c (padding sockets get distinct codes
-    above every edge, so draws of different edge counts share the rows),
-    and one stable argsort of the window's rows per round finds every
-    later copy; a graph leaves the window once it is simple, its
-    adjacency decoded from its sorted codes.  The same codes give a
-    window's check masks, a (graphs, n_chk) uint64 stack, when the window
-    holds two or more graphs on at most gf2.MAX_WORD_BITS variables: the
-    first reduced_checks read on any of its graphs row-reduces the whole
-    stack in one gf2.row_reduce_stack call.  Nothing row-reduces a graph
-    whose reduced_checks no one reads (the BP routes').
+    Only those draws run graph by graph.  The rest runs a window of
+    window_size(n) graphs at a time: a pairing is a row of integer edge
+    codes v * n_chk + c (padding sockets get distinct codes above every
+    edge, so draws of different edge counts share the rows), and one
+    stable argsort of the window's rows per round finds every later
+    copy.  A graph leaves the rounds once it is simple; after the last
+    round the window's sorted codes are decoded into adjacency at once.
+    A window of two or more graphs whose masks fit a word (at most
+    gf2.MAX_WORD_BITS variables, and checks for LDGM) also stacks its
+    check masks, and for LDGM its variable masks (the dual codes'
+    checks), as (graphs, rows) uint64 arrays: the first read of any of
+    its graphs' ranks, reduced_checks or code_basis reduces a whole stack
+    in one gf2.row_reduce_stack call (a _Window).  Nothing row-reduces a
+    graph whose reduction no one reads (the BP routes').
     """
     n_var, n_chk = ensemble_sizes(dd, n, kind)
-    window = ensemble_window(dd, n, kind)
+    window = window_size(n)
     seeds = list(seeds)
     out = []
     for w in range(0, len(seeds), window):
@@ -339,16 +373,45 @@ def sample_ensembles(dd, n, kind, seeds):
     return out
 
 
-def ensemble_window(dd, n, kind):
-    """How many graphs sample_ensembles repairs at once: as many as fit
-    BLOCK_ELEMENTS // 4 sockets (at least one), so that the window's
-    four (graphs, sockets) integer arrays hold about one block together;
-    its live generators (about 0.9 KB each) number 32 on a (4,4) LDPC
-    code at n = 16."""
-    n_var, n_chk = ensemble_sizes(dd, n, kind)
-    sockets = min(n_var * max(d for d, _ in dd.var_coeffs),
-                  n_chk * max(d for d, _ in dd.chk_coeffs))
-    return max(1, BLOCK_ELEMENTS // 4 // sockets)
+def window_size(n, per_graph=1):
+    """Graphs per sampled window, the one rule of sample_ensembles and of
+    gexit._draws (whose graphs carry per_graph noise realizations each):
+    as many as hold BLOCK_ELEMENTS code bits together, counting each
+    graph per_graph times, and at least one.  So a window's noise is at
+    most one block of floats, and each of its (graphs, sockets) integer
+    arrays holds at most BLOCK_ELEMENTS d entries of 8 bytes, d the
+    largest degree of a code bit (256 KiB for a (4,4) LDPC window at
+    n = 16, 512 graphs); each graph still in its repair rounds also
+    holds a Generator of about 0.9 KB."""
+    return max(1, BLOCK_ELEMENTS // (per_graph * n))
+
+
+class _Window:
+    """The GF(2) reduction of a sampled window's graphs: masks, a
+    (graphs, rows) uint64 stack of each graph's parity rows over width
+    bits (its checks over its variables), reduced by one
+    gf2.row_reduce_stack call on the first read on any graph of the
+    window; dual, for an LDGM window, the _Window of its graphs' dual
+    codes (each variable's checks), None for LDPC."""
+
+    def __init__(self, masks, width, dual=None):
+        self.masks, self.width, self.dual = masks, width, dual
+
+    @cached_property
+    def reduction(self):
+        """gf2.row_reduce_stack's (rows, pivots), and each graph's rank
+        as a list."""
+        rows, pivots = gf2.row_reduce_stack(self.masks, self.width)
+        return rows, pivots, pivots.sum(axis=1).tolist()
+
+    @cached_property
+    def nullspaces(self):
+        """Each graph's nullspace basis sign rows, read-only views of one
+        gf2.nullspace_signs array."""
+        rows, pivots, ranks = self.reduction
+        signs = gf2.nullspace_signs(rows, pivots)
+        signs.flags.writeable = False
+        return np.split(signs, np.cumsum([self.width - r for r in ranks])[:-1])
 
 
 def _sample_window(dd, n_var, n_chk, kind, seeds):
@@ -385,28 +448,20 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
     first = (n_edges.cumsum() - n_edges).repeat(n_edges)  # each socket's graph offset
     pairing[real] = (np.arange(cdegs.size) % n_chk).repeat(cdegs.ravel())[
         np.concatenate(perms) + first]
-    out, live, n_edges = [None] * len(seeds), np.arange(len(seeds)), n_edges.tolist()
-    batched = len(seeds) > 1 and n_var <= gf2.MAX_WORD_BITS
-    masks = np.zeros((len(seeds), n_chk), np.uint64) if batched else None
+    simple_codes = np.empty(real.shape, np.intp)  # each graph's sorted codes, once simple
+    live, n_edges = np.arange(len(seeds)), n_edges.tolist()
     for _ in range(ENSEMBLE_RETRY_CAP):
         codes = var + pairing
         order = codes.argsort(axis=1, kind="stable")
-        codes = codes.ravel()[order + np.arange(0, codes.size, width)[:, None]]
+        codes = np.take_along_axis(codes, order, axis=1)
         dup = codes[:, 1:] == codes[:, :-1]  # a later copy of the edge before it
         simple = ~dup.any(axis=1)
         done = live[simple]
-        if len(done):
-            for gi, g in zip(done.tolist(), _decode(codes[simple], vdegs[done], cdegs[done],
-                                                    n_var, n_chk, kind)):
-                out[gi], rngs[gi] = g, None
-            if batched:
-                masks[done] = _check_masks(codes[simple], n_var, n_chk)
-            if len(done) == len(live):
-                if batched:
-                    reduce = cache(lambda: gf2.row_reduce_stack(masks))
-                    for row, g in enumerate(out):
-                        object.__setattr__(g, "_window", (reduce, row))
-                return out
+        simple_codes[done] = codes[simple]
+        for gi in done.tolist():
+            rngs[gi] = None
+        if len(done) == len(live):
+            return _window_graphs(simple_codes, vdegs, cdegs, n_var, n_chk, kind)
         # the later copies in socket order, the positions a scan of the
         # pairing socket by socket finds already seen, swapped in that order
         later = np.zeros(codes.shape, bool)
@@ -426,6 +481,20 @@ def _sample_window(dd, n_var, n_chk, kind, seeds):
         f"of {n_var} variables and {n_chk} checks")
 
 
+def _window_graphs(codes, vdegs, cdegs, n_var, n_chk, kind):
+    """The TannerGraphs of a window's simple pairings, given as rows of
+    sorted edge codes (padding last) with their degree rows, and, for a
+    window of two or more graphs whose masks fit a word, the _Window of
+    their stacked masks."""
+    out = list(_decode(codes, vdegs, cdegs, n_var, n_chk, kind))
+    if len(out) > 1 and max(n_var, n_chk if kind == LDGM else 0) <= gf2.MAX_WORD_BITS:
+        checks, *variables = _masks(codes, n_var, n_chk, kind)
+        window = _Window(checks, n_var, *(_Window(v, n_chk) for v in variables))
+        for row, g in enumerate(out):
+            object.__setattr__(g, "_window", (window, row))
+    return out
+
+
 def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
     """The TannerGraphs of simple pairings given as rows of sorted edge
     codes (padding last) with their degree rows: adjacency as
@@ -442,16 +511,21 @@ def _decode(codes, vdegs, cdegs, n_var, n_chk, kind):
         yield TannerGraph(kind, n_var, n_chk, _split(c, vd), _split(v, cd))
 
 
-def _check_masks(codes, n_var, n_chk):
-    """Each check's variables as a uint64 bitmask, (graphs, n_chk), from
-    rows of distinct edge codes v * n_chk + c (padding codes, past every
-    edge, are skipped); n_var is at most gf2.MAX_WORD_BITS."""
+def _masks(codes, n_var, n_chk, kind):
+    """Each check's variables as uint64 bitmasks, (graphs, n_chk), and for
+    LDGM each variable's checks, (graphs, n_var), from rows of distinct
+    edge codes v * n_chk + c (padding codes, past every edge, are
+    skipped); each mask's bits fit gf2.MAX_WORD_BITS."""
     var, chk = np.divmod(codes, n_chk)
-    rows, cols = np.nonzero(var < n_var)
-    masks = np.zeros((len(codes), n_chk), np.uint64)
-    # an edge's bit is set once, so adding the bits ORs them
-    np.add.at(masks, (rows, chk[rows, cols]), np.uint64(1) << var[rows, cols].astype(np.uint64))
-    return masks
+    graph, col = np.nonzero(var < n_var)
+    var, chk = var[graph, col], chk[graph, col]
+    stacks = []
+    for rows, bits, count in ((chk, var, n_chk), (var, chk, n_var))[:1 + (kind == LDGM)]:
+        masks = np.zeros((len(codes), count), np.uint64)
+        # an edge's bit is set once, so adding the bits ORs them
+        np.add.at(masks, (graph, rows), np.uint64(1) << bits.astype(np.uint64))
+        stacks.append(masks)
+    return stacks
 
 
 def _split(flat, lengths):

@@ -349,20 +349,31 @@ def test_codebit_table_doubles_the_parity_signs():
 
 def test_row_reduce_stack_is_row_reduce_per_matrix():
     """gf2.row_reduce_stack gives each matrix of the stack the pairs
-    gf2.row_reduce gives it, sorted by pivot: on sparse random masks of up
+    gf2.row_reduce gives it, sorted by pivot, and gf2.nullspace_signs the
+    sign rows of gf2.nullspace_basis's words: on sparse random masks of up
     to 63 bits, with zero rows, repeated rows and a row that is the sum of
-    two others, and on empty stacks."""
+    two others, on columns no row holds, and on empty stacks."""
     rng = np.random.default_rng(23)
-    for G, m, bits in [(40, 16, 16), (9, 7, 5), (1, 5, 4), (6, 12, 63), (2, 5, 1)]:
+    for G, m, bits in [(40, 16, 16), (9, 7, 5), (1, 5, 4), (6, 12, 63), (2, 5, 1), (3, 4, 6)]:
         masks = rng.integers(0, 1 << bits, (G, m), dtype=np.uint64) \
             & rng.integers(0, 1 << bits, (G, m), dtype=np.uint64)
         masks[:, 0] = 0
         masks[:, 1] = masks[:, 2]
         masks[:, -1] = masks[:, 2] ^ masks[:, 3]
-        got = gf2.row_reduce_stack(masks)
-        assert got == [sorted(gf2.row_reduce(row)) for row in masks.tolist()]
-    assert gf2.row_reduce_stack(np.zeros((3, 0), np.uint64)) == [[], [], []]
-    assert gf2.row_reduce_stack(np.zeros((0, 4), np.uint64)) == []
+        width = bits + 2 if bits < 62 else bits
+        rows, pivots = gf2.row_reduce_stack(masks, width)
+        assert rows.shape == pivots.shape == (G, width)
+        assert not rows[~pivots].any()
+        want = [sorted(gf2.row_reduce(row)) for row in masks.tolist()]
+        assert [[(1 << j, int(rows[g, j])) for j in np.flatnonzero(pivots[g])]
+                for g in range(G)] == want
+        assert np.array_equal(gf2.nullspace_signs(rows, pivots), np.concatenate(
+            [gf2.sign_rows(gf2.nullspace_basis(pairs, width), width) for pairs in want]))
+    for G, m in [(3, 0), (0, 4)]:
+        rows, pivots = gf2.row_reduce_stack(np.zeros((G, m), np.uint64), 5)
+        assert rows.shape == (G, 5) and not pivots.any()
+        assert np.array_equal(gf2.nullspace_signs(rows, pivots),
+                              np.tile(gf2.sign_rows([[f] for f in range(5)], 5), (G, 1)))
 
 
 def test_codebit_tables_stack_each_graphs_table():

@@ -352,9 +352,9 @@ def test_bp_routes_build_no_table(monkeypatch, dd, n, kind):
     time."""
     reduced = []
     for name in ("row_reduce", "row_reduce_stack"):
-        def counted(rows, reduce=getattr(gf2, name), name=name):
+        def counted(*args, reduce=getattr(gf2, name), name=name):
             reduced.append(name)
-            return reduce(rows)
+            return reduce(*args)
 
         monkeypatch.setattr(gf2, name, counted)
     src, ch = EnsembleSpec(DegreeDistribution.regular(*dd), n, kind), ChannelModel("bsc", 0.05)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_graph
-from gibbscode import channels, gf2, graphs
+from gibbscode import channels, exact, gf2, graphs
 from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, EnumerationCapExceeded,
                               NodeCapExceeded, build_graph, code_bit_distances,
                               computational_tree, draw_degrees, enumerate_saws,
@@ -257,18 +257,21 @@ WINDOWED_ENSEMBLES = {
 def test_sampled_windows_row_reduce_as_row_reduce(monkeypatch, dd, n, kind):
     """Each sampled graph's reduced_checks are gf2.row_reduce's pairs for
     its checks, sorted by pivot.  They come from one gf2.row_reduce_stack
-    call per window, made by the first read on any graph of the window
-    and none before; a graph sampled alone runs gf2.row_reduce."""
+    call per window (here of 32 graphs), made by the first read on any
+    graph of the window and none before; a graph sampled alone runs
+    gf2.row_reduce."""
     stacks, row_reduce_stack = [], gf2.row_reduce_stack
 
-    def counted(masks):
+    def counted(masks, width):
         stacks.append(len(masks))
-        return row_reduce_stack(masks)
+        return row_reduce_stack(masks, width)
 
     monkeypatch.setattr(gf2, "row_reduce_stack", counted)
+    monkeypatch.setattr(graphs, "BLOCK_ELEMENTS", 32 * n)
+    window = graphs.window_size(n)
+    assert window == 32
     drawn = sample_ensembles(dd, n, kind, range(100))
     assert stacks == []
-    window = graphs.ensemble_window(dd, n, kind)
     deficient = 0
     for k, g in enumerate(drawn):
         want = gf2.row_reduce(gf2.mask(c) for c in g.adj_chk)
@@ -280,6 +283,44 @@ def test_sampled_windows_row_reduce_as_row_reduce(monkeypatch, dd, n, kind):
     alone = sample_ensemble(dd, n, kind, 7)
     assert alone.reduced_checks == gf2.row_reduce(gf2.mask(c) for c in alone.adj_chk)
     assert len(stacks) == len(range(0, 100, window))
+
+
+def span_of(supports, width):
+    """The +-1 table spanned by the words with the given supports."""
+    return gf2.span_signs(gf2.sign_rows(supports, width))
+
+
+@pytest.mark.parametrize("block", WINDOW_BLOCKS.values(), ids=WINDOW_BLOCKS)
+@pytest.mark.parametrize("dd, n, kind", WINDOWED_ENSEMBLES.values(), ids=WINDOWED_ENSEMBLES)
+def test_sampled_windows_give_each_graph_its_reference_tables(monkeypatch, dd, n, kind,
+                                                              block):
+    """Each graph drawn in a window (of one graph, of the default size, or
+    of every seed) has the reduced_checks, free_spin_count and
+    exact.codebit_table, and an LDGM graph the dual_code table, that
+    gf2.row_reduce and gf2.nullspace_basis give the graph alone: on
+    rank-deficient draws of every law, corr-decay's irregular LDGM law
+    {2: 2/3, 3: 1/3} among them."""
+    monkeypatch.setattr(graphs, "BLOCK_ELEMENTS", block)
+    exact.codebit_table.cache_clear()
+    deficient = 0
+    for g in sample_ensembles(dd, n, kind, range(100)):
+        reduced = gf2.row_reduce(gf2.mask(c) for c in g.adj_chk)
+        rank = len(reduced)
+        assert sorted(g.reduced_checks) == sorted(reduced)
+        assert g.free_spin_count == (rank if kind == LDGM else g.n_var - rank)
+        if kind == LDGM:
+            pivots = sorted(p.bit_length() - 1 for p, _ in reduced)
+            want = span_of([g.adj_var[p] for p in pivots], g.n_chk)
+            dual = gf2.row_reduce(gf2.mask(c) for c in g.adj_var)
+            assert g.dual_code.free_spin_count == g.n_chk - rank
+            assert np.array_equal(exact.codebit_table(g.dual_code),
+                                  span_of(gf2.nullspace_basis(dual, g.n_chk), g.n_chk))
+        else:
+            want = span_of(gf2.nullspace_basis(reduced, g.n_var), g.n_var)
+        assert np.array_equal(exact.codebit_table(g), want)
+        deficient += rank < min(g.n_var, g.n_chk)
+    assert deficient > 0 or (dd, n, kind) == WINDOWED_ENSEMBLES["ldpc-3-6-n24"]
+    exact.codebit_table.cache_clear()
 
 
 def test_wide_windows_row_reduce_graph_by_graph(monkeypatch):
