@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial, update_wrapper
 
 import numpy as np
@@ -181,8 +181,13 @@ class TableCache:
     """Memoizes a one-argument table build, least recently used out
     first, keeping at most maxsize tables and at most max_bytes of them:
     a table larger than max_bytes is returned but not kept.  Tables are
-    shared by every caller, so they are returned read-only.  cache_info()
-    and cache_clear() follow functools.lru_cache (misses count builds)."""
+    shared by every caller, so they are returned read-only.  A key is a
+    TannerGraph, and the table of a graph drawn in a sampled window is
+    kept under dataclasses.replace of it, an equal copy without the
+    _window (the whole window's arrays), so the cache does not keep the
+    window alive; any other graph is its own key (a copy costs 6 us a
+    miss).  cache_info() and cache_clear() follow functools.lru_cache
+    (misses count builds)."""
 
     def __init__(self, build, maxsize):
         update_wrapper(self, build)
@@ -200,7 +205,7 @@ class TableCache:
         table = self.__wrapped__(key)
         table.flags.writeable = False
         if table.nbytes <= self.max_bytes:
-            self._tables[key] = table
+            self._tables[key if key._window is None else replace(key)] = table
             self._nbytes += table.nbytes
             while len(self._tables) > self.maxsize or self._nbytes > self.max_bytes:
                 _, old = self._tables.popitem(last=False)
@@ -244,9 +249,19 @@ def codebit_tables(graphs):
     (G, R, n) int8 stack doubled by one gf2.span_signs call over the
     graph axis from the stacked TannerGraph.code_basis rows; each slice
     is bit for bit the graph's codebit_table.  Uncached: the posterior
-    pass builds the stack of a group of two or more graphs, which
-    _batches bounds to one block."""
+    pass builds the stack of a group of two or more distinct graphs,
+    which _batches bounds to one block."""
     return gf2.span_signs(np.stack([g.code_basis for g in graphs]))
+
+
+def _table_stack(graphs):
+    """The (G, R, n) tables of graphs that share one shape: when every
+    graph is one graph (a fixed code's eps grid), its cached
+    codebit_table broadcast over G, else the codebit_tables stack."""
+    if all(g is graphs[0] for g in graphs):
+        table = codebit_table(graphs[0])
+        return table[None] if len(graphs) == 1 else np.broadcast_to(table, (len(graphs),) + table.shape)
+    return codebit_tables(graphs)
 
 
 #: a half's posterior probability below this is recomputed by a
@@ -284,8 +299,9 @@ def _row_products(A, F):
 
 def _posterior(inst, terms, finish, dual=None, index=None):
     """The posterior pass, streamed over the table stack X of shape
-    (G, R, n), one table per graph of the instance (one graph's cached
-    table, or the stack built for two or more), against its values
+    (G, R, n), one table per graph of the instance (_table_stack: one
+    graph's cached table, broadcast when every slice holds that graph, or
+    the stack built for two or more graphs), against its values
     reshaped to LLRs L of shape (G, S, n): row chunks of at most
     BLOCK_ELEMENTS entries over all G tables on the outside, each
     converted to float once, and every block of samples against that
@@ -334,8 +350,7 @@ def _posterior(inst, terms, finish, dual=None, index=None):
     on_dual = source[1]
     if on_dual:
         primal, (terms, finish) = (terms, finish), dual
-        X = (codebit_table(graphs[0].dual_code)[None] if len(graphs) == 1 else
-             codebit_tables(tuple(g.dual_code for g in graphs)))
+        X = _table_stack(tuple(g.dual_code for g in graphs))
         limit = _DUAL_ROUNDING / (X.shape[2] * 2.0 ** -53)  # on kappa and on |ln|t_i||
         T = np.tanh(L)
         with np.errstate(divide="ignore"):
@@ -347,7 +362,7 @@ def _posterior(inst, terms, finish, dual=None, index=None):
             np.maximum(A, -700.0, out=A)  # no inf * 0; these samples are redone
         negative = (L < 0).astype(float)
     else:
-        X = codebit_table(graphs[0])[None] if len(graphs) == 1 else codebit_tables(graphs)
+        X = _table_stack(graphs)
         A = L
     G, R, n = X.shape
     S = L.shape[1]

@@ -418,12 +418,13 @@ def _gexit_curve(cfg):
     p = cfg.settings
     methods = p.get("methods", ["de"])
     map_methods = [m for m in methods if m in gexit.MAP_METHODS]
+    seeds = [int(_point_seeds(cfg, ch).generate_state(1)[0]) for ch in cfg.points]
+    # the exact routes run over the whole grid at once, bp and de per point
+    grid = gexit.map_gexit_routes(
+        cfg.source, list(zip(cfg.points, seeds)), cfg.samples, map_methods, p["p_max"],
+        eps_step=float(p["eps_step"])) if map_methods else [{}] * len(seeds)
     rows = []
-    for ch in cfg.points:
-        seed = int(_point_seeds(cfg, ch).generate_state(1)[0])
-        ests = gexit.map_gexit_routes(
-            cfg.source, ch, cfg.samples, seed, map_methods, p["p_max"],
-            eps_step=float(p["eps_step"])) if map_methods else {}
+    for ch, seed, ests in zip(cfg.points, seeds, grid):
         for method in methods:
             est = ests[method] if method in ests else _GEXIT_METHODS[method](cfg, ch, seed)
             rows.append({"eps": ch.eps, "method": method, "value": est.value,

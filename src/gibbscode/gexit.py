@@ -25,14 +25,17 @@ Routes provided, all cross-checkable on the same corpus:
                        conditional entropy (the definitional oracle)
   * bp_gexit           the kernel functional with BP extrinsics
 
-The first four read exact posteriors and are views of map_gexit_routes,
-which serves any subset of them from one pass over the samples.  Every
-route, nishimori_residual included, reduces the graphs and channel noise
-of one _draws walk through _per_sample; the walk samples an ensemble's
-graphs a window at a time (graphs.sample_ensembles), in the RNG order of
-one sample at a time.  The exact-posterior routes put
-_batches on the walk, which groups the draws by table shape; the BP
-routes (one walk, _bp_kernels) read it one graph at a time.
+The first four read exact posteriors and are one-point views of
+map_gexit_routes, which serves any subset of them over a whole eps grid
+(a list of (channel, seed) points) with one posterior pass per
+reduction and group of draws, not per point.  Every route,
+nishimori_residual included, reduces the graphs and channel noise of
+_draws walks through _per_sample; a walk samples an ensemble's graphs a
+window at a time (graphs.sample_ensembles), in the RNG order of one
+sample at a time.  The exact-posterior routes put _batches on the walk
+(for a grid, the points' walks one after another), which groups the
+draws by table shape, so a fixed code's points stack as one group; the
+BP routes (one walk per point, _bp_kernels) read it one graph at a time.
 """
 
 from __future__ import annotations
@@ -156,13 +159,14 @@ def _stack(group):
 
 
 def _per_sample(walk, samples, reduce):
-    """reduce(graph, noise) over a walk's draws, or reduce(graphs, noise)
-    over its _batches groups, giving a value (or row) per graph and sample:
-    the values in sample order and each sample's graph index, filled in
-    place (lists of the groups' arrays cost an ensemble pass 0.25 MiB RSS)."""
+    """reduce(start, graph, noise) over a walk's draws, or
+    reduce(starts, graphs, noise) over its _batches groups, giving a
+    value (or row) per graph and sample: the values in sample order and
+    each sample's graph index, filled in place (lists of the groups'
+    arrays cost an ensemble pass 0.25 MiB RSS)."""
     vals, blocks = None, np.empty(samples, np.intp)
     for start, index, graphs, noise in walk:
-        out = reduce(graphs, noise)
+        out = reduce(start, graphs, noise)
         if vals is None:
             vals = np.empty((samples,) + out.shape[np.ndim(start) + 1:])
         positions = np.add.outer(start, np.arange(noise.shape[-2]))  # (S,) or (G, S)
@@ -173,16 +177,30 @@ def _per_sample(walk, samples, reduce):
 
 def _estimate(values, prefactor, method, meta, blocks=None):
     """Mean and standard error of prefactor * values; when blocks groups
-    the samples (shared codes), the SE comes from per-block means."""
+    the samples (shared codes), the SE comes from per-block means.  The
+    block ids are sorted from a set, not np.unique, which imports numpy.ma
+    (0.5 MiB RSS) on its first call."""
     values = np.asarray(values, float)
-    if blocks is not None and len(set(blocks)) > 1 and \
-            len(set(blocks)) < len(values):
+    ids = () if blocks is None else sorted(set(np.asarray(blocks).tolist()))
+    mean, std = _mean_std(values)
+    if 1 < len(ids) < len(values):
         blocks = np.asarray(blocks)
-        means = [values[blocks == b].mean() for b in np.unique(blocks)]
-        se = prefactor * float(np.std(means, ddof=1) / math.sqrt(len(means)))
+        means = np.array([values[blocks == b].mean() for b in ids])
+        se = prefactor * float(_mean_std(means)[1] / math.sqrt(len(means)))
     else:
-        se = prefactor * float(values.std(ddof=1) / math.sqrt(len(values)))
-    return GexitEstimate(prefactor * float(values.mean()), se, method, meta)
+        se = prefactor * float(std / math.sqrt(len(values)))
+    return GexitEstimate(prefactor * float(mean), se, method, meta)
+
+
+def _mean_std(values):
+    """numpy's mean() and std(ddof=1) of a 1-D array, bit for bit: the
+    same pairwise sums, deviations and divisions, without the Python
+    layers of np.mean and np.std (3 against 11 us on 150 samples)."""
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    dev = values - mean
+    dev *= dev
+    return mean, math.sqrt(np.add.reduce(dev) / (n - 1))
 
 
 def _meta(source, ch, samples, seed, **extra):
@@ -213,78 +231,112 @@ def series_coefficients(ch, p_max):
 MAP_METHODS = ("functional", "series", "awgn-magnetization", "entropy-fd")
 
 
-def map_gexit_routes(source, ch, samples, seed, methods, p_max=20, noise_per_graph=1,
+def map_gexit_routes(source, points, samples, methods, p_max=20, noise_per_graph=1,
                      eps_step=1e-3):
-    """{method: GexitEstimate} for each route in methods (a subset of
-    MAP_METHODS) from one pass: each group's channel noise is mapped to
-    LLRs at eps (and at eps +- eps_step for entropy-fd), and each exact
-    reduction (extrinsics, marginals, the two entropies) runs once for
-    every route that reads it, so the routes read the same graphs and
-    noise as separate calls with this seed would."""
+    """[{method: GexitEstimate}], one dict per point of an eps grid, for
+    each route in methods (a subset of MAP_METHODS), from one pass per
+    exact reduction for the whole grid.  points are (channel, seed)
+    pairs; each point draws its graphs and noise from its own seed, as a
+    grid of that point alone would, and all points' draws then pass
+    through one _batches walk, so a fixed code's points stack as the
+    graph slices of one group.  Each group's noise is mapped to LLRs per
+    point, at the point's eps (and at eps +- eps_step for entropy-fd),
+    each reduction (extrinsics, marginals, the two entropies) runs once
+    per group for every route that reads it, and the kernel, the moment
+    series and the estimates are taken per point on its own slices, so
+    every point gets what a call on it alone gives, bit for bit."""
     methods = [m for m in MAP_METHODS if m in methods]
-    if "awgn-magnetization" in methods and ch.kind != BIAWGNC:
-        raise ValueError("magnetization shortcut needs the BIAWGNC")
-    if "entropy-fd" in methods and not (0.0 < ch.eps - eps_step
-                                        and ch.eps + eps_step < ch.eps_max):
-        raise ValueError("eps +- eps_step must stay inside (0, eps_max)")
-    meta = {m: _meta(source, ch, samples, seed) for m in methods}
-    if "series" in methods:
-        coeffs = series_coefficients(ch, p_max)
-        tail = t2p_sup(ch) * (math.log(2.0) -
-                              sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1)))
-        meta["series"].update(p_max=p_max, tail_bound=tail)
-    if "entropy-fd" in methods:
-        meta["entropy-fd"]["eps_step"] = eps_step
-        sides = [type(ch)(ch.kind, ch.eps + eps_step), type(ch)(ch.kind, ch.eps - eps_step)]
+    chs = [ch for ch, _ in points]
+    for ch in chs:
+        if "awgn-magnetization" in methods and ch.kind != BIAWGNC:
+            raise ValueError("magnetization shortcut needs the BIAWGNC")
+        if "entropy-fd" in methods and not (0.0 < ch.eps - eps_step
+                                            and ch.eps + eps_step < ch.eps_max):
+            raise ValueError("eps +- eps_step must stay inside (0, eps_max)")
+    metas = [{m: _meta(source, ch, samples, seed) for m in methods} for ch, seed in points]
+    coeffs = []
+    tail = math.log(2.0) - sum(1.0 / (2 * p * (2 * p - 1)) for p in range(1, p_max + 1))
+    for ch, meta in zip(chs, metas):
+        if "series" in methods:
+            coeffs.append(series_coefficients(ch, p_max))
+            meta["series"].update(p_max=p_max, tail_bound=t2p_sup(ch) * tail)
+        if "entropy-fd" in methods:
+            meta["entropy-fd"]["eps_step"] = eps_step
+    # entropy-fd's sides: each point's channel at eps + eps_step, then at eps - eps_step
+    sides = [[type(ch)(ch.kind, ch.eps + step) for ch in chs]
+             for step in ((eps_step, -eps_step) if "entropy-fd" in methods else ())]
 
-    def reduce(graphs, noise):
+    def reduce(starts, graphs, noise):
+        # each point's slices of the group, a run of them in draw order
+        at = starts // samples
+        if at[0] == at[-1]:  # one point's (every group of a one-point grid)
+            runs = [(int(at[0]), slice(None))]
+        else:
+            cuts = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
+            runs = [(int(at[a]), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+        per_point = lambda f: (f(*runs[0]) if len(runs) == 1 else
+                               np.concatenate([f(k, run) for k, run in runs]))
+
+        def llrs(channels, out=None):  # each point's slices at its own channel
+            L = np.empty_like(noise) if out is None else out
+            for k, run in runs:
+                llrs_from_noise(channels[k], noise[run], out=L[run])
+            return L
+
         out = {}
         if "entropy-fd" in methods:  # first: the LLRs at eps overwrite the noise
             scale = np.array([[g.n_chk / g.n_var if g.kind == LDGM else 1.0] for g in graphs])
-            h = [conditional_entropy(make_instance(graphs, llrs_from_noise(c, noise)))
-                 for c in sides]
+            h = [conditional_entropy(make_instance(graphs, llrs(side))) for side in sides]
             out["entropy-fd"] = scale * (h[0] - h[1]) / (2.0 * eps_step)
         if methods != ["entropy-fd"]:
-            batch = make_instance(graphs, llrs_from_noise(ch, noise, out=noise))
+            batch = make_instance(graphs, llrs(chs, out=noise))
         if "functional" in methods or "series" in methods:
             Ms = all_extrinsics(batch)
             if "functional" in methods:
-                out["functional"] = gexit_kernel_batch(ch, Ms).mean(axis=-1)
+                out["functional"] = per_point(
+                    lambda k, run: gexit_kernel_batch(chs[k], Ms[run]).mean(axis=-1))
             if "series" in methods:
-                out["series"] = moment_series(Ms, coeffs).mean(axis=-1)
+                out["series"] = per_point(
+                    lambda k, run: moment_series(Ms[run], coeffs[k]).mean(axis=-1))
         if "awgn-magnetization" in methods:
-            out["awgn-magnetization"] = (1.0 - all_marginals(batch).mean(axis=-1)) \
-                / (2.0 * ch.eps ** 2)
+            marginals = all_marginals(batch)
+            out["awgn-magnetization"] = per_point(
+                lambda k, run: (1.0 - marginals[run].mean(axis=-1)) / (2.0 * chs[k].eps ** 2))
         return np.stack([out[m] for m in methods], axis=-1)
 
-    walk = _batches(_draws(source, ch, samples, seed, noise_per_graph))
-    vals, blocks = _per_sample(walk, samples, reduce)
+    def draws():  # sample j of point k at position k * samples + j
+        for k, (ch, seed) in enumerate(points):
+            for start, index, g, noise in _draws(source, ch, samples, seed, noise_per_graph):
+                yield k * samples + start, index, g, noise
+
+    vals, blocks = _per_sample(_batches(draws()), len(points) * samples, reduce)
+    vals, blocks = vals.reshape(len(points), samples, -1), blocks.reshape(len(points), samples)
     pref = _prefactor(source)  # entropy-fd scales each graph by its own n/m above
-    return {m: _estimate(vals[:, k], 1.0 if m == "entropy-fd" else pref, m, meta[m], blocks)
-            for k, m in enumerate(methods)}
+    return [{m: _estimate(v[:, j], 1.0 if m == "entropy-fd" else pref, m, meta[m], b)
+             for j, m in enumerate(methods)} for v, b, meta in zip(vals, blocks, metas)]
 
 
 def map_gexit(source, ch, samples, seed, noise_per_graph=1):
     """MAP-GEXIT by the extrinsic kernel functional; each sample averages
     the kernel over all code bits of the instance."""
-    return map_gexit_routes(source, ch, samples, seed, ("functional",),
-                            noise_per_graph=noise_per_graph)["functional"]
+    return map_gexit_routes(source, [(ch, seed)], samples, ("functional",),
+                            noise_per_graph=noise_per_graph)[0]["functional"]
 
 
 def map_gexit_series(source, ch, samples, seed, p_max=20, noise_per_graph=1):
     """MAP-GEXIT by the moment series, truncated at p_max; the meta dict
     carries a rigorous truncation-tail bound (sup_p |t2p| times the tail
     of sum 1/(2p(2p-1)), since |E[M^{2p}] - 1| <= 1)."""
-    return map_gexit_routes(source, ch, samples, seed, ("series",), p_max,
-                            noise_per_graph)["series"]
+    return map_gexit_routes(source, [(ch, seed)], samples, ("series",), p_max,
+                            noise_per_graph)[0]["series"]
 
 
 def awgn_gexit(source, ch, samples, seed, noise_per_graph=1):
     """Magnetization form for the BIAWGNC:
     prefactor * (1 - E[<x_i>]) / (2 eps^2), with <x_i> the full marginal
     (equivalently tanh(l_i + atanh <x_i>_0))."""
-    return map_gexit_routes(source, ch, samples, seed, ("awgn-magnetization",),
-                            noise_per_graph=noise_per_graph)["awgn-magnetization"]
+    return map_gexit_routes(source, [(ch, seed)], samples, ("awgn-magnetization",),
+                            noise_per_graph=noise_per_graph)[0]["awgn-magnetization"]
 
 
 def entropy_fd(source, ch, eps_step, samples, seed):
@@ -293,15 +345,15 @@ def entropy_fd(source, ch, eps_step, samples, seed):
     two sides (shared uniforms for the BSC, shared normals for the
     BIAWGNC).  LDGM rescales to the per-information-bit entropy (times
     n/m) so the estimate matches the functional's normalization."""
-    return map_gexit_routes(source, ch, samples, seed, ("entropy-fd",),
-                            eps_step=eps_step)["entropy-fd"]
+    return map_gexit_routes(source, [(ch, seed)], samples, ("entropy-fd",),
+                            eps_step=eps_step)[0]["entropy-fd"]
 
 
 def _bp_kernels(source, ch, depths, samples, seed, noise_per_graph=1):
     """Both BP routes' walk: per sample, the code-bit mean of the kernel at
     the depth-d BP extrinsics for each sorted depth d, (samples, depths),
     and each sample's graph index; BP reads one graph at a time."""
-    def reduce(g, noise):
+    def reduce(start, g, noise):
         inst = make_instance(g, llrs_from_noise(ch, noise, out=noise))
         return np.stack([gexit_kernel_batch(ch, M).mean(axis=-1)
                          for M in bp.bp_checkpoint_extrinsics(inst, depths).values()], axis=-1)
@@ -342,7 +394,7 @@ def nishimori_residual(source, ch, p, samples, seed):
     if p < 1:
         raise ValueError("p must be >= 1")
 
-    def reduce(graphs, noise):
+    def reduce(starts, graphs, noise):
         m = all_marginals(make_instance(graphs, llrs_from_noise(ch, noise, out=noise)))
         return (m ** (2 * p - 1) - m ** (2 * p)).mean(axis=-1)
 

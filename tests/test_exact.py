@@ -1,6 +1,9 @@
+import dataclasses
 import decimal
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from gibbscode.exact import (BruteForceCapExceeded, all_extrinsics,
                              correlations_with_root, make_instance,
                              pair_correlation,
                              partition_function, spin_product_correlation)
-from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, build_graph,
+from gibbscode.graphs import (LDGM, LDPC, DegreeDistribution, TannerGraph, build_graph,
                               computational_tree, sample_ensembles)
 
 
@@ -279,6 +282,30 @@ def test_table_cache_bounded_by_bytes(monkeypatch):
     for m in range(1, codebit_table.maxsize + 2):
         codebit_table(ldgm(m))
     assert codebit_table.cache_info().currsize == codebit_table.maxsize
+    codebit_table.cache_clear()
+
+
+@pytest.mark.parametrize("dd,n,kind", [((4, 4), 16, LDPC), ((3, 2), 9, LDGM)],
+                         ids=["ldpc44-16", "ldgm32-9"])
+def test_table_cache_keeps_no_sampled_window(dd, n, kind):
+    """A cached table does not keep the window its graph was sampled in
+    alive: the cache files it under a copy of the graph without the
+    window, so once every graph of a 400-graph window is
+    dropped the window (and an LDGM window's dual, which the dual code's
+    table reads) is collected, while an equal graph still hits the
+    table."""
+    codebit_table.cache_clear()
+    drawn = sample_ensembles(DegreeDistribution.regular(*dd), n, kind, range(400))
+    g = drawn[0].dual_code if kind == LDGM else drawn[0]
+    window = weakref.ref(drawn[0]._window[0])
+    read = weakref.ref(g._window[0])  # the window the table reads: an LDGM window's dual
+    table = codebit_table(g)
+    fields = dataclasses.astuple(g)
+    del drawn, g
+    gc.collect()
+    assert window() is None and read() is None
+    assert codebit_table(TannerGraph(*fields)) is table
+    assert codebit_table.cache_info().hits == 1
     codebit_table.cache_clear()
 
 

@@ -220,11 +220,27 @@ def test_map_routes_alone_keep_their_values():
     for src, ch, functional, series in pinned:
         f = map_gexit(src, ch, 12, 12, noise_per_graph=3)
         s = map_gexit_series(src, ch, 12, 12, 6, noise_per_graph=3)
-        both = map_gexit_routes(src, ch, 12, 12, ("series", "functional"), 6,
-                                noise_per_graph=3)
+        both, = map_gexit_routes(src, [(ch, 12)], 12, ("series", "functional"), 6,
+                                 noise_per_graph=3)
         assert both == {"functional": f, "series": s}
         assert (f.value, f.std_error) == pytest.approx(functional, rel=1e-12, abs=0)
         assert (s.value, s.std_error) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+def test_mean_std_equal_numpy_bit_for_bit():
+    """_estimate's _mean_std gives numpy's mean() and std(ddof=1) bit for
+    bit, on contiguous arrays and on strided columns (the estimates read
+    one column of a (samples, methods) block), for 2 to 400 values of
+    magnitudes 1e-20 to 1e20 around offsets up to 1e5."""
+    rng = np.random.default_rng(5)
+    bits = lambda x: np.float64(x).tobytes()
+    for _ in range(500):
+        n, m = int(rng.integers(2, 400)), int(rng.integers(1, 5))
+        block = (rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-20, 20)
+                 + rng.standard_normal() * 10.0 ** rng.uniform(-5, 5))
+        for x in (block[:, int(rng.integers(m))], block[:, 0].copy()):
+            mean, std = gexit._mean_std(x)
+            assert (bits(mean), bits(std)) == (bits(x.mean()), bits(x.std(ddof=1)))
 
 
 def test_moment_series_matches_powers():
@@ -306,11 +322,12 @@ def test_grouped_routes_equal_graph_loop(monkeypatch, src, per_graph):
     want, index = _graph_loop(src, bsc, samples, seed, per_graph, map_values)
     got, got_index = gexit._per_sample(
         gexit._batches(gexit._draws(src, bsc, samples, seed, per_graph)), samples,
-        lambda graphs, noise: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
+        lambda starts, graphs, noise: np.stack([gexit_kernel_batch(bsc, all_extrinsics(
             exact.make_instance(graphs, llrs_from_noise(bsc, noise)))).mean(axis=-1)], -1))
     assert got[:, 0].tobytes() == want[:, 0].tobytes()
     assert np.array_equal(got_index, index)
-    ests = map_gexit_routes(src, bsc, samples, seed, ("functional", "series"), p_max, per_graph)
+    ests, = map_gexit_routes(src, [(bsc, seed)], samples, ("functional", "series"), p_max,
+                             per_graph)
     for k, method in enumerate(("functional", "series")):
         ref = gexit._estimate(want[:, k], pref, method, {}, index)
         assert (ests[method].value, ests[method].std_error) == (ref.value, ref.std_error)
@@ -478,7 +495,7 @@ def test_routes_keep_their_recorded_bits():
             methods = ("functional", "series", "entropy-fd") + (
                 ("awgn-magnetization",) if kind == "biawgnc" else ())
             for npg in (1,) if isinstance(src, TannerGraph) else (1, 3):
-                out = {"map": map_gexit_routes(src, ch, 61, 14, methods, 8, npg),
+                out = {"map": map_gexit_routes(src, [(ch, 14)], 61, methods, 8, npg)[0],
                        "bp": bp_gexit(src, ch, 5, 61, 14, npg)}
                 if npg == 1:
                     out["multi"] = bp_gexit_multi_depth(src, ch, [1, 3, 20], 61, 14)
@@ -487,6 +504,67 @@ def test_routes_keep_their_recorded_bits():
                     digest = hashlib.sha256(repr(val).encode()).hexdigest()
                     got[f"{name} {kind} {npg} {key}"] = digest
     assert got == ROUTE_DIGESTS
+
+
+GRID_SOURCES = [*fixed_code_corpus(), ("ldpc44-16", GROUPED_SOURCES[0]),
+                ("ldgm32-9", GROUPED_SOURCES[1])]
+
+
+@pytest.mark.parametrize("src", [src for _, src in GRID_SOURCES],
+                         ids=[name for name, _ in GRID_SOURCES])
+@pytest.mark.parametrize("kind", ["bsc", "biawgnc"])
+def test_grid_equals_its_points_bit_for_bit(monkeypatch, src, kind):
+    """map_gexit_routes over an eps grid gives each point the values and
+    standard errors of every MAP route that a call on that point alone
+    gives, bit for bit: on the five corpus codes and the two grouped
+    ensembles, on both channels, at 1 and 3 samples per graph; each
+    grid has a group that holds slices of two points (a fixed code's
+    three points stack as one group)."""
+    samples, p_max = 61, 8
+    grid = [0.04, 0.2, 0.3] if kind == "bsc" else [0.5, 0.8, 1.2]
+    points = [(ChannelModel(kind, eps), 14 + k) for k, eps in enumerate(grid)]
+    methods = [m for m in gexit.MAP_METHODS if kind == "biawgnc" or m != "awgn-magnetization"]
+    straddles, batches = [], gexit._batches
+
+    def recording(draws):
+        for group in batches(draws):
+            straddles.append(len(set(group[0] // samples)) > 1)
+            yield group
+
+    for npg in (1,) if isinstance(src, TannerGraph) else (1, 3):
+        monkeypatch.setattr(gexit, "_batches", recording)
+        got = map_gexit_routes(src, points, samples, methods, p_max, npg)
+        assert any(straddles)
+        straddles.clear()
+        monkeypatch.undo()
+        for point, ests in zip(points, got):
+            alone, = map_gexit_routes(src, [point], samples, methods, p_max, npg)
+            assert list(ests) == list(methods)
+            assert repr(ests) == repr(alone)
+
+
+def test_fixed_code_grid_reads_one_cached_table(monkeypatch):
+    """A fixed code's eps grid runs each reduction once for the whole
+    grid, on the code's one cached table broadcast over the grid's
+    points: the first pass builds it, every later pass hits it, and no
+    table stack is built."""
+    g = dict(fixed_code_corpus())["ldgm-loop"]
+    passes, posterior = [], exact._posterior
+
+    def counted(*args):
+        passes.append(args[0].values.shape)
+        return posterior(*args)
+
+    monkeypatch.setattr(exact, "_posterior", counted)
+    monkeypatch.setattr(exact, "codebit_tables", None)
+    exact.codebit_table.cache_clear()
+    points = [(ChannelModel("biawgnc", eps), 3) for eps in (0.5, 0.8, 1.2)]
+    map_gexit_routes(g, points, 40, gexit.MAP_METHODS)
+    info = exact.codebit_table.cache_info()
+    # the two entropies, the extrinsics and the marginals, each on all three points
+    assert passes == [(3, 40, g.code_bit_count)] * 4
+    assert (info.misses, info.hits) == (1, len(passes) - 1)
+    exact.codebit_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
